@@ -239,7 +239,7 @@ func BenchmarkAblationLocalExpansion(b *testing.B) {
 }
 
 // BenchmarkHotpath runs the engine's hot-path microbenchmarks: steady-state
-// expansion and the exchange frame codec (wire vs the gob fallback). The same
+// expansion and the exchange frame codec. The same
 // measurements back `psgl-bench hotpath` and the committed BENCH_hotpath.json
 // baseline.
 func BenchmarkHotpath(b *testing.B) {

@@ -125,12 +125,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "psgl-worker: %s (gen %d) serving %d vertices on %s for %s\n",
 		*id, w.Gen(), g.NumVertices(), w.Addr(), *coordinator)
+	// Catch signals before announcing readiness: a SIGTERM that lands first
+	// would otherwise kill the process instead of draining it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if testWorkerReady != nil {
 		testWorkerReady(w.Addr())
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop()
 	fmt.Fprintln(stderr, "psgl-worker: shutdown signal; leaving registry and draining")

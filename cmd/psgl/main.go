@@ -169,9 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts.AsyncExchange = *async
 	opts.CompressFrames = *compress
-	if *async && *stepTimeout > 0 {
-		return usage("-step-timeout applies to barriered supersteps; async mode has none (use -timeout to bound the run)")
-	}
 	opts.StepTimeout = *stepTimeout
 	opts.Retry = psgl.RetryPolicy{MaxAttempts: *retries}
 	opts.MaxRecoveries = *maxRecover

@@ -1,7 +1,7 @@
 // Distributed: run PSgL with the loopback-TCP message exchange, the
 // single-machine analogue of the paper's cluster deployment — every
-// inter-worker partial subgraph instance is gob-encoded and round-trips the
-// network stack. The instance counts must match the in-process exchange
+// inter-worker partial subgraph instance is encoded into a binary wire frame
+// and round-trips the network stack. The instance counts must match the in-process exchange
 // exactly; the wall-time difference is the serialization + transport cost.
 //
 // Run with: go run ./examples/distributed

@@ -25,12 +25,11 @@ package bsp
 // batches and park, in-flight credit drains to zero), snapshots the queues
 // plus merged stats plus program state with the same sealed snapshot format
 // as strict mode, and resumes. A failed frame send (after the retry budget)
-// tears the attempt down and restores the latest snapshot — or restarts from
-// scratch — bounded by MaxRecoveries, mirroring the strict recovery path.
+// tears the attempt down, and the shell both loops run in (bsp.go) restores
+// the latest snapshot — or restarts from scratch — bounded by MaxRecoveries.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,7 +48,8 @@ const defaultAsyncFlushEvery = 256
 const asyncFramesPerStep = 256
 
 // creditDetector is the termination detector that replaces the barrier.
-// Soundness depends on strict event ordering, enforced by the attempt:
+// Soundness depends on strict event ordering, enforced by the attempt and
+// the transport contract (deliver, then ack):
 //
 //	sender:    outstanding[src]++ happens BEFORE transport.Send
 //	deliverer: enqueue → idle[dst]=false → activity++ (all under the
@@ -128,122 +128,6 @@ func (d *creditDetector) quiescent() bool {
 	return d.activity.Load() == e1
 }
 
-// asyncTransport moves one flushed frame from src to dst. Send is
-// synchronous with respect to batch: implementations must finish reading the
-// slice before returning, so the caller can reuse the buffer. seq is the
-// sender's flush sequence number — the async analogue of the superstep for
-// fault schedules and retry accounting. Delivery and acknowledgement happen
-// through the hooks the transport was built with, possibly after Send
-// returns (the TCP transport acks from its reader goroutines).
-type asyncTransport[M any] interface {
-	Send(ctx context.Context, src, dst, seq int, batch []Envelope[M]) error
-	Close() error
-}
-
-// asyncHooks are the attempt-side callbacks a transport delivers through.
-type asyncHooks[M any] struct {
-	deliver func(dst int, batch []Envelope[M])
-	ack     func(src int)
-	fatal   func(err error)
-}
-
-// newAsyncTransport mirrors newExchangeFromFactory for the async plane: nil
-// is the in-process transport, tcpFactory builds the loopback mesh with
-// per-conn reader goroutines, and the fault factories wrap any inner
-// transport while sharing the same schedule state as their strict
-// counterparts (keyed by frame seq instead of superstep).
-func newAsyncTransport[M any](ctx context.Context, f ExchangeFactory, workers int, cfg *Config, h asyncHooks[M]) (asyncTransport[M], error) {
-	switch ff := f.(type) {
-	case nil:
-		return localAsyncTransport[M]{h: h}, nil
-	case tcpFactory:
-		compress := cfg.CompressFrames && messageIsWire[M]()
-		return newTCPAsyncTransport[M](ctx, workers, ff.cfg.withDefaults(), cfg.Observer, h, compress)
-	case faultyFactory:
-		inner, err := newAsyncTransport[M](ctx, ff.inner, workers, cfg, h)
-		if err != nil {
-			return nil, err
-		}
-		return &faultyAsyncTransport[M]{inner: inner, fc: ff.fc, state: ff.state}, nil
-	case *ScheduledFaultFactory:
-		inner, err := newAsyncTransport[M](ctx, ff.inner, workers, cfg, h)
-		if err != nil {
-			return nil, err
-		}
-		return &scheduledAsyncTransport[M]{inner: inner, state: ff.state}, nil
-	default:
-		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
-	}
-}
-
-// localAsyncTransport delivers in-process: enqueue, then ack, synchronously.
-type localAsyncTransport[M any] struct{ h asyncHooks[M] }
-
-func (t localAsyncTransport[M]) Send(_ context.Context, src, dst, _ int, batch []Envelope[M]) error {
-	t.h.deliver(dst, batch)
-	t.h.ack(src)
-	return nil
-}
-
-func (t localAsyncTransport[M]) Close() error { return nil }
-
-// faultyAsyncTransport applies the probabilistic injector to each frame,
-// drawing from the same shared stream as the strict wrapper so a factory's
-// fault budget spans both modes and survives transport rebuilds.
-type faultyAsyncTransport[M any] struct {
-	inner asyncTransport[M]
-	fc    FaultConfig
-	state *faultyState
-}
-
-func (f *faultyAsyncTransport[M]) Send(ctx context.Context, src, dst, seq int, batch []Envelope[M]) error {
-	fault, delay := f.state.draw(f.fc, seq)
-	if fault != nil {
-		return fault
-	}
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-timer.C:
-		}
-	}
-	return f.inner.Send(ctx, src, dst, seq, batch)
-}
-
-func (f *faultyAsyncTransport[M]) Close() error { return f.inner.Close() }
-
-// scheduledAsyncTransport fires step-targeted faults against frame sequence
-// numbers: a StepFault scheduled at step S claims the first Send carrying
-// seq S, exactly once, sharing the fired bookkeeping with the strict wrapper
-// so rebuilt transports continue the schedule.
-type scheduledAsyncTransport[M any] struct {
-	inner asyncTransport[M]
-	state *scheduleState
-}
-
-func (s *scheduledAsyncTransport[M]) Send(ctx context.Context, src, dst, seq int, batch []Envelope[M]) error {
-	if f, ok := s.state.next(seq); ok {
-		if err := asyncScheduledFaultError(f, seq); err != nil {
-			return err
-		}
-		if f.Kind == StepFaultDelay {
-			timer := time.NewTimer(f.Delay)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return ctx.Err()
-			case <-timer.C:
-			}
-		}
-	}
-	return s.inner.Send(ctx, src, dst, seq, batch)
-}
-
-func (s *scheduledAsyncTransport[M]) Close() error { return s.inner.Close() }
-
 // asyncWorker is one worker's queue and delta accumulators. Everything here
 // is guarded by mu; the deltas are merged into RunStats (and reset) at
 // quiescence epochs so checkpoint rollback keeps them exactly-once.
@@ -252,7 +136,7 @@ type asyncWorker[M any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	queue  []Envelope[M]
+	queue  Inbox[M]
 	paused bool
 
 	// flushSeq counts every frame this worker flushed, self-deliveries
@@ -277,22 +161,18 @@ type asyncWorker[M any] struct {
 // a new one from the latest snapshot, so late deliveries from a dying
 // transport can only touch the dead attempt's queues.
 type asyncAttempt[M any] struct {
+	r          *run[M] // program, stats and abort flag; seeded iff r.restored
 	cfg        *Config
-	prog       Program[M]
-	snapper    Snapshotter
+	gprog      GroupProgram[M]
 	k          int
 	flushEvery int
 	maxFrames  int64
-	seeded     bool
 
-	stats    *RunStats
-	abortPtr *atomic.Pointer[error]
-	det      *creditDetector
-	workers  []*asyncWorker[M]
+	det     *creditDetector
+	workers []*asyncWorker[M]
 
-	transport asyncTransport[M]
+	transport transport[M]
 	runCtx    context.Context
-	done      <-chan struct{}
 
 	nudge chan struct{}
 	fatal chan error
@@ -308,56 +188,54 @@ type asyncAttempt[M any] struct {
 	lastCkAck   int64 // coordinator-only
 }
 
-func newAsyncAttempt[M any](cfg *Config, prog Program[M], stats *RunStats, abortPtr *atomic.Pointer[error], queues [][]Envelope[M], seeded bool, maxSteps int) *asyncAttempt[M] {
-	k := cfg.Workers
-	fe := cfg.AsyncFlushEvery
+func newAsyncAttempt[M any](r *run[M]) *asyncAttempt[M] {
+	cfg, k := &r.cfg, r.cfg.Workers
+	fe := cfg.asyncFlushEvery
 	if fe <= 0 {
 		fe = defaultAsyncFlushEvery
 	}
 	// Clamp and multiply in int64: the untyped 1<<40 constant (and the
 	// product) would overflow int on 32-bit platforms.
-	maxFrames := int64(maxSteps)
+	maxFrames := int64(r.maxSteps)
 	if maxFrames > 1<<40 {
 		maxFrames = 1 << 40
 	}
 	maxFrames *= asyncFramesPerStep
-	snapper, _ := any(prog).(Snapshotter)
 	a := &asyncAttempt[M]{
+		r:          r,
 		cfg:        cfg,
-		prog:       prog,
-		snapper:    snapper,
 		k:          k,
 		flushEvery: fe,
 		maxFrames:  maxFrames,
-		seeded:     seeded,
-		stats:      stats,
-		abortPtr:   abortPtr,
 		det:        newCreditDetector(k),
 		workers:    make([]*asyncWorker[M], k),
 		nudge:      make(chan struct{}, 1),
-		fatal:      make(chan error, 8),
+		// A few slots so concurrent failures are not all lost to the
+		// non-blocking send; only the first one read matters.
+		fatal: make(chan error, 8),
 	}
-	a.epochNum.Store(int64(stats.Supersteps) + 1)
+	a.gprog, _ = any(r.prog).(GroupProgram[M])
+	a.epochNum.Store(int64(r.stats.Supersteps) + 1)
 	for w := 0; w < k; w++ {
 		wk := &asyncWorker[M]{id: w, counters: map[string]int64{}}
 		wk.cond = sync.NewCond(&wk.mu)
-		if queues != nil && w < len(queues) {
-			wk.queue = append([]Envelope[M](nil), queues[w]...)
+		if w < len(r.inboxes) {
+			wk.queue = r.inboxes[w]
 		}
 		a.workers[w] = wk
 	}
 	return a
 }
 
-func (a *asyncAttempt[M]) hooks() asyncHooks[M] {
-	return asyncHooks[M]{deliver: a.deliver, ack: a.ack, fatal: a.fatalErr}
+func (a *asyncAttempt[M]) hooks() hooks[M] {
+	return hooks[M]{deliver: a.deliver, ack: a.ack, fatal: a.fatalErr}
 }
 
-// deliver appends a received frame to dst's queue. Ordering is load-bearing:
-// append, clear the idle flag, and bump the activity epoch all under the
-// queue lock, so the detector can never observe an idle worker with a
-// non-empty queue.
-func (a *asyncAttempt[M]) deliver(dst int, batch []Envelope[M]) {
+// deliver appends what one Send carried to dst's queue (copying the
+// envelopes: senders reuse their buffers). Ordering is load-bearing: append,
+// clear the idle flag, and bump the activity epoch all under the queue lock,
+// so the detector can never observe an idle worker with a non-empty queue.
+func (a *asyncAttempt[M]) deliver(_, dst, _ int, in Inbox[M]) {
 	if a.halt.Load() {
 		// The attempt is tearing down; the frame is covered by the snapshot
 		// (or full restart) the recovery path restores from.
@@ -365,8 +243,9 @@ func (a *asyncAttempt[M]) deliver(dst int, batch []Envelope[M]) {
 	}
 	wk := a.workers[dst]
 	wk.mu.Lock()
-	busy := !a.det.idle[dst].Load() && len(wk.queue) > 0
-	wk.queue = append(wk.queue, batch...)
+	busy := !a.det.idle[dst].Load() && !wk.queue.empty()
+	wk.queue.Envs = append(wk.queue.Envs, in.Envs...)
+	wk.queue.Frames = append(wk.queue.Frames, in.Frames...)
 	a.det.enqueued(dst)
 	wk.cond.Signal()
 	wk.mu.Unlock()
@@ -392,49 +271,30 @@ func (a *asyncAttempt[M]) ack(src int) {
 	a.nudgeCoordinator()
 }
 
-func (a *asyncAttempt[M]) ckEvery() int {
-	if a.cfg.CheckpointEvery <= 0 {
-		return 0
-	}
-	return a.cfg.CheckpointEvery * a.k
-}
+func (a *asyncAttempt[M]) nudgeCoordinator() { trySend(a.nudge, struct{}{}) }
 
-func (a *asyncAttempt[M]) nudgeCoordinator() {
-	select {
-	case a.nudge <- struct{}{}:
-	default:
-	}
-}
+// fail ends the attempt with err (the first one read wins).
+func (a *asyncAttempt[M]) fail(err error) { trySend(a.fatal, err) }
 
+// fatalErr reports a transport failure — a frame out of retries, a reader
+// that lost its connection: the kind of failure the shell may recover from.
 func (a *asyncAttempt[M]) fatalErr(err error) {
-	select {
-	case a.fatal <- err:
-	default:
-	}
-}
-
-func (a *asyncAttempt[M]) buildTransport(ctx context.Context) error {
-	t, err := newAsyncTransport[M](ctx, a.cfg.Exchange, a.k, a.cfg, a.hooks())
-	if err != nil {
-		return err
-	}
-	a.transport = t
-	return nil
+	a.fail(&attemptFailure{step: int(a.epochNum.Load()), cause: err})
 }
 
 // runAttempt drives one attempt to a terminal condition: quiescence (nil),
-// abort, cancellation, or a fatal transport error (recoverable by the outer
-// loop). Workers are always joined and the transport closed before it
+// abort, cancellation, or a fatal transport error (recoverable by the
+// shell). Workers are always joined and the transport closed before it
 // returns, and the final delta merge keeps RunStats consistent either way.
 func (a *asyncAttempt[M]) runAttempt(ctx context.Context) error {
 	a.runCtx = ctx
-	a.done = ctx.Done()
 	for w := 0; w < a.k; w++ {
 		a.wg.Add(1)
 		go a.workerLoop(w)
 	}
 	err := a.coordinate(ctx)
-	a.haltAll()
+	a.halt.Store(true)
+	a.broadcastAll()
 	a.wg.Wait()
 	a.transport.Close()
 	a.mergeDeltas()
@@ -443,7 +303,7 @@ func (a *asyncAttempt[M]) runAttempt(ctx context.Context) error {
 
 func (a *asyncAttempt[M]) coordinate(ctx context.Context) error {
 	for {
-		if p := a.abortPtr.Load(); p != nil {
+		if p := a.r.abort.Load(); p != nil {
 			a.cfg.Observer.Aborted(int(a.epochNum.Load()), *p)
 			return fmt.Errorf("%w: %v", ErrAborted, *p)
 		}
@@ -451,19 +311,30 @@ func (a *asyncAttempt[M]) coordinate(ctx context.Context) error {
 		if a.det.quiescent() {
 			return nil
 		}
-		if ck := a.ckEvery(); ck > 0 && a.ackedFrames.Load()-a.lastCkAck >= int64(ck) {
+		// One barrier moves about K frames per worker, so CheckpointEvery×K
+		// acked frames is the async stand-in for "every Nth barrier".
+		if ck := int64(a.cfg.CheckpointEvery * a.k); ck > 0 && a.ackedFrames.Load()-a.lastCkAck >= ck {
 			if err := a.checkpointPause(ctx); err != nil {
 				return err
 			}
 			continue
 		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("bsp: run canceled at step %d: %w", int(a.epochNum.Load()), ctx.Err())
-		case err := <-a.fatal:
+		if err := a.wait(ctx); err != nil {
 			return err
-		case <-a.nudge:
 		}
+	}
+}
+
+// wait parks the coordinator until a worker or the transport nudges it, and
+// returns the error that ends the attempt if one arrived instead.
+func (a *asyncAttempt[M]) wait(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return fmt.Errorf("bsp: run canceled at step %d: %w", int(a.epochNum.Load()), ctx.Err())
+	case err := <-a.fatal:
+		return err
+	case <-a.nudge:
+		return nil
 	}
 }
 
@@ -476,35 +347,32 @@ func (a *asyncAttempt[M]) checkpointPause(ctx context.Context) error {
 	a.pause.Store(true)
 	a.broadcastAll()
 	for !(a.allPaused() && a.det.outstandingTotal() == 0) {
-		if a.abortPtr.Load() != nil {
+		if a.r.abort.Load() != nil {
 			// Resume and let the coordinator turn the abort into ErrAborted.
 			a.resumeAll()
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			a.resumeAll()
-			return fmt.Errorf("bsp: run canceled at step %d: %w", int(a.epochNum.Load()), ctx.Err())
-		case err := <-a.fatal:
+		if err := a.wait(ctx); err != nil {
 			a.resumeAll()
 			return err
-		case <-a.nudge:
 		}
 	}
 	a.mergeDeltas()
-	inboxes := make([][]Envelope[M], a.k)
+	// Workers are parked and nothing is in flight, so the queues can be
+	// encoded in place; still-compressed frames stay compressed.
+	inboxes := make([]Inbox[M], a.k)
 	for w, wk := range a.workers {
 		wk.mu.Lock()
-		inboxes[w] = append([]Envelope[M](nil), wk.queue...)
+		inboxes[w] = wk.queue
 		wk.mu.Unlock()
 	}
 	ckStart := time.Now()
-	nbytes, err := saveSnapshot[M](a.cfg.CheckpointStore, a.stats.Supersteps, flatInboxes(inboxes), a.stats, a.snapper)
+	nbytes, err := saveSnapshot[M](a.cfg.CheckpointStore, a.r.stats.Supersteps, inboxes, a.r.stats, a.r.snapper)
 	if err != nil {
 		a.resumeAll()
-		return fmt.Errorf("bsp: checkpoint at quiescence point %d: %w", a.stats.Supersteps, err)
+		return fmt.Errorf("bsp: checkpoint at quiescence point %d: %w", a.r.stats.Supersteps, err)
 	}
-	a.cfg.Observer.CheckpointSaved(a.stats.Supersteps, nbytes, time.Since(ckStart))
+	a.cfg.Observer.CheckpointSaved(a.r.stats.Supersteps, nbytes, time.Since(ckStart))
 	a.lastCkAck = a.ackedFrames.Load()
 	a.epochNum.Add(1)
 	a.resumeAll()
@@ -531,11 +399,6 @@ func (a *asyncAttempt[M]) broadcastAll() {
 	}
 }
 
-func (a *asyncAttempt[M]) haltAll() {
-	a.halt.Store(true)
-	a.broadcastAll()
-}
-
 func (a *asyncAttempt[M]) resumeAll() {
 	a.pause.Store(false)
 	a.broadcastAll()
@@ -555,12 +418,11 @@ func (a *asyncAttempt[M]) mergeDeltas() {
 		if wk.procTime != 0 || wk.processed != 0 || wk.produced != 0 || len(wk.counters) > 0 {
 			dirty = true
 		}
-		a.stats.WorkerTime[w] += wk.procTime
-		a.stats.WorkerMessages[w] += wk.processed
+		a.r.stats.WorkerMessages[w] += wk.processed
 		produced += wk.produced
 		processed += wk.processed
 		for name, v := range wk.counters {
-			a.stats.Counters[name] += v
+			a.r.stats.Counters[name] += v
 			delete(wk.counters, name)
 		}
 		wk.procTime, wk.processed, wk.produced = 0, 0, 0
@@ -569,12 +431,8 @@ func (a *asyncAttempt[M]) mergeDeltas() {
 	if !dirty {
 		return
 	}
-	epoch := int(a.epochNum.Load())
-	a.stats.PerStepWorkerTime = append(a.stats.PerStepWorkerTime, row)
-	a.stats.PerStepMessages = append(a.stats.PerStepMessages, produced)
-	a.stats.MessagesTotal += produced
-	a.stats.Supersteps++
-	a.cfg.Observer.StepComputed(epoch, row, processed, produced)
+	a.r.stats.addStep(row, produced)
+	a.cfg.Observer.StepComputed(int(a.epochNum.Load()), row, processed, produced)
 }
 
 // noteBurst moves the context's per-burst tallies into the worker's guarded
@@ -601,23 +459,12 @@ func outDirty[M any](wctx *Context[M]) bool {
 	return false
 }
 
-// parkUntilHalt parks a worker that can make no further progress (abort,
-// cancellation, or a fatal flush) until the coordinator tears the attempt
-// down, so its deltas stay mergeable.
-func (a *asyncAttempt[M]) parkUntilHalt(wk *asyncWorker[M]) {
-	wk.mu.Lock()
-	for !a.halt.Load() {
-		wk.cond.Wait()
-	}
-	wk.mu.Unlock()
-}
-
 // bumpSeq advances the worker's flush sequence and enforces the runaway
 // bound.
 func (a *asyncAttempt[M]) bumpSeq(wk *asyncWorker[M]) bool {
 	wk.flushSeq++
 	if wk.flushSeq > a.maxFrames {
-		a.fatalErr(fmt.Errorf("bsp: worker %d exceeded %d flushed frames (runaway async program; raise MaxSupersteps)", wk.id, a.maxFrames))
+		a.fail(fmt.Errorf("bsp: worker %d exceeded %d flushed frames (runaway async program; raise MaxSupersteps)", wk.id, a.maxFrames))
 		return false
 	}
 	return true
@@ -631,46 +478,30 @@ func (a *asyncAttempt[M]) bumpSeq(wk *asyncWorker[M]) bool {
 // everything (pre-idle, pre-pause, post-Init).
 func (a *asyncAttempt[M]) flushOut(wk *asyncWorker[M], wctx *Context[M], all bool) bool {
 	w := wk.id
-	if len(wctx.out[w]) > 0 && (all || len(wctx.out[w]) >= a.flushEvery) {
-		if !a.bumpSeq(wk) {
-			return false
-		}
-		wk.mu.Lock()
-		wk.queue = append(wk.queue, wctx.out[w]...)
-		wk.mu.Unlock()
-		wctx.out[w] = wctx.out[w][:0]
-	}
-	for dst := 0; dst < a.k; dst++ {
-		if dst == w || len(wctx.out[dst]) == 0 {
-			continue
-		}
-		if !all && len(wctx.out[dst]) < a.flushEvery {
+	for dst, batch := range wctx.out {
+		if len(batch) == 0 || (!all && len(batch) < a.flushEvery) {
 			continue
 		}
 		if !a.bumpSeq(wk) {
 			return false
 		}
-		wk.sendSeq++
-		seq := wk.sendSeq
-		cur := a.det.frameSent(w)
-		a.cfg.Observer.ObserveFramesInFlight(cur)
-		attempt := 0
-		err := withRetry(a.runCtx, a.cfg.Retry, func() error {
-			attempt++
-			serr := a.transport.Send(a.runCtx, w, dst, seq, wctx.out[dst])
-			if serr != nil {
-				a.cfg.Observer.ExchangeFailed(seq, attempt, serr)
+		if dst == w {
+			wk.mu.Lock()
+			wk.queue.Envs = append(wk.queue.Envs, batch...)
+			wk.mu.Unlock()
+		} else {
+			wk.sendSeq++
+			seq := wk.sendSeq
+			a.cfg.Observer.ObserveFramesInFlight(a.det.frameSent(w))
+			if err := sendFrame(a.runCtx, a.transport, a.cfg, w, dst, seq, batch); err != nil {
+				// Leave the credit outstanding: the lost frame must poison
+				// quiescence so the coordinator can only exit through the
+				// fatal channel, never through a false "all delivered" verdict.
+				a.fatalErr(fmt.Errorf("bsp: async exchange: frame %d->%d seq %d: %w", w, dst, seq, err))
+				return false
 			}
-			return serr
-		})
-		if err != nil {
-			// Leave the credit outstanding: the lost frame must poison
-			// quiescence so the coordinator can only exit through the fatal
-			// channel, never through a false "all delivered" verdict.
-			a.fatalErr(fmt.Errorf("bsp: async exchange: frame %d->%d seq %d: %w", w, dst, seq, err))
-			return false
 		}
-		wctx.out[dst] = wctx.out[dst][:0]
+		wctx.out[dst] = batch[:0]
 	}
 	return true
 }
@@ -681,31 +512,38 @@ func (a *asyncAttempt[M]) flushOut(wk *asyncWorker[M], wctx *Context[M], all boo
 func (a *asyncAttempt[M]) workerLoop(w int) {
 	defer a.wg.Done()
 	wk := a.workers[w]
-	wctx := &Context[M]{
-		worker:  w,
-		step:    0,
-		cfg:     a.cfg,
-		out:     make([][]Envelope[M], a.k),
-		local:   map[string]int64{},
-		aborted: a.abortPtr,
-	}
-	if !a.seeded {
+	wctx := newContext[M](a.cfg, w, 0, &a.r.abort)
+	if !a.r.restored {
 		start := time.Now()
-		a.prog.Init(wctx)
+		a.r.prog.Init(wctx)
 		a.noteBurst(wk, wctx, time.Since(start), 0)
 		if !a.flushOut(wk, wctx, true) {
-			a.parkUntilHalt(wk)
 			return
 		}
 	}
-	var burst []Envelope[M]
+	// after runs between messages: it stops the burst when the attempt is
+	// halting and ships every batch that has filled a frame, so peers start
+	// expanding while this worker is still working through its queue.
+	lastFlushSent, flushFailed := int64(0), false
+	after := func() bool {
+		if a.halt.Load() {
+			return false
+		}
+		if wctx.sent-lastFlushSent >= int64(a.flushEvery) {
+			if flushFailed = !a.flushOut(wk, wctx, false); flushFailed {
+				return false
+			}
+			lastFlushSent = wctx.sent
+		}
+		return true
+	}
+	var burst Inbox[M]
 	for {
 		wk.mu.Lock()
-		for len(wk.queue) == 0 && !a.halt.Load() && !a.pause.Load() && a.abortPtr.Load() == nil {
+		for wk.queue.empty() && !a.halt.Load() && !a.pause.Load() && a.r.abort.Load() == nil {
 			if outDirty(wctx) {
 				wk.mu.Unlock()
 				if !a.flushOut(wk, wctx, true) {
-					a.parkUntilHalt(wk)
 					return
 				}
 				wk.mu.Lock()
@@ -719,15 +557,13 @@ func (a *asyncAttempt[M]) workerLoop(w int) {
 		case a.halt.Load():
 			wk.mu.Unlock()
 			return
-		case a.abortPtr.Load() != nil:
+		case a.r.abort.Load() != nil:
 			wk.mu.Unlock()
 			a.nudgeCoordinator()
-			a.parkUntilHalt(wk)
 			return
 		case a.pause.Load():
 			wk.mu.Unlock()
 			if !a.flushOut(wk, wctx, true) {
-				a.parkUntilHalt(wk)
 				return
 			}
 			wk.mu.Lock()
@@ -742,158 +578,31 @@ func (a *asyncAttempt[M]) workerLoop(w int) {
 			wk.mu.Unlock()
 			continue
 		}
-		burst, wk.queue = wk.queue, burst[:0]
+		// Swap the queue out and recycle the drained burst's envelope
+		// storage; the frame list is dropped so its payloads can be freed.
+		burst, wk.queue = wk.queue, Inbox[M]{Envs: burst.Envs[:0]}
 		wk.mu.Unlock()
 
 		wctx.step = int(a.epochNum.Load())
 		start := time.Now()
-		var processed int64
-		lastFlushSent := wctx.sent
-		canceled := false
-	burstLoop:
-		for i := range burst {
-			if a.abortPtr.Load() != nil || a.halt.Load() {
-				break
-			}
-			if i&255 == 0 {
-				select {
-				case <-a.done:
-					canceled = true
-					break burstLoop
-				default:
-				}
-			}
-			a.prog.Process(wctx, burst[i])
-			processed++
-			if wctx.sent-lastFlushSent >= int64(a.flushEvery) {
-				if !a.flushOut(wk, wctx, false) {
-					a.noteBurst(wk, wctx, time.Since(start), processed)
-					a.parkUntilHalt(wk)
-					return
-				}
-				lastFlushSent = wctx.sent
-			}
-		}
+		lastFlushSent = wctx.sent
+		processed := deliverInbox(wctx, a.r.prog, a.gprog, &burst, a.runCtx.Done(), after)
 		a.noteBurst(wk, wctx, time.Since(start), processed)
-		if canceled {
+		if flushFailed || a.runCtx.Err() != nil {
 			a.nudgeCoordinator()
-			a.parkUntilHalt(wk)
 			return
 		}
 	}
 }
 
-// runAsync is the async-mode body of RunContext: it owns the
-// attempt/recover loop the way the strict path owns its superstep loop.
-func runAsync[M any](ctx context.Context, cfg Config, prog Program[M], maxSteps int) (rstats *RunStats, rerr error) {
-	k := cfg.Workers
-	newStats := func() *RunStats {
-		return &RunStats{
-			WorkerTime:     make([]time.Duration, k),
-			WorkerMessages: make([]int64, k),
-			Counters:       map[string]int64{},
-		}
+// runAsync is one attempt of the async loop: fresh queues (seeded from a
+// restored snapshot, if any), fresh detector, fresh transport.
+func runAsync[M any](ctx context.Context, r *run[M]) error {
+	a := newAsyncAttempt(r)
+	t, err := newTransport(ctx, r.cfg.Exchange, &r.cfg, false, a.hooks())
+	if err != nil {
+		return err
 	}
-	stats := newStats()
-	snapper, _ := any(prog).(Snapshotter)
-	var abortPtr atomic.Pointer[error]
-	var queues [][]Envelope[M]
-	seeded := false
-	startStep := 0
-
-	restore := func(snap *snapshot[M]) error {
-		if len(snap.Stats.WorkerTime) != k || len(snap.Stats.WorkerMessages) != k {
-			return fmt.Errorf("bsp: snapshot has %d workers, config has %d",
-				len(snap.Stats.WorkerTime), k)
-		}
-		recoveries := stats.Recoveries
-		*stats = snap.Stats
-		stats.Recoveries = recoveries
-		if stats.Counters == nil {
-			stats.Counters = map[string]int64{}
-		}
-		// A strict compressed run's snapshot keeps its inboxes grouped;
-		// rehydrate them into the async plane's flat queue form.
-		rows, err := snap.flatRows(k)
-		if err != nil {
-			return err
-		}
-		queues = rows
-		if snapper != nil {
-			if err := snapper.RestoreState(snap.Prog); err != nil {
-				return fmt.Errorf("bsp: restoring program state: %w", err)
-			}
-		}
-		return nil
-	}
-
-	if cfg.ResumeFrom != nil {
-		resumeStart := time.Now()
-		snap, err := loadSnapshot[M](cfg.ResumeFrom)
-		switch {
-		case errors.Is(err, ErrNoCheckpoint):
-			// Empty store: fresh start.
-		case err != nil:
-			return nil, fmt.Errorf("bsp: resume: %w", err)
-		default:
-			if err := restore(snap); err != nil {
-				return nil, fmt.Errorf("bsp: resume: %w", err)
-			}
-			seeded = true
-			startStep = snap.Step
-			cfg.Observer.Resumed(startStep, time.Since(resumeStart))
-		}
-	}
-
-	cfg.Observer.RunStarted(k, startStep)
-	defer func() {
-		if rstats != nil {
-			cfg.Observer.RunEnded(rstats.Supersteps, rstats.MessagesTotal, rstats.Counters,
-				rstats.WorkerTime, rstats.WorkerMessages, rerr)
-		}
-	}()
-
-	for {
-		a := newAsyncAttempt[M](&cfg, prog, stats, &abortPtr, queues, seeded, maxSteps)
-		if err := a.buildTransport(ctx); err != nil {
-			return stats, fmt.Errorf("bsp: async exchange setup: %w", err)
-		}
-		err := a.runAttempt(ctx)
-		if err == nil {
-			return stats, nil
-		}
-		if errors.Is(err, ErrAborted) {
-			return stats, err
-		}
-		if ctx.Err() != nil || cfg.CheckpointStore == nil || stats.Recoveries >= cfg.MaxRecoveries {
-			return stats, err
-		}
-		stats.Recoveries++
-		cfg.Observer.RecoveryStarted(stats.Supersteps, err)
-		restoreStart := time.Now()
-		snap, lerr := loadSnapshot[M](cfg.CheckpointStore)
-		switch {
-		case errors.Is(lerr, ErrNoCheckpoint):
-			// No quiescence snapshot yet: restart from scratch, resetting
-			// program-side state with the engine's.
-			recoveries := stats.Recoveries
-			stats = newStats()
-			stats.Recoveries = recoveries
-			queues, seeded = nil, false
-			if snapper != nil {
-				if serr := snapper.RestoreState(nil); serr != nil {
-					return stats, fmt.Errorf("bsp: resetting program state: %v (original failure: %w)", serr, err)
-				}
-			}
-			cfg.Observer.RestartedFromScratch(stats.Supersteps)
-		case lerr != nil:
-			return stats, fmt.Errorf("bsp: loading checkpoint: %v (original failure: %w)", lerr, err)
-		default:
-			if rerr := restore(snap); rerr != nil {
-				return stats, rerr
-			}
-			seeded = true
-			cfg.Observer.CheckpointRestored(snap.Step, time.Since(restoreStart))
-		}
-	}
+	a.transport = t
+	return a.runAttempt(ctx)
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,15 +90,9 @@ func TestCreditDetectorLateFrameAfterLocalQuiescence(t *testing.T) {
 	}
 }
 
-func newTestAttempt(t *testing.T, cfg *Config, prog Program[int], seeded bool) *asyncAttempt[int] {
+func newTestAttempt(t *testing.T, cfg Config, prog Program[int], seeded bool) *asyncAttempt[int] {
 	t.Helper()
-	stats := &RunStats{
-		WorkerTime:     make([]time.Duration, cfg.Workers),
-		WorkerMessages: make([]int64, cfg.Workers),
-		Counters:       map[string]int64{},
-	}
-	var abortPtr atomic.Pointer[error]
-	return newAsyncAttempt[int](cfg, prog, stats, &abortPtr, nil, seeded, 100)
+	return newAsyncAttempt(&run[int]{cfg: cfg, prog: prog, maxSteps: 100, stats: newRunStats(cfg.Workers), restored: seeded})
 }
 
 func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
@@ -112,7 +104,7 @@ func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
 		init:    func(*Context[int]) {},
 		process: func(*Context[int], Envelope[int]) {},
 	}
-	a := newTestAttempt(t, &Config{Workers: 2}, prog, true)
+	a := newTestAttempt(t, Config{Workers: 2}, prog, true)
 	a.det.frameSent(0)
 	select {
 	case <-a.nudge: // drain any pending nudge, as coordinate() would
@@ -131,12 +123,12 @@ func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
 // queue and parked idle again — the TCP-reader interleaving where the final
 // ack lands after the destination's idle-nudge was already consumed.
 type delayedAckTransport[M any] struct {
-	h   asyncHooks[M]
+	h   hooks[M]
 	det *creditDetector
 }
 
-func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, _ int, batch []Envelope[M]) error {
-	t.h.deliver(dst, batch)
+func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, ord int, batch []Envelope[M]) error {
+	t.h.deliver(src, dst, ord, Inbox[M]{Envs: batch})
 	go func() {
 		for !t.det.idle[dst].Load() {
 			time.Sleep(100 * time.Microsecond)
@@ -164,7 +156,7 @@ func TestAsyncDelayedAckStillTerminates(t *testing.T) {
 		},
 		process: func(*Context[int], Envelope[int]) {},
 	}
-	cfg := &Config{
+	cfg := Config{
 		Workers: 2,
 		Owner: func(v graph.VertexID) int {
 			if v < 100 {
@@ -189,7 +181,7 @@ func runEchoMode(t *testing.T, factory ExchangeFactory, async bool) *RunStats {
 	prog, cfg := newEcho(100, 5, 3)
 	cfg.Exchange = factory
 	cfg.AsyncExchange = async
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +230,8 @@ func TestAsyncSmallFlushMatchesStrict(t *testing.T) {
 	strict := runEchoMode(t, nil, false)
 	prog, cfg := newEcho(100, 5, 3)
 	cfg.AsyncExchange = true
-	cfg.AsyncFlushEvery = 1
-	async, err := Run[int](cfg, prog)
+	cfg.asyncFlushEvery = 1
+	async, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,41 +253,6 @@ func TestAsyncEmptyProgramTerminates(t *testing.T) {
 	}
 	if stats.MessagesTotal != 0 {
 		t.Fatalf("empty async program: msgs=%d", stats.MessagesTotal)
-	}
-}
-
-func TestAsyncStructMessagesOverTCP(t *testing.T) {
-	// Gob-mode frames must survive the pipelined TCP path intact too.
-	var mu sync.Mutex
-	var received []structMsg
-	prog := &funcProgram[structMsg]{
-		init: func(ctx *Context[structMsg]) {
-			if ctx.Worker() == 0 {
-				ctx.Send(5, structMsg{Mapping: []int32{1, -1, 3}, Next: 2, Mask: 0xdead})
-			}
-		},
-		process: func(ctx *Context[structMsg], env Envelope[structMsg]) {
-			mu.Lock()
-			received = append(received, env.Msg)
-			mu.Unlock()
-		},
-	}
-	part := graph.NewPartition(2, 1)
-	cfg := Config{
-		Workers:       2,
-		Owner:         func(v graph.VertexID) int { return part.Owner(v) },
-		Exchange:      NewTCPExchangeFactory(),
-		AsyncExchange: true,
-	}
-	if _, err := Run[structMsg](cfg, prog); err != nil {
-		t.Fatal(err)
-	}
-	if len(received) != 1 {
-		t.Fatalf("received %d messages, want 1", len(received))
-	}
-	got := received[0]
-	if got.Next != 2 || got.Mask != 0xdead || len(got.Mapping) != 3 || got.Mapping[2] != 3 {
-		t.Fatalf("struct mangled in async transit: %+v", got)
 	}
 }
 
@@ -359,7 +316,7 @@ func TestAsyncRunawayFrameBound(t *testing.T) {
 		Workers:         1,
 		Owner:           func(graph.VertexID) int { return 0 },
 		AsyncExchange:   true,
-		AsyncFlushEvery: 1,
+		asyncFlushEvery: 1,
 		MaxSupersteps:   1,
 	}
 	_, err := Run[int](cfg, prog)
@@ -372,19 +329,6 @@ func TestAsyncRunawayFrameBound(t *testing.T) {
 }
 
 // --- fault schedules, checkpoints, recovery ---
-
-func TestAsyncScheduledDelayIsHarmless(t *testing.T) {
-	strict := runEchoMode(t, nil, false)
-	factory := NewScheduledFaultExchangeFactory(NewTCPExchangeFactory(), []StepFault{
-		{Step: 2, Kind: StepFaultDelay, Delay: 5 * time.Millisecond},
-		{Step: 3, Kind: StepFaultDelay, Delay: 5 * time.Millisecond},
-	})
-	async := runEchoMode(t, factory, true)
-	if strict.Counters["delivered"] != async.Counters["delivered"] {
-		t.Fatalf("delivered differ under delay: strict=%d async=%d",
-			strict.Counters["delivered"], async.Counters["delivered"])
-	}
-}
 
 func TestAsyncRecoveryFromScheduledKill(t *testing.T) {
 	strict := runEchoMode(t, nil, false)
@@ -404,7 +348,7 @@ func TestAsyncRecoveryFromScheduledKill(t *testing.T) {
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = NewMemCheckpointStore()
 	cfg.MaxRecoveries = 5
-	async, err := Run[int](cfg, prog)
+	async, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +405,10 @@ func TestAsyncCheckpointAndResume(t *testing.T) {
 	store := NewMemCheckpointStore()
 	prog, cfg := newEcho(100, 5, 3)
 	cfg.AsyncExchange = true
-	cfg.AsyncFlushEvery = 8 // more frames, so quiescence checkpoints trigger
+	cfg.asyncFlushEvery = 8 // more frames, so quiescence checkpoints trigger
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
-	first, err := Run[int](cfg, prog)
+	first, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +420,7 @@ func TestAsyncCheckpointAndResume(t *testing.T) {
 	prog2, cfg2 := newEcho(100, 5, 3)
 	cfg2.AsyncExchange = true
 	cfg2.ResumeFrom = store
-	resumed, err := Run[int](cfg2, prog2)
+	resumed, err := Run[wint](cfg2, prog2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +438,7 @@ func TestAsyncObserverCounters(t *testing.T) {
 	prog, cfg := newEcho(100, 5, 3)
 	cfg.AsyncExchange = true
 	cfg.Observer = o
-	if _, err := Run[int](cfg, prog); err != nil {
+	if _, err := Run[wint](cfg, prog); err != nil {
 		t.Fatal(err)
 	}
 	s := o.Snapshot()

@@ -11,15 +11,7 @@ import "sync/atomic"
 // It is not wired to any exchange or barrier — production code has no use
 // for it.
 func NewBenchContext[M any](cfg Config, worker, step int) *Context[M] {
-	var abort atomic.Pointer[error]
-	return &Context[M]{
-		worker:  worker,
-		step:    step,
-		cfg:     &cfg,
-		out:     make([][]Envelope[M], cfg.Workers),
-		local:   map[string]int64{},
-		aborted: &abort,
-	}
+	return newContext[M](&cfg, worker, step, new(atomic.Pointer[error]))
 }
 
 // ResetSends truncates the context's outgoing buffers in place, keeping

@@ -4,20 +4,24 @@
 // proceeds in supersteps separated by barriers; all communication is message
 // passing addressed to data vertices, routed to the owning worker.
 //
-// Two message exchanges are provided: the default in-process exchange, and a
-// TCP exchange (tcp.go) that round-trips every inter-worker batch through
-// gob encoding and the loopback network stack, for distributed-execution
-// realism on a single machine. A fault-injection wrapper (faults.go) makes
-// either exchange drop, delay, or error batches deterministically, for
-// recovery testing.
+// All messages move through one frame transport (transport.go) with two
+// implementations: in-process, and a loopback-TCP mesh (tcp.go) that
+// round-trips every inter-worker batch through the binary wire codec
+// (wire.go, compress.go) and the network stack, for distributed-execution
+// realism on a single machine. A fault middleware (faults.go) wraps either
+// to drop, delay, or error frames deterministically, for recovery testing.
+// Two loops run on it: the strict superstep loop, whose barrier is "every
+// worker's frame for every worker has arrived" (strict.go), and the
+// pipelined async loop with credit/ack termination (async.go).
 //
 // Fault tolerance mirrors the Giraph substrate the paper ran on: barriers
-// are the recovery points. The engine can snapshot its state (next inboxes
-// plus merged stats) into a CheckpointStore every N supersteps
-// (checkpoint.go), retry failed exchanges with bounded exponential backoff
-// (retry.go), rebuild the exchange and restore the latest checkpoint when a
-// superstep fails, and resume an entirely new run from a persisted
-// checkpoint (Config.ResumeFrom).
+// (quiescence points, in the async loop) are the recovery points. RunContext
+// can snapshot a run's state (next inboxes plus merged stats) into a
+// CheckpointStore (checkpoint.go), retry failed frames with bounded
+// exponential backoff (retry.go), rebuild the transport and restore the
+// latest checkpoint when an attempt fails, and resume an entirely new run
+// from a persisted checkpoint (Config.ResumeFrom) — one shell, below, shared
+// by both loops.
 //
 // The engine records the metrics the paper's cost model is built on
 // (Equation 3): per-superstep, per-worker compute time and message counts,
@@ -30,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,16 +68,18 @@ type Config struct {
 	// supersteps (including the initialization step) are executed. 0 means
 	// 1 << 20.
 	MaxSupersteps int
-	// Exchange overrides the in-process message exchange (e.g.
+	// Exchange selects the transport messages move over (e.g.
 	// NewTCPExchangeFactory, NewFaultyExchangeFactory). Nil uses the
-	// in-process exchange.
+	// in-process transport.
 	Exchange ExchangeFactory
 	// StepTimeout bounds each superstep (compute plus exchange). A superstep
 	// exceeding it fails like an exchange error: it is eligible for
 	// checkpoint recovery, otherwise it fails the run. 0 means no deadline.
+	// The async loop has no supersteps to bound: setting both fails the run
+	// with ErrAsyncStepTimeout.
 	StepTimeout time.Duration
-	// Retry wraps every Exchange call in bounded exponential backoff. The
-	// zero value performs a single attempt.
+	// Retry wraps every frame Send, in both loops, in bounded exponential
+	// backoff. The zero value performs a single attempt.
 	Retry RetryPolicy
 	// CheckpointEvery > 0 snapshots the run state (next inboxes plus merged
 	// stats) into CheckpointStore at every Nth barrier.
@@ -86,11 +91,11 @@ type Config struct {
 	// resumes the run from that barrier instead of starting at Init. An
 	// empty store falls back to a fresh start.
 	ResumeFrom CheckpointStore
-	// MaxRecoveries is how many times a failed superstep (exchange error,
-	// exhausted retries, or step deadline) may be recovered in-run by
-	// rebuilding the exchange from its factory and restoring the latest
-	// checkpoint (or restarting from scratch when no checkpoint exists yet).
-	// 0 disables in-run recovery.
+	// MaxRecoveries is how many times a failed attempt (a frame that
+	// exhausted its retries, a lost connection, or a step deadline) may be
+	// recovered in-run by rebuilding the transport from its factory and
+	// restoring the latest checkpoint (or restarting from scratch when no
+	// checkpoint exists yet). 0 disables in-run recovery.
 	MaxRecoveries int
 	// AsyncExchange replaces the barriered superstep loop with the pipelined
 	// async message plane (async.go): workers flush fixed-size frame batches
@@ -98,23 +103,18 @@ type Config struct {
 	// barrier degrades to a credit/ack termination detector. Final counts are
 	// bit-identical to strict mode for programs whose results are independent
 	// of message-processing order (the engine's are; the differential suites
-	// pin it). StepTimeout does not apply (there are no steps to bound);
+	// pin it). StepTimeout is rejected (there are no steps to bound);
 	// MaxSupersteps is approximated as a per-worker flushed-frame bound; and
 	// checkpoints are taken at induced quiescence points instead of barriers.
 	AsyncExchange bool
-	// AsyncFlushEvery is the async plane's frame granularity: a worker
-	// flushes a destination batch once it holds this many messages. Smaller
-	// values pipeline more aggressively at higher framing overhead. 0 means
-	// 256. Ignored in strict mode.
-	AsyncFlushEvery int
-	// CompressFrames front codes message batches (compress.go): batches are
-	// sorted by encoding and shipped as shared-prefix + suffix deltas, and in
-	// strict mode the per-worker inbox keeps them encoded until the run loop
-	// decodes them one bounded chunk at a time — trading barrier CPU for
-	// bytes on the wire and peak RSS. Requires *M to implement WireMessage
-	// (silently ignored otherwise); in async mode it compresses the wire but
-	// inboxes stay expanded (frames are consumed as they arrive); with the
-	// in-process async exchange there are no frames at all, so it is a no-op.
+	// CompressFrames selects the front-coding frame codec (compress.go):
+	// batches are sorted by encoding and shipped as shared-prefix + suffix
+	// deltas, and inboxes keep them encoded until the run loop decodes them
+	// one bounded chunk at a time — trading codec CPU for bytes on the wire
+	// and peak RSS. Requires *M to implement WireMessage (silently ignored
+	// otherwise). A worker's batch for itself is front coded too in the
+	// strict loop; in the async loop it goes straight into the worker's own
+	// queue, flat.
 	CompressFrames bool
 	// Observer receives the run's metrics and trace events (superstep
 	// timings, exchange volume, transport frames and bytes, checkpoint and
@@ -122,10 +122,20 @@ type Config struct {
 	// nil-receiver no-op, and no hook runs per message, so the compute hot
 	// path is unaffected either way.
 	Observer *obs.Observer
+
+	// asyncFlushEvery is the async loop's frame granularity: a worker flushes
+	// a destination batch once it holds this many messages. 0 means
+	// defaultAsyncFlushEvery; only this package's tests set it, to force
+	// frame counts a small workload would not otherwise reach.
+	asyncFlushEvery int
 }
 
 // ErrAborted wraps the error passed to Context.Abort.
 var ErrAborted = errors.New("bsp: computation aborted")
+
+// ErrAsyncStepTimeout rejects a Config that sets both AsyncExchange and
+// StepTimeout.
+var ErrAsyncStepTimeout = errors.New("bsp: StepTimeout bounds barriered supersteps and the async exchange has none; bound the run with a context deadline instead")
 
 // Snapshotter is an optional Program extension for programs carrying state
 // outside the BSP inboxes — accumulators, RNG streams, local heuristic
@@ -158,6 +168,17 @@ type Context[M any] struct {
 	sent    int64
 	local   map[string]int64
 	aborted *atomic.Pointer[error]
+}
+
+func newContext[M any](cfg *Config, worker, step int, aborted *atomic.Pointer[error]) *Context[M] {
+	return &Context[M]{
+		worker:  worker,
+		step:    step,
+		cfg:     cfg,
+		out:     make([][]Envelope[M], cfg.Workers),
+		local:   map[string]int64{},
+		aborted: aborted,
+	}
 }
 
 // Worker returns this worker's id in [0, Workers).
@@ -206,6 +227,17 @@ type RunStats struct {
 	Recoveries int
 }
 
+// addStep appends one row — a superstep, or an async epoch — to the stats.
+func (s *RunStats) addStep(workerTimes []time.Duration, produced int64) {
+	for w, t := range workerTimes {
+		s.WorkerTime[w] += t
+	}
+	s.PerStepWorkerTime = append(s.PerStepWorkerTime, workerTimes)
+	s.PerStepMessages = append(s.PerStepMessages, produced)
+	s.MessagesTotal += produced
+	s.Supersteps++
+}
+
 // SimulatedMakespan is the cost model of Equation 3: the sum over supersteps
 // of the slowest worker's compute time. It is the engine's runtime metric
 // when the worker count exceeds the physical core count.
@@ -230,312 +262,171 @@ func Run[M any](cfg Config, prog Program[M]) (*RunStats, error) {
 	return RunContext[M](context.Background(), cfg, prog)
 }
 
-// RunContext is Run with cancellation: the run stops at the next barrier (or
-// message boundary within a superstep) once ctx is done, and ctx deadlines
-// bound the exchange's network operations. Config.StepTimeout additionally
-// derives a per-superstep deadline from ctx.
-func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats *RunStats, rerr error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("bsp: need >= 1 worker, have %d", cfg.Workers)
+// validate rejects a Config neither loop can honour.
+func (cfg *Config) validate() error {
+	switch {
+	case cfg.Workers < 1:
+		return fmt.Errorf("bsp: need >= 1 worker, have %d", cfg.Workers)
+	case cfg.Owner == nil:
+		return fmt.Errorf("bsp: Owner function is required")
+	case cfg.CheckpointEvery > 0 && cfg.CheckpointStore == nil:
+		return fmt.Errorf("bsp: CheckpointEvery set without a CheckpointStore")
+	case cfg.MaxRecoveries > 0 && cfg.CheckpointStore == nil:
+		return fmt.Errorf("bsp: MaxRecoveries set without a CheckpointStore")
+	case cfg.AsyncExchange && cfg.StepTimeout > 0:
+		return ErrAsyncStepTimeout
 	}
-	if cfg.Owner == nil {
-		return nil, fmt.Errorf("bsp: Owner function is required")
+	return nil
+}
+
+// run is the state RunContext's shell owns across attempts: where the next
+// attempt starts (superstep 0 with nothing delivered, or a restored
+// snapshot) and the stats that roll back with it.
+type run[M any] struct {
+	cfg      Config
+	prog     Program[M]
+	snapper  Snapshotter
+	maxSteps int
+	abort    atomic.Pointer[error]
+
+	stats *RunStats
+	// step is the superstep the next attempt enters; restored says its
+	// inboxes (the async loop's queues) come from a snapshot, so Init must
+	// not run again.
+	step     int
+	restored bool
+	inboxes  []Inbox[M]
+}
+
+// attemptFailure is how an attempt reports a failure recovery may get past —
+// a frame that exhausted its retries, a lost connection, a blown step
+// deadline — as opposed to the errors that end the run whatever the budget
+// (abort, cancellation, the runaway bound, a failed checkpoint save).
+type attemptFailure struct {
+	step  int
+	cause error
+}
+
+func (f *attemptFailure) Error() string { return f.cause.Error() }
+
+func newRunStats(k int) *RunStats {
+	return &RunStats{
+		WorkerTime:     make([]time.Duration, k),
+		WorkerMessages: make([]int64, k),
+		Counters:       map[string]int64{},
 	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointStore == nil {
-		return nil, fmt.Errorf("bsp: CheckpointEvery set without a CheckpointStore")
+}
+
+// load points the run at store's latest snapshot: stats, inboxes, and the
+// program's own state (load accumulators, RNGs, …) all roll back to the same
+// barrier, which is what keeps every logical counter exactly-once. ok is
+// false, with the run untouched, when the store holds no snapshot yet.
+func (r *run[M]) load(store CheckpointStore) (ok bool, err error) {
+	snap, err := loadSnapshot[M](store)
+	if errors.Is(err, ErrNoCheckpoint) {
+		return false, nil
+	} else if err != nil {
+		return false, err
 	}
-	if cfg.MaxRecoveries > 0 && cfg.CheckpointStore == nil {
-		return nil, fmt.Errorf("bsp: MaxRecoveries set without a CheckpointStore")
+	k := r.cfg.Workers
+	if len(snap.Stats.WorkerTime) != k || len(snap.Stats.WorkerMessages) != k {
+		return false, fmt.Errorf("snapshot has %d workers, config has %d", len(snap.Stats.WorkerTime), k)
 	}
-	maxSteps := cfg.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 1 << 20
+	snap.Stats.Recoveries = r.stats.Recoveries
+	r.stats = &snap.Stats
+	r.step, r.restored, r.inboxes = snap.Step, true, snap.inboxRows(k)
+	if r.snapper != nil {
+		if err := r.snapper.RestoreState(snap.Prog); err != nil {
+			return false, fmt.Errorf("restoring program state: %w", err)
+		}
 	}
-	if cfg.AsyncExchange {
-		return runAsync[M](ctx, cfg, prog, maxSteps)
+	return true, nil
+}
+
+// recover handles a failed attempt: restore the latest checkpoint — or
+// restart from scratch when none exists yet — so the next attempt, over a
+// transport rebuilt from its factory (for TCP this is the reconnect), resumes
+// from there. It returns the error that fails the run when the budget is
+// spent or the checkpoint unusable.
+func (r *run[M]) recover(ctx context.Context, fail *attemptFailure) error {
+	cfg := &r.cfg
+	if ctx.Err() != nil || cfg.CheckpointStore == nil || r.stats.Recoveries >= cfg.MaxRecoveries {
+		return fail.cause
 	}
-	// Compression needs the binary codec; types without WireMessage keep the
-	// flat gob path regardless of the flag.
-	compress := cfg.CompressFrames && messageIsWire[M]()
-	buildExchange := func() (Exchange[M], error) {
-		return newExchangeFromFactory[M](ctx, cfg.Exchange, cfg.Workers, cfg.Observer, compress)
-	}
-	exchange, err := buildExchange()
+	r.stats.Recoveries++
+	cfg.Observer.RecoveryStarted(fail.step, fail.cause)
+	restoreStart := time.Now()
+	restored, err := r.load(cfg.CheckpointStore)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("bsp: loading checkpoint after step %d: %w (original failure: %w)", fail.step, err, fail.cause)
 	}
-	defer func() { exchange.Close() }()
-
-	k := cfg.Workers
-	newStats := func() *RunStats {
-		return &RunStats{
-			WorkerTime:     make([]time.Duration, k),
-			WorkerMessages: make([]int64, k),
-			Counters:       map[string]int64{},
-		}
-	}
-	stats := newStats()
-	var abortPtr atomic.Pointer[error]
-	inboxes := make([]Inbox[M], k)
-	startStep := 0
-	snapper, _ := any(prog).(Snapshotter)
-	gprog, _ := any(prog).(GroupProgram[M])
-
-	restore := func(snap *snapshot[M]) error {
-		if len(snap.Stats.WorkerTime) != k || len(snap.Stats.WorkerMessages) != k {
-			return fmt.Errorf("bsp: snapshot has %d workers, config has %d",
-				len(snap.Stats.WorkerTime), k)
-		}
-		recoveries := stats.Recoveries
-		*stats = snap.Stats
-		stats.Recoveries = recoveries
-		if stats.Counters == nil {
-			stats.Counters = map[string]int64{}
-		}
-		inboxes = snap.inboxRows(k)
-		if snapper != nil {
-			// Roll the program's own state (load accumulators, RNGs, …)
-			// back to the same barrier, keeping it exactly-once too.
-			if err := snapper.RestoreState(snap.Prog); err != nil {
-				return fmt.Errorf("bsp: restoring program state: %w", err)
-			}
-		}
+	if restored {
+		cfg.Observer.CheckpointRestored(r.step, time.Since(restoreStart))
 		return nil
 	}
+	// No snapshot yet: restart from scratch, resetting program-side state
+	// with the engine's.
+	recoveries := r.stats.Recoveries
+	r.stats = newRunStats(cfg.Workers)
+	r.stats.Recoveries = recoveries
+	r.step, r.restored, r.inboxes = 0, false, nil
+	if r.snapper != nil {
+		if err := r.snapper.RestoreState(nil); err != nil {
+			return fmt.Errorf("bsp: resetting program state after step %d: %v (original failure: %w)", fail.step, err, fail.cause)
+		}
+	}
+	cfg.Observer.RestartedFromScratch(fail.step)
+	return nil
+}
 
+// RunContext is Run with cancellation: the run stops at the next barrier (or
+// message boundary within a superstep) once ctx is done, and ctx deadlines
+// bound the transport's network operations. Config.StepTimeout additionally
+// derives a per-superstep deadline from ctx.
+//
+// It is the one shell both loops run in: validate, resume from a persisted
+// checkpoint if asked, then run attempts of the configured loop — each over a
+// freshly built transport — recovering between them while the budget lasts,
+// and report the run's start and end to the observer.
+func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats *RunStats, rerr error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	r := &run[M]{cfg: cfg, prog: prog, maxSteps: cfg.MaxSupersteps, stats: newRunStats(cfg.Workers)}
+	r.snapper, _ = any(prog).(Snapshotter)
+	if r.maxSteps <= 0 {
+		r.maxSteps = 1 << 20
+	}
 	if cfg.ResumeFrom != nil {
 		resumeStart := time.Now()
-		snap, err := loadSnapshot[M](cfg.ResumeFrom)
-		switch {
-		case errors.Is(err, ErrNoCheckpoint):
-			// Empty store: fresh start.
-		case err != nil:
+		resumed, err := r.load(cfg.ResumeFrom)
+		if err != nil {
 			return nil, fmt.Errorf("bsp: resume: %w", err)
-		default:
-			if err := restore(snap); err != nil {
-				return nil, fmt.Errorf("bsp: resume: %w", err)
-			}
-			startStep = snap.Step
-			cfg.Observer.Resumed(startStep, time.Since(resumeStart))
+		}
+		if resumed { // an empty store is a fresh start
+			cfg.Observer.Resumed(r.step, time.Since(resumeStart))
 		}
 	}
 
-	cfg.Observer.RunStarted(k, startStep)
+	cfg.Observer.RunStarted(cfg.Workers, r.step)
 	defer func() {
 		// The logical end state comes from RunStats, which rolls back with
-		// barrier snapshots — exactly-once regardless of replays.
-		if rstats != nil {
-			cfg.Observer.RunEnded(rstats.Supersteps, rstats.MessagesTotal, rstats.Counters,
-				rstats.WorkerTime, rstats.WorkerMessages, rerr)
-		}
+		// snapshots — exactly-once regardless of replays.
+		cfg.Observer.RunEnded(rstats.Supersteps, rstats.MessagesTotal, rstats.Counters,
+			rstats.WorkerTime, rstats.WorkerMessages, rerr)
 	}()
-
-	runStep := func(stepCtx context.Context, step int) (outAll [][][]Envelope[M], produced int64) {
-		outAll = make([][][]Envelope[M], k)
-		stepTimes := make([]time.Duration, k)
-		counterSets := make([]map[string]int64, k)
-		var wg sync.WaitGroup
-		var producedAtomic, processedAtomic atomic.Int64
-		done := stepCtx.Done()
-		for w := 0; w < k; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ctx := &Context[M]{
-					worker:  w,
-					step:    step,
-					cfg:     &cfg,
-					out:     make([][]Envelope[M], k),
-					local:   map[string]int64{},
-					aborted: &abortPtr,
-				}
-				start := time.Now()
-				processed := int64(0)
-				if step == 0 {
-					prog.Init(ctx)
-				} else {
-					processed = deliverInbox(ctx, prog, gprog, &inboxes[w], &abortPtr, done)
-				}
-				stepTimes[w] = time.Since(start)
-				outAll[w] = ctx.out
-				counterSets[w] = ctx.local
-				producedAtomic.Add(ctx.sent)
-				processedAtomic.Add(processed)
-				stats.WorkerMessages[w] += processed
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < k; w++ {
-			stats.WorkerTime[w] += stepTimes[w]
-			for name, v := range counterSets[w] {
-				stats.Counters[name] += v
-			}
-		}
-		stats.PerStepWorkerTime = append(stats.PerStepWorkerTime, stepTimes)
-		cfg.Observer.StepComputed(step, stepTimes, processedAtomic.Load(), producedAtomic.Load())
-		return outAll, producedAtomic.Load()
+	attempt := runStrict[M]
+	if cfg.AsyncExchange {
+		attempt = runAsync[M]
 	}
-
-	// recoverRun handles a failed superstep: rebuild the exchange from its
-	// factory (for TCP this is the reconnect) and restore the latest
-	// checkpoint — or restart from scratch when none exists yet. It returns
-	// the superstep to resume from, or the error that fails the run.
-	recoverRun := func(step int, cause error) (int, error) {
-		if ctx.Err() != nil || cfg.CheckpointStore == nil || stats.Recoveries >= cfg.MaxRecoveries {
-			return 0, cause
+	for {
+		err := attempt(ctx, r)
+		fail, recoverable := err.(*attemptFailure)
+		if !recoverable {
+			return r.stats, err
 		}
-		stats.Recoveries++
-		cfg.Observer.RecoveryStarted(step, cause)
-		exchange.Close()
-		next, err := buildExchange()
-		if err != nil {
-			return 0, fmt.Errorf("rebuilding exchange after step %d: %v (original failure: %w)", step, err, cause)
-		}
-		exchange = next
-		restoreStart := time.Now()
-		snap, err := loadSnapshot[M](cfg.CheckpointStore)
-		switch {
-		case errors.Is(err, ErrNoCheckpoint):
-			// No barrier snapshot yet: restart from scratch, resetting
-			// program-side state with the engine's.
-			recoveries := stats.Recoveries
-			stats = newStats()
-			stats.Recoveries = recoveries
-			inboxes = make([]Inbox[M], k)
-			if snapper != nil {
-				if err := snapper.RestoreState(nil); err != nil {
-					return 0, fmt.Errorf("resetting program state after step %d: %v (original failure: %w)", step, err, cause)
-				}
-			}
-			cfg.Observer.RestartedFromScratch(step)
-			return 0, nil
-		case err != nil:
-			return 0, fmt.Errorf("loading checkpoint after step %d: %w (original failure: %w)", step, err, cause)
-		default:
-			if err := restore(snap); err != nil {
-				return 0, err
-			}
-			cfg.Observer.CheckpointRestored(snap.Step, time.Since(restoreStart))
-			return snap.Step, nil
-		}
-	}
-
-	for step := startStep; ; step++ {
-		if err := ctx.Err(); err != nil {
-			return stats, fmt.Errorf("bsp: run canceled at step %d: %w", step, err)
-		}
-		if step >= maxSteps {
-			return stats, fmt.Errorf("bsp: exceeded %d supersteps", maxSteps)
-		}
-		stepCtx, cancel := ctx, func() {}
-		if cfg.StepTimeout > 0 {
-			stepCtx, cancel = context.WithTimeout(ctx, cfg.StepTimeout)
-		}
-		cfg.Observer.StepStarted(step)
-		outAll, produced := runStep(stepCtx, step)
-		stats.Supersteps = step + 1
-		stats.PerStepMessages = append(stats.PerStepMessages, produced)
-		stats.MessagesTotal += produced
-		if errp := abortPtr.Load(); errp != nil {
-			cancel()
-			cfg.Observer.Aborted(step, *errp)
-			return stats, fmt.Errorf("%w: %v", ErrAborted, *errp)
-		}
-		if err := stepCtx.Err(); err != nil {
-			cancel()
-			resume, rerr := recoverRun(step, fmt.Errorf("superstep %d interrupted: %w", step, err))
-			if rerr != nil {
-				return stats, fmt.Errorf("bsp: %w", rerr)
-			}
-			step = resume - 1
-			continue
-		}
-		if produced == 0 {
-			cancel()
-			return stats, nil
-		}
-		var next []Inbox[M]
-		exStart := time.Now()
-		attempt := 0
-		exErr := withRetry(stepCtx, cfg.Retry, func() error {
-			attempt++
-			var n []Inbox[M]
-			var err error
-			if compress {
-				n, err = exchangeGrouped(stepCtx, exchange, step, outAll)
-			} else {
-				var flat [][]Envelope[M]
-				flat, err = exchange.Exchange(stepCtx, step, outAll)
-				if err == nil {
-					n = flatInboxes(flat)
-				}
-			}
-			if err == nil {
-				next = n
-				return nil
-			}
-			cfg.Observer.ExchangeFailed(step, attempt, err)
-			return err
-		})
-		cancel()
-		if exErr == nil {
-			cfg.Observer.ExchangeDone(step, time.Since(exStart), produced)
-		}
-		if exErr != nil {
-			resume, rerr := recoverRun(step, fmt.Errorf("exchange failed at step %d: %w", step, exErr))
-			if rerr != nil {
-				return stats, fmt.Errorf("bsp: %w", rerr)
-			}
-			step = resume - 1
-			continue
-		}
-		inboxes = next
-		if cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
-			ckStart := time.Now()
-			nbytes, err := saveSnapshot[M](cfg.CheckpointStore, step+1, inboxes, stats, snapper)
-			if err != nil {
-				return stats, fmt.Errorf("bsp: checkpoint at step %d: %w", step+1, err)
-			}
-			cfg.Observer.CheckpointSaved(step+1, nbytes, time.Since(ckStart))
+		if err := r.recover(ctx, fail); err != nil {
+			return r.stats, err
 		}
 	}
 }
-
-// Exchange moves each superstep's outgoing buffers to the destination
-// workers' inboxes. outAll[src][dst] holds src's messages for dst; the result
-// res[dst] is the concatenation over all sources. Implementations must either
-// deliver the full barrier or return an error having delivered nothing
-// observable — Run retries and recovers at that granularity.
-type Exchange[M any] interface {
-	Exchange(ctx context.Context, step int, outAll [][][]Envelope[M]) ([][]Envelope[M], error)
-	Close() error
-}
-
-// ExchangeFactory builds an exchange for a given worker count without
-// exposing the message type parameter in Config. Implementations are
-// provided by this package (NewTCPExchangeFactory, NewFaultyExchangeFactory);
-// the zero value of Config uses the in-process exchange.
-type ExchangeFactory interface {
-	kind() string
-}
-
-type localExchange[M any] struct{}
-
-func (localExchange[M]) Exchange(_ context.Context, _ int, outAll [][][]Envelope[M]) ([][]Envelope[M], error) {
-	k := len(outAll)
-	res := make([][]Envelope[M], k)
-	for dst := 0; dst < k; dst++ {
-		total := 0
-		for src := 0; src < k; src++ {
-			total += len(outAll[src][dst])
-		}
-		buf := make([]Envelope[M], 0, total)
-		for src := 0; src < k; src++ {
-			buf = append(buf, outAll[src][dst]...)
-		}
-		res[dst] = buf
-	}
-	return res, nil
-}
-
-func (localExchange[M]) Close() error { return nil }

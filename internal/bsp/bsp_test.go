@@ -1,7 +1,10 @@
 package bsp
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +12,23 @@ import (
 
 	"psgl/internal/graph"
 )
+
+// wint is the suite's small wire message: an int that can cross a TCP
+// transport. Tests that stay in-process keep plain int, which pins that the
+// in-process transport needs no codec.
+type wint int32
+
+func (m *wint) AppendWire(dst []byte) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(*m))
+}
+
+func (m *wint) DecodeWire(src []byte) ([]byte, error) {
+	if len(src) < 4 {
+		return nil, fmt.Errorf("wint: truncated (%d bytes)", len(src))
+	}
+	*m = wint(binary.LittleEndian.Uint32(src))
+	return src[4:], nil
+}
 
 // echoProgram floods: Init seeds one message per owned vertex carrying a TTL;
 // Process re-sends with TTL-1 until it reaches zero, counting deliveries.
@@ -20,15 +40,15 @@ type echoProgram struct {
 	seen     map[graph.VertexID]int
 }
 
-func (p *echoProgram) Init(ctx *Context[int]) {
+func (p *echoProgram) Init(ctx *Context[wint]) {
 	for v := 0; v < p.vertices; v++ {
 		if p.part.Owner(graph.VertexID(v)) == ctx.Worker() {
-			ctx.Send(graph.VertexID(v), p.ttl)
+			ctx.Send(graph.VertexID(v), wint(p.ttl))
 		}
 	}
 }
 
-func (p *echoProgram) Process(ctx *Context[int], env Envelope[int]) {
+func (p *echoProgram) Process(ctx *Context[wint], env Envelope[wint]) {
 	ctx.AddCounter("delivered", 1)
 	p.mu.Lock()
 	p.seen[env.Dest]++
@@ -47,7 +67,7 @@ func newEcho(vertices, ttl, workers int) (*echoProgram, Config) {
 
 func TestRunDeliversAllMessages(t *testing.T) {
 	prog, cfg := newEcho(100, 5, 4)
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +182,43 @@ func TestMaxSuperstepsGuard(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	prog := &funcProgram[int]{init: func(*Context[int]) {}, process: func(*Context[int], Envelope[int]) {}}
-	if _, err := Run[int](Config{Workers: 0, Owner: func(graph.VertexID) int { return 0 }}, prog); err == nil {
-		t.Error("Workers=0 accepted")
+	// One validation, in the shell both loops share: every rejected Config is
+	// rejected before anything runs, whichever loop it selects.
+	owner := func(graph.VertexID) int { return 0 }
+	store := NewMemCheckpointStore()
+	cases := []struct {
+		name string
+		cfg  Config
+		want error // nil = any error
+	}{
+		{"no workers", Config{Workers: 0, Owner: owner}, nil},
+		{"nil owner", Config{Workers: 1}, nil},
+		{"checkpoint cadence without store", Config{Workers: 1, Owner: owner, CheckpointEvery: 1}, nil},
+		{"recoveries without store", Config{Workers: 1, Owner: owner, MaxRecoveries: 1}, nil},
+		{"async with step timeout", Config{Workers: 1, Owner: owner, AsyncExchange: true, StepTimeout: time.Second}, ErrAsyncStepTimeout},
+		{"async with step timeout and store", Config{Workers: 2, Owner: owner, AsyncExchange: true, StepTimeout: time.Second,
+			CheckpointEvery: 1, CheckpointStore: store}, ErrAsyncStepTimeout},
 	}
-	if _, err := Run[int](Config{Workers: 1}, prog); err == nil {
-		t.Error("nil Owner accepted")
+	ran := false
+	prog := &funcProgram[int]{init: func(*Context[int]) { ran = true }, process: func(*Context[int], Envelope[int]) {}}
+	for _, tc := range cases {
+		_, err := Run[int](tc.cfg, prog)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if ran {
+		t.Error("a rejected Config still ran the program")
+	}
+	// The same pair is fine in the strict loop.
+	if _, err := Run[int](Config{Workers: 1, Owner: owner, StepTimeout: time.Minute}, prog); err != nil {
+		t.Errorf("strict run with StepTimeout: %v", err)
 	}
 }
 
 func TestStatsShape(t *testing.T) {
 	prog, cfg := newEcho(50, 3, 4)
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +259,7 @@ func TestTCPExchangeMatchesLocal(t *testing.T) {
 	runWith := func(factory ExchangeFactory) *RunStats {
 		prog, cfg := newEcho(60, 4, 3)
 		cfg.Exchange = factory
-		stats, err := Run[int](cfg, prog)
+		stats, err := Run[wint](cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +282,7 @@ func TestTCPExchangeMatchesLocal(t *testing.T) {
 func TestTCPExchangeSingleWorker(t *testing.T) {
 	prog, cfg := newEcho(20, 2, 1)
 	cfg.Exchange = NewTCPExchangeFactory()
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,50 +291,29 @@ func TestTCPExchangeSingleWorker(t *testing.T) {
 	}
 }
 
-type structMsg struct {
-	Mapping []int32
-	Next    int8
-	Mask    uint32
-}
-
-func TestTCPExchangeStructMessages(t *testing.T) {
-	// Gpsi-shaped struct messages must survive the gob round trip intact.
-	var mu sync.Mutex
-	var received []structMsg
-	prog := &funcProgram[structMsg]{
-		init: func(ctx *Context[structMsg]) {
-			if ctx.Worker() == 0 {
-				ctx.Send(5, structMsg{Mapping: []int32{1, -1, 3}, Next: 2, Mask: 0xdead})
+func TestTCPRejectsNonWireMessage(t *testing.T) {
+	// gob no longer stands in for a missing codec: a message type without
+	// WireMessage over a TCP factory fails at setup, in both loops, and the
+	// fault factories pass the verdict through.
+	prog := &funcProgram[int]{init: func(*Context[int]) {}, process: func(*Context[int], Envelope[int]) {}}
+	for _, async := range []bool{false, true} {
+		for name, f := range map[string]ExchangeFactory{
+			"tcp":        NewTCPExchangeFactory(),
+			"faulty/tcp": NewFaultyExchangeFactory(NewTCPExchangeFactory(), FaultConfig{}),
+		} {
+			cfg := Config{Workers: 2, Owner: func(graph.VertexID) int { return 0 }, Exchange: f, AsyncExchange: async}
+			_, err := Run[int](cfg, prog)
+			if err == nil || !strings.Contains(err.Error(), "does not implement WireMessage") {
+				t.Errorf("%s async=%v: err = %v, want the missing-codec setup error", name, async, err)
 			}
-		},
-		process: func(ctx *Context[structMsg], env Envelope[structMsg]) {
-			mu.Lock()
-			received = append(received, env.Msg)
-			mu.Unlock()
-		},
-	}
-	part := graph.NewPartition(2, 1)
-	cfg := Config{
-		Workers:  2,
-		Owner:    func(v graph.VertexID) int { return part.Owner(v) },
-		Exchange: NewTCPExchangeFactory(),
-	}
-	if _, err := Run[structMsg](cfg, prog); err != nil {
-		t.Fatal(err)
-	}
-	if len(received) != 1 {
-		t.Fatalf("received %d messages, want 1", len(received))
-	}
-	got := received[0]
-	if got.Next != 2 || got.Mask != 0xdead || len(got.Mapping) != 3 || got.Mapping[2] != 3 {
-		t.Fatalf("struct mangled in transit: %+v", got)
+		}
 	}
 }
 
 func BenchmarkLocalExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prog, cfg := newEcho(500, 3, 4)
-		if _, err := Run[int](cfg, prog); err != nil {
+		if _, err := Run[wint](cfg, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +323,7 @@ func BenchmarkTCPExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prog, cfg := newEcho(500, 3, 4)
 		cfg.Exchange = NewTCPExchangeFactory()
-		if _, err := Run[int](cfg, prog); err != nil {
+		if _, err := Run[wint](cfg, prog); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ type CheckpointStore interface {
 }
 
 // snapshot is the unit of checkpointing: the state of a run at the barrier
-// entering superstep Step. Prog is the opaque Snapshotter state of programs
+// entering superstep Step (at a quiescence point, in the async loop). Prog is the opaque Snapshotter state of programs
 // that carry accumulators outside the inboxes (nil otherwise). Frames[w]
 // holds worker w's still-encoded compressed frame payloads (compressed mode
 // only — snapshots of grouped queues stay grouped, so a checkpoint of a
@@ -90,8 +90,8 @@ type snapshot[M any] struct {
 	Frames  [][][]byte
 }
 
-// inboxRows converts the snapshot's persisted form back into the run loop's
-// grouped inboxes.
+// inboxRows converts the snapshot's persisted form back into the run loops'
+// inboxes (strict) or queues (async); grouped frames stay encoded in both.
 func (snap *snapshot[M]) inboxRows(k int) []Inbox[M] {
 	rows := make([]Inbox[M], k)
 	for w := range rows {
@@ -103,29 +103,6 @@ func (snap *snapshot[M]) inboxRows(k int) []Inbox[M] {
 		}
 	}
 	return rows
-}
-
-// flatRows decodes the snapshot into plain per-worker envelope slices — the
-// async plane's queue form. A grouped frame that fails to decode surfaces as
-// ErrCorruptCheckpoint.
-func (snap *snapshot[M]) flatRows(k int) ([][]Envelope[M], error) {
-	rows := make([][]Envelope[M], k)
-	for w := range rows {
-		if w < len(snap.Inboxes) {
-			rows[w] = snap.Inboxes[w]
-		}
-		if w >= len(snap.Frames) {
-			continue
-		}
-		for i, fp := range snap.Frames[w] {
-			_, _, batch, err := DecodeCompressedFrame[M](fp)
-			if err != nil {
-				return nil, fmt.Errorf("%w: grouped inbox frame %d for worker %d: %v", ErrCorruptCheckpoint, i, w, err)
-			}
-			rows[w] = append(rows[w], batch...)
-		}
-	}
-	return rows, nil
 }
 
 // saveSnapshot encodes, seals, and stores the barrier state, returning the

@@ -30,20 +30,17 @@ package bsp
 // negotiation, and a sender is free to fall back to the flat codec whenever
 // compression would not pay (see compressMinBatch).
 //
-// Bit 30 lets the strict barrier split one logical batch into bounded chunks
-// — the receiver keeps each chunk encoded until the run loop decodes it
-// lazily, which is what bounds peak RSS. The async plane never sets it: its
-// credit/ack termination detector counts exactly one ack per transport send,
-// so an async send is always exactly one frame.
+// Bit 30 lets one Send split its batch into bounded chunks — the receiver
+// keeps each chunk encoded until the run loop decodes it lazily, which is
+// what bounds peak RSS. The train is delivered, and acknowledged once, when
+// its last chunk (bit clear) has arrived.
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"psgl/internal/graph"
 )
@@ -77,8 +74,8 @@ func messageIsGroupWire[M any]() bool {
 const (
 	// compressedFrameFlag marks a frame's step word as the compressed format.
 	compressedFrameFlag = 1 << 31
-	// continuationFlag marks a strict-mode chunk with more chunks following
-	// for the same (src, dst) barrier batch.
+	// continuationFlag marks a chunk with more chunks of the same Send
+	// following.
 	continuationFlag = 1 << 30
 	// compressedStepMask extracts the step from a compressed step word.
 	compressedStepMask = continuationFlag - 1
@@ -86,8 +83,8 @@ const (
 	// compressMinBatch is the smallest batch worth front coding; below it the
 	// varint overhead beats the sharing and the sender emits a flat frame.
 	compressMinBatch = 4
-	// compressedChunk bounds the envelopes per strict-mode chunk, which in
-	// turn bounds the run loop's lazy-decode scratch (the peak-RSS lever).
+	// compressedChunk bounds the envelopes per chunk, which in turn bounds
+	// the run loop's lazy-decode scratch (the peak-RSS lever).
 	compressedChunk = 512
 )
 
@@ -185,30 +182,34 @@ func appendOneCompressedFrame[M any](buf []byte, step int, ge *groupEnc, batch [
 	return buf
 }
 
-// appendCompressedFrames encodes batch as compressed frames appended to buf.
-// chunk <= 0 emits a single frame (the async plane's one-frame-per-send
-// contract); otherwise the batch is split into chunks of at most chunk
-// envelopes, all but the last carrying the continuation bit. raw is the
-// flat-equivalent byte size of the batch.
-func appendCompressedFrames[M any](buf []byte, step int, batch []Envelope[M], chunk int) (out []byte, raw int) {
+// encodeChunks front codes batch in chunks of at most chunk envelopes (one
+// chunk when chunk <= 0), all but the last carrying the continuation bit, and
+// hands each frame — length prefix included, appended to whatever buffer next
+// supplies — to emit. raw is the flat-equivalent byte size of the batch.
+func encodeChunks[M any](step int, batch []Envelope[M], chunk int, next func() []byte, emit func(frame []byte)) (raw int) {
 	ge, raw := newGroupEnc(batch)
 	defer putGroupEnc(ge)
 	if chunk <= 0 || chunk > len(batch) {
 		chunk = len(batch)
 	}
-	lo := 0
-	for {
+	for lo := 0; ; lo += chunk {
 		hi := lo + chunk
 		more := hi < len(batch)
 		if !more {
 			hi = len(batch)
 		}
-		buf = appendOneCompressedFrame(buf, step, ge, batch, lo, hi, more)
+		emit(appendOneCompressedFrame(next(), step, ge, batch, lo, hi, more))
 		if !more {
-			return buf, raw
+			return raw
 		}
-		lo = hi
 	}
+}
+
+// appendCompressedFrames appends batch's chunk train to buf — the form a
+// transport writes with one syscall.
+func appendCompressedFrames[M any](buf []byte, step int, batch []Envelope[M], chunk int) (out []byte, raw int) {
+	raw = encodeChunks(step, batch, chunk, func() []byte { return buf }, func(f []byte) { buf = f })
+	return buf, raw
 }
 
 // AppendCompressedFrame encodes batch as a single compressed frame appended
@@ -219,29 +220,12 @@ func AppendCompressedFrame[M any](buf []byte, step int, batch []Envelope[M]) []b
 	return out
 }
 
-// compressBatch encodes batch into separately allocated compressed frame
-// payloads (length prefix stripped), each of at most chunk envelopes — the
-// form the grouped inbox retains until the run loop decodes it.
+// compressBatch encodes batch into separately allocated chunk payloads
+// (length prefix stripped) — the form an inbox retains until the run loop
+// decodes it.
 func compressBatch[M any](step int, batch []Envelope[M], chunk int) (frames [][]byte, raw int) {
-	ge, raw := newGroupEnc(batch)
-	defer putGroupEnc(ge)
-	if chunk <= 0 || chunk > len(batch) {
-		chunk = len(batch)
-	}
-	lo := 0
-	for {
-		hi := lo + chunk
-		more := hi < len(batch)
-		if !more {
-			hi = len(batch)
-		}
-		f := appendOneCompressedFrame(nil, step, ge, batch, lo, hi, more)
-		frames = append(frames, f[4:])
-		if !more {
-			return frames, raw
-		}
-		lo = hi
-	}
+	raw = encodeChunks(step, batch, chunk, func() []byte { return nil }, func(f []byte) { frames = append(frames, f[4:]) })
+	return frames, raw
 }
 
 // DecodeCompressedFrame decodes a compressed frame payload (everything after
@@ -278,11 +262,11 @@ func decodeCompressedFrame[M any](payload []byte) (step int, more bool, batch []
 		return step, more, nil, raw, nil
 	}
 	isGroup := messageIsGroupWire[M]()
-	bp := wireBufPool.Get().(*[]byte)
-	cur := (*bp)[:0]
+	bp := getWireBuf()
+	cur := *bp
 	defer func() {
-		*bp = cur[:0]
-		wireBufPool.Put(bp)
+		*bp = cur
+		putWireBuf(bp)
 	}()
 	batch = make([]Envelope[M], count)
 	prevDest := int64(0)
@@ -359,37 +343,32 @@ func DecodeFrame[M any](payload []byte) (step int, more bool, batch []Envelope[M
 	return step, false, batch, err
 }
 
-// Inbox is one worker's delivered messages for a superstep: flat envelopes
-// plus — in compressed mode — still-encoded compressed frame payloads that
-// the run loop decodes lazily, one bounded chunk at a time, so a dense
-// superstep's inbox costs its compressed size rather than its expanded size.
+// Inbox is a worker's delivered messages — a superstep's worth in the strict
+// loop, the pending queue in the async loop: flat envelopes plus, in
+// compressed mode, still-encoded compressed frame payloads that deliverInbox
+// decodes lazily, one bounded chunk at a time, so a dense inbox costs its
+// compressed size rather than its expanded size.
 type Inbox[M any] struct {
 	Envs   []Envelope[M]
 	Frames [][]byte
 }
 
-// flatInboxes wraps plain per-worker envelope slices as Inboxes.
-func flatInboxes[M any](rows [][]Envelope[M]) []Inbox[M] {
-	res := make([]Inbox[M], len(rows))
-	for i, envs := range rows {
-		res[i].Envs = envs
-	}
-	return res
-}
+func (ib *Inbox[M]) empty() bool { return len(ib.Envs) == 0 && len(ib.Frames) == 0 }
 
-// deliverInbox drives one worker's superstep over a grouped inbox: flat
-// envelopes first, then each compressed frame decoded lazily — one bounded
-// chunk at a time, through a pooled scratch — and delivered whole to a
-// GroupProgram (per message otherwise). The compressed_* counters it feeds
-// are logical: they ride RunStats, which rolls back with barrier snapshots,
-// so they stay bit-identical across clean, recovered, and resumed strict
-// runs. Returns the number of messages processed.
-func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M], ib *Inbox[M], abortPtr *atomic.Pointer[error], done <-chan struct{}) int64 {
+// deliverInbox is how both loops consume deliveries: flat envelopes first,
+// then each compressed frame decoded lazily — one bounded chunk at a time,
+// through a pooled scratch — and delivered whole to a GroupProgram (per
+// message otherwise). The compressed_* counters it feeds are logical: they
+// ride RunStats, which rolls back with snapshots, so they stay exactly-once
+// across recovered and resumed runs. An abort or a closed done channel
+// short-circuits the rest of the inbox instead of draining it; after, when
+// non-nil, runs after every Process/ProcessGroup call (the async loop
+// flushes full frames there) and stops the delivery by returning false.
+// Returns the number of messages processed.
+func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M], ib *Inbox[M], done <-chan struct{}, after func() bool) int64 {
 	processed := int64(0)
 	for i, env := range ib.Envs {
-		// An abort (or cancellation) short-circuits the rest of this
-		// worker's inbox instead of draining it.
-		if abortPtr.Load() != nil {
+		if ctx.aborted.Load() != nil {
 			return processed
 		}
 		if i&255 == 0 {
@@ -401,9 +380,12 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 		}
 		prog.Process(ctx, env)
 		processed++
+		if after != nil && !after() {
+			return processed
+		}
 	}
 	for _, fp := range ib.Frames {
-		if abortPtr.Load() != nil {
+		if ctx.aborted.Load() != nil {
 			return processed
 		}
 		select {
@@ -424,14 +406,20 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 		if gprog != nil {
 			gprog.ProcessGroup(ctx, batch)
 			processed += int64(len(batch))
+			if after != nil && !after() {
+				return processed
+			}
 			continue
 		}
 		for _, env := range batch {
-			if abortPtr.Load() != nil {
+			if ctx.aborted.Load() != nil {
 				return processed
 			}
 			prog.Process(ctx, env)
 			processed++
+			if after != nil && !after() {
+				return processed
+			}
 		}
 	}
 	return processed
@@ -447,62 +435,3 @@ type GroupProgram[M any] interface {
 	Program[M]
 	ProcessGroup(ctx *Context[M], batch []Envelope[M])
 }
-
-// groupedExchange is the optional exchange extension compressed mode runs on:
-// like Exchange, but the result keeps compressed batches encoded.
-type groupedExchange[M any] interface {
-	ExchangeGrouped(ctx context.Context, step int, outAll [][][]Envelope[M]) ([]Inbox[M], error)
-}
-
-// exchangeGrouped dispatches a grouped barrier to ex, falling back to the
-// flat Exchange (wrapped envelope-only Inboxes) for exchanges that don't
-// support grouping. Fault-injection wrappers forward through this helper, so
-// arbitrary wrapper nesting reaches a grouped inner exchange.
-func exchangeGrouped[M any](ctx context.Context, ex Exchange[M], step int, outAll [][][]Envelope[M]) ([]Inbox[M], error) {
-	if g, ok := ex.(groupedExchange[M]); ok {
-		return g.ExchangeGrouped(ctx, step, outAll)
-	}
-	flat, err := ex.Exchange(ctx, step, outAll)
-	if err != nil {
-		return nil, err
-	}
-	return flatInboxes(flat), nil
-}
-
-// compressedLocalExchange is the in-process exchange of compressed mode: each
-// (src, dst) batch of at least compressMinBatch envelopes is front coded into
-// bounded chunks that stay encoded in the inbox (trading barrier CPU for peak
-// RSS); smaller batches pass through flat.
-type compressedLocalExchange[M any] struct{}
-
-func (compressedLocalExchange[M]) Exchange(ctx context.Context, step int, outAll [][][]Envelope[M]) ([][]Envelope[M], error) {
-	return localExchange[M]{}.Exchange(ctx, step, outAll)
-}
-
-func (compressedLocalExchange[M]) ExchangeGrouped(_ context.Context, step int, outAll [][][]Envelope[M]) ([]Inbox[M], error) {
-	k := len(outAll)
-	res := make([]Inbox[M], k)
-	var wg sync.WaitGroup
-	for dst := 0; dst < k; dst++ {
-		wg.Add(1)
-		go func(dst int) {
-			defer wg.Done()
-			for src := 0; src < k; src++ {
-				batch := outAll[src][dst]
-				if len(batch) == 0 {
-					continue
-				}
-				if len(batch) < compressMinBatch {
-					res[dst].Envs = append(res[dst].Envs, batch...)
-					continue
-				}
-				frames, _ := compressBatch(step, batch, compressedChunk)
-				res[dst].Frames = append(res[dst].Frames, frames...)
-			}
-		}(dst)
-	}
-	wg.Wait()
-	return res, nil
-}
-
-func (compressedLocalExchange[M]) Close() error { return nil }

@@ -66,7 +66,7 @@ func writeFuzzCorpus(t *testing.T, target string, seeds map[string][]byte) {
 //  2. A successfully decoded payload re-encodes (canonically, via the sorted
 //     encoder) and re-decodes to the same step and the same envelope
 //     multiset — decode ∘ encode ∘ decode = decode.
-//  3. The frame reader path agrees: readFramePayload + DecodeFrame on the
+//  3. The frame reader path agrees: readFrame + DecodeFrame on the
 //     length-prefixed form accepts exactly what the payload decoder accepts.
 func FuzzCompressedFrameDecode(f *testing.F) {
 	for _, data := range compressedFrameSeeds() {
@@ -112,12 +112,13 @@ func FuzzCompressedFrameDecode(f *testing.F) {
 			return
 		}
 		framed := append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
-		rp, n, rerr := readFramePayload(bytes.NewReader(framed))
+		r := bytes.NewReader(framed)
+		rp, rerr := readFrame(r, nil)
 		if rerr != nil {
-			t.Fatalf("readFramePayload rejected a well-framed payload: %v", rerr)
+			t.Fatalf("readFrame rejected a well-framed payload: %v", rerr)
 		}
-		if n != len(framed) || !bytes.Equal(rp, payload) {
-			t.Fatalf("readFramePayload consumed %d of %d bytes", n, len(framed))
+		if r.Len() != 0 || !bytes.Equal(rp, payload) {
+			t.Fatalf("readFrame left %d of %d bytes unread", r.Len(), len(framed))
 		}
 		_, _, _, derr := DecodeFrame[groupMsg](rp)
 		if (derr == nil) != (err == nil) && framePayloadIsCompressed(payload) {

@@ -293,48 +293,6 @@ func TestDecodeFrameAutoDetect(t *testing.T) {
 	sameMultiset(t, out, batch)
 }
 
-func TestCompressedLocalExchangeGrouped(t *testing.T) {
-	// Small (src,dst) batches pass through flat; batches at or above
-	// compressMinBatch stay encoded as frames.
-	k := 2
-	outAll := make([][][]Envelope[groupMsg], k)
-	for src := range outAll {
-		outAll[src] = make([][]Envelope[groupMsg], k)
-	}
-	big := groupTestBatch(600)
-	for i := range big {
-		big[i].Dest = 0
-	}
-	small := groupTestBatch(compressMinBatch - 1)
-	for i := range small {
-		small[i].Dest = 1
-	}
-	outAll[1][0] = big
-	outAll[0][1] = small
-
-	inboxes, err := compressedLocalExchange[groupMsg]{}.ExchangeGrouped(nil, 3, outAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inboxes[0].Envs) != 0 || len(inboxes[0].Frames) != 2 {
-		t.Fatalf("big batch: %d envs, %d frames; want 0 envs, 2 chunked frames",
-			len(inboxes[0].Envs), len(inboxes[0].Frames))
-	}
-	if len(inboxes[1].Envs) != compressMinBatch-1 || len(inboxes[1].Frames) != 0 {
-		t.Fatalf("small batch: %d envs, %d frames; want %d envs, 0 frames",
-			len(inboxes[1].Envs), len(inboxes[1].Frames), compressMinBatch-1)
-	}
-	var decoded []Envelope[groupMsg]
-	for _, fp := range inboxes[0].Frames {
-		_, _, out, err := DecodeCompressedFrame[groupMsg](fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded = append(decoded, out...)
-	}
-	sameMultiset(t, decoded, big)
-}
-
 // fanProgram sprays messages with shared prefixes for several supersteps and
 // records everything it receives — the delivered multiset is the oracle for
 // compressed-vs-flat comparisons.
@@ -467,15 +425,17 @@ func TestGroupedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("grouped restore kept %d frames, want %d", len(rows[0].Frames), len(frames))
 	}
 	sameMultiset(t, rows[0].Envs, small)
-
-	flat, err := snap.flatRows(2)
-	if err != nil {
-		t.Fatal(err)
+	var decoded []Envelope[groupMsg]
+	for _, fp := range rows[0].Frames {
+		_, _, batch, err := DecodeCompressedFrame[groupMsg](fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, batch...)
 	}
-	want := append(append([]Envelope[groupMsg](nil), small...), big...)
-	sameMultiset(t, flat[0], want)
-	if len(flat[1]) != 0 {
-		t.Fatalf("worker 1 restored %d envelopes, want 0", len(flat[1]))
+	sameMultiset(t, decoded, big)
+	if !rows[1].empty() {
+		t.Fatalf("worker 1 restored %d envelopes and %d frames, want none", len(rows[1].Envs), len(rows[1].Frames))
 	}
 }
 

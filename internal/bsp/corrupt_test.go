@@ -40,7 +40,7 @@ func checkpointedRunDir(t *testing.T) (string, string) {
 	prog, cfg := newEcho(60, 5, 3)
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
-	if _, err := Run[int](cfg, prog); err != nil {
+	if _, err := Run[wint](cfg, prog); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -107,7 +107,7 @@ func TestResumeFromCorruptCheckpoint(t *testing.T) {
 			}
 			prog, cfg := newEcho(60, 5, 3)
 			cfg.ResumeFrom = store
-			_, err = Run[int](cfg, prog)
+			_, err = Run[wint](cfg, prog)
 			if err == nil {
 				t.Fatal("resume from a corrupt checkpoint succeeded")
 			}

@@ -122,20 +122,20 @@ func TestStepVisibleInContext(t *testing.T) {
 
 func TestTCPExchangeEmptyBatches(t *testing.T) {
 	// Workers that send nothing must still exchange cleanly (empty frames).
-	prog := &funcProgram[int]{
-		init: func(ctx *Context[int]) {
+	prog := &funcProgram[wint]{
+		init: func(ctx *Context[wint]) {
 			if ctx.Worker() == 0 {
 				ctx.Send(0, 1) // only worker 0 sends, only to itself
 			}
 		},
-		process: func(*Context[int], Envelope[int]) {},
+		process: func(*Context[wint], Envelope[wint]) {},
 	}
 	cfg := Config{
 		Workers:  4,
 		Owner:    func(graph.VertexID) int { return 0 },
 		Exchange: NewTCPExchangeFactory(),
 	}
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

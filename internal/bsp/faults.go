@@ -3,12 +3,10 @@ package bsp
 // Fault injection. Distributed subgraph listing treats failure tolerance as
 // a first-class requirement (Ren et al., "Fast and Robust Distributed
 // Subgraph Enumeration"; DDSL); to prove our recovery machinery actually
-// recovers, this file wraps any exchange in a deterministic fault injector.
-// Faults fire before the inner exchange touches the batch, so a failed
-// barrier delivers nothing observable — exactly the contract Run's retry and
-// checkpoint-restore paths recover from. A run with injected faults plus
-// retry/recovery must therefore produce byte-identical counts to a clean
-// run, and the recovery tests assert exactly that.
+// recovers, this file wraps any transport in a deterministic fault injector
+// (faultTransport). A run with injected faults plus retry/recovery must
+// produce byte-identical counts to a clean run, and the recovery tests
+// assert exactly that.
 
 import (
 	"context"
@@ -25,24 +23,26 @@ var ErrInjectedFault = errors.New("bsp: injected fault")
 // FaultConfig parameterizes the injector. All draws come from a PRNG seeded
 // with Seed, so a given config produces the same fault schedule on every
 // run. Rates are probabilities in [0, 1] and are evaluated in order
-// error → drop → delay on a single draw per Exchange call.
+// error → drop → delay on a single draw per fault opportunity: a barrier
+// attempt in the strict loop, a wire frame in the async loop.
 type FaultConfig struct {
 	// Seed drives the deterministic fault schedule.
 	Seed int64
-	// ErrorRate is the probability an Exchange call fails with an injected
+	// ErrorRate is the probability the opportunity fails with an injected
 	// transport error before anything is delivered.
 	ErrorRate float64
-	// DropRate is the probability the whole barrier batch is dropped. The
-	// loss is detected at the barrier (as Giraph detects worker failure at
-	// barriers) and surfaces as an error with nothing delivered.
+	// DropRate is the probability the batch is dropped. The loss is detected
+	// before delivery (as Giraph detects worker failure at barriers) and
+	// surfaces as an error with nothing delivered.
 	DropRate float64
 	// DelayRate is the probability the call is delayed by a uniform random
 	// duration in [0, MaxDelay] without failing.
 	DelayRate float64
 	// MaxDelay bounds injected delays; 0 disables delays.
 	MaxDelay time.Duration
-	// FromStep suppresses faults for supersteps below it, letting runs make
-	// checkpointable progress before failures start.
+	// FromStep suppresses faults for ordinals (supersteps; async frame seqs)
+	// below it, letting runs make checkpointable progress before failures
+	// start.
 	FromStep int
 	// MaxFaults caps the number of injected errors plus drops (0 = no cap).
 	MaxFaults int
@@ -50,46 +50,24 @@ type FaultConfig struct {
 
 // NewFaultyExchangeFactory wraps inner (nil = the in-process exchange) in a
 // deterministic fault injector. The fault state — the PRNG stream and the
-// fault count — lives in the factory, not the exchange, so an exchange
+// fault count — lives in the factory, not the transport, so a transport
 // rebuilt during checkpoint recovery continues the fault schedule where it
 // left off instead of deterministically replaying the same fault forever.
 func NewFaultyExchangeFactory(inner ExchangeFactory, fc FaultConfig) ExchangeFactory {
-	return faultyFactory{inner: inner, fc: fc, state: &faultyState{rng: newFaultRand(fc.Seed)}}
+	return &ScheduledFaultFactory{inner: inner, fc: fc, random: &faultyState{rng: newFaultRand(fc.Seed)}}
 }
 
-type faultyFactory struct {
-	inner ExchangeFactory
-	fc    FaultConfig
-	state *faultyState
-}
-
-func (faultyFactory) kind() string { return "faulty" }
-
-// faultyState is shared by every exchange built from one factory; the mutex
-// makes the draw-and-count step atomic (Run calls Exchange serially, but the
-// injector is also usable standalone).
+// faultyState is shared by every transport built from one factory; the mutex
+// makes the draw-and-count step atomic (async workers Send concurrently).
 type faultyState struct {
 	mu     sync.Mutex
 	rng    *faultRand
 	faults int
 }
 
-func newFaultyExchange[M any](inner Exchange[M], fc FaultConfig, state *faultyState) Exchange[M] {
-	return &faultyExchange[M]{inner: inner, fc: fc, state: state}
-}
-
-type faultyExchange[M any] struct {
-	inner Exchange[M]
-	fc    FaultConfig
-	state *faultyState
-}
-
-// draw advances the shared fault stream once and decides one call's fate: a
-// non-nil error (injected fault) or a delay to sleep before delivering. The
-// strict wrapper draws per barrier Exchange; the async wrapper draws per
-// frame Send with the sender's wire-frame sequence as step — both share this state
-// so a factory's fault budget and PRNG stream span exchange rebuilds and
-// execution modes alike.
+// draw advances the shared fault stream once and decides one opportunity's
+// fate: a non-nil error (injected fault) or a delay to sleep before
+// delivering.
 func (st *faultyState) draw(fc FaultConfig, step int) (error, time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -111,43 +89,62 @@ func (st *faultyState) draw(fc FaultConfig, step int) (error, time.Duration) {
 	return nil, 0
 }
 
-func (f *faultyExchange[M]) Exchange(ctx context.Context, step int, outAll [][][]Envelope[M]) ([][]Envelope[M], error) {
-	fault, delay := f.state.draw(f.fc, step)
-	if fault != nil {
-		return nil, fault
-	}
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-timer.C:
-		}
-	}
-	return f.inner.Exchange(ctx, step, outAll)
+// faultTransport is the one fault middleware: it wraps any transport and
+// decides, before the inner transport sees the batch, whether this Send
+// fails, stalls, or passes — so a failed Send delivers and acks nothing,
+// exactly the contract retry and checkpoint recovery rely on. Its factory
+// carries either policy: the seeded probabilistic injector or the fire-once
+// step schedule; both match against the ordinal word the frame is sent
+// under. Policy state lives in the factory, so a transport rebuilt during
+// recovery continues where the last one stopped.
+//
+// Every async wire frame is a fault opportunity. A strict barrier sends K×K
+// frames under one ordinal and fails as a whole, so only the frame that opens
+// it (0→0, always sent first) is one: FaultConfig rates stay per barrier
+// attempt rather than compounding K×K-fold, and same-step scheduled faults
+// fire on successive attempts of that frame — three kills exhaust a
+// three-attempt retry budget and force a restore, as a dead worker should.
+type faultTransport[M any] struct {
+	inner     transport[M]
+	barriered bool
+	policy    *ScheduledFaultFactory
 }
 
-// ExchangeGrouped forwards a grouped barrier with the same per-call fault
-// draw as Exchange, so compressed mode sees the identical fault schedule.
-func (f *faultyExchange[M]) ExchangeGrouped(ctx context.Context, step int, outAll [][][]Envelope[M]) ([]Inbox[M], error) {
-	fault, delay := f.state.draw(f.fc, step)
-	if fault != nil {
-		return nil, fault
-	}
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-timer.C:
+func (f *faultTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []Envelope[M]) error {
+	if !f.barriered || (src == 0 && dst == 0) {
+		if err := f.inject(ctx, ord); err != nil {
+			return err
 		}
 	}
-	return exchangeGrouped(ctx, f.inner, step, outAll)
+	return f.inner.Send(ctx, src, dst, ord, batch)
 }
 
-func (f *faultyExchange[M]) Close() error { return f.inner.Close() }
+// inject consults the policy once for ordinal ord: an injected error, or a
+// delay slept here (cut short by ctx).
+func (f *faultTransport[M]) inject(ctx context.Context, ord int) error {
+	p, delay := f.policy, time.Duration(0)
+	if p.schedule != nil {
+		if sf, ok := p.schedule.next(ord); ok {
+			if err := scheduledFaultError(sf, f.barriered, ord); err != nil {
+				return err
+			}
+			delay = sf.Delay
+		}
+	}
+	if p.random != nil {
+		fault, d := p.random.draw(p.fc, ord)
+		if fault != nil {
+			return fault
+		}
+		delay += d
+	}
+	if delay <= 0 {
+		return nil
+	}
+	return sleepCtx(ctx, delay)
+}
+
+func (f *faultTransport[M]) Close() error { return f.inner.Close() }
 
 // faultRand is a tiny xorshift PRNG: deterministic, dependency-free, and
 // independent of math/rand's global state.

@@ -10,7 +10,7 @@ import (
 // byte streams: truncated headers, lying length prefixes, oversize lengths,
 // and garbage payloads. Invariants:
 //
-//  1. readWireFrame never panics and never reads past the frame its prefix
+//  1. readFrame never panics and never reads past the frame its prefix
 //     declares (no over-read into the next frame's bytes).
 //  2. A successfully decoded frame re-encodes byte-identically to the bytes
 //     consumed — the codec is canonical, so decode ∘ encode = id on the
@@ -26,9 +26,17 @@ func FuzzFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		step, batch, consumed, err := readWireFrame[wireMsg](r)
+		bp := getWireBuf() // pooled, as the transport's reader passes it
+		defer putWireBuf(bp)
+		payload, err := readFrame(r, *bp)
 		if err != nil {
 			return // rejecting malformed input is the expected outcome
+		}
+		*bp = payload
+		consumed := 4 + len(payload)
+		step, batch, err := DecodeWireFrame[wireMsg](payload)
+		if err != nil {
+			return
 		}
 		if consumed < wireFrameHeader || consumed > len(data) {
 			t.Fatalf("consumed %d bytes of %d", consumed, len(data))

@@ -56,8 +56,7 @@ func TestTCPSetupCancelStopsAcceptLoopWithoutLeaks(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err = newExchangeFromFactory[int](ctx,
-		NewTCPExchangeFactoryWithConfig(TCPConfig{SetupTimeout: 60 * time.Second}), 3, o, false)
+	_, err = newTestTCP(ctx, 3, TCPConfig{SetupTimeout: 60 * time.Second}, o)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("canceled setup should error")
@@ -81,7 +80,7 @@ func TestTCPSetupPreCanceledContextFailsFast(t *testing.T) {
 	cancel()
 	base := runtime.NumGoroutine()
 	start := time.Now()
-	_, err := newExchangeFromFactory[int](ctx, NewTCPExchangeFactory(), 4, nil, false)
+	_, err := newTestTCP(ctx, 4, TCPConfig{}, nil)
 	if err == nil {
 		t.Fatal("pre-canceled setup should error")
 	}
@@ -92,26 +91,19 @@ func TestTCPSetupPreCanceledContextFailsFast(t *testing.T) {
 }
 
 // TestTCPSetupCompletesThenRunLeavesNoGoroutines: the happy path — a full
-// mesh setup followed by Close must also return to the goroutine baseline
-// (the watchdog itself must not leak).
+// mesh setup, a run over it in each loop, and the transport's Close at the end
+// of the attempt must return to the goroutine baseline (neither the setup
+// watchdog nor a reader goroutine may leak). Close-without-traffic and double
+// Close are rows of TestTransportConformance.
 func TestTCPSetupCompletesThenRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex, err := newExchangeFromFactory[int](context.Background(), NewTCPExchangeFactory(), 3, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outAll := make([][][]Envelope[int], 3)
-	for i := range outAll {
-		outAll[i] = make([][]Envelope[int], 3)
-		for j := range outAll[i] {
-			if i != j {
-				outAll[i][j] = []Envelope[int]{{Dest: 0, Msg: i*10 + j}}
-			}
+	for _, async := range []bool{false, true} {
+		prog, cfg := newEcho(30, 3, 3)
+		cfg.Exchange = NewTCPExchangeFactory()
+		cfg.AsyncExchange = async
+		if _, err := Run[wint](cfg, prog); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := ex.Exchange(context.Background(), 0, outAll); err != nil {
-		t.Fatal(err)
-	}
-	ex.Close()
 	waitGoroutinesBack(t, base)
 }

@@ -29,7 +29,7 @@ func TestObserverTraceOfFaultInjectedRun(t *testing.T) {
 		if cfg != nil {
 			cfg(&c)
 		}
-		stats, err := Run[int](c, prog)
+		stats, err := Run[wint](c, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestObserverResumeTrace(t *testing.T) {
 		o := obs.New(nil)
 		prog, cfg := newEcho(60, 6, 3)
 		cfg.Observer = o
-		if _, err := Run[int](cfg, prog); err != nil {
+		if _, err := Run[wint](cfg, prog); err != nil {
 			t.Fatal(err)
 		}
 		return o
@@ -115,7 +115,7 @@ func TestObserverResumeTrace(t *testing.T) {
 	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 1, ErrorRate: 1, FromStep: 3, MaxFaults: 1})
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
-	if _, err := Run[int](cfg, prog); err == nil {
+	if _, err := Run[wint](cfg, prog); err == nil {
 		t.Fatal("fault-injected run succeeded")
 	}
 
@@ -124,7 +124,7 @@ func TestObserverResumeTrace(t *testing.T) {
 	prog2, cfg2 := newEcho(60, 6, 3)
 	cfg2.ResumeFrom = store
 	cfg2.Observer = resumedObs
-	if _, err := Run[int](cfg2, prog2); err != nil {
+	if _, err := Run[wint](cfg2, prog2); err != nil {
 		t.Fatal(err)
 	}
 

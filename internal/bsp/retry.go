@@ -7,10 +7,9 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds exponential backoff around per-superstep Exchange
-// calls. Exchanges are barrier-atomic (deliver everything or error having
-// delivered nothing observable), so a failed call is safe to re-issue with
-// the same outgoing buffers.
+// RetryPolicy bounds exponential backoff around frame Sends. A Send is
+// atomic (it is delivered and acked in full, or fails having delivered
+// nothing), so a failed call is safe to re-issue with the same batch.
 //
 // Backoff sleeps use full jitter by default: each sleep is drawn uniformly
 // from [0, cap] where cap doubles per attempt from BaseBackoff up to
@@ -92,8 +91,14 @@ func backoffFor(p RetryPolicy, rng *faultRand, attempt int) time.Duration {
 }
 
 // withRetry runs op up to p.MaxAttempts times with full-jitter exponential
-// backoff, stopping early when ctx is done.
+// backoff, stopping early when ctx is done. The jitter stream is seeded at
+// the first failure, so a call that succeeds outright — every frame of a
+// healthy run — costs nothing beyond op itself.
 func withRetry(ctx context.Context, p RetryPolicy, op func() error) error {
+	err := op()
+	if err == nil {
+		return nil
+	}
 	p = p.withDefaults()
 	var rng *faultRand
 	if !p.NoJitter {
@@ -103,24 +108,45 @@ func withRetry(ctx context.Context, p RetryPolicy, op func() error) error {
 		}
 		rng = newFaultRand(seed)
 	}
-	var err error
 	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil {
-			return nil
-		}
 		if attempt >= p.MaxAttempts || ctx.Err() != nil {
 			if attempt > 1 {
 				return fmt.Errorf("after %d attempts: %w", attempt, err)
 			}
 			return err
 		}
-		timer := time.NewTimer(backoffFor(p, rng, attempt))
-		select {
-		case <-ctx.Done():
-			timer.Stop()
+		if sleepCtx(ctx, backoffFor(p, rng, attempt)) != nil {
 			return fmt.Errorf("canceled while backing off after attempt %d: %w", attempt, err)
-		case <-timer.C:
+		}
+		if err = op(); err == nil {
+			return nil
 		}
 	}
+}
+
+// sleepCtx sleeps for d, or until ctx is done (returning its error).
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
+}
+
+// sendFrame is one transport Send under the run's retry policy — the retry
+// unit of both loops. A failed Send delivered nothing, so re-issuing it with
+// the same batch is safe; each failed attempt is reported to the observer.
+func sendFrame[M any](ctx context.Context, t transport[M], cfg *Config, src, dst, ord int, batch []Envelope[M]) error {
+	attempt := 0
+	return withRetry(ctx, cfg.Retry, func() error {
+		attempt++
+		err := t.Send(ctx, src, dst, ord, batch)
+		if err != nil {
+			cfg.Observer.ExchangeFailed(ord, attempt, err)
+		}
+		return err
+	})
 }

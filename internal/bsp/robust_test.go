@@ -1,16 +1,13 @@
 package bsp
 
-// Tests for the fault-tolerance layer: abort short-circuiting, context
-// cancellation, superstep deadlines, barrier checkpointing + resume,
-// in-run checkpoint-restore recovery, exchange retry, deterministic fault
-// injection, and the hardened TCP setup/frame deadlines.
+// Tests for the fault-tolerance layer of the run loops: abort
+// short-circuiting, context cancellation, superstep deadlines, barrier
+// checkpointing + resume, in-run checkpoint-restore recovery, and frame
+// retry. The transports themselves are covered by transport_test.go.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
-	"net"
 	"os"
 	"reflect"
 	"sync/atomic"
@@ -113,7 +110,7 @@ func TestCheckpointCadence(t *testing.T) {
 	prog, cfg := newEcho(100, 5, 4)
 	cfg.CheckpointEvery = 2
 	cfg.CheckpointStore = store
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,7 @@ func TestFileCheckpointStorePersistsAndPrunes(t *testing.T) {
 func TestResumeFromCheckpointMatchesCleanRun(t *testing.T) {
 	clean := func() *RunStats {
 		prog, cfg := newEcho(60, 6, 3)
-		stats, err := Run[int](cfg, prog)
+		stats, err := Run[wint](cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +203,7 @@ func TestResumeFromCheckpointMatchesCleanRun(t *testing.T) {
 	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 1, ErrorRate: 1, FromStep: 3, MaxFaults: 1})
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
-	_, err := Run[int](cfg, prog)
+	_, err := Run[wint](cfg, prog)
 	if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("faulty run err = %v, want ErrInjectedFault", err)
 	}
@@ -218,7 +215,7 @@ func TestResumeFromCheckpointMatchesCleanRun(t *testing.T) {
 	// last barrier. Totals must match the clean run exactly.
 	prog2, cfg2 := newEcho(60, 6, 3)
 	cfg2.ResumeFrom = store
-	resumed, err := Run[int](cfg2, prog2)
+	resumed, err := Run[wint](cfg2, prog2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestResumeFromCheckpointMatchesCleanRun(t *testing.T) {
 func TestResumeFromEmptyStoreStartsFresh(t *testing.T) {
 	prog, cfg := newEcho(50, 3, 2)
 	cfg.ResumeFrom = NewMemCheckpointStore()
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +250,12 @@ func TestResumeRejectsWorkerMismatch(t *testing.T) {
 	prog, cfg := newEcho(60, 6, 3)
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
-	if _, err := Run[int](cfg, prog); err != nil {
+	if _, err := Run[wint](cfg, prog); err != nil {
 		t.Fatal(err)
 	}
 	prog2, cfg2 := newEcho(60, 6, 2) // different worker count
 	cfg2.ResumeFrom = store
-	if _, err := Run[int](cfg2, prog2); err == nil {
+	if _, err := Run[wint](cfg2, prog2); err == nil {
 		t.Fatal("resume with mismatched worker count should fail")
 	}
 }
@@ -268,7 +265,7 @@ func TestResumeRejectsWorkerMismatch(t *testing.T) {
 func TestInRunRecoveryDeterministicFaults(t *testing.T) {
 	clean := func() *RunStats {
 		prog, cfg := newEcho(60, 5, 3)
-		stats, err := Run[int](cfg, prog)
+		stats, err := Run[wint](cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +280,7 @@ func TestInRunRecoveryDeterministicFaults(t *testing.T) {
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
 	cfg.MaxRecoveries = 10
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ func TestInRunRecoveryDeterministicFaults(t *testing.T) {
 func TestInRunRecoveryStochasticFaults(t *testing.T) {
 	clean := func() *RunStats {
 		prog, cfg := newEcho(80, 6, 4)
-		stats, err := Run[int](cfg, prog)
+		stats, err := Run[wint](cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +316,7 @@ func TestInRunRecoveryStochasticFaults(t *testing.T) {
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
 	cfg.MaxRecoveries = 200
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +328,7 @@ func TestInRunRecoveryStochasticFaults(t *testing.T) {
 func TestRetryRecoversTransientFaults(t *testing.T) {
 	clean := func() *RunStats {
 		prog, cfg := newEcho(60, 5, 3)
-		stats, err := Run[int](cfg, prog)
+		stats, err := Run[wint](cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +338,7 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	prog, cfg := newEcho(60, 5, 3)
 	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 3, ErrorRate: 0.4, DropRate: 0.1})
 	cfg.Retry = RetryPolicy{MaxAttempts: 12, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
-	stats, err := Run[int](cfg, prog)
+	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,205 +351,4 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	if !reflect.DeepEqual(stats.PerStepMessages, clean.PerStepMessages) {
 		t.Errorf("PerStepMessages = %v, want %v", stats.PerStepMessages, clean.PerStepMessages)
 	}
-}
-
-func TestFaultScheduleIsDeterministic(t *testing.T) {
-	fc := FaultConfig{Seed: 99, ErrorRate: 0.3, DropRate: 0.2}
-	schedule := func() []bool {
-		ex, err := newExchangeFromFactory[int](context.Background(), NewFaultyExchangeFactory(nil, fc), 2, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ex.Close()
-		empty := [][][]Envelope[int]{
-			{nil, nil},
-			{nil, nil},
-		}
-		var out []bool
-		for step := 0; step < 50; step++ {
-			_, err := ex.Exchange(context.Background(), step, empty)
-			out = append(out, err != nil)
-		}
-		return out
-	}
-	a, b := schedule(), schedule()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fault schedules differ:\n%v\n%v", a, b)
-	}
-	faults := 0
-	for _, f := range a {
-		if f {
-			faults++
-		}
-	}
-	if faults == 0 || faults == 50 {
-		t.Fatalf("degenerate fault schedule: %d/50 faults", faults)
-	}
-}
-
-// --- Hardened TCP setup --------------------------------------------------
-
-func TestTCPSetupFailedDialDoesNotDeadlock(t *testing.T) {
-	// Regression: a failed dial used to leave the Accept goroutine waiting
-	// forever for the full mesh, deadlocking setup. It must now fail fast —
-	// well before the (generous) setup deadline.
-	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
-		if src == 1 && dst == 0 {
-			return nil, fmt.Errorf("injected dial failure")
-		}
-		return net.DialTimeout("tcp", addr, timeout)
-	}
-	defer func() { testDialHook = nil }()
-
-	start := time.Now()
-	_, err := newExchangeFromFactory[int](context.Background(),
-		NewTCPExchangeFactoryWithConfig(TCPConfig{SetupTimeout: 60 * time.Second}), 3, nil, false)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("setup with a failed dial should error")
-	}
-	if want := "dial 1->0"; !containsStr(err.Error(), want) {
-		t.Fatalf("err = %v, want the root-cause dial error (%q)", err, want)
-	}
-	if elapsed > 20*time.Second {
-		t.Fatalf("setup took %v; a failed dial must fail fast, not wait for the deadline", elapsed)
-	}
-}
-
-func TestTCPSetupTimesOutOnSilentPeer(t *testing.T) {
-	// One pair dials a black hole (a listener that never reaches the
-	// exchange), so one mesh connection never arrives: the Accept loop must
-	// give up at the setup deadline instead of blocking forever.
-	decoy, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer decoy.Close()
-	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
-		if src == 0 && dst == 1 {
-			return net.DialTimeout("tcp", decoy.Addr().String(), timeout)
-		}
-		return net.DialTimeout("tcp", addr, timeout)
-	}
-	defer func() { testDialHook = nil }()
-
-	start := time.Now()
-	_, err = newExchangeFromFactory[int](context.Background(),
-		NewTCPExchangeFactoryWithConfig(TCPConfig{SetupTimeout: 2 * time.Second}), 2, nil, false)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("setup with a silent peer should time out")
-	}
-	if elapsed > 30*time.Second {
-		t.Fatalf("setup took %v, want ~the 2s deadline", elapsed)
-	}
-}
-
-// pastDeadlineCtx reports an already-expired deadline without being Done,
-// forcing the frame-deadline plumbing (not the early ctx.Err check) to trip.
-type pastDeadlineCtx struct{ context.Context }
-
-func (pastDeadlineCtx) Deadline() (time.Time, bool) {
-	return time.Now().Add(-time.Second), true
-}
-
-func TestTCPExchangeHonorsContextDeadlineOnFrames(t *testing.T) {
-	ex, err := newExchangeFromFactory[int](context.Background(), NewTCPExchangeFactory(), 2, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	outAll := [][][]Envelope[int]{
-		{nil, {{Dest: 1, Msg: 42}}},
-		{{{Dest: 0, Msg: 24}}, nil},
-	}
-	_, err = ex.Exchange(pastDeadlineCtx{context.Background()}, 0, outAll)
-	if err == nil {
-		t.Fatal("exchange with an expired frame deadline should error")
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want os.ErrDeadlineExceeded", err)
-	}
-}
-
-// --- Exchange equivalence property ---------------------------------------
-
-func TestExchangeEquivalenceProperty(t *testing.T) {
-	// Local, TCP, and faulty-with-retry exchanges must deliver identical
-	// merged inboxes for random workloads.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 4; trial++ {
-		k := 2 + rng.Intn(3)
-		outAll := make([][][]Envelope[int], k)
-		for src := 0; src < k; src++ {
-			outAll[src] = make([][]Envelope[int], k)
-			for dst := 0; dst < k; dst++ {
-				n := rng.Intn(8)
-				for i := 0; i < n; i++ {
-					outAll[src][dst] = append(outAll[src][dst],
-						Envelope[int]{Dest: graph.VertexID(rng.Intn(100)), Msg: rng.Int()})
-				}
-			}
-		}
-		factories := []struct {
-			name string
-			f    ExchangeFactory
-		}{
-			{"local", nil},
-			{"tcp", NewTCPExchangeFactory()},
-			{"faulty", NewFaultyExchangeFactory(nil, FaultConfig{
-				Seed: int64(trial), ErrorRate: 0.4, DropRate: 0.1,
-				DelayRate: 0.2, MaxDelay: time.Millisecond,
-			})},
-		}
-		var want [][]Envelope[int]
-		for _, fc := range factories {
-			ex, err := newExchangeFromFactory[int](context.Background(), fc.f, k, nil, false)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, fc.name, err)
-			}
-			var got [][]Envelope[int]
-			err = withRetry(context.Background(), RetryPolicy{MaxAttempts: 40, BaseBackoff: time.Microsecond}, func() error {
-				r, err := ex.Exchange(context.Background(), 1, outAll)
-				if err == nil {
-					got = r
-				}
-				return err
-			})
-			ex.Close()
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, fc.name, err)
-			}
-			got = normalizeInboxes(got)
-			if fc.name == "local" {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("trial %d: %s inboxes differ from local:\n%v\n%v", trial, fc.name, got, want)
-			}
-		}
-	}
-}
-
-// normalizeInboxes maps nil inboxes to empty ones so DeepEqual compares
-// content, not nil-ness.
-func normalizeInboxes(in [][]Envelope[int]) [][]Envelope[int] {
-	out := make([][]Envelope[int], len(in))
-	for i, box := range in {
-		if box == nil {
-			box = []Envelope[int]{}
-		}
-		out[i] = box
-	}
-	return out
-}
-
-func containsStr(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }

@@ -5,12 +5,11 @@ package bsp
 // (internal/chaos) needs the sharper question "does recovery work when
 // worker W dies exactly at superstep S" — deterministic, named events at
 // named barriers. A scheduled fault fires exactly once: the schedule state
-// lives in the factory, so an exchange rebuilt during checkpoint recovery
+// lives in the factory, so a transport rebuilt during checkpoint recovery
 // sees the remaining schedule instead of deterministically replaying the
-// same fault forever.
+// same fault forever. The faults are injected by faultTransport (faults.go).
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -69,30 +68,34 @@ type StepFault struct {
 
 // NewScheduledFaultExchangeFactory wraps inner (nil = the in-process
 // exchange) so each scheduled fault fires exactly once when its superstep's
-// Exchange runs. Faults sharing a step fire on successive Exchange calls for
-// that step (first call fires the first unfired one, and so on), so a
+// exchange runs. Faults sharing a step fire on successive attempts of that
+// step (the first attempt fires the first unfired one, and so on), so a
 // schedule can e.g. kill the same barrier twice to exhaust a retry budget.
 func NewScheduledFaultExchangeFactory(inner ExchangeFactory, faults []StepFault) *ScheduledFaultFactory {
-	return &ScheduledFaultFactory{inner: inner, state: &scheduleState{
+	return &ScheduledFaultFactory{inner: inner, schedule: &scheduleState{
 		faults: append([]StepFault(nil), faults...),
 		fired:  make([]bool, len(faults)),
 	}}
 }
 
-// ScheduledFaultFactory is an ExchangeFactory injecting a deterministic fault
-// schedule; Fired reports harness progress.
+// ScheduledFaultFactory is the fault-injecting ExchangeFactory: it carries
+// the policy state faultTransport consults — the seeded probabilistic stream
+// (NewFaultyExchangeFactory) or a step schedule, whose progress Fired
+// reports to the chaos harness.
 type ScheduledFaultFactory struct {
-	inner ExchangeFactory
-	state *scheduleState
+	inner    ExchangeFactory
+	fc       FaultConfig
+	random   *faultyState
+	schedule *scheduleState
 }
 
-func (*ScheduledFaultFactory) kind() string { return "scheduled" }
+func (*ScheduledFaultFactory) kind() string { return "fault" }
 
 // Fired reports how many scheduled faults have fired so far.
-func (f *ScheduledFaultFactory) Fired() int { return f.state.Fired() }
+func (f *ScheduledFaultFactory) Fired() int { return f.schedule.Fired() }
 
-// scheduleState is shared by every exchange built from one factory, so the
-// fire-once bookkeeping survives exchange rebuilds during recovery.
+// scheduleState is shared by every transport built from one factory, so the
+// fire-once bookkeeping survives transport rebuilds during recovery.
 type scheduleState struct {
 	mu     sync.Mutex
 	faults []StepFault
@@ -112,8 +115,12 @@ func (s *scheduleState) next(step int) (StepFault, bool) {
 	return StepFault{}, false
 }
 
-// Fired reports how many scheduled faults have fired so far.
+// Fired reports how many scheduled faults have fired so far (none, for a
+// factory without a schedule).
 func (s *scheduleState) Fired() int {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
@@ -125,83 +132,23 @@ func (s *scheduleState) Fired() int {
 	return n
 }
 
-func newScheduledExchange[M any](inner Exchange[M], state *scheduleState) Exchange[M] {
-	return &scheduledExchange[M]{inner: inner, state: state}
-}
-
-type scheduledExchange[M any] struct {
-	inner Exchange[M]
-	state *scheduleState
-}
-
 // scheduledFaultError renders the failing fault kinds (kill, drop,
-// partition) into the strict-mode error text (step = superstep); delay
-// returns nil and the caller sleeps. The async wrapper uses
-// asyncScheduledFaultError instead — same kinds, frame-seq wording.
-func scheduledFaultError(f StepFault, step int) error {
+// partition); delay returns nil and the middleware sleeps instead. The text
+// names what the ordinal actually was — a superstep in the strict loop, a
+// per-worker frame seq in the async loop — to keep logs honest about what
+// fired.
+func scheduledFaultError(f StepFault, barriered bool, ord int) error {
+	at := "frame seq"
+	if barriered {
+		at = "superstep"
+	}
 	switch f.Kind {
 	case StepFaultKill:
-		return fmt.Errorf("%w: worker %d killed at superstep %d", ErrInjectedFault, f.Worker, step)
+		return fmt.Errorf("%w: worker %d killed at %s %d", ErrInjectedFault, f.Worker, at, ord)
 	case StepFaultDrop:
-		return fmt.Errorf("%w: batch dropped at superstep %d, detected at barrier", ErrInjectedFault, step)
+		return fmt.Errorf("%w: batch dropped at %s %d, detected before delivery", ErrInjectedFault, at, ord)
 	case StepFaultPartition:
-		return fmt.Errorf("%w: mesh partitioned at worker %d boundary, superstep %d", ErrInjectedFault, f.Worker, step)
+		return fmt.Errorf("%w: mesh partitioned at worker %d boundary, %s %d", ErrInjectedFault, f.Worker, at, ord)
 	}
 	return nil
 }
-
-// asyncScheduledFaultError is the async-plane renderer for the same fault
-// kinds. Async mode has no supersteps or barriers; schedules key on
-// per-worker wire-frame ordinals (see StepFault), so the text names the
-// frame seq to keep logs honest about what actually fired.
-func asyncScheduledFaultError(f StepFault, seq int) error {
-	switch f.Kind {
-	case StepFaultKill:
-		return fmt.Errorf("%w: worker %d killed at frame seq %d", ErrInjectedFault, f.Worker, seq)
-	case StepFaultDrop:
-		return fmt.Errorf("%w: frame dropped at seq %d", ErrInjectedFault, seq)
-	case StepFaultPartition:
-		return fmt.Errorf("%w: mesh partitioned at worker %d boundary, frame seq %d", ErrInjectedFault, f.Worker, seq)
-	}
-	return nil
-}
-
-func (s *scheduledExchange[M]) Exchange(ctx context.Context, step int, outAll [][][]Envelope[M]) ([][]Envelope[M], error) {
-	if f, ok := s.state.next(step); ok {
-		if err := scheduledFaultError(f, step); err != nil {
-			return nil, err
-		}
-		if f.Kind == StepFaultDelay {
-			timer := time.NewTimer(f.Delay)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, ctx.Err()
-			case <-timer.C:
-			}
-		}
-	}
-	return s.inner.Exchange(ctx, step, outAll)
-}
-
-// ExchangeGrouped forwards a grouped barrier with the same fire-once fault
-// schedule as Exchange, so compressed mode sees identical scheduled events.
-func (s *scheduledExchange[M]) ExchangeGrouped(ctx context.Context, step int, outAll [][][]Envelope[M]) ([]Inbox[M], error) {
-	if f, ok := s.state.next(step); ok {
-		if err := scheduledFaultError(f, step); err != nil {
-			return nil, err
-		}
-		if f.Kind == StepFaultDelay {
-			timer := time.NewTimer(f.Delay)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, ctx.Err()
-			case <-timer.C:
-			}
-		}
-	}
-	return exchangeGrouped(ctx, s.inner, step, outAll)
-}
-
-func (s *scheduledExchange[M]) Close() error { return s.inner.Close() }

@@ -4,18 +4,18 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"psgl/internal/obs"
 )
 
-// TCPConfig tunes the hardened loopback TCP exchange. The zero value gets
+// TCPConfig tunes the hardened loopback TCP transport. The zero value gets
 // conservative defaults; every timeout exists so that a partial failure
 // surfaces as an error instead of a hang.
 type TCPConfig struct {
@@ -25,8 +25,10 @@ type TCPConfig struct {
 	// handshakes. A failed dial additionally closes the listener so setup
 	// fails fast rather than waiting the timeout out. 0 means 15s.
 	SetupTimeout time.Duration
-	// FrameTimeout is the per-frame read/write deadline during Exchange; a
-	// context with an earlier deadline wins. 0 means 30s.
+	// FrameTimeout is the per-frame deadline: a Send must be written, and
+	// what it wrote must have arrived in full at the receiving worker, this
+	// long after it started; a context with an earlier deadline wins.
+	// 0 means 30s.
 	FrameTimeout time.Duration
 }
 
@@ -49,13 +51,12 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // on. Messages between a worker and itself skip the network, mirroring how
 // Giraph delivers local messages in memory.
 //
-// Message types whose pointer implements WireMessage (the engine's Gpsi
-// does) travel as compact length-prefixed binary frames with pooled
-// buffers; any other type must be gob-encodable (exported fields) and uses
-// gob streams. Setup, the handshakes, and every frame are bounded by
-// TCPConfig deadlines (defaults here); a mesh failure therefore surfaces as
-// an error at the barrier, where Run's retry and checkpoint-restore
-// machinery can recover it.
+// The message type's pointer must implement WireMessage (the engine's Gpsi
+// does): batches travel as compact length-prefixed binary frames with pooled
+// buffers, and a type without the codec fails the run at setup. Setup, the
+// handshakes, and every frame are bounded by TCPConfig deadlines (defaults
+// here); a mesh failure therefore surfaces as an error in the run loop,
+// where retry and checkpoint-restore can recover it.
 func NewTCPExchangeFactory() ExchangeFactory { return tcpFactory{} }
 
 // NewTCPExchangeFactoryWithConfig is NewTCPExchangeFactory with explicit
@@ -68,58 +69,58 @@ type tcpFactory struct{ cfg TCPConfig }
 
 func (tcpFactory) kind() string { return "tcp" }
 
-func newExchangeFromFactory[M any](ctx context.Context, f ExchangeFactory, workers int, o *obs.Observer, compress bool) (Exchange[M], error) {
-	switch ff := f.(type) {
-	case nil:
-		if compress && messageIsWire[M]() {
-			return compressedLocalExchange[M]{}, nil
-		}
-		return localExchange[M]{}, nil
-	case tcpFactory:
-		return newTCPExchange[M](ctx, workers, ff.cfg.withDefaults(), o, compress)
-	case faultyFactory:
-		inner, err := newExchangeFromFactory[M](ctx, ff.inner, workers, o, compress)
-		if err != nil {
-			return nil, err
-		}
-		return newFaultyExchange[M](inner, ff.fc, ff.state), nil
-	case *ScheduledFaultFactory:
-		inner, err := newExchangeFromFactory[M](ctx, ff.inner, workers, o, compress)
-		if err != nil {
-			return nil, err
-		}
-		return newScheduledExchange[M](inner, ff.state), nil
-	default:
-		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
+// pairConn is the connection of one ordered (src, dst) pair: src's goroutine
+// is the only writer of out, one reader goroutine the only reader of in, so
+// neither side needs a lock for the bytes. mu guards only the read-deadline
+// bookkeeping the two share.
+type pairConn struct {
+	out net.Conn
+	in  net.Conn
+	br  *bufio.Reader
+
+	mu       sync.Mutex
+	inflight int // Sends written (or being written) and not yet fully read
+}
+
+// expect arms the read side before a Send writes: an idle conn is normal
+// (reads block without a deadline), but once a frame is on its way a peer
+// that swallows it must end in a deadline error, not a hang.
+func (p *pairConn) expect(deadline time.Time) {
+	p.mu.Lock()
+	if p.inflight == 0 {
+		p.in.SetReadDeadline(deadline)
 	}
+	p.inflight++
+	p.mu.Unlock()
 }
 
-// frame is the gob-mode wire unit: one superstep's batch from one worker to
-// another. Wire-mode frames are encoded by hand in wire.go instead.
-type frame[M any] struct {
-	Step  int
-	Batch []Envelope[M]
+// settle retires one expectation — its Send was read in full, or failed to
+// write — and re-arms the deadline for the next one in flight, if any.
+func (p *pairConn) settle(timeout time.Duration) {
+	p.mu.Lock()
+	p.inflight--
+	if p.inflight == 0 {
+		p.in.SetReadDeadline(time.Time{})
+	} else {
+		p.in.SetReadDeadline(time.Now().Add(timeout))
+	}
+	p.mu.Unlock()
 }
 
-type tcpExchange[M any] struct {
-	workers  int
+// tcpTransport is the K×K loopback mesh. Each off-diagonal pair has one
+// connection and one persistent reader goroutine that delivers whatever a
+// Send wrote the moment it has arrived in full, and only then acks it — the
+// strict barrier counts those acks, the async plane releases credit on them.
+type tcpTransport[M any] struct {
 	cfg      TCPConfig
-	wire     bool // *M implements WireMessage: binary frames instead of gob
-	compress bool // front code wire frames (requires wire)
+	compress bool
 	obs      *obs.Observer
+	h        hooks[M]
 	listener net.Listener
-	// enc[src][dst] / dec[dst][src] wrap the K×K mesh in gob mode (nil on
-	// the diagonal and in wire mode); in wire mode brIn[dst][src] buffers
-	// the inbound side. connOut/connIn hold the conns so Exchange can arm
-	// per-frame deadlines on them.
-	enc     [][]*gob.Encoder
-	dec     [][]*gob.Decoder
-	brIn    [][]*bufio.Reader
-	connOut [][]net.Conn
-	connIn  [][]net.Conn
-	// frameDeadline is the deadline of the Exchange call in flight; Run
-	// issues at most one Exchange at a time, so a plain field suffices.
-	frameDeadline time.Time
+	pairs    [][]pairConn // pairs[src][dst]; the diagonal stays empty
+
+	closed atomic.Bool
+	wg     sync.WaitGroup
 }
 
 // testDialHook, when non-nil, replaces the mesh dialer. Tests use it to
@@ -134,27 +135,8 @@ func dialPair(ctx context.Context, src, dst int, addr string, timeout time.Durat
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-// The handshake identifying an ordered pair is 8 raw little-endian bytes
-// (src, dst as int32). Raw rather than gob so the server reads exactly the
-// handshake and nothing more — a gob decoder's internal buffering could
-// swallow the front of the first wire-mode frame.
-func appendHandshake(dst []byte, src, dstW int) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(src))
-	return binary.LittleEndian.AppendUint32(dst, uint32(dstW))
-}
-
-func newTCPExchange[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.Observer, compress bool) (Exchange[M], error) {
-	return newTCPMesh[M](ctx, workers, cfg, o, compress)
-}
-
-// newTCPMesh builds the K×K loopback connection mesh both TCP modes run on:
-// the strict barriered Exchange drives it frame-by-frame per superstep, and
-// the async transport (tcpasync.go) attaches persistent reader goroutines to
-// the same conns.
-func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.Observer, compress bool) (*tcpExchange[M], error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// newTCPTransport builds the mesh and starts its reader goroutines.
+func newTCPTransport[M any](ctx context.Context, workers int, cfg TCPConfig, compress bool, o *obs.Observer, h hooks[M]) (*tcpTransport[M], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bsp: tcp exchange setup canceled: %w", err)
 	}
@@ -162,19 +144,10 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 	if err != nil {
 		return nil, fmt.Errorf("bsp: tcp exchange listen: %w", err)
 	}
-	wire := messageIsWire[M]()
-	ex := &tcpExchange[M]{workers: workers, cfg: cfg, wire: wire, compress: compress && wire, obs: o, listener: ln}
-	ex.enc = make([][]*gob.Encoder, workers)
-	ex.dec = make([][]*gob.Decoder, workers)
-	ex.brIn = make([][]*bufio.Reader, workers)
-	ex.connOut = make([][]net.Conn, workers)
-	ex.connIn = make([][]net.Conn, workers)
-	for i := 0; i < workers; i++ {
-		ex.enc[i] = make([]*gob.Encoder, workers)
-		ex.dec[i] = make([]*gob.Decoder, workers)
-		ex.brIn[i] = make([]*bufio.Reader, workers)
-		ex.connOut[i] = make([]net.Conn, workers)
-		ex.connIn[i] = make([]net.Conn, workers)
+	t := &tcpTransport[M]{cfg: cfg, compress: compress, obs: o, h: h, listener: ln}
+	t.pairs = make([][]pairConn, workers)
+	for i := range t.pairs {
+		t.pairs[i] = make([]pairConn, workers)
 	}
 
 	deadline := time.Now().Add(cfg.SetupTimeout)
@@ -226,6 +199,9 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 				return
 			}
 			conn.SetReadDeadline(deadline)
+			// The handshake identifying an ordered pair is 8 raw little-endian
+			// bytes (src, dst as int32), so exactly it is read here and nothing
+			// of the first frame behind it.
 			var hs [8]byte
 			if _, err := io.ReadFull(conn, hs[:]); err != nil {
 				conn.Close()
@@ -240,26 +216,15 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 				return
 			}
 			conn.SetReadDeadline(time.Time{})
-			mu.Lock()
-			dup := ex.connIn[dst][src] != nil
-			if !dup {
-				ex.connIn[dst][src] = conn
-				if ex.wire {
-					ex.brIn[dst][src] = bufio.NewReaderSize(conn, 64<<10)
-				} else if ex.obs != nil {
-					// Gob frames have no length prefix, so byte accounting
-					// happens below the decoder.
-					ex.dec[dst][src] = gob.NewDecoder(countingReader{conn, ex.obs})
-				} else {
-					ex.dec[dst][src] = gob.NewDecoder(conn)
-				}
-			}
-			mu.Unlock()
-			if dup {
+			// Only this goroutine touches the in side of a pair, and only the
+			// pair's dialer its out side; both are read after wg.Wait.
+			p := &t.pairs[src][dst]
+			if p.in != nil {
 				conn.Close()
 				fail(fmt.Errorf("duplicate handshake for pair %d->%d", src, dst))
 				return
 			}
+			p.in, p.br = conn, bufio.NewReaderSize(conn, 64<<10)
 		}
 	}()
 
@@ -279,22 +244,14 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 					return
 				}
 				conn.SetWriteDeadline(deadline)
-				if _, err := conn.Write(appendHandshake(nil, src, dst)); err != nil {
+				hs := binary.LittleEndian.AppendUint32(nil, uint32(src))
+				if _, err := conn.Write(binary.LittleEndian.AppendUint32(hs, uint32(dst))); err != nil {
 					conn.Close()
 					fail(fmt.Errorf("handshake encode %d->%d: %w", src, dst, err))
 					return
 				}
 				conn.SetWriteDeadline(time.Time{})
-				mu.Lock()
-				ex.connOut[src][dst] = conn
-				if !ex.wire {
-					if ex.obs != nil {
-						ex.enc[src][dst] = gob.NewEncoder(countingWriter{conn, ex.obs})
-					} else {
-						ex.enc[src][dst] = gob.NewEncoder(conn)
-					}
-				}
-				mu.Unlock()
+				t.pairs[src][dst].out = conn
 			}(src, dst)
 		}
 	}
@@ -302,7 +259,7 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 	if cerr := ctx.Err(); cerr != nil {
 		// The watchdog tore setup down: report the cancellation, not the
 		// net.ErrClosed noise it caused.
-		ex.Close()
+		t.Close()
 		return nil, fmt.Errorf("bsp: tcp exchange setup canceled: %w", cerr)
 	}
 	mu.Lock()
@@ -312,7 +269,7 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 		// Belt and braces: every off-diagonal endpoint must be wired.
 		for src := 0; src < workers && err == nil; src++ {
 			for dst := 0; dst < workers; dst++ {
-				if src != dst && (ex.connOut[src][dst] == nil || ex.connIn[dst][src] == nil) {
+				if p := &t.pairs[src][dst]; src != dst && (p.out == nil || p.in == nil) {
 					err = fmt.Errorf("mesh incomplete: pair %d->%d never connected", src, dst)
 					break
 				}
@@ -320,10 +277,18 @@ func newTCPMesh[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.O
 		}
 	}
 	if err != nil {
-		ex.Close()
+		t.Close()
 		return nil, fmt.Errorf("bsp: tcp exchange setup: %w", err)
 	}
-	return ex, nil
+	for src := 0; src < workers; src++ {
+		for dst := 0; dst < workers; dst++ {
+			if src != dst {
+				t.wg.Add(1)
+				go t.readLoop(src, dst)
+			}
+		}
+	}
+	return t, nil
 }
 
 // firstSetupError picks the root cause: a listener closed by fail() makes
@@ -341,314 +306,113 @@ func firstSetupError(errs []error) error {
 	return errs[0]
 }
 
-// countingWriter / countingReader feed the observer's raw byte counters on
-// the gob path, where frames carry no length prefix to count from.
-type countingWriter struct {
-	w io.Writer
-	o *obs.Observer
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.o.AddBytesSent(int64(n))
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	o *obs.Observer
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.o.AddBytesRecv(int64(n))
-	return n, err
-}
-
-// sendFrame writes one batch to the (src, dst) conn in the exchange's mode.
-func (ex *tcpExchange[M]) sendFrame(src, dst, step int, batch []Envelope[M]) error {
-	return ex.sendFrameAt(src, dst, step, batch, ex.frameDeadline)
-}
-
-// sendFrameAt is sendFrame with an explicit write deadline, for callers that
-// don't run under the barrier's shared frameDeadline (the async transport
-// arms a fresh deadline per frame). In wire mode the whole frame is staged
-// in a pooled buffer and written with a single syscall.
-func (ex *tcpExchange[M]) sendFrameAt(src, dst, step int, batch []Envelope[M], deadline time.Time) error {
-	ex.connOut[src][dst].SetWriteDeadline(deadline)
-	if !ex.wire {
-		if err := ex.enc[src][dst].Encode(frame[M]{Step: step, Batch: batch}); err != nil {
-			return err
-		}
-		ex.obs.AddFrameSent(false, 0) // bytes counted by countingWriter
+// Send stages the whole batch — one flat frame, or a train of front-coded
+// chunks when the codec is compressed and the batch worth coding — in a
+// pooled buffer and writes it with a single syscall. A worker's batch for
+// itself skips the network but not the codec.
+func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []Envelope[M]) error {
+	if t.closed.Load() {
+		return net.ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if src == dst {
+		t.h.deliver(src, dst, ord, packInbox(t.compress, ord, batch))
+		t.h.ack(src)
 		return nil
 	}
-	bp := getWireBuf(0)
-	raw := 0
-	if ex.compress && len(batch) >= compressMinBatch {
-		// One compressed frame per send — never chunked here, because the
-		// async credit detector counts exactly one ack per transport send.
-		*bp, raw = appendCompressedFrames(*bp, step, batch, 0)
-	} else {
-		*bp = AppendWireFrame(*bp, step, batch)
-	}
-	n := len(*bp)
-	_, err := ex.connOut[src][dst].Write(*bp)
-	putWireBuf(bp)
-	if err == nil {
-		ex.obs.AddFrameSent(true, int64(n))
-		if raw > 0 {
-			ex.obs.AddCompressedFrame(int64(n), int64(raw))
-		}
-	}
-	return err
-}
-
-// recvFrame reads one batch from the (dst, src) conn in the exchange's mode.
-func (ex *tcpExchange[M]) recvFrame(dst, src int) (int, []Envelope[M], error) {
-	return ex.recvFrameAt(dst, src, ex.frameDeadline)
-}
-
-// recvFrameAt is recvFrame with an explicit read deadline; the async
-// transport's reader loops pass the zero time (block until a frame arrives
-// or the conn is closed).
-func (ex *tcpExchange[M]) recvFrameAt(dst, src int, deadline time.Time) (int, []Envelope[M], error) {
-	ex.connIn[dst][src].SetReadDeadline(deadline)
-	if !ex.wire {
-		var fr frame[M]
-		if err := ex.dec[dst][src].Decode(&fr); err != nil {
-			return 0, nil, err
-		}
-		ex.obs.AddFrameRecv(false, 0) // bytes counted by countingReader
-		return fr.Step, fr.Batch, nil
-	}
-	step, more, batch, n, err := readFrame[M](ex.brIn[dst][src])
-	if err == nil && more {
-		// Continuation chunks only travel inside the grouped barrier path.
-		return 0, nil, fmt.Errorf("unexpected continuation frame")
-	}
-	if err == nil {
-		ex.obs.AddFrameRecv(true, int64(n))
-	}
-	return step, batch, err
-}
-
-func (ex *tcpExchange[M]) Exchange(ctx context.Context, step int, outAll [][][]Envelope[M]) ([][]Envelope[M], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	k := ex.workers
-	deadline := time.Now().Add(ex.cfg.FrameTimeout)
+	deadline := time.Now().Add(t.cfg.FrameTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	ex.frameDeadline = deadline
-	res := make([][]Envelope[M], k)
-	errs := make(chan error, 2*k)
-	var wg sync.WaitGroup
-
-	// Senders: each worker writes its K-1 remote batches.
-	for src := 0; src < k; src++ {
-		wg.Add(1)
-		go func(src int) {
-			defer wg.Done()
-			for dst := 0; dst < k; dst++ {
-				if dst == src {
-					continue
-				}
-				if err := ex.sendFrame(src, dst, step, outAll[src][dst]); err != nil {
-					errs <- fmt.Errorf("send %d->%d: %w", src, dst, err)
-					return
-				}
-			}
-		}(src)
-	}
-	// Receivers: each worker reads K-1 remote batches and splices its own
-	// local batch in at its source position, so the merged inbox order is
-	// byte-identical to the in-process exchange's.
-	for dst := 0; dst < k; dst++ {
-		wg.Add(1)
-		go func(dst int) {
-			defer wg.Done()
-			var buf []Envelope[M]
-			for src := 0; src < k; src++ {
-				if src == dst {
-					buf = append(buf, outAll[dst][dst]...)
-					continue
-				}
-				frStep, batch, err := ex.recvFrame(dst, src)
-				if err != nil {
-					errs <- fmt.Errorf("recv %d<-%d: %w", dst, src, err)
-					return
-				}
-				if frStep != step {
-					errs <- fmt.Errorf("recv %d<-%d: step skew %d != %d", dst, src, frStep, step)
-					return
-				}
-				buf = append(buf, batch...)
-			}
-			res[dst] = buf
-		}(dst)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return res, nil
-}
-
-// sendGroupedFrames writes one barrier batch as front-coded chunks (flat when
-// the batch is too small to pay for itself), staged in a pooled buffer and
-// written with a single syscall.
-func (ex *tcpExchange[M]) sendGroupedFrames(src, dst, step int, batch []Envelope[M]) error {
-	ex.connOut[src][dst].SetWriteDeadline(ex.frameDeadline)
-	bp := getWireBuf(0)
+	bp := getWireBuf()
 	raw := 0
-	if len(batch) >= compressMinBatch {
-		*bp, raw = appendCompressedFrames(*bp, step, batch, compressedChunk)
+	if t.compress && len(batch) >= compressMinBatch {
+		*bp, raw = appendCompressedFrames(*bp, ord, batch, compressedChunk)
 	} else {
-		*bp = AppendWireFrame(*bp, step, batch)
+		*bp = AppendWireFrame(*bp, ord, batch)
 	}
-	n := len(*bp)
-	_, err := ex.connOut[src][dst].Write(*bp)
+	n := int64(len(*bp))
+	p := &t.pairs[src][dst]
+	p.expect(deadline)
+	p.out.SetWriteDeadline(deadline)
+	_, err := p.out.Write(*bp)
 	putWireBuf(bp)
-	if err == nil {
-		ex.obs.AddFrameSent(true, int64(n))
-		if raw > 0 {
-			ex.obs.AddCompressedFrame(int64(n), int64(raw))
-		}
+	if err != nil {
+		p.settle(t.cfg.FrameTimeout)
+		return err
 	}
-	return err
-}
-
-// recvGroupedFrames reads one barrier batch into ib: compressed chunks are
-// retained encoded (the run loop decodes them lazily), a flat fallback frame
-// is decoded in place. The continuation bit drives the chunk loop.
-func (ex *tcpExchange[M]) recvGroupedFrames(dst, src, step int, ib *Inbox[M]) error {
-	for {
-		ex.connIn[dst][src].SetReadDeadline(ex.frameDeadline)
-		payload, n, err := readFramePayload(ex.brIn[dst][src])
-		if err != nil {
-			return err
-		}
-		ex.obs.AddFrameRecv(true, int64(n))
-		if !framePayloadIsCompressed(payload) {
-			frStep, batch, err := DecodeWireFrame[M](payload)
-			if err != nil {
-				return err
-			}
-			if frStep != step {
-				return fmt.Errorf("step skew %d != %d", frStep, step)
-			}
-			ib.Envs = append(ib.Envs, batch...)
-			return nil
-		}
-		word := binary.LittleEndian.Uint32(payload)
-		if frStep := int(word & compressedStepMask); frStep != step&compressedStepMask {
-			return fmt.Errorf("step skew %d != %d", frStep, step)
-		}
-		ib.Frames = append(ib.Frames, payload)
-		if word&continuationFlag == 0 {
-			return nil
-		}
-	}
-}
-
-// ExchangeGrouped is the compressed-mode barrier: batches travel front coded
-// and land in the inbox still encoded. Local (src == dst) batches skip the
-// network but are front coded all the same, so the inbox's peak-RSS bound
-// holds regardless of where a message came from.
-func (ex *tcpExchange[M]) ExchangeGrouped(ctx context.Context, step int, outAll [][][]Envelope[M]) ([]Inbox[M], error) {
-	if !ex.compress {
-		flat, err := ex.Exchange(ctx, step, outAll)
-		if err != nil {
-			return nil, err
-		}
-		return flatInboxes(flat), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	k := ex.workers
-	deadline := time.Now().Add(ex.cfg.FrameTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	ex.frameDeadline = deadline
-	res := make([]Inbox[M], k)
-	errs := make(chan error, 2*k)
-	var wg sync.WaitGroup
-
-	for src := 0; src < k; src++ {
-		wg.Add(1)
-		go func(src int) {
-			defer wg.Done()
-			for dst := 0; dst < k; dst++ {
-				if dst == src {
-					continue
-				}
-				if err := ex.sendGroupedFrames(src, dst, step, outAll[src][dst]); err != nil {
-					errs <- fmt.Errorf("send %d->%d: %w", src, dst, err)
-					return
-				}
-			}
-		}(src)
-	}
-	// Receivers splice the local batch in at its source position, keeping the
-	// merged inbox order identical to the in-process grouped exchange's.
-	for dst := 0; dst < k; dst++ {
-		wg.Add(1)
-		go func(dst int) {
-			defer wg.Done()
-			for src := 0; src < k; src++ {
-				if src == dst {
-					batch := outAll[dst][dst]
-					if len(batch) == 0 {
-						continue
-					}
-					if len(batch) < compressMinBatch {
-						res[dst].Envs = append(res[dst].Envs, batch...)
-						continue
-					}
-					frames, _ := compressBatch(step, batch, compressedChunk)
-					res[dst].Frames = append(res[dst].Frames, frames...)
-					continue
-				}
-				if err := ex.recvGroupedFrames(dst, src, step, &res[dst]); err != nil {
-					errs <- fmt.Errorf("recv %d<-%d: %w", dst, src, err)
-					return
-				}
-			}
-		}(dst)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return res, nil
-}
-
-func (ex *tcpExchange[M]) Close() error {
-	for _, row := range ex.connOut {
-		for _, c := range row {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
-	for _, row := range ex.connIn {
-		for _, c := range row {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
-	if ex.listener != nil {
-		return ex.listener.Close()
+	t.obs.AddFrameSent(n)
+	if raw > 0 {
+		t.obs.AddCompressedFrame(n, int64(raw))
 	}
 	return nil
+}
+
+// readLoop drains one pair's conn for the transport's lifetime. An error on
+// a live transport is fatal to the loop above: the Send it belonged to can
+// never be delivered or acked, so the run must recover, not wait.
+func (t *tcpTransport[M]) readLoop(src, dst int) {
+	defer t.wg.Done()
+	p := &t.pairs[src][dst]
+	for {
+		ord, in, err := t.readSend(p)
+		if err != nil {
+			if !t.closed.Load() {
+				t.h.fatal(fmt.Errorf("bsp: tcp exchange recv %d<-%d: %w", dst, src, err))
+			}
+			return
+		}
+		p.settle(t.cfg.FrameTimeout)
+		t.h.deliver(src, dst, ord, in)
+		t.h.ack(src)
+	}
+}
+
+// readSend reads everything one Send wrote: a flat frame, decoded here, or a
+// train of compressed chunks, retained encoded up to the one whose
+// continuation bit is clear.
+func (t *tcpTransport[M]) readSend(p *pairConn) (ord int, in Inbox[M], err error) {
+	bp := getWireBuf()
+	defer putWireBuf(bp)
+	for {
+		payload, err := readFrame(p.br, *bp)
+		if err != nil {
+			return 0, in, err
+		}
+		*bp = payload // keep a buffer readFrame had to grow
+		t.obs.AddFrameRecv(int64(4 + len(payload)))
+		if !framePayloadIsCompressed(payload) {
+			if len(in.Frames) > 0 {
+				return 0, in, fmt.Errorf("flat frame inside a compressed train")
+			}
+			ord, in.Envs, err = DecodeWireFrame[M](payload)
+			return ord, in, err
+		}
+		word := binary.LittleEndian.Uint32(payload)
+		in.Frames = append(in.Frames, append([]byte(nil), payload...))
+		if word&continuationFlag == 0 {
+			return int(word & compressedStepMask), in, nil
+		}
+	}
+}
+
+func (t *tcpTransport[M]) Close() error {
+	if t.closed.Swap(true) {
+		return nil
+	}
+	for _, row := range t.pairs {
+		for i := range row {
+			if row[i].out != nil {
+				row[i].out.Close()
+			}
+			if row[i].in != nil {
+				row[i].in.Close()
+			}
+		}
+	}
+	err := t.listener.Close()
+	t.wg.Wait()
+	return err
 }

@@ -1,0 +1,115 @@
+package bsp
+
+import (
+	"context"
+	"fmt"
+)
+
+// transport moves one batch from worker src to worker dst — the only thing
+// either run loop asks of the substrate. The strict loop builds its barrier
+// on it (strict.go) and the async loop its credit/ack termination detector
+// (async.go): Chen et al.'s synchronous all-to-all as the degenerate case of
+// a pipelined frame exchange. It has exactly three implementations:
+// in-process (localTransport), the loopback-TCP mesh (tcpTransport), and the
+// fault middleware that wraps either (faultTransport).
+//
+// Send is done with batch when it returns, unless it handed the slice to
+// deliver (see hooks). ord is the ordinal word of the frame header — the
+// superstep in the strict loop, the sender's wire-frame sequence number in
+// the async loop — and the address fault schedules match against. A
+// successful Send is delivered and then acknowledged through the hooks
+// exactly once, possibly after it returns (the TCP mesh does both from its
+// reader goroutines); a failed Send delivers and acks nothing.
+type transport[M any] interface {
+	Send(ctx context.Context, src, dst, ord int, batch []Envelope[M]) error
+	// Close releases the transport and returns once no hook can fire any
+	// more. It is idempotent.
+	Close() error
+}
+
+// hooks are the loop-side callbacks a transport delivers through.
+type hooks[M any] struct {
+	// deliver hands dst everything one Send carried, in the form the
+	// transport's codec left it: flat envelopes or still-encoded compressed
+	// frames. in.Envs may alias the sender's batch (the in-process flat
+	// path); a loop whose senders reuse their buffers must copy.
+	deliver func(src, dst, ord int, in Inbox[M])
+	// ack follows deliver for the same Send, strictly after it.
+	ack func(src int)
+	// fatal reports a failure no Send can return: a reader goroutine losing
+	// its connection or a frame it expected.
+	fatal func(err error)
+}
+
+// trySend is the non-blocking send the hooks signal the loops with: a full
+// buffer means the loop already has a wake-up (or a failure) pending.
+func trySend[T any](ch chan<- T, v T) {
+	select {
+	case ch <- v:
+	default:
+	}
+}
+
+// ExchangeFactory selects the transport a run exchanges messages over,
+// without exposing the message type parameter in Config. Implementations are
+// provided by this package (NewTCPExchangeFactory, NewFaultyExchangeFactory,
+// NewScheduledFaultExchangeFactory); a nil factory is the in-process
+// transport.
+type ExchangeFactory interface {
+	kind() string
+}
+
+// newTransport resolves factory f (cfg.Exchange, or a fault factory's inner
+// one) into a transport delivering through h, constructed with the frame
+// codec cfg.CompressFrames selects; barriered tells the fault middleware
+// which loop it serves.
+func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, barriered bool, h hooks[M]) (transport[M], error) {
+	wire := messageIsWire[M]()
+	switch ff := f.(type) {
+	case nil:
+		// Compression needs the binary codec; an in-process run of a type
+		// without one stays flat regardless of the flag.
+		return localTransport[M]{compress: cfg.CompressFrames && wire, h: h}, nil
+	case tcpFactory:
+		if !wire {
+			var m M
+			return nil, fmt.Errorf("bsp: tcp exchange: message type %T does not implement WireMessage", &m)
+		}
+		return newTCPTransport(ctx, cfg.Workers, ff.cfg.withDefaults(), cfg.CompressFrames, cfg.Observer, h)
+	case *ScheduledFaultFactory:
+		inner, err := newTransport(ctx, ff.inner, cfg, barriered, h)
+		if err != nil {
+			return nil, err
+		}
+		return &faultTransport[M]{inner: inner, barriered: barriered, policy: ff}, nil
+	default:
+		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
+	}
+}
+
+// packInbox is the codec applied to a batch that never touches a socket:
+// flat passes the envelopes through; compressed front codes every batch
+// worth coding into bounded chunks that stay encoded until deliverInbox
+// expands them, so an inbox costs its compressed size wherever its messages
+// came from.
+func packInbox[M any](compress bool, ord int, batch []Envelope[M]) Inbox[M] {
+	if !compress || len(batch) < compressMinBatch {
+		return Inbox[M]{Envs: batch}
+	}
+	frames, _ := compressBatch(ord, batch, compressedChunk)
+	return Inbox[M]{Frames: frames}
+}
+
+// localTransport delivers in-process: deliver, then ack, synchronously.
+type localTransport[M any] struct {
+	compress bool
+	h        hooks[M]
+}
+
+func (t localTransport[M]) Send(_ context.Context, src, dst, ord int, batch []Envelope[M]) error {
+	t.h.deliver(src, dst, ord, packInbox(t.compress, ord, batch))
+	t.h.ack(src)
+	return nil
+}
+
+func (localTransport[M]) Close() error { return nil }

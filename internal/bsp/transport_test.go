@@ -1,0 +1,411 @@
+package bsp
+
+// The transport conformance battery: one table over every transport stack
+// the resolver can build — {in-process, TCP} × {flat, compressed} ×
+// {no fault, probabilistic, scheduled kill/drop/delay/partition} — asserting
+// the contract both run loops are written against, instead of one copy of
+// each check per implementation.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"os"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"psgl/internal/graph"
+	"psgl/internal/obs"
+)
+
+// recorder is a loop stand-in: it keeps everything the hooks were handed.
+type recorder[M any] struct {
+	compress  bool // the codec under test: batches worth coding must arrive encoded
+	mu        sync.Mutex
+	delivered []Envelope[M]
+	frames    int // compressed chunks received still encoded
+	acks      map[int]int
+	fatals    []error
+}
+
+func (r *recorder[M]) hooks(t *testing.T) hooks[M] {
+	return hooks[M]{
+		deliver: func(_, _, _ int, in Inbox[M]) {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.delivered = append(r.delivered, in.Envs...)
+			// One Send arrives flat or coded, never mixed; the flat codec never
+			// codes, the compressed one codes every batch worth coding.
+			if (len(in.Frames) > 0 && (!r.compress || len(in.Envs) > 0)) || (r.compress && len(in.Envs) >= compressMinBatch) {
+				t.Errorf("codec compress=%v delivered %d flat envelopes and %d frames in one Send", r.compress, len(in.Envs), len(in.Frames))
+			}
+			for _, fp := range in.Frames {
+				_, _, batch, err := DecodeCompressedFrame[M](fp)
+				if err != nil {
+					t.Errorf("delivered an undecodable frame: %v", err)
+				}
+				if len(batch) > compressedChunk {
+					t.Errorf("chunk of %d envelopes exceeds the %d bound", len(batch), compressedChunk)
+				}
+				r.delivered = append(r.delivered, batch...)
+				r.frames++
+			}
+		},
+		ack: func(src int) {
+			r.mu.Lock()
+			r.acks[src]++
+			r.mu.Unlock()
+		},
+		fatal: func(err error) {
+			r.mu.Lock()
+			r.fatals = append(r.fatals, err)
+			r.mu.Unlock()
+		},
+	}
+}
+
+func (r *recorder[M]) deliveredCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.delivered)
+}
+
+func (r *recorder[M]) ackTotal() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, a := range r.acks {
+		n += a
+	}
+	return n
+}
+
+func TestTransportConformance(t *testing.T) {
+	const k = 3
+	inners := map[string]func() ExchangeFactory{
+		"local": func() ExchangeFactory { return nil },
+		"tcp":   func() ExchangeFactory { return NewTCPExchangeFactory() },
+	}
+	schedule := []StepFault{
+		{Step: 2, Kind: StepFaultKill, Worker: 1},
+		{Step: 2, Kind: StepFaultDrop},
+		{Step: 3, Kind: StepFaultDelay, Delay: time.Millisecond},
+		{Step: 3, Kind: StepFaultPartition, Worker: 2},
+	}
+	faults := map[string]func(inner ExchangeFactory) ExchangeFactory{
+		"clean": func(inner ExchangeFactory) ExchangeFactory { return inner },
+		"probabilistic": func(inner ExchangeFactory) ExchangeFactory {
+			return NewFaultyExchangeFactory(inner, FaultConfig{
+				Seed: 5, ErrorRate: 0.2, DropRate: 0.1, DelayRate: 0.1, MaxDelay: time.Millisecond,
+			})
+		},
+		"scheduled": func(inner ExchangeFactory) ExchangeFactory {
+			return NewScheduledFaultExchangeFactory(inner, schedule)
+		},
+	}
+	for innerName, mkInner := range inners {
+		for _, compress := range []bool{false, true} {
+			for faultName, wrap := range faults {
+				name := fmt.Sprintf("%s/compress=%v/%s", innerName, compress, faultName)
+				t.Run(name, func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					factory := wrap(mkInner())
+					rec := &recorder[groupMsg]{compress: compress, acks: map[int]int{}}
+					cfg := &Config{Workers: k, CompressFrames: compress}
+					// Not barriered: every frame is a fault opportunity, so the
+					// injected failures land on arbitrary pairs.
+					tr, err := newTransport(context.Background(), factory, cfg, false, rec.hooks(t))
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					var sent []Envelope[groupMsg]
+					succeeded := map[int]int{}
+					failures := 0
+					for ord := 1; ord <= 4; ord++ {
+						for src := 0; src < k; src++ {
+							for dst := 0; dst < k; dst++ {
+								// Empty, flat-sized, one-chunk and multi-chunk batches.
+								n := []int{0, compressMinBatch - 1, 40, compressedChunk + 90}[(ord+src+dst)%4]
+								batch := groupTestBatch(n)
+								for i := range batch {
+									batch[i].Msg.Seq += uint32(1000 * (ord*100 + src*10 + dst))
+								}
+								for try := 0; ; try++ {
+									before := rec.deliveredCount()
+									err := tr.Send(context.Background(), src, dst, ord, batch)
+									if err == nil {
+										break
+									}
+									failures++
+									if !errors.Is(err, ErrInjectedFault) {
+										t.Fatalf("Send %d->%d ord %d: %v", src, dst, ord, err)
+									}
+									// Faults fire before the inner transport sees the
+									// batch: nothing of it may have been delivered.
+									if innerName == "local" && rec.deliveredCount() != before {
+										t.Fatalf("failed Send %d->%d ord %d delivered envelopes", src, dst, ord)
+									}
+									if try > 50 {
+										t.Fatalf("Send %d->%d ord %d still failing after %d tries", src, dst, ord, try)
+									}
+								}
+								sent = append(sent, batch...)
+								succeeded[src]++
+							}
+						}
+					}
+					if faultName != "clean" && failures == 0 {
+						t.Fatal("fault policy never fired; the row exercised nothing")
+					}
+					if faultName == "scheduled" {
+						if fired := factory.(*ScheduledFaultFactory).Fired(); fired != len(schedule) {
+							t.Fatalf("%d of %d scheduled faults fired", fired, len(schedule))
+						}
+					}
+
+					// TCP delivers from reader goroutines: wait for the acks.
+					deadline := time.Now().Add(10 * time.Second)
+					for rec.ackTotal() < 4*k*k && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					if err := tr.Close(); err != nil && innerName == "local" {
+						t.Fatalf("Close: %v", err)
+					}
+					tr.Close() // idempotent
+					waitGoroutinesBack(t, base)
+
+					// After Close no hook can fire, so the books are final: one ack
+					// per successful Send, and exactly the successful batches
+					// delivered — a failed Send delivered and acked nothing.
+					if !reflect.DeepEqual(rec.acks, succeeded) {
+						t.Fatalf("acks per source %v, successful Sends %v", rec.acks, succeeded)
+					}
+					sameMultiset(t, rec.delivered, sent)
+					if len(rec.fatals) != 0 {
+						t.Fatalf("fatal hook fired: %v", rec.fatals)
+					}
+					if compress && rec.frames == 0 {
+						t.Fatal("compressed codec delivered no encoded frames")
+					}
+					if !compress && rec.frames != 0 {
+						t.Fatalf("flat codec delivered %d encoded frames", rec.frames)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBarrierFaultOpportunityIsTheOpeningFrame pins the fault-ordinal rule in
+// the strict loop: of a barrier's K×K frames only 0→0 consults the policy, so
+// rates and schedules stay per barrier attempt, and the seeded stream replays
+// identically from a fresh factory.
+func TestBarrierFaultOpportunityIsTheOpeningFrame(t *testing.T) {
+	fc := FaultConfig{Seed: 99, ErrorRate: 0.3, DropRate: 0.2}
+	pattern := func() []bool {
+		rec := &recorder[int]{acks: map[int]int{}}
+		tr, err := newTransport(context.Background(), NewFaultyExchangeFactory(nil, fc), &Config{Workers: 2}, true, rec.hooks(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		var out []bool
+		for step := 0; step < 50; step++ {
+			out = append(out, tr.Send(context.Background(), 0, 0, step, nil) != nil)
+			for _, pair := range [][2]int{{0, 1}, {1, 0}, {1, 1}} {
+				if err := tr.Send(context.Background(), pair[0], pair[1], step, nil); err != nil {
+					t.Fatalf("frame %d->%d of a barrier faulted: %v", pair[0], pair[1], err)
+				}
+			}
+		}
+		return out
+	}
+	a, b := pattern(), pattern()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("fault schedules differ:\n%v\n%v", a, b)
+	}
+	faults := 0
+	for _, f := range a {
+		if f {
+			faults++
+		}
+	}
+	if faults == 0 || faults == 50 {
+		t.Fatalf("degenerate fault schedule: %d/50 faults", faults)
+	}
+}
+
+// TestBarrierInboxOrderIdenticalAcrossTransports: the merged inbox is the
+// src-ordered concatenation of what each worker sent, whatever order frames
+// arrive in — byte-for-byte the same in-process and over TCP.
+func TestBarrierInboxOrderIdenticalAcrossTransports(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 4; trial++ {
+		k := 2 + rng.Intn(3)
+		outAll := make([][][]Envelope[wint], k)
+		want := make([][]Envelope[wint], k)
+		for src := 0; src < k; src++ {
+			outAll[src] = make([][]Envelope[wint], k)
+			for dst := 0; dst < k; dst++ {
+				for i := rng.Intn(8); i > 0; i-- {
+					outAll[src][dst] = append(outAll[src][dst],
+						Envelope[wint]{Dest: graph.VertexID(rng.Intn(100)), Msg: wint(rng.Int31())})
+				}
+			}
+		}
+		for dst := 0; dst < k; dst++ {
+			for src := 0; src < k; src++ {
+				want[dst] = append(want[dst], outAll[src][dst]...)
+			}
+		}
+		for name, f := range map[string]ExchangeFactory{"local": nil, "tcp": NewTCPExchangeFactory()} {
+			cfg := &Config{Workers: k}
+			b := newBarrier[wint](k)
+			tr, err := newTransport(context.Background(), f, cfg, true, b.hooks())
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			got, err := b.exchange(context.Background(), tr, cfg, 1, outAll)
+			tr.Close()
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			for dst := range got {
+				if len(got[dst].Envs) != len(want[dst]) || (len(want[dst]) > 0 && !reflect.DeepEqual(got[dst].Envs, want[dst])) {
+					t.Errorf("trial %d %s: inbox %d = %v, want %v", trial, name, dst, got[dst].Envs, want[dst])
+				}
+			}
+		}
+	}
+}
+
+// blackholeConn passes the mesh handshake through and swallows every frame
+// written after it: the write succeeds, the peer never sees a byte.
+type blackholeConn struct {
+	net.Conn
+	handshaken bool
+}
+
+func (c *blackholeConn) Write(p []byte) (int, error) {
+	if !c.handshaken {
+		c.handshaken = true
+		return c.Conn.Write(p)
+	}
+	return len(p), nil
+}
+
+// TestBlackholedPeerEndsInDeadlineError: a peer that swallows frames must
+// end the run in a deadline error after FrameTimeout — never a hang — in the
+// strict loop (the barrier waits on the ack) and the async loop (the credit
+// never returns) alike.
+func TestBlackholedPeerEndsInDeadlineError(t *testing.T) {
+	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err == nil && src == 0 && dst == 1 {
+			conn = &blackholeConn{Conn: conn}
+		}
+		return conn, err
+	}
+	defer func() { testDialHook = nil }()
+	for _, async := range []bool{false, true} {
+		prog, cfg := newEcho(40, 3, 2)
+		cfg.Exchange = NewTCPExchangeFactoryWithConfig(TCPConfig{FrameTimeout: 200 * time.Millisecond})
+		cfg.AsyncExchange = async
+		start := time.Now()
+		_, err := Run[wint](cfg, prog)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("async=%v: err = %v, want a deadline error", async, err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("async=%v: black-holed run took %v", async, elapsed)
+		}
+	}
+}
+
+// --- Hardened TCP setup and deadlines --------------------------------------
+
+func newTestTCP(ctx context.Context, workers int, tc TCPConfig, o *obs.Observer) (transport[wint], error) {
+	h := hooks[wint]{deliver: func(_, _, _ int, _ Inbox[wint]) {}, ack: func(int) {}, fatal: func(error) {}}
+	return newTransport(ctx, NewTCPExchangeFactoryWithConfig(tc), &Config{Workers: workers, Observer: o}, true, h)
+}
+
+func TestTCPSetupFailedDialDoesNotDeadlock(t *testing.T) {
+	// Regression: a failed dial used to leave the Accept goroutine waiting
+	// forever for the full mesh, deadlocking setup. It must now fail fast —
+	// well before the (generous) setup deadline.
+	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
+		if src == 1 && dst == 0 {
+			return nil, fmt.Errorf("injected dial failure")
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	defer func() { testDialHook = nil }()
+
+	start := time.Now()
+	_, err := newTestTCP(context.Background(), 3, TCPConfig{SetupTimeout: 60 * time.Second}, nil)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("setup with a failed dial should error")
+	}
+	if want := "dial 1->0"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want the root-cause dial error (%q)", err, want)
+	}
+	if elapsed > 20*time.Second {
+		t.Fatalf("setup took %v; a failed dial must fail fast, not wait for the deadline", elapsed)
+	}
+}
+
+func TestTCPSetupTimesOutOnSilentPeer(t *testing.T) {
+	// One pair dials a black hole (a listener that never reaches the
+	// transport), so one mesh connection never arrives: the Accept loop must
+	// give up at the setup deadline instead of blocking forever.
+	decoy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer decoy.Close()
+	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
+		if src == 0 && dst == 1 {
+			return net.DialTimeout("tcp", decoy.Addr().String(), timeout)
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	defer func() { testDialHook = nil }()
+
+	start := time.Now()
+	_, err = newTestTCP(context.Background(), 2, TCPConfig{SetupTimeout: 2 * time.Second}, nil)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("setup with a silent peer should time out")
+	}
+	if elapsed > 30*time.Second {
+		t.Fatalf("setup took %v, want ~the 2s deadline", elapsed)
+	}
+}
+
+// pastDeadlineCtx reports an already-expired deadline without being Done,
+// forcing the frame-deadline plumbing (not the early ctx.Err check) to trip.
+type pastDeadlineCtx struct{ context.Context }
+
+func (pastDeadlineCtx) Deadline() (time.Time, bool) {
+	return time.Now().Add(-time.Second), true
+}
+
+func TestTCPSendHonorsContextDeadlineOnFrames(t *testing.T) {
+	tr, err := newTestTCP(context.Background(), 2, TCPConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	err = tr.Send(pastDeadlineCtx{context.Background()}, 0, 1, 0, []Envelope[wint]{{Dest: 1, Msg: 42}})
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want os.ErrDeadlineExceeded", err)
+	}
+}

@@ -1,14 +1,13 @@
 package bsp
 
-// Compact wire codec for the TCP exchange. Reflective gob spends most of an
-// exchange encoding type metadata and walking values; message types that
-// implement WireMessage instead get a hand-rolled length-prefixed binary
-// frame with pooled encode/decode buffers (Chen et al. observe the message
-// plane dominates massive subgraph counting at scale — this is the repo's
-// answer on a single machine). Types without WireMessage keep the gob path,
-// and checkpoint snapshots always use gob.
+// Compact wire codec of the TCP transport: a hand-rolled length-prefixed
+// binary frame with pooled encode/decode buffers (Chen et al. observe the
+// message plane dominates massive subgraph counting at scale — this is the
+// repo's answer on a single machine). Every message type that crosses a
+// socket implements WireMessage; gob survives only in checkpoint snapshots.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,11 +16,10 @@ import (
 	"psgl/internal/graph"
 )
 
-// WireMessage is the optional fast-path contract of the TCP exchange: a
-// message type (via its pointer) that can append its encoding to a byte
-// buffer and decode itself back in place. When the exchange's message type
-// implements it, every inter-worker frame uses the compact binary codec
-// below instead of gob; otherwise gob remains the transport encoding.
+// WireMessage is the codec contract of the TCP transport (and of compressed
+// frames anywhere): a message type, via its pointer, that can append its
+// encoding to a byte buffer and decode itself back in place. A run over a
+// TCP factory whose message type lacks it fails at setup.
 type WireMessage interface {
 	// AppendWire appends the receiver's encoding to dst and returns the
 	// extended buffer.
@@ -31,8 +29,7 @@ type WireMessage interface {
 	DecodeWire(src []byte) (rest []byte, err error)
 }
 
-// messageIsWire reports whether *M implements WireMessage, deciding the
-// exchange's transport encoding at mesh-setup time.
+// messageIsWire reports whether *M implements WireMessage.
 func messageIsWire[M any]() bool {
 	_, ok := any((*M)(nil)).(WireMessage)
 	return ok
@@ -51,7 +48,7 @@ func messageIsWire[M any]() bool {
 
 const wireFrameHeader = 12 // length + step + count
 
-// wireBufPool recycles frame buffers across Exchange calls so steady-state
+// wireBufPool recycles frame buffers across Sends and reads so steady-state
 // encode/decode performs no per-frame allocations.
 var wireBufPool = sync.Pool{
 	New: func() any {
@@ -60,14 +57,7 @@ var wireBufPool = sync.Pool{
 	},
 }
 
-func getWireBuf(n int) *[]byte {
-	bp := wireBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
+func getWireBuf() *[]byte { return wireBufPool.Get().(*[]byte) }
 
 func putWireBuf(bp *[]byte) {
 	*bp = (*bp)[:0]
@@ -76,8 +66,7 @@ func putWireBuf(bp *[]byte) {
 
 // AppendWireFrame encodes one superstep batch into buf (appended) with the
 // length prefix patched in, ready for a single conn.Write. Exported for the
-// hot-path microbenchmarks and for custom exchanges; M's pointer must
-// implement WireMessage.
+// hot-path microbenchmarks; M's pointer must implement WireMessage.
 func AppendWireFrame[M any](buf []byte, step int, batch []Envelope[M]) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length, patched below
@@ -91,113 +80,51 @@ func AppendWireFrame[M any](buf []byte, step int, batch []Envelope[M]) []byte {
 	return buf
 }
 
-// maxEagerFrame is the largest payload read into a pooled buffer in one
-// shot. Larger (rare, or adversarial) lengths are read incrementally, so a
-// lying prefix can only cost as much memory as bytes actually arrive.
+// maxEagerFrame is the largest payload read in one shot. Larger (rare, or
+// adversarial) lengths are read incrementally, so a lying prefix can only
+// cost as much memory as bytes actually arrive.
 const maxEagerFrame = 1 << 20
 
-// readWireFrame reads one length-prefixed frame from r and decodes it,
-// returning the total bytes consumed (prefix included). The length is
-// validated before any allocation, so truncated, oversized, or garbage
-// prefixes fail cleanly — FuzzFrameDecode drives this path directly.
-func readWireFrame[M any](r io.Reader) (step int, batch []Envelope[M], frameBytes int, err error) {
+// readFrame is the one frame reader: it reads a length-prefixed frame from r
+// and returns its payload (everything after the prefix; 4+len(payload) bytes
+// were consumed) in buf's storage, grown when too small — callers pass a
+// pooled buffer and copy out what they retain. The length is validated
+// before any allocation, so truncated, oversized, or garbage prefixes fail
+// cleanly; FuzzFrameDecode and FuzzCompressedFrameDecode drive it, and
+// DecodeFrame takes the payload from there in either format.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, err
+		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n < wireFrameHeader-4 || n > 1<<30 {
-		return 0, nil, 0, fmt.Errorf("implausible frame length %d", n)
+		return nil, fmt.Errorf("implausible frame length %d", n)
 	}
 	if n > maxEagerFrame {
-		// ReadAll grows its buffer as data arrives instead of trusting n.
-		buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
-		if err != nil {
-			return 0, nil, 0, err
+		// The buffer grows as data arrives instead of trusting n.
+		b := bytes.NewBuffer(buf[:0])
+		if _, err := io.CopyN(b, r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		if len(buf) < n {
-			return 0, nil, 0, io.ErrUnexpectedEOF
-		}
-		step, batch, err = DecodeWireFrame[M](buf)
-		return step, batch, 4 + n, err
+		return b.Bytes(), nil
 	}
-	bp := getWireBuf(n)
-	if _, err := io.ReadFull(r, *bp); err != nil {
-		putWireBuf(bp)
-		return 0, nil, 0, err
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	step, batch, err = DecodeWireFrame[M](*bp)
-	putWireBuf(bp)
-	return step, batch, 4 + n, err
-}
-
-// readFramePayload reads one length-prefixed frame payload from r into a
-// freshly allocated buffer the caller may retain — the grouped receive path
-// keeps compressed payloads encoded in the inbox. Length validation and the
-// incremental read for oversized claims mirror readWireFrame.
-func readFramePayload(r io.Reader) (payload []byte, frameBytes int, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < wireFrameHeader-4 || n > 1<<30 {
-		return nil, 0, fmt.Errorf("implausible frame length %d", n)
-	}
-	if n > maxEagerFrame {
-		buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(buf) < n {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		return buf, 4 + n, nil
-	}
-	buf := make([]byte, n)
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return buf, 4 + n, nil
-}
-
-// readFrame reads one length-prefixed frame from r and decodes it in either
-// format (flat or compressed, detected per frame). more reports a compressed
-// continuation bit; callers outside the grouped barrier receive path treat it
-// as a protocol error.
-func readFrame[M any](r io.Reader) (step int, more bool, batch []Envelope[M], frameBytes int, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, false, nil, 0, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < wireFrameHeader-4 || n > 1<<30 {
-		return 0, false, nil, 0, fmt.Errorf("implausible frame length %d", n)
-	}
-	if n > maxEagerFrame {
-		buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
-		if err != nil {
-			return 0, false, nil, 0, err
-		}
-		if len(buf) < n {
-			return 0, false, nil, 0, io.ErrUnexpectedEOF
-		}
-		step, more, batch, err = DecodeFrame[M](buf)
-		return step, more, batch, 4 + n, err
-	}
-	bp := getWireBuf(n)
-	if _, err := io.ReadFull(r, *bp); err != nil {
-		putWireBuf(bp)
-		return 0, false, nil, 0, err
-	}
-	step, more, batch, err = DecodeFrame[M](*bp)
-	putWireBuf(bp)
-	return step, more, batch, 4 + n, err
+	return buf, nil
 }
 
 // DecodeWireFrame decodes a frame payload (everything after the length
 // prefix) into a fresh envelope slice. Exported for the hot-path
-// microbenchmarks and for custom exchanges.
+// microbenchmarks.
 func DecodeWireFrame[M any](payload []byte) (step int, batch []Envelope[M], err error) {
 	if len(payload) < wireFrameHeader-4 {
 		return 0, nil, fmt.Errorf("wire frame: truncated header (%d bytes)", len(payload))

@@ -1,9 +1,7 @@
 package bsp
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -65,9 +63,6 @@ func TestMessageIsWire(t *testing.T) {
 	}
 	if messageIsWire[int]() {
 		t.Error("messageIsWire[int] = true, want false")
-	}
-	if messageIsWire[structMsg]() {
-		t.Error("messageIsWire[structMsg] = true, want false")
 	}
 }
 
@@ -167,19 +162,6 @@ func TestTCPExchangeWireMessages(t *testing.T) {
 	}
 }
 
-func TestWireFrameSmallerThanGob(t *testing.T) {
-	batch := wireTestBatch(64)
-	wire := AppendWireFrame(nil, 1, batch)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(frame[wireMsg]{Step: 1, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
-	if len(wire) >= buf.Len() {
-		t.Errorf("wire frame %dB is not smaller than gob frame %dB", len(wire), buf.Len())
-	}
-	t.Logf("64-envelope frame: wire %dB, gob %dB", len(wire), buf.Len())
-}
-
 func BenchmarkWireFrameEncode(b *testing.B) {
 	batch := wireTestBatch(256)
 	buf := AppendWireFrame(nil, 1, batch)
@@ -199,37 +181,6 @@ func BenchmarkWireFrameDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := DecodeWireFrame[wireMsg](buf[4:]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobFrameEncode(b *testing.B) {
-	batch := wireTestBatch(256)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(frame[wireMsg]{Step: 1, Batch: batch}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
-func BenchmarkGobFrameDecode(b *testing.B) {
-	batch := wireTestBatch(256)
-	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(frame[wireMsg]{Step: 1, Batch: batch}); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(enc.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var fr frame[wireMsg]
-		if err := gob.NewDecoder(bytes.NewReader(enc.Bytes())).Decode(&fr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,8 +30,8 @@ const maxPatternVertices = 16
 // gpsi is the partial subgraph instance — the unit of work and the message
 // type of the BSP computation. It is a pure value type: copying one (for
 // branching or sending) allocates nothing. Fields are exported for gob
-// (checkpoint snapshots); the TCP exchange uses the compact wire codec below
-// instead of gob.
+// (checkpoint snapshots only); every transport uses the compact wire codec
+// below.
 //
 // Colors are implicit: pattern vertex v is BLACK if bit v of Expanded is set,
 // GRAY if mapped but not expanded, WHITE if Map[v] == unmapped.
@@ -88,9 +88,8 @@ func (m *gpsi) uses(d graph.VertexID) bool {
 	return false
 }
 
-// Wire codec: gpsi implements bsp.WireMessage, so the TCP exchange frames
-// batches with this fixed-layout little-endian encoding instead of
-// reflective gob. Layout per message: N, Next, Expanded (2 bytes),
+// Wire codec: gpsi implements bsp.WireMessage, so the TCP transport frames
+// batches with this fixed-layout little-endian encoding. Layout per message: N, Next, Expanded (2 bytes),
 // Pending (4 bytes), then N 4-byte map entries — 8+4N bytes total.
 
 const gpsiWireHeader = 8

@@ -8,8 +8,6 @@ package core
 // run.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -29,7 +27,7 @@ type HotpathBenchmark struct {
 
 // HotpathBenchmarks returns the engine's hot-path microbenchmarks: the
 // steady-state expansion step, the gpsi wire-codec round trip, and the TCP
-// exchange frame codec (wire vs the gob fallback) on a realistic batch.
+// transport's frame codec on a realistic batch.
 func HotpathBenchmarks() []HotpathBenchmark {
 	return []HotpathBenchmark{
 		{"expand", benchmarkExpand},
@@ -38,7 +36,6 @@ func HotpathBenchmarks() []HotpathBenchmark {
 		{"expand-hub-merge", benchmarkExpandHub(true)},
 		{"gpsi-wire-roundtrip", benchmarkGpsiWireRoundTrip},
 		{"frame-wire-roundtrip", benchmarkFrameWire},
-		{"frame-gob-roundtrip", benchmarkFrameGob},
 		{"frame-flat-dense", benchmarkFrameDense(false)},
 		{"frame-compressed-dense", benchmarkFrameDense(true)},
 		{"e2e-strict-barrier", benchmarkStragglerExchange(false)},
@@ -46,23 +43,14 @@ func HotpathBenchmarks() []HotpathBenchmark {
 	}
 }
 
-// HotpathFrameBytes reports the encoded size of the same Gpsi batch under
-// the wire codec and under gob — the bytes/op axis of the codec comparison.
-func HotpathFrameBytes() (wire, gobBytes int, err error) {
+// HotpathFrameBytes reports the encoded size of the hot-path Gpsi batch
+// under the wire codec — the bytes/op axis of the frame benchmarks.
+func HotpathFrameBytes() (int, error) {
 	batch, err := hotpathBatch()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	wireBuf := bsp.AppendWireFrame(nil, 1, batch)
-	var buf bytes.Buffer
-	type gobFrame struct {
-		Step  int
-		Batch []bsp.Envelope[gpsi]
-	}
-	if err := gob.NewEncoder(&buf).Encode(gobFrame{Step: 1, Batch: batch}); err != nil {
-		return 0, 0, err
-	}
-	return len(wireBuf), buf.Len(), nil
+	return len(bsp.AppendWireFrame(nil, 1, batch)), nil
 }
 
 // newHotpathHarness builds an engine over a skewed mid-size graph plus a
@@ -410,33 +398,4 @@ func benchmarkFrameWire(b *testing.B) {
 			b.Fatalf("decode: %d envelopes, err %v", len(out), err)
 		}
 	}
-}
-
-func benchmarkFrameGob(b *testing.B) {
-	batch, err := hotpathBatch()
-	if err != nil {
-		b.Fatal(err)
-	}
-	type gobFrame struct {
-		Step  int
-		Batch []bsp.Envelope[gpsi]
-	}
-	var size int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Fresh encoder/decoder per frame, matching what a reconnect or a
-		// non-streaming transport would pay; the steady-state stream case is
-		// still dominated by reflective encoding.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobFrame{Step: 1, Batch: batch}); err != nil {
-			b.Fatal(err)
-		}
-		size = int64(buf.Len())
-		var fr gobFrame
-		if err := gob.NewDecoder(&buf).Decode(&fr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(size)
 }

@@ -170,8 +170,9 @@ type Options struct {
 	// mode (the engine's enumeration is processing-order independent; the
 	// differential suites pin it) — except under MaxResults, where the early
 	// stop lands on a different processing prefix, so the truncated count
-	// may differ between modes. StepTimeout does not apply in async mode,
-	// and checkpoints snapshot at quiescence points instead of barriers.
+	// may differ between modes. StepTimeout is rejected in async mode
+	// (bsp.ErrAsyncStepTimeout: there are no steps to bound), and checkpoints
+	// snapshot at quiescence points instead of barriers.
 	AsyncExchange bool
 	// CompressFrames front-codes Gpsi batches: messages sharing a mapped-vertex
 	// prefix are sorted and shipped as prefix-compressed frames, kept encoded
@@ -179,9 +180,9 @@ type Options struct {
 	// hoisted across messages sharing an expansion point). Counts are
 	// bit-identical to flat mode — the differential suites pin it — but the
 	// pruning-counter breakdown may differ (shared work is counted once, and
-	// group expansion always takes the merge path). In async mode only the TCP
-	// wire format changes (batches are never held encoded); with an in-process
-	// async exchange it is a no-op.
+	// group expansion always takes the merge path). Both loops and both
+	// transports hold delivered batches encoded and expand them group-wise;
+	// only an async worker's batch for itself stays flat.
 	CompressFrames bool
 
 	// Fault tolerance (mirrors the Giraph substrate's barrier-aligned
@@ -194,7 +195,8 @@ type Options struct {
 
 	// StepTimeout bounds each superstep (compute plus exchange). 0 = none.
 	StepTimeout time.Duration
-	// Retry wraps every superstep exchange in bounded exponential backoff.
+	// Retry wraps every frame the exchange sends in bounded exponential
+	// backoff.
 	Retry bsp.RetryPolicy
 	// CheckpointEvery > 0 snapshots the BSP state into CheckpointStore at
 	// every Nth superstep barrier.
@@ -282,11 +284,11 @@ type Stats struct {
 	// AND fast path (hub × hub row intersections) instead of the merge path.
 	BitsetAndCandidates int64
 	// Compressed-mode counters (zero with CompressFrames off). Logical views
-	// fed when frames are decoded: in strict mode they roll back with barrier
-	// snapshots and come out exactly-once — bit-identical across clean,
-	// recovered, and resumed runs. In async mode batches are never held
-	// encoded, so these stay zero; the transport-level compression ratio is on
-	// the Observer instead.
+	// fed when frames are decoded: they roll back with snapshots and come out
+	// exactly-once. In strict mode they are bit-identical across clean,
+	// recovered, and resumed runs; in async mode frame boundaries follow
+	// flush timing, so the values vary run to run (their sum over a run is
+	// still counted once). The transport-level ratio is on the Observer.
 	CompressedFrames    int64
 	CompressedWireBytes int64
 	CompressedRawBytes  int64

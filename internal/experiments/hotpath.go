@@ -1,7 +1,7 @@
 package experiments
 
 // Hotpath runs the engine's hot-path microbenchmarks (steady-state expansion
-// and the exchange frame codec, wire vs gob) via testing.Benchmark and
+// and the exchange frame codec) via testing.Benchmark and
 // reports ns/op, B/op, and allocs/op — the regression axes the PR-level
 // acceptance tracks. HotpathJSON emits the same numbers machine-readably for
 // the committed BENCH_hotpath.json baseline.
@@ -26,10 +26,8 @@ type HotpathResult struct {
 // HotpathReport is the full machine-readable hot-path baseline.
 type HotpathReport struct {
 	Benchmarks []HotpathResult `json:"benchmarks"`
-	// FrameWireBytes and FrameGobBytes are the encoded sizes of the same
-	// exchange batch under the two codecs.
+	// FrameWireBytes is the encoded size of the frame benchmarks' batch.
 	FrameWireBytes int `json:"frame_wire_bytes"`
-	FrameGobBytes  int `json:"frame_gob_bytes"`
 	// CompressedFrames compares flat vs prefix-compressed encodings of the
 	// same per-destination batch, per pattern and exchange depth: the
 	// bytes-on-wire acceptance axis of Options.CompressFrames.
@@ -53,17 +51,13 @@ func runHotpath() (*HotpathReport, error) {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
 	}
-	wire, gob, err := core.HotpathFrameBytes()
-	if err != nil {
+	var err error
+	if rep.FrameWireBytes, err = core.HotpathFrameBytes(); err != nil {
 		return nil, err
 	}
-	rep.FrameWireBytes = wire
-	rep.FrameGobBytes = gob
-	cb, err := core.HotpathCompressedBytes()
-	if err != nil {
+	if rep.CompressedFrames, err = core.HotpathCompressedBytes(); err != nil {
 		return nil, err
 	}
-	rep.CompressedFrames = cb
 	return rep, nil
 }
 
@@ -82,9 +76,7 @@ func Hotpath() string {
 		}
 		r.rowf("%s\t%.0f\t%d\t%d\t%s", b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, mb)
 	}
-	r.note("same batch encoded: wire %dB vs gob %dB (%.0f%% of gob)",
-		rep.FrameWireBytes, rep.FrameGobBytes,
-		100*float64(rep.FrameWireBytes)/float64(rep.FrameGobBytes))
+	r.note("frame batch encoded: %dB", rep.FrameWireBytes)
 	for _, c := range rep.CompressedFrames {
 		r.note("compressed frames %s level %d: %d envelopes, flat %dB vs compressed %dB (%.2fx)",
 			c.Pattern, c.Level, c.Envelopes, c.FlatBytes, c.CompressedBytes, c.Ratio)

@@ -9,8 +9,8 @@
 // without touching the per-message hot path:
 //
 //   - Counters: per-worker and per-superstep aggregates — messages processed
-//     and produced, wire bytes and frames (compact codec vs gob fallback),
-//     checkpoint encode/restore durations, retries, recoveries. All counter
+//     and produced, wire bytes and frames, checkpoint encode/restore
+//     durations, retries, recoveries. All counter
 //     updates are atomic adds at barrier or frame granularity; nothing runs
 //     per message.
 //   - Trace: an ordered stream of structured events (superstep start/end,
@@ -218,8 +218,6 @@ type Observer struct {
 	// Physical transport counters (monotonic; replays included).
 	wireFramesSent atomic.Int64
 	wireFramesRecv atomic.Int64
-	gobFramesSent  atomic.Int64
-	gobFramesRecv  atomic.Int64
 	bytesSent      atomic.Int64
 	bytesRecv      atomic.Int64
 
@@ -476,31 +474,23 @@ func (o *Observer) RecordWorkerLoads(loads []float64) {
 	o.mu.Unlock()
 }
 
-// AddFrameSent counts one outbound transport frame of `bytes` bytes; wire
-// distinguishes the compact codec from the gob fallback. Safe for concurrent
-// use (called from the exchange's sender goroutines).
-func (o *Observer) AddFrameSent(wire bool, bytes int64) {
+// AddFrameSent counts one outbound transport write of `bytes` bytes (a
+// frame, or a train of compressed chunks written together). Safe for
+// concurrent use (called from every sending worker).
+func (o *Observer) AddFrameSent(bytes int64) {
 	if o == nil {
 		return
 	}
-	if wire {
-		o.wireFramesSent.Add(1)
-	} else {
-		o.gobFramesSent.Add(1)
-	}
+	o.wireFramesSent.Add(1)
 	o.bytesSent.Add(bytes)
 }
 
 // AddFrameRecv counts one inbound transport frame of `bytes` bytes.
-func (o *Observer) AddFrameRecv(wire bool, bytes int64) {
+func (o *Observer) AddFrameRecv(bytes int64) {
 	if o == nil {
 		return
 	}
-	if wire {
-		o.wireFramesRecv.Add(1)
-	} else {
-		o.gobFramesRecv.Add(1)
-	}
+	o.wireFramesRecv.Add(1)
 	o.bytesRecv.Add(bytes)
 }
 
@@ -514,22 +504,6 @@ func (o *Observer) AddCompressedFrame(wireBytes, rawBytes int64) {
 	o.compressedFrames.Add(1)
 	o.compressedBytes.Add(wireBytes)
 	o.compressedRawBytes.Add(rawBytes)
-}
-
-// AddBytesSent counts raw outbound bytes (the gob path's counting writers).
-func (o *Observer) AddBytesSent(n int64) {
-	if o == nil {
-		return
-	}
-	o.bytesSent.Add(n)
-}
-
-// AddBytesRecv counts raw inbound bytes (the gob path's counting readers).
-func (o *Observer) AddBytesRecv(n int64) {
-	if o == nil {
-		return
-	}
-	o.bytesRecv.Add(n)
 }
 
 // AddSetupAbort counts a transport setup (TCP mesh accept/dial) torn down

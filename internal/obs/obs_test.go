@@ -26,10 +26,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.Aborted(1, errors.New("x"))
 	o.RunEnded(3, 10, map[string]int64{"a": 1}, nil, nil, nil)
 	o.RecordWorkerLoads([]float64{1, 2})
-	o.AddFrameSent(true, 10)
-	o.AddFrameRecv(false, 10)
-	o.AddBytesSent(1)
-	o.AddBytesRecv(1)
+	o.AddFrameSent(10)
+	o.AddFrameRecv(10)
 	if got := o.Steps(); got != nil {
 		t.Fatalf("nil observer Steps = %v", got)
 	}
@@ -129,17 +127,14 @@ func TestObserverLifecycle(t *testing.T) {
 
 func TestFrameCounters(t *testing.T) {
 	o := New(nil)
-	o.AddFrameSent(true, 100)
-	o.AddFrameSent(false, 50)
-	o.AddFrameRecv(true, 100)
-	o.AddFrameRecv(false, 50)
-	o.AddBytesSent(7)
-	o.AddBytesRecv(9)
+	o.AddFrameSent(100)
+	o.AddFrameSent(50)
+	o.AddFrameRecv(100)
 	s := o.Snapshot()
-	if s.WireFramesSent != 1 || s.GobFramesSent != 1 || s.WireFramesRecv != 1 || s.GobFramesRecv != 1 {
+	if s.WireFramesSent != 2 || s.WireFramesRecv != 1 {
 		t.Fatalf("frame counters = %+v", s)
 	}
-	if s.BytesSent != 157 || s.BytesRecv != 159 {
+	if s.BytesSent != 150 || s.BytesRecv != 100 {
 		t.Fatalf("byte counters = %+v", s)
 	}
 }
@@ -207,15 +202,15 @@ func TestEventTypeNames(t *testing.T) {
 func TestNopSinkAndNilObserverAllocFree(t *testing.T) {
 	o := New(NopSink{})
 	if allocs := testing.AllocsPerRun(100, func() {
-		o.AddFrameSent(true, 64)
-		o.AddFrameRecv(true, 64)
+		o.AddFrameSent(64)
+		o.AddFrameRecv(64)
 		o.StepStarted(1)
 	}); allocs != 0 {
 		t.Fatalf("NopSink observer hot calls allocate %v/op", allocs)
 	}
 	var nilObs *Observer
 	if allocs := testing.AllocsPerRun(100, func() {
-		nilObs.AddFrameSent(true, 64)
+		nilObs.AddFrameSent(64)
 		nilObs.StepStarted(1)
 		nilObs.ExchangeDone(1, time.Millisecond, 3)
 	}); allocs != 0 {

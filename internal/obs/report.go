@@ -18,8 +18,6 @@ type Snapshot struct {
 	// Physical transport counters (monotonic; replays included).
 	WireFramesSent int64 `json:"wire_frames_sent"`
 	WireFramesRecv int64 `json:"wire_frames_recv"`
-	GobFramesSent  int64 `json:"gob_frames_sent"`
-	GobFramesRecv  int64 `json:"gob_frames_recv"`
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesRecv      int64 `json:"bytes_recv"`
 
@@ -91,8 +89,6 @@ func (o *Observer) Snapshot() Snapshot {
 		Events:             int64(o.seq.Load()),
 		WireFramesSent:     o.wireFramesSent.Load(),
 		WireFramesRecv:     o.wireFramesRecv.Load(),
-		GobFramesSent:      o.gobFramesSent.Load(),
-		GobFramesRecv:      o.gobFramesRecv.Load(),
 		BytesSent:          o.bytesSent.Load(),
 		BytesRecv:          o.bytesRecv.Load(),
 		CompressedFrames:   o.compressedFrames.Load(),
@@ -171,10 +167,9 @@ func (o *Observer) WriteReport(w io.Writer) {
 		tw.Flush()
 	}
 
-	if s.BytesSent+s.BytesRecv+s.WireFramesSent+s.GobFramesSent > 0 {
-		fmt.Fprintf(w, "transport: sent %d B / recv %d B; frames sent wire=%d gob=%d, recv wire=%d gob=%d\n",
-			s.BytesSent, s.BytesRecv, s.WireFramesSent, s.GobFramesSent,
-			s.WireFramesRecv, s.GobFramesRecv)
+	if s.BytesSent+s.BytesRecv+s.WireFramesSent > 0 {
+		fmt.Fprintf(w, "transport: sent %d B / recv %d B; frames sent %d, recv %d\n",
+			s.BytesSent, s.BytesRecv, s.WireFramesSent, s.WireFramesRecv)
 	}
 	if s.CompressedFrames > 0 {
 		ratio := 0.0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"psgl/internal/bsp"
 	"psgl/internal/centralized"
 	"psgl/internal/gen"
 	"psgl/internal/pattern"
@@ -21,6 +22,26 @@ func TestMatchesOracle(t *testing.T) {
 			if res.Count != want {
 				t.Errorf("%s seed=%d: onehop=%d oracle=%d", p.Name(), seed, res.Count, want)
 			}
+		}
+	}
+}
+
+func TestTCPMatchesLocal(t *testing.T) {
+	// The one-hop message crosses a real socket through its WireMessage
+	// codec; counts and generated intermediates must equal the in-process run.
+	g := gen.ErdosRenyi(120, 700, 2)
+	for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()} {
+		local, err := Run(g, p, Options{Workers: 3, Seed: 2})
+		if err != nil {
+			t.Fatalf("%s local: %v", p.Name(), err)
+		}
+		tcp, err := run(g, p, Options{Workers: 3, Seed: 2}, bsp.NewTCPExchangeFactory())
+		if err != nil {
+			t.Fatalf("%s tcp: %v", p.Name(), err)
+		}
+		if tcp.Count != local.Count || tcp.Stats.Generated != local.Stats.Generated || tcp.Stats.Supersteps != local.Stats.Supersteps {
+			t.Errorf("%s: tcp count=%d generated=%d steps=%d, local count=%d generated=%d steps=%d", p.Name(),
+				tcp.Count, tcp.Stats.Generated, tcp.Stats.Supersteps, local.Count, local.Stats.Generated, local.Stats.Supersteps)
 		}
 	}
 }

@@ -116,8 +116,8 @@ func Count(g *Graph, p *Pattern, opts Options) (int64, error) {
 }
 
 // NewTCPExchange returns a BSP message exchange that routes every
-// inter-worker batch through loopback TCP with gob encoding; assign it to
-// Options.Exchange for distributed-execution realism.
+// inter-worker batch through loopback TCP as binary wire frames; assign it
+// to Options.Exchange for distributed-execution realism.
 func NewTCPExchange() bsp.ExchangeFactory { return bsp.NewTCPExchangeFactory() }
 
 // Fault tolerance (the Giraph-style barrier checkpointing the paper's

@@ -196,11 +196,7 @@ func newAsyncAttempt[M any](r *run[M]) *asyncAttempt[M] {
 	}
 	// Clamp and multiply in int64: the untyped 1<<40 constant (and the
 	// product) would overflow int on 32-bit platforms.
-	maxFrames := int64(r.maxSteps)
-	if maxFrames > 1<<40 {
-		maxFrames = 1 << 40
-	}
-	maxFrames *= asyncFramesPerStep
+	maxFrames := min(int64(r.maxSteps), 1<<40) * asyncFramesPerStep
 	a := &asyncAttempt[M]{
 		r:          r,
 		cfg:        cfg,
@@ -599,7 +595,7 @@ func (a *asyncAttempt[M]) workerLoop(w int) {
 // restored snapshot, if any), fresh detector, fresh transport.
 func runAsync[M any](ctx context.Context, r *run[M]) error {
 	a := newAsyncAttempt(r)
-	t, err := newTransport(ctx, r.cfg.Exchange, &r.cfg, false, a.hooks())
+	t, err := newTransport(ctx, r.cfg.Exchange, &r.cfg, a.hooks())
 	if err != nil {
 		return err
 	}

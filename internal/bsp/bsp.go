@@ -244,13 +244,11 @@ func (s *RunStats) addStep(workerTimes []time.Duration, produced int64) {
 func (s *RunStats) SimulatedMakespan() time.Duration {
 	var total time.Duration
 	for _, stepTimes := range s.PerStepWorkerTime {
-		var max time.Duration
+		var slowest time.Duration
 		for _, t := range stepTimes {
-			if t > max {
-				max = t
-			}
+			slowest = max(slowest, t)
 		}
-		total += max
+		total += slowest
 	}
 	return total
 }

@@ -139,11 +139,7 @@ func newGroupEnc[M any](batch []Envelope[M]) (ge *groupEnc, raw int) {
 func putGroupEnc(ge *groupEnc) { groupEncPool.Put(ge) }
 
 func commonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
+	n, i := min(len(a), len(b)), 0
 	for i < n && a[i] == b[i] {
 		i++
 	}

@@ -98,20 +98,21 @@ func (st *faultyState) draw(fc FaultConfig, step int) (error, time.Duration) {
 // under. Policy state lives in the factory, so a transport rebuilt during
 // recovery continues where the last one stopped.
 //
-// Every async wire frame is a fault opportunity. A strict barrier sends K×K
-// frames under one ordinal and fails as a whole, so only the frame that opens
-// it (0→0, always sent first) is one: FaultConfig rates stay per barrier
-// attempt rather than compounding K×K-fold, and same-step scheduled faults
-// fire on successive attempts of that frame — three kills exhaust a
-// three-attempt retry budget and force a restore, as a dead worker should.
+// Every Send is a fault opportunity unless the loop's faultPoint hook names
+// fewer: every async wire frame is one, but a strict barrier sends K×K frames
+// under one ordinal and fails as a whole, so the loop names only the frame
+// that opens it. FaultConfig rates then stay per barrier attempt rather than
+// compounding K×K-fold, and same-step scheduled faults fire on successive
+// attempts of that frame — three kills exhaust a three-attempt retry budget
+// and force a restore, as a dead worker should.
 type faultTransport[M any] struct {
-	inner     transport[M]
-	barriered bool
-	policy    *ScheduledFaultFactory
+	inner  transport[M]
+	point  func(src, dst int) bool
+	policy *ScheduledFaultFactory
 }
 
 func (f *faultTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []Envelope[M]) error {
-	if !f.barriered || (src == 0 && dst == 0) {
+	if f.point == nil || f.point(src, dst) {
 		if err := f.inject(ctx, ord); err != nil {
 			return err
 		}
@@ -125,7 +126,7 @@ func (f *faultTransport[M]) inject(ctx context.Context, ord int) error {
 	p, delay := f.policy, time.Duration(0)
 	if p.schedule != nil {
 		if sf, ok := p.schedule.next(ord); ok {
-			if err := scheduledFaultError(sf, f.barriered, ord); err != nil {
+			if err := scheduledFaultError(sf, ord); err != nil {
 				return err
 			}
 			delay = sf.Delay

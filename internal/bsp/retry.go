@@ -9,7 +9,9 @@ import (
 
 // RetryPolicy bounds exponential backoff around frame Sends. A Send is
 // atomic (it is delivered and acked in full, or fails having delivered
-// nothing), so a failed call is safe to re-issue with the same batch.
+// nothing), so a failed call is safe to re-issue with the same batch; the
+// one failure that is not — a TCP write torn mid-frame — closes its
+// connection, so the re-issues fail too and the attempt ends in recovery.
 //
 // Backoff sleeps use full jitter by default: each sleep is drawn uniformly
 // from [0, cap] where cap doubles per attempt from BaseBackoff up to
@@ -74,16 +76,10 @@ func retrySeed() int64 {
 // uniform draw in [0, cap].
 func backoffFor(p RetryPolicy, rng *faultRand, attempt int) time.Duration {
 	cap := p.BaseBackoff
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && cap < p.MaxBackoff; i++ {
 		cap *= 2
-		if cap >= p.MaxBackoff {
-			cap = p.MaxBackoff
-			break
-		}
 	}
-	if cap > p.MaxBackoff {
-		cap = p.MaxBackoff
-	}
+	cap = min(cap, p.MaxBackoff)
 	if p.NoJitter {
 		return cap
 	}

@@ -134,21 +134,16 @@ func (s *scheduleState) Fired() int {
 
 // scheduledFaultError renders the failing fault kinds (kill, drop,
 // partition); delay returns nil and the middleware sleeps instead. The text
-// names what the ordinal actually was — a superstep in the strict loop, a
-// per-worker frame seq in the async loop — to keep logs honest about what
-// fired.
-func scheduledFaultError(f StepFault, barriered bool, ord int) error {
-	at := "frame seq"
-	if barriered {
-		at = "superstep"
-	}
+// says "ordinal", not "superstep": the middleware serves both loops, and in
+// the async one the word is a per-worker frame seq.
+func scheduledFaultError(f StepFault, ord int) error {
 	switch f.Kind {
 	case StepFaultKill:
-		return fmt.Errorf("%w: worker %d killed at %s %d", ErrInjectedFault, f.Worker, at, ord)
+		return fmt.Errorf("%w: worker %d killed at ordinal %d", ErrInjectedFault, f.Worker, ord)
 	case StepFaultDrop:
-		return fmt.Errorf("%w: batch dropped at %s %d, detected before delivery", ErrInjectedFault, at, ord)
+		return fmt.Errorf("%w: batch dropped at ordinal %d, detected before delivery", ErrInjectedFault, ord)
 	case StepFaultPartition:
-		return fmt.Errorf("%w: mesh partitioned at worker %d boundary, %s %d", ErrInjectedFault, f.Worker, at, ord)
+		return fmt.Errorf("%w: mesh partitioned at worker %d boundary, ordinal %d", ErrInjectedFault, f.Worker, ord)
 	}
 	return nil
 }

@@ -25,7 +25,7 @@ type barrier[M any] struct {
 	staged [][]Inbox[M]
 	acks   atomic.Int32
 	done   chan struct{} // one token when the K×K-th ack lands
-	failed chan error    // first failure a reader reported
+	failed chan error    // first failure a sender or a reader reported
 }
 
 func newBarrier[M any](k int) *barrier[M] {
@@ -37,8 +37,11 @@ func newBarrier[M any](k int) *barrier[M] {
 }
 
 func (b *barrier[M]) hooks() hooks[M] {
-	return hooks[M]{deliver: b.deliver, ack: b.ack, fatal: b.fatal}
+	return hooks[M]{deliver: b.deliver, ack: b.ack, fatal: b.fatal, faultPoint: opensBarrier}
 }
+
+// opensBarrier names the frame exchange sends before any other.
+func opensBarrier(src, dst int) bool { return src == 0 && dst == 0 }
 
 func (b *barrier[M]) deliver(src, dst, ord int, in Inbox[M]) {
 	// Compressed step words carry 30 bits; compare what both formats keep.
@@ -58,25 +61,47 @@ func (b *barrier[M]) ack(int) {
 func (b *barrier[M]) fatal(err error) { trySend(b.failed, err) }
 
 // exchange runs one superstep's barrier over t: every (src, dst) pair sends
-// its batch, each frame under the retry policy, in row-major order from this
-// goroutine — the frame that opens the barrier is always 0→0, which is what
-// lets fault schedules replay deterministically (see faultTransport) — then
-// waits for the acks and merges the staged deliveries per destination. A
-// frame out of retries fails the barrier; the barrier itself is never
-// retried, because a transport that lost a frame may still deliver its
-// siblings late.
+// its batch, each frame under the retry policy — the opening frame alone
+// from this goroutine, its retries being the barrier's fault opportunities
+// (see faultTransport), then one sender goroutine per source, so encoding
+// and socket writes use every core as the workers' compute did — then waits
+// for the acks and merges the staged deliveries per destination. A frame out
+// of retries fails the barrier; the barrier itself is never retried, because
+// a transport that lost a frame may still deliver its siblings late.
 func (b *barrier[M]) exchange(ctx context.Context, t transport[M], cfg *Config, step int, outAll [][][]Envelope[M]) ([]Inbox[M], error) {
 	b.step = step
 	b.acks.Store(0)
-	for src := 0; src < b.k; src++ {
-		for dst := 0; dst < b.k; dst++ {
-			if err := sendFrame(ctx, t, cfg, src, dst, step, outAll[src][dst]); err != nil {
-				return nil, fmt.Errorf("frame %d->%d: %w", src, dst, err)
-			}
+	send := func(src, dst int) bool {
+		err := sendFrame(ctx, t, cfg, src, dst, step, outAll[src][dst])
+		if err != nil {
+			b.fatal(fmt.Errorf("frame %d->%d: %w", src, dst, err))
+		}
+		return err == nil
+	}
+	var wg sync.WaitGroup
+	if send(0, 0) {
+		for src := range b.k {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for dst := range b.k {
+					if !opensBarrier(src, dst) && !send(src, dst) {
+						return
+					}
+				}
+			}()
 		}
 	}
+	wg.Wait()
 	select {
 	case <-b.done:
+		// A step-skewed frame is acked like any other: done can be ready
+		// with its failure pending, and select would pick either.
+		select {
+		case err := <-b.failed:
+			return nil, err
+		default:
+		}
 	case err := <-b.failed:
 		return nil, err
 	case <-ctx.Done():
@@ -107,7 +132,7 @@ func (b *barrier[M]) exchange(ctx context.Context, t transport[M], cfg *Config, 
 func runStrict[M any](ctx context.Context, r *run[M]) error {
 	cfg, k, stats := &r.cfg, r.cfg.Workers, r.stats
 	b := newBarrier[M](k)
-	t, err := newTransport(ctx, cfg.Exchange, cfg, true, b.hooks())
+	t, err := newTransport(ctx, cfg.Exchange, cfg, b.hooks())
 	if err != nil {
 		return err
 	}

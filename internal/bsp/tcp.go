@@ -265,17 +265,6 @@ func newTCPTransport[M any](ctx context.Context, workers int, cfg TCPConfig, com
 	mu.Lock()
 	err = firstSetupError(errs)
 	mu.Unlock()
-	if err == nil {
-		// Belt and braces: every off-diagonal endpoint must be wired.
-		for src := 0; src < workers && err == nil; src++ {
-			for dst := 0; dst < workers; dst++ {
-				if p := &t.pairs[src][dst]; src != dst && (p.out == nil || p.in == nil) {
-					err = fmt.Errorf("mesh incomplete: pair %d->%d never connected", src, dst)
-					break
-				}
-			}
-		}
-	}
 	if err != nil {
 		t.Close()
 		return nil, fmt.Errorf("bsp: tcp exchange setup: %w", err)
@@ -318,9 +307,7 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []E
 		return err
 	}
 	if src == dst {
-		t.h.deliver(src, dst, ord, packInbox(t.compress, ord, batch))
-		t.h.ack(src)
-		return nil
+		return localTransport[M]{compress: t.compress, h: t.h}.Send(ctx, src, dst, ord, batch)
 	}
 	deadline := time.Now().Add(t.cfg.FrameTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -337,9 +324,15 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []E
 	p := &t.pairs[src][dst]
 	p.expect(deadline)
 	p.out.SetWriteDeadline(deadline)
-	_, err := p.out.Write(*bp)
+	wrote, err := p.out.Write(*bp)
 	putWireBuf(bp)
 	if err != nil {
+		if wrote > 0 {
+			// A torn frame: anything written behind it would be mis-framed, so
+			// the pair is dead — retries fail fast, the reader reports the
+			// truncation, and recovery rebuilds the mesh.
+			p.out.Close()
+		}
 		p.settle(t.cfg.FrameTimeout)
 		return err
 	}

@@ -39,6 +39,9 @@ type hooks[M any] struct {
 	// fatal reports a failure no Send can return: a reader goroutine losing
 	// its connection or a frame it expected.
 	fatal func(err error)
+	// faultPoint, when set, narrows which Sends the fault middleware treats
+	// as fault opportunities; nil means every Send is one.
+	faultPoint func(src, dst int) bool
 }
 
 // trySend is the non-blocking send the hooks signal the loops with: a full
@@ -61,9 +64,8 @@ type ExchangeFactory interface {
 
 // newTransport resolves factory f (cfg.Exchange, or a fault factory's inner
 // one) into a transport delivering through h, constructed with the frame
-// codec cfg.CompressFrames selects; barriered tells the fault middleware
-// which loop it serves.
-func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, barriered bool, h hooks[M]) (transport[M], error) {
+// codec cfg.CompressFrames selects.
+func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h hooks[M]) (transport[M], error) {
 	wire := messageIsWire[M]()
 	switch ff := f.(type) {
 	case nil:
@@ -77,11 +79,11 @@ func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, ba
 		}
 		return newTCPTransport(ctx, cfg.Workers, ff.cfg.withDefaults(), cfg.CompressFrames, cfg.Observer, h)
 	case *ScheduledFaultFactory:
-		inner, err := newTransport(ctx, ff.inner, cfg, barriered, h)
+		inner, err := newTransport(ctx, ff.inner, cfg, h)
 		if err != nil {
 			return nil, err
 		}
-		return &faultTransport[M]{inner: inner, barriered: barriered, policy: ff}, nil
+		return &faultTransport[M]{inner: inner, point: h.faultPoint, policy: ff}, nil
 	default:
 		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
 	}

@@ -118,9 +118,9 @@ func TestTransportConformance(t *testing.T) {
 					factory := wrap(mkInner())
 					rec := &recorder[groupMsg]{compress: compress, acks: map[int]int{}}
 					cfg := &Config{Workers: k, CompressFrames: compress}
-					// Not barriered: every frame is a fault opportunity, so the
-					// injected failures land on arbitrary pairs.
-					tr, err := newTransport(context.Background(), factory, cfg, false, rec.hooks(t))
+					// No faultPoint hook: every frame is a fault opportunity, so
+					// the injected failures land on arbitrary pairs.
+					tr, err := newTransport(context.Background(), factory, cfg, rec.hooks(t))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -211,7 +211,9 @@ func TestBarrierFaultOpportunityIsTheOpeningFrame(t *testing.T) {
 	fc := FaultConfig{Seed: 99, ErrorRate: 0.3, DropRate: 0.2}
 	pattern := func() []bool {
 		rec := &recorder[int]{acks: map[int]int{}}
-		tr, err := newTransport(context.Background(), NewFaultyExchangeFactory(nil, fc), &Config{Workers: 2}, true, rec.hooks(t))
+		h := rec.hooks(t)
+		h.faultPoint = opensBarrier
+		tr, err := newTransport(context.Background(), NewFaultyExchangeFactory(nil, fc), &Config{Workers: 2}, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +270,7 @@ func TestBarrierInboxOrderIdenticalAcrossTransports(t *testing.T) {
 		for name, f := range map[string]ExchangeFactory{"local": nil, "tcp": NewTCPExchangeFactory()} {
 			cfg := &Config{Workers: k}
 			b := newBarrier[wint](k)
-			tr, err := newTransport(context.Background(), f, cfg, true, b.hooks())
+			tr, err := newTransport(context.Background(), f, cfg, b.hooks())
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
@@ -283,6 +285,91 @@ func TestBarrierInboxOrderIdenticalAcrossTransports(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// skewTransport delivers in-process, stamping one pair's frame with the wrong
+// superstep — and, like the TCP reader, acking it all the same.
+type skewTransport struct{ h hooks[wint] }
+
+func (s skewTransport) Send(_ context.Context, src, dst, ord int, batch []Envelope[wint]) error {
+	if src == 1 && dst == 0 {
+		ord++
+	}
+	s.h.deliver(src, dst, ord, Inbox[wint]{Envs: batch})
+	s.h.ack(src)
+	return nil
+}
+
+func (skewTransport) Close() error { return nil }
+
+// TestBarrierNeverCompletesOverASkewedFrame: a step-skewed frame leaves its
+// slot empty but is acked, so all K×K acks land with the failure pending; the
+// barrier must report it every time, never return an inbox missing the pair.
+func TestBarrierNeverCompletesOverASkewedFrame(t *testing.T) {
+	outAll := [][][]Envelope[wint]{{nil, {{Dest: 1, Msg: 1}}}, {{{Dest: 0, Msg: 2}}, nil}}
+	for i := 0; i < 200; i++ {
+		b := newBarrier[wint](2)
+		got, err := b.exchange(context.Background(), skewTransport{b.hooks()}, &Config{Workers: 2}, 3, outAll)
+		if err == nil || !strings.Contains(err.Error(), "step skew") {
+			t.Fatalf("iteration %d: barrier completed over a skewed frame: inboxes %v, err %v", i, got, err)
+		}
+	}
+}
+
+// tornConn passes the mesh handshake through, then tears the next write: half
+// the frame reaches the peer and the call fails.
+type tornConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *tornConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes != 2 {
+		return c.Conn.Write(p)
+	}
+	n, _ := c.Conn.Write(p[:len(p)/2])
+	return n, errors.New("injected torn write")
+}
+
+// TestTCPTornWriteKillsThePair: a write that fails mid-frame must not be
+// followed by another frame on the same stream (the reader would mis-frame
+// it). The pair dies instead: the re-issued Send fails, nothing of either is
+// delivered or acked, and the reader reports the truncation.
+func TestTCPTornWriteKillsThePair(t *testing.T) {
+	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err == nil && src == 0 && dst == 1 {
+			conn = &tornConn{Conn: conn}
+		}
+		return conn, err
+	}
+	defer func() { testDialHook = nil }()
+	rec := &recorder[wint]{acks: map[int]int{}}
+	tr, err := newTransport(context.Background(), NewTCPExchangeFactory(), &Config{Workers: 2}, rec.hooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Envelope[wint]{{Dest: 1, Msg: 7}, {Dest: 3, Msg: 9}}
+	if err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
+		t.Fatal("torn write reported success")
+	}
+	if err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
+		t.Fatal("Send behind a torn frame succeeded")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec.mu.Lock()
+		fatals := len(rec.fatals)
+		rec.mu.Unlock()
+		if fatals > 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tr.Close()
+	if len(rec.fatals) != 1 || len(rec.delivered) != 0 || len(rec.acks) != 0 {
+		t.Fatalf("fatals %v, delivered %v, acks %v; want one truncation report and nothing else", rec.fatals, rec.delivered, rec.acks)
 	}
 }
 
@@ -333,7 +420,7 @@ func TestBlackholedPeerEndsInDeadlineError(t *testing.T) {
 
 func newTestTCP(ctx context.Context, workers int, tc TCPConfig, o *obs.Observer) (transport[wint], error) {
 	h := hooks[wint]{deliver: func(_, _, _ int, _ Inbox[wint]) {}, ack: func(int) {}, fatal: func(error) {}}
-	return newTransport(ctx, NewTCPExchangeFactoryWithConfig(tc), &Config{Workers: workers, Observer: o}, true, h)
+	return newTransport(ctx, NewTCPExchangeFactoryWithConfig(tc), &Config{Workers: workers, Observer: o}, h)
 }
 
 func TestTCPSetupFailedDialDoesNotDeadlock(t *testing.T) {

@@ -10,18 +10,17 @@
 // (wire.go, compress.go) and the network stack, for distributed-execution
 // realism on a single machine. A fault middleware (faults.go) wraps either
 // to drop, delay, or error frames deterministically, for recovery testing.
-// Two loops run on it: the strict superstep loop, whose barrier is "every
-// worker's frame for every worker has arrived" (strict.go), and the
-// pipelined async loop with credit/ack termination (async.go).
+// One loop runs on it (loop.go): persistent workers, a coordinator, and a
+// credit/ack termination detector whose verdict is the superstep barrier;
+// Config.AsyncExchange moves two policy points inside it.
 //
-// Fault tolerance mirrors the Giraph substrate the paper ran on: barriers
-// (quiescence points, in the async loop) are the recovery points. RunContext
-// can snapshot a run's state (next inboxes plus merged stats) into a
-// CheckpointStore (checkpoint.go), retry failed frames with bounded
-// exponential backoff (retry.go), rebuild the transport and restore the
-// latest checkpoint when an attempt fails, and resume an entirely new run
-// from a persisted checkpoint (Config.ResumeFrom) — one shell, below, shared
-// by both loops.
+// Fault tolerance mirrors the Giraph substrate the paper ran on: the loop's
+// boundaries are the recovery points. RunContext can snapshot a run's state
+// (next inboxes plus merged stats) into a CheckpointStore (checkpoint.go),
+// retry failed frames with bounded exponential backoff (retry.go), rebuild
+// the transport and restore the latest checkpoint when an attempt fails, and
+// resume an entirely new run from a persisted checkpoint (Config.ResumeFrom)
+// — the shell below.
 //
 // The engine records the metrics the paper's cost model is built on
 // (Equation 3): per-superstep, per-worker compute time and message counts,
@@ -75,11 +74,11 @@ type Config struct {
 	// StepTimeout bounds each superstep (compute plus exchange). A superstep
 	// exceeding it fails like an exchange error: it is eligible for
 	// checkpoint recovery, otherwise it fails the run. 0 means no deadline.
-	// The async loop has no supersteps to bound: setting both fails the run
-	// with ErrAsyncStepTimeout.
+	// The async exchange has no supersteps to bound: setting both fails the
+	// run with ErrAsyncStepTimeout.
 	StepTimeout time.Duration
-	// Retry wraps every frame Send, in both loops, in bounded exponential
-	// backoff. The zero value performs a single attempt.
+	// Retry wraps every frame Send in bounded exponential backoff. The zero
+	// value performs a single attempt.
 	Retry RetryPolicy
 	// CheckpointEvery > 0 snapshots the run state (next inboxes plus merged
 	// stats) into CheckpointStore at every Nth barrier.
@@ -97,24 +96,23 @@ type Config struct {
 	// restoring the latest checkpoint (or restarting from scratch when no
 	// checkpoint exists yet). 0 disables in-run recovery.
 	MaxRecoveries int
-	// AsyncExchange replaces the barriered superstep loop with the pipelined
-	// async message plane (async.go): workers flush fixed-size frame batches
-	// as they are produced, receivers expand frames as they arrive, and the
-	// barrier degrades to a credit/ack termination detector. Final counts are
-	// bit-identical to strict mode for programs whose results are independent
-	// of message-processing order (the engine's are; the differential suites
-	// pin it). StepTimeout is rejected (there are no steps to bound);
-	// MaxSupersteps is approximated as a per-worker flushed-frame bound; and
-	// checkpoints are taken at induced quiescence points instead of barriers.
+	// AsyncExchange moves the run loop's two policy points (loop.go) from
+	// stepped to pipelined: a delivered frame is enqueued at its destination
+	// at once instead of staged for the next superstep, and a worker flushes
+	// every batch that fills a frame instead of only when its inbox is
+	// drained. Final counts are bit-identical to strict mode for programs
+	// whose results are independent of message-processing order. With no
+	// supersteps left, StepTimeout is rejected, MaxSupersteps caps flushed
+	// frames per worker, and checkpoints are taken at induced pauses.
 	AsyncExchange bool
 	// CompressFrames selects the front-coding frame codec (compress.go):
 	// batches are sorted by encoding and shipped as shared-prefix + suffix
 	// deltas, and inboxes keep them encoded until the run loop decodes them
 	// one bounded chunk at a time — trading codec CPU for bytes on the wire
 	// and peak RSS. Requires *M to implement WireMessage (silently ignored
-	// otherwise). A worker's batch for itself is front coded too in the
-	// strict loop; in the async loop it goes straight into the worker's own
-	// queue, flat.
+	// otherwise). A worker's batch for itself is front coded too in strict
+	// mode; under AsyncExchange it goes straight into the worker's own queue,
+	// flat.
 	CompressFrames bool
 	// Observer receives the run's metrics and trace events (superstep
 	// timings, exchange volume, transport frames and bytes, checkpoint and
@@ -123,7 +121,7 @@ type Config struct {
 	// path is unaffected either way.
 	Observer *obs.Observer
 
-	// asyncFlushEvery is the async loop's frame granularity: a worker flushes
+	// asyncFlushEvery is the pipelined frame granularity: a worker flushes
 	// a destination batch once it holds this many messages. 0 means
 	// defaultAsyncFlushEvery; only this package's tests set it, to force
 	// frame counts a small workload would not otherwise reach.
@@ -158,8 +156,8 @@ type Snapshotter interface {
 	RestoreState(data []byte) error
 }
 
-// Context is the per-worker, per-superstep API surface available to a
-// Program. It is not safe to retain across supersteps.
+// Context is the per-worker API surface available to a Program. It is not
+// safe to retain across supersteps.
 type Context[M any] struct {
 	worker  int
 	step    int
@@ -260,7 +258,7 @@ func Run[M any](cfg Config, prog Program[M]) (*RunStats, error) {
 	return RunContext[M](context.Background(), cfg, prog)
 }
 
-// validate rejects a Config neither loop can honour.
+// validate rejects a Config the loop cannot honour.
 func (cfg *Config) validate() error {
 	switch {
 	case cfg.Workers < 1:
@@ -289,8 +287,7 @@ type run[M any] struct {
 
 	stats *RunStats
 	// step is the superstep the next attempt enters; restored says its
-	// inboxes (the async loop's queues) come from a snapshot, so Init must
-	// not run again.
+	// inboxes come from a snapshot, so Init must not run again.
 	step     int
 	restored bool
 	inboxes  []Inbox[M]
@@ -382,10 +379,10 @@ func (r *run[M]) recover(ctx context.Context, fail *attemptFailure) error {
 // bound the transport's network operations. Config.StepTimeout additionally
 // derives a per-superstep deadline from ctx.
 //
-// It is the one shell both loops run in: validate, resume from a persisted
-// checkpoint if asked, then run attempts of the configured loop — each over a
-// freshly built transport — recovering between them while the budget lasts,
-// and report the run's start and end to the observer.
+// It is the shell the loop runs in: validate, resume from a persisted
+// checkpoint if asked, then run attempts — each over a freshly built
+// transport — recovering between them while the budget lasts, and report the
+// run's start and end to the observer.
 func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats *RunStats, rerr error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -413,12 +410,8 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 		cfg.Observer.RunEnded(rstats.Supersteps, rstats.MessagesTotal, rstats.Counters,
 			rstats.WorkerTime, rstats.WorkerMessages, rerr)
 	}()
-	attempt := runStrict[M]
-	if cfg.AsyncExchange {
-		attempt = runAsync[M]
-	}
 	for {
-		err := attempt(ctx, r)
+		err := runAttempt(ctx, r)
 		fail, recoverable := err.(*attemptFailure)
 		if !recoverable {
 			return r.stats, err

@@ -75,9 +75,10 @@ type CheckpointStore interface {
 	Load() (step int, data []byte, err error)
 }
 
-// snapshot is the unit of checkpointing: the state of a run at the barrier
-// entering superstep Step (at a quiescence point, in the async loop). Prog is the opaque Snapshotter state of programs
-// that carry accumulators outside the inboxes (nil otherwise). Frames[w]
+// snapshot is the unit of checkpointing: the state of a run at the boundary
+// entering superstep (or pipelined epoch) Step. Prog is the opaque
+// Snapshotter state of programs that carry accumulators outside the inboxes
+// (nil otherwise). Frames[w]
 // holds worker w's still-encoded compressed frame payloads (compressed mode
 // only — snapshots of grouped queues stay grouped, so a checkpoint of a
 // dense superstep costs its compressed size); pre-compression snapshots
@@ -90,8 +91,8 @@ type snapshot[M any] struct {
 	Frames  [][][]byte
 }
 
-// inboxRows converts the snapshot's persisted form back into the run loops'
-// inboxes (strict) or queues (async); grouped frames stay encoded in both.
+// inboxRows converts the snapshot's persisted form back into the workers'
+// queues; grouped frames stay encoded.
 func (snap *snapshot[M]) inboxRows(k int) []Inbox[M] {
 	rows := make([]Inbox[M], k)
 	for w := range rows {
@@ -215,20 +216,35 @@ func (s *MemCheckpointStore) LatestStep() int {
 }
 
 // FileCheckpointStore persists snapshots as files in a directory, surviving
-// the process — the store to pair with Config.ResumeFrom across runs. Writes
-// go through a temp file plus rename, so a crash mid-save never corrupts the
-// latest snapshot; older snapshots are pruned after each successful save.
+// the process — the store to pair with Config.ResumeFrom across runs. A save
+// writes a temp file, syncs it, renames it into place and syncs the directory,
+// so a crash at any point leaves either the previous snapshot or the complete
+// new one as the latest — never a short or empty step file; older snapshots
+// are pruned after each successful save.
 type FileCheckpointStore struct {
 	dir string
 	mu  sync.Mutex
 }
 
-const checkpointSuffix = ".ckpt"
+const (
+	checkpointSuffix = ".ckpt"
+	checkpointTmp    = "tmp-" // prefix of a save in progress
+)
 
-// NewFileCheckpointStore opens (creating if needed) a directory-backed store.
+// NewFileCheckpointStore opens (creating if needed) a directory-backed store,
+// removing the temp files of saves a killed process never finished.
 func NewFileCheckpointStore(dir string) (*FileCheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bsp: checkpoint dir: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("bsp: checkpoint dir: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), checkpointTmp) {
+			os.Remove(filepath.Join(dir, e.Name())) // best-effort: a leftover costs space, not correctness
+		}
 	}
 	return &FileCheckpointStore{dir: dir}, nil
 }
@@ -237,25 +253,12 @@ func (s *FileCheckpointStore) path(step int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("step-%012d%s", step, checkpointSuffix))
 }
 
-// Save atomically writes the snapshot for step and prunes older ones.
+// Save atomically and durably writes the snapshot for step, then prunes older
+// ones.
 func (s *FileCheckpointStore) Save(step int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("bsp: checkpoint save: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("bsp: checkpoint save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("bsp: checkpoint save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(step)); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.writeDurably(step, data); err != nil {
 		return fmt.Errorf("bsp: checkpoint save: %w", err)
 	}
 	steps, err := s.listSteps()
@@ -268,6 +271,37 @@ func (s *FileCheckpointStore) Save(step int, data []byte) error {
 		}
 	}
 	return nil
+}
+
+// writeDurably is the crash-safe part of Save. The rename is what publishes
+// the snapshot, so the bytes must be on disk before it (or a crash could leave
+// a zero-length step file as the only snapshot), and the directory entry after
+// it (or the rename itself could be lost while older snapshots are pruned).
+func (s *FileCheckpointStore) writeDurably(step int, data []byte) error {
+	tmp, err := os.CreateTemp(s.dir, checkpointTmp+"*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(step))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	dir, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // Load returns the snapshot with the highest step, or ErrNoCheckpoint.

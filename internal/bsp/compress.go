@@ -339,8 +339,8 @@ func DecodeFrame[M any](payload []byte) (step int, more bool, batch []Envelope[M
 	return step, false, batch, err
 }
 
-// Inbox is a worker's delivered messages — a superstep's worth in the strict
-// loop, the pending queue in the async loop: flat envelopes plus, in
+// Inbox is a worker's delivered messages — a superstep's worth in strict
+// mode, the pending queue under AsyncExchange: flat envelopes plus, in
 // compressed mode, still-encoded compressed frame payloads that deliverInbox
 // decodes lazily, one bounded chunk at a time, so a dense inbox costs its
 // compressed size rather than its expanded size.
@@ -351,14 +351,14 @@ type Inbox[M any] struct {
 
 func (ib *Inbox[M]) empty() bool { return len(ib.Envs) == 0 && len(ib.Frames) == 0 }
 
-// deliverInbox is how both loops consume deliveries: flat envelopes first,
+// deliverInbox is how a worker consumes deliveries: flat envelopes first,
 // then each compressed frame decoded lazily — one bounded chunk at a time,
 // through a pooled scratch — and delivered whole to a GroupProgram (per
 // message otherwise). The compressed_* counters it feeds are logical: they
 // ride RunStats, which rolls back with snapshots, so they stay exactly-once
 // across recovered and resumed runs. An abort or a closed done channel
-// short-circuits the rest of the inbox instead of draining it; after, when
-// non-nil, runs after every Process/ProcessGroup call (the async loop
+// short-circuits the rest of the inbox instead of draining it; after runs
+// after every Process/ProcessGroup call (the worker checks for a halt and
 // flushes full frames there) and stops the delivery by returning false.
 // Returns the number of messages processed.
 func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M], ib *Inbox[M], done <-chan struct{}, after func() bool) int64 {
@@ -376,7 +376,7 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 		}
 		prog.Process(ctx, env)
 		processed++
-		if after != nil && !after() {
+		if !after() {
 			return processed
 		}
 	}
@@ -402,7 +402,7 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 		if gprog != nil {
 			gprog.ProcessGroup(ctx, batch)
 			processed += int64(len(batch))
-			if after != nil && !after() {
+			if !after() {
 				return processed
 			}
 			continue
@@ -413,7 +413,7 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 			}
 			prog.Process(ctx, env)
 			processed++
-			if after != nil && !after() {
+			if !after() {
 				return processed
 			}
 		}

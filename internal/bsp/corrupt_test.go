@@ -7,6 +7,7 @@ package bsp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,5 +125,68 @@ func TestResumeFromCorruptCheckpoint(t *testing.T) {
 func TestOpenSnapshotRejectsEmpty(t *testing.T) {
 	if _, err := openSnapshot(nil); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// TestResumeFromTruncatedNewestCheckpoint: the state a crash between an
+// unsynced write and its rename could leave — a zero-length newest step file
+// beside an older intact one — must end a resume in ErrCorruptCheckpoint: no
+// panic, no silent fall-back to the older snapshot, no silent fresh start.
+func TestResumeFromTruncatedNewestCheckpoint(t *testing.T) {
+	dir, file := checkpointedRunDir(t)
+	var step int
+	if _, err := fmt.Sscanf(filepath.Base(file), "step-%d"+checkpointSuffix, &step); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewFileCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.path(step+1), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	prog := &funcProgram[wint]{init: func(*Context[wint]) { ran = true }, process: func(*Context[wint], Envelope[wint]) {}}
+	_, cfg := newEcho(60, 5, 3)
+	cfg.ResumeFrom = store
+	_, err = Run[wint](cfg, prog)
+	if !errors.Is(err, ErrCorruptCheckpoint) || errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
+	}
+	if ran {
+		t.Fatal("resume from a truncated checkpoint started the run afresh")
+	}
+}
+
+// TestFileCheckpointStoreSweepsOrphanedTempFiles: temp files of saves a killed
+// process never renamed are removed when the directory is next opened; the
+// snapshots beside them are not.
+func TestFileCheckpointStoreSweepsOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewFileCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(4, []byte("four")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{checkpointTmp + "123", checkpointTmp + "456"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a snap"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, err := NewFileCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(store.path(4)) {
+		t.Fatalf("directory holds %v after reopening, want only the step-4 snapshot", entries)
+	}
+	if step, data, err := reopened.Load(); err != nil || step != 4 || string(data) != "four" {
+		t.Fatalf("Load = (%d, %q, %v), want (4, four, nil)", step, data, err)
 	}
 }

@@ -23,8 +23,8 @@ var ErrInjectedFault = errors.New("bsp: injected fault")
 // FaultConfig parameterizes the injector. All draws come from a PRNG seeded
 // with Seed, so a given config produces the same fault schedule on every
 // run. Rates are probabilities in [0, 1] and are evaluated in order
-// error → drop → delay on a single draw per fault opportunity: a barrier
-// attempt in the strict loop, a wire frame in the async loop.
+// error → drop → delay on a single draw per fault opportunity: an attempt of
+// a superstep's opening frame in strict mode, a wire frame under AsyncExchange.
 type FaultConfig struct {
 	// Seed drives the deterministic fault schedule.
 	Seed int64
@@ -99,12 +99,14 @@ func (st *faultyState) draw(fc FaultConfig, step int) (error, time.Duration) {
 // recovery continues where the last one stopped.
 //
 // Every Send is a fault opportunity unless the loop's faultPoint hook names
-// fewer: every async wire frame is one, but a strict barrier sends K×K frames
-// under one ordinal and fails as a whole, so the loop names only the frame
-// that opens it. FaultConfig rates then stay per barrier attempt rather than
-// compounding K×K-fold, and same-step scheduled faults fire on successive
-// attempts of that frame — three kills exhaust a three-attempt retry budget
-// and force a restore, as a dead worker should.
+// fewer: every pipelined wire frame is one, but a superstep sends up to K×K
+// frames under one ordinal and fails as a whole, so the stepped policy names
+// only the frame that opens it (0→0, which worker 0 sends first among its own
+// frames, empty or not — the final superstep's too, since worker 0 cannot
+// know nothing was produced). FaultConfig rates then stay per step attempt
+// rather than compounding K×K-fold, and same-step scheduled faults fire on
+// successive attempts of that frame — three kills exhaust a three-attempt
+// retry budget and force a restore, as a dead worker should.
 type faultTransport[M any] struct {
 	inner  transport[M]
 	point  func(src, dst int) bool

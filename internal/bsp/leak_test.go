@@ -2,11 +2,14 @@ package bsp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"psgl/internal/graph"
 	"psgl/internal/obs"
 )
 
@@ -90,20 +93,85 @@ func TestTCPSetupPreCanceledContextFailsFast(t *testing.T) {
 	waitGoroutinesBack(t, base)
 }
 
-// TestTCPSetupCompletesThenRunLeavesNoGoroutines: the happy path — a full
-// mesh setup, a run over it in each loop, and the transport's Close at the end
-// of the attempt must return to the goroutine baseline (neither the setup
-// watchdog nor a reader goroutine may leak). Close-without-traffic and double
+// TestRunLeavesNoGoroutines: however a run ends — clean in either policy,
+// aborted, failed by its StepTimeout, or recovered from a checkpoint after a
+// lost frame — in-process and over TCP, no worker, coordinator, setup watchdog
+// or reader goroutine survives RunContext. Close-without-traffic and double
 // Close are rows of TestTransportConformance.
-func TestTCPSetupCompletesThenRunLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for _, async := range []bool{false, true} {
-		prog, cfg := newEcho(30, 3, 3)
-		cfg.Exchange = NewTCPExchangeFactory()
-		cfg.AsyncExchange = async
-		if _, err := Run[wint](cfg, prog); err != nil {
-			t.Fatal(err)
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	boom := errors.New("boom")
+	aborting := func() *funcProgram[wint] {
+		return &funcProgram[wint]{
+			init: func(ctx *Context[wint]) { ctx.Send(graph.VertexID(ctx.Worker()), 3) },
+			process: func(ctx *Context[wint], env Envelope[wint]) {
+				if env.Msg == 1 {
+					ctx.Abort(boom)
+				}
+				ctx.Send(env.Dest+1, env.Msg-1)
+			},
 		}
 	}
-	waitGoroutinesBack(t, base)
+	slow := func() *funcProgram[wint] {
+		return &funcProgram[wint]{
+			init: func(ctx *Context[wint]) {
+				for i := 0; i < 2000; i++ {
+					ctx.Send(graph.VertexID(i), 1)
+				}
+			},
+			process: func(ctx *Context[wint], env Envelope[wint]) {
+				time.Sleep(time.Millisecond)
+				ctx.Send(env.Dest, 1)
+			},
+		}
+	}
+	owner := func(v graph.VertexID) int { return int(v) % 3 }
+	cases := []struct {
+		name string
+		run  func(exchange func() ExchangeFactory) error
+		want error
+	}{
+		{"clean", func(exchange func() ExchangeFactory) error {
+			prog, cfg := newEcho(30, 3, 3)
+			cfg.Exchange = exchange()
+			_, err := Run[wint](cfg, prog)
+			return err
+		}, nil},
+		{"clean async", func(exchange func() ExchangeFactory) error {
+			prog, cfg := newEcho(30, 3, 3)
+			cfg.Exchange, cfg.AsyncExchange = exchange(), true
+			_, err := Run[wint](cfg, prog)
+			return err
+		}, nil},
+		{"aborted", func(exchange func() ExchangeFactory) error {
+			_, err := Run[wint](Config{Workers: 3, Owner: owner, Exchange: exchange()}, aborting())
+			return err
+		}, ErrAborted},
+		{"step timeout", func(exchange func() ExchangeFactory) error {
+			_, err := Run[wint](Config{Workers: 3, Owner: owner, Exchange: exchange(), StepTimeout: 30 * time.Millisecond}, slow())
+			return err
+		}, context.DeadlineExceeded},
+		{"recovered", func(exchange func() ExchangeFactory) error {
+			prog, cfg := newEcho(30, 5, 3)
+			cfg.Exchange = NewFaultyExchangeFactory(exchange(), FaultConfig{Seed: 2, ErrorRate: 1, FromStep: 2, MaxFaults: 2})
+			cfg.CheckpointEvery, cfg.CheckpointStore, cfg.MaxRecoveries = 1, NewMemCheckpointStore(), 5
+			stats, err := Run[wint](cfg, prog)
+			if err == nil && stats.Recoveries != 2 {
+				err = fmt.Errorf("%d recoveries, want 2", stats.Recoveries)
+			}
+			return err
+		}, nil},
+	}
+	exchanges := map[string]func() ExchangeFactory{
+		"local": func() ExchangeFactory { return nil },
+		"tcp":   func() ExchangeFactory { return NewTCPExchangeFactory() },
+	}
+	for _, tc := range cases {
+		for name, exchange := range exchanges {
+			base := runtime.NumGoroutine()
+			if err := tc.run(exchange); !errors.Is(err, tc.want) {
+				t.Fatalf("%s/%s: err = %v, want %v", tc.name, name, err, tc.want)
+			}
+			waitGoroutinesBack(t, base)
+		}
+	}
 }

@@ -134,8 +134,8 @@ func (s *scheduleState) Fired() int {
 
 // scheduledFaultError renders the failing fault kinds (kill, drop,
 // partition); delay returns nil and the middleware sleeps instead. The text
-// says "ordinal", not "superstep": the middleware serves both loops, and in
-// the async one the word is a per-worker frame seq.
+// says "ordinal", not "superstep": the middleware serves both policies, and in
+// the pipelined one the word is a per-worker frame seq.
 func scheduledFaultError(f StepFault, ord int) error {
 	switch f.Kind {
 	case StepFaultKill:

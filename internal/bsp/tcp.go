@@ -110,7 +110,7 @@ func (p *pairConn) settle(timeout time.Duration) {
 // tcpTransport is the K×K loopback mesh. Each off-diagonal pair has one
 // connection and one persistent reader goroutine that delivers whatever a
 // Send wrote the moment it has arrived in full, and only then acks it — the
-// strict barrier counts those acks, the async plane releases credit on them.
+// ack is what releases the credit the frame was sent under.
 type tcpTransport[M any] struct {
 	cfg      TCPConfig
 	compress bool

@@ -6,17 +6,16 @@ import (
 )
 
 // transport moves one batch from worker src to worker dst — the only thing
-// either run loop asks of the substrate. The strict loop builds its barrier
-// on it (strict.go) and the async loop its credit/ack termination detector
-// (async.go): Chen et al.'s synchronous all-to-all as the degenerate case of
-// a pipelined frame exchange. It has exactly three implementations:
-// in-process (localTransport), the loopback-TCP mesh (tcpTransport), and the
-// fault middleware that wraps either (faultTransport).
+// the run loop (loop.go) asks of the substrate; its credit/ack termination
+// detector, and through it the superstep barrier, is built on the contract
+// below. It has exactly three implementations: in-process (localTransport),
+// the loopback-TCP mesh (tcpTransport), and the fault middleware that wraps
+// either (faultTransport).
 //
 // Send is done with batch when it returns, unless it handed the slice to
 // deliver (see hooks). ord is the ordinal word of the frame header — the
-// superstep in the strict loop, the sender's wire-frame sequence number in
-// the async loop — and the address fault schedules match against. A
+// superstep in the stepped policy, the sender's wire-frame sequence number in
+// the pipelined one — and the address fault schedules match against. A
 // successful Send is delivered and then acknowledged through the hooks
 // exactly once, possibly after it returns (the TCP mesh does both from its
 // reader goroutines); a failed Send delivers and acks nothing.

@@ -3,14 +3,13 @@ package bsp
 // The transport conformance battery: one table over every transport stack
 // the resolver can build — {in-process, TCP} × {flat, compressed} ×
 // {no fault, probabilistic, scheduled kill/drop/delay/partition} — asserting
-// the contract both run loops are written against, instead of one copy of
-// each check per implementation.
+// the contract the run loop is written against, instead of one copy of each
+// check per implementation.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"reflect"
@@ -20,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"psgl/internal/graph"
 	"psgl/internal/obs"
 )
 
@@ -203,120 +201,6 @@ func TestTransportConformance(t *testing.T) {
 	}
 }
 
-// TestBarrierFaultOpportunityIsTheOpeningFrame pins the fault-ordinal rule in
-// the strict loop: of a barrier's K×K frames only 0→0 consults the policy, so
-// rates and schedules stay per barrier attempt, and the seeded stream replays
-// identically from a fresh factory.
-func TestBarrierFaultOpportunityIsTheOpeningFrame(t *testing.T) {
-	fc := FaultConfig{Seed: 99, ErrorRate: 0.3, DropRate: 0.2}
-	pattern := func() []bool {
-		rec := &recorder[int]{acks: map[int]int{}}
-		h := rec.hooks(t)
-		h.faultPoint = opensBarrier
-		tr, err := newTransport(context.Background(), NewFaultyExchangeFactory(nil, fc), &Config{Workers: 2}, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		var out []bool
-		for step := 0; step < 50; step++ {
-			out = append(out, tr.Send(context.Background(), 0, 0, step, nil) != nil)
-			for _, pair := range [][2]int{{0, 1}, {1, 0}, {1, 1}} {
-				if err := tr.Send(context.Background(), pair[0], pair[1], step, nil); err != nil {
-					t.Fatalf("frame %d->%d of a barrier faulted: %v", pair[0], pair[1], err)
-				}
-			}
-		}
-		return out
-	}
-	a, b := pattern(), pattern()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fault schedules differ:\n%v\n%v", a, b)
-	}
-	faults := 0
-	for _, f := range a {
-		if f {
-			faults++
-		}
-	}
-	if faults == 0 || faults == 50 {
-		t.Fatalf("degenerate fault schedule: %d/50 faults", faults)
-	}
-}
-
-// TestBarrierInboxOrderIdenticalAcrossTransports: the merged inbox is the
-// src-ordered concatenation of what each worker sent, whatever order frames
-// arrive in — byte-for-byte the same in-process and over TCP.
-func TestBarrierInboxOrderIdenticalAcrossTransports(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 4; trial++ {
-		k := 2 + rng.Intn(3)
-		outAll := make([][][]Envelope[wint], k)
-		want := make([][]Envelope[wint], k)
-		for src := 0; src < k; src++ {
-			outAll[src] = make([][]Envelope[wint], k)
-			for dst := 0; dst < k; dst++ {
-				for i := rng.Intn(8); i > 0; i-- {
-					outAll[src][dst] = append(outAll[src][dst],
-						Envelope[wint]{Dest: graph.VertexID(rng.Intn(100)), Msg: wint(rng.Int31())})
-				}
-			}
-		}
-		for dst := 0; dst < k; dst++ {
-			for src := 0; src < k; src++ {
-				want[dst] = append(want[dst], outAll[src][dst]...)
-			}
-		}
-		for name, f := range map[string]ExchangeFactory{"local": nil, "tcp": NewTCPExchangeFactory()} {
-			cfg := &Config{Workers: k}
-			b := newBarrier[wint](k)
-			tr, err := newTransport(context.Background(), f, cfg, b.hooks())
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			got, err := b.exchange(context.Background(), tr, cfg, 1, outAll)
-			tr.Close()
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			for dst := range got {
-				if len(got[dst].Envs) != len(want[dst]) || (len(want[dst]) > 0 && !reflect.DeepEqual(got[dst].Envs, want[dst])) {
-					t.Errorf("trial %d %s: inbox %d = %v, want %v", trial, name, dst, got[dst].Envs, want[dst])
-				}
-			}
-		}
-	}
-}
-
-// skewTransport delivers in-process, stamping one pair's frame with the wrong
-// superstep — and, like the TCP reader, acking it all the same.
-type skewTransport struct{ h hooks[wint] }
-
-func (s skewTransport) Send(_ context.Context, src, dst, ord int, batch []Envelope[wint]) error {
-	if src == 1 && dst == 0 {
-		ord++
-	}
-	s.h.deliver(src, dst, ord, Inbox[wint]{Envs: batch})
-	s.h.ack(src)
-	return nil
-}
-
-func (skewTransport) Close() error { return nil }
-
-// TestBarrierNeverCompletesOverASkewedFrame: a step-skewed frame leaves its
-// slot empty but is acked, so all K×K acks land with the failure pending; the
-// barrier must report it every time, never return an inbox missing the pair.
-func TestBarrierNeverCompletesOverASkewedFrame(t *testing.T) {
-	outAll := [][][]Envelope[wint]{{nil, {{Dest: 1, Msg: 1}}}, {{{Dest: 0, Msg: 2}}, nil}}
-	for i := 0; i < 200; i++ {
-		b := newBarrier[wint](2)
-		got, err := b.exchange(context.Background(), skewTransport{b.hooks()}, &Config{Workers: 2}, 3, outAll)
-		if err == nil || !strings.Contains(err.Error(), "step skew") {
-			t.Fatalf("iteration %d: barrier completed over a skewed frame: inboxes %v, err %v", i, got, err)
-		}
-	}
-}
-
 // tornConn passes the mesh handshake through, then tears the next write: half
 // the frame reaches the peer and the call fails.
 type tornConn struct {
@@ -390,8 +274,7 @@ func (c *blackholeConn) Write(p []byte) (int, error) {
 
 // TestBlackholedPeerEndsInDeadlineError: a peer that swallows frames must
 // end the run in a deadline error after FrameTimeout — never a hang — in the
-// strict loop (the barrier waits on the ack) and the async loop (the credit
-// never returns) alike.
+// either policy: the credit the swallowed frame was sent under never returns.
 func TestBlackholedPeerEndsInDeadlineError(t *testing.T) {
 	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
 		conn, err := net.DialTimeout("tcp", addr, timeout)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -104,6 +105,61 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestStrictStatsPinned pins what a strict run reports, bit for bit, on the
+// differential suite's seeds: each row hashes Supersteps, PerStepMessages,
+// every counter, WorkerMessages, LoadUnits and LoadMakespan (everything in
+// Stats but the clocks) over all catalog patterns × strategies. The values
+// were recorded before the strict barrier became a quiescence point of the
+// credit detector; the run loop may change how a superstep is driven, never
+// what it computes or in which order a worker sees its inbox.
+func TestStrictStatsPinned(t *testing.T) {
+	rows := []struct {
+		seed     int64
+		exchange string
+		compress bool
+		want     uint64
+	}{
+		{1, "local", false, 0x1b28cac2bb49b231},
+		{1, "local", true, 0x3b8a952324b16d0c},
+		{1, "tcp", false, 0xbefd2d2c8f10ee90},
+		{1, "tcp", true, 0xb25772952fb5485e},
+		{2, "local", false, 0xc70681efd6b3ac06},
+		{2, "local", true, 0x169d5eb8e24bc495},
+		{2, "tcp", false, 0xcb7ca79617a9fb88},
+		{2, "tcp", true, 0x45b78a01888d9041},
+		{3, "local", false, 0x1485fff481b94c62},
+		{3, "local", true, 0xdd2f22baaece8147},
+		{3, "tcp", false, 0xcfde28467097edc6},
+		{3, "tcp", true, 0xf630097f98372ea2},
+	}
+	patterns := []*pattern.Pattern{
+		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
+	}
+	for _, row := range rows {
+		g := gen.ChungLu(70, 300, 2.3, row.seed)
+		opts := Options{Workers: 4, Seed: row.seed, CompressFrames: row.compress}
+		if row.exchange == "tcp" {
+			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
+		}
+		h := fnv.New64a()
+		for _, p := range patterns {
+			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+				opts.Strategy = strat
+				res, err := Run(g, p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				st.WorkerTime, st.SimulatedMakespan, st.WallTime = nil, 0, 0
+				fmt.Fprintf(h, "%+v\n", st)
+			}
+		}
+		if got := h.Sum64(); got != row.want {
+			t.Errorf("seed %d %s compress=%v: stats fingerprint %#x, want %#x", row.seed, row.exchange, row.compress, got, row.want)
 		}
 	}
 }

@@ -8,7 +8,6 @@ package experiments
 // committed BENCH_census.json baseline.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 
@@ -107,11 +106,9 @@ func workerSweep() []int {
 }
 
 // Census returns the text report of the motif-census benchmark.
-func Census() string {
-	rep, err := runCensus()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: census: %v", err))
-	}
+func Census() string { return mustText(runCensus()) }
+
+func (rep *CensusReport) text() string {
 	r := newReport("Motif census: ESU engine throughput and cache amortization")
 	r.row("graph", "k", "workers", "subgraphs", "classes", "motifs/s", "canon hit rate", "wall")
 	for _, run := range rep.Runs {
@@ -123,16 +120,6 @@ func Census() string {
 	return r.String()
 }
 
-// CensusJSON returns the census baseline as indented JSON, the content of the
-// committed BENCH_census.json.
-func CensusJSON() ([]byte, error) {
-	rep, err := runCensus()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+// CensusJSON runs the census benchmark once and returns that one report both
+// ways: the text table, and the indented JSON committed as BENCH_census.json.
+func CensusJSON() (text string, data []byte, err error) { return bothRenderings(runCensus()) }

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"psgl/internal/bsp"
@@ -125,11 +124,9 @@ func runChaos() (*ChaosReport, error) {
 }
 
 // Chaos returns the text report of the chaos harness.
-func Chaos() string {
-	rep, err := runChaos()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: chaos: %v", err))
-	}
+func Chaos() string { return mustText(runChaos()) }
+
+func (rep *ChaosReport) text() string {
 	r := newReport("Chaos harness: seeded faults, exactness verified against clean runs")
 	r.row("transport", "schedule", "exact", "fired", "recov", "retries", "restarts")
 	for _, c := range rep.Cells {
@@ -141,19 +138,13 @@ func Chaos() string {
 	return r.String()
 }
 
-// ChaosJSON returns the chaos baseline as indented JSON, the content of the
-// committed BENCH_chaos.json.
-func ChaosJSON() ([]byte, error) {
+// ChaosJSON runs the chaos harness once and returns that one report both ways:
+// the text table, and the indented JSON committed as BENCH_chaos.json. A run
+// that was not bit-identical to its clean twin is an error, not a baseline.
+func ChaosJSON() (text string, data []byte, err error) {
 	rep, err := runChaos()
-	if err != nil {
-		return nil, err
+	if err == nil && rep.ExactRuns != rep.Runs {
+		err = fmt.Errorf("experiments: chaos: only %d/%d runs bit-identical", rep.ExactRuns, rep.Runs)
 	}
-	if rep.ExactRuns != rep.Runs {
-		return nil, fmt.Errorf("experiments: chaos: only %d/%d runs bit-identical", rep.ExactRuns, rep.Runs)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return bothRenderings(rep, err)
 }

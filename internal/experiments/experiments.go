@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -61,6 +62,32 @@ func (r *report) note(format string, args ...any) {
 func (r *report) String() string {
 	r.tw.Flush()
 	return r.sb.String()
+}
+
+// textReport is a benchmark report that is also committed as a BENCH_*.json
+// baseline: text renders the table psgl-bench prints.
+type textReport interface{ text() string }
+
+// mustText renders a run's report as text; experiments that only print have
+// no error path, so a failed run panics.
+func mustText[R textReport](rep R, err error) string {
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return rep.text()
+}
+
+// bothRenderings renders one run's report as text and as indented JSON, so the
+// printed table and the committed baseline are the same measurement.
+func bothRenderings[R textReport](rep R, err error) (string, []byte, error) {
+	if err != nil {
+		return "", nil, err
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return "", nil, err
+	}
+	return rep.text(), append(data, '\n'), nil
 }
 
 func ms(d time.Duration) string {

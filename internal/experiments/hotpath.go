@@ -7,7 +7,6 @@ package experiments
 // the committed BENCH_hotpath.json baseline.
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -62,11 +61,9 @@ func runHotpath() (*HotpathReport, error) {
 }
 
 // Hotpath returns the text report of the hot-path microbenchmarks.
-func Hotpath() string {
-	rep, err := runHotpath()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: hotpath: %v", err))
-	}
+func Hotpath() string { return mustText(runHotpath()) }
+
+func (rep *HotpathReport) text() string {
 	r := newReport("Hot path: expansion + exchange codec")
 	r.row("bench", "ns/op", "B/op", "allocs/op", "MB/s")
 	for _, b := range rep.Benchmarks {
@@ -84,16 +81,7 @@ func Hotpath() string {
 	return r.String()
 }
 
-// HotpathJSON returns the hot-path baseline as indented JSON, the content of
-// the committed BENCH_hotpath.json.
-func HotpathJSON() ([]byte, error) {
-	rep, err := runHotpath()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+// HotpathJSON runs the hot-path microbenchmarks once and returns that one
+// report both ways: the text table, and the indented JSON committed as
+// BENCH_hotpath.json.
+func HotpathJSON() (text string, data []byte, err error) { return bothRenderings(runHotpath()) }

@@ -161,11 +161,9 @@ func serveCell(client *http.Client, url, pat string, conc int) (*ServeResult, er
 }
 
 // Serve returns the text report of the serving benchmark.
-func Serve() string {
-	rep, err := runServe()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: serve: %v", err))
-	}
+func Serve() string { return mustText(runServe()) }
+
+func (rep *ServeReport) text() string {
 	r := newReport("Resident query service: qps and latency by client concurrency")
 	r.row("pattern", "clients", "queries", "qps", "p50", "p99")
 	for _, c := range rep.Cells {
@@ -176,16 +174,6 @@ func Serve() string {
 	return r.String()
 }
 
-// ServeJSON returns the serving baseline as indented JSON, the content of the
-// committed BENCH_serve.json.
-func ServeJSON() ([]byte, error) {
-	rep, err := runServe()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+// ServeJSON runs the serving benchmark once and returns that one report both
+// ways: the text table, and the indented JSON committed as BENCH_serve.json.
+func ServeJSON() (text string, data []byte, err error) { return bothRenderings(runServe()) }

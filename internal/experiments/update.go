@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -156,11 +155,9 @@ func runUpdate() (*UpdateReport, error) {
 }
 
 // Update returns the text report of the dynamic-graph benchmark.
-func Update() string {
-	rep, err := runUpdate()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: update: %v", err))
-	}
+func Update() string { return mustText(runUpdate()) }
+
+func (rep *UpdateReport) text() string {
 	r := newReport("Dynamic graphs: delta maintenance vs full re-enumeration")
 	r.row("batch", "+edges", "-edges", "gained", "lost", "count", "delta", "full rerun")
 	for _, run := range rep.Runs {
@@ -173,16 +170,7 @@ func Update() string {
 	return r.String()
 }
 
-// UpdateJSON returns the dynamic-graph baseline as indented JSON, the content
-// of the committed BENCH_update.json.
-func UpdateJSON() ([]byte, error) {
-	rep, err := runUpdate()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+// UpdateJSON runs the dynamic-graph benchmark once and returns that one report
+// both ways: the text table, and the indented JSON committed as
+// BENCH_update.json.
+func UpdateJSON() (text string, data []byte, err error) { return bothRenderings(runUpdate()) }

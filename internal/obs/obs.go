@@ -586,9 +586,9 @@ func (o *Observer) AddDelta(gained, lost int64) {
 	o.deltaLost.Add(lost)
 }
 
-// AddCreditRound counts one termination-detector scan by the async plane's
-// coordinator (each scan checks outstanding credit and worker idleness; the
-// round count is the async analogue of the barrier count).
+// AddCreditRound counts one termination-detector scan by the run loop's
+// coordinator (each scan checks worker idleness and outstanding credit; a
+// strict superstep takes a few, an async run as many as it is nudged for).
 func (o *Observer) AddCreditRound() {
 	if o == nil {
 		return
@@ -606,7 +606,7 @@ func (o *Observer) AddEarlyExpansion() {
 	o.earlyExpansions.Add(1)
 }
 
-// ObserveFramesInFlight folds one observation of the async plane's
+// ObserveFramesInFlight folds one observation of the run loop's
 // outstanding-frame gauge into its high-water mark. Safe for concurrent use
 // (called from every worker's flush path).
 func (o *Observer) ObserveFramesInFlight(cur int64) {

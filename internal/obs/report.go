@@ -193,7 +193,7 @@ func (o *Observer) WriteReport(w io.Writer) {
 			s.HeartbeatMisses, s.Evictions, s.QueryRetries, s.HedgedQueries)
 	}
 	if s.CreditRounds > 0 {
-		fmt.Fprintf(w, "async exchange: %d credit rounds, %d early expansions, %d frames in flight at peak\n",
+		fmt.Fprintf(w, "credit detector: %d rounds, %d early expansions, %d frames in flight at peak\n",
 			s.CreditRounds, s.EarlyExpansions, s.FramesInFlightPeak)
 	}
 	if s.MutationBatches > 0 {

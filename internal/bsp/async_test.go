@@ -123,8 +123,8 @@ type delayedAckTransport[M any] struct {
 	det *creditDetector
 }
 
-func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, ord int, batch []Envelope[M]) error {
-	t.h.deliver(src, dst, ord, Inbox[M]{Envs: batch})
+func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
+	t.h.deliver(src, dst, ord, Inbox[M]{Chunks: batch})
 	go func() {
 		for !t.det.idle[dst].Load() {
 			time.Sleep(100 * time.Microsecond)

@@ -27,12 +27,18 @@
 // from which a simulated makespan Σ_s max_k L_ks is derived. That simulated
 // makespan is what the scalability experiment (Figure 8) reports, so worker
 // counts larger than the physical core count behave like real workers.
+//
+// Run counters are slots, not map entries: CounterID interns a name to a small
+// id once (programs resolve theirs at package init), Context.Add bumps the
+// worker's slot, and names reappear only where a boundary folds the non-zero
+// slots into RunStats.Counters — so a key is present iff its total is non-zero.
 package bsp
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,15 +162,41 @@ type Snapshotter interface {
 	RestoreState(data []byte) error
 }
 
+// Counter is the slot index of an interned counter name.
+type Counter int
+
+// counters is the process-wide name table; it only grows.
+var counters = struct {
+	sync.Mutex
+	ids   map[string]Counter
+	names []string
+}{ids: map[string]Counter{}}
+
+// CounterID interns name and returns its slot. Programs that count per message
+// resolve their ids once, at package init.
+func CounterID(name string) Counter {
+	counters.Lock()
+	defer counters.Unlock()
+	id, ok := counters.ids[name]
+	if !ok {
+		id = Counter(len(counters.names))
+		counters.ids[name], counters.names = id, append(counters.names, name)
+	}
+	return id
+}
+
 // Context is the per-worker API surface available to a Program. It is not
 // safe to retain across supersteps.
 type Context[M any] struct {
-	worker  int
-	step    int
-	cfg     *Config
-	out     [][]Envelope[M] // out[w] = messages destined to worker w
+	worker int
+	step   int
+	cfg    *Config
+	// out[w] is the batch for worker w: chunks filled to capacity, never
+	// regrown. Handed to the transport it is the receiver's; a new one starts.
+	out     [][][]Envelope[M]
+	spare   [][]Envelope[M] // emptied chunks ResetSends kept; production contexts have none
 	sent    int64
-	local   map[string]int64
+	local   []int64 // counter deltas, indexed by Counter
 	aborted *atomic.Pointer[error]
 }
 
@@ -173,8 +205,7 @@ func newContext[M any](cfg *Config, worker, step int, aborted *atomic.Pointer[er
 		worker:  worker,
 		step:    step,
 		cfg:     cfg,
-		out:     make([][]Envelope[M], cfg.Workers),
-		local:   map[string]int64{},
+		out:     make([][][]Envelope[M], cfg.Workers),
 		aborted: aborted,
 	}
 }
@@ -188,15 +219,41 @@ func (c *Context[M]) Step() int { return c.step }
 // Send routes msg to the worker owning dest, for delivery next superstep.
 func (c *Context[M]) Send(dest graph.VertexID, msg M) {
 	w := c.cfg.Owner(dest)
-	c.out[w] = append(c.out[w], Envelope[M]{Dest: dest, Msg: msg})
+	n := len(c.out[w])
+	if n == 0 || len(c.out[w][n-1]) == cap(c.out[w][n-1]) {
+		c.addChunk(w)
+		n++
+	}
+	c.out[w][n-1] = append(c.out[w][n-1], Envelope[M]{Dest: dest, Msg: msg})
 	c.sent++
 }
 
-// AddCounter accumulates a named global counter; counters from all workers
-// are merged at each barrier and reported in RunStats.
-func (c *Context[M]) AddCounter(name string, delta int64) {
-	c.local[name] += delta
+// addChunk opens the next chunk of the batch for worker w: 8 envelopes, then
+// twice the chunk before up to 64, so K simulated workers never pre-pay K² full
+// chunks and a batch wastes less than one small chunk however it ends.
+func (c *Context[M]) addChunk(w int) {
+	var chunk []Envelope[M]
+	if n := len(c.spare); n > 0 {
+		chunk, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else if n := len(c.out[w]); n > 0 {
+		chunk = make([]Envelope[M], 0, min(2*cap(c.out[w][n-1]), 64))
+	} else {
+		chunk = make([]Envelope[M], 0, 8)
+	}
+	c.out[w] = append(c.out[w], chunk)
 }
+
+// Add accumulates delta into the run counter id; counters from all workers are
+// merged at each boundary and reported, by name, in RunStats.Counters.
+func (c *Context[M]) Add(id Counter, delta int64) {
+	for int(id) >= len(c.local) { // a slot this context has not counted in yet
+		c.local = append(c.local, 0)
+	}
+	c.local[id] += delta
+}
+
+// AddCounter is Add for callers that count too rarely to keep an id.
+func (c *Context[M]) AddCounter(name string, delta int64) { c.Add(CounterID(name), delta) }
 
 // Abort stops the computation: every worker short-circuits the remainder of
 // its inbox for the current superstep, and the run ends at the barrier. The

@@ -78,11 +78,11 @@ type CheckpointStore interface {
 // snapshot is the unit of checkpointing: the state of a run at the boundary
 // entering superstep (or pipelined epoch) Step. Prog is the opaque
 // Snapshotter state of programs that carry accumulators outside the inboxes
-// (nil otherwise). Frames[w]
-// holds worker w's still-encoded compressed frame payloads (compressed mode
-// only — snapshots of grouped queues stay grouped, so a checkpoint of a
-// dense superstep costs its compressed size); pre-compression snapshots
-// simply decode with Frames nil.
+// (nil otherwise). Inboxes[w] is worker w's queued chunks, concatenated: the
+// format predates chunks. Frames[w] holds its still-encoded compressed frame
+// payloads (compressed mode only — snapshots of grouped queues stay grouped,
+// so a checkpoint of a dense superstep costs its compressed size);
+// pre-compression snapshots simply decode with Frames nil.
 type snapshot[M any] struct {
 	Step    int
 	Inboxes [][]Envelope[M]
@@ -96,8 +96,8 @@ type snapshot[M any] struct {
 func (snap *snapshot[M]) inboxRows(k int) []Inbox[M] {
 	rows := make([]Inbox[M], k)
 	for w := range rows {
-		if w < len(snap.Inboxes) {
-			rows[w].Envs = snap.Inboxes[w]
+		if w < len(snap.Inboxes) && len(snap.Inboxes[w]) > 0 {
+			rows[w].Chunks = [][]Envelope[M]{snap.Inboxes[w]}
 		}
 		if w < len(snap.Frames) {
 			rows[w].Frames = snap.Frames[w]
@@ -113,7 +113,7 @@ func saveSnapshot[M any](store CheckpointStore, step int, inboxes []Inbox[M], st
 	snap := snapshot[M]{Step: step, Stats: *stats}
 	snap.Inboxes = make([][]Envelope[M], len(inboxes))
 	for w := range inboxes {
-		snap.Inboxes[w] = inboxes[w].Envs
+		snap.Inboxes[w] = flatten(inboxes[w].Chunks)
 		if len(inboxes[w].Frames) > 0 {
 			if snap.Frames == nil {
 				snap.Frames = make([][][]byte, len(inboxes))

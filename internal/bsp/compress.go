@@ -89,11 +89,12 @@ const (
 )
 
 // groupEnc is the pooled encoder scratch: every message's group encoding laid
-// end to end, plus the sort permutation that turns the batch into maximal
-// prefix runs.
+// end to end beside its destination, plus the sort permutation that turns the
+// batch into maximal prefix runs.
 type groupEnc struct {
 	msgs  []byte
 	offs  []int
+	dests []graph.VertexID
 	order []int
 }
 
@@ -115,15 +116,16 @@ func appendGroupEncoding[M any](dst []byte, m *M) []byte {
 // prefixes and makes the frame a deterministic function of the batch
 // multiset. raw is the flat-equivalent frame size — what the same batch would
 // have cost uncompressed — for the compression-ratio counters.
-func newGroupEnc[M any](batch []Envelope[M]) (ge *groupEnc, raw int) {
+func newGroupEnc[M any](batch [][]Envelope[M]) (ge *groupEnc, raw int) {
 	ge = groupEncPool.Get().(*groupEnc)
-	ge.msgs = ge.msgs[:0]
-	ge.offs = ge.offs[:0]
-	ge.order = ge.order[:0]
-	for i := range batch {
-		ge.offs = append(ge.offs, len(ge.msgs))
-		ge.msgs = appendGroupEncoding(ge.msgs, &batch[i].Msg)
-		ge.order = append(ge.order, i)
+	ge.msgs, ge.offs, ge.dests, ge.order = ge.msgs[:0], ge.offs[:0], ge.dests[:0], ge.order[:0]
+	for _, chunk := range batch {
+		for i := range chunk {
+			ge.offs = append(ge.offs, len(ge.msgs))
+			ge.msgs = appendGroupEncoding(ge.msgs, &chunk[i].Msg)
+			ge.order = append(ge.order, len(ge.dests))
+			ge.dests = append(ge.dests, chunk[i].Dest)
+		}
 	}
 	ge.offs = append(ge.offs, len(ge.msgs))
 	sort.Slice(ge.order, func(a, b int) bool {
@@ -131,12 +133,10 @@ func newGroupEnc[M any](batch []Envelope[M]) (ge *groupEnc, raw int) {
 		if c := bytes.Compare(ge.enc(ia), ge.enc(ib)); c != 0 {
 			return c < 0
 		}
-		return batch[ia].Dest < batch[ib].Dest
+		return ge.dests[ia] < ge.dests[ib]
 	})
-	return ge, wireFrameHeader + 4*len(batch) + len(ge.msgs)
+	return ge, wireFrameHeader + 4*len(ge.dests) + len(ge.msgs)
 }
-
-func putGroupEnc(ge *groupEnc) { groupEncPool.Put(ge) }
 
 func commonPrefixLen(a, b []byte) int {
 	n, i := min(len(a), len(b)), 0
@@ -148,7 +148,7 @@ func commonPrefixLen(a, b []byte) int {
 
 // appendOneCompressedFrame emits envelopes order[lo:hi] as one compressed
 // frame (length prefix included), front coded against each other.
-func appendOneCompressedFrame[M any](buf []byte, step int, ge *groupEnc, batch []Envelope[M], lo, hi int, more bool) []byte {
+func appendOneCompressedFrame(buf []byte, step int, ge *groupEnc, lo, hi int, more bool) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length, patched below
 	word := uint32(step)&compressedStepMask | compressedFrameFlag
@@ -166,7 +166,7 @@ func appendOneCompressedFrame[M any](buf []byte, step int, ge *groupEnc, batch [
 		if i > lo {
 			shared = commonPrefixLen(prev, e)
 		}
-		d := int64(batch[idx].Dest)
+		d := int64(ge.dests[idx])
 		buf = binary.AppendVarint(buf, d-prevDest)
 		prevDest = d
 		buf = binary.AppendUvarint(buf, uint64(shared))
@@ -182,19 +182,20 @@ func appendOneCompressedFrame[M any](buf []byte, step int, ge *groupEnc, batch [
 // chunk when chunk <= 0), all but the last carrying the continuation bit, and
 // hands each frame — length prefix included, appended to whatever buffer next
 // supplies — to emit. raw is the flat-equivalent byte size of the batch.
-func encodeChunks[M any](step int, batch []Envelope[M], chunk int, next func() []byte, emit func(frame []byte)) (raw int) {
+func encodeChunks[M any](step int, batch [][]Envelope[M], chunk int, next func() []byte, emit func(frame []byte)) (raw int) {
 	ge, raw := newGroupEnc(batch)
-	defer putGroupEnc(ge)
-	if chunk <= 0 || chunk > len(batch) {
-		chunk = len(batch)
+	defer groupEncPool.Put(ge)
+	n := len(ge.dests)
+	if chunk <= 0 || chunk > n {
+		chunk = n
 	}
 	for lo := 0; ; lo += chunk {
 		hi := lo + chunk
-		more := hi < len(batch)
+		more := hi < n
 		if !more {
-			hi = len(batch)
+			hi = n
 		}
-		emit(appendOneCompressedFrame(next(), step, ge, batch, lo, hi, more))
+		emit(appendOneCompressedFrame(next(), step, ge, lo, hi, more))
 		if !more {
 			return raw
 		}
@@ -203,7 +204,7 @@ func encodeChunks[M any](step int, batch []Envelope[M], chunk int, next func() [
 
 // appendCompressedFrames appends batch's chunk train to buf — the form a
 // transport writes with one syscall.
-func appendCompressedFrames[M any](buf []byte, step int, batch []Envelope[M], chunk int) (out []byte, raw int) {
+func appendCompressedFrames[M any](buf []byte, step int, batch [][]Envelope[M], chunk int) (out []byte, raw int) {
 	raw = encodeChunks(step, batch, chunk, func() []byte { return buf }, func(f []byte) { buf = f })
 	return buf, raw
 }
@@ -212,14 +213,14 @@ func appendCompressedFrames[M any](buf []byte, step int, batch []Envelope[M], ch
 // to buf, length prefix included. Exported for the hot-path microbenchmarks
 // and golden fixtures; *M must implement WireMessage.
 func AppendCompressedFrame[M any](buf []byte, step int, batch []Envelope[M]) []byte {
-	out, _ := appendCompressedFrames(buf, step, batch, 0)
+	out, _ := appendCompressedFrames(buf, step, [][]Envelope[M]{batch}, 0)
 	return out
 }
 
 // compressBatch encodes batch into separately allocated chunk payloads
 // (length prefix stripped) — the form an inbox retains until the run loop
 // decodes it.
-func compressBatch[M any](step int, batch []Envelope[M], chunk int) (frames [][]byte, raw int) {
+func compressBatch[M any](step int, batch [][]Envelope[M], chunk int) (frames [][]byte, raw int) {
 	raw = encodeChunks(step, batch, chunk, func() []byte { return nil }, func(f []byte) { frames = append(frames, f[4:]) })
 	return frames, raw
 }
@@ -340,54 +341,80 @@ func DecodeFrame[M any](payload []byte) (step int, more bool, batch []Envelope[M
 }
 
 // Inbox is a worker's delivered messages — a superstep's worth in strict
-// mode, the pending queue under AsyncExchange: flat envelopes plus, in
+// mode, the pending queue under AsyncExchange: the non-empty envelope chunks
+// their senders filled (or a TCP reader decoded), in delivery order, plus, in
 // compressed mode, still-encoded compressed frame payloads that deliverInbox
 // decodes lazily, one bounded chunk at a time, so a dense inbox costs its
 // compressed size rather than its expanded size.
 type Inbox[M any] struct {
-	Envs   []Envelope[M]
+	Chunks [][]Envelope[M]
 	Frames [][]byte
 }
 
-func (ib *Inbox[M]) empty() bool { return len(ib.Envs) == 0 && len(ib.Frames) == 0 }
+func (ib *Inbox[M]) empty() bool { return len(ib.Chunks) == 0 && len(ib.Frames) == 0 }
 
-// deliverInbox is how a worker consumes deliveries: flat envelopes first,
+// chunksLen counts the envelopes of a chunked batch.
+func chunksLen[M any](chunks [][]Envelope[M]) (n int) {
+	for _, c := range chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// flatten concatenates a chunked batch — the cold paths' view of it: a
+// snapshot, a bench harness.
+func flatten[M any](chunks [][]Envelope[M]) []Envelope[M] {
+	out := make([]Envelope[M], 0, chunksLen(chunks))
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// deliverInbox is how a worker consumes deliveries: envelope chunks first,
 // then each compressed frame decoded lazily — one bounded chunk at a time,
 // through a pooled scratch — and delivered whole to a GroupProgram (per
-// message otherwise). The compressed_* counters it feeds are logical: they
-// ride RunStats, which rolls back with snapshots, so they stay exactly-once
-// across recovered and resumed runs. An abort or a closed done channel
-// short-circuits the rest of the inbox instead of draining it; after runs
-// after every Process/ProcessGroup call (the worker checks for a halt and
+// message otherwise); each chunk and frame is dropped from the inbox as soon
+// as its last message is processed. The compressed_* counters it feeds are
+// logical: they ride RunStats, which rolls back with snapshots, so they stay
+// exactly-once across recovered and resumed runs. An abort or a closed done
+// channel short-circuits the rest of the inbox instead of draining it; after
+// runs after every Process/ProcessGroup call (the worker checks for a halt and
 // flushes full frames there) and stops the delivery by returning false.
 // Returns the number of messages processed.
 func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M], ib *Inbox[M], done <-chan struct{}, after func() bool) int64 {
 	processed := int64(0)
-	for i, env := range ib.Envs {
-		if ctx.aborted.Load() != nil {
-			return processed
-		}
-		if i&255 == 0 {
-			select {
-			case <-done:
-				return processed
-			default:
-			}
-		}
-		prog.Process(ctx, env)
-		processed++
-		if !after() {
-			return processed
-		}
-	}
-	for _, fp := range ib.Frames {
-		if ctx.aborted.Load() != nil {
-			return processed
-		}
+	canceled := func() bool {
 		select {
 		case <-done:
-			return processed
+			return true
 		default:
+			return false
+		}
+	}
+	// each processes one chunk message by message; false stops the delivery.
+	each := func(chunk []Envelope[M]) bool {
+		for i := range chunk {
+			if ctx.aborted.Load() != nil || (i&255 == 0 && canceled()) {
+				return false
+			}
+			prog.Process(ctx, chunk[i])
+			processed++
+			if !after() {
+				return false
+			}
+		}
+		return true
+	}
+	for c, chunk := range ib.Chunks {
+		if !each(chunk) {
+			return processed
+		}
+		ib.Chunks[c] = nil
+	}
+	for f, fp := range ib.Frames {
+		if ctx.aborted.Load() != nil || canceled() {
+			return processed
 		}
 		_, _, batch, raw, err := decodeCompressedFrame[M](fp)
 		if err != nil {
@@ -396,30 +423,31 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 			ctx.Abort(fmt.Errorf("corrupt compressed inbox frame: %w", err))
 			return processed
 		}
-		ctx.AddCounter("compressed_frames", 1)
-		ctx.AddCounter("compressed_wire_bytes", int64(4+len(fp)))
-		ctx.AddCounter("compressed_raw_bytes", int64(raw))
-		if gprog != nil {
-			gprog.ProcessGroup(ctx, batch)
-			processed += int64(len(batch))
-			if !after() {
+		ctx.Add(ctrCompressedFrames, 1)
+		ctx.Add(ctrCompressedWireBytes, int64(4+len(fp)))
+		ctx.Add(ctrCompressedRawBytes, int64(raw))
+		ib.Frames[f] = nil
+		if gprog == nil {
+			if !each(batch) {
 				return processed
 			}
 			continue
 		}
-		for _, env := range batch {
-			if ctx.aborted.Load() != nil {
-				return processed
-			}
-			prog.Process(ctx, env)
-			processed++
-			if !after() {
-				return processed
-			}
+		gprog.ProcessGroup(ctx, batch)
+		processed += int64(len(batch))
+		if !after() {
+			return processed
 		}
 	}
 	return processed
 }
+
+// The counters deliverInbox feeds per decoded frame.
+var (
+	ctrCompressedFrames    = CounterID("compressed_frames")
+	ctrCompressedWireBytes = CounterID("compressed_wire_bytes")
+	ctrCompressedRawBytes  = CounterID("compressed_raw_bytes")
+)
 
 // GroupProgram is an optional Program extension for compressed mode: each
 // decoded compressed frame is delivered whole, in the encoder's prefix-sorted

@@ -20,7 +20,7 @@ import (
 // FuzzCompressedFrameDecode: valid frames in both codec paths, a chunked
 // continuation frame, a flat frame, and malformed inputs.
 func compressedFrameSeeds() map[string][]byte {
-	frames, _ := compressBatch(7, groupTestBatch(40), 16)
+	frames, _ := compressBatch(7, [][]Envelope[groupMsg]{groupTestBatch(40)}, 16)
 	return map[string][]byte{
 		"seed_group_batch":    AppendCompressedFrame(nil, 1, groupTestBatch(8))[4:],
 		"seed_fallback_batch": AppendCompressedFrame(nil, 3, wireTestBatch(5))[4:],

@@ -170,7 +170,7 @@ func TestCompressedFrameEmptyBatch(t *testing.T) {
 
 func TestCompressedChunkingContinuation(t *testing.T) {
 	batch := groupTestBatch(1200)
-	frames, raw := compressBatch(7, batch, 512)
+	frames, raw := compressBatch(7, [][]Envelope[groupMsg]{batch[:500], batch[500:]}, 512)
 	if len(frames) != 3 {
 		t.Fatalf("1200 envelopes at chunk 512: %d frames, want 3", len(frames))
 	}
@@ -403,10 +403,10 @@ func TestCompressedTCPObserverCounters(t *testing.T) {
 func TestGroupedSnapshotRoundTrip(t *testing.T) {
 	store := NewMemCheckpointStore()
 	big := groupTestBatch(700)
-	frames, _ := compressBatch(4, big, compressedChunk)
+	frames, _ := compressBatch(4, [][]Envelope[groupMsg]{big}, compressedChunk)
 	small := groupTestBatch(2)
 	inboxes := []Inbox[groupMsg]{
-		{Envs: small, Frames: frames},
+		{Chunks: [][]Envelope[groupMsg]{small[:1], small[1:]}, Frames: frames},
 		{},
 	}
 	stats := &RunStats{Counters: map[string]int64{"x": 1}}
@@ -424,7 +424,7 @@ func TestGroupedSnapshotRoundTrip(t *testing.T) {
 	if len(rows[0].Frames) != len(frames) {
 		t.Fatalf("grouped restore kept %d frames, want %d", len(rows[0].Frames), len(frames))
 	}
-	sameMultiset(t, rows[0].Envs, small)
+	sameMultiset(t, flatten(rows[0].Chunks), small)
 	var decoded []Envelope[groupMsg]
 	for _, fp := range rows[0].Frames {
 		_, _, batch, err := DecodeCompressedFrame[groupMsg](fp)
@@ -435,7 +435,7 @@ func TestGroupedSnapshotRoundTrip(t *testing.T) {
 	}
 	sameMultiset(t, decoded, big)
 	if !rows[1].empty() {
-		t.Fatalf("worker 1 restored %d envelopes and %d frames, want none", len(rows[1].Envs), len(rows[1].Frames))
+		t.Fatalf("worker 1 restored %d envelopes and %d frames, want none", len(rows[1].Chunks), len(rows[1].Frames))
 	}
 }
 
@@ -469,7 +469,7 @@ func TestCompressedGoldenFrames(t *testing.T) {
 			return AppendCompressedFrame(nil, 3, wireTestBatch(10))
 		}},
 		{"compressed_chunked_v1.golden", func() []byte {
-			out, _ := appendCompressedFrames(nil, 5, groupTestBatch(40), 16)
+			out, _ := appendCompressedFrames(nil, 5, [][]Envelope[groupMsg]{groupTestBatch(40)}, 16)
 			return out
 		}},
 	}

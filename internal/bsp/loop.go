@@ -152,7 +152,7 @@ type worker[M any] struct {
 	procTime  time.Duration
 	processed int64
 	produced  int64
-	counters  map[string]int64
+	counters  []int64 // the context's counter slots, as of the latest burst
 }
 
 // attempt is one incarnation of the loop: fresh queues, fresh detector, fresh
@@ -237,7 +237,7 @@ func newAttempt[M any](r *run[M]) *attempt[M] {
 	a.gprog, _ = any(r.prog).(GroupProgram[M])
 	a.step.Store(int64(r.step))
 	for w := 0; w < k; w++ {
-		wk := &worker[M]{released: true, counters: map[string]int64{}}
+		wk := &worker[M]{released: true}
 		wk.cond = sync.NewCond(&wk.mu)
 		if w < len(r.inboxes) {
 			wk.queue = r.inboxes[w]
@@ -256,9 +256,9 @@ func (a *attempt[M]) hooks() hooks[M] {
 // not: the stepped policy's one fault opportunity per step attempt (faults.go).
 func opensStep(src, dst int) bool { return src == 0 && dst == 0 }
 
-// deliver takes what one Send carried. Stepped, it stages the frame for the
-// boundary to publish. Pipelined, it appends to dst's queue (copying the
-// envelopes: senders reuse their buffers), and the ordering is load-bearing:
+// deliver takes what one Send carried — the chunks are dst's from here on.
+// Stepped, it stages the frame for the boundary to publish. Pipelined, it
+// appends the chunk headers to dst's queue, and the ordering is load-bearing:
 // append, clear the idle flag, and bump the activity epoch all under the queue
 // lock, so the detector can never see dst idle over a frame it has not woken
 // up for.
@@ -278,15 +278,13 @@ func (a *attempt[M]) deliver(src, dst, ord int, in Inbox[M]) {
 			a.fatalErr(fmt.Errorf("bsp: frame %d->%d: step skew %d != %d", src, dst, ord, step))
 			return
 		}
-		// The sender's buffer may be aliased here: it stays untouched until
-		// the boundary has copied the frame into dst's queue.
 		a.staged[dst][src] = in
 		return
 	}
 	wk := a.workers[dst]
 	wk.mu.Lock()
 	busy := !a.det.idle[dst].Load() && !wk.queue.empty()
-	wk.queue.Envs = append(wk.queue.Envs, in.Envs...)
+	wk.queue.Chunks = append(wk.queue.Chunks, in.Chunks...)
 	wk.queue.Frames = append(wk.queue.Frames, in.Frames...)
 	a.det.enqueued(dst)
 	wk.cond.Signal()
@@ -433,7 +431,14 @@ func (a *attempt[M]) boundary() (done bool, err error) {
 	for dst, wk := range a.workers {
 		wk.mu.Lock()
 		if a.stepped {
-			a.publish(wk, a.staged[dst])
+			// Publish what every source staged, in source order: chunk headers
+			// and frame payloads move, no envelope does. The staged references
+			// go now, so the worker draining a chunk is the one that frees it.
+			for _, in := range a.staged[dst] {
+				wk.queue.Chunks = append(wk.queue.Chunks, in.Chunks...)
+				wk.queue.Frames = append(wk.queue.Frames, in.Frames...)
+			}
+			clear(a.staged[dst])
 		}
 		inboxes[dst] = wk.queue
 		pending = pending || !wk.queue.empty()
@@ -475,25 +480,6 @@ func (a *attempt[M]) boundary() (done bool, err error) {
 	return false, nil
 }
 
-// publish moves what every source staged for one worker into its (drained)
-// queue, in source order. The inbox is allocated to size, not grown in the
-// storage the worker recycles: supersteps differ in size by orders of
-// magnitude, and a buffer kept at the largest would stay resident all run.
-func (a *attempt[M]) publish(wk *worker[M], row []Inbox[M]) {
-	total := 0
-	for src := range row {
-		total += len(row[src].Envs)
-	}
-	wk.queue.Envs = make([]Envelope[M], 0, total)
-	for src := range row {
-		wk.queue.Envs = append(wk.queue.Envs, row[src].Envs...)
-		wk.queue.Frames = append(wk.queue.Frames, row[src].Frames...)
-	}
-	// Drop the staged references now: the senders' frames must not stay live
-	// through the next superstep's compute.
-	clear(row)
-}
-
 func (a *attempt[M]) broadcastAll() {
 	for _, wk := range a.workers {
 		wk.mu.Lock()
@@ -509,6 +495,9 @@ func (a *attempt[M]) broadcastAll() {
 // last boundary); both give the coordinator lock-ordered visibility.
 func (a *attempt[M]) mergeDeltas() (produced int64, computed time.Time) {
 	row := make([]time.Duration, len(a.workers))
+	counters.Lock()
+	names := counters.names // entries are never rewritten: readable unlocked
+	counters.Unlock()
 	var processed int64
 	ran := false
 	for w, wk := range a.workers {
@@ -521,9 +510,11 @@ func (a *attempt[M]) mergeDeltas() (produced int64, computed time.Time) {
 		a.r.stats.WorkerMessages[w] += wk.processed
 		produced += wk.produced
 		processed += wk.processed
-		for name, v := range wk.counters {
-			a.r.stats.Counters[name] += v
-			delete(wk.counters, name)
+		for id, v := range wk.counters {
+			if v != 0 {
+				a.r.stats.Counters[names[id]] += v
+				wk.counters[id] = 0
+			}
 		}
 		wk.ran, wk.procTime, wk.processed, wk.produced = false, 0, 0, 0
 		wk.mu.Unlock()
@@ -545,10 +536,7 @@ func (a *attempt[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time,
 	wk.procTime += end.Sub(start)
 	wk.processed += processed
 	wk.produced += wctx.sent
-	for name, v := range wctx.local {
-		wk.counters[name] += v
-		delete(wctx.local, name)
-	}
+	wk.counters = wctx.local // one storage: mergeDeltas folds and zeroes it in place
 	wk.mu.Unlock()
 	wctx.sent = 0
 }
@@ -561,11 +549,12 @@ func (a *attempt[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time,
 // own queue (no transport, no credit: the worker re-checks its queue before
 // idling) and wire frames go under the worker's sequence number. all=false
 // ships only batches that reached flushEvery; all=true drains everything.
+// Either way a shipped batch is its receiver's: the context starts a new one.
 func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 	w := wctx.worker
 	for dst, batch := range wctx.out {
 		opens := a.stepped && opensStep(w, dst)
-		if (len(batch) == 0 && !opens) || (!all && len(batch) < a.flushEvery) {
+		if n := chunksLen(batch); (n == 0 && !opens) || (!all && n < a.flushEvery) {
 			continue
 		}
 		if wk.flushSeq++; wk.flushSeq > a.maxFrames {
@@ -574,7 +563,7 @@ func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 		}
 		if dst == w && !a.stepped {
 			wk.mu.Lock()
-			wk.queue.Envs = append(wk.queue.Envs, batch...)
+			wk.queue.Chunks = append(wk.queue.Chunks, batch...)
 			wk.mu.Unlock()
 		} else {
 			wk.sendSeq++
@@ -591,12 +580,7 @@ func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 				return false
 			}
 		}
-		// A pipelined sender reuses its buffer (deliver copied it); a staged
-		// frame may alias its buffer until the boundary, so that one goes.
-		wctx.out[dst] = batch[:0]
-		if a.stepped {
-			wctx.out[dst] = nil
-		}
+		wctx.out[dst] = nil
 	}
 	return true
 }
@@ -626,7 +610,6 @@ func (a *attempt[M]) workerLoop(w int) {
 		}
 		return true
 	}
-	var burst Inbox[M]
 	for {
 		wk.mu.Lock()
 		// Nothing to drain, or a boundary is being induced: ship what is
@@ -650,9 +633,10 @@ func (a *attempt[M]) workerLoop(w int) {
 			a.nudgeCoordinator() // an abort is the coordinator's to report
 			return
 		}
-		// Swap the queue out and recycle the drained burst's envelope
-		// storage; the frame list is dropped so its payloads can be freed.
-		burst, wk.queue = wk.queue, Inbox[M]{Envs: burst.Envs[:0]}
+		// Take the queue; deliverInbox drops each chunk and frame of the burst
+		// as it finishes with it.
+		burst := wk.queue
+		wk.queue = Inbox[M]{}
 		wk.released = false
 		wk.mu.Unlock()
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,9 @@ type reverseTransport struct {
 	held   []func()
 }
 
-func (r *reverseTransport) Send(_ context.Context, src, dst, ord int, batch []Envelope[wint]) error {
+func (r *reverseTransport) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
 	fire := func() {
-		r.h.deliver(src, dst, ord, Inbox[wint]{Envs: batch})
+		r.h.deliver(src, dst, ord, Inbox[wint]{Chunks: batch})
 		r.h.ack(src)
 	}
 	r.mu.Lock()
@@ -133,11 +134,11 @@ func TestStepInboxOrderIdenticalAcrossTransports(t *testing.T) {
 // superstep — and, like the TCP reader, acking it all the same.
 type skewTransport struct{ h hooks[wint] }
 
-func (s skewTransport) Send(_ context.Context, src, dst, ord int, batch []Envelope[wint]) error {
+func (s skewTransport) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
 	if src == 1 && dst == 0 {
 		ord++
 	}
-	s.h.deliver(src, dst, ord, Inbox[wint]{Envs: batch})
+	s.h.deliver(src, dst, ord, Inbox[wint]{Chunks: batch})
 	s.h.ack(src)
 	return nil
 }
@@ -222,7 +223,7 @@ type gateTransport struct {
 	once     sync.Once
 }
 
-func (g *gateTransport) Send(ctx context.Context, src, dst, ord int, batch []Envelope[wint]) error {
+func (g *gateTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
 	if opensStep(src, dst) && ord == 0 {
 		select {
 		case <-g.peerSent:
@@ -261,7 +262,7 @@ type slowTransport struct {
 	cost  time.Duration
 }
 
-func (s slowTransport) Send(ctx context.Context, src, dst, ord int, batch []Envelope[wint]) error {
+func (s slowTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
 	time.Sleep(s.cost)
 	return s.inner.Send(ctx, src, dst, ord, batch)
 }
@@ -374,7 +375,7 @@ func (m *detModel) qlen(w int) int {
 	wk := m.a.workers[w]
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
-	return len(wk.queue.Envs)
+	return chunksLen(wk.queue.Chunks)
 }
 
 // freeze records the state the path led to — everything that decides what can
@@ -440,7 +441,7 @@ func (m *detModel) apply(e detEvent) {
 		if a.stepped && m.sent[w] == 1 {
 			dst = w
 		}
-		a.deliver(w, dst, 0, Inbox[wint]{Envs: []Envelope[wint]{{Msg: 1}}})
+		a.deliver(w, dst, 0, Inbox[wint]{Chunks: [][]Envelope[wint]{{{Msg: 1}}}})
 		m.sent[w]++
 		if !a.stepped {
 			m.parked[dst] = false // the enqueue woke it
@@ -555,5 +556,49 @@ func TestDetectorInterleavings(t *testing.T) {
 		if m = replayDetModel(stepped, append(late, evScan, evScanIdle, evScanCred)); m.coord != coordDone {
 			t.Fatalf("stepped=%v: the scan after the late ack ended in state %d, want done", stepped, m.coord)
 		}
+	}
+}
+
+// TestSteppedInboxFreedOnceDrained: a superstep's inbox belongs to the worker
+// draining it, chunk by chunk, and nothing else keeps it — once superstep s+1
+// is computing, no storage of superstep s's inboxes is reachable. The messages
+// are pointers to finalizable payloads, so an inbox retained anywhere (a
+// recycled burst, a staged row, a sender's buffer) shows as payloads the
+// collector cannot free.
+func TestSteppedInboxFreedOnceDrained(t *testing.T) {
+	type payload struct{ pad [64]byte }
+	const workers, perWorker = 2, 500
+	var freed atomic.Int64
+	prog := &funcProgram[*payload]{
+		init: func(ctx *Context[*payload]) {
+			for i := 0; i < perWorker; i++ {
+				p := new(payload)
+				runtime.SetFinalizer(p, func(*payload) { freed.Add(1) })
+				ctx.Send(graph.VertexID(i), p)
+			}
+		},
+		process: func(ctx *Context[*payload], env Envelope[*payload]) {
+			switch ctx.Step() {
+			case 1:
+				// Superstep 1 drains the tracked inboxes; one untracked message
+				// keeps the run alive for a superstep 2.
+				if env.Dest == 0 && ctx.Worker() == 0 {
+					ctx.Send(0, nil)
+				}
+			case 2:
+				deadline := time.Now().Add(10 * time.Second)
+				for freed.Load() < workers*perWorker && time.Now().Before(deadline) {
+					runtime.GC()
+					time.Sleep(time.Millisecond)
+				}
+				if got := freed.Load(); got != workers*perWorker {
+					t.Errorf("superstep 2 is computing and %d of superstep 1's %d inbox payloads are still reachable", workers*perWorker-got, workers*perWorker)
+				}
+			}
+		},
+	}
+	cfg := Config{Workers: workers, Owner: func(v graph.VertexID) int { return int(v) % workers }}
+	if _, err := Run[*payload](cfg, prog); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -135,7 +135,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // sendFrame is one transport Send under the run's retry policy — the loop's
 // retry unit. A failed Send delivered nothing, so re-issuing it with
 // the same batch is safe; each failed attempt is reported to the observer.
-func sendFrame[M any](ctx context.Context, t transport[M], cfg *Config, src, dst, ord int, batch []Envelope[M]) error {
+func sendFrame[M any](ctx context.Context, t transport[M], cfg *Config, src, dst, ord int, batch [][]Envelope[M]) error {
 	attempt := 0
 	return withRetry(ctx, cfg.Retry, func() error {
 		attempt++

@@ -352,3 +352,62 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 		t.Errorf("PerStepMessages = %v, want %v", stats.PerStepMessages, clean.PerStepMessages)
 	}
 }
+
+// TestCounterSlots pins what RunStats.Counters promises now that counters are
+// slots: a key is present iff its total is non-zero (a zero delta creates
+// none), and a counter whose first use comes after a snapshot was written —
+// so the snapshot has no key for it — resumes to the clean run's totals.
+func TestCounterSlots(t *testing.T) {
+	late := CounterID("late")
+	newProg := func() *funcProgram[int] {
+		return &funcProgram[int]{
+			init: func(ctx *Context[int]) {
+				ctx.AddCounter("never", 0)
+				for v := 0; v < 20; v++ {
+					ctx.Send(graph.VertexID(v), 5)
+				}
+			},
+			process: func(ctx *Context[int], env Envelope[int]) {
+				ctx.AddCounter("early", 1)
+				if ctx.Step() >= 3 {
+					ctx.Add(late, 2)
+				}
+				if env.Msg > 0 {
+					ctx.Send(env.Dest+1, env.Msg-1)
+				}
+			},
+		}
+	}
+	cfg := Config{Workers: 3, Owner: func(v graph.VertexID) int { return int(v) % 3 }}
+	clean, err := Run[int](cfg, newProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int64{"early": 360, "late": 480}; !reflect.DeepEqual(clean.Counters, want) {
+		t.Fatalf("clean counters = %v, want %v (and no key for the zero delta)", clean.Counters, want)
+	}
+
+	store := NewMemCheckpointStore()
+	faulty := cfg
+	faulty.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 1, ErrorRate: 1, FromStep: 3, MaxFaults: 1})
+	faulty.CheckpointEvery, faulty.CheckpointStore = 1, store
+	if _, err := Run[int](faulty, newProg()); !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("faulty run err = %v, want ErrInjectedFault", err)
+	}
+	snap, err := loadSnapshot[int](store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := snap.Stats.Counters["late"]; ok || snap.Step != 3 {
+		t.Fatalf("snapshot at step %d has counters %v: want step 3, before the first use of late", snap.Step, snap.Stats.Counters)
+	}
+	resumed := cfg
+	resumed.ResumeFrom = store
+	got, err := Run[int](resumed, newProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Counters, clean.Counters) {
+		t.Errorf("resumed counters = %v, want %v", got.Counters, clean.Counters)
+	}
+}

@@ -299,7 +299,7 @@ func firstSetupError(errs []error) error {
 // chunks when the codec is compressed and the batch worth coding — in a
 // pooled buffer and writes it with a single syscall. A worker's batch for
 // itself skips the network but not the codec.
-func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []Envelope[M]) error {
+func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
 	if t.closed.Load() {
 		return net.ErrClosed
 	}
@@ -315,10 +315,10 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch []E
 	}
 	bp := getWireBuf()
 	raw := 0
-	if t.compress && len(batch) >= compressMinBatch {
+	if t.compress && chunksLen(batch) >= compressMinBatch {
 		*bp, raw = appendCompressedFrames(*bp, ord, batch, compressedChunk)
 	} else {
-		*bp = AppendWireFrame(*bp, ord, batch)
+		*bp = appendWireFrame(*bp, ord, batch)
 	}
 	n := int64(len(*bp))
 	p := &t.pairs[src][dst]
@@ -380,7 +380,10 @@ func (t *tcpTransport[M]) readSend(p *pairConn) (ord int, in Inbox[M], err error
 			if len(in.Frames) > 0 {
 				return 0, in, fmt.Errorf("flat frame inside a compressed train")
 			}
-			ord, in.Envs, err = DecodeWireFrame[M](payload)
+			ord, envs, err := DecodeWireFrame[M](payload)
+			if len(envs) > 0 {
+				in.Chunks = [][]Envelope[M]{envs}
+			}
 			return ord, in, err
 		}
 		word := binary.LittleEndian.Uint32(payload)

@@ -12,15 +12,17 @@ import (
 // the loopback-TCP mesh (tcpTransport), and the fault middleware that wraps
 // either (faultTransport).
 //
-// Send is done with batch when it returns, unless it handed the slice to
-// deliver (see hooks). ord is the ordinal word of the frame header — the
+// batch is a list of envelope chunks (Context.Send fills them). A Send that
+// succeeds owns them — it hands them to deliver as they are, or is done with
+// them when it returns — and one that fails leaves them with the sender, to
+// retry. ord is the ordinal word of the frame header — the
 // superstep in the stepped policy, the sender's wire-frame sequence number in
 // the pipelined one — and the address fault schedules match against. A
 // successful Send is delivered and then acknowledged through the hooks
 // exactly once, possibly after it returns (the TCP mesh does both from its
 // reader goroutines); a failed Send delivers and acks nothing.
 type transport[M any] interface {
-	Send(ctx context.Context, src, dst, ord int, batch []Envelope[M]) error
+	Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) error
 	// Close releases the transport and returns once no hook can fire any
 	// more. It is idempotent.
 	Close() error
@@ -29,9 +31,8 @@ type transport[M any] interface {
 // hooks are the loop-side callbacks a transport delivers through.
 type hooks[M any] struct {
 	// deliver hands dst everything one Send carried, in the form the
-	// transport's codec left it: flat envelopes or still-encoded compressed
-	// frames. in.Envs may alias the sender's batch (the in-process flat
-	// path); a loop whose senders reuse their buffers must copy.
+	// transport's codec left it: envelope chunks or still-encoded compressed
+	// frames. Whatever in holds is the receiver's to keep.
 	deliver func(src, dst, ord int, in Inbox[M])
 	// ack follows deliver for the same Send, strictly after it.
 	ack func(src int)
@@ -88,27 +89,23 @@ func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h 
 	}
 }
 
-// packInbox is the codec applied to a batch that never touches a socket:
-// flat passes the envelopes through; compressed front codes every batch
-// worth coding into bounded chunks that stay encoded until deliverInbox
-// expands them, so an inbox costs its compressed size wherever its messages
-// came from.
-func packInbox[M any](compress bool, ord int, batch []Envelope[M]) Inbox[M] {
-	if !compress || len(batch) < compressMinBatch {
-		return Inbox[M]{Envs: batch}
-	}
-	frames, _ := compressBatch(ord, batch, compressedChunk)
-	return Inbox[M]{Frames: frames}
-}
-
-// localTransport delivers in-process: deliver, then ack, synchronously.
+// localTransport delivers in-process: deliver, then ack, synchronously. Flat,
+// the sender's chunks pass through as they are; compressed, every batch worth
+// coding is front coded into bounded frames that stay encoded until
+// deliverInbox expands them, so an inbox costs its compressed size wherever
+// its messages came from.
 type localTransport[M any] struct {
 	compress bool
 	h        hooks[M]
 }
 
-func (t localTransport[M]) Send(_ context.Context, src, dst, ord int, batch []Envelope[M]) error {
-	t.h.deliver(src, dst, ord, packInbox(t.compress, ord, batch))
+func (t localTransport[M]) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
+	in := Inbox[M]{Chunks: batch}
+	if t.compress && chunksLen(batch) >= compressMinBatch {
+		in.Chunks = nil
+		in.Frames, _ = compressBatch(ord, batch, compressedChunk)
+	}
+	t.h.deliver(src, dst, ord, in)
 	t.h.ack(src)
 	return nil
 }

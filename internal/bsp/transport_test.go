@@ -22,6 +22,17 @@ import (
 	"psgl/internal/obs"
 )
 
+// splitChunks cuts batch into chunks of at most size envelopes.
+func splitChunks[M any](batch []Envelope[M], size int) (chunks [][]Envelope[M]) {
+	for ; len(batch) > size; batch = batch[size:] {
+		chunks = append(chunks, batch[:size])
+	}
+	if len(batch) > 0 {
+		chunks = append(chunks, batch)
+	}
+	return chunks
+}
+
 // recorder is a loop stand-in: it keeps everything the hooks were handed.
 type recorder[M any] struct {
 	compress  bool // the codec under test: batches worth coding must arrive encoded
@@ -37,11 +48,12 @@ func (r *recorder[M]) hooks(t *testing.T) hooks[M] {
 		deliver: func(_, _, _ int, in Inbox[M]) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			r.delivered = append(r.delivered, in.Envs...)
+			flat := chunksLen(in.Chunks)
+			r.delivered = append(r.delivered, flatten(in.Chunks)...)
 			// One Send arrives flat or coded, never mixed; the flat codec never
 			// codes, the compressed one codes every batch worth coding.
-			if (len(in.Frames) > 0 && (!r.compress || len(in.Envs) > 0)) || (r.compress && len(in.Envs) >= compressMinBatch) {
-				t.Errorf("codec compress=%v delivered %d flat envelopes and %d frames in one Send", r.compress, len(in.Envs), len(in.Frames))
+			if (len(in.Frames) > 0 && (!r.compress || flat > 0)) || (r.compress && flat >= compressMinBatch) {
+				t.Errorf("codec compress=%v delivered %d flat envelopes and %d frames in one Send", r.compress, flat, len(in.Frames))
 			}
 			for _, fp := range in.Frames {
 				_, _, batch, err := DecodeCompressedFrame[M](fp)
@@ -137,7 +149,8 @@ func TestTransportConformance(t *testing.T) {
 								}
 								for try := 0; ; try++ {
 									before := rec.deliveredCount()
-									err := tr.Send(context.Background(), src, dst, ord, batch)
+									// As the 37-envelope chunks a sender might have filled.
+									err := tr.Send(context.Background(), src, dst, ord, splitChunks(batch, 37))
 									if err == nil {
 										break
 									}
@@ -234,7 +247,7 @@ func TestTCPTornWriteKillsThePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []Envelope[wint]{{Dest: 1, Msg: 7}, {Dest: 3, Msg: 9}}
+	batch := [][]Envelope[wint]{{{Dest: 1, Msg: 7}, {Dest: 3, Msg: 9}}}
 	if err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
 		t.Fatal("torn write reported success")
 	}
@@ -374,7 +387,7 @@ func TestTCPSendHonorsContextDeadlineOnFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	err = tr.Send(pastDeadlineCtx{context.Background()}, 0, 1, 0, []Envelope[wint]{{Dest: 1, Msg: 42}})
+	err = tr.Send(pastDeadlineCtx{context.Background()}, 0, 1, 0, [][]Envelope[wint]{{{Dest: 1, Msg: 42}}})
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want os.ErrDeadlineExceeded", err)
 	}

@@ -68,13 +68,21 @@ func putWireBuf(bp *[]byte) {
 // length prefix patched in, ready for a single conn.Write. Exported for the
 // hot-path microbenchmarks; M's pointer must implement WireMessage.
 func AppendWireFrame[M any](buf []byte, step int, batch []Envelope[M]) []byte {
+	return appendWireFrame(buf, step, [][]Envelope[M]{batch})
+}
+
+// appendWireFrame is AppendWireFrame over a chunked batch: one frame, the
+// chunks' envelopes in order.
+func appendWireFrame[M any](buf []byte, step int, batch [][]Envelope[M]) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length, patched below
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(step))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(batch)))
-	for i := range batch {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(batch[i].Dest))
-		buf = any(&batch[i].Msg).(WireMessage).AppendWire(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(chunksLen(batch)))
+	for _, chunk := range batch {
+		for i := range chunk {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(chunk[i].Dest))
+			buf = any(&chunk[i].Msg).(WireMessage).AppendWire(buf)
+		}
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf

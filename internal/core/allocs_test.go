@@ -7,8 +7,10 @@ package core
 // silently regress.
 
 import (
+	"runtime"
 	"testing"
 
+	"psgl/internal/gen"
 	"psgl/internal/pattern"
 )
 
@@ -36,7 +38,51 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("expand allocates %.1f/op in steady state, want 0", avg)
 			}
+			// The same pin across chunk boundaries: the whole inbox between two
+			// resets fills every destination's batch many chunks deep, and the
+			// context must walk into the chunks it kept, not allocate.
+			avg = testing.AllocsPerRun(20, func() {
+				ctx.ResetSends()
+				for _, env := range inbox {
+					e.Process(ctx, env)
+				}
+			})
+			if sent := ctx.SentCount(); sent < 1000*int64(e.opts.Workers) {
+				t.Fatalf("the inbox sends %d messages: too few to cross chunks for %d workers", sent, e.opts.Workers)
+			}
+			if avg != 0 {
+				t.Errorf("expanding the whole inbox allocates %.1f/run in steady state, want 0", avg)
+			}
 		})
+	}
+}
+
+// TestRunBytesPerGpsi is the whole-run companion to the per-message pins: what
+// a run allocates, all told — engine set-up, frontier chunks, loop bookkeeping
+// — per Gpsi it generates. A Gpsi's envelope is 80 bytes and is allocated
+// once, in the chunk that carries it from Send to Process; the budget leaves
+// that as much again for everything else. (Before chunks every superstep's
+// out-buffers regrew from nil and the barrier copied them: ~450 B.)
+func TestRunBytesPerGpsi(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the run's")
+	}
+	g := gen.ChungLu(15000, 75000, 2.2, 1)
+	for _, async := range []bool{false, true} {
+		opts := NewOptions()
+		opts.Workers, opts.Seed, opts.AsyncExchange = 2, 1, async
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(g, pattern.PG2(), opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perGpsi := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Stats.GpsiGenerated)
+		t.Logf("async=%v: %d Gpsis, %.0f B allocated per Gpsi", async, res.Stats.GpsiGenerated, perGpsi)
+		if perGpsi > 160 {
+			t.Errorf("async=%v: %.0f B allocated per Gpsi generated, budget 160", async, perGpsi)
+		}
 	}
 }
 

@@ -80,10 +80,10 @@ func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Op
 	runStats, err := bsp.RunContext[gpsi](ctx, cfg, e)
 	wall := time.Since(start)
 	if err != nil {
-		if oom := e.oomErr.Load(); oom != nil {
+		switch e.halted.Load() {
+		case haltOOM:
 			return e.buildResult(runStats, wall), ErrOutOfMemory
-		}
-		if e.stopped.Load() {
+		case haltStopped:
 			// The MaxResults early stop aborts the BSP run on purpose; the
 			// truncated enumeration is a success.
 			return e.buildResult(runStats, wall), nil
@@ -97,6 +97,51 @@ func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Op
 // instances have been found; RunContext converts it back into a successful,
 // truncated result.
 var errEarlyStop = errors.New("psgl: result limit reached")
+
+// engineCounter ties a run counter to the Stats field buildResult reads it
+// into. engineCounters is the whole table, filled as the ids below initialize;
+// the hot path counts through the ids, never through a name.
+type engineCounter struct {
+	id    bsp.Counter
+	name  string
+	field func(*Stats) *int64
+}
+
+var engineCounters []engineCounter
+
+func counter(name string, field func(*Stats) *int64) bsp.Counter {
+	id := bsp.CounterID(name)
+	engineCounters = append(engineCounters, engineCounter{id, name, field})
+	return id
+}
+
+var (
+	ctrGenerated       = counter("generated", func(s *Stats) *int64 { return &s.GpsiGenerated })
+	ctrProcessed       = counter("processed", func(s *Stats) *int64 { return &s.GpsiProcessed })
+	ctrInline          = counter("inline", func(s *Stats) *int64 { return &s.InlineExpansions })
+	ctrPrunedDegree    = counter("pruned_degree", func(s *Stats) *int64 { return &s.PrunedByDegree })
+	ctrPrunedOrder     = counter("pruned_order", func(s *Stats) *int64 { return &s.PrunedByOrder })
+	ctrPrunedIndex     = counter("pruned_index", func(s *Stats) *int64 { return &s.PrunedByIndex })
+	ctrPrunedInjective = counter("pruned_injective", func(s *Stats) *int64 { return &s.PrunedByInjectivity })
+	ctrPrunedVerify    = counter("pruned_verify", func(s *Stats) *int64 { return &s.PrunedByVerify })
+	ctrPrunedLabel     = counter("pruned_label", func(s *Stats) *int64 { return &s.PrunedByLabel })
+	ctrPrunedFilter    = counter("pruned_filter", func(s *Stats) *int64 { return &s.PrunedByFilter })
+	ctrIndexQueries    = counter("index_queries", func(s *Stats) *int64 { return &s.EdgeIndexQueries })
+	ctrBitsetAnd       = counter("bitset_and", func(s *Stats) *int64 { return &s.BitsetAndCandidates })
+	ctrGroupRuns       = counter("group_runs", func(s *Stats) *int64 { return &s.GroupRuns })
+	ctrGroupMembers    = counter("group_members", func(s *Stats) *int64 { return &s.GroupMembers })
+	ctrResults         = counter("results", func(s *Stats) *int64 { return &s.Results })
+	// Fed by bsp as it decodes a compressed inbox frame.
+	_ = counter("compressed_frames", func(s *Stats) *int64 { return &s.CompressedFrames })
+	_ = counter("compressed_wire_bytes", func(s *Stats) *int64 { return &s.CompressedWireBytes })
+	_ = counter("compressed_raw_bytes", func(s *Stats) *int64 { return &s.CompressedRawBytes })
+)
+
+// The values of engine.halted.
+const (
+	haltStopped = 1 + iota // MaxResults reached: the truncated run is a success
+	haltOOM                // MaxIntermediate exceeded
+)
 
 // engine implements bsp.Program[gpsi] (and bsp.Snapshotter, so its
 // accumulators ride barrier snapshots and stay exactly-once under recovery).
@@ -117,6 +162,10 @@ type engine struct {
 	proto gpsi
 	// edgeID[a][b] numbers the pattern edges for the Pending bitmask.
 	edgeID [][]int
+	// precede[v] is the set of pattern vertices v must rank below under the
+	// symmetry-breaking partial order, follow[v] the set it must rank above,
+	// adjacent[v] its neighbors — bitmasks, for breaksOrder and admits.
+	precede, follow, adjacent [maxPatternVertices]uint16
 	// pEdges caches p.Edges() (which builds a fresh slice per call) for the
 	// pending-edge scan in grayCandidates.
 	pEdges [][2]int
@@ -135,12 +184,13 @@ type engine struct {
 	// worker w), the basis of the Equation 3 load makespan.
 	stepLoads [][]float64
 
+	// generated and results are shared by every worker, so they are written
+	// only under the option that needs a global total: MaxIntermediate and
+	// MaxResults. halted latches the first cap hit (haltOOM, haltStopped) and
+	// is the one flag expand and combine read to short-circuit the rest.
 	generated atomic.Int64
-	oomErr    atomic.Pointer[error]
-	// results counts emitted instances when MaxResults > 0; stopped latches
-	// once the cap is hit so every worker short-circuits its remaining work.
-	results atomic.Int64
-	stopped atomic.Bool
+	results   atomic.Int64
+	halted    atomic.Int32
 
 	mu        sync.Mutex
 	instances [][]graph.VertexID
@@ -216,6 +266,17 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, opts Options) (*engine, error
 		e.edgeID[edge[0]][edge[1]] = i
 		e.edgeID[edge[1]][edge[0]] = i
 	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if p.MustPrecede(a, b) {
+				e.precede[a] |= 1 << uint(b)
+				e.follow[b] |= 1 << uint(a)
+			}
+			if p.HasEdge(a, b) {
+				e.adjacent[a] |= 1 << uint(b)
+			}
+		}
+	}
 	switch {
 	case opts.InitialVertex >= p.N():
 		return nil, fmt.Errorf("psgl: initial vertex %d out of range [0,%d)", opts.InitialVertex, p.N())
@@ -289,20 +350,14 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 		e.initSeeds(ctx)
 		return
 	}
-	w := ctx.Worker()
 	minDeg := e.p.Degree(e.initial)
-	for _, vd := range e.owned[w] {
-		if e.g.Degree(vd) < minDeg {
-			ctx.AddCounter("pruned_degree", 1)
-			continue
-		}
-		if e.opts.DataLabels != nil && int(e.opts.DataLabels[vd]) != e.p.Label(e.initial) {
-			ctx.AddCounter("pruned_label", 1)
+	for _, vd := range e.owned[ctx.Worker()] {
+		if !e.hosts(ctx, e.initial, minDeg, vd) {
 			continue
 		}
 		m := e.proto
 		m.Map[e.initial] = vd
-		e.send(ctx, m)
+		e.send(ctx, &m)
 	}
 }
 
@@ -317,7 +372,7 @@ func (e *engine) initSeeds(ctx *bsp.Context[gpsi]) {
 			continue
 		}
 		if m, ok := e.seedGpsi(ctx, s); ok {
-			e.send(ctx, m)
+			e.send(ctx, &m)
 		}
 	}
 }
@@ -331,12 +386,7 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 	m := e.proto
 	for i, pv := range s.PatternVertices {
 		dv := s.DataVertices[i]
-		if e.g.Degree(dv) < e.p.Degree(pv) {
-			ctx.AddCounter("pruned_degree", 1)
-			return m, false
-		}
-		if e.opts.DataLabels != nil && int(e.opts.DataLabels[dv]) != e.p.Label(pv) {
-			ctx.AddCounter("pruned_label", 1)
+		if !e.hosts(ctx, pv, e.p.Degree(pv), dv) {
 			return m, false
 		}
 		m.Map[pv] = dv
@@ -344,17 +394,12 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 	for i, pv := range s.PatternVertices {
 		du := m.Map[pv]
 		for _, qv := range s.PatternVertices[i+1:] {
-			dv := m.Map[qv]
-			if e.p.MustPrecede(pv, qv) && !e.ord.Less(du, dv) {
-				ctx.AddCounter("pruned_order", 1)
+			if e.breaksOrder(&m, pv, du, 1<<uint(qv)) {
+				ctx.Add(ctrPrunedOrder, 1)
 				return m, false
 			}
-			if e.p.MustPrecede(qv, pv) && !e.ord.Less(dv, du) {
-				ctx.AddCounter("pruned_order", 1)
-				return m, false
-			}
-			if e.p.HasEdge(pv, qv) && !e.g.HasEdge(du, dv) {
-				ctx.AddCounter("pruned_verify", 1)
+			if e.p.HasEdge(pv, qv) && !e.g.HasEdge(du, m.Map[qv]) {
+				ctx.Add(ctrPrunedVerify, 1)
 				return m, false
 			}
 		}
@@ -365,7 +410,7 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 
 // Process expands one partial subgraph instance (Algorithm 1).
 func (e *engine) Process(ctx *bsp.Context[gpsi], env bsp.Envelope[gpsi]) {
-	e.expand(ctx, env.Msg)
+	e.expand(ctx, env.Msg, nil)
 }
 
 // ProcessGroup implements bsp.GroupProgram: in compressed mode each decoded
@@ -377,10 +422,7 @@ func (e *engine) Process(ctx *bsp.Context[gpsi], env bsp.Envelope[gpsi]) {
 // differential suite pins — while the pruning-counter breakdown may differ
 // (shared pruning counts once per run, and runs never take the bitset path).
 func (e *engine) ProcessGroup(ctx *bsp.Context[gpsi], batch []bsp.Envelope[gpsi]) {
-	for i := 0; i < len(batch); {
-		if e.oomErr.Load() != nil || e.stopped.Load() {
-			return
-		}
+	for i := 0; i < len(batch) && e.halted.Load() == 0; {
 		j := i + 1
 		for j < len(batch) && sameExpansionGroup(&batch[i].Msg, &batch[j].Msg) {
 			j++
@@ -388,7 +430,7 @@ func (e *engine) ProcessGroup(ctx *bsp.Context[gpsi], batch []bsp.Envelope[gpsi]
 		if j-i > 1 {
 			e.expandRun(ctx, batch[i:j])
 		} else {
-			e.expand(ctx, batch[i].Msg)
+			e.expand(ctx, batch[i].Msg, nil)
 		}
 		i = j
 	}
@@ -406,159 +448,106 @@ func sameExpansionGroup(a, b *gpsi) bool {
 // expandRun expands a run of Gpsis sharing an expansion group. The run-
 // invariant part of candidate generation — the expansion vertex's adjacency
 // filtered by degree and label — is computed once into the worker's baseCands
-// scratch; each member then refines it with its own injectivity, partial-order,
-// and edge-index filters (expandShared). Base construction stops at the first
-// empty base: every member dead-ends there, and refinement never looks past it.
+// scratch, one base per WHITE neighbor in expand's own order; each member then
+// refines it with its own injectivity, partial-order, and edge-index filters.
+// Base construction stops at the first empty base: every member dead-ends
+// there, and refinement never looks past it.
 func (e *engine) expandRun(ctx *bsp.Context[gpsi], run []bsp.Envelope[gpsi]) {
 	first := &run[0].Msg
 	vp := int(first.Next)
 	vd := first.Map[vp]
 	sc := &e.scratch[ctx.Worker()]
-	var whites [maxPatternVertices]int
-	nw := 0
+	ctx.Add(ctrGroupRuns, 1)
+	ctx.Add(ctrGroupMembers, int64(len(run)))
+	k := 0
 	for _, wv := range e.p.Neighbors(vp) {
-		if !first.isMapped(wv) {
-			whites[nw] = wv
-			nw++
+		if first.isMapped(wv) {
+			continue
 		}
-	}
-	ctx.AddCounter("group_runs", 1)
-	ctx.AddCounter("group_members", int64(len(run)))
-	for k := 0; k < nw; k++ {
-		wv := whites[k]
 		minDeg := e.p.Degree(wv)
 		b := sc.baseCands[k][:0]
 		for _, d := range e.g.Neighbors(vd) {
-			if e.g.Degree(d) < minDeg {
-				ctx.AddCounter("pruned_degree", 1)
-				continue
+			if e.hosts(ctx, wv, minDeg, d) {
+				b = append(b, d)
 			}
-			if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(wv) {
-				ctx.AddCounter("pruned_label", 1)
-				continue
-			}
-			b = append(b, d)
 		}
 		sc.baseCands[k] = b
+		k++
 		if len(b) == 0 {
 			break
 		}
 	}
 	for i := range run {
-		if e.oomErr.Load() != nil || e.stopped.Load() {
-			return
-		}
-		e.expandShared(ctx, run[i].Msg, whites[:nw])
+		e.expand(ctx, run[i].Msg, sc.baseCands[:k])
 	}
 }
 
-// expandShared is expand with the degree/label candidate base hoisted by
-// expandRun: per-member filtering runs over sc.baseCands via refineCandidates
-// instead of re-walking the expansion vertex's adjacency. Always the merge
-// path — never the bitset AND — so the refined sets equal the flat merge
-// path's exactly.
-func (e *engine) expandShared(ctx *bsp.Context[gpsi], m gpsi, whites []int) {
-	ctx.AddCounter("processed", 1)
-	w := ctx.Worker()
-	vp := int(m.Next)
-	vd := m.Map[vp]
-	m.Expanded |= 1 << uint(vp)
-
-	for _, u := range e.p.Neighbors(vp) {
-		if !m.isMapped(u) {
-			continue
-		}
-		eid := e.edgeID[vp][u]
-		if m.Pending&(1<<uint(eid)) == 0 {
-			continue
-		}
-		if !e.bitmap.HasEdge(vd, m.Map[u]) {
-			ctx.AddCounter("pruned_verify", 1)
-			return
-		}
-		m.Pending &^= 1 << uint(eid)
+// hosts applies the Gpsi-independent half of Algorithm 5 — the degree and
+// label filters — to data vertex d as an image of pattern vertex pv.
+func (e *engine) hosts(ctx *bsp.Context[gpsi], pv, minDeg int, d graph.VertexID) bool {
+	if e.g.Degree(d) < minDeg {
+		ctx.Add(ctrPrunedDegree, 1)
+		return false
 	}
-
-	sc := &e.scratch[w]
-	fr := sc.push()
-	defer sc.pop()
-	loadUnits := 1.0
-	for k, wv := range whites {
-		cand := e.refineCandidates(ctx, &m, vp, wv, sc.baseCands[k], fr.cands[fr.nw][:0])
-		fr.cands[fr.nw] = cand
-		if len(cand) == 0 {
-			return // dead end: this Gpsi leads to no instance
-		}
-		fr.whites[fr.nw] = wv
-		fr.nw++
-		loadUnits *= float64(len(cand))
+	if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(pv) {
+		ctx.Add(ctrPrunedLabel, 1)
+		return false
 	}
-	e.loads[w] += loadUnits
-	for len(e.stepLoads[w]) <= ctx.Step() {
-		e.stepLoads[w] = append(e.stepLoads[w], 0)
-	}
-	e.stepLoads[w][ctx.Step()] += loadUnits
-
-	preMapped := uint16(0)
-	for u := 0; u < e.p.N(); u++ {
-		if m.isMapped(u) {
-			preMapped |= 1 << uint(u)
-		}
-	}
-	e.combine(ctx, &m, vp, preMapped, fr.whites[:fr.nw], fr.cands[:fr.nw], 0)
+	return true
 }
 
-// refineCandidates applies the per-member half of Algorithm 5 — injectivity,
-// the partial-order filter, and the light-weight edge index — to a hoisted
-// base that already passed the degree and label filters. It mirrors the merge
-// path of candidates exactly, minus the filters the base absorbed.
-func (e *engine) refineCandidates(ctx *bsp.Context[gpsi], m *gpsi, vp, wv int, base []graph.VertexID, out []graph.VertexID) []graph.VertexID {
-	for _, d := range base {
-		if m.uses(d) {
-			ctx.AddCounter("pruned_injective", 1)
-			continue
-		}
-		ok := true
-		for u := 0; u < e.p.N() && ok; u++ {
-			if u == wv || !m.isMapped(u) {
-				continue
-			}
-			if e.p.MustPrecede(wv, u) && !e.ord.Less(d, m.Map[u]) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			} else if e.p.MustPrecede(u, wv) && !e.ord.Less(m.Map[u], d) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
-		if e.ix != nil {
-			for _, u := range e.p.Neighbors(wv) {
-				if u == vp || !m.isMapped(u) {
-					continue
-				}
-				ctx.AddCounter("index_queries", 1)
-				if !e.ix.MayHaveEdge(d, m.Map[u]) {
-					ctx.AddCounter("pruned_index", 1)
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			out = append(out, d)
+// breaksOrder is the one partial-order filter: it reports whether mapping
+// pattern vertex wv to d violates the symmetry-breaking order against the
+// image of any vertex in among (a subset of m's mapped vertices) — d must rank
+// below every vertex wv precedes and above every vertex that precedes wv.
+// Candidate generation passes the whole mapped set, combine and seeding one
+// vertex at a time; a caller counts one pruned_order per true.
+func (e *engine) breaksOrder(m *gpsi, wv int, d graph.VertexID, among uint16) bool {
+	for mask := e.precede[wv] & among; mask != 0; mask &= mask - 1 {
+		if !e.ord.Less(d, m.Map[bits.TrailingZeros16(mask)]) {
+			return true
 		}
 	}
-	return out
+	for mask := e.follow[wv] & among; mask != 0; mask &= mask - 1 {
+		if !e.ord.Less(m.Map[bits.TrailingZeros16(mask)], d) {
+			return true
+		}
+	}
+	return false
 }
 
-func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
-	if e.oomErr.Load() != nil || e.stopped.Load() {
+// admits applies the per-Gpsi half of Algorithm 5 to candidate d for WHITE
+// vertex wv: injectivity, the partial-order filter against the mapped set, and
+// the light-weight edge index against the mapped neighbors of wv in probe.
+func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, wv int, d graph.VertexID, mapped, probe uint16) bool {
+	if m.uses(d) {
+		ctx.Add(ctrPrunedInjective, 1)
+		return false
+	}
+	if e.breaksOrder(m, wv, d, mapped) {
+		ctx.Add(ctrPrunedOrder, 1)
+		return false
+	}
+	for ; probe != 0; probe &= probe - 1 {
+		ctx.Add(ctrIndexQueries, 1)
+		if !e.ix.MayHaveEdge(d, m.Map[bits.TrailingZeros16(probe)]) {
+			ctx.Add(ctrPrunedIndex, 1)
+			return false
+		}
+	}
+	return true
+}
+
+// expand is Algorithm 1 for one Gpsi. bases, when non-nil, is expandRun's
+// hoisted degree/label candidate base per WHITE neighbor (one short of them
+// when the last is empty): candidates then come from refining it — always the
+// merge filters, never the bitset AND, so the refined sets equal the flat
+// merge path's exactly — instead of from walking vd's adjacency.
+func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID) {
+	if e.halted.Load() != 0 {
 		return
 	}
-	ctx.AddCounter("processed", 1)
+	ctx.Add(ctrProcessed, 1)
 	w := ctx.Worker()
 	vp := int(m.Next)
 	vd := m.Map[vp]
@@ -576,7 +565,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 			continue
 		}
 		if !e.bitmap.HasEdge(vd, m.Map[u]) {
-			ctx.AddCounter("pruned_verify", 1)
+			ctx.Add(ctrPrunedVerify, 1)
 			return
 		}
 		m.Pending &^= 1 << uint(eid)
@@ -587,12 +576,23 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	sc := &e.scratch[w]
 	fr := sc.push()
 	defer sc.pop()
+	mapped := m.mappedMask()
 	loadUnits := 1.0
 	for _, wv := range e.p.Neighbors(vp) {
-		if m.isMapped(wv) {
+		if mapped&(1<<uint(wv)) != 0 {
 			continue
 		}
-		cand := e.candidates(ctx, &m, vp, vd, wv, fr.cands[fr.nw][:0])
+		cand := fr.cands[fr.nw][:0]
+		if bases == nil {
+			cand = e.candidates(ctx, &m, mapped, vp, vd, wv, cand)
+		} else {
+			probe := e.probeMask(mapped, vp, wv)
+			for _, d := range bases[fr.nw] {
+				if e.admits(ctx, &m, wv, d, mapped, probe) {
+					cand = append(cand, d)
+				}
+			}
+		}
 		fr.cands[fr.nw] = cand
 		if len(cand) == 0 {
 			return // dead end: this Gpsi leads to no instance
@@ -607,13 +607,17 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	}
 	e.stepLoads[w][ctx.Step()] += loadUnits
 
-	preMapped := uint16(0)
-	for u := 0; u < e.p.N(); u++ {
-		if m.isMapped(u) {
-			preMapped |= 1 << uint(u)
-		}
+	e.combine(ctx, &m, vp, mapped, fr.whites[:fr.nw], fr.cands[:fr.nw], 0)
+}
+
+// probeMask is the set of wv's neighbors the edge index is consulted against
+// while expanding vp: the mapped ones other than vp itself (whose adjacency the
+// candidates are drawn from). Empty with the index disabled.
+func (e *engine) probeMask(mapped uint16, vp, wv int) uint16 {
+	if e.ix == nil {
+		return 0
 	}
-	e.combine(ctx, &m, vp, preMapped, fr.whites[:fr.nw], fr.cands[:fr.nw], 0)
+	return e.adjacent[wv] & mapped &^ (1 << uint(vp))
 }
 
 // candidates appends to out the admissible data vertices for WHITE pattern
@@ -621,145 +625,50 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 // partial-order filter, injectivity, and the light-weight edge index against
 // wv's already-mapped neighbors (other than vp). out is a reusable scratch
 // buffer owned by the caller's expansion frame.
-func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, vp int, vd graph.VertexID, wv int, out []graph.VertexID) []graph.VertexID {
+func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) []graph.VertexID {
 	minDeg := e.p.Degree(wv)
+	probe := e.probeMask(mapped, vp, wv)
 	// Bitset AND fast path (back-ported from the ESU engine's BitGraph
 	// kernel): when vd is a hub and wv has other already-mapped pattern
 	// neighbors that are hubs too, the candidate set is confined to the
 	// word-wide AND of their adjacency rows — an exact intersection, so the
-	// bloom check against those neighbors is subsumed. It is a strict filter:
+	// bloom check against those neighbors is subsumed (non-hub vertices have
+	// no row; the index still probes them). It is a strict filter:
 	// every vertex it drops lacks a real edge to a mapped neighbor and would
 	// have been pruned at pending-edge verification, so counts are identical
 	// with the switch off (the BenchmarkHotpath "w/o bitset" configuration).
-	if !e.opts.DisableBitsetAnd {
-		if rowVd := e.bitmap.Row(vd); rowVd != nil {
-			var hubRows [maxPatternVertices][]uint64
-			nHub := 0
-			hubMask := uint32(0)
-			for _, u := range e.p.Neighbors(wv) {
-				if u == vp || !m.isMapped(u) {
-					continue
+	if rowVd := e.bitmap.Row(vd); rowVd != nil && !e.opts.DisableBitsetAnd {
+		var hubRows [maxPatternVertices][]uint64
+		nHub := 0
+		for mask := e.adjacent[wv] & mapped &^ (1 << uint(vp)); mask != 0; mask &= mask - 1 {
+			u := bits.TrailingZeros16(mask)
+			if r := e.bitmap.Row(m.Map[u]); r != nil {
+				hubRows[nHub] = r
+				nHub++
+				probe &^= 1 << uint(u)
+			}
+		}
+		if nHub > 0 {
+			ctx.Add(ctrBitsetAnd, 1)
+			// The word loop is inlined — no IterateSet closure — to keep the
+			// hot path allocation-free.
+			for i, word := range rowVd {
+				for _, r := range hubRows[:nHub] {
+					word &= r[i]
 				}
-				if r := e.bitmap.Row(m.Map[u]); r != nil {
-					hubRows[nHub] = r
-					nHub++
-					hubMask |= 1 << uint(u)
+				for ; word != 0; word &= word - 1 {
+					d := graph.VertexID(i*64 + bits.TrailingZeros64(word))
+					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe) {
+						out = append(out, d)
+					}
 				}
 			}
-			if nHub > 0 {
-				ctx.AddCounter("bitset_and", 1)
-				return e.candidatesBitset(ctx, m, vp, wv, minDeg, rowVd, hubRows[:nHub], hubMask, out)
-			}
+			return out
 		}
 	}
 	for _, d := range e.g.Neighbors(vd) {
-		if e.g.Degree(d) < minDeg {
-			ctx.AddCounter("pruned_degree", 1)
-			continue
-		}
-		if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(wv) {
-			ctx.AddCounter("pruned_label", 1)
-			continue
-		}
-		if m.uses(d) {
-			ctx.AddCounter("pruned_injective", 1)
-			continue
-		}
-		ok := true
-		for u := 0; u < e.p.N() && ok; u++ {
-			if u == wv || !m.isMapped(u) {
-				continue
-			}
-			if e.p.MustPrecede(wv, u) && !e.ord.Less(d, m.Map[u]) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			} else if e.p.MustPrecede(u, wv) && !e.ord.Less(m.Map[u], d) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
-		if e.ix != nil {
-			for _, u := range e.p.Neighbors(wv) {
-				if u == vp || !m.isMapped(u) {
-					continue
-				}
-				ctx.AddCounter("index_queries", 1)
-				if !e.ix.MayHaveEdge(d, m.Map[u]) {
-					ctx.AddCounter("pruned_index", 1)
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
+		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe) {
 			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// candidatesBitset is the hub-regime body of candidates: it walks the words
-// of vd's bitmap row ANDed with every mapped hub neighbor's row, then applies
-// the same degree/label/injectivity/order filters as the merge path. Bloom
-// checks only remain for mapped neighbors outside hubMask (non-hub vertices
-// have no row; their edges are still verified exactly later). The word loop
-// is inlined — no IterateSet closure — to keep the hot path allocation-free.
-func (e *engine) candidatesBitset(ctx *bsp.Context[gpsi], m *gpsi, vp, wv, minDeg int, rowVd []uint64, hubRows [][]uint64, hubMask uint32, out []graph.VertexID) []graph.VertexID {
-	for i, word := range rowVd {
-		for _, r := range hubRows {
-			word &= r[i]
-		}
-		base := i * 64
-		for word != 0 {
-			d := graph.VertexID(base + bits.TrailingZeros64(word))
-			word &= word - 1
-			if e.g.Degree(d) < minDeg {
-				ctx.AddCounter("pruned_degree", 1)
-				continue
-			}
-			if e.opts.DataLabels != nil && int(e.opts.DataLabels[d]) != e.p.Label(wv) {
-				ctx.AddCounter("pruned_label", 1)
-				continue
-			}
-			if m.uses(d) {
-				ctx.AddCounter("pruned_injective", 1)
-				continue
-			}
-			ok := true
-			for u := 0; u < e.p.N() && ok; u++ {
-				if u == wv || !m.isMapped(u) {
-					continue
-				}
-				if e.p.MustPrecede(wv, u) && !e.ord.Less(d, m.Map[u]) {
-					ctx.AddCounter("pruned_order", 1)
-					ok = false
-				} else if e.p.MustPrecede(u, wv) && !e.ord.Less(m.Map[u], d) {
-					ctx.AddCounter("pruned_order", 1)
-					ok = false
-				}
-			}
-			if !ok {
-				continue
-			}
-			if e.ix != nil {
-				for _, u := range e.p.Neighbors(wv) {
-					if u == vp || !m.isMapped(u) || hubMask&(1<<uint(u)) != 0 {
-						continue
-					}
-					ctx.AddCounter("index_queries", 1)
-					if !e.ix.MayHaveEdge(d, m.Map[u]) {
-						ctx.AddCounter("pruned_index", 1)
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				out = append(out, d)
-			}
 		}
 	}
 	return out
@@ -768,39 +677,38 @@ func (e *engine) candidatesBitset(ctx *bsp.Context[gpsi], m *gpsi, vp, wv, minDe
 // combine enumerates the cross product of the candidate sets, pruning
 // combinations that reuse a data vertex, violate the partial order between
 // two newly mapped vertices, or fail an edge-index check between two newly
-// mapped vertices. Surviving children are finalized.
+// mapped vertices. Surviving children are finalized. Every combination looks
+// at the halted flag first, so a cap hit inside a hub's cross product stops the
+// enumeration there, not at the next message.
 func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, vp int, preMapped uint16, whites []int, cands [][]graph.VertexID, i int) {
-	if e.oomErr.Load() != nil {
-		return
-	}
 	if i == len(whites) {
 		e.finalize(ctx, m)
 		return
 	}
 	wv := whites[i]
 	for _, d := range cands[i] {
+		if e.halted.Load() != 0 {
+			return
+		}
 		if m.uses(d) {
-			ctx.AddCounter("pruned_injective", 1)
+			ctx.Add(ctrPrunedInjective, 1)
 			continue
 		}
 		// Checks against pattern vertices mapped earlier in this combine
-		// (candidate filtering could not see them).
+		// (candidate filtering could not see them), one vertex at a time so the
+		// order and index filters count in the order they always have.
 		ok := true
 		var newPending uint32
 		for j := 0; j < i && ok; j++ {
 			u := whites[j]
-			du := m.Map[u]
-			if e.p.MustPrecede(wv, u) && !e.ord.Less(d, du) {
-				ctx.AddCounter("pruned_order", 1)
-				ok = false
-			} else if e.p.MustPrecede(u, wv) && !e.ord.Less(du, d) {
-				ctx.AddCounter("pruned_order", 1)
+			if e.breaksOrder(m, wv, d, 1<<uint(u)) {
+				ctx.Add(ctrPrunedOrder, 1)
 				ok = false
 			} else if e.p.HasEdge(wv, u) {
 				if e.ix != nil {
-					ctx.AddCounter("index_queries", 1)
-					if !e.ix.MayHaveEdge(d, du) {
-						ctx.AddCounter("pruned_index", 1)
+					ctx.Add(ctrIndexQueries, 1)
+					if !e.ix.MayHaveEdge(d, m.Map[u]) {
+						ctx.Add(ctrPrunedIndex, 1)
 						ok = false
 						continue
 					}
@@ -813,10 +721,8 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, vp int, preMapped uint
 		}
 		// Edges from wv to vertices mapped before this expansion, other than
 		// the expanding vertex itself, were only index-checked: mark pending.
-		for _, u := range e.p.Neighbors(wv) {
-			if u != vp && preMapped&(1<<uint(u)) != 0 {
-				newPending |= 1 << uint(e.edgeID[wv][u])
-			}
+		for mask := e.adjacent[wv] & preMapped &^ (1 << uint(vp)); mask != 0; mask &= mask - 1 {
+			newPending |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
 		}
 		m.Map[wv] = d
 		m.Pending |= newPending
@@ -837,11 +743,11 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 			sc := &e.scratch[ctx.Worker()]
 			sc.emit = append(sc.emit[:0], m.Map[:m.N]...)
 			if !e.opts.EmitFilter(sc.emit) {
-				ctx.AddCounter("pruned_filter", 1)
+				ctx.Add(ctrPrunedFilter, 1)
 				return
 			}
 		}
-		ctx.AddCounter("results", 1)
+		ctx.Add(ctrResults, 1)
 		if e.opts.OnInstance != nil {
 			// Hand out a reused per-worker buffer, not a view of m: the
 			// callback may leak its argument, and a view would force every
@@ -857,9 +763,9 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 			e.mu.Unlock()
 		}
 		if e.opts.MaxResults > 0 && e.results.Add(1) >= e.opts.MaxResults {
-			// The cap-hitting instance was already delivered above; stop the
-			// run at the next message boundary.
-			if e.stopped.CompareAndSwap(false, true) {
+			// The cap-hitting instance was already delivered above; every
+			// worker stops at its next combination.
+			if e.halted.CompareAndSwap(0, haltStopped) {
 				ctx.Abort(errEarlyStop)
 			}
 		}
@@ -875,22 +781,24 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 		ctx.Abort(err)
 		return
 	}
-	next := e.chooseNext(w, m, grays)
-	child := *m
-	child.Next = int8(next)
-	if e.opts.LocalExpansion && e.part.Owner(child.Map[next]) == ctx.Worker() {
+	// The child is m aimed at its next expansion vertex; it is copied once,
+	// into the chunk that carries it (or the inline expansion's frame), and m
+	// goes back to combine as it came.
+	parent := m.Next
+	m.Next = int8(e.chooseNext(w, m, grays))
+	if e.opts.LocalExpansion && e.part.Owner(m.Map[m.Next]) == ctx.Worker() {
 		// Non-level-synchronous mode: the destination is local, so expand
 		// now instead of crossing a superstep barrier. Recursion depth is
 		// bounded by the pattern size (each inline step blackens a vertex).
-		ctx.AddCounter("generated", 1)
-		ctx.AddCounter("inline", 1)
-		if !e.chargeBudget(ctx) {
-			return
+		ctx.Add(ctrGenerated, 1)
+		ctx.Add(ctrInline, 1)
+		if e.chargeBudget(ctx) {
+			e.expand(ctx, *m, nil)
 		}
-		e.expand(ctx, child)
-		return
+	} else {
+		e.send(ctx, m)
 	}
-	e.send(ctx, child)
+	m.Next = parent
 }
 
 // grayCandidates appends to buf the GRAY vertices eligible as the next
@@ -933,20 +841,19 @@ func contains(xs []int, x int) bool {
 
 // send routes a Gpsi to the worker owning its next expansion vertex and
 // enforces the intermediate-result budget.
-func (e *engine) send(ctx *bsp.Context[gpsi], m gpsi) {
-	ctx.Send(m.Map[m.Next], m)
-	ctx.AddCounter("generated", 1)
+func (e *engine) send(ctx *bsp.Context[gpsi], m *gpsi) {
+	ctx.Send(m.Map[m.Next], *m)
+	ctx.Add(ctrGenerated, 1)
 	e.chargeBudget(ctx)
 }
 
 // chargeBudget accounts one created Gpsi against MaxIntermediate and reports
-// whether the run may continue.
+// whether the run may continue. Without a budget nothing needs the global
+// total (the generated counter carries it), so no shared word is written.
 func (e *engine) chargeBudget(ctx *bsp.Context[gpsi]) bool {
-	total := e.generated.Add(1)
-	if e.opts.MaxIntermediate > 0 && total > e.opts.MaxIntermediate {
-		err := ErrOutOfMemory
-		e.oomErr.CompareAndSwap(nil, &err)
-		ctx.Abort(err)
+	if e.opts.MaxIntermediate > 0 && e.generated.Add(1) > e.opts.MaxIntermediate {
+		e.halted.CompareAndSwap(0, haltOOM)
+		ctx.Abort(ErrOutOfMemory)
 		return false
 	}
 	return true
@@ -1020,33 +927,18 @@ func (e *engine) RestoreState(data []byte) error {
 
 func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 	st := Stats{
-		Supersteps:          rs.Supersteps,
-		GpsiGenerated:       rs.Counters["generated"],
-		GpsiProcessed:       rs.Counters["processed"],
-		InlineExpansions:    rs.Counters["inline"],
-		PrunedByDegree:      rs.Counters["pruned_degree"],
-		PrunedByOrder:       rs.Counters["pruned_order"],
-		PrunedByIndex:       rs.Counters["pruned_index"],
-		PrunedByInjectivity: rs.Counters["pruned_injective"],
-		PrunedByVerify:      rs.Counters["pruned_verify"],
-		PrunedByLabel:       rs.Counters["pruned_label"],
-		PrunedByFilter:      rs.Counters["pruned_filter"],
-		EdgeIndexQueries:    rs.Counters["index_queries"],
-		BitsetAndCandidates: rs.Counters["bitset_and"],
-		CompressedFrames:    rs.Counters["compressed_frames"],
-		CompressedWireBytes: rs.Counters["compressed_wire_bytes"],
-		CompressedRawBytes:  rs.Counters["compressed_raw_bytes"],
-		GroupRuns:           rs.Counters["group_runs"],
-		GroupMembers:        rs.Counters["group_members"],
-		Results:             rs.Counters["results"],
-		InitialVertex:       e.initial,
-		Recoveries:          rs.Recoveries,
-		WorkerTime:          rs.WorkerTime,
-		WorkerMessages:      rs.WorkerMessages,
-		LoadUnits:           e.loads,
-		PerStepMessages:     rs.PerStepMessages,
-		SimulatedMakespan:   rs.SimulatedMakespan(),
-		WallTime:            wall,
+		Supersteps:        rs.Supersteps,
+		InitialVertex:     e.initial,
+		Recoveries:        rs.Recoveries,
+		WorkerTime:        rs.WorkerTime,
+		WorkerMessages:    rs.WorkerMessages,
+		LoadUnits:         e.loads,
+		PerStepMessages:   rs.PerStepMessages,
+		SimulatedMakespan: rs.SimulatedMakespan(),
+		WallTime:          wall,
+	}
+	for _, c := range engineCounters {
+		*c.field(&st) = rs.Counters[c.name]
 	}
 	if e.ix != nil {
 		st.EdgeIndexBytes = e.ix.SizeBytes()
@@ -1075,7 +967,7 @@ func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 	return &Result{
 		Count:     st.Results,
 		Instances: e.instances,
-		Truncated: e.stopped.Load(),
+		Truncated: e.halted.Load() == haltStopped,
 		Stats:     st,
 	}
 }

@@ -78,7 +78,7 @@ func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, 
 	}
 	ictx := bsp.NewBenchContext[gpsi](cfg, 0, 0)
 	e.Init(ictx)
-	inbox := append([]bsp.Envelope[gpsi](nil), ictx.Sends(0)...)
+	inbox := ictx.Sends(0)
 	if len(inbox) == 0 {
 		return nil, nil, nil, fmt.Errorf("hotpath harness: Init seeded no messages for worker 0")
 	}
@@ -147,7 +147,7 @@ func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 		for _, env := range inbox {
 			e.Process(step1, env)
 		}
-		inbox2 := append([]bsp.Envelope[gpsi](nil), step1.Sends(0)...)
+		inbox2 := step1.Sends(0)
 		if len(inbox2) == 0 {
 			b.Fatal("hub harness: no second-level messages for worker 0")
 		}
@@ -297,7 +297,7 @@ func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], err
 		for _, env := range cur {
 			e.Process(ctx, env)
 		}
-		cur = append([]bsp.Envelope[gpsi](nil), ctx.Sends(0)...)
+		cur = ctx.Sends(0)
 		if len(cur) == 0 {
 			return nil, fmt.Errorf("hotpath harness: no level-%d messages for worker 0 (%s)", step, p.Name())
 		}

@@ -4,7 +4,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"psgl/internal/centralized"
 	"psgl/internal/gen"
+	"psgl/internal/graph"
 	"psgl/internal/pattern"
 	"psgl/internal/stats"
 )
@@ -99,5 +101,59 @@ func TestMaxResultsAboveTotal(t *testing.T) {
 	}
 	if res.Count != want.Count {
 		t.Fatalf("count %d != uncapped %d", res.Count, want.Count)
+	}
+}
+
+// TestMaxResultsStopsInsideCrossProduct: the early stop is honoured between
+// combinations, not only between messages. On a star (plus a clique, so the
+// hub is not the whole graph) one Gpsi — path(3) centred on the hub — carries
+// deg² combinations; a cap of 1 must end the run within a few results per
+// worker, and an uncapped run must count what the oracle counts.
+func TestMaxResultsStopsInsideCrossProduct(t *testing.T) {
+	const leaves, clique = 300, 5
+	b := graph.NewBuilder(1 + leaves + clique)
+	for v := 1; v <= leaves; v++ {
+		b.AddEdge(0, graph.VertexID(v))
+	}
+	for u := 1 + leaves; u < 1+leaves+clique; u++ {
+		b.AddEdge(0, graph.VertexID(u))
+		for v := u + 1; v < 1+leaves+clique; v++ {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	g := b.Build()
+	opts := NewOptions()
+	opts.Workers = 4
+	opts.InitialVertex = 1 // the path's centre: the hub expands both ends at once
+	full, err := Run(g, pattern.Path(3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := centralized.CountInstances(pattern.Path(3), g); full.Count != want {
+		t.Fatalf("uncapped count %d, oracle %d", full.Count, want)
+	}
+	hub := int64(leaves + clique)
+	if full.Count < hub*(hub-1)/2 {
+		t.Fatalf("test graph lost its hub: only %d paths", full.Count)
+	}
+
+	for _, async := range []bool{false, true} {
+		capped := opts
+		capped.MaxResults = 1
+		capped.AsyncExchange = async
+		var streamed atomic.Int64
+		capped.OnInstance = func([]int32) { streamed.Add(1) }
+		res, err := Run(g, pattern.Path(3), capped)
+		if err != nil {
+			t.Fatalf("async=%v: capped run failed: %v", async, err)
+		}
+		if !res.Truncated || res.Count < 1 {
+			t.Fatalf("async=%v: truncated=%v count=%d, want a truncated run with a result", async, res.Truncated, res.Count)
+		}
+		// Each worker may finish the combination it was in when the cap hit.
+		if limit := int64(4 * opts.Workers); res.Count > limit || streamed.Load() > limit {
+			t.Fatalf("async=%v: cap of 1 delivered %d results (%d streamed), want <= %d — the stop waited for the hub's cross product",
+				async, res.Count, streamed.Load(), limit)
+		}
 	}
 }

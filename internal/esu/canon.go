@@ -207,9 +207,12 @@ func (c *CanonCache) Lookup(code uint32) (canon uint32, hit bool) {
 	}
 	canon = CanonicalCode(c.k, code)
 	s.mu.Lock()
+	// A worker that lost the race to memoize code reports a hit, so each
+	// distinct code misses exactly once however the workers interleave.
+	_, raced := s.m[code]
 	s.m[code] = canon
 	s.mu.Unlock()
-	return canon, false
+	return canon, raced
 }
 
 // Size returns the number of memoized codes.

@@ -15,7 +15,6 @@ import (
 	"psgl/internal/bsp"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
-	"psgl/internal/stats"
 )
 
 // Run lists all instances of p in g with the PSgL engine and returns the
@@ -31,14 +30,31 @@ func Run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 // RunContext is Run with cancellation and fault-tolerance plumbing: ctx
 // cancellation stops the run at the next message boundary, and the Options
 // checkpoint/retry/recovery fields configure the BSP engine's fault layer.
+// It is Prepare followed by one run on the result; a caller that runs more
+// than once over the same graph keeps the Prepared and skips the rebuild.
 func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 	if g == nil || p == nil {
 		return nil, fmt.Errorf("psgl: nil graph or pattern")
 	}
+	return Prepare(g, opts).RunContext(ctx, p, opts)
+}
+
+// RunContext lists all instances of p in the prepared graph. opts must agree
+// with the Options the state was prepared under on every field Prepare reads
+// (ErrPreparedMismatch otherwise); all other fields are per run. Safe for
+// concurrent use: runs share pr read-only.
+func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Options) (*Result, error) {
+	if p == nil {
+		return nil, fmt.Errorf("psgl: nil pattern")
+	}
+	g := pr.g
 	if p.N() > maxPatternVertices {
 		return nil, fmt.Errorf("psgl: pattern has %d vertices; engine supports up to %d", p.N(), maxPatternVertices)
 	}
 	opts = opts.normalized()
+	if err := pr.check(opts); err != nil {
+		return nil, err
+	}
 	if (opts.DataLabels != nil) != p.Labeled() {
 		return nil, fmt.Errorf("psgl: labeled matching needs labels on both the pattern and the data graph")
 	}
@@ -56,7 +72,7 @@ func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Op
 		p = p.BreakAutomorphisms()
 	}
 
-	e, err := newEngine(g, p, opts)
+	e, err := newEngine(pr, p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -169,8 +185,7 @@ type engine struct {
 	// pEdges caches p.Edges() (which builds a fresh slice per call) for the
 	// pending-edge scan in grayCandidates.
 	pEdges [][2]int
-	// owned[w] lists worker w's data vertices, bucketed once in newEngine so
-	// Init is O(V) total instead of every worker filtering all vertices.
+	// owned[w] lists worker w's data vertices (Prepared's buckets, read-only).
 	owned [][]graph.VertexID
 
 	// Per-worker state; index w is touched only by worker w's goroutine
@@ -234,22 +249,20 @@ func (s *workerScratch) push() *expandFrame {
 
 func (s *workerScratch) pop() { s.depth-- }
 
-func newEngine(g *graph.Graph, p *pattern.Pattern, opts Options) (*engine, error) {
-	ord := graph.NewOrdered
-	if opts.IdentityOrder {
-		ord = graph.NewIdentityOrdered
-	}
+// newEngine builds the pattern- and run-scoped state of one run over pr's
+// graph-scoped state, which it only borrows.
+func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) {
+	g := pr.g
 	e := &engine{
-		g:    g,
-		ord:  ord(g),
-		p:    p,
-		opts: opts,
-		part: graph.NewPartition(opts.Workers, opts.Seed),
+		g:      g,
+		ord:    pr.ord,
+		p:      p,
+		opts:   opts,
+		part:   pr.part,
+		ix:     pr.ix,
+		bitmap: pr.bitmap,
+		owned:  pr.owned,
 	}
-	if !opts.DisableEdgeIndex {
-		e.ix = bloom.BuildEdgeIndex(g, opts.BloomBitsPerEdge)
-	}
-	e.bitmap = graph.NewBitmapIndex(g, opts.BitmapMinDegree)
 	n := p.N()
 	e.edgeID = make([][]int, n)
 	for a := range e.edgeID {
@@ -283,16 +296,11 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, opts Options) (*engine, error
 	case opts.InitialVertex >= 0:
 		e.initial = opts.InitialVertex
 	default:
-		e.initial = SelectInitialVertex(p, stats.FromHistogram(g.DegreeHistogram()))
+		e.initial = SelectInitialVertex(p, pr.degreeDist())
 	}
 	e.proto = gpsi{Next: int8(e.initial), N: int8(n)}
 	for i := range e.proto.Map {
 		e.proto.Map[i] = unmapped
-	}
-	e.owned = make([][]graph.VertexID, opts.Workers)
-	for v := 0; v < g.NumVertices(); v++ {
-		w := e.part.Owner(graph.VertexID(v))
-		e.owned[w] = append(e.owned[w], graph.VertexID(v))
 	}
 	e.rngs = make([]*xorshift, opts.Workers)
 	e.wviews = make([][]float64, opts.Workers)

@@ -68,7 +68,7 @@ func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, 
 	if mutate != nil {
 		mutate(&opts)
 	}
-	e, err := newEngine(g, p.BreakAutomorphisms(), opts.normalized())
+	e, err := newEngine(Prepare(g, opts), p.BreakAutomorphisms(), opts.normalized())
 	if err != nil {
 		return nil, nil, nil, err
 	}

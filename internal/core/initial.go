@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"psgl/internal/pattern"
 	"psgl/internal/stats"
@@ -12,14 +13,18 @@ import (
 // lowest-rank vertex after automorphism breaking, whose outgoing '<'
 // constraints force candidates into the balanced ns side of the ordered data
 // graph (Property 1). For general patterns it minimizes the Algorithm 4 cost
-// estimate over all pattern vertices.
+// estimate over all pattern vertices; estimates within tieEpsilon of each
+// other (symmetric vertices, whose float sums differ in the last bits) count
+// as equal and the lowest vertex id wins, so the choice is a function of
+// (pattern, distribution) alone.
 func SelectInitialVertex(p *pattern.Pattern, dist *stats.Distribution) int {
 	if p.IsCycle() || p.IsClique() {
 		return p.LowestRankVertex()
 	}
+	const tieEpsilon = 1e-9
 	best, bestCost := 0, math.Inf(1)
 	for v := 0; v < p.N(); v++ {
-		if c := EstimateInitialVertexCost(p, dist, v); c < bestCost {
+		if c := EstimateInitialVertexCost(p, dist, v); c < bestCost*(1-tieEpsilon) {
 			best, bestCost = v, c
 		}
 	}
@@ -45,7 +50,20 @@ func EstimateInitialVertexCost(p *pattern.Pattern, dist *stats.Distribution, vp 
 	total := n0
 	for round := 0; round < p.N() && len(level) > 0; round++ {
 		next := map[key]float64{}
-		for st, cnt := range level {
+		// Float addition is not associative: walk the states in key order so
+		// total and next[child] accumulate the same way on every call.
+		states := make([]key, 0, len(level))
+		for st := range level {
+			states = append(states, st)
+		}
+		sort.Slice(states, func(i, j int) bool {
+			if states[i].mapped != states[j].mapped {
+				return states[i].mapped < states[j].mapped
+			}
+			return states[i].expanded < states[j].expanded
+		})
+		for _, st := range states {
+			cnt := level[st]
 			var grays []int
 			for v := 0; v < p.N(); v++ {
 				if st.mapped&(1<<uint(v)) != 0 && st.expanded&(1<<uint(v)) == 0 {

@@ -95,7 +95,7 @@ func TestRouletteAvoidsHighDegreeExpansion(t *testing.T) {
 
 func TestExpandCostMatchesBinomial(t *testing.T) {
 	g := gen.ErdosRenyi(50, 200, 1)
-	e, err := newEngine(g, pattern.PG4(), NewOptions().normalized())
+	e, err := newEngine(Prepare(g, NewOptions()), pattern.PG4(), NewOptions().normalized())
 	if err != nil {
 		t.Fatal(err)
 	}

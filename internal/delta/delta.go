@@ -26,8 +26,11 @@
 // Runs execute under the identity vertex order (stable across mutations, so
 // the canonical representative of an automorphism class never shifts between
 // epochs — maintained embedding sets stay byte-comparable with fresh full
-// runs), with the bloom edge index disabled (per-run index construction
-// would dwarf the anchored work for small batches).
+// runs), with the bloom edge index disabled: the graph-scoped state
+// (core.Prepared) is built once per side and shared by that side's anchors,
+// and a filter over every edge would still dwarf a small batch's anchored
+// work, where an identity order, the hub bitmap and the ownership buckets do
+// not.
 package delta
 
 import (
@@ -213,11 +216,30 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 		keys[edgeKey(ce[0], ce[1])] = i
 	}
 	pEdges := p.Edges()
+	copts := core.Options{
+		Workers:          opts.Workers,
+		Strategy:         opts.Strategy,
+		Seed:             opts.Seed,
+		Collect:          opts.Collect,
+		OnInstance:       stream,
+		PlannedPattern:   true,
+		IdentityOrder:    true,
+		DisableEdgeIndex: true,
+		InitialVertex:    pEdges[0][0], // ignored by seeding; skips per-run plan selection
+		AsyncExchange:    opts.AsyncExchange,
+		CompressFrames:   opts.CompressFrames,
+		Exchange:         opts.Exchange,
+		Retry:            opts.Retry,
+		CheckpointEvery:  opts.CheckpointEvery,
+		MaxRecoveries:    opts.MaxRecoveries,
+	}
+	// One graph-scoped build for the side; every anchor runs on it.
+	prepared := core.Prepare(g, copts)
 	for i, ce := range changed {
 		// Count each embedding at its minimal changed edge: run i drops any
 		// embedding whose image also uses an earlier anchor.
 		anchor := i
-		filter := func(m []graph.VertexID) bool {
+		copts.EmitFilter = func(m []graph.VertexID) bool {
 			for _, pe := range pEdges {
 				if j, ok := keys[edgeKey(m[pe[0]], m[pe[1]])]; ok && j < anchor {
 					return false
@@ -225,29 +247,11 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 			}
 			return true
 		}
-		copts := core.Options{
-			Workers:          opts.Workers,
-			Strategy:         opts.Strategy,
-			Seed:             opts.Seed,
-			Collect:          opts.Collect,
-			OnInstance:       stream,
-			Seeds:            anchorSeeds(pEdges, ce[0], ce[1]),
-			EmitFilter:       filter,
-			PlannedPattern:   true,
-			IdentityOrder:    true,
-			DisableEdgeIndex: true,
-			InitialVertex:    pEdges[0][0], // ignored by seeding; skips per-run plan selection
-			AsyncExchange:    opts.AsyncExchange,
-			CompressFrames:   opts.CompressFrames,
-			Exchange:         opts.Exchange,
-			Retry:            opts.Retry,
-			CheckpointEvery:  opts.CheckpointEvery,
-			MaxRecoveries:    opts.MaxRecoveries,
-		}
+		copts.Seeds = anchorSeeds(pEdges, ce[0], ce[1])
 		if copts.CheckpointEvery > 0 {
 			copts.CheckpointStore = bsp.NewMemCheckpointStore()
 		}
-		r, err := core.RunContext(ctx, g, p, copts)
+		r, err := prepared.RunContext(ctx, p, copts)
 		if err != nil {
 			return fmt.Errorf("anchor (%d,%d): %w", ce[0], ce[1], err)
 		}

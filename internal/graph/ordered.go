@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "sync"
 
 // Ordered wraps a graph with the partial order of Section 3: vertices are
 // ranked first by degree, ties broken by vertex id. For a vertex v, nb(v)
@@ -8,46 +8,42 @@ import "sort"
 // Property 1 of the paper: the nb distribution is more skewed than the raw
 // degree distribution while ns is more balanced — the lever behind the
 // deterministic initial-pattern-vertex rule for cycles and cliques.
+//
+// An Ordered is immutable once built and safe for concurrent use: the engine
+// reads Less alone, so the nb/ns split is computed on first request (once,
+// whichever goroutine asks first) instead of on every build.
 type Ordered struct {
 	G *Graph
 	// rank[v] is the position of v in the degree order; a permutation of
-	// [0, NumVertices).
+	// [0, NumVertices). nil means the identity order: rank(v) = v.
 	rank []int32
-	nb   []int32
-	ns   []int32
+
+	split  sync.Once
+	nb, ns []int32
 }
 
-// NewOrdered computes the degree ordering of g.
+// NewOrdered computes the degree ordering of g by a counting sort on degree:
+// vertices are visited in ascending id and handed the next free position of
+// their degree's bucket, which is exactly the (degree, id) lexicographic
+// permutation a comparison sort yields, in O(|V| + maxDegree).
 func NewOrdered(g *Graph) *Ordered {
 	n := g.NumVertices()
-	byRank := make([]VertexID, n)
-	for v := range byRank {
-		byRank[v] = VertexID(v)
-	}
-	sort.Slice(byRank, func(i, j int) bool {
-		du, dv := g.Degree(byRank[i]), g.Degree(byRank[j])
-		if du != dv {
-			return du < dv
-		}
-		return byRank[i] < byRank[j]
-	})
-	rank := make([]int32, n)
-	for r, v := range byRank {
-		rank[v] = int32(r)
-	}
-	nb := make([]int32, n)
-	ns := make([]int32, n)
+	// next[d] becomes the first rank of degree d: a histogram shifted by one
+	// slot, prefix-summed in place.
+	next := make([]int32, g.MaxDegree()+2)
 	for v := 0; v < n; v++ {
-		rv := rank[v]
-		for _, u := range g.Neighbors(VertexID(v)) {
-			if rank[u] < rv {
-				nb[v]++
-			} else {
-				ns[v]++
-			}
-		}
+		next[g.Degree(VertexID(v))+1]++
 	}
-	return &Ordered{G: g, rank: rank, nb: nb, ns: ns}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	rank := make([]int32, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(VertexID(v))
+		rank[v] = next[d]
+		next[d]++
+	}
+	return &Ordered{G: g, rank: rank}
 }
 
 // NewIdentityOrdered wraps g with the trivial total order ranked by vertex
@@ -55,41 +51,63 @@ func NewOrdered(g *Graph) *Ordered {
 // canonical representative of each automorphism class is not — and the
 // degree order shifts as edges mutate. Delta maintenance therefore runs
 // under the identity order, which is stable across mutations, so embeddings
-// enumerated before and after a batch stay byte-comparable. It is also
-// cheaper to build (no sort), which matters when every small update batch
-// spins up fresh enumeration runs.
+// enumerated before and after a batch stay byte-comparable. It needs no
+// arrays at all, which matters when every small update batch spins up fresh
+// enumeration runs.
 func NewIdentityOrdered(g *Graph) *Ordered {
-	n := g.NumVertices()
-	rank := make([]int32, n)
+	return &Ordered{G: g}
+}
+
+// Rank returns the order position of v (0 = lowest degree).
+func (o *Ordered) Rank(v VertexID) int32 {
+	if o.rank == nil {
+		return v
+	}
+	return o.rank[v]
+}
+
+// Less reports whether u precedes v in the order.
+func (o *Ordered) Less(u, v VertexID) bool {
+	if o.rank == nil {
+		return u < v
+	}
+	return o.rank[u] < o.rank[v]
+}
+
+// NB returns the number of neighbors of v ranked below v.
+func (o *Ordered) NB(v VertexID) int32 { return o.NBValues()[v] }
+
+// NS returns the number of neighbors of v ranked above v.
+func (o *Ordered) NS(v VertexID) int32 { return o.NSValues()[v] }
+
+// NBValues returns nb(v) for every vertex, for distribution analysis.
+func (o *Ordered) NBValues() []int32 {
+	o.split.Do(o.computeSplit)
+	return o.nb
+}
+
+// NSValues returns ns(v) for every vertex, for distribution analysis.
+func (o *Ordered) NSValues() []int32 {
+	o.split.Do(o.computeSplit)
+	return o.ns
+}
+
+func (o *Ordered) computeSplit() {
+	n := o.G.NumVertices()
 	nb := make([]int32, n)
 	ns := make([]int32, n)
 	for v := 0; v < n; v++ {
-		rank[v] = int32(v)
-		for _, u := range g.Neighbors(VertexID(v)) {
-			if u < VertexID(v) {
+		for _, u := range o.G.Neighbors(VertexID(v)) {
+			if o.Less(u, VertexID(v)) {
 				nb[v]++
 			} else {
 				ns[v]++
 			}
 		}
 	}
-	return &Ordered{G: g, rank: rank, nb: nb, ns: ns}
+	o.nb, o.ns = nb, ns
 }
 
-// Rank returns the order position of v (0 = lowest degree).
-func (o *Ordered) Rank(v VertexID) int32 { return o.rank[v] }
-
-// Less reports whether u precedes v in the degree order.
-func (o *Ordered) Less(u, v VertexID) bool { return o.rank[u] < o.rank[v] }
-
-// NB returns the number of neighbors of v ranked below v.
-func (o *Ordered) NB(v VertexID) int32 { return o.nb[v] }
-
-// NS returns the number of neighbors of v ranked above v.
-func (o *Ordered) NS(v VertexID) int32 { return o.ns[v] }
-
-// NBValues returns nb(v) for every vertex, for distribution analysis.
-func (o *Ordered) NBValues() []int32 { return o.nb }
-
-// NSValues returns ns(v) for every vertex, for distribution analysis.
-func (o *Ordered) NSValues() []int32 { return o.ns }
+// SizeBytes returns the footprint of the rank array (0 for the identity
+// order); the on-request nb/ns split is not counted.
+func (o *Ordered) SizeBytes() int64 { return 4 * int64(len(o.rank)) }

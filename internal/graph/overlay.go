@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Overlay is a versioned mutable view over an immutable CSR base graph. The
 // base stays frozen (queries in flight keep reading it safely); mutations
@@ -205,26 +209,78 @@ func (o *Overlay) ApplyBatch(b Batch) (BatchResult, error) {
 	return res, nil
 }
 
-// Snapshot materializes the current edge set as an immutable CSR graph. The
-// result is cached until the next effective mutation, so repeated calls
-// between batches are free. The snapshot shares no mutable state with the
-// overlay.
+// Snapshot materializes the current edge set as an immutable CSR graph: the
+// base CSR merged with the pending patches, so the cost is a bulk copy of the
+// untouched rows plus a splice of the touched ones — no edge is re-added and
+// no row re-sorted. The result is byte-identical to building the edge set
+// from scratch (equal Fingerprint), is cached until the next effective
+// mutation, and shares no mutable state with the overlay.
 func (o *Overlay) Snapshot() *Graph {
-	if o.snap != nil {
-		return o.snap
+	if o.snap == nil {
+		o.snap = o.base.patched(o.added, o.removed)
 	}
-	b := NewBuilder(o.base.NumVertices())
-	o.base.Edges(func(u, v VertexID) bool {
-		if _, gone := o.removed[edgeKey(u, v)]; !gone {
-			b.AddEdge(u, v)
-		}
-		return true
-	})
-	for k := range o.added {
-		b.AddEdge(VertexID(int32(k>>32)), VertexID(int32(uint32(k))))
-	}
-	o.snap = b.Build()
 	return o.snap
+}
+
+// patched returns g minus the undirected edges in removed (all present in g)
+// plus those in added (all absent from g). Runs of rows no patch touches are
+// copied whole; a touched row is merged with its sorted insertions and
+// deletions in one pass.
+func (g *Graph) patched(added, removed map[uint64]struct{}) *Graph {
+	ins, del := directedKeys(added), directedKeys(removed)
+	n := g.NumVertices()
+	offsets := make([]int64, n+1)
+	adj := make([]VertexID, 0, len(g.adj)+len(ins)-len(del))
+	copyRows := func(from, to int) {
+		shift := int64(len(adj)) - g.offsets[from]
+		for v := from; v < to; v++ {
+			offsets[v] = g.offsets[v] + shift
+		}
+		adj = append(adj, g.adj[g.offsets[from]:g.offsets[to]]...)
+	}
+	next := 0 // first row not yet written
+	for len(ins) > 0 || len(del) > 0 {
+		var src uint64 = math.MaxUint64
+		if len(ins) > 0 {
+			src = ins[0] >> 32
+		}
+		if len(del) > 0 && del[0]>>32 < src {
+			src = del[0] >> 32
+		}
+		t := int(src)
+		copyRows(next, t)
+		offsets[t] = int64(len(adj))
+		for _, u := range g.Neighbors(VertexID(t)) {
+			for len(ins) > 0 && ins[0] < src<<32|uint64(uint32(u)) {
+				adj = append(adj, VertexID(uint32(ins[0])))
+				ins = ins[1:]
+			}
+			if len(del) > 0 && del[0] == src<<32|uint64(uint32(u)) {
+				del = del[1:]
+				continue
+			}
+			adj = append(adj, u)
+		}
+		for len(ins) > 0 && ins[0]>>32 == src {
+			adj = append(adj, VertexID(uint32(ins[0])))
+			ins = ins[1:]
+		}
+		next = t + 1
+	}
+	copyRows(next, n)
+	offsets[n] = int64(len(adj))
+	return &Graph{offsets: offsets, adj: adj}
+}
+
+// directedKeys expands a set of normalized undirected edge keys into both
+// directed (src<<32 | dst) entries, sorted — row by row, neighbors ascending.
+func directedKeys(set map[uint64]struct{}) []uint64 {
+	keys := make([]uint64, 0, 2*len(set))
+	for k := range set {
+		keys = append(keys, k, k<<32|k>>32)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Compact folds the pending patch set into a fresh base CSR, emptying the

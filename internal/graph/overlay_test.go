@@ -227,3 +227,95 @@ func TestIdentityOrdered(t *testing.T) {
 		t.Fatal("identity Less must compare vertex ids")
 	}
 }
+
+// TestOverlaySnapshotMergeMatchesBuilder walks random update sequences —
+// adds, removes, noops, an edge added and removed in one batch, a Compact
+// mid-walk, Snapshot called twice — and checks after every batch that the
+// merged snapshot is the byte-identical CSR a Builder produces from the
+// model's edge set (equal Fingerprint, which hashes offsets and adjacency),
+// and that the overlay's incremental digest still describes it.
+func TestOverlaySnapshotMergeMatchesBuilder(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(60)
+		model := map[[2]VertexID]bool{}
+		for i := 0; i < 3*n; i++ {
+			u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+			if u != v {
+				model[[2]VertexID{min(u, v), max(u, v)}] = true
+			}
+		}
+		build := func() *Graph {
+			b := NewBuilder(n)
+			for e := range model {
+				b.AddEdge(e[1], e[0])
+			}
+			return b.Build()
+		}
+		ov := NewOverlay(build())
+		present := func() [2]VertexID {
+			for e := range model {
+				return e
+			}
+			return [2]VertexID{0, 1}
+		}
+		for step := 0; step < 40; step++ {
+			var b Batch
+			switch step % 8 {
+			case 3: // all noops: re-add a present edge, remove an absent one
+				b.Add = append(b.Add, present())
+				u := VertexID(rng.Intn(n - 1))
+				if !model[[2]VertexID{u, u + 1}] {
+					b.Remove = append(b.Remove, [2]VertexID{u + 1, u})
+				}
+			case 5: // one absent edge added and removed in the same batch
+				u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+				if u != v && !model[[2]VertexID{min(u, v), max(u, v)}] {
+					b.Add = append(b.Add, [2]VertexID{u, v})
+					b.Remove = append(b.Remove, [2]VertexID{v, u})
+				} else {
+					b.Add = append(b.Add, present())
+				}
+			default:
+				for i := 0; i < 1+rng.Intn(6); i++ {
+					u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+					if u == v {
+						continue
+					}
+					if rng.Intn(2) == 0 {
+						b.Add = append(b.Add, [2]VertexID{u, v})
+					} else {
+						b.Remove = append(b.Remove, [2]VertexID{u, v})
+					}
+				}
+				if len(b.Add)+len(b.Remove) == 0 {
+					b.Add = append(b.Add, present())
+				}
+			}
+			// The model applies removals first, then additions, like the overlay.
+			for _, e := range b.Remove {
+				delete(model, [2]VertexID{min(e[0], e[1]), max(e[0], e[1])})
+			}
+			for _, e := range b.Add {
+				model[[2]VertexID{min(e[0], e[1]), max(e[0], e[1])}] = true
+			}
+			if _, err := ov.ApplyBatch(b); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if step == 20 {
+				ov.Compact()
+			}
+			snap, want := ov.Snapshot(), build()
+			if snap != ov.Snapshot() {
+				t.Fatalf("seed %d step %d: second Snapshot rebuilt", seed, step)
+			}
+			if snap.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("seed %d step %d: merged snapshot is not the Builder's CSR (|E| %d vs %d)",
+					seed, step, snap.NumEdges(), want.NumEdges())
+			}
+			if snap.EdgeFingerprint() != ov.Fingerprint() {
+				t.Fatalf("seed %d step %d: snapshot edge digest != overlay digest", seed, step)
+			}
+		}
+	}
+}

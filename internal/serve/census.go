@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"psgl/internal/esu"
-	"psgl/internal/graph"
 	"psgl/internal/obs"
 )
 
@@ -23,23 +22,24 @@ import (
 // shared-memory; a worker plane does not distribute it).
 //
 // Three layers amortize repeat censuses on the resident graph:
-//   - the BitGraph dense adjacency is built once, on the first census query;
-//   - one canonical-form memo cache per k persists across queries, so a
-//     repeat census runs at a 100% canon-cache hit rate;
-//   - the Result itself is cached per k (the graph is immutable), so a
-//     repeat census(k) answers without enumerating at all.
+//   - the BitGraph dense adjacency is built once per graph epoch, by the
+//     epoch's first census query;
+//   - one canonical-form memo cache per k persists across queries and across
+//     epochs (a canonical form depends only on a k-subgraph's own structure,
+//     never on which resident graph it was found in), so a repeat census runs
+//     at a 100% canon-cache hit rate;
+//   - the Result itself is cached per k for the epoch (its graph is
+//     immutable), so a repeat census(k) answers without enumerating at all.
+//
+// The first and third describe one edge set, so they live in the epoch's
+// graphData, reached only through the graphState a query pinned: a census
+// that was admitted under one epoch and ran after the next was published
+// reads and fills the epoch it pinned, never the current one.
 
-// censusState is the server's lazily built census machinery.
+// censusState is the server-wide half of the census machinery.
 type censusState struct {
-	mu      sync.Mutex
-	bg      *esu.BitGraph
-	bgErr   error // permanent (graph exceeds the BitGraph vertex cap)
-	bgBuilt bool
-	caches  map[int]*esu.CanonCache
-	results map[int]*esu.Result
-	// gen counts invalidations; a census run started under an older gen never
-	// stores its (previous-graph) result into the current result cache.
-	gen uint64
+	mu     sync.Mutex
+	caches map[int]*esu.CanonCache
 
 	// Cumulative counters for /stats.
 	queries     atomic.Int64
@@ -48,44 +48,56 @@ type censusState struct {
 	canonMisses atomic.Int64
 }
 
-// run executes (or answers from cache) a census of g at size k. cached
-// reports a result-cache hit. Concurrent first censuses of the same k may
-// both enumerate (results are identical; one store wins) — the result cache
-// is filled only by completed runs, so a canceled run never poisons it.
-func (cs *censusState) run(ctx context.Context, g *graph.Graph, k, workers int, observer *obs.Observer) (res *esu.Result, cached bool, err error) {
-	cs.queries.Add(1)
+// epochCensus is one graph epoch's half: the dense adjacency and the per-k
+// results of that edge set, both built on first use.
+type epochCensus struct {
+	mu      sync.Mutex
+	bg      *esu.BitGraph
+	bgErr   error // permanent (graph exceeds the BitGraph vertex cap)
+	results map[int]*esu.Result
+}
+
+// canonCache returns the server-wide canonical-form memo cache for size k.
+func (cs *censusState) canonCache(k int) *esu.CanonCache {
 	cs.mu.Lock()
-	if r, ok := cs.results[k]; ok {
-		cs.mu.Unlock()
-		cs.resultHits.Add(1)
-		return r, true, nil
-	}
-	if !cs.bgBuilt {
-		cs.bg, cs.bgErr = esu.NewBitGraph(g)
-		cs.bgBuilt = true
-	}
-	if cs.bgErr != nil {
-		cs.mu.Unlock()
-		return nil, false, cs.bgErr
-	}
-	if cs.caches == nil {
-		cs.caches = make(map[int]*esu.CanonCache)
-	}
-	if cs.results == nil {
-		cs.results = make(map[int]*esu.Result)
-	}
+	defer cs.mu.Unlock()
 	cache, ok := cs.caches[k]
 	if !ok {
+		if cs.caches == nil {
+			cs.caches = make(map[int]*esu.CanonCache)
+		}
 		cache = esu.NewCanonCache(k)
 		cs.caches[k] = cache
 	}
-	bg := cs.bg
-	gen := cs.gen
-	cs.mu.Unlock()
+	return cache
+}
+
+// run executes (or answers from the epoch's cache) a census of d's graph at
+// size k. cached reports a result-cache hit. Concurrent first censuses of the
+// same k may both enumerate (results are identical; one store wins) — the
+// result cache is filled only by completed runs, so a canceled run never
+// poisons it.
+func (cs *censusState) run(ctx context.Context, d *graphData, k, workers int, observer *obs.Observer) (res *esu.Result, cached bool, err error) {
+	cs.queries.Add(1)
+	ec := &d.census
+	ec.mu.Lock()
+	if r, ok := ec.results[k]; ok {
+		ec.mu.Unlock()
+		cs.resultHits.Add(1)
+		return r, true, nil
+	}
+	if ec.bg == nil && ec.bgErr == nil {
+		ec.bg, ec.bgErr = esu.NewBitGraph(d.g)
+	}
+	bg, err := ec.bg, ec.bgErr
+	ec.mu.Unlock()
+	if err != nil {
+		return nil, false, err
+	}
 
 	res, err = esu.CountBitGraph(ctx, bg, k, esu.Options{
 		Workers:  workers,
-		Cache:    cache,
+		Cache:    cs.canonCache(k),
 		Observer: observer,
 	})
 	if err != nil {
@@ -93,25 +105,13 @@ func (cs *censusState) run(ctx context.Context, g *graph.Graph, k, workers int, 
 	}
 	cs.canonHits.Add(res.CacheHits)
 	cs.canonMisses.Add(res.CacheMisses)
-	cs.mu.Lock()
-	if cs.gen == gen && cs.results != nil {
-		cs.results[k] = res
+	ec.mu.Lock()
+	if ec.results == nil {
+		ec.results = make(map[int]*esu.Result)
 	}
-	cs.mu.Unlock()
+	ec.results[k] = res
+	ec.mu.Unlock()
 	return res, false, nil
-}
-
-// invalidate drops the graph-derived census caches after a mutation epoch:
-// the BitGraph adjacency and the per-k result cache describe the previous
-// graph. The canonical-form memo caches survive — a canonical form depends
-// only on a k-subgraph's own structure, never on which resident graph it was
-// found in, so the expensive memo keeps paying off across epochs.
-func (cs *censusState) invalidate() {
-	cs.mu.Lock()
-	cs.bg, cs.bgErr, cs.bgBuilt = nil, nil, false
-	cs.results = nil
-	cs.gen++
-	cs.mu.Unlock()
 }
 
 // CensusStats is the census section of /stats.
@@ -126,12 +126,12 @@ type CensusStats struct {
 	CanonHits    int64   `json:"canon_hits"`
 	CanonMisses  int64   `json:"canon_misses"`
 	CanonHitRate float64 `json:"canon_hit_rate"`
-	// BitGraphBytes is the dense adjacency footprint (0 until the first
-	// census query builds it).
+	// BitGraphBytes is the serving epoch's dense adjacency footprint (0 until
+	// the epoch's first census query builds it).
 	BitGraphBytes int64 `json:"bitgraph_bytes"`
 }
 
-func (cs *censusState) stats() CensusStats {
+func (cs *censusState) stats(d *graphData) CensusStats {
 	st := CensusStats{
 		Queries:         cs.queries.Load(),
 		ResultCacheHits: cs.resultHits.Load(),
@@ -141,11 +141,11 @@ func (cs *censusState) stats() CensusStats {
 	if total := st.CanonHits + st.CanonMisses; total > 0 {
 		st.CanonHitRate = float64(st.CanonHits) / float64(total)
 	}
-	cs.mu.Lock()
-	if cs.bg != nil {
-		st.BitGraphBytes = cs.bg.SizeBytes()
+	d.census.mu.Lock()
+	if d.census.bg != nil {
+		st.BitGraphBytes = d.census.bg.SizeBytes()
 	}
-	cs.mu.Unlock()
+	d.census.mu.Unlock()
 	return st
 }
 
@@ -168,8 +168,8 @@ type censusCacheReport struct {
 
 // serveCensus answers a census(k) query. The caller already holds an
 // admission slot and the query deadline context.
-func (s *Server) serveCensus(ctx context.Context, w http.ResponseWriter, g *graph.Graph, k int, params queryParams, observer *obs.Observer, traceID string, start time.Time) {
-	res, cached, err := s.census.run(ctx, g, k, params.workers, observer)
+func (s *Server) serveCensus(ctx context.Context, w http.ResponseWriter, d *graphData, k int, params queryParams, observer *obs.Observer, traceID string, start time.Time) {
+	res, cached, err := s.census.run(ctx, d, k, params.workers, observer)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.deadlineExceeded.Add(1)

@@ -1,0 +1,347 @@
+package serve
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"psgl/internal/centralized"
+	"psgl/internal/gen"
+	"psgl/internal/graph"
+)
+
+// checkCensus compares a served census with centralized's k-motif histogram
+// of g (esu's class codes re-canonicalized the oracle's way).
+func checkCensus(t *testing.T, what string, got censusResponse, g *graph.Graph) {
+	t.Helper()
+	want, total := centralized.MotifCensus(g, got.K)
+	hist := map[uint32]int64{}
+	for _, c := range got.Classes {
+		hist[centralized.CanonicalSubgraphCode(got.K, c.Code)] += c.Count
+	}
+	if got.Subgraphs != total || len(hist) != len(want) {
+		t.Fatalf("%s: served %d subgraphs in %d classes, oracle %d in %d", what, got.Subgraphs, len(hist), total, len(want))
+	}
+	for code, n := range want {
+		if hist[code] != n {
+			t.Fatalf("%s: class %#x served %d, oracle %d", what, code, hist[code], n)
+		}
+	}
+}
+
+// TestCensusAdmittedAcrossUpdateKeepsItsEpoch: a census query pins its epoch
+// before it waits for admission. When an effective /update lands while it
+// waits, it must census the graph it pinned and leave the new epoch's caches
+// alone. It used to rebuild the server-wide BitGraph from its stale graph
+// under the new generation number and store its histogram as current, so
+// every later census(k) of the new epoch was served the old one.
+func TestCensusAdmittedAcrossUpdateKeepsItsEpoch(t *testing.T) {
+	g := graph.FromEdges(7, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	s, ts := newTestServer(t, g, Config{Workers: 2, MaxInFlight: 2})
+	gate := make(chan struct{})
+	pinned := make(chan struct{})
+	var calls atomic.Int32
+	s.hookQueryAdmitted = func() {
+		if calls.Add(1) == 1 { // the census query; the update and later queries pass
+			close(pinned)
+			<-gate
+		}
+	}
+
+	var stale censusResponse
+	done := make(chan int)
+	go func() { done <- getJSON(t, ts.URL+"/query?pattern=census(3)", &stale) }()
+	select {
+	case <-pinned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("census query never admitted")
+	}
+	batch := graph.Batch{Add: [][2]graph.VertexID{{0, 2}, {1, 3}, {5, 6}}}
+	if _, code := postUpdate(t, ts.URL, `{"add":[[0,2],[1,3],[5,6]]}`); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	close(gate)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("pinned census status %d", code)
+	}
+	checkCensus(t, "census pinned before the update", stale, g)
+
+	var fresh censusResponse
+	if code := getJSON(t, ts.URL+"/query?pattern=census(3)", &fresh); code != http.StatusOK {
+		t.Fatalf("fresh census status %d", code)
+	}
+	if fresh.Cached {
+		t.Fatal("the new epoch's first census was answered from a cache")
+	}
+	checkCensus(t, "census after the update", fresh, mutate(t, g, batch))
+	if st := s.Stats(); st.Census.BitGraphBytes == 0 || st.Graph.Epoch != 1 {
+		t.Fatalf("stats after the new epoch's census: %+v (epoch %d)", st.Census, st.Graph.Epoch)
+	}
+}
+
+// TestPreparedStateFollowsTheGraphEpoch: the engine's graph-scoped state is
+// built by the first engine query of a graph epoch, shared by the rest, kept
+// across an all-noop batch, replaced — lazily — after an effective one, and
+// /stats says so. A ?workers= override re-buckets over the shared state
+// without another build.
+func TestPreparedStateFollowsTheGraphEpoch(t *testing.T) {
+	g := testGraph(t)
+	s, ts := newTestServer(t, g, Config{Workers: 2})
+	if st := s.Stats().Prepared; st.Builds != 0 || st.Bytes != 0 {
+		t.Fatalf("nothing may be prepared before the first query: %+v", st)
+	}
+	want := countQuery(t, ts.URL, "triangle")
+	countQuery(t, ts.URL, "triangle")
+	st := s.Stats().Prepared
+	if st.Builds != 1 || st.SharedUses != 1 || st.LastBuildMS <= 0 || st.Bytes == 0 || st.Epoch != 0 {
+		t.Fatalf("after two queries: %+v", st)
+	}
+	held := s.state.Load().prep.Load()
+
+	e := [2]graph.VertexID{}
+	g.Edges(func(u, v graph.VertexID) bool { e = [2]graph.VertexID{u, v}; return false })
+	if ur, code := postUpdate(t, ts.URL, fmt.Sprintf(`{"add":[[%d,%d]]}`, e[0], e[1])); code != http.StatusOK || ur.Noops != 1 {
+		t.Fatalf("noop batch: %+v, status %d", ur, code)
+	}
+	var cr countResponse
+	if code := getJSON(t, ts.URL+"/query?count_only=1&workers=3&pattern=triangle", &cr); code != http.StatusOK || cr.Count != want {
+		t.Fatalf("3-worker count after a noop batch: %d (status %d), want %d", cr.Count, code, want)
+	}
+	full := s.Stats()
+	if st := full.Prepared; st.Builds != 1 || st.SharedUses != 2 || st.Epoch != 0 || full.Graph.Epoch != 1 {
+		t.Fatalf("a noop batch must keep the epoch's prepared state: %+v (serving epoch %d)", st, full.Graph.Epoch)
+	}
+	if s.state.Load().prep.Load() != held {
+		t.Fatal("a noop batch or a ?workers= override replaced the prepared state")
+	}
+
+	if _, code := postUpdate(t, ts.URL, fmt.Sprintf(`{"remove":[[%d,%d]]}`, e[0], e[1])); code != http.StatusOK {
+		t.Fatalf("effective update status %d", code)
+	}
+	if st := s.Stats().Prepared; st.Builds != 1 || st.Bytes != 0 || st.Epoch != 2 {
+		t.Fatalf("an update must drop the old state and build nothing: %+v", st)
+	}
+	countQuery(t, ts.URL, "triangle")
+	if st := s.Stats().Prepared; st.Builds != 2 || st.Bytes == 0 {
+		t.Fatalf("the new epoch's first query must build its state: %+v", st)
+	}
+}
+
+// TestServedQueryAllocationBudget: a warm served triangle count on the
+// serve-short graph allocates what its frontier needs — 40.5 k Gpsi envelopes
+// of 80 B are 3.2 MB — and no longer a fresh order, edge index and set of
+// ownership buckets on top (≈ 12 MB per query before the epoch kept them).
+func TestServedQueryAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the query's")
+	}
+	if testing.Short() {
+		t.Skip("builds a 40k-vertex graph")
+	}
+	s, err := New(gen.ChungLu(40000, 120000, 2.5, 1), Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	query := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?pattern=triangle&count_only=1", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	query() // builds the epoch's state and the plan
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+	t.Logf("%.2f MB allocated per warm triangle count", perQuery)
+	if perQuery > 4 {
+		t.Errorf("%.2f MB allocated per warm triangle count, budget 4", perQuery)
+	}
+}
+
+// TestEpochCoherenceSoak runs an updater, a standing query and concurrent
+// count queries against one server (CI runs it under -race) and checks that
+// every served count is the oracle's count of some epoch current between the
+// query's send and its receipt — a query never mixes one epoch's graph with
+// another's prepared state or plans — and that per epoch
+// count(G) + gained − lost = count(G′) holds for what the update response
+// and the subscriber's stream report.
+func TestEpochCoherenceSoak(t *testing.T) {
+	const epochs = 60
+	g := gen.ChungLu(400, 1600, 2.0, 5)
+	s, ts := newTestServer(t, g, Config{Workers: 2, MaxInFlight: 3, MaxQueue: 64})
+
+	resp, err := http.Get(ts.URL + "/subscribe?pattern=triangle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	var hello subHello
+	readNDJSONLine(t, br, &hello)
+	// The standing query's per-epoch summaries, read as they arrive so the
+	// stream never backs up into the server's lag cut-off.
+	const effectiveEpochs = epochs - epochs/6
+	summaries := make(chan subSummaryLine, effectiveEpochs)
+	go func() {
+		defer close(summaries)
+		for n := 0; n < effectiveEpochs; {
+			line, err := br.ReadBytes('\n')
+			var sum subSummaryLine
+			if err != nil || json.Unmarshal(line, &sum) != nil {
+				return
+			}
+			if sum.Done {
+				summaries <- sum
+				n++
+			}
+		}
+	}()
+
+	// counts[e] is the oracle's triangle count after epoch e; epoch is the
+	// latest one whose update response the updater has seen.
+	counts := []int64{centralized.CountTriangles(g)}
+	var epoch atomic.Int64
+	type observation struct{ sent, recv, count int64 }
+	var obsMu sync.Mutex
+	var observed []observation
+	stop := make(chan struct{})
+
+	var queriers sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		queriers.Add(1)
+		go func(c int) {
+			defer queriers.Done()
+			url := ts.URL + "/query?count_only=1&pattern=triangle"
+			if c == 2 {
+				url += "&workers=3" // its own buckets over the epoch's shared indexes
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sent := epoch.Load()
+				var cr countResponse
+				r, err := http.Get(url)
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				err = json.NewDecoder(r.Body).Decode(&cr)
+				r.Body.Close()
+				if err != nil || r.StatusCode != http.StatusOK {
+					t.Errorf("query: status %d, %v", r.StatusCode, err)
+					return
+				}
+				obsMu.Lock()
+				observed = append(observed, observation{sent, epoch.Load(), cr.Count})
+				obsMu.Unlock()
+			}
+		}(c)
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	mirror := graph.NewOverlay(g)
+	n := g.NumVertices()
+	var gained, lost []int64 // per epoch, from the update responses
+	for e := 1; e <= epochs; e++ {
+		var b graph.Batch
+		if e%6 == 0 { // an all-noop batch: re-add a present edge
+			mirror.Snapshot().Edges(func(u, v graph.VertexID) bool {
+				b.Add = append(b.Add, [2]graph.VertexID{u, v})
+				return false
+			})
+		} else {
+			for i := 0; i < 4; i++ {
+				u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+				if u == v {
+					continue
+				}
+				if rng.Intn(2) == 0 {
+					b.Add = append(b.Add, [2]graph.VertexID{u, v})
+				} else if nb := mirror.Snapshot().Neighbors(u); len(nb) > 0 {
+					b.Remove = append(b.Remove, [2]graph.VertexID{u, nb[rng.Intn(len(nb))]})
+				}
+			}
+			if len(b.Add)+len(b.Remove) == 0 {
+				b.Add = append(b.Add, [2]graph.VertexID{0, 1})
+			}
+		}
+		if _, err := mirror.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, centralized.CountTriangles(mirror.Snapshot()))
+		body, _ := json.Marshal(map[string][][2]graph.VertexID{"add": b.Add, "remove": b.Remove})
+		ur, code := postUpdate(t, ts.URL, string(body))
+		if code != http.StatusOK || ur.Epoch != uint64(e) {
+			t.Fatalf("update %d: status %d, %+v", e, code, ur)
+		}
+		var dg, dl int64
+		for _, d := range ur.Deltas {
+			if d.Error != "" {
+				t.Fatalf("update %d: delta error %s", e, d.Error)
+			}
+			dg, dl = d.Gained, d.Lost
+		}
+		gained, lost = append(gained, dg), append(lost, dl)
+		if counts[e-1]+dg-dl != counts[e] {
+			t.Fatalf("epoch %d: count(G) %d + gained %d - lost %d != count(G') %d", e, counts[e-1], dg, dl, counts[e])
+		}
+		epoch.Store(int64(e))
+	}
+	close(stop)
+	queriers.Wait()
+
+	// The standing query heard every effective epoch, with the same totals.
+	for e := 1; e <= epochs; e++ {
+		if e%6 == 0 {
+			continue // noop batches publish nothing to subscribers
+		}
+		select {
+		case sum, ok := <-summaries:
+			if !ok || sum.Epoch != uint64(e) || sum.Gained != gained[e-1] || sum.Lost != lost[e-1] || sum.Error != "" {
+				t.Fatalf("subscriber summary %+v (stream open: %v), update %d reported +%d -%d", sum, ok, e, gained[e-1], lost[e-1])
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("subscriber never heard epoch %d", e)
+		}
+	}
+
+	if len(observed) < epochs/2 {
+		t.Fatalf("only %d queries completed beside %d updates", len(observed), epochs)
+	}
+	for _, o := range observed {
+		ok := false
+		for e := o.sent; e <= o.recv+1 && e < int64(len(counts)); e++ {
+			ok = ok || counts[e] == o.count
+		}
+		if !ok {
+			t.Errorf("count %d served between epochs %d and %d is none of their oracle counts %v",
+				o.count, o.sent, o.recv, counts[o.sent:min(o.recv+2, int64(len(counts)))])
+		}
+	}
+	st := s.Stats()
+	if st.Prepared.Builds > effectiveEpochs+1 {
+		t.Errorf("%d prepared builds for %d graph epochs", st.Prepared.Builds, effectiveEpochs+1)
+	}
+	if st.Prepared.Builds+st.Prepared.SharedUses != st.Queries.Completed {
+		t.Errorf("prepared builds %d + shared uses %d != %d completed queries",
+			st.Prepared.Builds, st.Prepared.SharedUses, st.Queries.Completed)
+	}
+}

@@ -133,18 +133,71 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// graphState is one epoch's immutable serving snapshot: the CSR graph, its
-// fingerprint, and the plan cache built against it. /update publishes a new
-// graphState atomically, so queries pin one consistent epoch for their whole
-// run while mutations proceed — readers and the mutation path never hold a
-// lock against each other. The plan cache rides inside because a plan's
-// initial-vertex selection is computed against one graph's degree
-// distribution: swapping the state swaps (and thereby invalidates) the cache.
+// graphState is one epoch's immutable serving snapshot. /update publishes a
+// new graphState atomically, so queries pin one consistent epoch for their
+// whole run while mutations proceed — readers and the mutation path never
+// hold a lock against each other. Everything a query reads about the graph
+// hangs off the graphData it points to, so the graph, the plans selected
+// against it and the engine state built over it can never come from
+// different epochs.
 type graphState struct {
+	*graphData
+	epoch uint64
+}
+
+// graphData is one edge set and everything derived from it: the CSR graph,
+// its fingerprint, the plan cache (a plan's initial-vertex selection is
+// computed against one graph's degree distribution), the engine's
+// graph-scoped state and the census engine's. An effective /update batch
+// publishes a fresh graphData — which is the invalidation of all of it, and
+// an old epoch's derived state dies with the last query that pinned it — while
+// an all-noop batch republishes the same one under the next epoch number.
+type graphData struct {
 	g     *graph.Graph
 	fp    uint64
 	plans *planCache
-	epoch uint64
+	// since is the epoch this edge set was published at.
+	since uint64
+
+	// prep is the engine's graph-scoped state (core.Prepared), built by the
+	// first query of the epoch that runs the engine — never at publish, which
+	// would charge every update for a build the next update may discard.
+	prepOnce sync.Once
+	prep     atomic.Pointer[core.Prepared]
+
+	census epochCensus
+}
+
+func newGraphData(g *graph.Graph, epoch uint64) *graphData {
+	return &graphData{
+		g:     g,
+		fp:    g.Fingerprint(),
+		plans: newPlanCache(stats.FromHistogram(g.DegreeHistogram())),
+		since: epoch,
+	}
+}
+
+// prepared returns the epoch's graph-scoped engine state for a run under
+// opts, building it on first use; concurrent first queries share the one
+// build. The order, edge index and hub bitmap are built for the server's
+// configured worker count and shared by every query; a query that overrides
+// ?workers= gets its own ownership buckets over the same indexes, held for
+// that query only, so varying worker counts never multiply the resident state.
+func (s *Server) prepared(d *graphData, opts core.Options) *core.Prepared {
+	built := false
+	d.prepOnce.Do(func() {
+		built = true
+		start := time.Now()
+		base := opts
+		base.Workers = s.cfg.Workers
+		d.prep.Store(core.Prepare(d.g, base))
+		s.prepBuilds.Add(1)
+		s.prepLastBuildNS.Store(time.Since(start).Nanoseconds())
+	})
+	if !built {
+		s.prepShared.Add(1)
+	}
+	return d.prep.Load().ForWorkers(opts.Workers)
 }
 
 // Server is a resident subgraph-listing query service over one data graph.
@@ -189,9 +242,16 @@ type Server struct {
 	qid     atomic.Int64
 	lastObs atomic.Pointer[obs.Observer]
 
-	// census holds the lazily built motif-census machinery (BitGraph,
-	// per-k canonical caches, per-k result cache) behind census(k) queries.
+	// census holds the motif-census state that outlives an epoch (per-k
+	// canonical-form caches, counters); the BitGraph and the per-k results
+	// belong to the epoch's graphData.
 	census censusState
+
+	// Graph-scoped engine state counters for /stats: builds, queries that
+	// found their epoch's state already built, and the last build's cost.
+	prepBuilds      atomic.Int64
+	prepShared      atomic.Int64
+	prepLastBuildNS atomic.Int64
 
 	// plane is non-nil when this server coordinates a remote worker tier;
 	// planeObs is its long-lived observer (heartbeat misses, evictions).
@@ -223,7 +283,8 @@ type Server struct {
 }
 
 // New builds a Server over g. The graph's degree distribution (for
-// initial-vertex selection) and fingerprint are computed once, here.
+// initial-vertex selection) and fingerprint are computed once, here; the
+// engine's graph-scoped state waits for the first query.
 func New(g *graph.Graph, cfg Config) (*Server, error) {
 	if g == nil {
 		return nil, fmt.Errorf("serve: nil graph")
@@ -235,11 +296,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		start: time.Now(),
 		subs:  make(map[int64]*subscription),
 	}
-	s.state.Store(&graphState{
-		g:     g,
-		fp:    g.Fingerprint(),
-		plans: newPlanCache(stats.FromHistogram(g.DegreeHistogram())),
-	})
+	s.state.Store(&graphState{graphData: newGraphData(g, 0)})
 	s.overlay = graph.NewOverlay(g)
 	s.mutEdgeFP.Store(s.overlay.Fingerprint())
 	if cfg.Plane != nil {
@@ -447,7 +504,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The census engine is shared-memory: it always runs in-process, even
 		// when this server coordinates a worker plane, and it holds its
 		// admission slot like any other query.
-		s.serveCensus(ctx, w, st.g, censusK, params, observer, traceID, time.Now())
+		s.serveCensus(ctx, w, st.graphData, censusK, params, observer, traceID, time.Now())
 		return
 	}
 
@@ -485,11 +542,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
+	pr := s.prepared(st.graphData, opts)
 	if params.countOnly {
-		s.serveCount(ctx, w, st.g, plan, opts, traceID, start)
+		s.serveCount(ctx, w, pr, plan, opts, traceID, start)
 		return
 	}
-	s.serveStream(ctx, w, st.g, plan, opts, params.limit, traceID, start)
+	s.serveStream(ctx, w, pr, plan, opts, params.limit, traceID, start)
 }
 
 // countResponse is the count-only fast path's response body.
@@ -502,8 +560,8 @@ type countResponse struct {
 	WallMS    float64 `json:"wall_ms"`
 }
 
-func (s *Server) serveCount(ctx context.Context, w http.ResponseWriter, g *graph.Graph, plan *Plan, opts core.Options, traceID string, start time.Time) {
-	res, err := core.RunContext(ctx, g, plan.Pattern, opts)
+func (s *Server) serveCount(ctx context.Context, w http.ResponseWriter, pr *core.Prepared, plan *Plan, opts core.Options, traceID string, start time.Time) {
+	res, err := pr.RunContext(ctx, plan.Pattern, opts)
 	// Query-level retry: a failed count run re-admits, resuming from its
 	// last barrier checkpoint when one exists (counts stay exact across a
 	// resume — the engine's exactly-once accounting). Deadline expiry is
@@ -514,7 +572,7 @@ func (s *Server) serveCount(ctx context.Context, w http.ResponseWriter, g *graph
 			opts.Observer.AddQueryRetry()
 		}
 		opts.ResumeFrom = opts.CheckpointStore
-		res, err = core.RunContext(ctx, g, plan.Pattern, opts)
+		res, err = pr.RunContext(ctx, plan.Pattern, opts)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -551,7 +609,7 @@ type streamTrailer struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-func (s *Server) serveStream(ctx context.Context, w http.ResponseWriter, g *graph.Graph, plan *Plan, opts core.Options, limit int64, traceID string, start time.Time) {
+func (s *Server) serveStream(ctx context.Context, w http.ResponseWriter, pr *core.Prepared, plan *Plan, opts core.Options, limit int64, traceID string, start time.Time) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 
@@ -579,7 +637,7 @@ func (s *Server) serveStream(ctx context.Context, w http.ResponseWriter, g *grap
 		mu.Unlock()
 	}
 
-	res, err := core.RunContext(ctx, g, plan.Pattern, opts)
+	res, err := pr.RunContext(ctx, plan.Pattern, opts)
 	trailer := streamTrailer{
 		Done:      true,
 		TraceID:   traceID,
@@ -662,6 +720,10 @@ type StatsResponse struct {
 		RawBytes  int64   `json:"raw_bytes"`
 		Ratio     float64 `json:"ratio"`
 	} `json:"compression"`
+	// Prepared reports the engine's graph-scoped state (vertex order, edge
+	// index, hub bitmap, ownership buckets), built once per graph epoch by the
+	// first query that runs the engine and shared by the rest.
+	Prepared PreparedStats `json:"prepared"`
 	// Census reports the motif-census verb's caches: queries served, per-k
 	// result-cache hits, and the canonical-form memo cache hit rate.
 	Census CensusStats `json:"census"`
@@ -672,6 +734,22 @@ type StatsResponse struct {
 	// Plane is present only when the server coordinates a worker plane.
 	Plane    *PlaneStats `json:"worker_plane,omitempty"`
 	Draining bool        `json:"draining"`
+}
+
+// PreparedStats is the /stats prepared section.
+type PreparedStats struct {
+	// Builds counts core.Prepare calls over the server's life (at most one
+	// per graph epoch); SharedUses counts queries that found their epoch's
+	// state already built.
+	Builds     int64 `json:"builds"`
+	SharedUses int64 `json:"shared_uses"`
+	// LastBuildMS is the most recent build's duration.
+	LastBuildMS float64 `json:"last_build_ms"`
+	// Bytes is what the serving epoch's state holds (0 until its first engine
+	// query); Epoch is the epoch that edge set was published at — noop batches
+	// advance graph.epoch past it without a rebuild.
+	Bytes int64  `json:"bytes"`
+	Epoch uint64 `json:"epoch"`
 }
 
 // Stats assembles the /stats document (also used by tests directly).
@@ -699,7 +777,16 @@ func (s *Server) Stats() StatsResponse {
 	if sr.Compression.WireBytes > 0 {
 		sr.Compression.Ratio = float64(sr.Compression.RawBytes) / float64(sr.Compression.WireBytes)
 	}
-	sr.Census = s.census.stats()
+	sr.Prepared = PreparedStats{
+		Builds:      s.prepBuilds.Load(),
+		SharedUses:  s.prepShared.Load(),
+		LastBuildMS: float64(s.prepLastBuildNS.Load()) / 1e6,
+		Epoch:       st.since,
+	}
+	if pr := st.prep.Load(); pr != nil {
+		sr.Prepared.Bytes = pr.SizeBytes()
+	}
+	sr.Census = s.census.stats(st.graphData)
 	sr.Mutations = s.mutationStats(st.epoch)
 	if s.plane != nil {
 		sr.Plane = s.plane.stats()

@@ -7,12 +7,14 @@
 // snapshot, one delta enumeration per distinct subscribed pattern computes
 // exactly the embeddings gained and lost (internal/delta — no full
 // re-enumeration), and a fresh graphState is published atomically. Publishing
-// invalidates everything keyed on the previous graph: the plan cache (rebuilt
-// against the new degree distribution), the census caches (BitGraph and per-k
-// results), and — when this server coordinates a worker plane — every
-// registered worker, whose resident graph is now a stale epoch (their rejoin
-// re-checks the fingerprint). Queries already in flight keep the graphState
-// they loaded at admission, so they finish on a consistent snapshot.
+// invalidates everything keyed on the previous graph by replacing it: the
+// plan cache (rebuilt against the new degree distribution), the engine's
+// prepared state and the census BitGraph and per-k results (each rebuilt by
+// the first query of the new epoch that needs it), and — when this server
+// coordinates a worker plane — every registered worker, whose resident graph
+// is now a stale epoch (their rejoin re-checks the fingerprint). Queries
+// already in flight keep the graphState they loaded at admission, so they
+// finish on a consistent snapshot.
 //
 // Past Config.CompactThreshold pending patch edges the overlay folds its
 // patches into a fresh CSR base, bounding snapshot rebuild cost over a long
@@ -36,7 +38,6 @@ import (
 	"psgl/internal/graph"
 	"psgl/internal/obs"
 	"psgl/internal/pattern"
-	"psgl/internal/stats"
 )
 
 const (
@@ -232,9 +233,10 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 
 	if effective == 0 {
 		// All-noop batch: the epoch advances (the batch was accepted), but
-		// the edge set is unchanged — plans, census, and the worker plane all
-		// stay current, and standing queries have nothing to hear.
-		s.state.Store(&graphState{g: old.g, fp: old.fp, plans: old.plans, epoch: res.Epoch})
+		// the edge set is unchanged — plans, prepared engine state, census, and
+		// the worker plane all stay current, and standing queries have nothing
+		// to hear.
+		s.state.Store(&graphState{graphData: old.graphData, epoch: res.Epoch})
 		s.finishUpdate(resp, old.fp, false, start)
 		return resp, nil
 	}
@@ -248,20 +250,16 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 		compacted = true
 	}
 
-	// Publish the new epoch. The fresh plan cache is the plan invalidation:
-	// a cached plan's initial vertex was selected against the old degree
-	// distribution. Census caches describe the old graph. Worker-plane
-	// workers are resident over the old graph, so every incarnation is
-	// retired; the rejoin loop re-checks the fingerprint and keeps them out
-	// until they reload.
-	neu := &graphState{
-		g:     snap,
-		fp:    snap.Fingerprint(),
-		plans: newPlanCache(stats.FromHistogram(snap.DegreeHistogram())),
-		epoch: res.Epoch,
-	}
+	// Publish the new epoch. A fresh graphData is the invalidation of
+	// everything derived from the old edge set: the plan cache (a cached
+	// plan's initial vertex was selected against the old degree
+	// distribution), the engine's prepared state and the census BitGraph and
+	// results — a query still pinning the old epoch keeps reading the old
+	// ones. Worker-plane workers are resident over the old graph, so every
+	// incarnation is retired; the rejoin loop re-checks the fingerprint and
+	// keeps them out until they reload.
+	neu := &graphState{graphData: newGraphData(snap, res.Epoch), epoch: res.Epoch}
 	s.state.Store(neu)
-	s.census.invalidate()
 	if s.plane != nil {
 		s.plane.reg.EvictAll()
 	}

@@ -3,14 +3,17 @@ package core
 import (
 	"testing"
 
+	"psgl/internal/centralized"
 	"psgl/internal/gen"
 	"psgl/internal/pattern"
 )
 
 // TestBitsetAndMatchesMergePath proves the bitset AND candidate fast path is
 // count-preserving: on a skewed graph with the hub threshold lowered so the
-// path actually fires, every pattern must report the same instance count with
-// the switch on and off.
+// path actually fires, every pattern must report the oracle's instance count
+// with the switch on and off. (combine checks closing edges by a merge that
+// needs each candidate list in ascending order, which the AND path must
+// keep.)
 func TestBitsetAndMatchesMergePath(t *testing.T) {
 	g := gen.ChungLu(1200, 7000, 1.7, 23)
 	for _, pname := range []string{"pg1", "pg2", "pg3", "pg4"} {
@@ -32,9 +35,9 @@ func TestBitsetAndMatchesMergePath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s bitset off: %v", pname, err)
 		}
-		if resOn.Count != resOff.Count {
-			t.Fatalf("%s: bitset path found %d instances, merge path %d",
-				pname, resOn.Count, resOff.Count)
+		if want := centralized.CountInstances(p, g); resOn.Count != want || resOff.Count != want {
+			t.Fatalf("%s: bitset path found %d instances, merge path %d, oracle %d",
+				pname, resOn.Count, resOff.Count, want)
 		}
 		if resOff.Stats.BitsetAndCandidates != 0 {
 			t.Fatalf("%s: disabled run still took the bitset path %d times",

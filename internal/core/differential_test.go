@@ -114,8 +114,10 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 // every counter, WorkerMessages, LoadUnits and LoadMakespan (everything in
 // Stats but the clocks) over all catalog patterns × strategies. The values
 // were recorded before the strict barrier became a quiescence point of the
-// credit detector; the run loop may change how a superstep is driven, never
-// what it computes or in which order a worker sees its inbox.
+// credit detector, and re-recorded once when closing edges with an owned
+// endpoint began to be checked in place (fewer Gpsis, index queries and
+// supersteps; more pruned_by_verify); the run loop may change how a superstep
+// is driven, never what it computes or in which order a worker sees its inbox.
 func TestStrictStatsPinned(t *testing.T) {
 	rows := []struct {
 		seed     int64
@@ -123,18 +125,18 @@ func TestStrictStatsPinned(t *testing.T) {
 		compress bool
 		want     uint64
 	}{
-		{1, "local", false, 0x1b28cac2bb49b231},
-		{1, "local", true, 0x3b8a952324b16d0c},
-		{1, "tcp", false, 0xbefd2d2c8f10ee90},
-		{1, "tcp", true, 0xb25772952fb5485e},
-		{2, "local", false, 0xc70681efd6b3ac06},
-		{2, "local", true, 0x169d5eb8e24bc495},
-		{2, "tcp", false, 0xcb7ca79617a9fb88},
-		{2, "tcp", true, 0x45b78a01888d9041},
-		{3, "local", false, 0x1485fff481b94c62},
-		{3, "local", true, 0xdd2f22baaece8147},
-		{3, "tcp", false, 0xcfde28467097edc6},
-		{3, "tcp", true, 0xf630097f98372ea2},
+		{1, "local", false, 0x748a863fd1e37272},
+		{1, "local", true, 0x348625887991392f},
+		{1, "tcp", false, 0xdb397a77d2b646f5},
+		{1, "tcp", true, 0xa0c34a086d0ac461},
+		{2, "local", false, 0xf04913074208aea5},
+		{2, "local", true, 0x178de968e1e5a45},
+		{2, "tcp", false, 0x367de60b9b5ac071},
+		{2, "tcp", true, 0x8feebf1858c50cb8},
+		{3, "local", false, 0x8872cbc72d3cdcaf},
+		{3, "local", true, 0x12544c775202e0c4},
+		{3, "tcp", false, 0x447266976ebd5d72},
+		{3, "tcp", true, 0x864a395e35056578},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
@@ -160,6 +162,66 @@ func TestStrictStatsPinned(t *testing.T) {
 		}
 		if got := h.Sum64(); got != row.want {
 			t.Errorf("seed %d %s compress=%v: stats fingerprint %#x, want %#x", row.seed, row.exchange, row.compress, got, row.want)
+		}
+	}
+}
+
+// TestNoIndexStatsPinned pins, like TestStrictStatsPinned, everything a strict
+// run without the edge index reports (the paper's "w/o index" ablation, and
+// what delta's anchored runs use). Every closing edge is checked where the
+// bloom would have been asked, so with no bloom nothing is checked early and
+// each such edge costs its verification hop, as in the paper. The values were
+// recorded before closing edges were first checked in place; they must never
+// move with a change to the index-on path.
+func TestNoIndexStatsPinned(t *testing.T) {
+	// "hubs" lowers the hub threshold so the bitset AND runs too: without the
+	// index it only narrows candidates and leaves every edge pending.
+	// "identity" is delta's configuration: identity order, no index.
+	rows := []struct {
+		seed     int64
+		exchange string
+		variant  string
+		want     uint64
+	}{
+		{1, "local", "", 0x22072d488512b33a},
+		{1, "tcp", "", 0xe5076a71ad6ffddd},
+		{2, "local", "", 0x1cafc8b563618e30},
+		{2, "tcp", "", 0x7b9dd5e211793f52},
+		{3, "local", "", 0x2814d8e921f526ff},
+		{3, "tcp", "", 0x8513617e518aff42},
+		{1, "local", "hubs", 0xca4879c60537157b},
+		{2, "local", "hubs", 0xc6cf29487076163a},
+		{3, "local", "hubs", 0x6f578034e4c2c95d},
+		{1, "local", "identity", 0xc861076a5c0d420c},
+	}
+	patterns := []*pattern.Pattern{
+		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
+	}
+	for _, row := range rows {
+		g := gen.ChungLu(70, 300, 2.3, row.seed)
+		opts := Options{Workers: 4, Seed: row.seed, DisableEdgeIndex: true}
+		switch row.variant {
+		case "hubs":
+			opts.BitmapMinDegree = 8
+		case "identity":
+			opts.IdentityOrder = true
+		}
+		if row.exchange == "tcp" {
+			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
+		}
+		h := fnv.New64a()
+		for _, p := range patterns {
+			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+				opts.Strategy = strat
+				res, err := Run(g, p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%s\n", withoutClocks(res.Stats))
+			}
+		}
+		if got := h.Sum64(); got != row.want {
+			t.Errorf("seed %d %s %q: no-index stats fingerprint %#x, want %#x", row.seed, row.exchange, row.variant, got, row.want)
 		}
 	}
 }

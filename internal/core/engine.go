@@ -79,7 +79,7 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 
 	cfg := bsp.Config{
 		Workers:         opts.Workers,
-		Owner:           func(v graph.VertexID) int { return e.part.Owner(v) },
+		Owner:           e.ownerOf,
 		MaxSupersteps:   opts.MaxSupersteps,
 		Exchange:        opts.Exchange,
 		AsyncExchange:   opts.AsyncExchange,
@@ -166,11 +166,14 @@ type engine struct {
 	ord  *graph.Ordered
 	p    *pattern.Pattern
 	opts Options
-	part graph.Partition
 	ix   *bloom.EdgeIndex
-	// bitmap accelerates exact edge verification against hub vertices
-	// (Section 5.1.1: "costg ... can be done efficiently by a bitmap index").
+	// bitmap is the exact edge test of admits and of pending verification: a
+	// binary search of the shorter CSR row, or a bit of a hub's bitset when
+	// both endpoints are hubs (Section 5.1.1: "costg ... can be done
+	// efficiently by a bitmap index"). combine merges instead (SeekRow).
 	bitmap *graph.BitmapIndex
+	// owner[v] is the worker owning data vertex v (Prepared's, read-only).
+	owner []int32
 
 	initial int
 	// proto is the blank Gpsi Init stamps per seed vertex: all WHITE, sized
@@ -212,14 +215,19 @@ type engine struct {
 }
 
 // expandFrame is one depth level of a worker's expansion scratch: the WHITE
-// vertices being combined and their candidate buffers. LocalExpansion inlines
-// expansions recursively (depth bounded by the pattern size: each inline step
-// blackens a vertex), so frames form a small stack; reusing them keeps
-// steady-state expansion allocation-free.
+// vertices being combined, their candidate buffers, for each the mapped
+// neighbors whose edge to a candidate went to the bloom and is pending, and
+// combine's merge cursors (rows[eid]: what is left of the row of the earlier
+// endpoint's image of pattern edge eid while the later one's slot is walked).
+// LocalExpansion inlines expansions recursively (depth bounded by the pattern
+// size: each inline step blackens a vertex), so frames form a small stack;
+// reusing them keeps steady-state expansion allocation-free.
 type expandFrame struct {
 	whites [maxPatternVertices]int
 	nw     int
 	cands  [maxPatternVertices][]graph.VertexID
+	pend   [maxPatternVertices]uint16
+	rows   [maxPatternEdges][]graph.VertexID
 }
 
 // workerScratch is the per-worker reusable buffer set of the hot path. Only
@@ -258,9 +266,9 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		ord:    pr.ord,
 		p:      p,
 		opts:   opts,
-		part:   pr.part,
 		ix:     pr.ix,
 		bitmap: pr.bitmap,
+		owner:  pr.owner,
 		owned:  pr.owned,
 	}
 	n := p.N()
@@ -273,8 +281,8 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 	}
 	e.pEdges = p.Edges()
 	for i, edge := range e.pEdges {
-		if i >= 32 {
-			return nil, fmt.Errorf("psgl: pattern has more than 32 edges")
+		if i >= maxPatternEdges {
+			return nil, fmt.Errorf("psgl: pattern has more than %d edges", maxPatternEdges)
 		}
 		e.edgeID[edge[0]][edge[1]] = i
 		e.edgeID[edge[1]][edge[0]] = i
@@ -313,6 +321,9 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 	}
 	return e, nil
 }
+
+// ownerOf returns the worker that owns data vertex v.
+func (e *engine) ownerOf(v graph.VertexID) int { return int(e.owner[v]) }
 
 func workerRngSeed(seed int64, w int) uint64 {
 	return uint64(seed)*0x9e3779b97f4a7c15 + uint64(w) + 1
@@ -376,7 +387,7 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 func (e *engine) initSeeds(ctx *bsp.Context[gpsi]) {
 	w := ctx.Worker()
 	for _, s := range e.opts.Seeds {
-		if e.part.Owner(s.DataVertices[0]) != w {
+		if e.ownerOf(s.DataVertices[0]) != w {
 			continue
 		}
 		if m, ok := e.seedGpsi(ctx, s); ok {
@@ -526,8 +537,12 @@ func (e *engine) breaksOrder(m *gpsi, wv int, d graph.VertexID, among uint16) bo
 
 // admits applies the per-Gpsi half of Algorithm 5 to candidate d for WHITE
 // vertex wv: injectivity, the partial-order filter against the mapped set, and
-// the light-weight edge index against the mapped neighbors of wv in probe.
-func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, wv int, d graph.VertexID, mapped, probe uint16) bool {
+// a check of every closing edge from d to the mapped neighbors of wv in probe.
+// A closing edge is checked exactly on the spot when this worker owns either
+// endpoint (own holds the mapped vertices whose images it owns), and by the
+// light-weight edge index otherwise; see pendingOf for what that leaves
+// pending.
+func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, wv int, d graph.VertexID, mapped, probe, own uint16) bool {
 	if m.uses(d) {
 		ctx.Add(ctrPrunedInjective, 1)
 		return false
@@ -536,9 +551,22 @@ func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, wv int, d graph.VertexI
 		ctx.Add(ctrPrunedOrder, 1)
 		return false
 	}
-	for ; probe != 0; probe &= probe - 1 {
+	if probe == 0 {
+		return true
+	}
+	exact := probe & own
+	if e.ownerOf(d) == ctx.Worker() {
+		exact = probe
+	}
+	for mask := exact; mask != 0; mask &= mask - 1 {
+		if !e.bitmap.HasEdge(d, m.Map[bits.TrailingZeros16(mask)]) {
+			ctx.Add(ctrPrunedVerify, 1)
+			return false
+		}
+	}
+	for mask := probe &^ exact; mask != 0; mask &= mask - 1 {
 		ctx.Add(ctrIndexQueries, 1)
-		if !e.ix.MayHaveEdge(d, m.Map[bits.TrailingZeros16(probe)]) {
+		if !e.ix.MayHaveEdge(d, m.Map[bits.TrailingZeros16(mask)]) {
 			ctx.Add(ctrPrunedIndex, 1)
 			return false
 		}
@@ -560,19 +588,26 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID
 	vp := int(m.Next)
 	vd := m.Map[vp]
 	m.Expanded |= 1 << uint(vp)
+	mapped := m.mappedMask()
+	// own is the set of mapped vertices whose adjacency this worker may
+	// consult: vp's always; with the edge index, every one whose image it
+	// owns, looked up only when an edge depends on it. Without the index only
+	// vp's, as in the paper's ablation.
+	own := uint16(1) << uint(vp)
+	if e.ix != nil && (m.Pending != 0 || e.closesOnMapped(vp, mapped)) {
+		own = e.ownedMask(&m, w)
+	}
 
-	// Verify pending edges incident to vp exactly against the local
-	// adjacency (the "verification" role of later iterations; for cliques
-	// this is all the later iterations do).
-	for _, u := range e.p.Neighbors(vp) {
-		if !m.isMapped(u) {
+	// Verify exactly every pending edge with an endpoint in own (the
+	// "verification" role of later iterations; for cliques this is all the
+	// later iterations do).
+	for pend := m.Pending; pend != 0; pend &= pend - 1 {
+		eid := bits.TrailingZeros32(pend)
+		a, b := e.pEdges[eid][0], e.pEdges[eid][1]
+		if own&(1<<uint(a)|1<<uint(b)) == 0 {
 			continue
 		}
-		eid := e.edgeID[vp][u]
-		if m.Pending&(1<<uint(eid)) == 0 {
-			continue
-		}
-		if !e.bitmap.HasEdge(vd, m.Map[u]) {
+		if !e.bitmap.HasEdge(m.Map[a], m.Map[b]) {
 			ctx.Add(ctrPrunedVerify, 1)
 			return
 		}
@@ -584,19 +619,19 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID
 	sc := &e.scratch[w]
 	fr := sc.push()
 	defer sc.pop()
-	mapped := m.mappedMask()
 	loadUnits := 1.0
 	for _, wv := range e.p.Neighbors(vp) {
 		if mapped&(1<<uint(wv)) != 0 {
 			continue
 		}
+		probe := e.probeMask(mapped, vp, wv)
 		cand := fr.cands[fr.nw][:0]
+		var proven uint16
 		if bases == nil {
-			cand = e.candidates(ctx, &m, mapped, vp, vd, wv, cand)
+			cand, proven = e.candidates(ctx, &m, mapped, probe, own, vp, vd, wv, cand)
 		} else {
-			probe := e.probeMask(mapped, vp, wv)
 			for _, d := range bases[fr.nw] {
-				if e.admits(ctx, &m, wv, d, mapped, probe) {
+				if e.admits(ctx, &m, wv, d, mapped, probe, own) {
 					cand = append(cand, d)
 				}
 			}
@@ -606,6 +641,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID
 			return // dead end: this Gpsi leads to no instance
 		}
 		fr.whites[fr.nw] = wv
+		fr.pend[fr.nw] = e.pendingOf(mapped, vp, wv, proven|own)
 		fr.nw++
 		loadUnits *= float64(len(cand))
 	}
@@ -615,12 +651,36 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID
 	}
 	e.stepLoads[w][ctx.Step()] += loadUnits
 
-	e.combine(ctx, &m, vp, mapped, fr.whites[:fr.nw], fr.cands[:fr.nw], 0)
+	e.combine(ctx, &m, fr, 0)
 }
 
-// probeMask is the set of wv's neighbors the edge index is consulted against
+// closesOnMapped reports whether a WHITE neighbor of vp has a mapped neighbor
+// other than vp: whether expanding vp checks any closing edge in admits.
+func (e *engine) closesOnMapped(vp int, mapped uint16) bool {
+	for mask := e.adjacent[vp] &^ mapped; mask != 0; mask &= mask - 1 {
+		if e.adjacent[bits.TrailingZeros16(mask)]&mapped&^(1<<uint(vp)) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// ownedMask is the set of m's mapped pattern vertices whose images worker w
+// owns.
+func (e *engine) ownedMask(m *gpsi, w int) uint16 {
+	own := uint16(0)
+	for v, d := range m.Map[:m.N] {
+		if d != unmapped && e.ownerOf(d) == w {
+			own |= 1 << uint(v)
+		}
+	}
+	return own
+}
+
+// probeMask is the set of wv's neighbors whose edge to a candidate is checked
 // while expanding vp: the mapped ones other than vp itself (whose adjacency the
-// candidates are drawn from). Empty with the index disabled.
+// candidates are drawn from). Empty with the index disabled: nothing is then
+// checked before its verification hop.
 func (e *engine) probeMask(mapped uint16, vp, wv int) uint16 {
 	if e.ix == nil {
 		return 0
@@ -628,20 +688,33 @@ func (e *engine) probeMask(mapped uint16, vp, wv int) uint16 {
 	return e.adjacent[wv] & mapped &^ (1 << uint(vp))
 }
 
+// pendingOf is the set of wv's mapped neighbors, other than vp, whose edge to
+// a candidate of wv is left pending. Without the index that is all of them.
+// With it, only those that went to the bloom: not in exact (the AND-proven
+// ones and those whose image this worker owns), and, which combine decides per
+// candidate, only for a candidate this worker does not own.
+func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
+	pend := e.adjacent[wv] & mapped &^ (1 << uint(vp))
+	if e.ix != nil {
+		pend &^= exact
+	}
+	return pend
+}
+
 // candidates appends to out the admissible data vertices for WHITE pattern
 // vertex wv while expanding vp at vd, applying the degree filter, the
-// partial-order filter, injectivity, and the light-weight edge index against
-// wv's already-mapped neighbors (other than vp). out is a reusable scratch
-// buffer owned by the caller's expansion frame.
-func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) []graph.VertexID {
+// partial-order filter, injectivity, and the closing-edge checks of admits
+// against the mapped neighbors of wv in probe. out is a reusable scratch
+// buffer owned by the caller's expansion frame. proven is the set of mapped
+// neighbors whose edge to every candidate the bitset AND established.
+func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
 	minDeg := e.p.Degree(wv)
-	probe := e.probeMask(mapped, vp, wv)
 	// Bitset AND fast path (back-ported from the ESU engine's BitGraph
 	// kernel): when vd is a hub and wv has other already-mapped pattern
 	// neighbors that are hubs too, the candidate set is confined to the
 	// word-wide AND of their adjacency rows — an exact intersection, so the
-	// bloom check against those neighbors is subsumed (non-hub vertices have
-	// no row; the index still probes them). It is a strict filter:
+	// check against those neighbors is subsumed and proves the edge (non-hub
+	// vertices have no row; admits still checks them). It is a strict filter:
 	// every vertex it drops lacks a real edge to a mapped neighbor and would
 	// have been pruned at pending-edge verification, so counts are identical
 	// with the switch off (the BenchmarkHotpath "w/o bitset" configuration).
@@ -653,11 +726,12 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped uint16, vp i
 			if r := e.bitmap.Row(m.Map[u]); r != nil {
 				hubRows[nHub] = r
 				nHub++
-				probe &^= 1 << uint(u)
+				proven |= 1 << uint(u)
 			}
 		}
 		if nHub > 0 {
 			ctx.Add(ctrBitsetAnd, 1)
+			probe &^= proven
 			// The word loop is inlined — no IterateSet closure — to keep the
 			// hot path allocation-free.
 			for i, word := range rowVd {
@@ -666,35 +740,53 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped uint16, vp i
 				}
 				for ; word != 0; word &= word - 1 {
 					d := graph.VertexID(i*64 + bits.TrailingZeros64(word))
-					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe) {
+					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe, own) {
 						out = append(out, d)
 					}
 				}
 			}
-			return out
+			return out, proven
 		}
 	}
 	for _, d := range e.g.Neighbors(vd) {
-		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe) {
+		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe, own) {
 			out = append(out, d)
 		}
 	}
-	return out
+	return out, 0
 }
 
-// combine enumerates the cross product of the candidate sets, pruning
-// combinations that reuse a data vertex, violate the partial order between
-// two newly mapped vertices, or fail an edge-index check between two newly
-// mapped vertices. Surviving children are finalized. Every combination looks
-// at the halted flag first, so a cap hit inside a hub's cross product stops the
-// enumeration there, not at the next message.
-func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, vp int, preMapped uint16, whites []int, cands [][]graph.VertexID, i int) {
-	if i == len(whites) {
+// combine enumerates the cross product of fr's candidate sets from slot i
+// on, pruning combinations that reuse a data vertex, violate the partial
+// order between two newly mapped vertices, or fail a closing-edge check
+// between two newly mapped vertices — exact when this worker owns either
+// image, by the edge index otherwise. Surviving children, with each slot's
+// pend edges marked pending unless the worker owns the candidate, are
+// finalized. Every combination looks at the halted flag first, so a cap hit
+// inside a hub's cross product stops the enumeration there, not at the next
+// message.
+func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int) {
+	if i == fr.nw {
 		e.finalize(ctx, m)
 		return
 	}
-	wv := whites[i]
-	for _, d := range cands[i] {
+	wv := fr.whites[i]
+	w := ctx.Worker()
+	// earlier is the set of vertices mapped earlier in this combine, which
+	// candidate filtering could not see; closing, wv's edges to them. A
+	// candidate list ascends (it is drawn from a sorted row or a bitset), so
+	// the exact check of a closing edge is a merge along the fixed image's
+	// row.
+	earlier := uint16(0)
+	for _, u := range fr.whites[:i] {
+		earlier |= 1 << uint(u)
+	}
+	closing := e.adjacent[wv] & earlier
+	for mask := closing; mask != 0; mask &= mask - 1 {
+		u := bits.TrailingZeros16(mask)
+		fr.rows[e.edgeID[wv][u]] = e.g.Neighbors(m.Map[u])
+	}
+	for _, d := range fr.cands[i] {
 		if e.halted.Load() != 0 {
 			return
 		}
@@ -702,39 +794,49 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, vp int, preMapped uint
 			ctx.Add(ctrPrunedInjective, 1)
 			continue
 		}
-		// Checks against pattern vertices mapped earlier in this combine
-		// (candidate filtering could not see them), one vertex at a time so the
-		// order and index filters count in the order they always have.
+		if e.breaksOrder(m, wv, d, earlier) {
+			ctx.Add(ctrPrunedOrder, 1)
+			continue
+		}
+		// With the index, every closing edge of a candidate this worker owns
+		// is checked exactly: those to the pre-mapped vertices were in admits.
+		// Its owner is looked up only when an edge depends on it.
+		ownD := e.ix != nil && closing|fr.pend[i] != 0 && e.ownerOf(d) == w
 		ok := true
 		var newPending uint32
-		for j := 0; j < i && ok; j++ {
-			u := whites[j]
-			if e.breaksOrder(m, wv, d, 1<<uint(u)) {
-				ctx.Add(ctrPrunedOrder, 1)
-				ok = false
-			} else if e.p.HasEdge(wv, u) {
-				if e.ix != nil {
-					ctx.Add(ctrIndexQueries, 1)
-					if !e.ix.MayHaveEdge(d, m.Map[u]) {
-						ctx.Add(ctrPrunedIndex, 1)
-						ok = false
-						continue
-					}
-				}
+		for mask := closing; mask != 0 && ok; mask &= mask - 1 {
+			u := bits.TrailingZeros16(mask)
+			switch {
+			case e.ix == nil:
 				newPending |= 1 << uint(e.edgeID[wv][u])
+			case ownD || e.ownerOf(m.Map[u]) == w:
+				row := graph.SeekRow(fr.rows[e.edgeID[wv][u]], d)
+				fr.rows[e.edgeID[wv][u]] = row
+				if len(row) == 0 || row[0] != d {
+					ctx.Add(ctrPrunedVerify, 1)
+					ok = false
+				}
+			default:
+				ctx.Add(ctrIndexQueries, 1)
+				if !e.ix.MayHaveEdge(d, m.Map[u]) {
+					ctx.Add(ctrPrunedIndex, 1)
+					ok = false
+				} else {
+					newPending |= 1 << uint(e.edgeID[wv][u])
+				}
 			}
 		}
 		if !ok {
 			continue
 		}
-		// Edges from wv to vertices mapped before this expansion, other than
-		// the expanding vertex itself, were only index-checked: mark pending.
-		for mask := e.adjacent[wv] & preMapped &^ (1 << uint(vp)); mask != 0; mask &= mask - 1 {
-			newPending |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
+		if !ownD {
+			for mask := fr.pend[i]; mask != 0; mask &= mask - 1 {
+				newPending |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
+			}
 		}
 		m.Map[wv] = d
 		m.Pending |= newPending
-		e.combine(ctx, m, vp, preMapped, whites, cands, i+1)
+		e.combine(ctx, m, fr, i+1)
 		m.Pending &^= newPending
 		m.Map[wv] = unmapped
 	}
@@ -794,7 +896,7 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 	// goes back to combine as it came.
 	parent := m.Next
 	m.Next = int8(e.chooseNext(w, m, grays))
-	if e.opts.LocalExpansion && e.part.Owner(m.Map[m.Next]) == ctx.Worker() {
+	if e.opts.LocalExpansion && e.ownerOf(m.Map[m.Next]) == w {
 		// Non-level-synchronous mode: the destination is local, so expand
 		// now instead of crossing a superstep barrier. Recursion depth is
 		// bounded by the pattern size (each inline step blackens a vertex).

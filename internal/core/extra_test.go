@@ -129,7 +129,10 @@ func TestSeedChangesPartitionNotCount(t *testing.T) {
 }
 
 func TestHighWorkerCountsLevelSupersteps(t *testing.T) {
-	// Worker count must not change the superstep structure (level-sync).
+	// Worker count must not change the superstep structure (level-sync) once
+	// there is more than one worker. A single worker owns every endpoint, so
+	// it checks every closing edge on the spot and never pays a verification
+	// hop: it may finish sooner, never later.
 	g := gen.ErdosRenyi(100, 500, 3)
 	var steps []int
 	for _, k := range []int{1, 4, 16} {
@@ -139,10 +142,11 @@ func TestHighWorkerCountsLevelSupersteps(t *testing.T) {
 		}
 		steps = append(steps, res.Stats.Supersteps)
 	}
-	for _, s := range steps {
-		if s != steps[0] {
-			t.Fatalf("superstep count varies with workers: %v", steps)
-		}
+	if steps[1] != steps[2] {
+		t.Fatalf("superstep count varies with workers >= 2: %v (K = 1, 4, 16)", steps)
+	}
+	if steps[0] > steps[1] {
+		t.Fatalf("one worker takes more supersteps than many: %v (K = 1, 4, 16)", steps)
 	}
 }
 

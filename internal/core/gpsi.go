@@ -27,6 +27,9 @@ const unmapped graph.VertexID = -1
 // allocation in Init, branching, or Send).
 const maxPatternVertices = 16
 
+// maxPatternEdges is the pattern-edge cap: edge ids index the Pending bits.
+const maxPatternEdges = 32
+
 // gpsi is the partial subgraph instance — the unit of work and the message
 // type of the BSP computation. It is a pure value type: copying one (for
 // branching or sending) allocates nothing. Fields are exported for gob
@@ -41,10 +44,13 @@ type gpsi struct {
 	Map [maxPatternVertices]graph.VertexID
 	// Expanded is the BLACK bitmask (patterns have ≤ 16 vertices here).
 	Expanded uint16
-	// Pending is a bitmask over pattern edge ids of edges whose existence was
-	// only established by the bloom edge index (or not checked at all when
-	// the index is disabled) and still needs exact verification against a
-	// local adjacency list.
+	// Pending is a bitmask over pattern edge ids of closing edges that still
+	// need exact verification by a worker owning one endpoint. With the edge
+	// index an edge is pending only when the bloom passed it because the
+	// worker that mapped it owned neither endpoint: an owned endpoint is
+	// checked exactly on the spot, and an edge the hub bitset AND proved is
+	// exact already. Without the index every closing edge not at the
+	// expanding vertex is pending, unchecked, as in the paper's ablation.
 	Pending uint32
 	// Next is the GRAY pattern vertex this Gpsi will be expanded at; the
 	// distribution strategy chose it, and the message was routed to the

@@ -74,7 +74,7 @@ func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, 
 	}
 	cfg := bsp.Config{
 		Workers: e.opts.Workers,
-		Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
+		Owner:   e.ownerOf,
 	}
 	ictx := bsp.NewBenchContext[gpsi](cfg, 0, 0)
 	e.Init(ictx)
@@ -106,7 +106,7 @@ func benchmarkExpand(b *testing.B) {
 // benchmarkExpandSparseMerge is benchmarkExpand with the bitset AND fast path
 // disabled. On the sparse default graph the default hub threshold keeps the
 // fast path nearly silent, so this pair proves the switch costs nothing in
-// the sparse regime (the gate is one nil map lookup per candidate set).
+// the sparse regime (the gate is one degree read per candidate set).
 func benchmarkExpandSparseMerge(b *testing.B) {
 	e, ctx, inbox, err := newHotpathHarnessOpts(pattern.Triangle(),
 		func(o *Options) { o.DisableBitsetAnd = true })
@@ -139,7 +139,7 @@ func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 		}
 		cfg := bsp.Config{
 			Workers: e.opts.Workers,
-			Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
+			Owner:   e.ownerOf,
 		}
 		// Drive step 1 on the Init inbox to produce the second-level Gpsis
 		// (two vertices mapped, one pending WHITE with two mapped neighbors).
@@ -277,11 +277,13 @@ func hotpathBatch() ([]bsp.Envelope[gpsi], error) {
 	return inbox, err
 }
 
-// hotpathLevelBatch builds worker 0's per-destination exchange batch at
-// superstep `depth` for pattern p: Init seeds level 0, then each level's
-// worker-0 inbox is expanded to produce the next. Deeper batches carry more
-// mapped vertices per Gpsi — the longer shared prefixes the compressed codec
-// front-codes away.
+// hotpathLevelBatch builds worker 0's largest per-destination exchange batch
+// at superstep `depth` for pattern p: Init seeds level 0, then each level's
+// worker-0 inbox is expanded to produce the next. The batch is the largest
+// destination's, not worker 0's batch to itself: a Gpsi is never sent back to
+// a worker owning an endpoint of its pending edges, so a clique's complete
+// Gpsis never are. Deeper batches carry more mapped vertices per Gpsi — the
+// longer shared prefixes the compressed codec front-codes away.
 func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], error) {
 	e, _, inbox, err := newHotpathHarness(p, StrategyWorkloadAware)
 	if err != nil {
@@ -289,20 +291,25 @@ func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], err
 	}
 	cfg := bsp.Config{
 		Workers: e.opts.Workers,
-		Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
+		Owner:   e.ownerOf,
 	}
-	cur := inbox
+	batch := inbox
 	for step := 1; step <= depth; step++ {
 		ctx := bsp.NewBenchContext[gpsi](cfg, 0, step)
-		for _, env := range cur {
+		for _, env := range inbox {
 			e.Process(ctx, env)
 		}
-		cur = ctx.Sends(0)
-		if len(cur) == 0 {
-			return nil, fmt.Errorf("hotpath harness: no level-%d messages for worker 0 (%s)", step, p.Name())
+		inbox, batch = ctx.Sends(0), nil
+		for dst := 0; dst < cfg.Workers; dst++ {
+			if b := ctx.Sends(dst); len(b) > len(batch) {
+				batch = b
+			}
+		}
+		if len(batch) == 0 {
+			return nil, fmt.Errorf("hotpath harness: no level-%d messages from worker 0 (%s)", step, p.Name())
 		}
 	}
-	return cur, nil
+	return batch, nil
 }
 
 // CompressedBytesMeasure compares the flat and prefix-compressed encodings

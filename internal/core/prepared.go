@@ -27,7 +27,10 @@ type Prepared struct {
 	*graphIndex
 	workers int
 	seed    int64
-	part    graph.Partition
+	// owner[v] is the worker that owns data vertex v under the random
+	// partition, so every ownership test of a run — routing, the strategies'
+	// views, seeding, the in-place edge checks — is a load, not a hash.
+	owner []int32
 	// owned[w] lists worker w's data vertices in ascending order, so Init is
 	// O(V) total instead of every worker filtering all vertices. The buckets
 	// are windows of one backing array.
@@ -98,22 +101,22 @@ func (pr *Prepared) ForWorkers(workers int) *Prepared {
 	return pr.graphIndex.partitioned(workers, pr.seed)
 }
 
-// partitioned buckets the vertices by owner: one pass records each vertex's
-// owner and sizes the buckets, a second fills them in place.
+// partitioned records each vertex's owner, sizing the buckets as it goes,
+// then fills the buckets in place.
 func (gi *graphIndex) partitioned(workers int, seed int64) *Prepared {
+	n := gi.g.NumVertices()
 	pr := &Prepared{
 		graphIndex: gi,
 		workers:    workers,
 		seed:       seed,
-		part:       graph.NewPartition(workers, seed),
+		owner:      make([]int32, n),
 		owned:      make([][]graph.VertexID, workers),
 	}
-	n := gi.g.NumVertices()
-	owner := make([]int32, n)
+	part := graph.NewPartition(workers, seed)
 	sizes := make([]int, workers)
-	for v := range owner {
-		w := pr.part.Owner(graph.VertexID(v))
-		owner[v] = int32(w)
+	for v := range pr.owner {
+		w := part.Owner(graph.VertexID(v))
+		pr.owner[v] = int32(w)
 		sizes[w]++
 	}
 	backing := make([]graph.VertexID, n)
@@ -121,7 +124,7 @@ func (gi *graphIndex) partitioned(workers int, seed int64) *Prepared {
 		pr.owned[w] = backing[off : off : off+sizes[w]]
 		off += sizes[w]
 	}
-	for v, w := range owner {
+	for v, w := range pr.owner {
 		pr.owned[w] = append(pr.owned[w], graph.VertexID(v))
 	}
 	return pr
@@ -129,7 +132,7 @@ func (gi *graphIndex) partitioned(workers int, seed int64) *Prepared {
 
 // SizeBytes returns the memory the state holds beyond the graph itself.
 func (pr *Prepared) SizeBytes() int64 {
-	n := pr.ord.SizeBytes() + pr.bitmap.SizeBytes() + 4*int64(pr.g.NumVertices())
+	n := pr.ord.SizeBytes() + pr.bitmap.SizeBytes() + 8*int64(pr.g.NumVertices())
 	if pr.ix != nil {
 		n += pr.ix.SizeBytes()
 	}

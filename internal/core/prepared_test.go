@@ -57,11 +57,11 @@ func TestPreparedRunMatchesRunContext(t *testing.T) {
 }
 
 // hashPrepared digests everything a Prepared holds that a run reads: the
-// ownership buckets, the rank of every vertex, every hub row, and the edge
-// index's answers over a band of vertex pairs.
+// owner array and ownership buckets, the rank of every vertex, every hub row,
+// and the edge index's answers over a band of vertex pairs.
 func hashPrepared(pr *Prepared) uint64 {
 	h := fnv.New64a()
-	fmt.Fprint(h, pr.owned)
+	fmt.Fprint(h, pr.owner, pr.owned)
 	n := pr.g.NumVertices()
 	for v := 0; v < n; v++ {
 		vd := graph.VertexID(v)
@@ -171,5 +171,29 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 	cold, err := RunContext(context.Background(), g, pattern.PG1(), o)
 	if err != nil || withoutClocks(cold.Stats) != withoutClocks(got.Stats) {
 		t.Fatalf("3-worker view diverges from a cold 3-worker run (err %v)", err)
+	}
+}
+
+// TestPreparedOwnerIsThePartition: the owner array a run routes and checks
+// ownership by is the random partition of Section 5.1, vertex for vertex, and
+// every bucket lists exactly the vertices the array gives its worker.
+func TestPreparedOwnerIsThePartition(t *testing.T) {
+	g := gen.ChungLu(500, 2000, 1.8, 3)
+	pr := Prepare(g, Options{Workers: 4, Seed: 7})
+	for _, k := range []int{4, 1, 3, 16} {
+		view := pr.ForWorkers(k)
+		part := graph.NewPartition(k, 7)
+		for v := 0; v < g.NumVertices(); v++ {
+			if got, want := int(view.owner[v]), part.Owner(graph.VertexID(v)); got != want {
+				t.Fatalf("K=%d: owner[%d] = %d, partition says %d", k, v, got, want)
+			}
+		}
+		for w, bucket := range view.owned {
+			for _, v := range bucket {
+				if int(view.owner[v]) != w {
+					t.Fatalf("K=%d: vertex %d in worker %d's bucket, owned by %d", k, v, w, view.owner[v])
+				}
+			}
+		}
 	}
 }

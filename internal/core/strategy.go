@@ -16,7 +16,7 @@ func (e *engine) chooseNext(worker int, m *gpsi, grays []int) int {
 		if e.opts.Strategy == StrategyWorkloadAware {
 			k := grays[0]
 			w := e.expandCost(m, k)
-			e.wviews[worker][e.part.Owner(m.Map[k])] += w
+			e.wviews[worker][e.ownerOf(m.Map[k])] += w
 		}
 		return grays[0]
 	}
@@ -89,13 +89,13 @@ func (e *engine) chooseWorkloadAware(worker int, m *gpsi, grays []int) int {
 	alpha := e.opts.Alpha
 	best, bestScore, bestCost := -1, math.Inf(1), 0.0
 	for _, k := range grays {
-		j := e.part.Owner(m.Map[k])
+		j := e.ownerOf(m.Map[k])
 		cost := e.expandCost(m, k)
 		score := math.Pow(view[j], alpha) + cost
 		if score < bestScore {
 			best, bestScore, bestCost = k, score, cost
 		}
 	}
-	view[e.part.Owner(m.Map[best])] += bestCost
+	view[e.ownerOf(m.Map[best])] += bestCost
 	return best
 }

@@ -64,10 +64,10 @@ func IterateSet(ws []uint64, fn func(v VertexID) bool) {
 // BitmapIndex accelerates edge-existence checks against high-degree
 // vertices: Section 5.1.1 of the paper notes that the GRAY-verification cost
 // (costg) "can be done efficiently by a bitmap index". Each vertex whose
-// degree reaches the threshold gets a bitset over all vertices, turning
-// HasEdge from a binary search over a (possibly huge) adjacency list into a
-// single bit probe; low-degree vertices keep the CSR binary search, so the
-// memory cost stays at O(#hubs × |V|/8) bytes.
+// degree reaches the threshold gets a bitset over all vertices, so HasEdge
+// never binary-searches a (possibly huge) hub row: it searches the other
+// endpoint's shorter row, or, when both endpoints are hubs, probes one bit.
+// The memory cost stays at O(#hubs × |V|/8) bytes.
 type BitmapIndex struct {
 	g      *Graph
 	minDeg int
@@ -105,23 +105,32 @@ func NewBitmapIndex(g *Graph, minDeg int) *BitmapIndex {
 	return ix
 }
 
-// HasEdge reports whether {u, v} is an edge, probing a hub bitset when one
-// endpoint has one and falling back to the CSR binary search otherwise.
+// HasEdge reports whether {u, v} is an edge. It binary-searches the shorter
+// of the two CSR rows unless that row, too, reaches the hub threshold: then
+// both endpoints have a bitset and one bit answers. So the hub map is read
+// only for an edge between two hubs, where no row is short.
 func (ix *BitmapIndex) HasEdge(u, v VertexID) bool {
-	if set, ok := ix.bits[u]; ok {
-		return set[v/64]&(1<<(uint(v)%64)) != 0
+	ru, rv := ix.g.Neighbors(u), ix.g.Neighbors(v)
+	if len(rv) < len(ru) {
+		ru, u, v = rv, v, u
 	}
-	if set, ok := ix.bits[v]; ok {
-		return set[u/64]&(1<<(uint(u)%64)) != 0
+	if len(ru) < ix.minDeg {
+		return rowHas(ru, v)
 	}
-	return ix.g.HasEdge(u, v)
+	return ix.bits[u][v/64]&(1<<(uint(v)%64)) != 0
 }
 
 // Row returns v's bitset adjacency row, or nil when v's degree is below the
 // index threshold — the gate of the engine's bitset-AND candidate fast path
-// (a nil row means "not a hub: take the merge path"). The returned slice is
-// the index's internal storage and must not be modified.
-func (ix *BitmapIndex) Row(v VertexID) []uint64 { return ix.bits[v] }
+// (a nil row means "not a hub: take the merge path"). Below the threshold it
+// is one CSR degree read, not a map lookup. The returned slice is the index's
+// internal storage and must not be modified.
+func (ix *BitmapIndex) Row(v VertexID) []uint64 {
+	if ix.g.Degree(v) < ix.minDeg {
+		return nil
+	}
+	return ix.bits[v]
+}
 
 // MinDegree returns the hub threshold the index was built with.
 func (ix *BitmapIndex) MinDegree() int { return ix.minDeg }

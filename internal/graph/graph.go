@@ -44,11 +44,58 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether the undirected edge {u, v} is present.
+// HasEdge reports whether the undirected edge {u, v} is present. It
+// binary-searches the shorter of the two rows, with no closure.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	nu := g.Neighbors(u)
-	i := sort.Search(len(nu), func(i int) bool { return nu[i] >= v })
-	return i < len(nu) && nu[i] == v
+	ru, rv := g.Neighbors(u), g.Neighbors(v)
+	if len(rv) < len(ru) {
+		return rowHas(rv, u)
+	}
+	return rowHas(ru, v)
+}
+
+// rowHas reports whether the sorted row contains v.
+func rowHas(row []VertexID, v VertexID) bool {
+	i := lowerBound(row, v)
+	return i < len(row) && row[i] == v
+}
+
+// lowerBound returns the index of the first entry of the sorted row that is
+// not below v, or len(row).
+func lowerBound(row []VertexID, v VertexID) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// SeekRow returns the suffix of the sorted row that starts at its first entry
+// not below v. Calls with ascending v, each on the suffix the previous one
+// returned, walk the row once: the merge step of a sorted-set intersection,
+// which tests a run of ascending vertices against one row without a binary
+// search each. A long skip gallops, so a few far-apart probes into a long row
+// cost logarithmic, not linear, time.
+func SeekRow(row []VertexID, v VertexID) []VertexID {
+	if len(row) == 0 || row[0] >= v {
+		return row
+	}
+	// row[lo] < v throughout; the first entry not below v lies in (lo, hi].
+	lo, step := 0, 1
+	for lo+step < len(row) && row[lo+step] < v {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(row)-1)
+	if row[hi] < v {
+		return row[len(row):]
+	}
+	return row[lo+1+lowerBound(row[lo+1:hi], v):]
 }
 
 // MaxDegree returns the largest vertex degree, or 0 for an empty graph.

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -30,14 +31,27 @@ func Run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 // RunContext is Run with cancellation and fault-tolerance plumbing: ctx
 // cancellation stops the run at the next message boundary, and the Options
 // checkpoint/retry/recovery fields configure the BSP engine's fault layer.
-// It is Prepare followed by one run on the result; a caller that runs more
-// than once over the same graph keeps the Prepared and skips the rebuild.
+// It is Prepare followed by one run on the result, except that it reuses the
+// previous call's Prepared when g is the same graph and opts agree with it
+// (a graph is immutable, and a Prepared is read-only), so repeated cold runs
+// over one graph build the state once. A caller with several graphs keeps its
+// own Prepared values.
 func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 	if g == nil || p == nil {
 		return nil, fmt.Errorf("psgl: nil graph or pattern")
 	}
-	return Prepare(g, opts).RunContext(ctx, p, opts)
+	pr := lastCold.Load()
+	if pr == nil || pr.src != g || pr.check(opts.normalized()) != nil {
+		pr = Prepare(g, opts)
+		lastCold.Store(pr)
+	}
+	return pr.RunContext(ctx, p, opts)
 }
+
+// lastCold is the Prepared of the latest RunContext that built one. It is a
+// cache, not shared configuration: a reused Prepared answers exactly as a
+// fresh one would (TestPreparedRunMatchesRunContext).
+var lastCold atomic.Pointer[Prepared]
 
 // RunContext lists all instances of p in the prepared graph. opts must agree
 // with the Options the state was prepared under on every field Prepare reads
@@ -162,8 +176,13 @@ const (
 // engine implements bsp.Program[gpsi] (and bsp.Snapshotter, so its
 // accumulators ride barrier snapshots and stay exactly-once under recovery).
 type engine struct {
+	// g is the data graph in rank space (Prepared's): the symmetry-breaking
+	// order of two vertices is the order of their ids. orig maps a vertex back
+	// to the caller's id (nil when the two agree); opts.Seeds and
+	// opts.DataLabels are translated into rank space by newEngine, and every
+	// embedding is translated back through orig on its way out.
 	g    *graph.Graph
-	ord  *graph.Ordered
+	orig []graph.VertexID
 	p    *pattern.Pattern
 	opts Options
 	ix   *bloom.EdgeIndex
@@ -183,13 +202,11 @@ type engine struct {
 	edgeID [][]int
 	// precede[v] is the set of pattern vertices v must rank below under the
 	// symmetry-breaking partial order, follow[v] the set it must rank above,
-	// adjacent[v] its neighbors — bitmasks, for breaksOrder and admits.
+	// adjacent[v] its neighbors — bitmasks, for window and admits.
 	precede, follow, adjacent [maxPatternVertices]uint16
 	// pEdges caches p.Edges() (which builds a fresh slice per call) for the
 	// pending-edge scan in grayCandidates.
 	pEdges [][2]int
-	// owned[w] lists worker w's data vertices (Prepared's buckets, read-only).
-	owned [][]graph.VertexID
 
 	// Per-worker state; index w is touched only by worker w's goroutine
 	// (bsp guarantees one goroutine per worker per superstep, with barriers
@@ -260,16 +277,31 @@ func (s *workerScratch) pop() { s.depth-- }
 // newEngine builds the pattern- and run-scoped state of one run over pr's
 // graph-scoped state, which it only borrows.
 func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) {
-	g := pr.g
 	e := &engine{
-		g:      g,
-		ord:    pr.ord,
+		g:      pr.g,
+		orig:   pr.orig,
 		p:      p,
 		opts:   opts,
 		ix:     pr.ix,
 		bitmap: pr.bitmap,
 		owner:  pr.owner,
-		owned:  pr.owned,
+	}
+	if len(opts.Seeds) > 0 && pr.orig != nil {
+		rank := pr.ranks()
+		e.opts.Seeds = make([]Seed, len(opts.Seeds))
+		for i, s := range opts.Seeds {
+			dv := make([]graph.VertexID, len(s.DataVertices))
+			for j, v := range s.DataVertices {
+				dv[j] = rank[v]
+			}
+			e.opts.Seeds[i] = Seed{PatternVertices: s.PatternVertices, DataVertices: dv}
+		}
+	}
+	if opts.DataLabels != nil && pr.orig != nil {
+		e.opts.DataLabels = make([]int32, len(pr.orig))
+		for r, v := range pr.orig {
+			e.opts.DataLabels[r] = opts.DataLabels[v]
+		}
 	}
 	n := p.N()
 	e.edgeID = make([][]int, n)
@@ -369,9 +401,10 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 		e.initSeeds(ctx)
 		return
 	}
-	minDeg := e.p.Degree(e.initial)
-	for _, vd := range e.owned[ctx.Worker()] {
-		if !e.hosts(ctx, e.initial, minDeg, vd) {
+	minDeg, me := e.p.Degree(e.initial), int32(ctx.Worker())
+	for v, w := range e.owner {
+		vd := graph.VertexID(v)
+		if w != me || !e.hosts(ctx, e.initial, minDeg, vd) {
 			continue
 		}
 		m := e.proto
@@ -412,11 +445,15 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 	}
 	for i, pv := range s.PatternVertices {
 		du := m.Map[pv]
+		later := uint16(0)
 		for _, qv := range s.PatternVertices[i+1:] {
-			if e.breaksOrder(&m, pv, du, 1<<uint(qv)) {
-				ctx.Add(ctrPrunedOrder, 1)
-				return m, false
-			}
+			later |= 1 << uint(qv)
+		}
+		if lo, hi := e.window(&m, pv, later); du <= lo || du >= hi {
+			ctx.Add(ctrPrunedOrder, 1)
+			return m, false
+		}
+		for _, qv := range s.PatternVertices[i+1:] {
 			if e.p.HasEdge(pv, qv) && !e.g.HasEdge(du, m.Map[qv]) {
 				ctx.Add(ctrPrunedVerify, 1)
 				return m, false
@@ -515,40 +552,51 @@ func (e *engine) hosts(ctx *bsp.Context[gpsi], pv, minDeg int, d graph.VertexID)
 	return true
 }
 
-// breaksOrder is the one partial-order filter: it reports whether mapping
-// pattern vertex wv to d violates the symmetry-breaking order against the
-// image of any vertex in among (a subset of m's mapped vertices) — d must rank
-// below every vertex wv precedes and above every vertex that precedes wv.
-// Candidate generation passes the whole mapped set, combine and seeding one
-// vertex at a time; a caller counts one pruned_order per true.
-func (e *engine) breaksOrder(m *gpsi, wv int, d graph.VertexID, among uint16) bool {
-	for mask := e.precede[wv] & among; mask != 0; mask &= mask - 1 {
-		if !e.ord.Less(d, m.Map[bits.TrailingZeros16(mask)]) {
-			return true
-		}
-	}
+// window is the one partial-order filter. In rank space the symmetry-breaking
+// order is the order of the ids, so the constraints of WHITE vertex wv against
+// the images of among (a subset of m's mapped vertices) admit exactly the open
+// interval (lo, hi): above every image of a vertex that must precede wv, below
+// every image of a vertex wv must precede. An inverted interval admits nothing.
+func (e *engine) window(m *gpsi, wv int, among uint16) (lo, hi graph.VertexID) {
+	lo, hi = -1, math.MaxInt32
 	for mask := e.follow[wv] & among; mask != 0; mask &= mask - 1 {
-		if !e.ord.Less(m.Map[bits.TrailingZeros16(mask)], d) {
-			return true
-		}
+		lo = max(lo, m.Map[bits.TrailingZeros16(mask)])
 	}
-	return false
+	for mask := e.precede[wv] & among; mask != 0; mask &= mask - 1 {
+		hi = min(hi, m.Map[bits.TrailingZeros16(mask)])
+	}
+	return lo, hi
 }
 
-// admits applies the per-Gpsi half of Algorithm 5 to candidate d for WHITE
-// vertex wv: injectivity, the partial-order filter against the mapped set, and
-// a check of every closing edge from d to the mapped neighbors of wv in probe.
-// A closing edge is checked exactly on the spot when this worker owns either
-// endpoint (own holds the mapped vertices whose images it owns), and by the
-// light-weight edge index otherwise; see pendingOf for what that leaves
-// pending.
-func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, wv int, d graph.VertexID, mapped, probe, own uint16) bool {
+// inWindow returns the part of the ascending row inside wv's window against
+// among — two binary searches, none for an unconstrained side — and counts
+// the entries outside it as pruned by the order, by range size. Candidate
+// generation passes the whole mapped set, combine the vertices mapped before
+// wv's slot.
+func (e *engine) inWindow(ctx *bsp.Context[gpsi], row []graph.VertexID, m *gpsi, wv int, among uint16) []graph.VertexID {
+	lo, hi := e.window(m, wv, among)
+	in := row
+	if lo >= 0 {
+		in = in[graph.LowerBound(in, lo+1):]
+	}
+	if hi != math.MaxInt32 {
+		in = in[:graph.LowerBound(in, hi)]
+	}
+	if cut := len(row) - len(in); cut > 0 {
+		ctx.Add(ctrPrunedOrder, int64(cut))
+	}
+	return in
+}
+
+// admits applies the per-Gpsi half of Algorithm 5 to candidate d, which the
+// order window already admitted: injectivity, and a check of every closing
+// edge from d to the mapped neighbors in probe. A closing edge is checked
+// exactly on the spot when this worker owns either endpoint (own holds the
+// mapped vertices whose images it owns), and by the light-weight edge index
+// otherwise; see pendingOf for what that leaves pending.
+func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, d graph.VertexID, probe, own uint16) bool {
 	if m.uses(d) {
 		ctx.Add(ctrPrunedInjective, 1)
-		return false
-	}
-	if e.breaksOrder(m, wv, d, mapped) {
-		ctx.Add(ctrPrunedOrder, 1)
 		return false
 	}
 	if probe == 0 {
@@ -630,8 +678,8 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID
 		if bases == nil {
 			cand, proven = e.candidates(ctx, &m, mapped, probe, own, vp, vd, wv, cand)
 		} else {
-			for _, d := range bases[fr.nw] {
-				if e.admits(ctx, &m, wv, d, mapped, probe, own) {
+			for _, d := range e.inWindow(ctx, bases[fr.nw], &m, wv, mapped) {
+				if e.admits(ctx, &m, d, probe, own) {
 					cand = append(cand, d)
 				}
 			}
@@ -702,13 +750,14 @@ func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
 }
 
 // candidates appends to out the admissible data vertices for WHITE pattern
-// vertex wv while expanding vp at vd, applying the degree filter, the
-// partial-order filter, injectivity, and the closing-edge checks of admits
-// against the mapped neighbors of wv in probe. out is a reusable scratch
-// buffer owned by the caller's expansion frame. proven is the set of mapped
-// neighbors whose edge to every candidate the bitset AND established.
+// vertex wv while expanding vp at vd: the part of vd's row inside wv's order
+// window, through the degree filter, injectivity, and the closing-edge checks
+// of admits against the mapped neighbors of wv in probe. out is a reusable
+// scratch buffer owned by the caller's expansion frame. proven is the set of
+// mapped neighbors whose edge to every candidate the bitset AND established.
 func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
 	minDeg := e.p.Degree(wv)
+	in := e.inWindow(ctx, e.g.Neighbors(vd), m, wv, mapped)
 	// Bitset AND fast path (back-ported from the ESU engine's BitGraph
 	// kernel): when vd is a hub and wv has other already-mapped pattern
 	// neighbors that are hubs too, the candidate set is confined to the
@@ -732,15 +781,28 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own 
 		if nHub > 0 {
 			ctx.Add(ctrBitsetAnd, 1)
 			probe &^= proven
-			// The word loop is inlined — no IterateSet closure — to keep the
-			// hot path allocation-free.
-			for i, word := range rowVd {
+			if len(in) == 0 {
+				return out, proven
+			}
+			// Only the words between the window's first and last entry are
+			// walked; the bits of vd's row between them are in's entries. The
+			// word loop is inlined — no IterateSet closure — to keep the hot
+			// path allocation-free.
+			first, last := int(in[0]), int(in[len(in)-1])
+			for i := first / 64; i <= last/64; i++ {
+				word := rowVd[i]
 				for _, r := range hubRows[:nHub] {
 					word &= r[i]
 				}
+				if i == first/64 {
+					word &= ^uint64(0) << uint(first%64)
+				}
+				if i == last/64 {
+					word &= ^uint64(0) >> uint(63-last%64)
+				}
 				for ; word != 0; word &= word - 1 {
 					d := graph.VertexID(i*64 + bits.TrailingZeros64(word))
-					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe, own) {
+					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, d, probe, own) {
 						out = append(out, d)
 					}
 				}
@@ -748,8 +810,8 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own 
 			return out, proven
 		}
 	}
-	for _, d := range e.g.Neighbors(vd) {
-		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, wv, d, mapped, probe, own) {
+	for _, d := range in {
+		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, d, probe, own) {
 			out = append(out, d)
 		}
 	}
@@ -774,9 +836,9 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 	w := ctx.Worker()
 	// earlier is the set of vertices mapped earlier in this combine, which
 	// candidate filtering could not see; closing, wv's edges to them. A
-	// candidate list ascends (it is drawn from a sorted row or a bitset), so
-	// the exact check of a closing edge is a merge along the fixed image's
-	// row.
+	// candidate list ascends in rank (it is drawn from a sorted row or a
+	// bitset), so the order against earlier is a window on it, and the exact
+	// check of a closing edge is a merge along the fixed image's row.
 	earlier := uint16(0)
 	for _, u := range fr.whites[:i] {
 		earlier |= 1 << uint(u)
@@ -786,16 +848,12 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 		u := bits.TrailingZeros16(mask)
 		fr.rows[e.edgeID[wv][u]] = e.g.Neighbors(m.Map[u])
 	}
-	for _, d := range fr.cands[i] {
+	for _, d := range e.inWindow(ctx, fr.cands[i], m, wv, earlier) {
 		if e.halted.Load() != 0 {
 			return
 		}
 		if m.uses(d) {
 			ctx.Add(ctrPrunedInjective, 1)
-			continue
-		}
-		if e.breaksOrder(m, wv, d, earlier) {
-			ctx.Add(ctrPrunedOrder, 1)
 			continue
 		}
 		// With the index, every closing edge of a candidate this worker owns
@@ -851,7 +909,7 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 			// direct m.Map slice would make every Gpsi on this path escape to
 			// the heap (same reasoning as the OnInstance buffer below).
 			sc := &e.scratch[ctx.Worker()]
-			sc.emit = append(sc.emit[:0], m.Map[:m.N]...)
+			sc.emit = e.callerIDs(sc.emit[:0], m)
 			if !e.opts.EmitFilter(sc.emit) {
 				ctx.Add(ctrPrunedFilter, 1)
 				return
@@ -864,12 +922,13 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 			// Gpsi on this path to the heap. The OnInstance contract already
 			// limits the slice's validity to the call.
 			sc := &e.scratch[ctx.Worker()]
-			sc.emit = append(sc.emit[:0], m.Map[:m.N]...)
+			sc.emit = e.callerIDs(sc.emit[:0], m)
 			e.opts.OnInstance(sc.emit)
 		}
 		if e.opts.Collect {
+			inst := e.callerIDs(make([]graph.VertexID, 0, m.N), m)
 			e.mu.Lock()
-			e.instances = append(e.instances, append([]graph.VertexID(nil), m.Map[:m.N]...))
+			e.instances = append(e.instances, inst)
 			e.mu.Unlock()
 		}
 		if e.opts.MaxResults > 0 && e.results.Add(1) >= e.opts.MaxResults {
@@ -909,6 +968,17 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 		e.send(ctx, m)
 	}
 	m.Next = parent
+}
+
+// callerIDs appends m's mapping, in the caller's vertex ids, to dst.
+func (e *engine) callerIDs(dst []graph.VertexID, m *gpsi) []graph.VertexID {
+	if e.orig == nil {
+		return append(dst, m.Map[:m.N]...)
+	}
+	for _, r := range m.Map[:m.N] {
+		dst = append(dst, e.orig[r])
+	}
+	return dst
 }
 
 // grayCandidates appends to buf the GRAY vertices eligible as the next

@@ -141,7 +141,7 @@ type Options struct {
 	// Delta maintenance runs under this order because it is stable across
 	// edge mutations, keeping standing embeddings byte-comparable between
 	// epochs (the degree order can reshuffle after a single edge flip). It
-	// also skips the O(V log V) ordering sort — per-run setup that matters
+	// also skips relabelling the graph by degree rank — set-up that matters
 	// when small update batches spin up many short runs.
 	IdentityOrder bool
 	// MaxResults stops the run early once this many instances have been
@@ -269,7 +269,12 @@ type Stats struct {
 	// InlineExpansions counts Gpsis expanded in place under LocalExpansion
 	// (a subset of GpsiGenerated that never crossed a superstep barrier).
 	InlineExpansions int64
-	// Pruning breakdown (Algorithm 5 and GRAY verification).
+	// Pruning breakdown (Algorithm 5 and GRAY verification). PrunedByOrder
+	// counts the candidates the symmetry-breaking order refuted: the entries of
+	// a sorted row or candidate list outside the order window, counted by the
+	// window's range size. Every other filter runs inside the window only, so
+	// PrunedByDegree, PrunedByLabel and PrunedByInjectivity leave out the
+	// entries that were also outside it.
 	PrunedByDegree      int64
 	PrunedByOrder       int64
 	PrunedByIndex       int64

@@ -18,31 +18,33 @@ var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared gr
 
 // Prepared is everything a run needs that is a function of the data graph
 // and not of the pattern — the ordered graph of Section 3, the light-weight
-// edge index of Section 5.2.3, the hub bitmap index, the random partition and
-// each worker's share of the vertices. In the paper these are properties of
-// the loaded graph, computed once; Prepare computes them once and any number
-// of runs, concurrent ones included, share the result. A Prepared is
-// immutable after Prepare returns.
+// edge index of Section 5.2.3, the hub bitmap index and the random partition.
+// In the paper these are properties of the loaded graph, computed once;
+// Prepare computes them once and any number of runs, concurrent ones
+// included, share the result. A Prepared is immutable after Prepare returns.
 type Prepared struct {
 	*graphIndex
 	workers int
 	seed    int64
-	// owner[v] is the worker that owns data vertex v under the random
-	// partition, so every ownership test of a run — routing, the strategies'
-	// views, seeding, the in-place edge checks — is a load, not a hash.
+	// owner[r] is the worker that owns data vertex r under the random
+	// partition of its caller id, so every ownership test of a run — routing,
+	// Init, the strategies' views, seeding, the in-place edge checks — is a
+	// load, not a hash.
 	owner []int32
-	// owned[w] lists worker w's data vertices in ascending order, so Init is
-	// O(V) total instead of every worker filtering all vertices. The buckets
-	// are windows of one backing array.
-	owned [][]graph.VertexID
 }
 
 // graphIndex is the worker-independent (and expensive) part of a Prepared:
 // Prepared values for different worker counts share one.
+//
+// Under the degree order the engine runs on the ordered graph itself: g is
+// the caller's graph relabelled by rank, so the symmetry-breaking order
+// between two data vertices is the order of their ids, and the edge index and
+// hub bitmap are built over it. Under IdentityOrder g is the caller's graph.
 type graphIndex struct {
+	src    *graph.Graph // the graph Prepare was given
 	g      *graph.Graph
+	orig   []graph.VertexID // orig[r] is the caller id of vertex r; nil under IdentityOrder
 	knobs  indexKnobs
-	ord    *graph.Ordered
 	ix     *bloom.EdgeIndex // nil with the edge index disabled
 	bitmap *graph.BitmapIndex
 
@@ -50,6 +52,10 @@ type graphIndex struct {
 	// runs that select their initial vertex themselves ask for it.
 	distOnce sync.Once
 	dist     *stats.Distribution
+	// rank is orig's inverse, which only seeded runs read to translate their
+	// pins.
+	rankOnce sync.Once
+	rank     []graph.VertexID
 }
 
 // indexKnobs are the Options fields a graphIndex is a function of.
@@ -78,22 +84,20 @@ func knobsOf(opts Options) indexKnobs {
 // BitmapMinDegree are read; every run on the result must agree on those.
 func Prepare(g *graph.Graph, opts Options) *Prepared {
 	opts = opts.normalized()
-	gi := &graphIndex{g: g, knobs: knobsOf(opts)}
-	if opts.IdentityOrder {
-		gi.ord = graph.NewIdentityOrdered(g)
-	} else {
-		gi.ord = graph.NewOrdered(g)
+	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts)}
+	if !opts.IdentityOrder {
+		gi.g, gi.orig = graph.ByDegree(g)
 	}
 	if !opts.DisableEdgeIndex {
-		gi.ix = bloom.BuildEdgeIndex(g, opts.BloomBitsPerEdge)
+		gi.ix = bloom.BuildEdgeIndex(gi.g, opts.BloomBitsPerEdge)
 	}
-	gi.bitmap = graph.NewBitmapIndex(g, opts.BitmapMinDegree)
+	gi.bitmap = graph.NewBitmapIndex(gi.g, opts.BitmapMinDegree)
 	return gi.partitioned(opts.Workers, opts.Seed)
 }
 
 // ForWorkers returns the state for the same graph, seed and index knobs under
 // another worker count. The order and the indexes are shared, not rebuilt:
-// only the ownership buckets depend on the worker count.
+// only the owner array depends on the worker count.
 func (pr *Prepared) ForWorkers(workers int) *Prepared {
 	if workers == pr.workers {
 		return pr
@@ -101,38 +105,48 @@ func (pr *Prepared) ForWorkers(workers int) *Prepared {
 	return pr.graphIndex.partitioned(workers, pr.seed)
 }
 
-// partitioned records each vertex's owner, sizing the buckets as it goes,
-// then fills the buckets in place.
+// partitioned records each vertex's owner: the partition of its caller id.
 func (gi *graphIndex) partitioned(workers int, seed int64) *Prepared {
-	n := gi.g.NumVertices()
 	pr := &Prepared{
 		graphIndex: gi,
 		workers:    workers,
 		seed:       seed,
-		owner:      make([]int32, n),
-		owned:      make([][]graph.VertexID, workers),
+		owner:      make([]int32, gi.g.NumVertices()),
 	}
 	part := graph.NewPartition(workers, seed)
-	sizes := make([]int, workers)
-	for v := range pr.owner {
-		w := part.Owner(graph.VertexID(v))
-		pr.owner[v] = int32(w)
-		sizes[w]++
-	}
-	backing := make([]graph.VertexID, n)
-	for w, off := 0, 0; w < workers; w++ {
-		pr.owned[w] = backing[off : off : off+sizes[w]]
-		off += sizes[w]
-	}
-	for v, w := range pr.owner {
-		pr.owned[w] = append(pr.owned[w], graph.VertexID(v))
+	for r := range pr.owner {
+		v := graph.VertexID(r)
+		if gi.orig != nil {
+			v = gi.orig[r]
+		}
+		pr.owner[r] = int32(part.Owner(v))
 	}
 	return pr
 }
 
-// SizeBytes returns the memory the state holds beyond the graph itself.
+// ranks returns the caller-id → vertex map, built on first use; nil under the
+// identity order, where the two agree.
+func (gi *graphIndex) ranks() []graph.VertexID {
+	if gi.orig == nil {
+		return nil
+	}
+	gi.rankOnce.Do(func() {
+		gi.rank = make([]graph.VertexID, len(gi.orig))
+		for r, v := range gi.orig {
+			gi.rank[v] = graph.VertexID(r)
+		}
+	})
+	return gi.rank
+}
+
+// SizeBytes returns the memory the state holds beyond the caller's graph: the
+// relabelled CSR and orig (none under the identity order), the indexes and
+// the owner array.
 func (pr *Prepared) SizeBytes() int64 {
-	n := pr.ord.SizeBytes() + pr.bitmap.SizeBytes() + 8*int64(pr.g.NumVertices())
+	n := pr.bitmap.SizeBytes() + 4*int64(len(pr.owner)) + 4*int64(len(pr.orig))
+	if pr.orig != nil {
+		n += pr.g.SizeBytes()
+	}
 	if pr.ix != nil {
 		n += pr.ix.SizeBytes()
 	}

@@ -57,15 +57,15 @@ func TestPreparedRunMatchesRunContext(t *testing.T) {
 }
 
 // hashPrepared digests everything a Prepared holds that a run reads: the
-// owner array and ownership buckets, the rank of every vertex, every hub row,
-// and the edge index's answers over a band of vertex pairs.
+// owner array, the relabelled graph and its map back to caller ids, every hub
+// row, and the edge index's answers over a band of vertex pairs.
 func hashPrepared(pr *Prepared) uint64 {
 	h := fnv.New64a()
-	fmt.Fprint(h, pr.owner, pr.owned)
+	fmt.Fprint(h, pr.owner, pr.orig)
 	n := pr.g.NumVertices()
 	for v := 0; v < n; v++ {
 		vd := graph.VertexID(v)
-		fmt.Fprint(h, pr.ord.Rank(vd), pr.bitmap.Row(vd))
+		fmt.Fprint(h, pr.g.Neighbors(vd), pr.bitmap.Row(vd))
 		for d := 1; d <= 3 && pr.ix != nil; d++ {
 			fmt.Fprint(h, pr.ix.MayHaveEdge(vd, graph.VertexID((v+d)%n)))
 		}
@@ -156,8 +156,8 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 	}
 
 	three := pr.ForWorkers(3)
-	if three == pr || three.ord != pr.ord || three.ix != pr.ix || three.bitmap != pr.bitmap {
-		t.Fatal("ForWorkers must re-bucket over the same order and indexes")
+	if three == pr || three.graphIndex != pr.graphIndex {
+		t.Fatal("ForWorkers must re-partition over the same relabelled graph and indexes")
 	}
 	if pr.ForWorkers(4) != pr {
 		t.Fatal("ForWorkers with the built worker count must return the receiver")
@@ -175,24 +175,21 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 }
 
 // TestPreparedOwnerIsThePartition: the owner array a run routes and checks
-// ownership by is the random partition of Section 5.1, vertex for vertex, and
-// every bucket lists exactly the vertices the array gives its worker.
+// ownership by is the random partition of Section 5.1, vertex for vertex:
+// owner[r] is the partition of r's caller id, so relabelling by degree rank
+// moves no vertex to another worker.
 func TestPreparedOwnerIsThePartition(t *testing.T) {
 	g := gen.ChungLu(500, 2000, 1.8, 3)
 	pr := Prepare(g, Options{Workers: 4, Seed: 7})
+	if pr.orig == nil {
+		t.Fatal("a degree-order Prepared must relabel")
+	}
 	for _, k := range []int{4, 1, 3, 16} {
 		view := pr.ForWorkers(k)
 		part := graph.NewPartition(k, 7)
-		for v := 0; v < g.NumVertices(); v++ {
-			if got, want := int(view.owner[v]), part.Owner(graph.VertexID(v)); got != want {
-				t.Fatalf("K=%d: owner[%d] = %d, partition says %d", k, v, got, want)
-			}
-		}
-		for w, bucket := range view.owned {
-			for _, v := range bucket {
-				if int(view.owner[v]) != w {
-					t.Fatalf("K=%d: vertex %d in worker %d's bucket, owned by %d", k, v, w, view.owner[v])
-				}
+		for r := 0; r < g.NumVertices(); r++ {
+			if got, want := int(view.owner[r]), part.Owner(pr.orig[r]); got != want {
+				t.Fatalf("K=%d: owner[%d] = %d, partition of caller id %d says %d", k, r, got, pr.orig[r], want)
 			}
 		}
 	}

@@ -103,8 +103,9 @@ func TestExpandCostMatchesBinomial(t *testing.T) {
 	for i := range m.Map {
 		m.Map[i] = unmapped
 	}
+	// A Gpsi holds ranks: caller vertex 7 is mapped as its rank.
 	var v int32 = 7
-	m.Map[0] = v
+	m.Map[0] = e.rankOf(v)
 	// GRAY vertex 0 of K4 has 3 WHITE neighbors.
 	want := stats.Binomial(g.Degree(v), 3)
 	if want < 1 {

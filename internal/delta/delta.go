@@ -29,8 +29,8 @@
 // runs), with the bloom edge index disabled: the graph-scoped state
 // (core.Prepared) is built once per side and shared by that side's anchors,
 // and a filter over every edge would still dwarf a small batch's anchored
-// work, where an identity order, the hub bitmap and the ownership buckets do
-// not.
+// work, where an identity order (no relabel), the hub bitmap and the owner
+// array do not.
 package delta
 
 import (

@@ -56,13 +56,13 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 
 // rowHas reports whether the sorted row contains v.
 func rowHas(row []VertexID, v VertexID) bool {
-	i := lowerBound(row, v)
+	i := LowerBound(row, v)
 	return i < len(row) && row[i] == v
 }
 
-// lowerBound returns the index of the first entry of the sorted row that is
+// LowerBound returns the index of the first entry of the sorted row that is
 // not below v, or len(row).
-func lowerBound(row []VertexID, v VertexID) int {
+func LowerBound(row []VertexID, v VertexID) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -95,8 +95,11 @@ func SeekRow(row []VertexID, v VertexID) []VertexID {
 	if row[hi] < v {
 		return row[len(row):]
 	}
-	return row[lo+1+lowerBound(row[lo+1:hi], v):]
+	return row[lo+1+LowerBound(row[lo+1:hi], v):]
 }
+
+// SizeBytes returns the footprint of the CSR arrays.
+func (g *Graph) SizeBytes() int64 { return 8*int64(len(g.offsets)) + 4*int64(len(g.adj)) }
 
 // MaxDegree returns the largest vertex degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {

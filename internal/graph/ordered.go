@@ -9,9 +9,13 @@ import "sync"
 // degree distribution while ns is more balanced — the lever behind the
 // deterministic initial-pattern-vertex rule for cycles and cliques.
 //
-// An Ordered is immutable once built and safe for concurrent use: the engine
-// reads Less alone, so the nb/ns split is computed on first request (once,
-// whichever goroutine asks first) instead of on every build.
+// The PSgL engine does not read Less: it runs on ByDegree's relabelled graph,
+// where the order is the order of the ids. Ordered serves the oracles, the
+// baselines and the distribution analysis.
+//
+// An Ordered is immutable once built and safe for concurrent use: the nb/ns
+// split is computed on first request (once, whichever goroutine asks first)
+// instead of on every build.
 type Ordered struct {
 	G *Graph
 	// rank[v] is the position of v in the degree order; a permutation of
@@ -22,11 +26,16 @@ type Ordered struct {
 	nb, ns []int32
 }
 
-// NewOrdered computes the degree ordering of g by a counting sort on degree:
-// vertices are visited in ascending id and handed the next free position of
-// their degree's bucket, which is exactly the (degree, id) lexicographic
-// permutation a comparison sort yields, in O(|V| + maxDegree).
+// NewOrdered computes the degree ordering of g.
 func NewOrdered(g *Graph) *Ordered {
+	return &Ordered{G: g, rank: degreeRanks(g)}
+}
+
+// degreeRanks is the degree order by a counting sort on degree: vertices are
+// visited in ascending id and handed the next free position of their degree's
+// bucket, which is exactly the (degree, id) lexicographic permutation a
+// comparison sort yields, in O(|V| + maxDegree).
+func degreeRanks(g *Graph) []int32 {
 	n := g.NumVertices()
 	// next[d] becomes the first rank of degree d: a histogram shifted by one
 	// slot, prefix-summed in place.
@@ -43,7 +52,37 @@ func NewOrdered(g *Graph) *Ordered {
 		rank[v] = next[d]
 		next[d]++
 	}
-	return &Ordered{G: g, rank: rank}
+	return rank
+}
+
+// ByDegree returns g relabelled by the degree order — vertex r of the result
+// is the vertex of rank r, so Less(u, v) becomes u < v and degree never
+// decreases with the id — and orig, where orig[r] is that vertex's id in g.
+// Rows ascend in the new ids. The build is O(|V| + |E|) and sorts nothing:
+// walking the ranks in ascending order and appending each to its neighbors'
+// rows fills every row in order.
+func ByDegree(g *Graph) (*Graph, []VertexID) {
+	rank := degreeRanks(g)
+	n := len(rank)
+	orig := make([]VertexID, n)
+	for v, r := range rank {
+		orig[r] = VertexID(v)
+	}
+	// offsets[r+1] starts at the first slot of row r and is that row's fill
+	// cursor: a full row has advanced it to the row's end, which is the start
+	// of row r+1 — where offsets[r+1] belongs.
+	offsets := make([]int64, n+1)
+	for r := 1; r < n; r++ {
+		offsets[r+1] = offsets[r] + int64(g.Degree(orig[r-1]))
+	}
+	adj := make([]VertexID, len(g.adj))
+	for r, v := range orig {
+		for _, u := range g.Neighbors(v) {
+			adj[offsets[rank[u]+1]] = VertexID(r)
+			offsets[rank[u]+1]++
+		}
+	}
+	return &Graph{offsets: offsets, adj: adj}, orig
 }
 
 // NewIdentityOrdered wraps g with the trivial total order ranked by vertex

@@ -1,6 +1,9 @@
 package graph_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"sort"
 	"sync"
 	"testing"
@@ -11,16 +14,23 @@ import (
 
 // orderedCases are the graphs the counting-sort order is checked on: skewed
 // random graphs (many degree ties at the low end, a few hubs), a star (one
-// bucket of n-1 leaves and one hub), and the degenerate sizes.
+// bucket of n-1 leaves and one hub), a star beside isolated vertices, and the
+// degenerate sizes.
 func orderedCases() map[string]*graph.Graph {
 	star := graph.NewBuilder(50)
 	for v := 1; v < 50; v++ {
 		star.AddEdge(0, graph.VertexID(v))
 	}
+	isolated := graph.NewBuilder(80)
+	for v := 30; v < 80; v += 3 {
+		isolated.AddEdge(7, graph.VertexID(v))
+		isolated.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+	}
 	return map[string]*graph.Graph{
 		"chunglu-1.8":   gen.ChungLu(2000, 8000, 1.8, 3),
 		"chunglu-2.5":   gen.ChungLu(3000, 9000, 2.5, 11),
 		"star":          star.Build(),
+		"star-isolated": isolated.Build(),
 		"empty":         graph.NewBuilder(0).Build(),
 		"single-vertex": graph.NewBuilder(1).Build(),
 		"no-edges":      graph.NewBuilder(7).Build(),
@@ -152,5 +162,83 @@ func TestOrderedConcurrentFirstCalls(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+	}
+}
+
+// TestByDegreeRelabel: the relabelled graph is the source renamed by degree
+// rank — orig is the order, every row maps edge for edge onto the source
+// vertex's row, rows ascend, and degree never decreases with the new id.
+func TestByDegreeRelabel(t *testing.T) {
+	for name, g := range orderedCases() {
+		rg, orig := graph.ByDegree(g)
+		if rg.NumVertices() != g.NumVertices() || rg.NumEdges() != g.NumEdges() || len(orig) != g.NumVertices() {
+			t.Fatalf("%s: %d vertices, %d edges, %d ids; source has %d and %d",
+				name, rg.NumVertices(), rg.NumEdges(), len(orig), g.NumVertices(), g.NumEdges())
+		}
+		rank := referenceRank(g)
+		for r, v := range orig {
+			if rank[v] != int32(r) {
+				t.Fatalf("%s: orig[%d] = %d, which ranks %d", name, r, v, rank[v])
+			}
+		}
+		for r := 0; r < rg.NumVertices(); r++ {
+			row := rg.Neighbors(graph.VertexID(r))
+			if len(row) != g.Degree(orig[r]) {
+				t.Fatalf("%s: row %d has %d entries, source vertex %d has degree %d", name, r, len(row), orig[r], g.Degree(orig[r]))
+			}
+			if r > 0 && rg.Degree(graph.VertexID(r)) < rg.Degree(graph.VertexID(r-1)) {
+				t.Fatalf("%s: degree falls from rank %d to %d", name, r-1, r)
+			}
+			for i, u := range row {
+				if i > 0 && row[i-1] >= u {
+					t.Fatalf("%s: row %d does not ascend at %d", name, r, i)
+				}
+				if !g.HasEdge(orig[r], orig[u]) {
+					t.Fatalf("%s: edge %d-%d has no source edge %d-%d", name, r, u, orig[r], orig[u])
+				}
+			}
+		}
+	}
+}
+
+// TestByDegreeCallsNoSort: the relabel is a counting sort and an in-order
+// fill. Neither ByDegree nor the rank pass it shares with NewOrdered calls
+// anything beyond the CSR accessors and builtins listed here.
+func TestByDegreeCallsNoSort(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "ordered.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{
+		"make": true, "len": true, "int32": true, "int64": true, "VertexID": true,
+		"degreeRanks": true, "Degree": true, "Neighbors": true, "MaxDegree": true, "NumVertices": true,
+	}
+	found := 0
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "ByDegree" && fn.Name.Name != "degreeRanks" {
+			continue
+		}
+		found++
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch f := call.Fun.(type) {
+			case *ast.Ident:
+				name = f.Name
+			case *ast.SelectorExpr:
+				name = f.Sel.Name
+			}
+			if !allowed[name] {
+				t.Errorf("%s calls %s", fn.Name.Name, name)
+			}
+			return true
+		})
+	}
+	if found != 2 {
+		t.Fatalf("found %d of ByDegree and degreeRanks in ordered.go", found)
 	}
 }

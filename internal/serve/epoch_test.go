@@ -90,7 +90,7 @@ func TestCensusAdmittedAcrossUpdateKeepsItsEpoch(t *testing.T) {
 // TestPreparedStateFollowsTheGraphEpoch: the engine's graph-scoped state is
 // built by the first engine query of a graph epoch, shared by the rest, kept
 // across an all-noop batch, replaced — lazily — after an effective one, and
-// /stats says so. A ?workers= override re-buckets over the shared state
+// /stats says so. A ?workers= override re-partitions over the shared state
 // without another build.
 func TestPreparedStateFollowsTheGraphEpoch(t *testing.T) {
 	g := testGraph(t)

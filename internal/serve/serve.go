@@ -179,10 +179,11 @@ func newGraphData(g *graph.Graph, epoch uint64) *graphData {
 
 // prepared returns the epoch's graph-scoped engine state for a run under
 // opts, building it on first use; concurrent first queries share the one
-// build. The order, edge index and hub bitmap are built for the server's
-// configured worker count and shared by every query; a query that overrides
-// ?workers= gets its own ownership buckets over the same indexes, held for
-// that query only, so varying worker counts never multiply the resident state.
+// build. The relabelled graph, edge index and hub bitmap are built for the
+// server's configured worker count and shared by every query; a query that
+// overrides ?workers= gets its own owner array over the same indexes, held
+// for that query only, so varying worker counts never multiply the resident
+// state.
 func (s *Server) prepared(d *graphData, opts core.Options) *core.Prepared {
 	built := false
 	d.prepOnce.Do(func() {
@@ -720,9 +721,10 @@ type StatsResponse struct {
 		RawBytes  int64   `json:"raw_bytes"`
 		Ratio     float64 `json:"ratio"`
 	} `json:"compression"`
-	// Prepared reports the engine's graph-scoped state (vertex order, edge
-	// index, hub bitmap, ownership buckets), built once per graph epoch by the
-	// first query that runs the engine and shared by the rest.
+	// Prepared reports the engine's graph-scoped state (the graph relabelled
+	// by degree rank, edge index, hub bitmap, owner array), built once per
+	// graph epoch by the first query that runs the engine and shared by the
+	// rest.
 	Prepared PreparedStats `json:"prepared"`
 	// Census reports the motif-census verb's caches: queries served, per-k
 	// result-cache hits, and the canonical-form memo cache hit rate.

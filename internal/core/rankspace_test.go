@@ -35,6 +35,8 @@ func (e *engine) rankOf(v graph.VertexID) graph.VertexID {
 // evaluating the partial order as a window on the sorted row instead of per
 // candidate may move only those three; Gpsi counts, supersteps, index
 // queries, verify prunes, messages per step and loads stay bit-identical.
+// The values were re-recorded, with no engine change, when withoutClocks
+// began to name the hashed fields one by one.
 func TestIdentityOrderStatsPinned(t *testing.T) {
 	rows := []struct {
 		seed     int64
@@ -42,14 +44,14 @@ func TestIdentityOrderStatsPinned(t *testing.T) {
 		noIndex  bool
 		want     uint64
 	}{
-		{1, "local", false, 0xc0908bbd901e690},
-		{1, "local", true, 0xdb8f4d5bd166ecd2},
-		{1, "tcp", false, 0xc04fd61f635e1fe9},
-		{1, "tcp", true, 0x84fe298ae9a055c3},
-		{2, "local", false, 0xbbc7bf6773d89018},
-		{2, "local", true, 0x85cb2e7ca5a1d87},
-		{2, "tcp", false, 0x7b2db8fe16a5f624},
-		{2, "tcp", true, 0x3b040a2cf199600},
+		{1, "local", false, 0xf51a460f73c13b1c},
+		{1, "local", true, 0xa92d126cea605a48},
+		{1, "tcp", false, 0x39aef19e2cebcf01},
+		{1, "tcp", true, 0xdb8f4fb496cab517},
+		{2, "local", false, 0xf558b4f61c8438f4},
+		{2, "local", true, 0xd487356992297c07},
+		{2, "tcp", false, 0x95c7683a08af6bbe},
+		{2, "tcp", true, 0x9da72f92f0ebfe24},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),

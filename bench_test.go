@@ -217,27 +217,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLocalExpansion compares level-synchronous execution with
-// the eager local-expansion mode (Section 4.2's "not the same pace" case).
-func BenchmarkAblationLocalExpansion(b *testing.B) {
-	g := psgl.GenerateChungLu(4000, 16000, 1.8, 8)
-	for _, local := range []bool{false, true} {
-		name := "level-sync"
-		if local {
-			name = "local-eager"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, pattern.PG2(), core.Options{Workers: 4, LocalExpansion: local})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Stats.GpsiGenerated-res.Stats.InlineExpansions), "sent")
-			}
-		})
-	}
-}
-
 // BenchmarkHotpath runs the engine's hot-path microbenchmarks: steady-state
 // expansion and the exchange frame codec. The same
 // measurements back `psgl-bench hotpath` and the committed BENCH_hotpath.json

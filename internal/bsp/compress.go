@@ -373,16 +373,16 @@ func flatten[M any](chunks [][]Envelope[M]) []Envelope[M] {
 
 // deliverInbox is how a worker consumes deliveries: envelope chunks first,
 // then each compressed frame decoded lazily — one bounded chunk at a time,
-// through a pooled scratch — and delivered whole to a GroupProgram (per
-// message otherwise); each chunk and frame is dropped from the inbox as soon
-// as its last message is processed. The compressed_* counters it feeds are
-// logical: they ride RunStats, which rolls back with snapshots, so they stay
+// through a pooled scratch — and handed to Process message by message like
+// any chunk; each chunk and frame is dropped from the inbox as soon as its
+// last message is processed. The compressed_* counters it feeds are logical:
+// they ride RunStats, which rolls back with snapshots, so they stay
 // exactly-once across recovered and resumed runs. An abort or a closed done
 // channel short-circuits the rest of the inbox instead of draining it; after
-// runs after every Process/ProcessGroup call (the worker checks for a halt and
-// flushes full frames there) and stops the delivery by returning false.
-// Returns the number of messages processed.
-func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M], ib *Inbox[M], done <-chan struct{}, after func() bool) int64 {
+// runs after every Process call (the worker checks for a halt and flushes
+// full frames there) and stops the delivery by returning false. Returns the
+// number of messages processed.
+func deliverInbox[M any](ctx *Context[M], prog Program[M], ib *Inbox[M], done <-chan struct{}, after func() bool) int64 {
 	processed := int64(0)
 	canceled := func() bool {
 		select {
@@ -427,15 +427,7 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], gprog GroupProgram[M]
 		ctx.Add(ctrCompressedWireBytes, int64(4+len(fp)))
 		ctx.Add(ctrCompressedRawBytes, int64(raw))
 		ib.Frames[f] = nil
-		if gprog == nil {
-			if !each(batch) {
-				return processed
-			}
-			continue
-		}
-		gprog.ProcessGroup(ctx, batch)
-		processed += int64(len(batch))
-		if !after() {
+		if !each(batch) {
 			return processed
 		}
 	}
@@ -448,14 +440,3 @@ var (
 	ctrCompressedWireBytes = CounterID("compressed_wire_bytes")
 	ctrCompressedRawBytes  = CounterID("compressed_raw_bytes")
 )
-
-// GroupProgram is an optional Program extension for compressed mode: each
-// decoded compressed frame is delivered whole, in the encoder's prefix-sorted
-// order, so the program can share expansion work across runs of messages with
-// a common prefix (the engine's group expansion). Programs without it get the
-// usual per-message Process calls. Results must not depend on the grouping —
-// only on the delivered multiset — which the differential suites pin.
-type GroupProgram[M any] interface {
-	Program[M]
-	ProcessGroup(ctx *Context[M], batch []Envelope[M])
-}

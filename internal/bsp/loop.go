@@ -161,9 +161,8 @@ type worker[M any] struct {
 // touch the dead attempt's queues and staged frames — which is also why a
 // superstep that fails has delivered nothing observable.
 type attempt[M any] struct {
-	r     *run[M] // program, stats and abort flag; seeded iff r.restored
-	cfg   *Config
-	gprog GroupProgram[M]
+	r   *run[M] // program, stats and abort flag; seeded iff r.restored
+	cfg *Config
 
 	// The policy, as values: stepped is where deliver puts a frame, flushEvery
 	// when a worker flushes mid-burst (never, stepped); maxFrames and ckFrames
@@ -234,7 +233,6 @@ func newAttempt[M any](r *run[M]) *attempt[M] {
 		// acked frames is the stand-in for "every Nth barrier".
 		a.ckFrames = int64(cfg.CheckpointEvery * k)
 	}
-	a.gprog, _ = any(r.prog).(GroupProgram[M])
 	a.step.Store(int64(r.step))
 	for w := 0; w < k; w++ {
 		wk := &worker[M]{released: true}
@@ -648,7 +646,7 @@ func (a *attempt[M]) workerLoop(w int) {
 			a.r.prog.Init(wctx)
 			seed = false
 		}
-		processed := deliverInbox(wctx, a.r.prog, a.gprog, &burst, stepCtx.Done(), after)
+		processed := deliverInbox(wctx, a.r.prog, &burst, stepCtx.Done(), after)
 		a.noteBurst(wk, wctx, start, processed)
 		unflushed = true
 		if flushFailed || stepCtx.Err() != nil {

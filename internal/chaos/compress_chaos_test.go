@@ -77,7 +77,7 @@ func TestCompressedKillScheduleBitIdenticalTCP(t *testing.T) {
 // TestCompressedMixedScheduleSurvives: a dense seeded schedule (kills, drops,
 // delays, partitions) against compressed grouped exchanges still converges.
 // PG3 on a skewed Chung–Lu graph keeps batches dense enough that compression
-// and group expansion actually engage while the faults fire.
+// actually engages while the faults fire.
 func TestCompressedMixedScheduleSurvives(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 3)
 	p := pattern.PG3()

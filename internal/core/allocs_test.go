@@ -86,31 +86,6 @@ func TestRunBytesPerGpsi(t *testing.T) {
 	}
 }
 
-func TestExpandLocalExpansionSteadyStateZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation profiling in -short mode")
-	}
-	// LocalExpansion recurses through finalize → expand, exercising the
-	// scratch-frame stack; it must stay allocation-free too.
-	e, ctx, inbox, err := newHotpathHarness(pattern.PG2(), StrategyWorkloadAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.opts.LocalExpansion = true
-	for _, env := range inbox {
-		e.Process(ctx, env)
-	}
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		ctx.ResetSends()
-		e.Process(ctx, inbox[i%len(inbox)])
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("inline expansion allocates %.1f/op in steady state, want 0", avg)
-	}
-}
-
 func TestGpsiWireRoundTripZeroAllocs(t *testing.T) {
 	m := gpsi{N: 5, Next: 3, Expanded: 0b10011, Pending: 0xbeef}
 	for i := range m.Map {

@@ -23,9 +23,9 @@ func TestBitsetAndMatchesMergePath(t *testing.T) {
 		}
 		on := NewOptions()
 		on.Seed = 3
-		on.BitmapMinDegree = 16
+		on.bitmapMinDegree = 16
 		off := on
-		off.DisableBitsetAnd = true
+		off.disableBitsetAnd = true
 
 		resOn, err := Run(g, p, on)
 		if err != nil {
@@ -63,7 +63,7 @@ func TestBitsetAndDefaultThresholdSparse(t *testing.T) {
 	}
 	on := NewOptions()
 	off := on
-	off.DisableBitsetAnd = true
+	off.disableBitsetAnd = true
 	resOn, err := Run(g, p, on)
 	if err != nil {
 		t.Fatal(err)

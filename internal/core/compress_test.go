@@ -1,10 +1,10 @@
 package core
 
 // Differential battery for compressed frames (Options.CompressFrames): the
-// prefix-compressed wire codec, the grouped inbox, and group expansion must
-// be invisible to the enumeration — same embedding multisets as the
-// centralized oracle, same counts as flat mode, across strict and async
-// exchanges, local and TCP transports, and checkpoint recovery/resume.
+// prefix-compressed wire codec and the encoded inbox must be invisible to the
+// enumeration — same embedding multisets as the centralized oracle, same
+// Stats as flat mode, across strict and async exchanges, local and TCP
+// transports, and checkpoint recovery/resume.
 
 import (
 	"errors"
@@ -98,58 +98,91 @@ func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 	}
 }
 
-// TestCompressedMatchesFlatStats pins the parts of Stats that compression
-// must not disturb — count, generated/processed Gpsis, supersteps — against
-// a flat-mode run, and proves the compressed machinery actually engaged:
-// frames were compressed, group expansion fired, and the raw (flat-
-// equivalent) byte count strictly exceeds the wire byte count on a dense
-// pattern.
-func TestCompressedMatchesFlatStats(t *testing.T) {
-	g := gen.ChungLu(70, 300, 2.3, 1)
-	for _, p := range []*pattern.Pattern{pattern.PG3(), pattern.PG5()} {
-		t.Run(p.Name(), func(t *testing.T) {
-			base := Options{Workers: 4, Seed: 1}
-			flat, err := Run(g, p, base)
-			if err != nil {
-				t.Fatal(err)
+// TestCompressedStatsEqualFlat: compression is a codec and nothing else. On
+// the differential suite's seeds, strict × {local, tcp} × every catalog
+// pattern × every strategy, plus a row whose lowered hub threshold makes the
+// bitset AND fire, a compressed run reports every Stats field a flat run
+// reports but the clocks and the Compressed* counters. The one exception is
+// the per-worker split: a decoded frame is processed in the encoder's sorted
+// order, and the strategies consume their per-worker random streams and load
+// views in processing order, so which worker expands a Gpsi may differ —
+// WorkerMessages and LoadUnits are compared by their totals, and LoadMakespan,
+// a function of the split, not at all. The test also proves compression
+// engaged: every compressed run decoded frames and saved bytes.
+func TestCompressedStatsEqualFlat(t *testing.T) {
+	rows := []struct {
+		seed     int64
+		exchange string
+		hubs     bool
+	}{
+		{1, "local", false}, {1, "tcp", false},
+		{2, "local", false}, {2, "tcp", false},
+		{3, "local", false}, {3, "tcp", false},
+		{1, "local", true},
+	}
+	patterns := []*pattern.Pattern{
+		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
+	}
+	for _, row := range rows {
+		name := fmt.Sprintf("seed%d/%s", row.seed, row.exchange)
+		if row.hubs {
+			name += "/hubs"
+		}
+		t.Run(name, func(t *testing.T) {
+			g := gen.ChungLu(70, 300, 2.3, row.seed)
+			base := Options{Workers: 4, Seed: row.seed}
+			if row.exchange == "tcp" {
+				base.Workers, base.Exchange = 3, bsp.NewTCPExchangeFactory()
 			}
-			opts := base
-			opts.CompressFrames = true
-			comp, err := Run(g, p, opts)
-			if err != nil {
-				t.Fatal(err)
+			if row.hubs {
+				base.bitmapMinDegree = 8
 			}
-			if comp.Count != flat.Count {
-				t.Fatalf("compressed counted %d, flat %d", comp.Count, flat.Count)
+			bitsetAnd := int64(0)
+			for _, p := range patterns {
+				for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+					opts := base
+					opts.Strategy = strat
+					flat, err := Run(g, p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.CompressFrames = true
+					comp, err := Run(g, p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f, c := flatView(flat.Stats), flatView(comp.Stats); f != c {
+						t.Errorf("%s/%s: compressed Stats differ from flat:\n flat %s\n comp %s", p.Name(), strat, f, c)
+					}
+					if fs := flat.Stats; fs.CompressedFrames != 0 || fs.CompressedWireBytes != 0 || fs.CompressedRawBytes != 0 {
+						t.Fatalf("%s/%s: flat run reports compressed counters: %s", p.Name(), strat, withoutClocks(fs))
+					}
+					if cs := comp.Stats; cs.CompressedFrames == 0 || cs.CompressedRawBytes <= cs.CompressedWireBytes {
+						t.Errorf("%s/%s: compression did not engage: %d frames, wire %d B, raw %d B",
+							p.Name(), strat, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
+					}
+					bitsetAnd += flat.Stats.BitsetAndCandidates
+				}
 			}
-			if comp.Stats.GpsiGenerated != flat.Stats.GpsiGenerated {
-				t.Fatalf("GpsiGenerated = %d, flat %d", comp.Stats.GpsiGenerated, flat.Stats.GpsiGenerated)
-			}
-			if comp.Stats.GpsiProcessed != flat.Stats.GpsiProcessed {
-				t.Fatalf("GpsiProcessed = %d, flat %d", comp.Stats.GpsiProcessed, flat.Stats.GpsiProcessed)
-			}
-			if comp.Stats.Supersteps != flat.Stats.Supersteps {
-				t.Fatalf("Supersteps = %d, flat %d", comp.Stats.Supersteps, flat.Stats.Supersteps)
-			}
-			cs := comp.Stats
-			if cs.CompressedFrames == 0 {
-				t.Fatal("CompressedFrames = 0: compression never engaged")
-			}
-			if cs.CompressedRawBytes <= cs.CompressedWireBytes {
-				t.Fatalf("no byte savings: wire %d B, raw %d B", cs.CompressedWireBytes, cs.CompressedRawBytes)
-			}
-			if cs.GroupRuns == 0 {
-				t.Fatal("GroupRuns = 0: group expansion never fired")
-			}
-			if cs.GroupMembers < 2*cs.GroupRuns {
-				t.Fatalf("GroupMembers = %d with %d runs: runs must cover ≥ 2 Gpsis each", cs.GroupMembers, cs.GroupRuns)
-			}
-			fs := flat.Stats
-			if fs.CompressedFrames != 0 || fs.GroupRuns != 0 {
-				t.Fatalf("flat run leaked compressed counters: %+v", fs)
+			if row.hubs && bitsetAnd == 0 {
+				t.Fatal("the lowered hub threshold never took the bitset AND path")
 			}
 		})
 	}
+}
+
+// flatView is withoutClocks of what a compressed run shares with a flat one:
+// the Compressed* counters zeroed, the per-worker split summed, and
+// LoadMakespan dropped.
+func flatView(st Stats) string {
+	st.CompressedFrames, st.CompressedWireBytes, st.CompressedRawBytes = 0, 0, 0
+	msgs, load := int64(0), 0.0
+	for w := range st.WorkerMessages {
+		msgs += st.WorkerMessages[w]
+		load += st.LoadUnits[w]
+	}
+	st.WorkerMessages, st.LoadUnits, st.LoadMakespan = []int64{msgs}, []float64{load}, 0
+	return withoutClocks(st)
 }
 
 // compressedCounterView is the slice of Stats that must be bit-identical
@@ -159,7 +192,6 @@ func TestCompressedMatchesFlatStats(t *testing.T) {
 type compressedCounterView struct {
 	Count                                 int64
 	Frames, WireBytes, RawBytes           int64
-	GroupRuns, GroupMembers               int64
 	GpsiGenerated, GpsiProcessed, Results int64
 }
 
@@ -169,8 +201,6 @@ func viewOf(r *Result) compressedCounterView {
 		Frames:        r.Stats.CompressedFrames,
 		WireBytes:     r.Stats.CompressedWireBytes,
 		RawBytes:      r.Stats.CompressedRawBytes,
-		GroupRuns:     r.Stats.GroupRuns,
-		GroupMembers:  r.Stats.GroupMembers,
 		GpsiGenerated: r.Stats.GpsiGenerated,
 		GpsiProcessed: r.Stats.GpsiProcessed,
 		Results:       r.Stats.Results,
@@ -190,7 +220,7 @@ func TestCompressedCountersMirrored(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := viewOf(clean)
-	if want.Frames == 0 || want.GroupRuns == 0 {
+	if want.Frames == 0 {
 		t.Fatalf("scenario too sparse to exercise compression: %+v", want)
 	}
 
@@ -243,9 +273,9 @@ func TestCompressedCountersMirrored(t *testing.T) {
 }
 
 // TestCompressedWithEngineVariants sweeps compression against the engine's
-// other orthogonal modes — local expansion, disabled edge index, disabled
-// bitset AND, labeled matching — to pin that group expansion composes with
-// each (count parity with the same variant in flat mode).
+// other orthogonal modes — disabled edge index, disabled bitset AND, a
+// generous intermediate budget — to pin that compression composes with each
+// (count parity with the same variant in flat mode).
 func TestCompressedWithEngineVariants(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 2)
 	p := pattern.PG3()
@@ -253,9 +283,8 @@ func TestCompressedWithEngineVariants(t *testing.T) {
 		name string
 		mut  func(*Options)
 	}{
-		{"local_expansion", func(o *Options) { o.LocalExpansion = true }},
 		{"no_edge_index", func(o *Options) { o.DisableEdgeIndex = true }},
-		{"no_bitset_and", func(o *Options) { o.DisableBitsetAnd = true }},
+		{"no_bitset_and", func(o *Options) { o.disableBitsetAnd = true }},
 		{"max_intermediate_ok", func(o *Options) { o.MaxIntermediate = 1 << 30 }},
 	}
 	for _, v := range variants {

@@ -207,7 +207,7 @@ func TestNoIndexStatsPinned(t *testing.T) {
 		opts := Options{Workers: 4, Seed: row.seed, DisableEdgeIndex: true}
 		switch row.variant {
 		case "hubs":
-			opts.BitmapMinDegree = 8
+			opts.bitmapMinDegree = 8
 		case "identity":
 			opts.IdentityOrder = true
 		}

@@ -148,7 +148,6 @@ func counter(name string, field func(*Stats) *int64) bsp.Counter {
 var (
 	ctrGenerated       = counter("generated", func(s *Stats) *int64 { return &s.GpsiGenerated })
 	ctrProcessed       = counter("processed", func(s *Stats) *int64 { return &s.GpsiProcessed })
-	ctrInline          = counter("inline", func(s *Stats) *int64 { return &s.InlineExpansions })
 	ctrPrunedDegree    = counter("pruned_degree", func(s *Stats) *int64 { return &s.PrunedByDegree })
 	ctrPrunedOrder     = counter("pruned_order", func(s *Stats) *int64 { return &s.PrunedByOrder })
 	ctrPrunedIndex     = counter("pruned_index", func(s *Stats) *int64 { return &s.PrunedByIndex })
@@ -158,8 +157,6 @@ var (
 	ctrPrunedFilter    = counter("pruned_filter", func(s *Stats) *int64 { return &s.PrunedByFilter })
 	ctrIndexQueries    = counter("index_queries", func(s *Stats) *int64 { return &s.EdgeIndexQueries })
 	ctrBitsetAnd       = counter("bitset_and", func(s *Stats) *int64 { return &s.BitsetAndCandidates })
-	ctrGroupRuns       = counter("group_runs", func(s *Stats) *int64 { return &s.GroupRuns })
-	ctrGroupMembers    = counter("group_members", func(s *Stats) *int64 { return &s.GroupMembers })
 	ctrResults         = counter("results", func(s *Stats) *int64 { return &s.Results })
 	// Fed by bsp as it decodes a compressed inbox frame.
 	_ = counter("compressed_frames", func(s *Stats) *int64 { return &s.CompressedFrames })
@@ -231,14 +228,13 @@ type engine struct {
 	instances [][]graph.VertexID
 }
 
-// expandFrame is one depth level of a worker's expansion scratch: the WHITE
-// vertices being combined, their candidate buffers, for each the mapped
-// neighbors whose edge to a candidate went to the bloom and is pending, and
-// combine's merge cursors (rows[eid]: what is left of the row of the earlier
-// endpoint's image of pattern edge eid while the later one's slot is walked).
-// LocalExpansion inlines expansions recursively (depth bounded by the pattern
-// size: each inline step blackens a vertex), so frames form a small stack;
-// reusing them keeps steady-state expansion allocation-free.
+// expandFrame is a worker's expansion scratch: the WHITE vertices being
+// combined, their candidate buffers, for each the mapped neighbors whose edge
+// to a candidate went to the bloom and is pending, and combine's merge cursors
+// (rows[eid]: what is left of the row of the earlier endpoint's image of
+// pattern edge eid while the later one's slot is walked). A worker expands one
+// Gpsi at a time, so it needs one frame; reusing it keeps steady-state
+// expansion allocation-free.
 type expandFrame struct {
 	whites [maxPatternVertices]int
 	nw     int
@@ -250,29 +246,11 @@ type expandFrame struct {
 // workerScratch is the per-worker reusable buffer set of the hot path. Only
 // worker w's goroutine touches scratch[w].
 type workerScratch struct {
-	frames  []*expandFrame
-	depth   int
+	frame   expandFrame
 	grays   []int
 	weights []float64
 	emit    []graph.VertexID
-	// baseCands[k] is the hoisted candidate base for the k-th WHITE vertex of
-	// the group-expansion run in flight (ProcessGroup). Valid only between
-	// expandRun building it and the run's last member; nested inline
-	// expansions never touch it.
-	baseCands [maxPatternVertices][]graph.VertexID
 }
-
-func (s *workerScratch) push() *expandFrame {
-	if s.depth == len(s.frames) {
-		s.frames = append(s.frames, &expandFrame{})
-	}
-	f := s.frames[s.depth]
-	s.depth++
-	f.nw = 0
-	return f
-}
-
-func (s *workerScratch) pop() { s.depth-- }
 
 // newEngine builds the pattern- and run-scoped state of one run over pr's
 // graph-scoped state, which it only borrows.
@@ -466,76 +444,7 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 
 // Process expands one partial subgraph instance (Algorithm 1).
 func (e *engine) Process(ctx *bsp.Context[gpsi], env bsp.Envelope[gpsi]) {
-	e.expand(ctx, env.Msg, nil)
-}
-
-// ProcessGroup implements bsp.GroupProgram: in compressed mode each decoded
-// frame arrives whole, in the encoder's prefix-sorted order, so Gpsis
-// expanding the same data vertex at the same pattern vertex sit adjacent.
-// Maximal such runs share one hoisted candidate base (expandRun); singletons
-// take the ordinary expand path. The embedding multiset depends only on the
-// delivered messages — bit-identical to flat mode, which the compressed
-// differential suite pins — while the pruning-counter breakdown may differ
-// (shared pruning counts once per run, and runs never take the bitset path).
-func (e *engine) ProcessGroup(ctx *bsp.Context[gpsi], batch []bsp.Envelope[gpsi]) {
-	for i := 0; i < len(batch) && e.halted.Load() == 0; {
-		j := i + 1
-		for j < len(batch) && sameExpansionGroup(&batch[i].Msg, &batch[j].Msg) {
-			j++
-		}
-		if j-i > 1 {
-			e.expandRun(ctx, batch[i:j])
-		} else {
-			e.expand(ctx, batch[i].Msg, nil)
-		}
-		i = j
-	}
-}
-
-// sameExpansionGroup reports whether two Gpsis can share a candidate base:
-// same pattern size, same expansion point mapped to the same data vertex, and
-// the same set of mapped pattern vertices (hence the same WHITE neighbors).
-func sameExpansionGroup(a, b *gpsi) bool {
-	return a.N == b.N && a.Next == b.Next &&
-		a.Map[a.Next] == b.Map[b.Next] &&
-		a.mappedMask() == b.mappedMask()
-}
-
-// expandRun expands a run of Gpsis sharing an expansion group. The run-
-// invariant part of candidate generation — the expansion vertex's adjacency
-// filtered by degree and label — is computed once into the worker's baseCands
-// scratch, one base per WHITE neighbor in expand's own order; each member then
-// refines it with its own injectivity, partial-order, and edge-index filters.
-// Base construction stops at the first empty base: every member dead-ends
-// there, and refinement never looks past it.
-func (e *engine) expandRun(ctx *bsp.Context[gpsi], run []bsp.Envelope[gpsi]) {
-	first := &run[0].Msg
-	vp := int(first.Next)
-	vd := first.Map[vp]
-	sc := &e.scratch[ctx.Worker()]
-	ctx.Add(ctrGroupRuns, 1)
-	ctx.Add(ctrGroupMembers, int64(len(run)))
-	k := 0
-	for _, wv := range e.p.Neighbors(vp) {
-		if first.isMapped(wv) {
-			continue
-		}
-		minDeg := e.p.Degree(wv)
-		b := sc.baseCands[k][:0]
-		for _, d := range e.g.Neighbors(vd) {
-			if e.hosts(ctx, wv, minDeg, d) {
-				b = append(b, d)
-			}
-		}
-		sc.baseCands[k] = b
-		k++
-		if len(b) == 0 {
-			break
-		}
-	}
-	for i := range run {
-		e.expand(ctx, run[i].Msg, sc.baseCands[:k])
-	}
+	e.expand(ctx, env.Msg)
 }
 
 // hosts applies the Gpsi-independent half of Algorithm 5 — the degree and
@@ -622,12 +531,8 @@ func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, d graph.VertexID, probe
 	return true
 }
 
-// expand is Algorithm 1 for one Gpsi. bases, when non-nil, is expandRun's
-// hoisted degree/label candidate base per WHITE neighbor (one short of them
-// when the last is empty): candidates then come from refining it — always the
-// merge filters, never the bitset AND, so the refined sets equal the flat
-// merge path's exactly — instead of from walking vd's adjacency.
-func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID) {
+// expand is Algorithm 1 for one Gpsi.
+func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	if e.halted.Load() != 0 {
 		return
 	}
@@ -664,26 +569,15 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi, bases [][]graph.VertexID
 
 	// Candidate sets for WHITE neighbors (Algorithm 5), built in this
 	// worker's reusable scratch frame.
-	sc := &e.scratch[w]
-	fr := sc.push()
-	defer sc.pop()
+	fr := &e.scratch[w].frame
+	fr.nw = 0
 	loadUnits := 1.0
 	for _, wv := range e.p.Neighbors(vp) {
 		if mapped&(1<<uint(wv)) != 0 {
 			continue
 		}
 		probe := e.probeMask(mapped, vp, wv)
-		cand := fr.cands[fr.nw][:0]
-		var proven uint16
-		if bases == nil {
-			cand, proven = e.candidates(ctx, &m, mapped, probe, own, vp, vd, wv, cand)
-		} else {
-			for _, d := range e.inWindow(ctx, bases[fr.nw], &m, wv, mapped) {
-				if e.admits(ctx, &m, d, probe, own) {
-					cand = append(cand, d)
-				}
-			}
-		}
+		cand, proven := e.candidates(ctx, &m, mapped, probe, own, vp, vd, wv, fr.cands[fr.nw][:0])
 		fr.cands[fr.nw] = cand
 		if len(cand) == 0 {
 			return // dead end: this Gpsi leads to no instance
@@ -767,7 +661,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own 
 	// every vertex it drops lacks a real edge to a mapped neighbor and would
 	// have been pruned at pending-edge verification, so counts are identical
 	// with the switch off (the BenchmarkHotpath "w/o bitset" configuration).
-	if rowVd := e.bitmap.Row(vd); rowVd != nil && !e.opts.DisableBitsetAnd {
+	if rowVd := e.bitmap.Row(vd); rowVd != nil && !e.opts.disableBitsetAnd {
 		var hubRows [maxPatternVertices][]uint64
 		nHub := 0
 		for mask := e.adjacent[wv] & mapped &^ (1 << uint(vp)); mask != 0; mask &= mask - 1 {
@@ -943,7 +837,7 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 	w := ctx.Worker()
 	sc := &e.scratch[w]
 	grays := e.grayCandidates(m, sc.grays[:0])
-	sc.grays = grays // keep the grown buffer; dead before any nested expand
+	sc.grays = grays // keep the grown buffer for the next Gpsi
 	if len(grays) == 0 {
 		// Unreachable for connected patterns; guard against silent loss.
 		err := fmt.Errorf("psgl: stuck Gpsi with no GRAY vertex")
@@ -951,22 +845,10 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 		return
 	}
 	// The child is m aimed at its next expansion vertex; it is copied once,
-	// into the chunk that carries it (or the inline expansion's frame), and m
-	// goes back to combine as it came.
+	// into the chunk that carries it, and m goes back to combine as it came.
 	parent := m.Next
 	m.Next = int8(e.chooseNext(w, m, grays))
-	if e.opts.LocalExpansion && e.ownerOf(m.Map[m.Next]) == w {
-		// Non-level-synchronous mode: the destination is local, so expand
-		// now instead of crossing a superstep barrier. Recursion depth is
-		// bounded by the pattern size (each inline step blackens a vertex).
-		ctx.Add(ctrGenerated, 1)
-		ctx.Add(ctrInline, 1)
-		if e.chargeBudget(ctx) {
-			e.expand(ctx, *m, nil)
-		}
-	} else {
-		e.send(ctx, m)
-	}
+	e.send(ctx, m)
 	m.Next = parent
 }
 
@@ -1020,23 +902,16 @@ func contains(xs []int, x int) bool {
 }
 
 // send routes a Gpsi to the worker owning its next expansion vertex and
-// enforces the intermediate-result budget.
+// accounts it against MaxIntermediate. Without a budget nothing needs the
+// global total (the generated counter carries it), so no shared word is
+// written.
 func (e *engine) send(ctx *bsp.Context[gpsi], m *gpsi) {
 	ctx.Send(m.Map[m.Next], *m)
 	ctx.Add(ctrGenerated, 1)
-	e.chargeBudget(ctx)
-}
-
-// chargeBudget accounts one created Gpsi against MaxIntermediate and reports
-// whether the run may continue. Without a budget nothing needs the global
-// total (the generated counter carries it), so no shared word is written.
-func (e *engine) chargeBudget(ctx *bsp.Context[gpsi]) bool {
 	if e.opts.MaxIntermediate > 0 && e.generated.Add(1) > e.opts.MaxIntermediate {
 		e.halted.CompareAndSwap(0, haltOOM)
 		ctx.Abort(ErrOutOfMemory)
-		return false
 	}
-	return true
 }
 
 // engineState is the bsp.Snapshotter payload: every accumulator the engine

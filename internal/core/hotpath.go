@@ -60,7 +60,8 @@ func newHotpathHarness(p *pattern.Pattern, strategy Strategy) (*engine, *bsp.Con
 }
 
 // newHotpathHarnessOpts is newHotpathHarness with an options hook (the bitset
-// fast-path benchmarks flip DisableBitsetAnd / BitmapMinDegree through it).
+// fast-path benchmarks set the disableBitsetAnd / bitmapMinDegree seams through
+// it).
 func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
 	g := gen.ChungLu(3000, 15000, 1.8, 17)
 	opts := NewOptions()
@@ -109,7 +110,7 @@ func benchmarkExpand(b *testing.B) {
 // the sparse regime (the gate is one degree read per candidate set).
 func benchmarkExpandSparseMerge(b *testing.B) {
 	e, ctx, inbox, err := newHotpathHarnessOpts(pattern.Triangle(),
-		func(o *Options) { o.DisableBitsetAnd = true })
+		func(o *Options) { o.disableBitsetAnd = true })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -127,12 +128,12 @@ func benchmarkExpandSparseMerge(b *testing.B) {
 // benchmarkExpandHub measures second-level diamond expansions — the regime
 // where a WHITE vertex has two mapped neighbors, so candidate generation can
 // intersect hub rows — with the bitset fast path on (merge=false) or off.
-// BitmapMinDegree drops to 16 so the skewed test graph's hubs qualify.
+// The hub threshold drops to 16 so the skewed test graph's hubs qualify.
 func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		e, _, inbox, err := newHotpathHarnessOpts(pattern.Diamond(), func(o *Options) {
-			o.BitmapMinDegree = 16
-			o.DisableBitsetAnd = disableBitset
+			o.bitmapMinDegree = 16
+			o.disableBitsetAnd = disableBitset
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -66,7 +66,7 @@ func TestInPlaceChecksCutVerificationGpsis(t *testing.T) {
 func TestPendingEdgesNeedAHop(t *testing.T) {
 	var emitted [][]graph.VertexID
 	e, _, inbox, err := newHotpathHarnessOpts(pattern.Diamond(), func(o *Options) {
-		o.BitmapMinDegree = 16
+		o.bitmapMinDegree = 16
 		o.OnInstance = func(m []graph.VertexID) { emitted = append(emitted, append([]graph.VertexID(nil), m...)) }
 	})
 	if err != nil {

@@ -67,17 +67,6 @@ type Options struct {
 	DisableEdgeIndex bool
 	// BloomBitsPerEdge sizes the edge index. 0 means 10.
 	BloomBitsPerEdge int
-	// DisableBitsetAnd turns off the bitset AND candidate fast path (the
-	// "w/o bitset" benchmark configuration): candidate generation between hub
-	// vertices always walks the adjacency merge path with approximate bloom
-	// filtering. Counts are identical either way — the fast path is an exact
-	// filter whose rejects the pending-edge verification would prune later.
-	DisableBitsetAnd bool
-	// BitmapMinDegree overrides the hub-degree threshold of the bitmap index
-	// (exact edge verification and the bitset AND candidate fast path both
-	// key off it). 0 keeps the default max(256, |V|/32); lower it to widen
-	// the bitset fast path on dense graphs at the cost of index memory.
-	BitmapMinDegree int
 	// InitialVertex fixes the initial pattern vertex. Negative (or zero
 	// value via NewOptions) selects automatically: the Theorem 5 rule for
 	// cycles and cliques, the Algorithm 4 cost model otherwise.
@@ -150,13 +139,6 @@ type Options struct {
 	// counted before the run winds down. An early-stopped run returns
 	// success with Result.Truncated set — the streaming `limit` fast path.
 	MaxResults int64
-	// LocalExpansion enables the non-level-synchronous mode Section 4.2
-	// permits ("PSgL may not guarantee that each Gpsi is expanded in the
-	// same pace"): a new Gpsi whose chosen expansion vertex is owned by the
-	// current worker is expanded immediately, in the same superstep, instead
-	// of being enqueued for the next one. Results are identical; supersteps
-	// and message volume drop, at the cost of coarser balance feedback.
-	LocalExpansion bool
 	// MaxSupersteps bounds the BSP run. 0 means the bsp default.
 	MaxSupersteps int
 	// Exchange overrides the BSP message exchange (e.g.
@@ -176,12 +158,12 @@ type Options struct {
 	AsyncExchange bool
 	// CompressFrames front-codes Gpsi batches: messages sharing a mapped-vertex
 	// prefix are sorted and shipped as prefix-compressed frames, kept encoded
-	// in the inbox until expansion, and expanded group-wise (candidate bases
-	// hoisted across messages sharing an expansion point). Counts are
-	// bit-identical to flat mode — the differential suites pin it — but the
-	// pruning-counter breakdown may differ (shared work is counted once, and
-	// group expansion always takes the merge path). Both loops and both
-	// transports hold delivered batches encoded and expand them group-wise;
+	// in the inbox until expansion, and decoded one bounded chunk at a time
+	// into the same per-Gpsi expansion as flat mode. It is a codec only: every
+	// Stats total equals flat mode's (the compressed differential suites pin
+	// it), and only the compressed_* counters and the per-worker split of
+	// messages and load, which follows the frames' sorted processing order, can
+	// differ. Both loops and both transports hold delivered batches encoded;
 	// only an async worker's batch for itself stays flat.
 	CompressFrames bool
 
@@ -219,6 +201,17 @@ type Options struct {
 	// on clean, recovered, and resumed runs alike. Nil disables observation
 	// at zero cost.
 	Observer *obs.Observer
+
+	// Seams of the bitset AND candidate path, set only by this package's
+	// tests and HotpathBenchmarks. disableBitsetAnd turns the path off (the
+	// "w/o bitset" configuration): candidates between hubs then come from the
+	// merge path, and counts are identical, because the AND is an exact filter
+	// whose rejects pending-edge verification would prune later.
+	// bitmapMinDegree overrides the hub-degree threshold of the bitmap index
+	// (exact edge tests and the AND both key off it); 0 keeps max(256,
+	// |V|/32).
+	disableBitsetAnd bool
+	bitmapMinDegree  int
 }
 
 // Seed pins pattern vertices to concrete data vertices before expansion
@@ -266,9 +259,6 @@ type Stats struct {
 	GpsiGenerated int64
 	// GpsiProcessed counts expansion calls.
 	GpsiProcessed int64
-	// InlineExpansions counts Gpsis expanded in place under LocalExpansion
-	// (a subset of GpsiGenerated that never crossed a superstep barrier).
-	InlineExpansions int64
 	// Pruning breakdown (Algorithm 5 and GRAY verification). PrunedByOrder
 	// counts the candidates the symmetry-breaking order refuted: the entries of
 	// a sorted row or candidate list outside the order window, counted by the
@@ -297,10 +287,6 @@ type Stats struct {
 	CompressedFrames    int64
 	CompressedWireBytes int64
 	CompressedRawBytes  int64
-	// GroupRuns counts group expansions (runs of ≥ 2 Gpsis sharing a hoisted
-	// candidate base); GroupMembers counts the Gpsis they covered.
-	GroupRuns    int64
-	GroupMembers int64
 	// Results is the number of instances found.
 	Results int64
 	// InitialVertex is the pattern vertex the run started from.

@@ -71,7 +71,7 @@ func knobsOf(opts Options) indexKnobs {
 		IdentityOrder:    opts.IdentityOrder,
 		DisableEdgeIndex: opts.DisableEdgeIndex,
 		BloomBitsPerEdge: opts.BloomBitsPerEdge,
-		BitmapMinDegree:  opts.BitmapMinDegree,
+		BitmapMinDegree:  opts.bitmapMinDegree,
 	}
 	if k.DisableEdgeIndex {
 		k.BloomBitsPerEdge = 0 // no filter is built, so its size cannot differ
@@ -81,7 +81,8 @@ func knobsOf(opts Options) indexKnobs {
 
 // Prepare builds the graph-scoped state for runs over g (non-nil) under opts.
 // Only Workers, Seed, IdentityOrder, DisableEdgeIndex, BloomBitsPerEdge and
-// BitmapMinDegree are read; every run on the result must agree on those.
+// the bitmap's hub threshold are read; every run on the result must agree on
+// those.
 func Prepare(g *graph.Graph, opts Options) *Prepared {
 	opts = opts.normalized()
 	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts)}
@@ -91,7 +92,7 @@ func Prepare(g *graph.Graph, opts Options) *Prepared {
 	if !opts.DisableEdgeIndex {
 		gi.ix = bloom.BuildEdgeIndex(gi.g, opts.BloomBitsPerEdge)
 	}
-	gi.bitmap = graph.NewBitmapIndex(gi.g, opts.BitmapMinDegree)
+	gi.bitmap = graph.NewBitmapIndex(gi.g, opts.bitmapMinDegree)
 	return gi.partitioned(opts.Workers, opts.Seed)
 }
 

@@ -44,7 +44,7 @@ func TestPreparedRunMatchesRunContext(t *testing.T) {
 	}{
 		{"default", func(*Options) {}},
 		{"identity-order-no-index", func(o *Options) { o.IdentityOrder, o.DisableEdgeIndex = true, true }},
-		{"hub-bitmap", func(o *Options) { o.BitmapMinDegree = 8 }},
+		{"hub-bitmap", func(o *Options) { o.bitmapMinDegree = 8 }},
 	} {
 		opts := Options{Workers: 4, Seed: 1}
 		variant.mutate(&opts)
@@ -93,7 +93,7 @@ func hashPrepared(pr *Prepared) uint64 {
 // with at least its cap, and the shared state was read, never written.
 func TestPreparedSharedByConcurrentRuns(t *testing.T) {
 	g := gen.ChungLu(1500, 6000, 1.8, 7)
-	opts := Options{Workers: 3, Seed: 5, BitmapMinDegree: 40}
+	opts := Options{Workers: 3, Seed: 5, bitmapMinDegree: 40}
 	pr := Prepare(g, opts)
 	before := hashPrepared(pr)
 	full := map[string]int64{}
@@ -153,7 +153,7 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 		"identity order":    func(o *Options) { o.IdentityOrder = true },
 		"edge index off":    func(o *Options) { o.DisableEdgeIndex = true },
 		"bloom bits":        func(o *Options) { o.BloomBitsPerEdge = 4 },
-		"bitmap min degree": func(o *Options) { o.BitmapMinDegree = 5 },
+		"bitmap min degree": func(o *Options) { o.bitmapMinDegree = 5 },
 	} {
 		o := base
 		mutate(&o)

@@ -322,7 +322,7 @@ func TestColdRunsReusePrepared(t *testing.T) {
 		"identity order":    func(o *Options) { o.IdentityOrder = true },
 		"edge index off":    func(o *Options) { o.DisableEdgeIndex = true },
 		"bloom bits":        func(o *Options) { o.BloomBitsPerEdge = 4 },
-		"bitmap min degree": func(o *Options) { o.BitmapMinDegree = 5 },
+		"bitmap min degree": func(o *Options) { o.bitmapMinDegree = 5 },
 	} {
 		before := cold(g, opts)
 		o, on := opts, g
@@ -370,7 +370,7 @@ func TestHubWindowEveryInitialVertex(t *testing.T) {
 		fired := int64(0)
 		for v := 0; v < p.N(); v++ {
 			o := NewOptions()
-			o.Seed, o.BitmapMinDegree, o.InitialVertex = 3, 16, v
+			o.Seed, o.bitmapMinDegree, o.InitialVertex = 3, 16, v
 			res, err := Run(g, p, o)
 			if err != nil {
 				t.Fatal(err)

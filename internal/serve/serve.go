@@ -89,9 +89,10 @@ type Config struct {
 	// points.
 	AsyncExchange bool
 	// CompressFrames front-codes Gpsi batches on local queries: sorted
-	// prefix-compressed frames on the wire, grouped inboxes, and group-wise
-	// expansion. Counts are identical to flat mode; the compression ratio
-	// shows up in /stats under the observer's compressed_* counters.
+	// prefix-compressed frames on the wire and in the inboxes, decoded into
+	// the same per-Gpsi expansion as flat mode. Counts are identical to flat
+	// mode; the compression ratio shows up in /stats under the observer's
+	// compressed_* counters.
 	CompressFrames bool
 	// Plane, when non-nil, turns the server into the coordinator of a
 	// remote worker plane: queries are dispatched to registered psgl-worker

@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		alpha        = fs.Float64("alpha", 0.5, "workload-aware penalty exponent (0,1]")
 		noIndex      = fs.Bool("no-edge-index", false, "disable the bloom edge index")
 		async        = fs.Bool("async", false, "run local queries on the pipelined async BSP exchange (credit-based termination; counts identical to strict mode)")
-		compress     = fs.Bool("compress", false, "prefix-compress Gpsi frames on local queries, a codec only (counts and engine counters identical to flat mode)")
+		compress     = fs.Bool("compress", false, "prefix-compress Gpsi frames on local queries (counts identical to flat mode)")
 		maxInFlight  = fs.Int("max-inflight", 2, "queries executing concurrently (>= 1)")
 		maxQueue     = fs.Int("max-queue", 8, "queries waiting behind the execution slots before 429 (>= 0)")
 		defDeadline  = fs.Duration("default-deadline", 30*time.Second, "deadline for queries without deadline_ms")

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 4, "BSP workers per query (>= 1)")
 		maxInFlight = fs.Int("max-inflight", 2, "queries executing concurrently (>= 1)")
 		async       = fs.Bool("async", false, "execute dispatched queries on the pipelined async BSP exchange (counts identical to strict mode)")
-		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames on dispatched queries, a codec only (counts and engine counters identical to flat mode)")
+		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames on dispatched queries (counts identical to flat mode)")
 		drainT      = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight queries on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxSteps    = fs.Int("max-supersteps", 0, "abort after this many supersteps (0 = engine default)")
 		tcp         = fs.Bool("tcp", false, "route messages over loopback TCP")
 		async       = fs.Bool("async", false, "pipelined async exchange: flush frames as produced, credit-based termination instead of barriers (counts identical to strict mode)")
-		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames: front-coded wire format and encoded inboxes, a codec only (counts and engine counters identical to flat mode)")
+		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames: front-coded wire format and encoded inboxes (counts identical to flat mode)")
 		timeout     = fs.Duration("timeout", 0, "overall run timeout (0 = none); Ctrl-C also cancels cleanly")
 		stepTimeout = fs.Duration("step-timeout", 0, "per-superstep deadline (0 = none)")
 		retries     = fs.Int("exchange-retries", 1, "attempts per superstep exchange (bounded exponential backoff)")

@@ -159,12 +159,14 @@ type Options struct {
 	// CompressFrames front-codes Gpsi batches: messages sharing a mapped-vertex
 	// prefix are sorted and shipped as prefix-compressed frames, kept encoded
 	// in the inbox until expansion, and decoded one bounded chunk at a time
-	// into the same per-Gpsi expansion as flat mode. It is a codec only: every
-	// Stats total equals flat mode's (the compressed differential suites pin
-	// it), and only the compressed_* counters and the per-worker split of
-	// messages and load, which follows the frames' sorted processing order, can
-	// differ. Both loops and both transports hold delivered batches encoded;
-	// only an async worker's batch for itself stays flat.
+	// into the same per-Gpsi expansion as flat mode. Counts are bit-identical
+	// to flat mode — the differential suites pin it. A decoded frame is
+	// processed in sorted order, and the strategies route in processing order,
+	// so which worker expands a Gpsi can differ from flat mode, and with it the
+	// per-worker split and, with the edge index on, which closing edges are
+	// checked in place; Gpsi totals and the pruning split can move with those.
+	// Both loops and both transports hold delivered batches encoded; only an
+	// async worker's batch for itself stays flat.
 	CompressFrames bool
 
 	// Fault tolerance (mirrors the Giraph substrate's barrier-aligned

@@ -98,10 +98,10 @@ func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 	}
 }
 
-// TestCompressedStatsEqualFlat: compression is a codec and nothing else. On
-// the differential suite's seeds, strict × {local, tcp} × every catalog
-// pattern × every strategy, plus a row whose lowered hub threshold makes the
-// bitset AND fire, a compressed run reports every Stats field a flat run
+// TestCompressedMatchesFlatStats: compression is a codec and nothing else.
+// For every catalog pattern, on the differential suite's seeds, strict ×
+// {local, tcp} × every strategy, plus a row whose lowered hub threshold makes
+// the bitset AND fire, a compressed run reports every Stats field a flat run
 // reports but the clocks and the Compressed* counters, so a second expansion
 // path for decoded frames shows here. The exception is the per-worker split:
 // a decoded frame is processed in the encoder's sorted order, and the
@@ -112,7 +112,7 @@ func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 // a closing edge is checked, and with it the Gpsi totals; on these it does
 // not.) The test also proves compression engaged: every compressed run
 // decoded frames and saved bytes.
-func TestCompressedStatsEqualFlat(t *testing.T) {
+func TestCompressedMatchesFlatStats(t *testing.T) {
 	rows := []struct {
 		seed     int64
 		exchange string
@@ -126,51 +126,55 @@ func TestCompressedStatsEqualFlat(t *testing.T) {
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
 	}
-	for _, row := range rows {
-		name := fmt.Sprintf("seed%d/%s", row.seed, row.exchange)
-		if row.hubs {
-			name += "/hubs"
-		}
-		t.Run(name, func(t *testing.T) {
-			g := gen.ChungLu(70, 300, 2.3, row.seed)
-			base := Options{Workers: 4, Seed: row.seed}
-			if row.exchange == "tcp" {
-				base.Workers, base.Exchange = 3, bsp.NewTCPExchangeFactory()
-			}
-			if row.hubs {
-				base.bitmapMinDegree = 8
-			}
-			bitsetAnd := int64(0)
-			for _, p := range patterns {
-				for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
-					opts := base
-					opts.Strategy = strat
-					flat, err := Run(g, p, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.CompressFrames = true
-					comp, err := Run(g, p, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if f, c := flatView(flat.Stats), flatView(comp.Stats); f != c {
-						t.Errorf("%s/%s: compressed Stats differ from flat:\n flat %s\n comp %s", p.Name(), strat, f, c)
-					}
-					if fs := flat.Stats; fs.CompressedFrames != 0 || fs.CompressedWireBytes != 0 || fs.CompressedRawBytes != 0 {
-						t.Fatalf("%s/%s: flat run reports compressed counters: %s", p.Name(), strat, withoutClocks(fs))
-					}
-					if cs := comp.Stats; cs.CompressedFrames == 0 || cs.CompressedRawBytes <= cs.CompressedWireBytes {
-						t.Errorf("%s/%s: compression did not engage: %d frames, wire %d B, raw %d B",
-							p.Name(), strat, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
-					}
-					bitsetAnd += flat.Stats.BitsetAndCandidates
+	bitsetAnd := int64(0)
+	for _, p := range patterns {
+		t.Run(p.Name(), func(t *testing.T) {
+			for _, row := range rows {
+				name := fmt.Sprintf("seed%d/%s", row.seed, row.exchange)
+				if row.hubs {
+					name += "/hubs"
 				}
-			}
-			if row.hubs && bitsetAnd == 0 {
-				t.Fatal("the lowered hub threshold never took the bitset AND path")
+				t.Run(name, func(t *testing.T) {
+					g := gen.ChungLu(70, 300, 2.3, row.seed)
+					base := Options{Workers: 4, Seed: row.seed}
+					if row.exchange == "tcp" {
+						base.Workers, base.Exchange = 3, bsp.NewTCPExchangeFactory()
+					}
+					if row.hubs {
+						base.bitmapMinDegree = 8
+					}
+					for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+						opts := base
+						opts.Strategy = strat
+						flat, err := Run(g, p, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.CompressFrames = true
+						comp, err := Run(g, p, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if f, c := flatView(flat.Stats), flatView(comp.Stats); f != c {
+							t.Errorf("%s: compressed Stats differ from flat:\n flat %s\n comp %s", strat, f, c)
+						}
+						if fs := flat.Stats; fs.CompressedFrames != 0 || fs.CompressedWireBytes != 0 || fs.CompressedRawBytes != 0 {
+							t.Fatalf("%s: flat run reports compressed counters: %s", strat, withoutClocks(fs))
+						}
+						if cs := comp.Stats; cs.CompressedFrames == 0 || cs.CompressedRawBytes <= cs.CompressedWireBytes {
+							t.Errorf("%s: compression did not engage: %d frames, wire %d B, raw %d B",
+								strat, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
+						}
+						if row.hubs {
+							bitsetAnd += flat.Stats.BitsetAndCandidates
+						}
+					}
+				})
 			}
 		})
+	}
+	if bitsetAnd == 0 {
+		t.Fatal("the lowered hub threshold never took the bitset AND path")
 	}
 }
 

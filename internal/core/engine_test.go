@@ -200,16 +200,24 @@ func TestAutomorphismBreakingAblation(t *testing.T) {
 
 func TestOOMBudget(t *testing.T) {
 	g := gen.ChungLu(500, 2500, 1.8, 6)
-	// One worker sends every Gpsi to itself; the budget counts those too.
-	for _, workers := range []int{2, 1} {
-		_, err := Run(g, pattern.PG2(), Options{Workers: workers, MaxIntermediate: 100})
-		if !errors.Is(err, ErrOutOfMemory) {
-			t.Fatalf("%d workers: err = %v, want ErrOutOfMemory", workers, err)
-		}
+	_, err := Run(g, pattern.PG2(), Options{Workers: 2, MaxIntermediate: 100})
+	if !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
 	// A generous budget must not trip.
 	if _, err := Run(g, pattern.PG1(), Options{Workers: 2, MaxIntermediate: 10_000_000}); err != nil {
 		t.Fatalf("generous budget tripped: %v", err)
+	}
+}
+
+// TestLocalExpansionRespectsBudget: with one worker every Gpsi is expanded
+// locally — sent to the worker that made it — and the budget counts those
+// sends too.
+func TestLocalExpansionRespectsBudget(t *testing.T) {
+	g := gen.ChungLu(500, 2500, 1.7, 57)
+	_, err := Run(g, pattern.PG2(), Options{Workers: 1, MaxIntermediate: 100})
+	if !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
 }
 

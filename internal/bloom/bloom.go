@@ -10,6 +10,7 @@ package bloom
 
 import (
 	"math"
+	"slices"
 
 	"psgl/internal/graph"
 )
@@ -127,6 +128,20 @@ func BuildEdgeIndex(g *graph.Graph, bitsPerEdge int) *EdgeIndex {
 		return true
 	})
 	return &EdgeIndex{filter: f}
+}
+
+// Patched returns a copy of the index with the edges in added ORed in; ix
+// itself is unchanged. A plain filter cannot forget an edge, so a removal
+// needs no call: the removed edge stays set, one more false positive that a
+// Gpsi's exact verification refutes. The copy keeps ix's size, so its
+// false-positive rate grows with the patch until the index is rebuilt.
+func (ix *EdgeIndex) Patched(added [][2]graph.VertexID) *EdgeIndex {
+	f := *ix.filter
+	f.bits = slices.Clone(f.bits)
+	for _, e := range added {
+		f.AddEdge(e[0], e[1])
+	}
+	return &EdgeIndex{filter: &f}
 }
 
 // MayHaveEdge reports whether the data graph may contain {u, v}. No false

@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +113,43 @@ func TestEdgeIndexCoversGraph(t *testing.T) {
 	}
 	if ix.SizeBytes() <= 0 || ix.FalsePositiveRate() <= 0 {
 		t.Fatal("index stats not populated")
+	}
+}
+
+// TestPatchedIndexCoversTheNewGraph: an index patched with added edges
+// answers true for every edge of the new graph — the source's and the added
+// ones, in either orientation — while the source index keeps its bits and
+// entry count: a state patched from it shares nothing it writes.
+func TestPatchedIndexCoversTheNewGraph(t *testing.T) {
+	g := gen.ErdosRenyi(2000, 10000, 6)
+	ix := BuildEdgeIndex(g, 10)
+	bits, entries := slices.Clone(ix.filter.bits), ix.filter.entries
+	rng := rand.New(rand.NewSource(7))
+	var added [][2]graph.VertexID
+	for len(added) < 500 {
+		u, v := graph.VertexID(rng.Intn(2000)), graph.VertexID(rng.Intn(2000))
+		if u != v && !g.HasEdge(u, v) {
+			added = append(added, [2]graph.VertexID{u, v})
+		}
+	}
+	p := ix.Patched(added)
+	for _, e := range added {
+		if !p.MayHaveEdge(e[1], e[0]) {
+			t.Fatalf("added edge (%d,%d) answered negative", e[0], e[1])
+		}
+	}
+	g.Edges(func(u, v graph.VertexID) bool {
+		if !p.MayHaveEdge(u, v) {
+			t.Fatalf("source edge (%d,%d) answered negative after the patch", u, v)
+		}
+		return true
+	})
+	if !slices.Equal(ix.filter.bits, bits) || ix.filter.entries != entries {
+		t.Fatal("patching changed the source index")
+	}
+	if p.filter.entries != entries+int64(len(added)) || p.SizeBytes() != ix.SizeBytes() {
+		t.Fatalf("patched index: %d entries in %d bytes, source %d in %d",
+			p.filter.entries, p.SizeBytes(), entries, ix.SizeBytes())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"psgl/internal/bloom"
 	"psgl/internal/graph"
@@ -21,7 +22,8 @@ var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared gr
 // edge index of Section 5.2.3, the hub bitmap index and the random partition.
 // In the paper these are properties of the loaded graph, computed once;
 // Prepare computes them once and any number of runs, concurrent ones
-// included, share the result. A Prepared is immutable after Prepare returns.
+// included, share the result, and Patch carries them to an edited graph. A
+// Prepared is immutable after Prepare or Patch returns.
 type Prepared struct {
 	*graphIndex
 	workers int
@@ -41,7 +43,7 @@ type Prepared struct {
 // between two data vertices is the order of their ids, and the edge index and
 // hub bitmap are built over it. Under IdentityOrder g is the caller's graph.
 type graphIndex struct {
-	src    *graph.Graph // the graph Prepare was given
+	src    *graph.Graph // the graph Prepare or Patch was given
 	g      *graph.Graph
 	orig   []graph.VertexID // orig[r] is the caller id of vertex r; nil under IdentityOrder
 	knobs  indexKnobs
@@ -52,10 +54,11 @@ type graphIndex struct {
 	// runs that select their initial vertex themselves ask for it.
 	distOnce sync.Once
 	dist     *stats.Distribution
-	// rank is orig's inverse, which only seeded runs read to translate their
-	// pins.
+	// rank is orig's inverse, which seeded runs read to translate their pins
+	// and Patch to translate the edited edges. A patched state shares its
+	// base's.
 	rankOnce sync.Once
-	rank     []graph.VertexID
+	rank     atomic.Pointer[[]graph.VertexID]
 }
 
 // indexKnobs are the Options fields a graphIndex is a function of.
@@ -96,6 +99,42 @@ func Prepare(g *graph.Graph, opts Options) *Prepared {
 	return gi.partitioned(opts.Workers, opts.Seed)
 }
 
+// Patch returns the state for g, whose edge set is that of pr's graph plus
+// added minus removed (caller ids, either orientation; each added edge absent
+// from pr's graph, each removed one present), in pr's vertex order rather
+// than g's own degree order. Any fixed total order on the data vertices
+// breaks each automorphism exactly once, so counts are a fresh Prepare's and
+// embeddings equal its embeddings as vertex sets; the degree order only keeps
+// the order windows small, and no engine code assumes degree grows with rank.
+//
+// The owner array, orig and its inverse are pr's, shared. The relabelled CSR
+// is pr's merged with the patch (graph.Patched); the edge index is a copy of
+// pr's with the added edges ORed in, so a removed edge stays set — one more
+// false positive, which exact verification refutes; the hub bitmap is rebuilt
+// over the patched CSR. pr is unchanged.
+func (pr *Prepared) Patch(g *graph.Graph, added, removed [][2]graph.VertexID) *Prepared {
+	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs}
+	if rank := pr.ranks(); rank != nil {
+		added, removed = relabelEdges(added, rank), relabelEdges(removed, rank)
+		gi.g = pr.g.Patched(added, removed)
+		gi.rankOnce.Do(func() { gi.rank.Store(pr.rank.Load()) })
+	}
+	if pr.ix != nil {
+		gi.ix = pr.ix.Patched(added)
+	}
+	gi.bitmap = graph.NewBitmapIndex(gi.g, pr.knobs.BitmapMinDegree)
+	return &Prepared{graphIndex: gi, workers: pr.workers, seed: pr.seed, owner: pr.owner}
+}
+
+// relabelEdges translates caller-id edges into rank space.
+func relabelEdges(edges [][2]graph.VertexID, rank []graph.VertexID) [][2]graph.VertexID {
+	out := make([][2]graph.VertexID, len(edges))
+	for i, e := range edges {
+		out[i] = [2]graph.VertexID{rank[e[0]], rank[e[1]]}
+	}
+	return out
+}
+
 // ForWorkers returns the state for the same graph, seed and index knobs under
 // another worker count. The order and the indexes are shared, not rebuilt:
 // only the owner array depends on the worker count.
@@ -132,19 +171,31 @@ func (gi *graphIndex) ranks() []graph.VertexID {
 		return nil
 	}
 	gi.rankOnce.Do(func() {
-		gi.rank = make([]graph.VertexID, len(gi.orig))
+		rank := make([]graph.VertexID, len(gi.orig))
 		for r, v := range gi.orig {
-			gi.rank[v] = graph.VertexID(r)
+			rank[v] = graph.VertexID(r)
 		}
+		gi.rank.Store(&rank)
 	})
-	return gi.rank
+	return *gi.rank.Load()
 }
 
 // SizeBytes returns the memory the state holds beyond the caller's graph: the
-// relabelled CSR and orig (none under the identity order), the indexes and
-// the owner array.
-func (pr *Prepared) SizeBytes() int64 {
-	n := pr.bitmap.SizeBytes() + 4*int64(len(pr.owner)) + 4*int64(len(pr.orig))
+// relabelled CSR, orig and, once built, its inverse (none under the identity
+// order), the indexes and the owner array.
+func (pr *Prepared) SizeBytes() int64 { return pr.SizeBytesBeside(nil) }
+
+// SizeBytesBeside is SizeBytes less the arrays pr shares with other (nil
+// shares nothing) — the owner array, orig and its inverse, which a patched
+// state shares with the state it was patched from — so the two together hold
+// base.SizeBytes() + patched.SizeBytesBeside(base).
+func (pr *Prepared) SizeBytesBeside(other *Prepared) int64 {
+	var owner, orig, rank []int32
+	if other != nil {
+		owner, orig, rank = other.owner, other.orig, other.builtRanks()
+	}
+	n := pr.bitmap.SizeBytes() + unsharedBytes(pr.owner, owner) +
+		unsharedBytes(pr.orig, orig) + unsharedBytes(pr.builtRanks(), rank)
 	if pr.orig != nil {
 		n += pr.g.SizeBytes()
 	}
@@ -152,6 +203,22 @@ func (pr *Prepared) SizeBytes() int64 {
 		n += pr.ix.SizeBytes()
 	}
 	return n
+}
+
+// builtRanks returns orig's inverse if something has built it, else nil.
+func (gi *graphIndex) builtRanks() []graph.VertexID {
+	if r := gi.rank.Load(); r != nil {
+		return *r
+	}
+	return nil
+}
+
+// unsharedBytes is a's size, or 0 when b is the same array.
+func unsharedBytes(a, b []int32) int64 {
+	if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
+		return 0
+	}
+	return 4 * int64(len(a))
 }
 
 // degreeDist returns the data graph's degree distribution, built on first use.

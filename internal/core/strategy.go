@@ -15,8 +15,7 @@ func (e *engine) chooseNext(worker int, m *gpsi, grays []int) int {
 		// Still account the load for the workload-aware view.
 		if e.opts.Strategy == StrategyWorkloadAware {
 			k := grays[0]
-			w := e.expandCost(m, k)
-			e.wviews[worker][e.ownerOf(m.Map[k])] += w
+			e.charge(&e.scratch[worker], e.ownerOf(m.Map[k]), e.expandCost(m, k))
 		}
 		return grays[0]
 	}
@@ -26,8 +25,15 @@ func (e *engine) chooseNext(worker int, m *gpsi, grays []int) int {
 	case StrategyWorkloadAware:
 		return e.chooseWorkloadAware(worker, m, grays)
 	default:
-		return grays[e.rngs[worker].intn(len(grays))]
+		return grays[e.scratch[worker].rng.intn(len(grays))]
 	}
+}
+
+// charge adds cost to worker j's load in sc's workload-aware view and
+// refreshes its power, the only place a view entry changes between restores.
+func (e *engine) charge(sc *workerScratch, j int, cost float64) {
+	sc.view[j] += cost
+	sc.pow[j] = math.Pow(sc.view[j], e.opts.Alpha)
 }
 
 // expandCost is the cost-model estimate of expanding GRAY vertex k:
@@ -69,7 +75,7 @@ func (e *engine) chooseRoulette(worker int, m *gpsi, grays []int) int {
 		total += w
 	}
 	sc.weights = weights // keep the grown buffer for the next draw
-	r := e.rngs[worker].float64v() * total
+	r := sc.rng.float64v() * total
 	for i, w := range weights {
 		if r <= w {
 			return grays[i]
@@ -83,19 +89,18 @@ func (e *engine) chooseRoulette(worker int, m *gpsi, grays []int) int {
 // 5.1.1: pick argmin_k { W_j^α + w_ik } where j = owner(map(k)), using this
 // worker's local view of every worker's accumulated load (the paper keeps
 // the view local to avoid global synchronization, Section 6), then charge
-// the chosen worker's view.
+// the chosen worker's view. W_j^α is read from the worker's powers, which
+// only a charge changes.
 func (e *engine) chooseWorkloadAware(worker int, m *gpsi, grays []int) int {
-	view := e.wviews[worker]
-	alpha := e.opts.Alpha
+	sc := &e.scratch[worker]
 	best, bestScore, bestCost := -1, math.Inf(1), 0.0
 	for _, k := range grays {
-		j := e.ownerOf(m.Map[k])
 		cost := e.expandCost(m, k)
-		score := math.Pow(view[j], alpha) + cost
+		score := sc.pow[e.ownerOf(m.Map[k])] + cost
 		if score < bestScore {
 			best, bestScore, bestCost = k, score, cost
 		}
 	}
-	view[e.ownerOf(m.Map[best])] += bestCost
+	e.charge(sc, e.ownerOf(m.Map[best]), bestCost)
 	return best
 }

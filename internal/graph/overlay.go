@@ -217,16 +217,35 @@ func (o *Overlay) ApplyBatch(b Batch) (BatchResult, error) {
 // mutation, and shares no mutable state with the overlay.
 func (o *Overlay) Snapshot() *Graph {
 	if o.snap == nil {
-		o.snap = o.base.patched(o.added, o.removed)
+		o.snap = o.base.Patched(o.Patch())
 	}
 	return o.snap
 }
 
-// patched returns g minus the undirected edges in removed (all present in g)
-// plus those in added (all absent from g). Runs of rows no patch touches are
-// copied whole; a touched row is merged with its sorted insertions and
-// deletions in one pass.
-func (g *Graph) patched(added, removed map[uint64]struct{}) *Graph {
+// Patch returns the pending patch relative to Base() as edge lists, each edge
+// as (u, v) with u < v, in no particular order: the current edge set is
+// Base() plus added minus removed, which Snapshot materializes with
+// Base().Patched.
+func (o *Overlay) Patch() (added, removed [][2]VertexID) {
+	return keyEdges(o.added), keyEdges(o.removed)
+}
+
+// keyEdges unpacks a set of normalized undirected edge keys.
+func keyEdges(set map[uint64]struct{}) [][2]VertexID {
+	edges := make([][2]VertexID, 0, len(set))
+	for k := range set {
+		edges = append(edges, [2]VertexID{VertexID(uint32(k >> 32)), VertexID(uint32(k))})
+	}
+	return edges
+}
+
+// Patched returns g minus the undirected edges in removed (each present in g)
+// plus those in added (each absent from g), given in either orientation and
+// any order; g is unchanged. Runs of rows no patch touches are copied whole;
+// a touched row is merged with its sorted insertions and deletions in one
+// pass, so no edge goes back through a Builder and no row is re-sorted, yet
+// the result is the CSR a Builder makes of the same edge set.
+func (g *Graph) Patched(added, removed [][2]VertexID) *Graph {
 	ins, del := directedKeys(added), directedKeys(removed)
 	n := g.NumVertices()
 	offsets := make([]int64, n+1)
@@ -272,11 +291,12 @@ func (g *Graph) patched(added, removed map[uint64]struct{}) *Graph {
 	return &Graph{offsets: offsets, adj: adj}
 }
 
-// directedKeys expands a set of normalized undirected edge keys into both
-// directed (src<<32 | dst) entries, sorted — row by row, neighbors ascending.
-func directedKeys(set map[uint64]struct{}) []uint64 {
-	keys := make([]uint64, 0, 2*len(set))
-	for k := range set {
+// directedKeys expands undirected edges into both directed (src<<32 | dst)
+// entries, sorted — row by row, neighbors ascending.
+func directedKeys(edges [][2]VertexID) []uint64 {
+	keys := make([]uint64, 0, 2*len(edges))
+	for _, e := range edges {
+		k := edgeKey(e[0], e[1])
 		keys = append(keys, k, k<<32|k>>32)
 	}
 	slices.Sort(keys)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -233,7 +234,9 @@ func TestIdentityOrdered(t *testing.T) {
 // mid-walk, Snapshot called twice — and checks after every batch that the
 // merged snapshot is the byte-identical CSR a Builder produces from the
 // model's edge set (equal Fingerprint, which hashes offsets and adjacency),
-// and that the overlay's incremental digest still describes it.
+// that the overlay's incremental digest still describes it, and that
+// Graph.Patched over the overlay's patch as edge lists, in any order and
+// orientation, builds the same CSR without touching the base.
 func TestOverlaySnapshotMergeMatchesBuilder(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -315,6 +318,26 @@ func TestOverlaySnapshotMergeMatchesBuilder(t *testing.T) {
 			}
 			if snap.EdgeFingerprint() != ov.Fingerprint() {
 				t.Fatalf("seed %d step %d: snapshot edge digest != overlay digest", seed, step)
+			}
+			// The exported merge over edge lists, which is what Snapshot
+			// calls: the patch reversed, shuffled and flipped end for end
+			// gives the Builder's CSR too, and leaves the base alone.
+			added, removed := ov.Patch()
+			for _, edges := range [][][2]VertexID{added, removed} {
+				slices.Reverse(edges)
+				rng.Shuffle(len(edges)/2, func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+				for i := range edges {
+					if rng.Intn(2) == 0 {
+						edges[i] = [2]VertexID{edges[i][1], edges[i][0]}
+					}
+				}
+			}
+			baseFP := ov.Base().Fingerprint()
+			if got := ov.Base().Patched(added, removed); got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("seed %d step %d: Patched over the edge lists is not the Builder's CSR", seed, step)
+			}
+			if ov.Base().Fingerprint() != baseFP {
+				t.Fatalf("seed %d step %d: Patched changed its receiver", seed, step)
 			}
 		}
 	}

@@ -88,13 +88,15 @@ func TestCensusAdmittedAcrossUpdateKeepsItsEpoch(t *testing.T) {
 }
 
 // TestPreparedStateFollowsTheGraphEpoch: the engine's graph-scoped state is
-// built by the first engine query of a graph epoch, shared by the rest, kept
-// across an all-noop batch, replaced — lazily — after an effective one, and
-// /stats says so. A ?workers= override re-partitions over the shared state
-// without another build.
+// built by the first engine query of the compaction base's epoch, shared by
+// the rest, kept across an all-noop batch, replaced — lazily, by a patch of
+// the base's state that shares its owner array, orig and inverse — after an
+// effective one, built afresh after a compaction, and /stats says so. A
+// ?workers= override re-partitions over the shared state without another
+// build.
 func TestPreparedStateFollowsTheGraphEpoch(t *testing.T) {
 	g := testGraph(t)
-	s, ts := newTestServer(t, g, Config{Workers: 2})
+	s, ts := newTestServer(t, g, Config{Workers: 2, CompactThreshold: 2})
 	if st := s.Stats().Prepared; st.Builds != 0 || st.Bytes != 0 {
 		t.Fatalf("nothing may be prepared before the first query: %+v", st)
 	}
@@ -126,12 +128,49 @@ func TestPreparedStateFollowsTheGraphEpoch(t *testing.T) {
 	if _, code := postUpdate(t, ts.URL, fmt.Sprintf(`{"remove":[[%d,%d]]}`, e[0], e[1])); code != http.StatusOK {
 		t.Fatalf("effective update status %d", code)
 	}
-	if st := s.Stats().Prepared; st.Builds != 1 || st.Bytes != 0 || st.Epoch != 2 {
-		t.Fatalf("an update must drop the old state and build nothing: %+v", st)
+	st = s.Stats().Prepared
+	if st.Builds != 1 || st.Patches != 0 || st.Epoch != 2 || st.BaseEpoch != 0 || st.Bytes != held.SizeBytes() {
+		t.Fatalf("an update must keep only the base's state resident and make nothing: %+v", st)
 	}
-	countQuery(t, ts.URL, "triangle")
-	if st := s.Stats().Prepared; st.Builds != 2 || st.Bytes == 0 {
-		t.Fatalf("the new epoch's first query must build its state: %+v", st)
+	if s.state.Load().prep.Load() != nil {
+		t.Fatal("the update made the new epoch's state at publish")
+	}
+	g2 := mutate(t, g, graph.Batch{Remove: [][2]graph.VertexID{e}})
+	for i := 0; i < 2; i++ {
+		if got, want := countQuery(t, ts.URL, "triangle"), oracleCount(t, g2, "triangle"); got != want {
+			t.Fatalf("count on the patched state: %d, oracle %d", got, want)
+		}
+	}
+	patched := s.state.Load().prep.Load()
+	st = s.Stats().Prepared
+	if st.Builds != 1 || st.Patches != 1 || st.SharedUses != 3 || st.LastPatchMS <= 0 || patched == held {
+		t.Fatalf("the new epoch's first query must patch the base's state, the second share it: %+v", st)
+	}
+	// The owner array, orig and its inverse belong to both states: counted once.
+	if shared := 3 * 4 * int64(g.NumVertices()); st.Bytes != held.SizeBytes()+patched.SizeBytes()-shared {
+		t.Fatalf("prepared bytes %d, want base %d + patched %d - shared %d",
+			st.Bytes, held.SizeBytes(), patched.SizeBytes(), shared)
+	}
+
+	// A second pending patch edge reaches the threshold: the overlay compacts
+	// and the snapshot becomes the next base, built afresh by its first query.
+	absent := [2]graph.VertexID{0, 1}
+	for g2.HasEdge(absent[0], absent[1]) {
+		absent[1]++
+	}
+	if ur, code := postUpdate(t, ts.URL, fmt.Sprintf(`{"add":[[%d,%d]]}`, absent[0], absent[1])); code != http.StatusOK || !ur.Compacted {
+		t.Fatalf("compacting update: %+v, status %d", ur, code)
+	}
+	if st := s.Stats().Prepared; st.Builds != 1 || st.Bytes != 0 || st.Epoch != 3 || st.BaseEpoch != 3 {
+		t.Fatalf("a compaction must publish an unbuilt base: %+v", st)
+	}
+	g3 := mutate(t, g2, graph.Batch{Add: [][2]graph.VertexID{absent}})
+	if got, want := countQuery(t, ts.URL, "triangle"), oracleCount(t, g3, "triangle"); got != want {
+		t.Fatalf("count on the new base: %d, oracle %d", got, want)
+	}
+	cur := s.state.Load()
+	if st := s.Stats().Prepared; st.Builds != 2 || st.Patches != 1 || cur.prep.Load() != cur.base.prep.Load() {
+		t.Fatalf("the new base's first query must build its state: %+v", st)
 	}
 }
 
@@ -179,11 +218,13 @@ func TestServedQueryAllocationBudget(t *testing.T) {
 // query's send and its receipt — a query never mixes one epoch's graph with
 // another's prepared state or plans — and that per epoch
 // count(G) + gained − lost = count(G′) holds for what the update response
-// and the subscriber's stream report.
+// and the subscriber's stream report. A low compaction threshold makes the
+// queries patch their epochs' state from several successive bases, and
+// every query counts once among the prepared builds, patches and shared uses.
 func TestEpochCoherenceSoak(t *testing.T) {
 	const epochs = 60
 	g := gen.ChungLu(400, 1600, 2.0, 5)
-	s, ts := newTestServer(t, g, Config{Workers: 2, MaxInFlight: 3, MaxQueue: 64})
+	s, ts := newTestServer(t, g, Config{Workers: 2, MaxInFlight: 3, MaxQueue: 64, CompactThreshold: 40})
 
 	resp, err := http.Get(ts.URL + "/subscribe?pattern=triangle")
 	if err != nil {
@@ -337,11 +378,14 @@ func TestEpochCoherenceSoak(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Prepared.Builds > effectiveEpochs+1 {
-		t.Errorf("%d prepared builds for %d graph epochs", st.Prepared.Builds, effectiveEpochs+1)
+	if bases := st.Mutations.Compactions + 1; st.Prepared.Builds > bases || st.Mutations.Compactions < 2 {
+		t.Errorf("%d prepared builds for %d compaction bases", st.Prepared.Builds, bases)
 	}
-	if st.Prepared.Builds+st.Prepared.SharedUses != st.Queries.Completed {
-		t.Errorf("prepared builds %d + shared uses %d != %d completed queries",
-			st.Prepared.Builds, st.Prepared.SharedUses, st.Queries.Completed)
+	if made := st.Prepared.Builds + st.Prepared.Patches; made > effectiveEpochs+1 || st.Prepared.Patches == 0 {
+		t.Errorf("%d builds and %d patches for %d graph epochs", st.Prepared.Builds, st.Prepared.Patches, effectiveEpochs+1)
+	}
+	if st.Prepared.Builds+st.Prepared.Patches+st.Prepared.SharedUses != st.Queries.Completed {
+		t.Errorf("prepared builds %d + patches %d + shared uses %d != %d completed queries",
+			st.Prepared.Builds, st.Prepared.Patches, st.Prepared.SharedUses, st.Queries.Completed)
 	}
 }

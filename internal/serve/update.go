@@ -9,16 +9,18 @@
 // re-enumeration), and a fresh graphState is published atomically. Publishing
 // invalidates everything keyed on the previous graph by replacing it: the
 // plan cache (rebuilt against the new degree distribution), the engine's
-// prepared state and the census BitGraph and per-k results (each rebuilt by
-// the first query of the new epoch that needs it), and — when this server
+// prepared state (patched from the compaction base's by the first query of
+// the new epoch that needs it), the census BitGraph and per-k results (rebuilt
+// likewise), and — when this server
 // coordinates a worker plane — every registered worker, whose resident graph
 // is now a stale epoch (their rejoin re-checks the fingerprint). Queries
 // already in flight keep the graphState they loaded at admission, so they
 // finish on a consistent snapshot.
 //
 // Past Config.CompactThreshold pending patch edges the overlay folds its
-// patches into a fresh CSR base, bounding snapshot rebuild cost over a long
-// mutation history.
+// patches into a fresh CSR base, bounding snapshot and engine-state patch
+// cost over a long mutation history; the new base's engine state is built
+// afresh, which also refreshes the degree order.
 
 package serve
 
@@ -244,10 +246,20 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 	snap := s.overlay.Snapshot()
 	resp.Deltas = s.runDeltas(ctx, observer, old.g, snap, res)
 
+	// The new epoch's engine state will be patched from the compaction base's
+	// with the overlay's patch, captured here, before a compaction folds it
+	// in. A compaction instead makes the snapshot the next base, whose state
+	// is built afresh — in its own degree order — by the first query that
+	// needs it.
+	base := old.base
+	var added, removed [][2]graph.VertexID
 	compacted := false
 	if thr := s.cfg.CompactThreshold; thr > 0 && s.overlay.PatchSize() >= thr {
 		s.overlay.Compact()
 		compacted = true
+		base = &prepBase{g: snap, since: res.Epoch}
+	} else {
+		added, removed = s.overlay.Patch()
 	}
 
 	// Publish the new epoch. A fresh graphData is the invalidation of
@@ -258,7 +270,7 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 	// ones. Worker-plane workers are resident over the old graph, so every
 	// incarnation is retired; the rejoin loop re-checks the fingerprint and
 	// keeps them out until they reload.
-	neu := &graphState{graphData: newGraphData(snap, res.Epoch), epoch: res.Epoch}
+	neu := &graphState{graphData: newGraphData(snap, res.Epoch, base, added, removed), epoch: res.Epoch}
 	s.state.Store(neu)
 	if s.plane != nil {
 		s.plane.reg.EvictAll()

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strategy     = fs.String("strategy", "wa", "default distribution strategy: random, roulette, wa")
 		alpha        = fs.Float64("alpha", 0.5, "workload-aware penalty exponent (0,1]")
 		noIndex      = fs.Bool("no-edge-index", false, "disable the bloom edge index")
-		async        = fs.Bool("async", false, "run local queries on the pipelined async BSP exchange (credit-based termination; counts identical to strict mode)")
+		async        = fs.Bool("async", false, "run local count queries on the pipelined async BSP exchange (credit-based termination; counts identical to strict mode); streams always run on it")
 		compress     = fs.Bool("compress", false, "prefix-compress Gpsi frames on local queries (counts identical to flat mode)")
 		maxInFlight  = fs.Int("max-inflight", 2, "queries executing concurrently (>= 1)")
 		maxQueue     = fs.Int("max-queue", 8, "queries waiting behind the execution slots before 429 (>= 0)")

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", "127.0.0.1:0", "listen address for the /exec endpoint")
 		workers     = fs.Int("workers", 4, "BSP workers per query (>= 1)")
 		maxInFlight = fs.Int("max-inflight", 2, "queries executing concurrently (>= 1)")
-		async       = fs.Bool("async", false, "execute dispatched queries on the pipelined async BSP exchange (counts identical to strict mode)")
+		async       = fs.Bool("async", false, "execute dispatched count queries on the pipelined async BSP exchange (counts identical to strict mode); streams always run on it")
 		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames on dispatched queries (counts identical to flat mode)")
 		drainT      = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight queries on shutdown")
 	)

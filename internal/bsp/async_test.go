@@ -3,6 +3,7 @@ package bsp
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -329,7 +330,107 @@ func TestAsyncRunawayFrameBound(t *testing.T) {
 	}
 }
 
+// --- queue order ---
+
+func TestPipelinedOwnWorkGoesDepthFirst(t *testing.T) {
+	// One worker, 1000 two-level chains. Pipelined, the worker takes what it
+	// sent itself back one chunk (at most 64 envelopes) at a time, newest
+	// first, so the first leaf is reached after one chunk per level; strict
+	// BSP processes every root and every middle first.
+	const roots, depth = 1000, 2
+	for _, async := range []bool{false, true} {
+		var order []int // depths in processing order; one worker, so no lock
+		prog := &funcProgram[int]{
+			init: func(ctx *Context[int]) {
+				for i := 0; i < roots; i++ {
+					ctx.Send(0, 0)
+				}
+			},
+			process: func(ctx *Context[int], env Envelope[int]) {
+				order = append(order, env.Msg)
+				if env.Msg < depth {
+					ctx.Send(0, env.Msg+1)
+				}
+			},
+		}
+		cfg := Config{Workers: 1, Owner: func(graph.VertexID) int { return 0 }, AsyncExchange: async}
+		if _, err := Run[int](cfg, prog); err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		if len(order) != roots*(depth+1) {
+			t.Fatalf("async=%v: processed %d messages, want %d", async, len(order), roots*(depth+1))
+		}
+		first := slices.Index(order, depth)
+		if want := depth * roots; !async && first != want {
+			t.Fatalf("strict: first leaf at %d, want %d (breadth first)", first, want)
+		}
+		if limit := depth * 64; async && first > limit {
+			t.Fatalf("pipelined: first leaf at %d, want <= %d (one chunk per level)", first, limit)
+		}
+	}
+}
+
 // --- fault schedules, checkpoints, recovery ---
+
+func TestPauseBeforeInitKeepsEverySeed(t *testing.T) {
+	// A checkpoint pause can be induced while some worker has not yet run
+	// Init (its peers' frames are what made the checkpoint due). The
+	// snapshot taken there is what a recovery restores, and a restored
+	// attempt never seeds, so it must hold every worker's seeds. Setting the
+	// pause before any worker starts forces that interleaving on all of them.
+	const k, seeds = 3, 4
+	prog := &funcProgram[int]{
+		init: func(ctx *Context[int]) {
+			for i := 0; i < seeds; i++ {
+				ctx.Send(graph.VertexID(ctx.Worker()), 0)
+			}
+		},
+		process: func(ctx *Context[int], _ Envelope[int]) { ctx.AddCounter("processed", 1) },
+	}
+	store := NewMemCheckpointStore()
+	cfg := Config{
+		Workers:         k,
+		Owner:           func(v graph.VertexID) int { return int(v) % k },
+		AsyncExchange:   true,
+		CheckpointEvery: 1,
+		CheckpointStore: store,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	a := newTestAttempt[int](cfg, prog, false)
+	tr, err := newTransport(ctx, nil, &a.r.cfg, a.hooks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.transport = tr
+	a.pause.Store(true)
+	if err := a.run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.r.stats.Counters["processed"]; got != k*seeds {
+		t.Fatalf("processed %d seeds, want %d", got, k*seeds)
+	}
+	snap, err := loadSnapshot[int](store)
+	if err != nil {
+		t.Fatalf("no snapshot taken at the pause: %v", err)
+	}
+	queued := 0
+	for _, in := range snap.Inboxes {
+		queued += len(in)
+	}
+	if queued != k*seeds {
+		t.Fatalf("the pause snapshot holds %d seeds, want %d", queued, k*seeds)
+	}
+	resume := cfg
+	resume.ResumeFrom, resume.CheckpointStore = store, NewMemCheckpointStore()
+	stats, err := Run[int](resume, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Counters["processed"]; got != k*seeds {
+		t.Fatalf("resumed from the pause snapshot: processed %d, want %d", got, k*seeds)
+	}
+}
 
 func TestAsyncRecoveryFromScheduledKill(t *testing.T) {
 	strict := runEchoMode(t, nil, false)

@@ -102,11 +102,13 @@ type Config struct {
 	// restoring the latest checkpoint (or restarting from scratch when no
 	// checkpoint exists yet). 0 disables in-run recovery.
 	MaxRecoveries int
-	// AsyncExchange moves the run loop's two policy points (loop.go) from
+	// AsyncExchange moves the run loop's three policy points (loop.go) from
 	// stepped to pipelined: a delivered frame is enqueued at its destination
-	// at once instead of staged for the next superstep, and a worker flushes
+	// at once instead of staged for the next superstep, a worker flushes
 	// every batch that fills a frame instead of only when its inbox is
-	// drained. Final counts are bit-identical to strict mode for programs
+	// drained, and a worker takes what it sent itself back one chunk at a
+	// time, newest first, ahead of peers' frames, so the run goes depth
+	// first and a capped run meets its cap early. Final counts are bit-identical to strict mode for programs
 	// whose results are independent of message-processing order. With no
 	// supersteps left, StepTimeout is rejected, MaxSupersteps caps flushed
 	// frames per worker, and checkpoints are taken at induced pauses.

@@ -78,11 +78,13 @@ type CheckpointStore interface {
 // snapshot is the unit of checkpointing: the state of a run at the boundary
 // entering superstep (or pipelined epoch) Step. Prog is the opaque
 // Snapshotter state of programs that carry accumulators outside the inboxes
-// (nil otherwise). Inboxes[w] is worker w's queued chunks, concatenated: the
-// format predates chunks. Frames[w] holds its still-encoded compressed frame
-// payloads (compressed mode only — snapshots of grouped queues stay grouped,
-// so a checkpoint of a dense superstep costs its compressed size);
-// pre-compression snapshots simply decode with Frames nil.
+// (nil otherwise). Inboxes[w] is worker w's queued chunks, its own work
+// first, concatenated: the format predates chunks and the pipelined queue
+// order, and a restored queue is delivered work in any order. Frames[w] holds
+// its still-encoded compressed frame payloads (compressed mode only —
+// snapshots of grouped queues stay grouped, so a checkpoint of a dense
+// superstep costs its compressed size); pre-compression snapshots simply
+// decode with Frames nil.
 type snapshot[M any] struct {
 	Step    int
 	Inboxes [][]Envelope[M]
@@ -113,7 +115,7 @@ func saveSnapshot[M any](store CheckpointStore, step int, inboxes []Inbox[M], st
 	snap := snapshot[M]{Step: step, Stats: *stats}
 	snap.Inboxes = make([][]Envelope[M], len(inboxes))
 	for w := range inboxes {
-		snap.Inboxes[w] = flatten(inboxes[w].Chunks)
+		snap.Inboxes[w] = flatten(inboxes[w].own, inboxes[w].Chunks)
 		if len(inboxes[w].Frames) > 0 {
 			if snap.Frames == nil {
 				snap.Frames = make([][][]byte, len(inboxes))

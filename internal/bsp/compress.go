@@ -345,13 +345,19 @@ func DecodeFrame[M any](payload []byte) (step int, more bool, batch []Envelope[M
 // their senders filled (or a TCP reader decoded), in delivery order, plus, in
 // compressed mode, still-encoded compressed frame payloads that deliverInbox
 // decodes lazily, one bounded chunk at a time, so a dense inbox costs its
-// compressed size rather than its expanded size.
+// compressed size rather than its expanded size. Under AsyncExchange own holds
+// the chunks the worker sent itself, oldest first, which it takes ahead of
+// the rest (Inbox.take); they are queued work like any delivery, so every
+// test of an empty queue and every snapshot covers them.
 type Inbox[M any] struct {
 	Chunks [][]Envelope[M]
 	Frames [][]byte
+	own    [][]Envelope[M]
 }
 
-func (ib *Inbox[M]) empty() bool { return len(ib.Chunks) == 0 && len(ib.Frames) == 0 }
+func (ib *Inbox[M]) empty() bool {
+	return len(ib.Chunks) == 0 && len(ib.Frames) == 0 && len(ib.own) == 0
+}
 
 // chunksLen counts the envelopes of a chunked batch.
 func chunksLen[M any](chunks [][]Envelope[M]) (n int) {
@@ -361,12 +367,18 @@ func chunksLen[M any](chunks [][]Envelope[M]) (n int) {
 	return n
 }
 
-// flatten concatenates a chunked batch — the cold paths' view of it: a
+// flatten concatenates chunked batches — the cold paths' view of them: a
 // snapshot, a bench harness.
-func flatten[M any](chunks [][]Envelope[M]) []Envelope[M] {
-	out := make([]Envelope[M], 0, chunksLen(chunks))
-	for _, c := range chunks {
-		out = append(out, c...)
+func flatten[M any](batches ...[][]Envelope[M]) []Envelope[M] {
+	n := 0
+	for _, chunks := range batches {
+		n += chunksLen(chunks)
+	}
+	out := make([]Envelope[M], 0, n)
+	for _, chunks := range batches {
+		for _, c := range chunks {
+			out = append(out, c...)
+		}
 	}
 	return out
 }

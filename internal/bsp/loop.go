@@ -11,7 +11,7 @@ package bsp
 // out of retries tears the attempt down and the shell in bsp.go restores the
 // latest snapshot — or restarts from scratch — bounded by MaxRecoveries.
 //
-// Config.AsyncExchange moves two policy points inside that one loop:
+// Config.AsyncExchange moves three policy points inside that one loop:
 //
 //   - stepped (the default, strict BSP): deliver stages a frame per (dst, src)
 //     and a worker flushes only once its inbox is drained, so every worker
@@ -21,7 +21,12 @@ package bsp
 //   - pipelined: deliver enqueues a frame at its destination at once and a
 //     worker flushes every batch that fills a frame, so expansion overlaps
 //     communication and the verdict arrives when the run is over (or when the
-//     coordinator pauses the plane to checkpoint).
+//     coordinator pauses the plane to checkpoint). A worker's batch for itself
+//     goes back on its queue as own work after every burst, and it takes that
+//     work one chunk at a time, newest first, ahead of peers' frames: a child
+//     is produced after its parent, so the run goes depth first and a capped
+//     run reaches its first results in work proportional to the depth, not to
+//     a breadth-first level.
 
 import (
 	"cmp"
@@ -539,54 +544,81 @@ func (a *attempt[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time,
 	wctx.sent = 0
 }
 
-// flushOut ships the context's buffered batches, each charged to the credit
-// ledger before its Send and sent under the retry policy. Stepped, every batch
-// goes through the transport under ord = superstep — the self batch too
-// (deliver stages it; the codec front codes it), and worker 0's opening frame
-// even when empty. Pipelined, the self batch goes straight into the worker's
-// own queue (no transport, no credit: the worker re-checks its queue before
-// idling) and wire frames go under the worker's sequence number. all=false
-// ships only batches that reached flushEvery; all=true drains everything.
-// Either way a shipped batch is its receiver's: the context starts a new one.
+// flushOut ships the context's buffered batches: all=false only those that
+// reached flushEvery, all=true everything (and worker 0's opening frame even
+// when empty, stepped).
 func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
-	w := wctx.worker
 	for dst, batch := range wctx.out {
-		opens := a.stepped && opensStep(w, dst)
+		opens := a.stepped && opensStep(wctx.worker, dst)
 		if n := chunksLen(batch); (n == 0 && !opens) || (!all && n < a.flushEvery) {
 			continue
 		}
-		if wk.flushSeq++; wk.flushSeq > a.maxFrames {
-			trySend(a.fatal, fmt.Errorf("bsp: worker %d exceeded %d flushed frames (runaway async program; raise MaxSupersteps)", w, a.maxFrames))
+		if !a.ship(wk, wctx, dst) {
 			return false
 		}
-		if dst == w && !a.stepped {
-			wk.mu.Lock()
-			wk.queue.Chunks = append(wk.queue.Chunks, batch...)
-			wk.mu.Unlock()
-		} else {
-			wk.sendSeq++
-			ord := wk.sendSeq
-			if a.stepped {
-				ord = wctx.step
-			}
-			a.cfg.Observer.ObserveFramesInFlight(a.det.frameSent(w))
-			if err := sendFrame(a.stepCtx, a.transport, a.cfg, w, dst, ord, batch); err != nil {
-				// Leave the credit outstanding: the lost frame must poison
-				// quiescence so the coordinator can only exit through the
-				// fatal channel, never through a false "all delivered" verdict.
-				a.fatalErr(fmt.Errorf("bsp: exchange failed at step %d: frame %d->%d ord %d: %w", wctx.step, w, dst, ord, err))
-				return false
-			}
-		}
-		wctx.out[dst] = nil
 	}
 	return true
 }
 
+// ship sends the context's batch for dst, charged to the credit ledger before
+// its Send and sent under the retry policy. Stepped, every batch goes through
+// the transport under ord = superstep — the self batch too (deliver stages it;
+// the codec front codes it). Pipelined, the self batch goes straight onto the
+// worker's own work (no transport, no credit: the worker re-checks its queue
+// before idling) and wire frames go under the worker's sequence number.
+// Either way the shipped batch is its receiver's: the context starts a new one.
+func (a *attempt[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
+	w, batch := wctx.worker, wctx.out[dst]
+	if wk.flushSeq++; wk.flushSeq > a.maxFrames {
+		trySend(a.fatal, fmt.Errorf("bsp: worker %d exceeded %d flushed frames (runaway async program; raise MaxSupersteps)", w, a.maxFrames))
+		return false
+	}
+	if dst == w && !a.stepped {
+		wk.mu.Lock()
+		wk.queue.own = append(wk.queue.own, batch...)
+		wk.mu.Unlock()
+	} else {
+		wk.sendSeq++
+		ord := wk.sendSeq
+		if a.stepped {
+			ord = wctx.step
+		}
+		a.cfg.Observer.ObserveFramesInFlight(a.det.frameSent(w))
+		if err := sendFrame(a.stepCtx, a.transport, a.cfg, w, dst, ord, batch); err != nil {
+			// Leave the credit outstanding: the lost frame must poison
+			// quiescence so the coordinator can only exit through the
+			// fatal channel, never through a false "all delivered" verdict.
+			a.fatalErr(fmt.Errorf("bsp: exchange failed at step %d: frame %d->%d ord %d: %w", wctx.step, w, dst, ord, err))
+			return false
+		}
+	}
+	wctx.out[dst] = nil
+	return true
+}
+
+// take removes the next burst from the queue: the newest chunk of the
+// worker's own work while it has any — the deepest work it holds, since a
+// child is produced after its parent — and otherwise everything peers
+// delivered, in arrival order. Only a pipelined queue holds own work, so a
+// stepped burst is the whole superstep inbox. one is the spare chunk list a
+// one-chunk burst is returned in.
+func (ib *Inbox[M]) take(one [][]Envelope[M]) Inbox[M] {
+	if n := len(ib.own); n > 0 {
+		c := ib.own[n-1]
+		ib.own[n-1] = nil
+		ib.own = ib.own[:n-1]
+		return Inbox[M]{Chunks: append(one[:0], c)}
+	}
+	burst := *ib
+	*ib = Inbox[M]{own: ib.own} // empty; keeps the stack's backing array
+	return burst
+}
+
 // workerLoop is one worker's life, and the one place an inbox is drained: take
-// the queue as a burst (an unrestored run's first opens with Init), process
-// it, flush — mid-burst whenever a batch fills a frame (pipelined), everything
-// once the queue is empty — and idle until a delivery or the boundary.
+// a burst from the queue (an unrestored run's first opens with Init), process
+// it, put the batch for itself back on the queue (pipelined), flush —
+// mid-burst whenever a batch fills a frame (pipelined), everything once the
+// queue is empty — and idle until a delivery or the boundary.
 func (a *attempt[M]) workerLoop(w int) {
 	defer a.wg.Done()
 	wk := a.workers[w]
@@ -596,6 +628,7 @@ func (a *attempt[M]) workerLoop(w int) {
 	// halting and ships every batch that has filled a frame, so peers start
 	// expanding while this worker is still working through its queue.
 	unflushed, lastFlushSent, flushFailed := false, int64(0), false
+	var one [1][]Envelope[M] // the chunk list of a one-chunk burst, reused
 	after := func() bool {
 		if a.halt.Load() {
 			return false
@@ -611,8 +644,11 @@ func (a *attempt[M]) workerLoop(w int) {
 	for {
 		wk.mu.Lock()
 		// Nothing to drain, or a boundary is being induced: ship what is
-		// buffered, then idle until a delivery, the boundary or the end.
-		for (wk.queue.empty() && !wk.released || a.pause.Load()) && !a.halt.Load() && a.r.abort.Load() == nil {
+		// buffered, then idle until a delivery, the boundary or the end. A
+		// worker that has yet to seed runs Init before it honours a pause:
+		// the snapshot taken there is all a restored attempt has, and a
+		// restored attempt never seeds.
+		for (wk.queue.empty() && !wk.released || a.pause.Load() && !seed) && !a.halt.Load() && a.r.abort.Load() == nil {
 			if unflushed {
 				wk.mu.Unlock()
 				if !a.flushOut(wk, wctx, true) {
@@ -631,10 +667,9 @@ func (a *attempt[M]) workerLoop(w int) {
 			a.nudgeCoordinator() // an abort is the coordinator's to report
 			return
 		}
-		// Take the queue; deliverInbox drops each chunk and frame of the burst
-		// as it finishes with it.
-		burst := wk.queue
-		wk.queue = Inbox[M]{}
+		// deliverInbox drops each chunk and frame of the burst as it finishes
+		// with it.
+		burst := wk.queue.take(one[:0])
 		wk.released = false
 		wk.mu.Unlock()
 
@@ -651,6 +686,9 @@ func (a *attempt[M]) workerLoop(w int) {
 		unflushed = true
 		if flushFailed || stepCtx.Err() != nil {
 			a.nudgeCoordinator()
+			return
+		}
+		if !a.stepped && len(wctx.out[w]) > 0 && !a.ship(wk, wctx, w) {
 			return
 		}
 	}

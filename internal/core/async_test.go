@@ -122,4 +122,38 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 		t.Fatalf("recovered async count %d != strict %d (recoveries=%d)",
 			asyncRes.Count, strictRes.Count, asyncRes.Stats.Recoveries)
 	}
+
+	// The run above ends before a checkpoint can fall due while a worker is
+	// still to seed. On a larger graph it can: sweep one kill (no retry, so
+	// a recovery) over wire frames 20-38 of each worker, where a snapshot
+	// taken before some worker's Init once lost its seeds without an error.
+	g = gen.ChungLu(3000, 12000, 2.0, 3)
+	p = pattern.PG2()
+	strictRes, err = Run(g, p, Options{Workers: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []int{1, 2} {
+		for seq := 20; seq <= 38; seq += 6 {
+			for w := 0; w < 3; w++ {
+				factory := bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{{Step: seq, Kind: bsp.StepFaultKill, Worker: w}})
+				res, err := Run(g, p, Options{
+					Workers:         3,
+					Seed:            3,
+					Exchange:        factory,
+					AsyncExchange:   true,
+					CheckpointEvery: every,
+					CheckpointStore: bsp.NewMemCheckpointStore(),
+					MaxRecoveries:   3,
+				})
+				if err != nil {
+					t.Fatalf("every=%d kill %d@%d: %v", every, w, seq, err)
+				}
+				if res.Count != strictRes.Count {
+					t.Fatalf("every=%d kill %d@%d: recovered async count %d != strict %d (recoveries=%d)",
+						every, w, seq, res.Count, strictRes.Count, res.Stats.Recoveries)
+				}
+			}
+		}
+	}
 }

@@ -184,10 +184,11 @@ type engine struct {
 	p    *pattern.Pattern
 	opts Options
 	ix   *bloom.EdgeIndex
-	// bitmap is the exact edge test of admits and of pending verification: a
+	// bitmap is the exact edge test of pending verification and seeds: a
 	// binary search of the shorter CSR row, or a bit of a hub's bitset when
 	// both endpoints are hubs (Section 5.1.1: "costg ... can be done
-	// efficiently by a bitmap index"). combine merges instead (SeekRow).
+	// efficiently by a bitmap index"). Its hub bitsets also answer admits,
+	// which otherwise merges along rows (SeekRow), as combine does.
 	bitmap *graph.BitmapIndex
 	// owner[v] is the worker owning data vertex v (Prepared's, read-only).
 	owner []int32
@@ -230,15 +231,32 @@ type engine struct {
 // combined, their candidate buffers, for each the mapped neighbors whose edge
 // to a candidate went to the bloom and is pending, and combine's merge cursors
 // (rows[eid]: what is left of the row of the earlier endpoint's image of
-// pattern edge eid while the later one's slot is walked). A worker expands one
-// Gpsi at a time, so it needs one frame; reusing it keeps steady-state
-// expansion allocation-free.
+// pattern edge eid while the later one's slot is walked). admits has cursors
+// of its own while one WHITE vertex's candidates are drawn: for each mapped
+// neighbor u it may check exactly, what is left of u's image's row (seek[u]),
+// or the image's bitset when it is a hub (hub[u]). A worker expands one Gpsi
+// at a time, so it needs one frame; reusing it keeps steady-state expansion
+// allocation-free.
 type expandFrame struct {
 	whites [maxPatternVertices]int
 	nw     int
 	cands  [maxPatternVertices][]graph.VertexID
 	pend   [maxPatternVertices]uint16
 	rows   [maxPatternEdges][]graph.VertexID
+	seek   [maxPatternVertices][]graph.VertexID
+	hub    [maxPatternVertices][]uint64
+}
+
+// adjacent reports whether candidate d is a neighbor of u's image, by one bit
+// of a hub's bitset or by advancing u's row cursor to d. Candidates ascend,
+// so no d is below one asked before.
+func (fr *expandFrame) adjacent(u int, d graph.VertexID) bool {
+	if hub := fr.hub[u]; hub != nil {
+		return hub[d/64]&(1<<(uint(d)%64)) != 0
+	}
+	row := graph.SeekRow(fr.seek[u], d)
+	fr.seek[u] = row
+	return len(row) > 0 && row[0] == d
 }
 
 // workerScratch is everything only worker w's goroutine touches: the hot
@@ -518,9 +536,10 @@ func (e *engine) inWindow(ctx *bsp.Context[gpsi], row []graph.VertexID, m *gpsi,
 // order window already admitted: injectivity, and a check of every closing
 // edge from d to the mapped neighbors in probe. A closing edge is checked
 // exactly on the spot when this worker owns either endpoint (own holds the
-// mapped vertices whose images it owns), and by the light-weight edge index
-// otherwise; see pendingOf for what that leaves pending.
-func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, d graph.VertexID, probe, own uint16) bool {
+// mapped vertices whose images it owns), along fr's cursors, and by the
+// light-weight edge index otherwise; see pendingOf for what that leaves
+// pending.
+func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, d graph.VertexID, probe, own uint16) bool {
 	if m.uses(d) {
 		ctx.Add(ctrPrunedInjective, 1)
 		return false
@@ -533,7 +552,7 @@ func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, d graph.VertexID, probe
 		exact = probe
 	}
 	for mask := exact; mask != 0; mask &= mask - 1 {
-		if !e.bitmap.HasEdge(d, m.Map[bits.TrailingZeros16(mask)]) {
+		if !fr.adjacent(bits.TrailingZeros16(mask), d) {
 			ctx.Add(ctrPrunedVerify, 1)
 			return false
 		}
@@ -595,7 +614,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 			continue
 		}
 		probe := e.probeMask(mapped, vp, wv)
-		cand, proven := e.candidates(ctx, &m, mapped, probe, own, vp, vd, wv, fr.cands[fr.nw][:0])
+		cand, proven := e.candidates(ctx, &m, fr, mapped, probe, own, vp, vd, wv, fr.cands[fr.nw][:0])
 		fr.cands[fr.nw] = cand
 		if len(cand) == 0 {
 			return // dead end: this Gpsi leads to no instance
@@ -665,9 +684,10 @@ func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
 // vertex wv while expanding vp at vd: the part of vd's row inside wv's order
 // window, through the degree filter, injectivity, and the closing-edge checks
 // of admits against the mapped neighbors of wv in probe. out is a reusable
-// scratch buffer owned by the caller's expansion frame. proven is the set of
-// mapped neighbors whose edge to every candidate the bitset AND established.
-func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
+// scratch buffer owned by the caller's expansion frame fr. proven is the set
+// of mapped neighbors whose edge to every candidate the bitset AND
+// established.
+func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
 	minDeg := e.p.Degree(wv)
 	in := e.inWindow(ctx, e.g.Neighbors(vd), m, wv, mapped)
 	// Bitset AND fast path (back-ported from the ESU engine's BitGraph
@@ -696,6 +716,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own 
 			if len(in) == 0 {
 				return out, proven
 			}
+			e.openCursors(m, fr, probe)
 			// Only the words between the window's first and last entry are
 			// walked; the bits of vd's row between them are in's entries. The
 			// word loop is inlined — no IterateSet closure — to keep the hot
@@ -714,7 +735,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own 
 				}
 				for ; word != 0; word &= word - 1 {
 					d := graph.VertexID(i*64 + bits.TrailingZeros64(word))
-					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, d, probe, own) {
+					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, fr, d, probe, own) {
 						out = append(out, d)
 					}
 				}
@@ -722,12 +743,23 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, mapped, probe, own 
 			return out, proven
 		}
 	}
+	e.openCursors(m, fr, probe)
 	for _, d := range in {
-		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, d, probe, own) {
+		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, fr, d, probe, own) {
 			out = append(out, d)
 		}
 	}
 	return out, 0
+}
+
+// openCursors starts admits' cursors for the mapped neighbors in probe at the
+// head of their images' rows.
+func (e *engine) openCursors(m *gpsi, fr *expandFrame, probe uint16) {
+	for mask := probe; mask != 0; mask &= mask - 1 {
+		u := bits.TrailingZeros16(mask)
+		fr.hub[u] = e.bitmap.Row(m.Map[u])
+		fr.seek[u] = e.g.Neighbors(m.Map[u])
+	}
 }
 
 // combine enumerates the cross product of fr's candidate sets from slot i

@@ -152,9 +152,11 @@ type Options struct {
 	// mode (the engine's enumeration is processing-order independent; the
 	// differential suites pin it) — except under MaxResults, where the early
 	// stop lands on a different processing prefix, so the truncated count
-	// may differ between modes. StepTimeout is rejected in async mode
-	// (bsp.ErrAsyncStepTimeout: there are no steps to bound), and checkpoints
-	// snapshot at quiescence points instead of barriers.
+	// may differ between modes. A worker expands its own newest Gpsis first,
+	// so a MaxResults run goes depth first and stops after a few chunks per
+	// level instead of a breadth-first level. StepTimeout is rejected in
+	// async mode (bsp.ErrAsyncStepTimeout: there are no steps to bound), and
+	// checkpoints snapshot at quiescence points instead of barriers.
 	AsyncExchange bool
 	// CompressFrames front-codes Gpsi batches: messages sharing a mapped-vertex
 	// prefix are sorted and shipped as prefix-compressed frames, kept encoded

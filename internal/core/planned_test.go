@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -47,38 +48,55 @@ func TestPlannedPatternMatchesUnplanned(t *testing.T) {
 }
 
 // TestMaxResultsEarlyTermination: a capped run stops early, reports success
-// with Truncated set, and still delivers at least the cap.
+// with Truncated set, and still delivers at least the cap, for paths, stars,
+// triangles and 4-cycles at one to three workers under both policies.
+// Pipelined, a worker takes its own newest work first, so the cap is met a
+// few chunks deep instead of after a breadth-first level: the run processes
+// at most a tenth of the uncapped run's Gpsis.
 func TestMaxResultsEarlyTermination(t *testing.T) {
 	g := gen.ChungLu(2000, 8000, 1.8, 7)
-	opts := NewOptions()
-	opts.Seed = 3
-	full, err := Run(g, pattern.PG1(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Count < 50 {
-		t.Fatalf("test graph too sparse: only %d triangles", full.Count)
-	}
-
-	var streamed atomic.Int64
-	capped := opts
-	capped.MaxResults = 5
-	capped.OnInstance = func([]int32) { streamed.Add(1) }
-	res, err := Run(g, pattern.PG1(), capped)
-	if err != nil {
-		t.Fatalf("capped run failed: %v", err)
-	}
-	if !res.Truncated {
-		t.Fatal("capped run not marked Truncated")
-	}
-	if res.Count < 5 {
-		t.Fatalf("capped run found %d < 5 instances", res.Count)
-	}
-	if res.Count >= full.Count {
-		t.Fatalf("capped run did not stop early: %d of %d instances", res.Count, full.Count)
-	}
-	if streamed.Load() != res.Count {
-		t.Fatalf("OnInstance saw %d instances, Count says %d", streamed.Load(), res.Count)
+	const limit = 5
+	for _, p := range []*pattern.Pattern{pattern.Path(3), pattern.Star(3), pattern.Triangle(), pattern.Cycle(4)} {
+		for k := 1; k <= 3; k++ {
+			opts := NewOptions()
+			opts.Seed = 3
+			opts.Workers = k
+			full, err := Run(g, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Count < 50 {
+				t.Fatalf("%s: test graph too sparse: only %d instances", p.Name(), full.Count)
+			}
+			for _, async := range []bool{false, true} {
+				name := fmt.Sprintf("%s/K=%d/async=%v", p.Name(), k, async)
+				var streamed atomic.Int64
+				capped := opts
+				capped.MaxResults = limit
+				capped.AsyncExchange = async
+				capped.OnInstance = func([]int32) { streamed.Add(1) }
+				res, err := Run(g, p, capped)
+				if err != nil {
+					t.Fatalf("%s: capped run failed: %v", name, err)
+				}
+				if !res.Truncated {
+					t.Fatalf("%s: capped run not marked Truncated", name)
+				}
+				if res.Count < limit {
+					t.Fatalf("%s: capped run found %d < %d instances", name, res.Count, limit)
+				}
+				if res.Count >= full.Count {
+					t.Fatalf("%s: capped run did not stop early: %d of %d instances", name, res.Count, full.Count)
+				}
+				if streamed.Load() != res.Count {
+					t.Fatalf("%s: OnInstance saw %d instances, Count says %d", name, streamed.Load(), res.Count)
+				}
+				if async && res.Stats.GpsiProcessed*10 > full.Stats.GpsiProcessed {
+					t.Fatalf("%s: capped run processed %d Gpsis, more than a tenth of the uncapped run's %d",
+						name, res.Stats.GpsiProcessed, full.Stats.GpsiProcessed)
+				}
+			}
+		}
 	}
 }
 

@@ -82,11 +82,11 @@ type Config struct {
 	// resuming from its last barrier checkpoint (CheckpointEvery > 0) or
 	// from scratch. 0 disables.
 	QueryRetries int
-	// AsyncExchange runs local queries on the pipelined async BSP exchange
-	// (credit-based termination instead of superstep barriers). Counts are
-	// identical to strict mode; `limit`-truncated streams may cut at a
-	// different prefix. Checkpoints, when enabled, snapshot at quiescence
-	// points.
+	// AsyncExchange runs local count queries on the pipelined async BSP
+	// exchange (credit-based termination instead of superstep barriers).
+	// Counts are identical to strict mode. Streams always run pipelined, so
+	// a `limit` is met depth first. Checkpoints, when enabled, snapshot at
+	// quiescence points.
 	AsyncExchange bool
 	// CompressFrames front-codes Gpsi batches on local queries: sorted
 	// prefix-compressed frames on the wire and in the inboxes, decoded into
@@ -577,7 +577,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts.PlannedPattern = true
 	opts.InitialVertex = plan.InitialVertex
 	opts.Exchange = s.testExchange
-	opts.AsyncExchange = s.cfg.AsyncExchange
+	// A stream runs pipelined whatever the switch: its worker takes its own
+	// newest work first, so a limit is met in work proportional to the
+	// pattern's depth instead of a full breadth-first level.
+	opts.AsyncExchange = s.cfg.AsyncExchange || !params.countOnly
 	opts.CompressFrames = s.cfg.CompressFrames
 	if s.cfg.CheckpointEvery > 0 {
 		opts.CheckpointEvery = s.cfg.CheckpointEvery

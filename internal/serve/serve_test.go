@@ -163,85 +163,92 @@ func TestCountsMatchBatchEngine(t *testing.T) {
 	}
 }
 
-// TestStreamingLimit: NDJSON stream honors limit exactly and reports the
-// enumeration as truncated.
+// TestStreamingLimit: an NDJSON stream honors limit exactly, reports the
+// enumeration as truncated, and every line is a real embedding — for
+// triangles, paths, stars and 4-cycles, which streams run pipelined, depth
+// first.
 func TestStreamingLimit(t *testing.T) {
 	g := testGraph(t)
 	_, ts := newTestServer(t, g, Config{MaxInFlight: 2})
 
-	p, err := pattern.ByName("pg1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := core.Run(g, p, core.NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Count < 10 {
-		t.Fatalf("test graph has only %d triangles; want >= 10", full.Count)
-	}
-
 	const limit = 3
-	resp, err := http.Get(fmt.Sprintf("%s/query?pattern=triangle&limit=%d", ts.URL, limit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
+	for _, dsl := range []string{"triangle", "path(3)", "star(3)", "cycle(4)"} {
+		p, err := pattern.Parse(dsl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := core.Run(g, p, core.NewOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Count < 10 {
+			t.Fatalf("%s: test graph has only %d embeddings; want >= 10", dsl, full.Count)
+		}
 
-	var embeddings [][]graph.VertexID
-	var trailer streamTrailer
-	sawTrailer := false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if sawTrailer {
-			t.Fatalf("line after trailer: %s", sc.Text())
+		resp, err := http.Get(fmt.Sprintf("%s/query?pattern=%s&limit=%d", ts.URL, dsl, limit))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(sc.Text(), `"done"`) {
-			if err := json.Unmarshal(sc.Bytes(), &trailer); err != nil {
-				t.Fatal(err)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", dsl, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("%s: content type %q", dsl, ct)
+		}
+
+		var embeddings [][]graph.VertexID
+		var trailer streamTrailer
+		sawTrailer := false
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if sawTrailer {
+				t.Fatalf("%s: line after trailer: %s", dsl, sc.Text())
 			}
-			sawTrailer = true
-			continue
-		}
-		var l struct {
-			Embedding []graph.VertexID `json:"embedding"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		embeddings = append(embeddings, l.Embedding)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawTrailer {
-		t.Fatal("stream ended without a trailer")
-	}
-	if len(embeddings) != limit {
-		t.Fatalf("streamed %d embeddings, want exactly %d", len(embeddings), limit)
-	}
-	if trailer.Count != limit || !trailer.Truncated || !trailer.Done {
-		t.Fatalf("trailer = %+v, want done, truncated, count=%d", trailer, limit)
-	}
-	// Each streamed embedding must be a real triangle: 3 distinct vertices,
-	// pairwise adjacent.
-	for _, emb := range embeddings {
-		if len(emb) != 3 {
-			t.Fatalf("embedding %v has %d vertices, want 3", emb, len(emb))
-		}
-		for i := 0; i < 3; i++ {
-			for j := i + 1; j < 3; j++ {
-				if emb[i] == emb[j] {
-					t.Fatalf("embedding %v repeats a vertex", emb)
+			if strings.Contains(sc.Text(), `"done"`) {
+				if err := json.Unmarshal(sc.Bytes(), &trailer); err != nil {
+					t.Fatal(err)
 				}
-				if !g.HasEdge(emb[i], emb[j]) {
-					t.Fatalf("embedding %v: no edge %d-%d", emb, emb[i], emb[j])
+				sawTrailer = true
+				continue
+			}
+			var l struct {
+				Embedding []graph.VertexID `json:"embedding"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+				t.Fatalf("%s: bad NDJSON line %q: %v", dsl, sc.Text(), err)
+			}
+			embeddings = append(embeddings, l.Embedding)
+		}
+		err = sc.Err()
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sawTrailer {
+			t.Fatalf("%s: stream ended without a trailer", dsl)
+		}
+		if len(embeddings) != limit {
+			t.Fatalf("%s: streamed %d embeddings, want exactly %d", dsl, len(embeddings), limit)
+		}
+		if trailer.Count != limit || !trailer.Truncated || !trailer.Done {
+			t.Fatalf("%s: trailer = %+v, want done, truncated, count=%d", dsl, trailer, limit)
+		}
+		// Each streamed embedding must be a real one: distinct vertices, and
+		// an edge under every pattern edge.
+		for _, emb := range embeddings {
+			if len(emb) != p.N() {
+				t.Fatalf("%s: embedding %v has %d vertices, want %d", dsl, emb, len(emb), p.N())
+			}
+			for i := range emb {
+				for j := i + 1; j < len(emb); j++ {
+					if emb[i] == emb[j] {
+						t.Fatalf("%s: embedding %v repeats a vertex", dsl, emb)
+					}
+				}
+			}
+			for _, e := range p.Edges() {
+				if !g.HasEdge(emb[e[0]], emb[e[1]]) {
+					t.Fatalf("%s: embedding %v: no edge %d-%d", dsl, emb, emb[e[0]], emb[e[1]])
 				}
 			}
 		}

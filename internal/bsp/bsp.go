@@ -196,7 +196,7 @@ type Context[M any] struct {
 	// out[w] is the batch for worker w: chunks filled to capacity, never
 	// regrown. Handed to the transport it is the receiver's; a new one starts.
 	out     [][][]Envelope[M]
-	spare   [][]Envelope[M] // emptied chunks ResetSends kept; production contexts have none
+	spare   [][]Envelope[M] // emptied chunks for addChunk: own chunks a pipelined worker processed (capped), or what ResetSends kept
 	sent    int64
 	local   []int64 // counter deltas, indexed by Counter
 	aborted *atomic.Pointer[error]

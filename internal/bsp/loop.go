@@ -43,6 +43,11 @@ import (
 // flushes all partial batches before going idle).
 const defaultAsyncFlushEvery = 256
 
+// maxSpareChunks caps the own chunks a pipelined worker keeps for reuse once
+// it has processed them (workerLoop): enough to refill the next batch, never
+// a free list that grows with the frontier.
+const maxSpareChunks = 8
+
 // asyncFramesPerStep converts MaxSupersteps into the pipelined runaway bound:
 // a worker may flush at most MaxSupersteps×asyncFramesPerStep frames. The
 // policy has no superstep to count, so the bound is necessarily coarser; it
@@ -601,17 +606,18 @@ func (a *attempt[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
 // child is produced after its parent — and otherwise everything peers
 // delivered, in arrival order. Only a pipelined queue holds own work, so a
 // stepped burst is the whole superstep inbox. one is the spare chunk list a
-// one-chunk burst is returned in.
-func (ib *Inbox[M]) take(one [][]Envelope[M]) Inbox[M] {
+// one-chunk burst is returned in; own is that chunk when the burst is own
+// work, nil otherwise.
+func (ib *Inbox[M]) take(one [][]Envelope[M]) (burst Inbox[M], own []Envelope[M]) {
 	if n := len(ib.own); n > 0 {
-		c := ib.own[n-1]
+		own = ib.own[n-1]
 		ib.own[n-1] = nil
 		ib.own = ib.own[:n-1]
-		return Inbox[M]{Chunks: append(one[:0], c)}
+		return Inbox[M]{Chunks: append(one[:0], own)}, own
 	}
-	burst := *ib
+	burst = *ib
 	*ib = Inbox[M]{own: ib.own} // empty; keeps the stack's backing array
-	return burst
+	return burst, nil
 }
 
 // workerLoop is one worker's life, and the one place an inbox is drained: take
@@ -669,7 +675,7 @@ func (a *attempt[M]) workerLoop(w int) {
 		}
 		// deliverInbox drops each chunk and frame of the burst as it finishes
 		// with it.
-		burst := wk.queue.take(one[:0])
+		burst, own := wk.queue.take(one[:0])
 		wk.released = false
 		wk.mu.Unlock()
 
@@ -682,6 +688,12 @@ func (a *attempt[M]) workerLoop(w int) {
 			seed = false
 		}
 		processed := deliverInbox(wctx, a.r.prog, &burst, stepCtx.Done(), after)
+		if own != nil && burst.Chunks[0] == nil && len(wctx.spare) < maxSpareChunks {
+			// A processed own chunk is this worker's alone — it never crossed
+			// a transport, and a snapshot copies it — so the next batch reuses
+			// it instead of allocating.
+			wctx.spare = append(wctx.spare, own[:0])
+		}
 		a.noteBurst(wk, wctx, start, processed)
 		unflushed = true
 		if flushFailed || stepCtx.Err() != nil {

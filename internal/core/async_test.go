@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"psgl/internal/bsp"
@@ -126,26 +129,31 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 	// The run above ends before a checkpoint can fall due while a worker is
 	// still to seed. On a larger graph it can: sweep one kill (no retry, so
 	// a recovery) over wire frames 20-38 of each worker, where a snapshot
-	// taken before some worker's Init once lost its seeds without an error.
+	// taken before some worker's Init once lost its seeds without an error,
+	// and where workers are still seeding from their cursors. Some recovery
+	// in the sweep must restore a snapshot with a cursor still queued.
 	g = gen.ChungLu(3000, 12000, 2.0, 3)
 	p = pattern.PG2()
 	strictRes, err = Run(g, p, Options{Workers: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	restoredCursors := 0
 	for _, every := range []int{1, 2} {
 		for seq := 20; seq <= 38; seq += 6 {
 			for w := 0; w < 3; w++ {
 				factory := bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{{Step: seq, Kind: bsp.StepFaultKill, Worker: w}})
+				store := &restoreProbe{MemCheckpointStore: bsp.NewMemCheckpointStore(), t: t}
 				res, err := Run(g, p, Options{
 					Workers:         3,
 					Seed:            3,
 					Exchange:        factory,
 					AsyncExchange:   true,
 					CheckpointEvery: every,
-					CheckpointStore: bsp.NewMemCheckpointStore(),
+					CheckpointStore: store,
 					MaxRecoveries:   3,
 				})
+				restoredCursors += store.cursors
 				if err != nil {
 					t.Fatalf("every=%d kill %d@%d: %v", every, w, seq, err)
 				}
@@ -156,4 +164,117 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 			}
 		}
 	}
+	if restoredCursors == 0 {
+		t.Fatal("no recovery in the sweep restored a snapshot with a seed cursor queued: no kill landed mid-seeding")
+	}
+}
+
+// TestCheckpointMidSeedingRestoresExactCounts: under the pipelined policy a
+// worker seeds from a cursor on its own queue, so a checkpoint taken mid-run
+// finds cursors still queued, and a run resumed from one — which never runs
+// Init — must finish seeding from them to the strict run's exact count. A
+// cursor kept anywhere but on the queue would be missing from every snapshot,
+// and its seeds from every resumed run.
+func TestCheckpointMidSeedingRestoresExactCounts(t *testing.T) {
+	g := gen.ChungLu(10000, 40000, 2.0, 3)
+	p := pattern.PG2()
+	base := Options{Workers: 3, Seed: 3}
+	want, err := Run(g, p, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &snapshotLog{}
+	opts := base
+	opts.AsyncExchange, opts.CheckpointEvery, opts.CheckpointStore = true, 1, log
+	res, err := Run(g, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != want.Count {
+		t.Fatalf("checkpointed async count %d != strict %d", res.Count, want.Count)
+	}
+	var mid [][]byte
+	for _, snap := range log.saves {
+		if queuedCursors(t, snap) > 0 {
+			mid = append(mid, snap)
+		}
+	}
+	if len(mid) == 0 {
+		t.Fatalf("none of the run's %d snapshots holds a queued seed cursor", len(log.saves))
+	}
+	for _, i := range []int{0, len(mid) / 2, len(mid) - 1} {
+		from := bsp.NewMemCheckpointStore()
+		if err := from.Save(i, mid[i]); err != nil {
+			t.Fatal(err)
+		}
+		resumed := base
+		resumed.AsyncExchange, resumed.ResumeFrom = true, from
+		res, err := Run(g, p, resumed)
+		if err != nil {
+			t.Fatalf("resuming from mid-seeding snapshot %d of %d: %v", i, len(mid), err)
+		}
+		if res.Count != want.Count {
+			t.Fatalf("resumed from mid-seeding snapshot %d of %d (%d cursors queued): count %d != strict %d",
+				i, len(mid), queuedCursors(t, mid[i]), res.Count, want.Count)
+		}
+	}
+}
+
+// snapshotLog is a checkpoint store that keeps every snapshot saved into it.
+type snapshotLog struct {
+	mu    sync.Mutex
+	saves [][]byte
+}
+
+func (s *snapshotLog) Save(_ int, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.saves = append(s.saves, bytes.Clone(data))
+	return nil
+}
+
+func (s *snapshotLog) Load() (int, []byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.saves) == 0 {
+		return 0, nil, bsp.ErrNoCheckpoint
+	}
+	return len(s.saves) - 1, s.saves[len(s.saves)-1], nil
+}
+
+// restoreProbe is a checkpoint store that counts the seed cursors queued in
+// the snapshots a recovery restores.
+type restoreProbe struct {
+	*bsp.MemCheckpointStore
+	t       *testing.T
+	cursors int
+}
+
+func (s *restoreProbe) Load() (int, []byte, error) {
+	step, data, err := s.MemCheckpointStore.Load()
+	if err == nil {
+		s.cursors += queuedCursors(s.t, data)
+	}
+	return step, data, err
+}
+
+// queuedCursors counts the seed cursors queued in a sealed bsp snapshot. It
+// reads the snapshot as bsp writes it — an 8-byte magic and a CRC-32, then
+// the gob-encoded snapshot — and decodes only its queued envelopes.
+func queuedCursors(t *testing.T, sealed []byte) int {
+	t.Helper()
+	const header = 8 + 4
+	var snap struct{ Inboxes [][]bsp.Envelope[gpsi] }
+	if err := gob.NewDecoder(bytes.NewReader(sealed[header:])).Decode(&snap); err != nil {
+		t.Fatalf("decoding a snapshot's queues: %v", err)
+	}
+	n := 0
+	for _, in := range snap.Inboxes {
+		for _, env := range in {
+			if env.Msg.isCursor() {
+				n++
+			}
+		}
+	}
+	return n
 }

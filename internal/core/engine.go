@@ -408,10 +408,16 @@ func validateSeeds(g *graph.Graph, p *pattern.Pattern, seeds []Seed) error {
 }
 
 // Init is the initialization phase: each data vertex that can host the
-// initial pattern vertex emits a one-pair Gpsi to itself.
+// initial pattern vertex emits a one-pair Gpsi to itself. Under the pipelined
+// policy a worker instead sends itself one seed cursor, which emits those
+// seeds on demand (seedStep).
 func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 	if len(e.opts.Seeds) > 0 {
 		e.initSeeds(ctx)
+		return
+	}
+	if e.opts.AsyncExchange {
+		e.requeueCursor(ctx, graph.VertexID(len(e.owner)-1))
 		return
 	}
 	minDeg, me := e.p.Degree(e.initial), int32(ctx.Worker())
@@ -423,6 +429,68 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 		m := e.proto
 		m.Map[e.initial] = vd
 		e.send(ctx, &m)
+	}
+}
+
+// seedStepChildren is how many children one cursor step may lead to, as
+// bounded by its seeds' degrees, before the cursor yields: about one chunk of
+// own work.
+const seedStepChildren = 64
+
+// seedStep is one step of a seed cursor: the pipelined initialization phase,
+// run only when the worker has no deeper own work, since own work is taken
+// newest first and the cursor is re-queued before anything its seeds produce.
+// Walking down from the cursor's rank, it takes the owned vertices that can
+// host the initial pattern vertex — hubs first, where cyclic patterns close
+// early — until their children, bounded by deg^d for an initial vertex of
+// pattern degree d, would fill a chunk: a hub goes alone, low-degree vertices
+// in batches. The bound is known before any seed expands, so the advanced
+// cursor is queued first. Each seed counts as generated (and against
+// MaxIntermediate) as it is materialized, and is expanded on the spot; the
+// cursor itself is neither generated nor processed.
+func (e *engine) seedStep(ctx *bsp.Context[gpsi], cur gpsi) {
+	if e.halted.Load() != 0 {
+		return
+	}
+	d, me := e.p.Degree(e.initial), int32(ctx.Worker())
+	var seeds [seedStepChildren]graph.VertexID
+	n, children := 0, 0
+	v := cur.Map[0]
+	for ; v >= 0 && children < seedStepChildren; v-- {
+		if e.owner[v] != me || !e.hosts(ctx, e.initial, d, v) {
+			continue
+		}
+		seeds[n] = v
+		n++
+		bound, deg := 1, e.g.Degree(v)
+		for i := 0; i < d && bound < seedStepChildren; i++ {
+			bound *= deg
+		}
+		children += bound
+	}
+	e.requeueCursor(ctx, v)
+	for _, vd := range seeds[:n] {
+		if e.halted.Load() != 0 {
+			return
+		}
+		m := e.proto
+		m.Map[e.initial] = vd
+		e.generate(ctx)
+		e.expand(ctx, m)
+	}
+}
+
+// requeueCursor sends this worker a seed cursor at the highest vertex it owns
+// at or below rank v, if there is one.
+func (e *engine) requeueCursor(ctx *bsp.Context[gpsi], v graph.VertexID) {
+	me := int32(ctx.Worker())
+	for ; v >= 0; v-- {
+		if e.owner[v] == me {
+			cur := gpsi{Next: seedCursor}
+			cur.Map[0] = v
+			ctx.Send(v, cur)
+			return
+		}
 	}
 }
 
@@ -477,8 +545,13 @@ func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 	return m, true
 }
 
-// Process expands one partial subgraph instance (Algorithm 1).
+// Process expands one partial subgraph instance (Algorithm 1), or takes one
+// step of a seed cursor.
 func (e *engine) Process(ctx *bsp.Context[gpsi], env bsp.Envelope[gpsi]) {
+	if env.Msg.isCursor() {
+		e.seedStep(ctx, env.Msg)
+		return
+	}
 	e.expand(ctx, env.Msg)
 }
 
@@ -957,6 +1030,11 @@ func contains(xs []int, x int) bool {
 // written.
 func (e *engine) send(ctx *bsp.Context[gpsi], m *gpsi) {
 	ctx.Send(m.Map[m.Next], *m)
+	e.generate(ctx)
+}
+
+// generate accounts one new Gpsi against MaxIntermediate.
+func (e *engine) generate(ctx *bsp.Context[gpsi]) {
 	ctx.Add(ctrGenerated, 1)
 	if e.opts.MaxIntermediate > 0 && e.generated.Add(1) > e.opts.MaxIntermediate {
 		e.halted.CompareAndSwap(0, haltOOM)

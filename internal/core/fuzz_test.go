@@ -23,6 +23,9 @@ var updateCorpus = flag.Bool("update", false, "rewrite committed fuzz seed corpo
 //  2. A successful decode re-encodes byte-identically to the consumed
 //     prefix, and that encoding decodes back to the same value with nothing
 //     left over — valid inputs round-trip.
+//  3. A successful decode names a mapped expansion vertex: 0 <= Next < N and
+//     Map[Next] is a data vertex, so expand can index it and no peer frame
+//     can carry a seed cursor.
 func FuzzGpsiDecode(f *testing.F) {
 	valid := gpsi{N: 3, Next: 1, Expanded: 0b001, Pending: 0}
 	valid.Map = [maxPatternVertices]graph.VertexID{5, 7, 9}
@@ -42,6 +45,9 @@ func FuzzGpsiDecode(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7})                          // header only, body missing
 	f.Add([]byte("short"))
 	f.Add([]byte{})
+	for _, bad := range badNextGpsis() {
+		f.Add(bad.AppendWire(nil))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m gpsi
@@ -49,6 +55,7 @@ func FuzzGpsiDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkDecodedNext(t, &m)
 		consumed := len(data) - len(rest)
 		want := gpsiWireHeader + 4*int(m.N)
 		if consumed != want {
@@ -75,6 +82,41 @@ func FuzzGpsiDecode(f *testing.F) {
 	})
 }
 
+// badNextGpsis are well-formed encodings whose expansion vertex is not a
+// mapped vertex, each of which both codecs must reject: a Next at or above N,
+// one beyond the Map array, a negative one (a seed cursor's), and one whose
+// image is unmapped.
+func badNextGpsis() map[string]gpsi {
+	base := gpsi{N: 3, Next: 1, Expanded: 0b001}
+	base.Map = [maxPatternVertices]graph.VertexID{5, 7, 9}
+	for i := int(base.N); i < maxPatternVertices; i++ {
+		base.Map[i] = unmapped
+	}
+	atN, beyond, cursor, unmappedNext := base, base, base, base
+	atN.Next = 3
+	beyond.Next = maxPatternVertices + 4
+	cursor.Next = seedCursor
+	unmappedNext.Map[1] = unmapped
+	return map[string]gpsi{
+		"seed_next_at_n":     atN,
+		"seed_next_beyond":   beyond,
+		"seed_next_cursor":   cursor,
+		"seed_next_unmapped": unmappedNext,
+	}
+}
+
+// checkDecodedNext fails t unless a successfully decoded m names a mapped
+// expansion vertex.
+func checkDecodedNext(t *testing.T, m *gpsi) {
+	t.Helper()
+	if m.Next < 0 || m.Next >= m.N {
+		t.Fatalf("decoded Next %d outside [0,%d)", m.Next, m.N)
+	}
+	if m.Map[m.Next] < 0 {
+		t.Fatalf("decoded Next %d is unmapped", m.Next)
+	}
+}
+
 // groupedGpsiSeeds is the committed seed corpus of FuzzGroupedGpsiRoundTrip:
 // valid group encodings of several pattern sizes plus malformed inputs.
 func groupedGpsiSeeds() map[string][]byte {
@@ -89,7 +131,7 @@ func groupedGpsiSeeds() map[string][]byte {
 	}
 	partial := small
 	partial.Map[2] = unmapped
-	return map[string][]byte{
+	seeds := map[string][]byte{
 		"seed_valid_n3":      small.AppendGroupWire(nil),
 		"seed_valid_n16":     full.AppendGroupWire(nil),
 		"seed_partial_map":   partial.AppendGroupWire(nil),
@@ -99,6 +141,10 @@ func groupedGpsiSeeds() map[string][]byte {
 		"seed_ascii_garbage": []byte("definitely not an encoding"),
 		"seed_empty":         {},
 	}
+	for name, bad := range badNextGpsis() {
+		seeds[name] = bad.AppendGroupWire(nil)
+	}
+	return seeds
 }
 
 // TestWriteGroupedGpsiFuzzCorpus regenerates the committed seed corpus under
@@ -125,7 +171,8 @@ func TestWriteGroupedGpsiFuzzCorpus(t *testing.T) {
 // invariants are strict:
 //
 //  1. DecodeGroupWire never panics and rejects anything that is not exactly
-//     one encoding (wrong length, N out of range).
+//     one encoding (wrong length, N out of range) or that names no mapped
+//     expansion vertex: on success 0 <= Next < N and Map[Next] is mapped.
 //  2. A successful full decode (shared = 0) re-encodes byte-identically, and
 //     the value survives a trip through a compressed frame next to prefix-
 //     sharing siblings — the patch-decode path (shared > 0) reconstructs the
@@ -139,6 +186,7 @@ func FuzzGroupedGpsiRoundTrip(f *testing.F) {
 		if err := m.DecodeGroupWire(data, 0); err != nil {
 			return
 		}
+		checkDecodedNext(t, &m)
 		re := m.AppendGroupWire(nil)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in: %x\nout: %x", data, re)

@@ -54,11 +54,24 @@ type gpsi struct {
 	Pending uint32
 	// Next is the GRAY pattern vertex this Gpsi will be expanded at; the
 	// distribution strategy chose it, and the message was routed to the
-	// worker owning Map[Next].
+	// worker owning Map[Next]. A negative Next marks a seed cursor instead
+	// (seedCursor).
 	Next int8
 	// N is the pattern's vertex count: the used prefix of Map.
 	N int8
 }
+
+// seedCursor is the Next of a seed cursor: the pipelined policy's on-demand
+// initialization phase (engine.seedStep). A cursor is a gpsi so that it is
+// queued work like any other — the idle test, the boundary's pending test and
+// every snapshot see it — and it costs no field: Map[0] is the rank of the
+// next vertex its worker seeds from, the highest one it has yet to consider.
+// A worker only ever sends a cursor to itself, which under the pipelined
+// policy never crosses a transport, and both wire codecs reject a negative
+// Next, so no frame from a peer can carry one.
+const seedCursor = -1
+
+func (m *gpsi) isCursor() bool { return m.Next < 0 }
 
 func (m *gpsi) isMapped(v int) bool { return m.Map[v] != unmapped }
 func (m *gpsi) isBlack(v int) bool  { return m.Expanded&(1<<uint(v)) != 0 }
@@ -139,7 +152,24 @@ func (m *gpsi) DecodeWire(src []byte) ([]byte, error) {
 	for i := n; i < maxPatternVertices; i++ {
 		m.Map[i] = unmapped
 	}
+	if err := m.checkNext(); err != nil {
+		return nil, fmt.Errorf("gpsi wire: %w", err)
+	}
 	return src[need:], nil
+}
+
+// checkNext rejects a decoded Gpsi that names no mapped expansion vertex:
+// expand indexes Map[Next] and walks that vertex's row, so a Next outside
+// [0, N) or one whose image is not a data vertex would panic there. It is
+// also what keeps a seed cursor (a negative Next) off the wire.
+func (m *gpsi) checkNext() error {
+	if m.Next < 0 || m.Next >= m.N {
+		return fmt.Errorf("expansion vertex %d out of range [0,%d)", m.Next, m.N)
+	}
+	if m.Map[m.Next] < 0 {
+		return fmt.Errorf("expansion vertex %d is unmapped", m.Next)
+	}
+	return nil
 }
 
 // Group codec: gpsi also implements bsp.GroupWireMessage, the grouping-friendly
@@ -203,5 +233,8 @@ func (m *gpsi) DecodeGroupWire(src []byte, shared int) error {
 	m.Expanded = uint16(src[o]) | uint16(src[o+1])<<8
 	m.Pending = uint32(src[o+2]) | uint32(src[o+3])<<8 | uint32(src[o+4])<<16 | uint32(src[o+5])<<24
 	m.Next = int8(src[o+6])
+	if err := m.checkNext(); err != nil {
+		return fmt.Errorf("gpsi group wire: %w", err)
+	}
 	return nil
 }

@@ -154,7 +154,10 @@ type Options struct {
 	// stop lands on a different processing prefix, so the truncated count
 	// may differ between modes. A worker expands its own newest Gpsis first,
 	// so a MaxResults run goes depth first and stops after a few chunks per
-	// level instead of a breadth-first level. StepTimeout is rejected in
+	// level instead of a breadth-first level. Without Seeds, a worker seeds
+	// on demand from a cursor on its own queue, highest-degree vertices
+	// first, only when it has no deeper own work, so a capped run never
+	// builds the seeds it does not reach. StepTimeout is rejected in
 	// async mode (bsp.ErrAsyncStepTimeout: there are no steps to bound), and
 	// checkpoints snapshot at quiescence points instead of barriers.
 	AsyncExchange bool
@@ -259,7 +262,9 @@ type Stats struct {
 	// Supersteps is S of Equation 3 (includes the initialization step).
 	Supersteps int
 	// GpsiGenerated counts every partial subgraph instance created — the
-	// "Gpsi#" column of Table 2.
+	// "Gpsi#" column of Table 2. A seed counts when it is built: all in Init,
+	// or, under AsyncExchange, as a seed cursor reaches it. A cursor itself is
+	// not a Gpsi and counts in neither total.
 	GpsiGenerated int64
 	// GpsiProcessed counts expansion calls.
 	GpsiProcessed int64
@@ -299,10 +304,15 @@ type Stats struct {
 	// run; retries that succeeded without a restore are not counted).
 	Recoveries int
 	// Per-worker metrics (Figure 5): compute time and cost-model load units.
+	// WorkerMessages[w] counts the messages worker w processed; under
+	// AsyncExchange that includes its seed-cursor steps, which GpsiProcessed
+	// leaves out.
 	WorkerTime     []time.Duration
 	WorkerMessages []int64
 	LoadUnits      []float64
-	// PerStepMessages[s] is the number of Gpsis produced in superstep s.
+	// PerStepMessages[s] is the number of messages produced in superstep s:
+	// the Gpsis sent, and under AsyncExchange the re-queued seed cursors too
+	// (a seed a cursor expands on the spot counts in GpsiGenerated only).
 	PerStepMessages []int64
 	// SimulatedMakespan is Σ_s max_k L_ks (Equation 3) over measured
 	// per-worker compute times.

@@ -51,8 +51,10 @@ func TestPlannedPatternMatchesUnplanned(t *testing.T) {
 // with Truncated set, and still delivers at least the cap, for paths, stars,
 // triangles and 4-cycles at one to three workers under both policies.
 // Pipelined, a worker takes its own newest work first, so the cap is met a
-// few chunks deep instead of after a breadth-first level: the run processes
-// at most a tenth of the uncapped run's Gpsis.
+// few chunks deep instead of after a breadth-first level, and it seeds from a
+// cursor only when it has no deeper work, so the seeds a capped run never
+// reaches are never built: the run processes and generates at most a tenth
+// of the uncapped run's Gpsis.
 func TestMaxResultsEarlyTermination(t *testing.T) {
 	g := gen.ChungLu(2000, 8000, 1.8, 7)
 	const limit = 5
@@ -94,6 +96,10 @@ func TestMaxResultsEarlyTermination(t *testing.T) {
 				if async && res.Stats.GpsiProcessed*10 > full.Stats.GpsiProcessed {
 					t.Fatalf("%s: capped run processed %d Gpsis, more than a tenth of the uncapped run's %d",
 						name, res.Stats.GpsiProcessed, full.Stats.GpsiProcessed)
+				}
+				if async && res.Stats.GpsiGenerated*10 > full.Stats.GpsiGenerated {
+					t.Fatalf("%s: capped run generated %d Gpsis, more than a tenth of the uncapped run's %d",
+						name, res.Stats.GpsiGenerated, full.Stats.GpsiGenerated)
 				}
 			}
 		}

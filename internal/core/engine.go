@@ -763,9 +763,8 @@ func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
 func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
 	minDeg := e.p.Degree(wv)
 	in := e.inWindow(ctx, e.g.Neighbors(vd), m, wv, mapped)
-	// Bitset AND fast path (back-ported from the ESU engine's BitGraph
-	// kernel): when vd is a hub and wv has other already-mapped pattern
-	// neighbors that are hubs too, the candidate set is confined to the
+	// Bitset AND fast path: when vd is a hub and wv has other already-mapped
+	// pattern neighbors that are hubs too, the candidate set is confined to the
 	// word-wide AND of their adjacency rows — an exact intersection, so the
 	// check against those neighbors is subsumed and proves the edge (non-hub
 	// vertices have no row; admits still checks them). It is a strict filter:

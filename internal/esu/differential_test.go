@@ -96,27 +96,51 @@ func TestCensusDifferential(t *testing.T) {
 }
 
 // TestCensusSteadyStateAllocs pins the enumeration hot path: once a walker's
-// scratch and the memo cache are warm, enumerating allocates nothing.
+// extension lists have grown, enumerating allocates nothing.
 func TestCensusSteadyStateAllocs(t *testing.T) {
 	g := testChungLu(t, 400, 1200, 2.0, 5)
-	b, err := NewBitGraph(g)
-	if err != nil {
-		t.Fatal(err)
+	w := newWalker(g, 4)
+	for v := 0; v < g.NumVertices(); v++ {
+		w.walk(graph.VertexID(v)) // warm: the extension lists
 	}
-	cache := NewCanonCache(4)
-	w := newWalker(b, 4, cache)
-	for v := 0; v < b.N(); v++ {
-		w.root(graph.VertexID(v)) // warm: local histogram map + memo cache
-	}
+	w.classify(NewCanonCache(4))
 	if w.total == 0 {
 		t.Fatal("warmup enumerated nothing; graph too sparse for the pin")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for v := 0; v < 50; v++ {
-			w.root(graph.VertexID(v))
+			w.walk(graph.VertexID(v))
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state enumeration allocates %.1f times per pass, want 0", allocs)
+	}
+}
+
+// TestCensusAboveOldCap runs a k=3 census on a graph past 65 536 vertices
+// (the dense-adjacency engine's former cap) and checks it against two closed
+// forms: the triangle class equals the oracle's triangle count,
+// and the total equals Σ C(deg, 2) − 2·triangles (every 2-path centred on a
+// vertex, with each triangle's three collapsed into one subgraph).
+func TestCensusAboveOldCap(t *testing.T) {
+	g := testChungLu(t, 70000, 140000, 2.5, 3)
+	if g.NumVertices() <= 1<<16 {
+		t.Fatalf("graph has %d vertices, the test needs more than 65 536", g.NumVertices())
+	}
+	res, err := Count(g, 3, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri := centralized.CountTriangles(g)
+	var paths int64
+	for v := 0; v < g.NumVertices(); v++ {
+		d := int64(g.Degree(graph.VertexID(v)))
+		paths += d * (d - 1) / 2
+	}
+	if want := paths - 2*tri; res.Subgraphs != want {
+		t.Fatalf("k=3 census of %d vertices: %d subgraphs, want %d", g.NumVertices(), res.Subgraphs, want)
+	}
+	if got := res.Histogram()[0b111]; got != tri {
+		t.Fatalf("triangle class %d, oracle %d", got, tri)
 	}
 }

@@ -9,17 +9,18 @@
 // (arXiv:1705.09358): ESU's per-root subtrees are independent, so root
 // vertices are dealt to a worker pool in chunks claimed off one atomic
 // counter (work-stealing-friendly: a worker that drew cheap roots just
-// claims the next chunk), and all workers share the BitGraph adjacency and a
-// canonical-form memo cache. Each worker keeps its own scratch (subgraph
-// slot array, per-depth extension/neighborhood bitsets, a local histogram),
-// so the steady-state enumeration path allocates nothing and the only shared
-// writes are the memo cache's first-sight inserts.
+// claims the next chunk), and every worker walks its subtrees over the
+// graph's own CSR adjacency and shares one canonical-form memo cache. Each
+// worker keeps its own scratch (a one-byte slot mask per vertex, per-depth
+// extension lists, a count per raw adjacency code), so the steady-state
+// enumeration path allocates nothing and takes no lock; the only shared
+// writes are the memo cache's first-sight inserts when a worker classifies
+// its raw codes.
 package esu
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,9 +34,6 @@ import (
 type Options struct {
 	// Workers is the worker-pool size; 0 means 4 (the PSgL engine's default).
 	Workers int
-	// ChunkSize is the number of root vertices a worker claims at once;
-	// 0 picks one that yields ~32 claims per worker so stragglers rebalance.
-	ChunkSize int
 	// Cache is the canonical-form memo cache to use (shared across runs by a
 	// resident server). nil builds a fresh cache for this run. Its K() must
 	// equal the census k.
@@ -71,8 +69,7 @@ type Result struct {
 	CacheMisses int64 `json:"cache_misses"`
 	// Workers is the pool size used.
 	Workers int `json:"workers"`
-	// Wall is the enumeration wall time (excluding BitGraph construction
-	// when the caller prebuilt one).
+	// Wall is the enumeration wall time.
 	Wall time.Duration `json:"wall_ns"`
 }
 
@@ -106,20 +103,6 @@ func CountContext(ctx context.Context, g *graph.Graph, k int, opts Options) (*Re
 	if k < MinK || k > MaxK {
 		return nil, fmt.Errorf("esu: census size k=%d out of range [%d,%d]", k, MinK, MaxK)
 	}
-	b, err := NewBitGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	return CountBitGraph(ctx, b, k, opts)
-}
-
-// CountBitGraph runs a k-motif census over a prebuilt BitGraph — the entry
-// point for resident servers that amortize the dense adjacency across
-// queries.
-func CountBitGraph(ctx context.Context, b *BitGraph, k int, opts Options) (*Result, error) {
-	if k < MinK || k > MaxK {
-		return nil, fmt.Errorf("esu: census size k=%d out of range [%d,%d]", k, MinK, MaxK)
-	}
 	cache := opts.Cache
 	if cache == nil {
 		cache = NewCanonCache(k)
@@ -130,46 +113,34 @@ func CountBitGraph(ctx context.Context, b *BitGraph, k int, opts Options) (*Resu
 	if workers <= 0 {
 		workers = 4
 	}
-	n := b.N()
+	n := g.NumVertices()
 	if workers > n && n > 0 {
 		workers = n
 	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		// ~32 claims per worker keeps the claim counter cold while letting a
-		// worker stuck on a hub's deep subtree shed the rest of the range.
-		chunk = n / (workers * 32)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	// ~32 claims per worker keeps the claim counter cold while letting a
+	// worker stuck on a hub's deep subtree shed the rest of the range.
+	chunk := max(n/(workers*32), 1)
 
 	start := time.Now()
 	var next atomic.Int64 // next unclaimed root; workers claim [lo, lo+chunk)
+	claim := func() int { return int(next.Add(int64(chunk))) - chunk }
 	ws := make([]*walker, workers)
 	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		w := newWalker(b, k, cache)
+	for wi := range ws {
+		w := newWalker(g, k)
 		ws[wi] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for v := lo; v < hi; v++ {
+			for lo := claim(); lo < n; lo = claim() {
+				for v := lo; v < min(lo+chunk, n); v++ {
 					if ctx.Err() != nil {
 						return
 					}
-					w.root(graph.VertexID(v))
+					w.walk(graph.VertexID(v))
 				}
 			}
+			w.classify(cache)
 		}()
 	}
 	wg.Wait()
@@ -202,144 +173,134 @@ func CountBitGraph(ctx context.Context, b *BitGraph, k int, opts Options) (*Resu
 	return res, nil
 }
 
-// walker is one worker's enumeration state. All slices are preallocated at
-// construction; the enumeration itself allocates nothing (pinned by
-// TestCensusSteadyStateAllocs).
+// walker is one worker's enumeration state. Its scratch is sized at
+// construction or grows to the largest extension list seen; a warm walker
+// allocates nothing (pinned by TestCensusSteadyStateAllocs).
 type walker struct {
-	b     *BitGraph
-	k     int
-	cache *CanonCache
+	g    *graph.Graph
+	k    int
+	root graph.VertexID
 
-	sub [MaxK]graph.VertexID // the subgraph under construction
-	// ext[d] / nbhd[d] are the extension set and closed neighborhood
-	// (V_sub ∪ N(V_sub)) after the (d+1)-th vertex was placed; gt masks
-	// vertices greater than the current root.
-	ext  [][]uint64
-	nbhd [][]uint64
-	gt   []uint64
+	// adj[x] is x's slot mask: bit i is set while x is a neighbour of the
+	// subgraph's i-th vertex. Only vertices above the root are marked — no
+	// other vertex can join or be probed — so a candidate x is in
+	// V_sub ∪ N(V_sub) iff adj[x] != 0.
+	adj []uint8
+	// ext[d] holds the extension list of the subgraph with d+1 vertices
+	// (d >= 1; the root's is a suffix of its CSR row), and prefix[d] that
+	// subgraph's adjacency code.
+	ext    [MaxK][]graph.VertexID
+	prefix [MaxK]uint32
+	// tbl[d][m] is the code contribution of a vertex placed in slot d whose
+	// slot mask is m: the pair bits of {i, d} for every bit i of m.
+	tbl [MaxK][1 << (MaxK - 1)]uint32
+	// raw counts the subgraphs found per raw adjacency code; classify folds
+	// it into counts, the histogram by canonical code.
+	raw []int64
 
 	counts              map[uint32]int64
 	total, hits, misses int64
 }
 
-func newWalker(b *BitGraph, k int, cache *CanonCache) *walker {
+func newWalker(g *graph.Graph, k int) *walker {
 	w := &walker{
-		b:      b,
-		k:      k,
-		cache:  cache,
-		ext:    make([][]uint64, k),
-		nbhd:   make([][]uint64, k),
-		gt:     make([]uint64, b.Words()),
-		counts: make(map[uint32]int64, 32),
+		g:   g,
+		k:   k,
+		adj: make([]uint8, g.NumVertices()),
+		raw: make([]int64, 1<<codeBits(k)),
 	}
-	for d := 0; d < k; d++ {
-		w.ext[d] = make([]uint64, b.Words())
-		w.nbhd[d] = make([]uint64, b.Words())
+	for d := 1; d < k; d++ {
+		for m := 0; m < 1<<d; m++ {
+			for i := 0; i < d; i++ {
+				if m&(1<<i) != 0 {
+					w.tbl[d][m] |= 1 << uint(pairIdx[k][i][d])
+				}
+			}
+		}
 	}
 	return w
 }
 
-// root enumerates every connected k-subgraph whose minimum vertex is v —
-// ESU's root rule: only vertices greater than v may ever join, so each
-// subgraph is generated exactly once, from its minimum vertex.
-func (w *walker) root(v graph.VertexID) {
-	// gt = {u : u > v}.
-	vi := int(v)
-	word := vi / 64
-	for i := range w.gt {
-		switch {
-		case i < word:
-			w.gt[i] = 0
-		case i == word:
-			w.gt[i] = ^uint64(0) << (uint(vi)%64 + 1)
-			if uint(vi)%64 == 63 {
-				w.gt[i] = 0
-			}
-		default:
-			w.gt[i] = ^uint64(0)
-		}
-	}
-	w.sub[0] = v
-	row := w.b.Row(v)
-	ext, nbhd := w.ext[0], w.nbhd[0]
-	any := false
-	for i, r := range row {
-		ext[i] = r & w.gt[i]
-		nbhd[i] = r
-		any = any || ext[i] != 0
-	}
-	nbhd[word] |= 1 << (uint(vi) % 64)
-	if any {
-		w.extend(1)
+// above returns the part of u's row above the current root.
+func (w *walker) above(u graph.VertexID) []graph.VertexID {
+	row := w.g.Neighbors(u)
+	return row[graph.LowerBound(row, w.root+1):]
+}
+
+// toggle flips slot bit d on every vertex of row: set when the slot's vertex
+// is placed, clear again when it is taken back.
+func (w *walker) toggle(row []graph.VertexID, d int) {
+	bit := uint8(1) << d
+	for _, x := range row {
+		w.adj[x] ^= bit
 	}
 }
 
-// extend places the vertex at slot d (|sub| == d on entry), drawing from
-// ext[d-1]. ESU: pop each candidate u in ascending order, removing it from
-// the extension set before recursing, and extend the child's set with u's
-// exclusive neighbors N(u) \ (V_sub ∪ N(V_sub)), root-filtered.
-func (w *walker) extend(d int) {
-	ext := w.ext[d-1]
+// walk enumerates every connected k-subgraph whose minimum vertex is v —
+// ESU's root rule: only vertices greater than v may ever join, so each
+// subgraph is generated exactly once, from its minimum vertex.
+func (w *walker) walk(v graph.VertexID) {
+	w.root = v
+	ext := w.above(v)
+	if len(ext) == 0 {
+		return
+	}
+	w.toggle(ext, 0)
+	w.extend(1, ext)
+	w.toggle(ext, 0)
+}
+
+// extend places the vertex at slot d (slots 0..d-1 are filled on entry),
+// drawing from ext.
+// ESU: take each candidate u in turn, dropping it and the candidates before
+// it from the child's list, and extend that list with u's exclusive
+// neighbours N(u) \ (V_sub ∪ N(V_sub)) above the root.
+func (w *walker) extend(d int, ext []graph.VertexID) {
+	pre, tbl := w.prefix[d-1], &w.tbl[d]
 	if d == w.k-1 {
-		// Last slot: every remaining candidate completes one subgraph.
-		for i, word := range ext {
-			base := i * 64
-			for word != 0 {
-				w.sub[d] = graph.VertexID(base + bits.TrailingZeros64(word))
-				word &= word - 1
-				w.leaf()
-			}
+		// Last slot: every candidate completes one subgraph, and its slot
+		// mask already names its edges into the rest.
+		for _, u := range ext {
+			w.raw[pre|tbl[w.adj[u]]]++
 		}
 		return
 	}
-	nbhd := w.nbhd[d-1]
-	childExt, childNbhd := w.ext[d], w.nbhd[d]
-	for i := 0; i < len(ext); i++ {
-		word := ext[i]
-		if word == 0 {
+	for i, u := range ext {
+		row := w.above(u)
+		child := append(w.ext[d][:0], ext[i+1:]...)
+		for _, x := range row {
+			if w.adj[x] == 0 {
+				child = append(child, x)
+			}
+		}
+		w.ext[d] = child
+		if len(child) == 0 {
 			continue
 		}
-		tz := bits.TrailingZeros64(word)
-		u := graph.VertexID(i*64 + tz)
-		ext[i] &^= 1 << uint(tz) // remove u: later siblings must not re-add it
-		w.sub[d] = u
-		rowU := w.b.Row(u)
-		nonEmpty := false
-		for j := range childExt {
-			excl := rowU[j] &^ nbhd[j] & w.gt[j]
-			childExt[j] = ext[j] | excl
-			childNbhd[j] = nbhd[j] | rowU[j]
-			nonEmpty = nonEmpty || childExt[j] != 0
-		}
-		childNbhd[int(u)/64] |= 1 << (uint(u) % 64)
-		if nonEmpty {
-			w.extend(d + 1)
-		}
-		i-- // re-scan this word: it may hold more candidates
+		w.prefix[d] = pre | tbl[w.adj[u]]
+		w.toggle(row, d)
+		w.extend(d+1, child)
+		w.toggle(row, d)
 	}
 }
 
-// leaf classifies the completed subgraph in sub[0:k]: extract its induced
-// adjacency code (≤10 bit probes), canonicalize through the shared memo
-// cache, and bump the worker-local histogram.
-func (w *walker) leaf() {
-	k := w.k
-	var code uint32
-	bit := 0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if w.b.HasEdge(w.sub[i], w.sub[j]) {
-				code |= 1 << uint(bit)
-			}
-			bit++
+// classify canonicalizes each raw code the walker found through the shared
+// memo cache, once per code, and sums the raw counts into its histogram. A
+// code's first lookup anywhere is the cache's one miss for it; every other
+// subgraph with that code counts as a hit, as if each had been looked up.
+func (w *walker) classify(cache *CanonCache) {
+	w.counts = make(map[uint32]int64)
+	for code, n := range w.raw {
+		if n == 0 {
+			continue
 		}
+		canon, hit := cache.Lookup(uint32(code))
+		w.hits += n
+		if !hit {
+			w.hits--
+			w.misses++
+		}
+		w.counts[canon] += n
+		w.total += n
 	}
-	canon, hit := w.cache.Lookup(code)
-	if hit {
-		w.hits++
-	} else {
-		w.misses++
-	}
-	w.counts[canon]++
-	w.total++
 }

@@ -2,11 +2,10 @@ package graph
 
 import "math/bits"
 
-// Word-bitset helpers shared by the BitmapIndex hub rows and the ESU motif
-// engine's BitGraph (internal/esu): sets are []uint64 slices where bit i of
-// word i/64 marks vertex i. All helpers tolerate length mismatches by
-// treating the shorter operand as zero-padded, so callers can intersect a
-// full row against a partially built set.
+// Word-bitset helpers for the BitmapIndex hub rows: sets are []uint64 slices
+// where bit i of word i/64 marks vertex i. All helpers tolerate length
+// mismatches by treating the shorter operand as zero-padded, so callers can
+// intersect a full row against a partially built set.
 
 // PopCount returns the number of set bits in ws — the popcount-based degree
 // of a bitset adjacency row.

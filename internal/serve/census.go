@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -21,9 +20,8 @@ import (
 // the in-flight cap — and always run in-process (the census engine is
 // shared-memory; a worker plane does not distribute it).
 //
-// Three layers amortize repeat censuses on the resident graph:
-//   - the BitGraph dense adjacency is built once per graph epoch, by the
-//     epoch's first census query;
+// The census walks the epoch's own CSR graph, so it builds nothing per
+// epoch. Two layers amortize repeat censuses on the resident graph:
 //   - one canonical-form memo cache per k persists across queries and across
 //     epochs (a canonical form depends only on a k-subgraph's own structure,
 //     never on which resident graph it was found in), so a repeat census runs
@@ -31,10 +29,10 @@ import (
 //   - the Result itself is cached per k for the epoch (its graph is
 //     immutable), so a repeat census(k) answers without enumerating at all.
 //
-// The first and third describe one edge set, so they live in the epoch's
-// graphData, reached only through the graphState a query pinned: a census
-// that was admitted under one epoch and ran after the next was published
-// reads and fills the epoch it pinned, never the current one.
+// The results describe one edge set, so they live in the epoch's graphData,
+// reached only through the graphState a query pinned: a census that was
+// admitted under one epoch and ran after the next was published reads and
+// fills the epoch it pinned, never the current one.
 
 // censusState is the server-wide half of the census machinery.
 type censusState struct {
@@ -48,12 +46,9 @@ type censusState struct {
 	canonMisses atomic.Int64
 }
 
-// epochCensus is one graph epoch's half: the dense adjacency and the per-k
-// results of that edge set, both built on first use.
+// epochCensus is one graph epoch's half: the per-k results of that edge set.
 type epochCensus struct {
 	mu      sync.Mutex
-	bg      *esu.BitGraph
-	bgErr   error // permanent (graph exceeds the BitGraph vertex cap)
 	results map[int]*esu.Result
 }
 
@@ -81,21 +76,14 @@ func (cs *censusState) run(ctx context.Context, d *graphData, k, workers int, ob
 	cs.queries.Add(1)
 	ec := &d.census
 	ec.mu.Lock()
-	if r, ok := ec.results[k]; ok {
-		ec.mu.Unlock()
+	r, ok := ec.results[k]
+	ec.mu.Unlock()
+	if ok {
 		cs.resultHits.Add(1)
 		return r, true, nil
 	}
-	if ec.bg == nil && ec.bgErr == nil {
-		ec.bg, ec.bgErr = esu.NewBitGraph(d.g)
-	}
-	bg, err := ec.bg, ec.bgErr
-	ec.mu.Unlock()
-	if err != nil {
-		return nil, false, err
-	}
 
-	res, err = esu.CountBitGraph(ctx, bg, k, esu.Options{
+	res, err = esu.CountContext(ctx, d.g, k, esu.Options{
 		Workers:  workers,
 		Cache:    cs.canonCache(k),
 		Observer: observer,
@@ -126,12 +114,9 @@ type CensusStats struct {
 	CanonHits    int64   `json:"canon_hits"`
 	CanonMisses  int64   `json:"canon_misses"`
 	CanonHitRate float64 `json:"canon_hit_rate"`
-	// BitGraphBytes is the serving epoch's dense adjacency footprint (0 until
-	// the epoch's first census query builds it).
-	BitGraphBytes int64 `json:"bitgraph_bytes"`
 }
 
-func (cs *censusState) stats(d *graphData) CensusStats {
+func (cs *censusState) stats() CensusStats {
 	st := CensusStats{
 		Queries:         cs.queries.Load(),
 		ResultCacheHits: cs.resultHits.Load(),
@@ -141,11 +126,6 @@ func (cs *censusState) stats(d *graphData) CensusStats {
 	if total := st.CanonHits + st.CanonMisses; total > 0 {
 		st.CanonHitRate = float64(st.CanonHits) / float64(total)
 	}
-	d.census.mu.Lock()
-	if d.census.bg != nil {
-		st.BitGraphBytes = d.census.bg.SizeBytes()
-	}
-	d.census.mu.Unlock()
 	return st
 }
 
@@ -174,13 +154,6 @@ func (s *Server) serveCensus(ctx context.Context, w http.ResponseWriter, d *grap
 		if ctx.Err() != nil {
 			s.deadlineExceeded.Add(1)
 			jsonError(w, http.StatusGatewayTimeout, "census canceled: %v", ctx.Err())
-			return
-		}
-		if errors.Is(err, esu.ErrGraphTooLarge) {
-			// The graph permanently exceeds the dense-adjacency cap: the
-			// client asked for something this server cannot ever do.
-			s.failed.Add(1)
-			jsonError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		s.failed.Add(1)

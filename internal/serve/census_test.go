@@ -2,9 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"testing"
 
+	"psgl/internal/centralized"
 	"psgl/internal/esu"
+	"psgl/internal/gen"
+	"psgl/internal/graph"
 	"psgl/internal/pattern"
 )
 
@@ -59,8 +63,11 @@ func TestCensusQueryEndToEnd(t *testing.T) {
 	if st.Census.CanonMisses == 0 {
 		t.Fatalf("census stats report no canon misses: %+v", st.Census)
 	}
-	if st.Census.BitGraphBytes == 0 {
-		t.Fatal("census stats missing the BitGraph footprint")
+	// The cached repeat looked nothing up: the section's lookups are the
+	// first run's, and its hit rate is theirs.
+	if st.Census.CanonHits != first.Cache.Hits || st.Census.CanonMisses != first.Cache.Misses ||
+		st.Census.CanonHitRate != first.Cache.HitRate {
+		t.Fatalf("census stats %+v, first run's cache report %+v", st.Census, first.Cache)
 	}
 
 	// The per-query observer carried the census counters into its snapshot.
@@ -96,5 +103,38 @@ func TestCensusRangeMatchesEngine(t *testing.T) {
 		if resp.K != k {
 			t.Fatalf("census(%d) answered k=%d", k, resp.K)
 		}
+	}
+}
+
+// TestCensusServedAboveOldCap: census(3) on a resident graph past 65 536
+// vertices answers 200 with its histogram — the triangle class is the
+// oracle's triangle count and the total is Σ C(deg, 2) − 2·triangles.
+func TestCensusServedAboveOldCap(t *testing.T) {
+	g := gen.ChungLu(70000, 140000, 2.5, 3)
+	if g.NumVertices() <= 1<<16 {
+		t.Fatalf("graph has %d vertices, the test needs more than 65 536", g.NumVertices())
+	}
+	_, ts := newTestServer(t, g, Config{Workers: 2})
+	var resp censusResponse
+	if code := getJSON(t, ts.URL+"/query?pattern=census(3)", &resp); code != http.StatusOK {
+		t.Fatalf("census(3) on %d vertices: status %d", g.NumVertices(), code)
+	}
+	tri := centralized.CountTriangles(g)
+	var paths int64
+	for v := 0; v < g.NumVertices(); v++ {
+		d := int64(g.Degree(graph.VertexID(v)))
+		paths += d * (d - 1) / 2
+	}
+	if want := paths - 2*tri; resp.Subgraphs != want {
+		t.Fatalf("served %d subgraphs, want %d", resp.Subgraphs, want)
+	}
+	var got int64
+	for _, c := range resp.Classes {
+		if c.Code == 0b111 {
+			got = c.Count
+		}
+	}
+	if got != tri {
+		t.Fatalf("served triangle class %d, oracle %d", got, tri)
 	}
 }

@@ -40,7 +40,7 @@ func checkCensus(t *testing.T, what string, got censusResponse, g *graph.Graph) 
 // TestCensusAdmittedAcrossUpdateKeepsItsEpoch: a census query pins its epoch
 // before it waits for admission. When an effective /update lands while it
 // waits, it must census the graph it pinned and leave the new epoch's caches
-// alone. It used to rebuild the server-wide BitGraph from its stale graph
+// alone. It used to rebuild server-wide census state from its stale graph
 // under the new generation number and store its histogram as current, so
 // every later census(k) of the new epoch was served the old one.
 func TestCensusAdmittedAcrossUpdateKeepsItsEpoch(t *testing.T) {
@@ -82,7 +82,8 @@ func TestCensusAdmittedAcrossUpdateKeepsItsEpoch(t *testing.T) {
 		t.Fatal("the new epoch's first census was answered from a cache")
 	}
 	checkCensus(t, "census after the update", fresh, mutate(t, g, batch))
-	if st := s.Stats(); st.Census.BitGraphBytes == 0 || st.Graph.Epoch != 1 {
+	// Both censuses enumerated: neither was answered from a result cache.
+	if st := s.Stats(); st.Census.Queries != 2 || st.Census.ResultCacheHits != 0 || st.Graph.Epoch != 1 {
 		t.Fatalf("stats after the new epoch's census: %+v (epoch %d)", st.Census, st.Graph.Epoch)
 	}
 }

@@ -149,7 +149,7 @@ type graphState struct {
 // graphData is one edge set and everything derived from it: the CSR graph,
 // its fingerprint, the plan cache (a plan's initial-vertex selection is
 // computed against one graph's degree distribution), the engine's
-// graph-scoped state and the census engine's. An effective /update batch
+// graph-scoped state and the census engine's results. An effective /update batch
 // publishes a fresh graphData — which is the invalidation of all of it, and
 // an old epoch's derived state dies with the last query that pinned it — while
 // an all-noop batch republishes the same one under the next epoch number.
@@ -284,8 +284,8 @@ type Server struct {
 	lastObs atomic.Pointer[obs.Observer]
 
 	// census holds the motif-census state that outlives an epoch (per-k
-	// canonical-form caches, counters); the BitGraph and the per-k results
-	// belong to the epoch's graphData.
+	// canonical-form caches, counters); the per-k results belong to the
+	// epoch's graphData.
 	census censusState
 
 	// Graph-scoped engine state counters for /stats: queries that built, that
@@ -850,7 +850,7 @@ func (s *Server) Stats() StatsResponse {
 			sr.Prepared.Bytes += pr.SizeBytesBeside(base)
 		}
 	}
-	sr.Census = s.census.stats(st.graphData)
+	sr.Census = s.census.stats()
 	sr.Mutations = s.mutationStats(st.epoch)
 	if s.plane != nil {
 		sr.Plane = s.plane.stats()

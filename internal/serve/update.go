@@ -10,10 +10,10 @@
 // invalidates everything keyed on the previous graph by replacing it: the
 // plan cache (rebuilt against the new degree distribution), the engine's
 // prepared state (patched from the compaction base's by the first query of
-// the new epoch that needs it), the census BitGraph and per-k results (rebuilt
-// likewise), and — when this server
-// coordinates a worker plane — every registered worker, whose resident graph
-// is now a stale epoch (their rejoin re-checks the fingerprint). Queries
+// the new epoch that needs it), the census's per-k results (recounted
+// likewise), and — when this server coordinates a worker plane — every
+// registered worker, whose resident graph is now a stale epoch (their rejoin
+// re-checks the fingerprint). Queries
 // already in flight keep the graphState they loaded at admission, so they
 // finish on a consistent snapshot.
 //
@@ -265,9 +265,9 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 	// Publish the new epoch. A fresh graphData is the invalidation of
 	// everything derived from the old edge set: the plan cache (a cached
 	// plan's initial vertex was selected against the old degree
-	// distribution), the engine's prepared state and the census BitGraph and
-	// results — a query still pinning the old epoch keeps reading the old
-	// ones. Worker-plane workers are resident over the old graph, so every
+	// distribution), the engine's prepared state and the census results — a
+	// query still pinning the old epoch keeps reading the old ones.
+	// Worker-plane workers are resident over the old graph, so every
 	// incarnation is retired; the rejoin loop re-checks the fingerprint and
 	// keeps them out until they reload.
 	neu := &graphState{graphData: newGraphData(snap, res.Epoch, base, added, removed), epoch: res.Epoch}

@@ -381,11 +381,7 @@ func TestCensusInvalidatedOnUpdate(t *testing.T) {
 		t.Fatal("post-update census answered from the stale result cache")
 	}
 	want := mutate(t, g, graph.Batch{Add: [][2]graph.VertexID{{0, 2}, {4, 5}}})
-	bg, err := esu.NewBitGraph(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := esu.CountBitGraph(context.Background(), bg, 3, esu.Options{Workers: 2})
+	oracle, err := esu.Count(want, 3, esu.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

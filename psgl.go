@@ -486,8 +486,9 @@ func MotifCensus(g *Graph, patterns []*Pattern, opts Options) (map[string]int64,
 // Motif census engine (internal/esu): where List answers "list all embeddings
 // of this one pattern", Census answers "count every connected k-vertex
 // subgraph shape" — Wernicke's ESU algorithm parallelized per root vertex
-// over a bitset adjacency, with a sharded canonical-form memo cache shared
-// across workers. The same engine backs the query service's census(k) verb.
+// over the graph's CSR adjacency, with a sharded canonical-form memo cache
+// shared across workers. The same engine backs the query service's census(k)
+// verb.
 type (
 	// CensusOptions tunes a census run; the zero value is ready to use.
 	CensusOptions = esu.Options
@@ -507,11 +508,6 @@ const (
 	MinCensusK = esu.MinK
 	MaxCensusK = esu.MaxK
 )
-
-// ErrGraphTooLarge reports a graph exceeding the census engine's dense
-// bitset-adjacency vertex cap (the CSR listing engine has no such cap);
-// distinguishable with errors.Is.
-var ErrGraphTooLarge = esu.ErrGraphTooLarge
 
 // Census counts every connected induced k-vertex subgraph of g, classified
 // into isomorphism classes — the motif histogram.

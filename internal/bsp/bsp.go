@@ -200,6 +200,7 @@ type Context[M any] struct {
 	sent    int64
 	local   []int64 // counter deltas, indexed by Counter
 	aborted *atomic.Pointer[error]
+	done    <-chan struct{} // the current superstep's context's
 }
 
 func newContext[M any](cfg *Config, worker, step int, aborted *atomic.Pointer[error]) *Context[M] {
@@ -217,6 +218,22 @@ func (c *Context[M]) Worker() int { return c.worker }
 
 // Step returns the current superstep (0 = initialization).
 func (c *Context[M]) Step() int { return c.step }
+
+// Stopped is the stop test: an abort is latched or the superstep's context is
+// done (canceled or timed out). Polling the context costs a channel select, so
+// a loop polls every 256 items: the inbox delivery per message, and an Init
+// that expands what it seeds per seed.
+func (c *Context[M]) Stopped() bool {
+	if c.aborted.Load() != nil {
+		return true
+	}
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Send routes msg to the worker owning dest, for delivery next superstep.
 func (c *Context[M]) Send(dest graph.VertexID, msg M) {

@@ -389,25 +389,18 @@ func flatten[M any](batches ...[][]Envelope[M]) []Envelope[M] {
 // any chunk; each chunk and frame is dropped from the inbox as soon as its
 // last message is processed. The compressed_* counters it feeds are logical:
 // they ride RunStats, which rolls back with snapshots, so they stay
-// exactly-once across recovered and resumed runs. An abort or a closed done
-// channel short-circuits the rest of the inbox instead of draining it; after
-// runs after every Process call (the worker checks for a halt and flushes
-// full frames there) and stops the delivery by returning false. Returns the
-// number of messages processed.
-func deliverInbox[M any](ctx *Context[M], prog Program[M], ib *Inbox[M], done <-chan struct{}, after func() bool) int64 {
+// exactly-once across recovered and resumed runs. The stop test
+// (Context.Stopped) short-circuits the rest of the inbox instead of draining
+// it: an abort is seen at the next message, a done step context within 256;
+// after runs after every Process call (the worker checks for a halt and
+// flushes full frames there) and stops the delivery by returning false.
+// Returns the number of messages processed.
+func deliverInbox[M any](ctx *Context[M], prog Program[M], ib *Inbox[M], after func() bool) int64 {
 	processed := int64(0)
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
 	// each processes one chunk message by message; false stops the delivery.
 	each := func(chunk []Envelope[M]) bool {
 		for i := range chunk {
-			if ctx.aborted.Load() != nil || (i&255 == 0 && canceled()) {
+			if ctx.aborted.Load() != nil || i&255 == 0 && ctx.Stopped() {
 				return false
 			}
 			prog.Process(ctx, chunk[i])
@@ -425,7 +418,7 @@ func deliverInbox[M any](ctx *Context[M], prog Program[M], ib *Inbox[M], done <-
 		ib.Chunks[c] = nil
 	}
 	for f, fp := range ib.Frames {
-		if ctx.aborted.Load() != nil || canceled() {
+		if ctx.Stopped() {
 			return processed
 		}
 		_, _, batch, raw, err := decodeCompressedFrame[M](fp)

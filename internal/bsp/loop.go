@@ -681,13 +681,14 @@ func (a *attempt[M]) workerLoop(w int) {
 
 		wctx.step = int(a.step.Load())
 		stepCtx := a.stepCtx
+		wctx.done = stepCtx.Done()
 		start := time.Now()
 		lastFlushSent = 0 // noteBurst zeroed wctx.sent
 		if seed {
 			a.r.prog.Init(wctx)
 			seed = false
 		}
-		processed := deliverInbox(wctx, a.r.prog, &burst, stepCtx.Done(), after)
+		processed := deliverInbox(wctx, a.r.prog, &burst, after)
 		if own != nil && burst.Chunks[0] == nil && len(wctx.spare) < maxSpareChunks {
 			// A processed own chunk is this worker's alone — it never crossed
 			// a transport, and a snapshot copies it — so the next batch reuses

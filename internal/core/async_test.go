@@ -125,13 +125,17 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 		t.Fatalf("recovered async count %d != strict %d (recoveries=%d)",
 			asyncRes.Count, strictRes.Count, asyncRes.Stats.Recoveries)
 	}
+	if n := factory.Fired(); n != 4 {
+		t.Fatalf("%d of the 4 scheduled faults fired", n)
+	}
 
 	// The run above ends before a checkpoint can fall due while a worker is
 	// still to seed. On a larger graph it can: sweep one kill (no retry, so
-	// a recovery) over wire frames 20-38 of each worker, where a snapshot
+	// a recovery) over wire frames 8-20 of each worker, where a snapshot
 	// taken before some worker's Init once lost its seeds without an error,
-	// and where workers are still seeding from their cursors. Some recovery
-	// in the sweep must restore a snapshot with a cursor still queued.
+	// and where workers are still seeding from their cursors. A worker sends
+	// some 25 frames in all, so every kill must fire. Some recovery in the
+	// sweep must restore a snapshot with a cursor still queued.
 	g = gen.ChungLu(3000, 12000, 2.0, 3)
 	p = pattern.PG2()
 	strictRes, err = Run(g, p, Options{Workers: 3, Seed: 3})
@@ -140,7 +144,7 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 	}
 	restoredCursors := 0
 	for _, every := range []int{1, 2} {
-		for seq := 20; seq <= 38; seq += 6 {
+		for seq := 8; seq <= 20; seq += 4 {
 			for w := 0; w < 3; w++ {
 				factory := bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{{Step: seq, Kind: bsp.StepFaultKill, Worker: w}})
 				store := &restoreProbe{MemCheckpointStore: bsp.NewMemCheckpointStore(), t: t}
@@ -160,6 +164,9 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 				if res.Count != strictRes.Count {
 					t.Fatalf("every=%d kill %d@%d: recovered async count %d != strict %d (recoveries=%d)",
 						every, w, seq, res.Count, strictRes.Count, res.Stats.Recoveries)
+				}
+				if factory.Fired() != 1 {
+					t.Fatalf("every=%d kill %d@%d: the kill never fired", every, w, seq)
 				}
 			}
 		}

@@ -194,7 +194,7 @@ type engine struct {
 	owner []int32
 
 	initial int
-	// proto is the blank Gpsi Init stamps per seed vertex: all WHITE, sized
+	// proto is the blank Gpsi seedAt stamps per seed vertex: all WHITE, sized
 	// and aimed at the initial pattern vertex.
 	proto gpsi
 	// edgeID[a][b] numbers the pattern edges for the Pending bitmask.
@@ -408,9 +408,10 @@ func validateSeeds(g *graph.Graph, p *pattern.Pattern, seeds []Seed) error {
 }
 
 // Init is the initialization phase: each data vertex that can host the
-// initial pattern vertex emits a one-pair Gpsi to itself. Under the pipelined
-// policy a worker instead sends itself one seed cursor, which emits those
-// seeds on demand (seedStep).
+// initial pattern vertex seeds a one-pair Gpsi, which its owner plants in
+// ascending rank order, so the paper's initialization and first expansion
+// phases share superstep 0. Under the pipelined policy a worker instead sends
+// itself one seed cursor, which plants those seeds on demand (seedStep).
 func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 	if len(e.opts.Seeds) > 0 {
 		e.initSeeds(ctx)
@@ -420,16 +421,37 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 		e.requeueCursor(ctx, graph.VertexID(len(e.owner)-1))
 		return
 	}
-	minDeg, me := e.p.Degree(e.initial), int32(ctx.Worker())
+	minDeg, me, n := e.p.Degree(e.initial), int32(ctx.Worker()), 0
 	for v, w := range e.owner {
-		vd := graph.VertexID(v)
-		if w != me || !e.hosts(ctx, e.initial, minDeg, vd) {
+		if w != me || !e.hosts(ctx, e.initial, minDeg, graph.VertexID(v)) {
 			continue
 		}
-		m := e.proto
-		m.Map[e.initial] = vd
-		e.send(ctx, &m)
+		if !e.plant(ctx, n, e.seedAt(graph.VertexID(v))) {
+			return
+		}
+		n++
 	}
+}
+
+// seedAt is the one-pair seed mapping the initial pattern vertex to vd.
+func (e *engine) seedAt(vd graph.VertexID) gpsi {
+	m := e.proto
+	m.Map[e.initial] = vd
+	return m
+}
+
+// plant is where every seed starts, under every policy: counted as generated
+// (and against MaxIntermediate) as it is built, and expanded on the spot, never
+// queued or carried across a barrier. n numbers the caller's seeds; every 256th
+// polls the stop test first, as an Init that plants does a superstep's worth of
+// expansion. false means the run is stopping.
+func (e *engine) plant(ctx *bsp.Context[gpsi], n int, m gpsi) bool {
+	if e.halted.Load() != 0 || n&255 == 0 && ctx.Stopped() {
+		return false
+	}
+	e.generate(ctx)
+	e.expand(ctx, m)
+	return true
 }
 
 // seedStepChildren is how many children one cursor step may lead to, as
@@ -445,9 +467,8 @@ const seedStepChildren = 64
 // early — until their children, bounded by deg^d for an initial vertex of
 // pattern degree d, would fill a chunk: a hub goes alone, low-degree vertices
 // in batches. The bound is known before any seed expands, so the advanced
-// cursor is queued first. Each seed counts as generated (and against
-// MaxIntermediate) as it is materialized, and is expanded on the spot; the
-// cursor itself is neither generated nor processed.
+// cursor is queued first; the seeds are planted. The cursor itself is neither
+// generated nor processed.
 func (e *engine) seedStep(ctx *bsp.Context[gpsi], cur gpsi) {
 	if e.halted.Load() != 0 {
 		return
@@ -469,14 +490,10 @@ func (e *engine) seedStep(ctx *bsp.Context[gpsi], cur gpsi) {
 		children += bound
 	}
 	e.requeueCursor(ctx, v)
-	for _, vd := range seeds[:n] {
-		if e.halted.Load() != 0 {
+	for i, vd := range seeds[:n] {
+		if !e.plant(ctx, i, e.seedAt(vd)) {
 			return
 		}
-		m := e.proto
-		m.Map[e.initial] = vd
-		e.generate(ctx)
-		e.expand(ctx, m)
 	}
 }
 
@@ -495,18 +512,19 @@ func (e *engine) requeueCursor(ctx *bsp.Context[gpsi], v graph.VertexID) {
 }
 
 // initSeeds is the seeded initialization phase: every worker walks the full
-// seed list but only materializes the seeds whose expansion vertex (the
-// first pin) it owns, so each seed is admitted — and its pruning counted —
-// exactly once, deterministically, like Init's ownership split.
+// seed list but only plants the seeds whose expansion vertex (the first pin)
+// it owns, so each seed is admitted — and its pruning counted — exactly once,
+// deterministically, like Init's ownership split.
 func (e *engine) initSeeds(ctx *bsp.Context[gpsi]) {
-	w := ctx.Worker()
+	w, n := ctx.Worker(), 0
 	for _, s := range e.opts.Seeds {
 		if e.ownerOf(s.DataVertices[0]) != w {
 			continue
 		}
-		if m, ok := e.seedGpsi(ctx, s); ok {
-			e.send(ctx, &m)
+		if m, ok := e.seedGpsi(ctx, s); ok && !e.plant(ctx, n, m) {
+			return
 		}
+		n++
 	}
 }
 
@@ -970,7 +988,8 @@ func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 	// into the chunk that carries it, and m goes back to combine as it came.
 	parent := m.Next
 	m.Next = int8(e.chooseNext(w, m, grays))
-	e.send(ctx, m)
+	ctx.Send(m.Map[m.Next], *m)
+	e.generate(ctx)
 	m.Next = parent
 }
 
@@ -985,11 +1004,10 @@ func (e *engine) callerIDs(dst []graph.VertexID, m *gpsi) []graph.VertexID {
 	return dst
 }
 
-// grayCandidates appends to buf the GRAY vertices eligible as the next
+// grayCandidates appends to grays the GRAY vertices eligible as the next
 // expansion point. For a complete-but-unverified Gpsi only endpoints of
 // pending edges make progress on verification, so the choice narrows to them.
-func (e *engine) grayCandidates(m *gpsi, buf []int) []int {
-	grays := buf
+func (e *engine) grayCandidates(m *gpsi, grays []int) []int {
 	if m.isComplete() && m.Pending != 0 {
 		for _, edge := range e.pEdges {
 			eid := e.edgeID[edge[0]][edge[1]]
@@ -997,7 +1015,7 @@ func (e *engine) grayCandidates(m *gpsi, buf []int) []int {
 				continue
 			}
 			for _, v := range edge {
-				if m.isGray(v) && !contains(grays, v) {
+				if m.isGray(v) && !slices.Contains(grays, v) {
 					grays = append(grays, v)
 				}
 			}
@@ -1014,25 +1032,9 @@ func (e *engine) grayCandidates(m *gpsi, buf []int) []int {
 	return grays
 }
 
-func contains(xs []int, x int) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
-// send routes a Gpsi to the worker owning its next expansion vertex and
-// accounts it against MaxIntermediate. Without a budget nothing needs the
-// global total (the generated counter carries it), so no shared word is
-// written.
-func (e *engine) send(ctx *bsp.Context[gpsi], m *gpsi) {
-	ctx.Send(m.Map[m.Next], *m)
-	e.generate(ctx)
-}
-
-// generate accounts one new Gpsi against MaxIntermediate.
+// generate accounts one new Gpsi against MaxIntermediate. Without a budget
+// nothing needs the global total (the generated counter carries it), so no
+// shared word is written.
 func (e *engine) generate(ctx *bsp.Context[gpsi]) {
 	ctx.Add(ctrGenerated, 1)
 	if e.opts.MaxIntermediate > 0 && e.generated.Add(1) > e.opts.MaxIntermediate {
@@ -1148,9 +1150,7 @@ func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 	// independent of the physical core count.
 	steps := 0
 	for _, sl := range e.stepLoads {
-		if len(sl) > steps {
-			steps = len(sl)
-		}
+		steps = max(steps, len(sl))
 	}
 	for s := 0; s < steps; s++ {
 		max := 0.0

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"psgl/internal/bsp"
 	"psgl/internal/centralized"
 	"psgl/internal/gen"
 	"psgl/internal/graph"
+	"psgl/internal/obs"
 	"psgl/internal/pattern"
 )
 
@@ -221,17 +225,74 @@ func TestLocalExpansionRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestInitStopsMidSeeding: a strict Init expands every seed it builds, a
+// superstep's worth of work outside Process, so it polls the stop test as the
+// inbox delivery does. A strict count on a 40 000-vertex graph is stopped
+// while Init is seeding, from the first instance (found in place in superstep
+// 0): its context is canceled there, or that call outlasts the step timeout.
+// The run returns the cancel or timeout error having processed a sliver of
+// the Gpsis a full run processes. (The counters of an interrupted superstep
+// are merged when the run tears down, so the observer sees how far Init got.)
+func TestInitStopsMidSeeding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 40k-vertex graph")
+	}
+	g := gen.ChungLu(40000, 120000, 2.5, 1)
+	full, err := Run(g, pattern.Triangle(), Options{Workers: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		want    error
+	}{
+		{"canceled", 0, context.Canceled},
+		{"step-timeout", time.Millisecond, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			o := obs.New(nil)
+			opts := Options{Workers: 2, Seed: 1, StepTimeout: tc.timeout, Observer: o}
+			opts.OnInstance = func([]graph.VertexID) {
+				once.Do(func() {
+					if tc.timeout == 0 {
+						cancel()
+					} else {
+						// Sleeping lets the deadline's timer run: one set to
+						// fire while every P is busy expanding can fire late.
+						time.Sleep(5 * tc.timeout)
+					}
+				})
+			}
+			_, err := RunContext(ctx, g, pattern.Triangle(), opts)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			processed := o.Counters()["processed"]
+			t.Logf("stopped after %d of a full run's %d Gpsis", processed, full.Stats.GpsiProcessed)
+			if processed == 0 || processed > full.Stats.GpsiProcessed/4 {
+				t.Errorf("Init processed %d Gpsis before it stopped; a full run processes %d",
+					processed, full.Stats.GpsiProcessed)
+			}
+		})
+	}
+}
+
 func TestTheorem1IterationBounds(t *testing.T) {
 	// For a level-synchronous run, |MVC| <= S_expansion <= |Vp| - 1 where
-	// S_expansion counts supersteps that processed Gpsis. Our supersteps =
-	// 1 (init) + expansion steps, the last of which produces no messages.
+	// S_expansion counts supersteps that processed Gpsis. Seeds are expanded
+	// where Init builds them, so every superstep is an expansion step (the
+	// last produces no messages): supersteps = expansion steps.
 	g := gen.ErdosRenyi(100, 600, 8)
 	for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()} {
 		res, err := Run(g, p, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		expansionSteps := res.Stats.Supersteps - 1
+		expansionSteps := res.Stats.Supersteps
 		if expansionSteps < p.MinVertexCoverSize() || expansionSteps > p.N()-1 {
 			t.Errorf("%s: expansion steps=%d, want within [|MVC|=%d, |Vp|-1=%d]",
 				p.Name(), expansionSteps, p.MinVertexCoverSize(), p.N()-1)

@@ -54,7 +54,7 @@ func HotpathFrameBytes() (int, error) {
 }
 
 // newHotpathHarness builds an engine over a skewed mid-size graph plus a
-// detached context and a worker-0 inbox seeded by a real Init pass.
+// detached context and worker 0's seeds as an inbox.
 func newHotpathHarness(p *pattern.Pattern, strategy Strategy) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
 	return newHotpathHarnessOpts(p, func(o *Options) { o.Strategy = strategy })
 }
@@ -77,11 +77,18 @@ func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, 
 		Workers: e.opts.Workers,
 		Owner:   e.ownerOf,
 	}
+	// Init plants its seeds where it builds them, so the seeds worker 0 would
+	// expand are built here, in Init's order.
 	ictx := bsp.NewBenchContext[gpsi](cfg, 0, 0)
-	e.Init(ictx)
-	inbox := ictx.Sends(0)
+	var inbox []bsp.Envelope[gpsi]
+	for v, w := range e.owner {
+		vd := graph.VertexID(v)
+		if w == 0 && e.hosts(ictx, e.initial, e.p.Degree(e.initial), vd) {
+			inbox = append(inbox, bsp.Envelope[gpsi]{Dest: vd, Msg: e.seedAt(vd)})
+		}
+	}
 	if len(inbox) == 0 {
-		return nil, nil, nil, fmt.Errorf("hotpath harness: Init seeded no messages for worker 0")
+		return nil, nil, nil, fmt.Errorf("hotpath harness: no seeds for worker 0")
 	}
 	return e, bsp.NewBenchContext[gpsi](cfg, 0, 1), inbox, nil
 }
@@ -142,7 +149,7 @@ func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 			Workers: e.opts.Workers,
 			Owner:   e.ownerOf,
 		}
-		// Drive step 1 on the Init inbox to produce the second-level Gpsis
+		// Expand the seeds to produce the second-level Gpsis
 		// (two vertices mapped, one pending WHITE with two mapped neighbors).
 		step1 := bsp.NewBenchContext[gpsi](cfg, 0, 1)
 		for _, env := range inbox {
@@ -271,15 +278,15 @@ func benchmarkGpsiWireRoundTrip(b *testing.B) {
 	}
 }
 
-// hotpathBatch builds a realistic exchange batch: the Gpsis a real Init pass
-// would put on the wire.
+// hotpathBatch builds a realistic exchange batch: worker 0's seeds, as the
+// paper's initialization phase would put them on the wire.
 func hotpathBatch() ([]bsp.Envelope[gpsi], error) {
 	_, _, inbox, err := newHotpathHarness(pattern.PG2(), StrategyWorkloadAware)
 	return inbox, err
 }
 
 // hotpathLevelBatch builds worker 0's largest per-destination exchange batch
-// at superstep `depth` for pattern p: Init seeds level 0, then each level's
+// at superstep `depth` for pattern p: the seeds are level 0, then each level's
 // worker-0 inbox is expanded to produce the next. The batch is the largest
 // destination's, not worker 0's batch to itself: a Gpsi is never sent back to
 // a worker owning an endpoint of its pending edges, so a clique's complete
@@ -327,7 +334,7 @@ type CompressedBytesMeasure struct {
 }
 
 // HotpathCompressedBytes measures flat-vs-compressed frame sizes on the
-// sparse Init batch (PG1) and on dense second/third-level batches (PG3,
+// sparse seed batch (PG1) and on dense second/third-level batches (PG3,
 // PG5) of the hot-path harness graph.
 func HotpathCompressedBytes() ([]CompressedBytesMeasure, error) {
 	cases := []struct {

@@ -180,7 +180,8 @@ type Options struct {
 	// at-least-once delivery when a recovery replays supersteps (duplicate
 	// instances possible) and a resumed run only observes post-resume
 	// instances — use Result.Count, not len(Result.Instances), whenever
-	// recovery is enabled.
+	// recovery is enabled. (delta drops the replayed duplicates from its
+	// gained and lost sets: one anchored run finds each embedding once.)
 
 	// StepTimeout bounds each superstep (compute plus exchange). 0 = none.
 	StepTimeout time.Duration
@@ -259,12 +260,15 @@ func (o Options) normalized() Options {
 
 // Stats aggregates the run metrics the paper's evaluation reports.
 type Stats struct {
-	// Supersteps is S of Equation 3 (includes the initialization step).
+	// Supersteps is S of Equation 3. Seeds are expanded where Init builds
+	// them, so the initialization and first expansion phases share superstep
+	// 0: every superstep expands Gpsis, one fewer than the paper's count.
 	Supersteps int
 	// GpsiGenerated counts every partial subgraph instance created — the
 	// "Gpsi#" column of Table 2. A seed counts when it is built: all in Init,
-	// or, under AsyncExchange, as a seed cursor reaches it. A cursor itself is
-	// not a Gpsi and counts in neither total.
+	// or, under AsyncExchange, as a seed cursor reaches it; it is processed as
+	// it is expanded, on the spot. A cursor itself is not a Gpsi and counts in
+	// neither total.
 	GpsiGenerated int64
 	// GpsiProcessed counts expansion calls.
 	GpsiProcessed int64
@@ -304,15 +308,16 @@ type Stats struct {
 	// run; retries that succeeded without a restore are not counted).
 	Recoveries int
 	// Per-worker metrics (Figure 5): compute time and cost-model load units.
-	// WorkerMessages[w] counts the messages worker w processed; under
-	// AsyncExchange that includes its seed-cursor steps, which GpsiProcessed
-	// leaves out.
+	// WorkerMessages[w] counts the messages worker w processed: every Gpsi it
+	// expanded but its seeds, which are never messages, and under
+	// AsyncExchange its seed-cursor steps, which GpsiProcessed leaves out.
 	WorkerTime     []time.Duration
 	WorkerMessages []int64
 	LoadUnits      []float64
 	// PerStepMessages[s] is the number of messages produced in superstep s:
-	// the Gpsis sent, and under AsyncExchange the re-queued seed cursors too
-	// (a seed a cursor expands on the spot counts in GpsiGenerated only).
+	// the Gpsis sent, and under AsyncExchange the re-queued seed cursors too.
+	// A seed is expanded where it is built and is in no entry, so a strict
+	// run's entry 0 is the seeds' children.
 	PerStepMessages []int64
 	// SimulatedMakespan is Σ_s max_k L_ks (Equation 3) over measured
 	// per-worker compute times.

@@ -36,6 +36,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"psgl/internal/bsp"
@@ -58,7 +59,7 @@ type Options struct {
 	Collect bool
 	// OnGained/OnLost stream each gained/lost embedding's mapping as it is
 	// found (same contract as core.Options.OnInstance: concurrent calls,
-	// slice valid only during the call).
+	// slice valid only during the call, at-least-once under recovery).
 	OnGained func(mapping []graph.VertexID)
 	OnLost   func(mapping []graph.VertexID)
 	// PrePlanned declares that the pattern already carries its
@@ -86,8 +87,9 @@ type Result struct {
 	Gained int64
 	Lost   int64
 	// GainedEmbeddings/LostEmbeddings hold the mappings when Options.Collect
-	// is set. Order across anchored runs is deterministic (changed edges in
-	// batch order); order within a run is not — compare as multisets.
+	// is set, each exactly once, recovered runs included. Order across
+	// anchored runs is deterministic (changed edges in batch order); order
+	// within a run is not — compare as multisets.
 	GainedEmbeddings [][]graph.VertexID
 	LostEmbeddings   [][]graph.VertexID
 	// AddedEdges/RemovedEdges are the effective changes the enumeration
@@ -257,7 +259,14 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 		}
 		*count += r.Count
 		if opts.Collect {
-			*collected = append(*collected, r.Instances...)
+			inst := r.Instances
+			if r.Stats.Recoveries > 0 {
+				// A run finds each embedding once, but its Collect is
+				// at-least-once under replay: a repeat is a replayed find.
+				slices.SortFunc(inst, slices.Compare)
+				inst = slices.CompactFunc(inst, slices.Equal)
+			}
+			*collected = append(*collected, inst...)
 		}
 		res.Runs++
 		res.GpsiGenerated += r.Stats.GpsiGenerated

@@ -231,11 +231,12 @@ func TestDeltaKillScheduleRecovery(t *testing.T) {
 	for a := 0; a < retry.MaxAttempts; a++ {
 		faults = append(faults, bsp.StepFault{Step: 1, Kind: bsp.StepFaultKill, Worker: 0})
 	}
+	factory := bsp.NewScheduledFaultExchangeFactory(nil, faults)
 	chaos, err := Enumerate(context.Background(), g0, g1, adds, removes, p, Options{
 		Workers:         3,
 		Seed:            4,
 		Collect:         true,
-		Exchange:        bsp.NewScheduledFaultExchangeFactory(nil, faults),
+		Exchange:        factory,
 		Retry:           retry,
 		CheckpointEvery: 1,
 		MaxRecoveries:   4,
@@ -249,6 +250,9 @@ func TestDeltaKillScheduleRecovery(t *testing.T) {
 	}
 	if chaos.Recoveries == 0 {
 		t.Fatal("kill schedule never forced a recovery")
+	}
+	if n := factory.Fired(); n != len(faults) {
+		t.Fatalf("%d of the %d scheduled kills fired", n, len(faults))
 	}
 	if !equalStrings(sortedKeys(chaos.GainedEmbeddings), sortedKeys(clean.GainedEmbeddings)) ||
 		!equalStrings(sortedKeys(chaos.LostEmbeddings), sortedKeys(clean.LostEmbeddings)) {

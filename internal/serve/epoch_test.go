@@ -176,9 +176,11 @@ func TestPreparedStateFollowsTheGraphEpoch(t *testing.T) {
 }
 
 // TestServedQueryAllocationBudget: a warm served triangle count on the
-// serve-short graph allocates what its frontier needs — 40.5 k Gpsi envelopes
-// of 80 B are 3.2 MB — and no longer a fresh order, edge index and set of
-// ownership buckets on top (≈ 12 MB per query before the epoch kept them).
+// serve-short graph allocates 0.08 MB, the stream budget: no fresh order,
+// edge index or set of ownership buckets (≈ 12 MB per query before the epoch
+// kept them), and no seed frontier (3.2 MB of 80 B seed envelopes while Init
+// sent every seed to itself; each is now expanded where it is built, and only
+// the 627 Gpsis of the second level cross a barrier).
 func TestServedQueryAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the query's")
@@ -192,8 +194,8 @@ func TestServedQueryAllocationBudget(t *testing.T) {
 	}
 	perQuery := warmQueryMB(t, s.Handler(), "/query?pattern=triangle&count_only=1")
 	t.Logf("%.2f MB allocated per warm triangle count", perQuery)
-	if perQuery > 4 {
-		t.Errorf("%.2f MB allocated per warm triangle count, budget 4", perQuery)
+	if perQuery > 0.5 {
+		t.Errorf("%.2f MB allocated per warm triangle count, budget 0.5", perQuery)
 	}
 }
 

@@ -662,9 +662,10 @@ func TestLocalQueryRetryResumesFromCheckpoint(t *testing.T) {
 	})
 	// One scheduled kill at superstep 1; no in-run recovery budget, so the
 	// run fails and only the serve-layer retry (with ResumeFrom) saves it.
-	s.testExchange = bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{
+	faults := bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{
 		{Step: 1, Kind: bsp.StepFaultKill, Worker: 0},
 	})
+	s.testExchange = faults
 	var cr struct {
 		Count int64 `json:"count"`
 	}
@@ -673,6 +674,9 @@ func TestLocalQueryRetryResumesFromCheckpoint(t *testing.T) {
 	}
 	if cr.Count != want {
 		t.Fatalf("retried count %d, want %d", cr.Count, want)
+	}
+	if faults.Fired() != 1 {
+		t.Fatal("the kill at superstep 1 never fired")
 	}
 	st := s.Stats()
 	if st.Queries.Retries != 1 {

@@ -438,39 +438,54 @@ func TestWorkerPlaneEvictedOnUpdate(t *testing.T) {
 
 // TestUpdateKillScheduleDelta: a scheduled worker kill inside the delta
 // enumeration recovers from its barrier checkpoint and the standing query
-// still hears the exact gained set — the serving face of the delta
-// fault-tolerance differential.
+// still hears the exact gained set, once — the serving face of the delta
+// fault-tolerance differential. The sweep puts the kill at every barrier of
+// the anchored run: a recovery replays supersteps, and a replay re-finds what
+// the lost attempt had already collected, which must not reach the stream
+// twice. On this graph the gained house is found in superstep 2 while a
+// dead-end Gpsi of another anchor position lives on to superstep 3, so every
+// kill fires and one lands on the superstep that finds the house.
 func TestUpdateKillScheduleDelta(t *testing.T) {
-	g := graph.FromEdges(5, [][2]graph.VertexID{{0, 1}, {1, 2}})
-	s, ts := newTestServer(t, g, Config{Workers: 2, CheckpointEvery: 1, MaxRecoveries: 4})
-	s.testExchange = bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{
-		{Step: 1, Kind: bsp.StepFaultKill, Worker: 0},
-	})
+	for step := 0; step <= 3; step++ {
+		t.Run(fmt.Sprintf("kill@%d", step), func(t *testing.T) {
+			g := graph.FromEdges(7, [][2]graph.VertexID{
+				{0, 1}, {0, 3}, {1, 2}, {1, 5}, {2, 3}, {2, 5}, {2, 6}, {4, 5}, {4, 6},
+			})
+			s, ts := newTestServer(t, g, Config{Workers: 2, CheckpointEvery: 1, MaxRecoveries: 4})
+			faults := bsp.NewScheduledFaultExchangeFactory(nil, []bsp.StepFault{
+				{Step: step, Kind: bsp.StepFaultKill, Worker: 0},
+			})
+			s.testExchange = faults
 
-	resp, err := http.Post(ts.URL+"/subscribe?pattern=triangle", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	var hello subHello
-	readNDJSONLine(t, br, &hello)
+			resp, err := http.Post(ts.URL+"/subscribe?pattern=house", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			br := bufio.NewReader(resp.Body)
+			var hello subHello
+			readNDJSONLine(t, br, &hello)
 
-	ur, code := postUpdate(t, ts.URL, `{"add":[[0,2]]}`)
-	if code != http.StatusOK {
-		t.Fatalf("update status %d", code)
-	}
-	if len(ur.Deltas) != 1 || ur.Deltas[0].Error != "" {
-		t.Fatalf("update deltas under faults: %+v", ur.Deltas)
-	}
-	if ur.Deltas[0].Gained != 1 {
-		t.Fatalf("gained %d under kill schedule, want 1", ur.Deltas[0].Gained)
-	}
-	var gain subEventLine
-	readNDJSONLine(t, br, &gain)
-	var sum subSummaryLine
-	readNDJSONLine(t, br, &sum)
-	if gain.Op != "gain" || sum.Gained != 1 {
-		t.Fatalf("stream under faults: gain=%+v sum=%+v", gain, sum)
+			ur, code := postUpdate(t, ts.URL, `{"add":[[5,6]]}`)
+			if code != http.StatusOK {
+				t.Fatalf("update status %d", code)
+			}
+			if faults.Fired() != 1 {
+				t.Fatalf("the kill at step %d never fired", step)
+			}
+			if len(ur.Deltas) != 1 || ur.Deltas[0].Error != "" {
+				t.Fatalf("update deltas under faults: %+v", ur.Deltas)
+			}
+			if ur.Deltas[0].Gained != 1 {
+				t.Fatalf("gained %d under kill schedule, want 1", ur.Deltas[0].Gained)
+			}
+			var gain subEventLine
+			readNDJSONLine(t, br, &gain)
+			var sum subSummaryLine
+			readNDJSONLine(t, br, &sum)
+			if gain.Op != "gain" || !sum.Done || sum.Gained != 1 {
+				t.Fatalf("stream under faults: want one gain line and a summary with gained 1, got gain=%+v then %+v", gain, sum)
+			}
+		})
 	}
 }

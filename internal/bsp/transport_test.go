@@ -96,6 +96,20 @@ func (r *recorder[M]) ackTotal() int {
 	return n
 }
 
+// scheduled is faulttest.Schedule for this package's own tests, which cannot
+// import it (faulttest imports bsp): the schedule's factory, failing t at its
+// end unless every fault fired.
+func scheduled(t testing.TB, inner ExchangeFactory, faults ...StepFault) *ScheduledFaultFactory {
+	t.Helper()
+	f := NewScheduledFaultExchangeFactory(inner, faults)
+	t.Cleanup(func() {
+		if n := f.Fired(); n != len(faults) {
+			t.Errorf("%d of the %d scheduled faults fired: %+v", n, len(faults), faults)
+		}
+	})
+	return f
+}
+
 func TestTransportConformance(t *testing.T) {
 	const k = 3
 	inners := map[string]func() ExchangeFactory{
@@ -108,15 +122,15 @@ func TestTransportConformance(t *testing.T) {
 		{Step: 3, Kind: StepFaultDelay, Delay: time.Millisecond},
 		{Step: 3, Kind: StepFaultPartition, Worker: 2},
 	}
-	faults := map[string]func(inner ExchangeFactory) ExchangeFactory{
-		"clean": func(inner ExchangeFactory) ExchangeFactory { return inner },
-		"probabilistic": func(inner ExchangeFactory) ExchangeFactory {
+	faults := map[string]func(t *testing.T, inner ExchangeFactory) ExchangeFactory{
+		"clean": func(_ *testing.T, inner ExchangeFactory) ExchangeFactory { return inner },
+		"probabilistic": func(_ *testing.T, inner ExchangeFactory) ExchangeFactory {
 			return NewFaultyExchangeFactory(inner, FaultConfig{
 				Seed: 5, ErrorRate: 0.2, DropRate: 0.1, DelayRate: 0.1, MaxDelay: time.Millisecond,
 			})
 		},
-		"scheduled": func(inner ExchangeFactory) ExchangeFactory {
-			return NewScheduledFaultExchangeFactory(inner, schedule)
+		"scheduled": func(t *testing.T, inner ExchangeFactory) ExchangeFactory {
+			return scheduled(t, inner, schedule...)
 		},
 	}
 	for innerName, mkInner := range inners {
@@ -125,7 +139,7 @@ func TestTransportConformance(t *testing.T) {
 				name := fmt.Sprintf("%s/compress=%v/%s", innerName, compress, faultName)
 				t.Run(name, func(t *testing.T) {
 					base := runtime.NumGoroutine()
-					factory := wrap(mkInner())
+					factory := wrap(t, mkInner())
 					rec := &recorder[groupMsg]{compress: compress, acks: map[int]int{}}
 					cfg := &Config{Workers: k, CompressFrames: compress}
 					// No faultPoint hook: every frame is a fault opportunity, so
@@ -174,11 +188,6 @@ func TestTransportConformance(t *testing.T) {
 					}
 					if faultName != "clean" && failures == 0 {
 						t.Fatal("fault policy never fired; the row exercised nothing")
-					}
-					if faultName == "scheduled" {
-						if fired := factory.(*ScheduledFaultFactory).Fired(); fired != len(schedule) {
-							t.Fatalf("%d of %d scheduled faults fired", fired, len(schedule))
-						}
 					}
 
 					// TCP delivers from reader goroutines: wait for the acks.

@@ -41,47 +41,88 @@ func oracleEmbeddings(p *pattern.Pattern, g *graph.Graph) []string {
 }
 
 // TestDifferentialOracleEmbeddings is the differential property suite:
-// randomized Chung–Lu graphs × every catalog pattern × all three
-// distribution strategies × both exchange transports, with the full
-// embedding multiset — not just the count — required to match the
-// centralized oracle exactly.
+// randomized Chung–Lu graphs × every catalog pattern and a labelled diamond ×
+// all three distribution strategies × worker counts 2–4 under the strict and
+// the pipelined policy and both exchange transports, with the full embedding
+// multiset — not just the count — required to match the centralized oracle
+// exactly.
 func TestDifferentialOracleEmbeddings(t *testing.T) {
+	labelledDiamond, err := pattern.PG3().WithLabels([]int{0, 1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The diamond's chord is the one closing edge of its second WHITE slot,
+	// so combine intersects that slot's window; clique4's last slot closes on
+	// two, so it keeps the candidate-by-candidate test: the control.
 	patterns := []*pattern.Pattern{
-		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
+		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(), labelledDiamond,
 	}
 	strategies := []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware}
 	exchanges := []struct {
 		name    string
 		factory bsp.ExchangeFactory
 		workers int
+		async   bool
 	}{
-		{"local", nil, 4},
-		{"tcp", bsp.NewTCPExchangeFactory(), 3},
+		{"local", nil, 4, false},
+		{"tcp", bsp.NewTCPExchangeFactory(), 3, false},
+		{"local-k2", nil, 2, false},
+		{"pipelined-k2", nil, 2, true},
+		{"pipelined-k3", nil, 3, true},
+		{"pipelined-k4", nil, 4, true},
 	}
-
-	seeds := []int64{1, 2, 3}
+	graphs := []struct {
+		name string
+		seed int64
+		g    *graph.Graph
+	}{
+		{"seed1", 1, gen.ChungLu(70, 300, 2.3, 1)},
+		{"seed2", 2, gen.ChungLu(70, 300, 2.3, 2)},
+		{"seed3", 3, gen.ChungLu(70, 300, 2.3, 3)},
+		// Hubs with windows past meetMinWindow: at every worker count above,
+		// combine intersects slots whose closing image the worker owns and
+		// slots whose image it does not, for both diamonds.
+		{"skew", 4, gen.ChungLu(200, 1200, 2.0, 4)},
+	}
 	if testing.Short() {
-		seeds = seeds[:1]
+		graphs = []struct {
+			name string
+			seed int64
+			g    *graph.Graph
+		}{graphs[0], graphs[3]}
 	}
-	for _, seed := range seeds {
+	for _, gr := range graphs {
 		// Skewed Chung–Lu graphs exercise the load-balancing paths that
 		// uniform Erdős–Rényi graphs (engine_test.go) do not.
-		g := gen.ChungLu(70, 300, 2.3, seed)
+		labels := randomLabels(gr.g.NumVertices(), 2, gr.seed)
 		for _, p := range patterns {
-			want := oracleEmbeddings(p, g)
+			pname, want := p.Name(), []string(nil)
+			var dataLabels []int32
+			if p.Labeled() {
+				pname, dataLabels = "labelled-"+pname, labels
+				centralized.ListInstancesLabeled(p.BreakAutomorphisms(), gr.g, labels, func(m []graph.VertexID) bool {
+					want = append(want, embeddingKey(m))
+					return true
+				})
+				sort.Strings(want)
+			} else {
+				want = oracleEmbeddings(p, gr.g)
+			}
 			for _, strat := range strategies {
 				for _, ex := range exchanges {
-					if testing.Short() && ex.name == "tcp" && strat != StrategyWorkloadAware {
+					if testing.Short() && ex.name != "local" && strat != StrategyWorkloadAware {
 						continue
 					}
-					name := fmt.Sprintf("seed%d/%s/%s/%s", seed, p.Name(), strat, ex.name)
+					name := fmt.Sprintf("%s/%s/%s/%s", gr.name, pname, strat, ex.name)
 					t.Run(name, func(t *testing.T) {
-						res, err := Run(g, p, Options{
-							Workers:  ex.workers,
-							Strategy: strat,
-							Seed:     seed,
-							Collect:  true,
-							Exchange: ex.factory,
+						res, err := Run(gr.g, p, Options{
+							Workers:       ex.workers,
+							Strategy:      strat,
+							Seed:          gr.seed,
+							Collect:       true,
+							Exchange:      ex.factory,
+							AsyncExchange: ex.async,
+							DataLabels:    dataLabels,
 						})
 						if err != nil {
 							t.Fatal(err)

@@ -234,9 +234,10 @@ type engine struct {
 // pattern edge eid while the later one's slot is walked). admits has cursors
 // of its own while one WHITE vertex's candidates are drawn: for each mapped
 // neighbor u it may check exactly, what is left of u's image's row (seek[u]),
-// or the image's bitset when it is a hub (hub[u]). A worker expands one Gpsi
-// at a time, so it needs one frame; reusing it keeps steady-state expansion
-// allocation-free.
+// or the image's bitset when it is a hub (hub[u]). combineMeet splits a slot's
+// candidates by owner at most once per expansion (the slots in split) into
+// parts. A worker expands one Gpsi at a time, so it needs one frame; reusing
+// it keeps steady-state expansion allocation-free.
 type expandFrame struct {
 	whites [maxPatternVertices]int
 	nw     int
@@ -245,6 +246,16 @@ type expandFrame struct {
 	rows   [maxPatternEdges][]graph.VertexID
 	seek   [maxPatternVertices][]graph.VertexID
 	hub    [maxPatternVertices][]uint64
+	split  uint16
+	parts  *ownerSplit
+}
+
+// ownerSplit is slot i's candidates split by owner: mine[i] the ones this
+// worker owns, theirs[i] the rest, both ascending. A frame allocates it at its
+// first split, so runs that never split (serve's triangle counts) do not
+// carry it.
+type ownerSplit struct {
+	mine, theirs [maxPatternVertices][]graph.VertexID
 }
 
 // adjacent reports whether candidate d is a neighbor of u's image, by one bit
@@ -698,7 +709,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	// worker's reusable scratch frame.
 	sc := &e.scratch[w]
 	fr := &sc.frame
-	fr.nw = 0
+	fr.nw, fr.split = 0, 0
 	loadUnits := 1.0
 	for _, wv := range e.p.Neighbors(vp) {
 		if mapped&(1<<uint(wv)) != 0 {
@@ -872,17 +883,23 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 	// candidate filtering could not see; closing, wv's edges to them. A
 	// candidate list ascends in rank (it is drawn from a sorted row or a
 	// bitset), so the order against earlier is a window on it, and the exact
-	// check of a closing edge is a merge along the fixed image's row.
+	// check of a closing edge is a merge along the fixed image's row — for a
+	// single closing edge and a long window, an intersection (combineMeet).
 	earlier := uint16(0)
 	for _, u := range fr.whites[:i] {
 		earlier |= 1 << uint(u)
 	}
 	closing := e.adjacent[wv] & earlier
+	in := e.inWindow(ctx, fr.cands[i], m, wv, earlier)
+	if e.ix != nil && closing != 0 && closing&(closing-1) == 0 && len(in) >= meetMinWindow {
+		e.combineMeet(ctx, m, fr, i, in, bits.TrailingZeros16(closing))
+		return
+	}
 	for mask := closing; mask != 0; mask &= mask - 1 {
 		u := bits.TrailingZeros16(mask)
 		fr.rows[e.edgeID[wv][u]] = e.g.Neighbors(m.Map[u])
 	}
-	for _, d := range e.inWindow(ctx, fr.cands[i], m, wv, earlier) {
+	for _, d := range in {
 		if e.halted.Load() != 0 {
 			return
 		}
@@ -932,6 +949,166 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 		m.Pending &^= newPending
 		m.Map[wv] = unmapped
 	}
+}
+
+// meetMinWindow is the shortest window combine intersects rather than tests
+// candidate by candidate. The intersection pays a fixed price per slot visit
+// (a search for each earlier image, four more on the owner split) that a short
+// window does not earn back. serve-short's triangle counts have windows of
+// 1-7 entries, and with every window intersected they ran ~20 % slower in
+// process (2-core box, go1.24). list-compute's diamond has most candidates in
+// windows of 64 or more and gains the same from any cut between 4 and 32.
+const meetMinWindow = 8
+
+// combineMeet is combine's slot i when wv has exactly one closing edge, to
+// u's image dp, and the window in is long. The candidates this worker checks
+// exactly — all of them when it owns dp, else those it owns — survive iff
+// they are in N(dp), so they are walked as the intersection with dp's row
+// (graph.Meet) instead of one test each. The candidates it does not own, when
+// it does not own dp, are probed in the edge index one by one, as in combine,
+// and merged with the exact survivors in ascending order, so children are
+// built and sent in combine's order. An exact candidate the walk skips is
+// counted in bulk before the next survivor: pruned by injectivity if it is an
+// earlier slot's image, by verification otherwise, which is what combine
+// would have counted by then.
+func (e *engine) combineMeet(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, in []graph.VertexID, u int) {
+	wv, w, dp := fr.whites[i], ctx.Worker(), m.Map[u]
+	closingEdge := uint32(1) << uint(e.edgeID[wv][u])
+	var pend uint32
+	for mask := fr.pend[i]; mask != 0; mask &= mask - 1 {
+		pend |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
+	}
+	exact, probed := in, []graph.VertexID(nil)
+	if e.ownerOf(dp) != w {
+		mine, theirs := e.splitByOwner(fr, i, w)
+		exact, probed = clip(mine, in), clip(theirs, in)
+	}
+	// imgs are the earlier slots' images, ascending, and exactImgs those of
+	// them among exact: the candidates injectivity prunes. The images mapped
+	// before combine are never candidates, as admits refused them.
+	var imgs, exactImgs [maxPatternVertices]graph.VertexID
+	nImg, nExact := 0, 0
+	for _, v := range fr.whites[:i] {
+		x, k := m.Map[v], nImg
+		for ; k > 0 && imgs[k-1] > x; k-- {
+			imgs[k] = imgs[k-1]
+		}
+		imgs[k] = x
+		nImg++
+	}
+	for _, x := range imgs[:nImg] {
+		if j := graph.LowerBound(exact, x); j < len(exact) && exact[j] == x {
+			exactImgs[nExact] = x
+			nExact++
+		}
+	}
+	// The counts are kept here and added once, on the way out; nothing reads
+	// them before the superstep ends.
+	var injective, verify, queries, index int64
+	rest, row := exact, e.g.Neighbors(dp)
+	done, k := 0, 0 // exact[:done] and exactImgs[:k] are accounted for
+	p, pk := 0, 0   // so are probed[:p]; imgs[:pk] are below probed[p]
+walk:
+	for {
+		rest, row = graph.Meet(rest, row)
+		next := graph.VertexID(math.MaxInt32)
+		if len(rest) > 0 {
+			next = rest[0]
+		}
+		for ; p < len(probed) && probed[p] < next; p++ {
+			d := probed[p]
+			if e.halted.Load() != 0 {
+				break walk
+			}
+			for pk < nImg && imgs[pk] < d {
+				pk++
+			}
+			if pk < nImg && imgs[pk] == d {
+				injective++
+				continue
+			}
+			queries++
+			if !e.ix.MayHaveEdge(d, dp) {
+				index++
+				continue
+			}
+			e.descend(ctx, m, fr, i, d, closingEdge|pend)
+		}
+		if e.halted.Load() != 0 {
+			break
+		}
+		at, skipped := len(exact)-len(rest), 0
+		for ; k < nExact && exactImgs[k] < next; k++ {
+			skipped++
+		}
+		injective += int64(skipped)
+		verify += int64(at - done - skipped)
+		if len(rest) == 0 {
+			break
+		}
+		d := rest[0]
+		rest, row, done = rest[1:], row[1:], at+1
+		if k < nExact && exactImgs[k] == d {
+			k++
+			injective++
+			continue
+		}
+		// A survivor this worker owns has every closing edge checked; one it
+		// does not (dp is then owned) leaves the edges of pend pending.
+		var newPending uint32
+		if pend != 0 && e.ownerOf(d) != w {
+			newPending = pend
+		}
+		e.descend(ctx, m, fr, i, d, newPending)
+	}
+	for _, c := range [...]struct {
+		id bsp.Counter
+		n  int64
+	}{{ctrPrunedInjective, injective}, {ctrPrunedVerify, verify}, {ctrIndexQueries, queries}, {ctrPrunedIndex, index}} {
+		if c.n != 0 {
+			ctx.Add(c.id, c.n)
+		}
+	}
+}
+
+// descend maps slot i's vertex to d, with the edges of pending pending, and
+// combines the slots after it.
+func (e *engine) descend(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, d graph.VertexID, pending uint32) {
+	wv := fr.whites[i]
+	m.Map[wv] = d
+	m.Pending |= pending
+	e.combine(ctx, m, fr, i+1)
+	m.Pending &^= pending
+	m.Map[wv] = unmapped
+}
+
+// splitByOwner returns slot i's candidates split by owner, splitting them
+// unless this expansion already has.
+func (e *engine) splitByOwner(fr *expandFrame, i, w int) (mine, theirs []graph.VertexID) {
+	if fr.parts == nil {
+		fr.parts = new(ownerSplit)
+	}
+	sp := fr.parts
+	if fr.split&(1<<uint(i)) == 0 {
+		fr.split |= 1 << uint(i)
+		mine, theirs = sp.mine[i][:0], sp.theirs[i][:0]
+		for _, d := range fr.cands[i] {
+			if e.ownerOf(d) == w {
+				mine = append(mine, d)
+			} else {
+				theirs = append(theirs, d)
+			}
+		}
+		sp.mine[i], sp.theirs[i] = mine, theirs
+	}
+	return sp.mine[i], sp.theirs[i]
+}
+
+// clip returns the part of the ascending list between the first and the last
+// entry of the non-empty ascending window in.
+func clip(list, in []graph.VertexID) []graph.VertexID {
+	list = list[graph.LowerBound(list, in[0]):]
+	return list[:graph.LowerBound(list, in[len(in)-1]+1)]
 }
 
 // finalize either emits a completed, fully verified instance or routes the

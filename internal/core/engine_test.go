@@ -470,3 +470,15 @@ func BenchmarkPSgLSquare(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPSgLDiamond lists the diamond on list-compute's graph shape with two
+// workers: its chord is the closing edge combine intersects.
+func BenchmarkPSgLDiamond(b *testing.B) {
+	g := gen.ChungLu(15000, 75000, 2.2, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, pattern.PG3(), Options{Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -49,7 +49,9 @@ func TestPlannedPatternMatchesUnplanned(t *testing.T) {
 
 // TestMaxResultsEarlyTermination: a capped run stops early, reports success
 // with Truncated set, and still delivers at least the cap, for paths, stars,
-// triangles and 4-cycles at one to three workers under both policies.
+// triangles, 4-cycles and diamonds at one to three workers under both
+// policies. Pipelined at two and three workers, the diamond's cap is met
+// inside a slot combine intersects.
 // Pipelined, a worker takes its own newest work first, so the cap is met a
 // few chunks deep instead of after a breadth-first level, and it seeds from a
 // cursor only when it has no deeper work, so the seeds a capped run never
@@ -58,7 +60,7 @@ func TestPlannedPatternMatchesUnplanned(t *testing.T) {
 func TestMaxResultsEarlyTermination(t *testing.T) {
 	g := gen.ChungLu(2000, 8000, 1.8, 7)
 	const limit = 5
-	for _, p := range []*pattern.Pattern{pattern.Path(3), pattern.Star(3), pattern.Triangle(), pattern.Cycle(4)} {
+	for _, p := range []*pattern.Pattern{pattern.Path(3), pattern.Star(3), pattern.Triangle(), pattern.Cycle(4), pattern.Diamond()} {
 		for k := 1; k <= 3; k++ {
 			opts := NewOptions()
 			opts.Seed = 3

@@ -149,15 +149,22 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 			endpoints = append(endpoints, graph.VertexID(i), graph.VertexID(j))
 		}
 	}
+	// A vertex's targets attach in the order they are drawn (the map only
+	// dedupes), so the endpoints later draws sample from, and the graph, are
+	// fixed by the seed.
+	chosen := make(map[graph.VertexID]bool, k)
+	targets := make([]graph.VertexID, 0, k)
 	for v := seedSize; v < n; v++ {
-		chosen := make(map[graph.VertexID]bool, k)
-		for len(chosen) < k {
+		clear(chosen)
+		targets = targets[:0]
+		for len(targets) < k {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if int(t) != v {
+			if int(t) != v && !chosen[t] {
 				chosen[t] = true
+				targets = append(targets, t)
 			}
 		}
-		for t := range chosen {
+		for _, t := range targets {
 			b.AddEdge(graph.VertexID(v), t)
 			endpoints = append(endpoints, graph.VertexID(v), t)
 		}

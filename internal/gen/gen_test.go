@@ -142,6 +142,28 @@ func TestBarabasiAlbertShape(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertDeterministic builds one spec twice: a seed must fix the
+// graph, edge for edge, so a `ba:N:K` spec names one dataset in every process.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	edges := func(g *graph.Graph) [][2]graph.VertexID {
+		var out [][2]graph.VertexID
+		g.Edges(func(u, v graph.VertexID) bool {
+			out = append(out, [2]graph.VertexID{u, v})
+			return true
+		})
+		return out
+	}
+	a, b := edges(BarabasiAlbert(2000, 4, 7)), edges(BarabasiAlbert(2000, 4, 7))
+	if len(a) != len(b) {
+		t.Fatalf("same seed: %d edges, then %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed: edge #%d is %v, then %v", i, a[i], b[i])
+		}
+	}
+}
+
 func TestBarabasiAlbertTiny(t *testing.T) {
 	g := BarabasiAlbert(3, 5, 1) // k larger than n
 	if g.NumVertices() != 3 {

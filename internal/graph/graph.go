@@ -98,6 +98,27 @@ func SeekRow(row []VertexID, v VertexID) []VertexID {
 	return row[lo+1+LowerBound(row[lo+1:hi], v):]
 }
 
+// Meet advances two sorted rows to their first common entry: it returns the
+// suffixes of a and b that start at it, or an empty a when the rows share
+// none. Calls each on the suffixes the previous one returned, past the match,
+// walk a ∩ b in ascending order. Each side seeks the other's head by SeekRow,
+// so the walk gallops along the longer row and steps along the shorter one:
+// a short row against a long one costs the short one's length times a
+// logarithm, not the long one's length.
+func Meet(a, b []VertexID) ([]VertexID, []VertexID) {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = SeekRow(a, b[0])
+		case b[0] < a[0]:
+			b = SeekRow(b, a[0])
+		default:
+			return a, b
+		}
+	}
+	return a[len(a):], b
+}
+
 // SizeBytes returns the footprint of the CSR arrays.
 func (g *Graph) SizeBytes() int64 { return 8*int64(len(g.offsets)) + 4*int64(len(g.adj)) }
 

@@ -2,7 +2,10 @@ package graph_test
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"psgl/internal/gen"
 	"psgl/internal/graph"
@@ -126,5 +129,82 @@ func TestSeekRowMatchesLinearScan(t *testing.T) {
 				v += graph.VertexID(rng.Intn(3))
 			}
 		}
+	}
+}
+
+// rowPair is two ascending rows for TestMeetMatchesNaiveIntersection, in one
+// of four shapes: drawn from one range, disjoint (interleaved), one wholly
+// below the other, or one inside the other; either may be empty, and in a
+// third of the pairs one is 1000x the other's length.
+type rowPair struct{ a, b []graph.VertexID }
+
+func (rowPair) Generate(r *rand.Rand, _ int) reflect.Value {
+	la, lb := r.Intn(24), r.Intn(24)
+	if r.Intn(3) == 0 {
+		lb = la*1000 + r.Intn(1000)
+	}
+	// sample draws about n ascending ids from [lo, lo+span), stride apart.
+	sample := func(n, lo, span, stride int) []graph.VertexID {
+		row := []graph.VertexID{}
+		for v := lo; v < lo+span && n > 0; v += stride {
+			if r.Intn(span/stride+1) < n {
+				row = append(row, graph.VertexID(v))
+			}
+		}
+		return row
+	}
+	span := 4*max(la, lb) + 8
+	var p rowPair
+	switch r.Intn(4) {
+	case 0:
+		p.a, p.b = sample(la, 0, span, 1), sample(lb, 0, span, 1)
+	case 1:
+		p.a, p.b = sample(la, 0, 2*span, 2), sample(lb, 1, 2*span, 2)
+	case 2:
+		p.a, p.b = sample(la, 0, span, 1), sample(lb, span, span, 1)
+	default:
+		p.b = sample(lb, 0, span, 1)
+		for _, v := range p.b {
+			if r.Intn(max(len(p.b), 1)) < la {
+				p.a = append(p.a, v)
+			}
+		}
+	}
+	if r.Intn(2) == 0 {
+		p.a, p.b = p.b, p.a
+	}
+	return reflect.ValueOf(p)
+}
+
+// TestMeetMatchesNaiveIntersection walks a ∩ b with Meet, each call on the
+// suffixes past the previous match, and checks the walk against a nested-loop
+// intersection: the same entries in the same order, with both suffixes
+// starting at each.
+func TestMeetMatchesNaiveIntersection(t *testing.T) {
+	walk := func(p rowPair) bool {
+		var want []graph.VertexID
+		for _, x := range p.a {
+			for _, y := range p.b {
+				if x == y {
+					want = append(want, x)
+				}
+			}
+		}
+		var got []graph.VertexID
+		a, b := p.a, p.b
+		for {
+			if a, b = graph.Meet(a, b); len(a) == 0 {
+				break
+			}
+			if len(b) == 0 || a[0] != b[0] {
+				return false
+			}
+			got = append(got, a[0])
+			a, b = a[1:], b[1:]
+		}
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(walk, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
 	}
 }

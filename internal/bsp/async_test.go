@@ -124,7 +124,7 @@ type delayedAckTransport[M any] struct {
 	det *creditDetector
 }
 
-func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
+func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[M]) (bool, error) {
 	t.h.deliver(src, dst, ord, Inbox[M]{Chunks: batch})
 	go func() {
 		for !t.det.idle[dst].Load() {
@@ -135,7 +135,7 @@ func (t delayedAckTransport[M]) Send(_ context.Context, src, dst, ord int, batch
 		time.Sleep(2 * time.Millisecond)
 		t.h.ack(src)
 	}()
-	return nil
+	return false, nil
 }
 
 func (t delayedAckTransport[M]) Close() error { return nil }

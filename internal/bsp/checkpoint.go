@@ -81,10 +81,10 @@ type CheckpointStore interface {
 // (nil otherwise). Inboxes[w] is worker w's queued chunks, its own work
 // first, concatenated: the format predates chunks and the pipelined queue
 // order, and a restored queue is delivered work in any order. Frames[w] holds
-// its still-encoded compressed frame payloads (compressed mode only —
-// snapshots of grouped queues stay grouped, so a checkpoint of a dense
-// superstep costs its compressed size); pre-compression snapshots simply
-// decode with Frames nil.
+// its still-encoded frame payloads, flat or compressed (a TCP run's
+// deliveries, or a compressed in-process run's: a snapshot keeps them
+// encoded, so a checkpoint of a dense superstep costs its encoded size);
+// pre-compression snapshots simply decode with Frames nil.
 type snapshot[M any] struct {
 	Step    int
 	Inboxes [][]Envelope[M]
@@ -94,7 +94,7 @@ type snapshot[M any] struct {
 }
 
 // inboxRows converts the snapshot's persisted form back into the workers'
-// queues; grouped frames stay encoded.
+// queues; frames stay encoded.
 func (snap *snapshot[M]) inboxRows(k int) []Inbox[M] {
 	rows := make([]Inbox[M], k)
 	for w := range rows {
@@ -158,12 +158,13 @@ func loadSnapshot[M any](store CheckpointStore) (*snapshot[M], error) {
 		snap.Stats.Counters = map[string]int64{}
 	}
 	// The CRC seal catches store-level damage; this catches a snapshot whose
-	// grouped frames are internally inconsistent (they would otherwise only
-	// fail deep inside a superstep, after the restore "succeeded").
+	// frames, in either format, are internally inconsistent (they would
+	// otherwise only fail deep inside a superstep, after the restore
+	// "succeeded").
 	for w := range snap.Frames {
 		for i, fp := range snap.Frames[w] {
-			if _, _, _, err := DecodeCompressedFrame[M](fp); err != nil {
-				return nil, fmt.Errorf("%w: snapshot for step %d: grouped inbox frame %d for worker %d: %v",
+			if _, _, _, err := DecodeFrame[M](fp); err != nil {
+				return nil, fmt.Errorf("%w: snapshot for step %d: inbox frame %d for worker %d: %v",
 					ErrCorruptCheckpoint, step, i, w, err)
 			}
 		}

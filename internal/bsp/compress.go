@@ -265,9 +265,9 @@ func decodeCompressedFrame[M any](payload []byte) (step int, more bool, batch []
 		*bp = cur
 		putWireBuf(bp)
 	}()
-	batch = make([]Envelope[M], count)
 	prevDest := int64(0)
 	for i := 0; i < count; i++ {
+		batch = growEnvelope(batch, count)
 		dd, n := binary.Varint(rest)
 		if n <= 0 {
 			return 0, false, nil, 0, fmt.Errorf("compressed frame: envelope %d/%d: bad dest delta", i, count)
@@ -342,13 +342,14 @@ func DecodeFrame[M any](payload []byte) (step int, more bool, batch []Envelope[M
 
 // Inbox is a worker's delivered messages — a superstep's worth in strict
 // mode, the pending queue under AsyncExchange: the non-empty envelope chunks
-// their senders filled (or a TCP reader decoded), in delivery order, plus, in
-// compressed mode, still-encoded compressed frame payloads that deliverInbox
-// decodes lazily, one bounded chunk at a time, so a dense inbox costs its
-// compressed size rather than its expanded size. Under AsyncExchange own holds
-// the chunks the worker sent itself, oldest first, which it takes ahead of
-// the rest (Inbox.take); they are queued work like any delivery, so every
-// test of an empty queue and every snapshot covers them.
+// their senders filled, in delivery order, plus still-encoded frame payloads
+// — every TCP delivery, flat or compressed, and in-process compressed ones —
+// that deliverInbox decodes lazily, one message of a flat frame or one
+// bounded compressed chunk at a time, so an inbox costs its encoded size
+// rather than its expanded size. Under AsyncExchange own holds the chunks the
+// worker sent itself, oldest first, which it takes ahead of the rest
+// (Inbox.take); they are queued work like any delivery, so every test of an
+// empty queue and every snapshot covers them.
 type Inbox[M any] struct {
 	Chunks [][]Envelope[M]
 	Frames [][]byte
@@ -384,56 +385,92 @@ func flatten[M any](batches ...[][]Envelope[M]) []Envelope[M] {
 }
 
 // deliverInbox is how a worker consumes deliveries: envelope chunks first,
-// then each compressed frame decoded lazily — one bounded chunk at a time,
-// through a pooled scratch — and handed to Process message by message like
-// any chunk; each chunk and frame is dropped from the inbox as soon as its
-// last message is processed. The compressed_* counters it feeds are logical:
-// they ride RunStats, which rolls back with snapshots, so they stay
-// exactly-once across recovered and resumed runs. The stop test
-// (Context.Stopped) short-circuits the rest of the inbox instead of draining
-// it: an abort is seen at the next message, a done step context within 256;
-// after runs after every Process call (the worker checks for a halt and
-// flushes full frames there) and stops the delivery by returning false.
-// Returns the number of messages processed.
+// then the flat frames, then the compressed ones — every flat delivery ahead
+// of every front-coded one, each in the order it was queued, whether it
+// arrived as chunks or as bytes, so a TCP run processes what an in-process
+// run does in the same order. A flat frame is decoded
+// one message at a time into a zeroed envelope, so nothing a DecodeWire keeps
+// of its receiver is shared with a message Process kept; a compressed frame is
+// decoded as one bounded chunk through a pooled scratch. Either way each
+// message goes to Process like any chunk's, and each chunk and frame is
+// dropped from the inbox once the delivery reaches it. A frame that fails to
+// decode aborts the run. The compressed_* counters it feeds are logical: they
+// ride RunStats, which rolls back with snapshots, so they stay exactly-once
+// across recovered and resumed runs. The stop test (Context.Stopped)
+// short-circuits the rest of the inbox instead of draining it: an abort is
+// seen at the next message, a done step context within 256; after runs after
+// every Process call (the worker checks for a halt and flushes full frames
+// there) and stops the delivery by returning false. Returns the number of
+// messages processed.
 func deliverInbox[M any](ctx *Context[M], prog Program[M], ib *Inbox[M], after func() bool) int64 {
 	processed := int64(0)
-	// each processes one chunk message by message; false stops the delivery.
-	each := func(chunk []Envelope[M]) bool {
-		for i := range chunk {
-			if ctx.aborted.Load() != nil || i&255 == 0 && ctx.Stopped() {
-				return false
-			}
-			prog.Process(ctx, chunk[i])
-			processed++
-			if !after() {
-				return false
-			}
+	// process hands message i of a chunk or frame to Process; false stops the
+	// delivery.
+	process := func(i int, env *Envelope[M]) bool {
+		if ctx.aborted.Load() != nil || i&255 == 0 && ctx.Stopped() {
+			return false
 		}
-		return true
+		prog.Process(ctx, *env)
+		processed++
+		return after()
 	}
 	for c, chunk := range ib.Chunks {
-		if !each(chunk) {
-			return processed
+		for i := range chunk {
+			if !process(i, &chunk[i]) {
+				return processed
+			}
 		}
 		ib.Chunks[c] = nil
 	}
-	for f, fp := range ib.Frames {
-		if ctx.Stopped() {
-			return processed
-		}
-		_, _, batch, raw, err := decodeCompressedFrame[M](fp)
-		if err != nil {
-			// Frames come from our own encoder or a CRC-verified snapshot;
-			// one that fails to decode is unrecoverable state damage.
-			ctx.Abort(fmt.Errorf("corrupt compressed inbox frame: %w", err))
-			return processed
-		}
-		ctx.Add(ctrCompressedFrames, 1)
-		ctx.Add(ctrCompressedWireBytes, int64(4+len(fp)))
-		ctx.Add(ctrCompressedRawBytes, int64(raw))
-		ib.Frames[f] = nil
-		if !each(batch) {
-			return processed
+	var (
+		env *Envelope[M] // a flat frame's decode target
+		msg WireMessage  // its Msg
+	)
+	for _, compressed := range [2]bool{false, true} {
+		for f, fp := range ib.Frames {
+			if fp == nil || framePayloadIsCompressed(fp) != compressed {
+				continue
+			}
+			if ctx.Stopped() {
+				return processed
+			}
+			ib.Frames[f] = nil
+			if compressed {
+				_, _, batch, raw, err := decodeCompressedFrame[M](fp)
+				if err != nil {
+					// Frames come from our own encoder or a CRC-verified snapshot;
+					// one that fails to decode is unrecoverable state damage.
+					ctx.Abort(fmt.Errorf("corrupt compressed inbox frame: %w", err))
+					return processed
+				}
+				ctx.Add(ctrCompressedFrames, 1)
+				ctx.Add(ctrCompressedWireBytes, int64(4+len(fp)))
+				ctx.Add(ctrCompressedRawBytes, int64(raw))
+				for i := range batch {
+					if !process(i, &batch[i]) {
+						return processed
+					}
+				}
+				continue
+			}
+			_, count, rest, err := flatFrameHeader(fp)
+			if env == nil {
+				env = new(Envelope[M])
+				msg = any(&env.Msg).(WireMessage)
+			}
+			for i := 0; err == nil && i < count; i++ {
+				*env = Envelope[M]{}
+				if rest, err = decodeEnvelope(env, msg, rest, i, count); err == nil && !process(i, env) {
+					return processed
+				}
+			}
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("wire frame: %d trailing bytes", len(rest))
+			}
+			if err != nil {
+				ctx.Abort(fmt.Errorf("corrupt flat inbox frame: %w", err))
+				return processed
+			}
 		}
 	}
 	return processed

@@ -18,7 +18,8 @@ import (
 
 // compressedFrameSeeds are the committed seed corpus of
 // FuzzCompressedFrameDecode: valid frames in both codec paths, a chunked
-// continuation frame, a flat frame, and malformed inputs.
+// continuation frame, a flat frame, and malformed inputs, among them counts
+// that claim every byte of either format.
 func compressedFrameSeeds() map[string][]byte {
 	frames, _ := compressBatch(7, [][]Envelope[groupMsg]{groupTestBatch(40)}, 16)
 	return map[string][]byte{
@@ -28,6 +29,8 @@ func compressedFrameSeeds() map[string][]byte {
 		"seed_continuation":   frames[0],
 		"seed_flat_frame":     AppendWireFrame(nil, 1, wireTestBatch(2))[4:],
 		"seed_all_ones":       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		"seed_lying_count":    lyingCountPayload(true, 64),
+		"seed_flat_lying":     lyingCountPayload(false, 64),
 		"seed_ascii_garbage":  []byte("not a frame at all, just prose"),
 		"seed_empty":          {},
 	}
@@ -113,7 +116,7 @@ func FuzzCompressedFrameDecode(f *testing.F) {
 		}
 		framed := append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 		r := bytes.NewReader(framed)
-		rp, rerr := readFrame(r, nil)
+		rp, rerr := readFrame(r)
 		if rerr != nil {
 			t.Fatalf("readFrame rejected a well-framed payload: %v", rerr)
 		}

@@ -113,10 +113,10 @@ type faultTransport[M any] struct {
 	policy *ScheduledFaultFactory
 }
 
-func (f *faultTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
+func (f *faultTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) (bool, error) {
 	if f.point == nil || f.point(src, dst) {
 		if err := f.inject(ctx, ord); err != nil {
-			return err
+			return false, err
 		}
 	}
 	return f.inner.Send(ctx, src, dst, ord, batch)

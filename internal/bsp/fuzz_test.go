@@ -21,18 +21,17 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append(AppendWireFrame(nil, 7, wireTestBatch(5)), "trailing garbage"...))
 	f.Add([]byte{0x0c, 0, 0, 0, 1, 0}) // prefix claims 12 bytes, 2 present
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	lying := lyingCountPayload(false, 64) // a count claiming every byte
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, uint32(len(lying))), lying...))
 	f.Add([]byte("hello world, this is not a frame"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		bp := getWireBuf() // pooled, as the transport's reader passes it
-		defer putWireBuf(bp)
-		payload, err := readFrame(r, *bp)
+		payload, err := readFrame(r)
 		if err != nil {
 			return // rejecting malformed input is the expected outcome
 		}
-		*bp = payload
 		consumed := 4 + len(payload)
 		step, batch, err := DecodeWireFrame[wireMsg](payload)
 		if err != nil {

@@ -50,7 +50,7 @@ type reverseTransport struct {
 	held   []func()
 }
 
-func (r *reverseTransport) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
+func (r *reverseTransport) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
 	fire := func() {
 		r.h.deliver(src, dst, ord, Inbox[wint]{Chunks: batch})
 		r.h.ack(src)
@@ -59,20 +59,20 @@ func (r *reverseTransport) Send(_ context.Context, src, dst, ord int, batch [][]
 	if r.expect == 0 {
 		r.mu.Unlock()
 		fire()
-		return nil
+		return false, nil
 	}
 	r.held = append(r.held, fire)
 	held := r.held
 	if len(held) < r.expect {
 		r.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	r.expect, r.held = 0, nil
 	r.mu.Unlock()
 	for i := len(held) - 1; i >= 0; i-- {
 		held[i]()
 	}
-	return nil
+	return false, nil
 }
 
 func (*reverseTransport) Close() error { return nil }
@@ -134,13 +134,13 @@ func TestStepInboxOrderIdenticalAcrossTransports(t *testing.T) {
 // superstep — and, like the TCP reader, acking it all the same.
 type skewTransport struct{ h hooks[wint] }
 
-func (s skewTransport) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
+func (s skewTransport) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
 	if src == 1 && dst == 0 {
 		ord++
 	}
 	s.h.deliver(src, dst, ord, Inbox[wint]{Chunks: batch})
 	s.h.ack(src)
-	return nil
+	return false, nil
 }
 
 func (skewTransport) Close() error { return nil }
@@ -223,19 +223,19 @@ type gateTransport struct {
 	once     sync.Once
 }
 
-func (g *gateTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
+func (g *gateTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
 	if opensStep(src, dst) && ord == 0 {
 		select {
 		case <-g.peerSent:
 		case <-time.After(10 * time.Second):
-			return errors.New("worker 1 sent nothing while the opening frame was held")
+			return false, errors.New("worker 1 sent nothing while the opening frame was held")
 		}
 	}
-	err := g.inner.Send(ctx, src, dst, ord, batch)
+	spent, err := g.inner.Send(ctx, src, dst, ord, batch)
 	if src == 1 {
 		g.once.Do(func() { close(g.peerSent) })
 	}
-	return err
+	return spent, err
 }
 
 func (g *gateTransport) Close() error { return g.inner.Close() }
@@ -262,7 +262,7 @@ type slowTransport struct {
 	cost  time.Duration
 }
 
-func (s slowTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) error {
+func (s slowTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
 	time.Sleep(s.cost)
 	return s.inner.Send(ctx, src, dst, ord, batch)
 }

@@ -135,14 +135,17 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // sendFrame is one transport Send under the run's retry policy — the loop's
 // retry unit. A failed Send delivered nothing, so re-issuing it with
 // the same batch is safe; each failed attempt is reported to the observer.
-func sendFrame[M any](ctx context.Context, t transport[M], cfg *Config, src, dst, ord int, batch [][]Envelope[M]) error {
+// spent is the successful Send's (transport.Send).
+func sendFrame[M any](ctx context.Context, t transport[M], cfg *Config, src, dst, ord int, batch [][]Envelope[M]) (spent bool, err error) {
 	attempt := 0
-	return withRetry(ctx, cfg.Retry, func() error {
+	err = withRetry(ctx, cfg.Retry, func() error {
 		attempt++
-		err := t.Send(ctx, src, dst, ord, batch)
+		var err error
+		spent, err = t.Send(ctx, src, dst, ord, batch)
 		if err != nil {
 			cfg.Observer.ExchangeFailed(ord, attempt, err)
 		}
 		return err
 	})
+	return spent, err
 }

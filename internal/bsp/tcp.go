@@ -298,16 +298,17 @@ func firstSetupError(errs []error) error {
 // Send stages the whole batch — one flat frame, or a train of front-coded
 // chunks when the codec is compressed and the batch worth coding — in a
 // pooled buffer and writes it with a single syscall. A worker's batch for
-// itself skips the network but not the codec.
-func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
+// itself skips the network but not the codec. Every successful Send has
+// encoded its chunks, so it is done with them.
+func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) (bool, error) {
 	if t.closed.Load() {
-		return net.ErrClosed
+		return false, net.ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
 	}
 	if src == dst {
-		return localTransport[M]{compress: t.compress, h: t.h}.Send(ctx, src, dst, ord, batch)
+		return localTransport[M]{compress: t.compress, wire: true, h: t.h}.Send(ctx, src, dst, ord, batch)
 	}
 	deadline := time.Now().Add(t.cfg.FrameTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -334,13 +335,13 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 			p.out.Close()
 		}
 		p.settle(t.cfg.FrameTimeout)
-		return err
+		return false, err
 	}
 	t.obs.AddFrameSent(n)
 	if raw > 0 {
 		t.obs.AddCompressedFrame(n, int64(raw))
 	}
-	return nil
+	return true, nil
 }
 
 // readLoop drains one pair's conn for the transport's lifetime. An error on
@@ -363,31 +364,29 @@ func (t *tcpTransport[M]) readLoop(src, dst int) {
 	}
 }
 
-// readSend reads everything one Send wrote: a flat frame, decoded here, or a
-// train of compressed chunks, retained encoded up to the one whose
-// continuation bit is clear.
+// readSend reads everything one Send wrote, each frame into a buffer of its
+// own that the inbox keeps, still encoded, until the worker processes it: a
+// flat frame, of which only the header is checked here, or a train of
+// compressed chunks up to the one whose continuation bit is clear.
 func (t *tcpTransport[M]) readSend(p *pairConn) (ord int, in Inbox[M], err error) {
-	bp := getWireBuf()
-	defer putWireBuf(bp)
 	for {
-		payload, err := readFrame(p.br, *bp)
+		payload, err := readFrame(p.br)
 		if err != nil {
 			return 0, in, err
 		}
-		*bp = payload // keep a buffer readFrame had to grow
 		t.obs.AddFrameRecv(int64(4 + len(payload)))
 		if !framePayloadIsCompressed(payload) {
 			if len(in.Frames) > 0 {
 				return 0, in, fmt.Errorf("flat frame inside a compressed train")
 			}
-			ord, envs, err := DecodeWireFrame[M](payload)
-			if len(envs) > 0 {
-				in.Chunks = [][]Envelope[M]{envs}
+			ord, count, _, err := flatFrameHeader(payload)
+			if count > 0 {
+				in.Frames = [][]byte{payload}
 			}
 			return ord, in, err
 		}
 		word := binary.LittleEndian.Uint32(payload)
-		in.Frames = append(in.Frames, append([]byte(nil), payload...))
+		in.Frames = append(in.Frames, payload)
 		if word&continuationFlag == 0 {
 			return int(word & compressedStepMask), in, nil
 		}

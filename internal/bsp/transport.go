@@ -13,16 +13,19 @@ import (
 // either (faultTransport).
 //
 // batch is a list of envelope chunks (Context.Send fills them). A Send that
-// succeeds owns them — it hands them to deliver as they are, or is done with
-// them when it returns — and one that fails leaves them with the sender, to
-// retry. ord is the ordinal word of the frame header — the
-// superstep in the stepped policy, the sender's wire-frame sequence number in
-// the pipelined one — and the address fault schedules match against. A
-// successful Send is delivered and then acknowledged through the hooks
-// exactly once, possibly after it returns (the TCP mesh does both from its
-// reader goroutines); a failed Send delivers and acks nothing.
+// succeeds owns them until it returns: it either hands them to deliver as they
+// are (flat in-process delivery: the receiver's from then on) or encodes them
+// (every TCP Send, the self batch included, and a compressed batch worth
+// coding) and delivers the bytes. spent reports the second case — the Send is
+// done with the chunks and the sender may refill them. A Send that fails
+// leaves them with the sender, to retry. ord is the ordinal word of the frame
+// header — the superstep in the stepped policy, the sender's wire-frame
+// sequence number in the pipelined one — and the address fault schedules
+// match against. A successful Send is delivered and then acknowledged through
+// the hooks exactly once, possibly after it returns (the TCP mesh does both
+// from its reader goroutines); a failed Send delivers and acks nothing.
 type transport[M any] interface {
-	Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) error
+	Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) (spent bool, err error)
 	// Close releases the transport and returns once no hook can fire any
 	// more. It is idempotent.
 	Close() error
@@ -31,8 +34,9 @@ type transport[M any] interface {
 // hooks are the loop-side callbacks a transport delivers through.
 type hooks[M any] struct {
 	// deliver hands dst everything one Send carried, in the form the
-	// transport's codec left it: envelope chunks or still-encoded compressed
-	// frames. Whatever in holds is the receiver's to keep.
+	// transport left it: the sender's envelope chunks (flat, in process) or
+	// still-encoded frame payloads (TCP, or compressed). Whatever in holds is
+	// the receiver's to keep.
 	deliver func(src, dst, ord int, in Inbox[M])
 	// ack follows deliver for the same Send, strictly after it.
 	ack func(src int)
@@ -93,21 +97,32 @@ func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h 
 // the sender's chunks pass through as they are; compressed, every batch worth
 // coding is front coded into bounded frames that stay encoded until
 // deliverInbox expands them, so an inbox costs its compressed size wherever
-// its messages came from.
+// its messages came from. wire encodes what compression leaves flat into one
+// flat frame: a TCP mesh's self batch skips the socket but not the codec, so
+// its receiver holds bytes like every peer's, in the order they were sent.
 type localTransport[M any] struct {
 	compress bool
+	wire     bool
 	h        hooks[M]
 }
 
-func (t localTransport[M]) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[M]) error {
+func (t localTransport[M]) Send(_ context.Context, src, dst, ord int, batch [][]Envelope[M]) (spent bool, err error) {
 	in := Inbox[M]{Chunks: batch}
-	if t.compress && chunksLen(batch) >= compressMinBatch {
-		in.Chunks = nil
+	switch n := chunksLen(batch); {
+	case t.compress && n >= compressMinBatch:
 		in.Frames, _ = compressBatch(ord, batch, compressedChunk)
+	case t.wire && n > 0:
+		bp := getWireBuf()
+		*bp = appendWireFrame(*bp, ord, batch)
+		in.Frames = [][]byte{append([]byte(nil), (*bp)[4:]...)}
+		putWireBuf(bp)
+	}
+	if spent = len(in.Frames) > 0; spent {
+		in.Chunks = nil
 	}
 	t.h.deliver(src, dst, ord, in)
 	t.h.ack(src)
-	return nil
+	return spent, nil
 }
 
 func (localTransport[M]) Close() error { return nil }

@@ -35,12 +35,14 @@ func splitChunks[M any](batch []Envelope[M], size int) (chunks [][]Envelope[M]) 
 
 // recorder is a loop stand-in: it keeps everything the hooks were handed.
 type recorder[M any] struct {
-	compress  bool // the codec under test: batches worth coding must arrive encoded
-	mu        sync.Mutex
-	delivered []Envelope[M]
-	frames    int // compressed chunks received still encoded
-	acks      map[int]int
-	fatals    []error
+	compress   bool // the codec under test: batches worth coding must arrive front coded
+	wire       bool // the transport encodes every batch (TCP): nothing arrives as chunks
+	mu         sync.Mutex
+	delivered  []Envelope[M]
+	frames     int // compressed chunks received still encoded
+	flatFrames int // flat frames received still encoded
+	acks       map[int]int
+	fatals     []error
 }
 
 func (r *recorder[M]) hooks(t *testing.T) hooks[M] {
@@ -50,20 +52,33 @@ func (r *recorder[M]) hooks(t *testing.T) hooks[M] {
 			defer r.mu.Unlock()
 			flat := chunksLen(in.Chunks)
 			r.delivered = append(r.delivered, flatten(in.Chunks)...)
-			// One Send arrives flat or coded, never mixed; the flat codec never
-			// codes, the compressed one codes every batch worth coding.
-			if (len(in.Frames) > 0 && (!r.compress || flat > 0)) || (r.compress && flat >= compressMinBatch) {
-				t.Errorf("codec compress=%v delivered %d flat envelopes and %d frames in one Send", r.compress, flat, len(in.Frames))
+			// One Send arrives as chunks or as frames, never mixed: chunks only
+			// from an in-process transport, and only a batch the compressed
+			// codec would not code.
+			if flat > 0 && (r.wire || len(in.Frames) > 0 || r.compress && flat >= compressMinBatch) {
+				t.Errorf("wire=%v compress=%v delivered %d envelopes as chunks beside %d frames", r.wire, r.compress, flat, len(in.Frames))
 			}
 			for _, fp := range in.Frames {
-				_, _, batch, err := DecodeCompressedFrame[M](fp)
+				_, _, batch, err := DecodeFrame[M](fp)
 				if err != nil {
 					t.Errorf("delivered an undecodable frame: %v", err)
+				}
+				r.delivered = append(r.delivered, batch...)
+				if !framePayloadIsCompressed(fp) {
+					// Only TCP encodes flat: one frame for the whole Send, and under
+					// the compressed codec only a batch too small to code.
+					if !r.wire || len(in.Frames) != 1 || r.compress && len(batch) >= compressMinBatch {
+						t.Errorf("wire=%v compress=%v delivered a flat frame of %d envelopes among %d frames", r.wire, r.compress, len(batch), len(in.Frames))
+					}
+					r.flatFrames++
+					continue
+				}
+				if !r.compress {
+					t.Errorf("flat codec delivered a compressed frame")
 				}
 				if len(batch) > compressedChunk {
 					t.Errorf("chunk of %d envelopes exceeds the %d bound", len(batch), compressedChunk)
 				}
-				r.delivered = append(r.delivered, batch...)
 				r.frames++
 			}
 		},
@@ -140,7 +155,7 @@ func TestTransportConformance(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					base := runtime.NumGoroutine()
 					factory := wrap(t, mkInner())
-					rec := &recorder[groupMsg]{compress: compress, acks: map[int]int{}}
+					rec := &recorder[groupMsg]{compress: compress, wire: innerName == "tcp", acks: map[int]int{}}
 					cfg := &Config{Workers: k, CompressFrames: compress}
 					// No faultPoint hook: every frame is a fault opportunity, so
 					// the injected failures land on arbitrary pairs.
@@ -164,8 +179,12 @@ func TestTransportConformance(t *testing.T) {
 								for try := 0; ; try++ {
 									before := rec.deliveredCount()
 									// As the 37-envelope chunks a sender might have filled.
-									err := tr.Send(context.Background(), src, dst, ord, splitChunks(batch, 37))
+									spent, err := tr.Send(context.Background(), src, dst, ord, splitChunks(batch, 37))
 									if err == nil {
+										// Done with the chunks exactly when it encoded them.
+										if encoded := rec.wire || compress && n >= compressMinBatch; n > 0 && spent != encoded {
+											t.Fatalf("Send %d->%d ord %d of %d envelopes: spent %v, encoded %v", src, dst, ord, n, spent, encoded)
+										}
 										break
 									}
 									failures++
@@ -211,11 +230,11 @@ func TestTransportConformance(t *testing.T) {
 					if len(rec.fatals) != 0 {
 						t.Fatalf("fatal hook fired: %v", rec.fatals)
 					}
-					if compress && rec.frames == 0 {
-						t.Fatal("compressed codec delivered no encoded frames")
+					if compress != (rec.frames > 0) {
+						t.Fatalf("compress=%v: %d compressed frames delivered", compress, rec.frames)
 					}
-					if !compress && rec.frames != 0 {
-						t.Fatalf("flat codec delivered %d encoded frames", rec.frames)
+					if rec.wire != (rec.flatFrames > 0) {
+						t.Fatalf("%s: %d flat frames delivered still encoded", innerName, rec.flatFrames)
 					}
 				})
 			}
@@ -251,16 +270,16 @@ func TestTCPTornWriteKillsThePair(t *testing.T) {
 		return conn, err
 	}
 	defer func() { testDialHook = nil }()
-	rec := &recorder[wint]{acks: map[int]int{}}
+	rec := &recorder[wint]{wire: true, acks: map[int]int{}}
 	tr, err := newTransport(context.Background(), NewTCPExchangeFactory(), &Config{Workers: 2}, rec.hooks(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := [][]Envelope[wint]{{{Dest: 1, Msg: 7}, {Dest: 3, Msg: 9}}}
-	if err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
+	if _, err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
 		t.Fatal("torn write reported success")
 	}
-	if err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
+	if _, err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
 		t.Fatal("Send behind a torn frame succeeded")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -396,7 +415,7 @@ func TestTCPSendHonorsContextDeadlineOnFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	err = tr.Send(pastDeadlineCtx{context.Background()}, 0, 1, 0, [][]Envelope[wint]{{{Dest: 1, Msg: 42}}})
+	_, err = tr.Send(pastDeadlineCtx{context.Background()}, 0, 1, 0, [][]Envelope[wint]{{{Dest: 1, Msg: 42}}})
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want os.ErrDeadlineExceeded", err)
 	}

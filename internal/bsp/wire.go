@@ -7,7 +7,6 @@ package bsp
 // socket implements WireMessage; gob survives only in checkpoint snapshots.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -48,8 +47,9 @@ func messageIsWire[M any]() bool {
 
 const wireFrameHeader = 12 // length + step + count
 
-// wireBufPool recycles frame buffers across Sends and reads so steady-state
-// encode/decode performs no per-frame allocations.
+// wireBufPool recycles the buffers a Send stages its frames in and the
+// compressed decoder's scratch, so neither allocates per frame in steady
+// state.
 var wireBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -95,12 +95,12 @@ const maxEagerFrame = 1 << 20
 
 // readFrame is the one frame reader: it reads a length-prefixed frame from r
 // and returns its payload (everything after the prefix; 4+len(payload) bytes
-// were consumed) in buf's storage, grown when too small — callers pass a
-// pooled buffer and copy out what they retain. The length is validated
-// before any allocation, so truncated, oversized, or garbage prefixes fail
-// cleanly; FuzzFrameDecode and FuzzCompressedFrameDecode drive it, and
-// DecodeFrame takes the payload from there in either format.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+// were consumed) in a buffer of its own, which the caller keeps. The length
+// is validated before any allocation, and a buffer beyond maxEagerFrame grows
+// as the bytes arrive, never past the length, so truncated, oversized, or
+// garbage prefixes fail cleanly; FuzzFrameDecode and FuzzCompressedFrameDecode
+// drive it, and DecodeFrame takes the payload from there in either format.
+func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -109,55 +109,84 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if n < wireFrameHeader-4 || n > 1<<30 {
 		return nil, fmt.Errorf("implausible frame length %d", n)
 	}
-	if n > maxEagerFrame {
-		// The buffer grows as data arrives instead of trusting n.
-		b := bytes.NewBuffer(buf[:0])
-		if _, err := io.CopyN(b, r, int64(n)); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
+	var buf []byte
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), maxEagerFrame)))
+			buf = grown[:copy(grown, buf)]
+		}
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, err
 		}
-		return b.Bytes(), nil
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
 	}
 	return buf, nil
+}
+
+// maxTrustedCount is the most envelopes a frame decoder makes room for
+// before it has decoded them: a larger count is grown into, so a frame whose
+// count lies costs what its bytes decode to, not what the count claims.
+const maxTrustedCount = 512
+
+// growEnvelope extends a decoder's batch by one zero envelope, doubling its
+// room — from maxTrustedCount, never past the frame's count — when full.
+func growEnvelope[M any](batch []Envelope[M], count int) []Envelope[M] {
+	if len(batch) == cap(batch) {
+		grown := make([]Envelope[M], len(batch), min(count, max(2*cap(batch), maxTrustedCount)))
+		batch = grown[:copy(grown, batch)]
+	}
+	return batch[:len(batch)+1]
+}
+
+// flatFrameHeader checks a flat frame payload's header: its step, an
+// envelope count its bytes could hold, and no bytes behind an empty frame.
+// rest is the envelopes' bytes.
+func flatFrameHeader(payload []byte) (step, count int, rest []byte, err error) {
+	if len(payload) < wireFrameHeader-4 {
+		return 0, 0, nil, fmt.Errorf("wire frame: truncated header (%d bytes)", len(payload))
+	}
+	step = int(binary.LittleEndian.Uint32(payload))
+	count = int(binary.LittleEndian.Uint32(payload[4:]))
+	rest = payload[8:]
+	if count < 0 || count > len(rest) {
+		return 0, 0, nil, fmt.Errorf("wire frame: implausible envelope count %d for %d bytes", count, len(rest))
+	}
+	if count == 0 && len(rest) != 0 {
+		return 0, 0, nil, fmt.Errorf("wire frame: %d trailing bytes", len(rest))
+	}
+	return step, count, rest, nil
+}
+
+// decodeEnvelope decodes envelope i of a flat frame's count from the front of
+// rest into env, whose Msg msg is, and returns the bytes behind it.
+func decodeEnvelope[M any](env *Envelope[M], msg WireMessage, rest []byte, i, count int) ([]byte, error) {
+	if len(rest) < 4 {
+		return nil, fmt.Errorf("wire frame: truncated envelope %d/%d", i, count)
+	}
+	env.Dest = graph.VertexID(binary.LittleEndian.Uint32(rest))
+	rest, err := msg.DecodeWire(rest[4:])
+	if err != nil {
+		return nil, fmt.Errorf("wire frame: envelope %d/%d: %w", i, count, err)
+	}
+	return rest, nil
 }
 
 // DecodeWireFrame decodes a frame payload (everything after the length
 // prefix) into a fresh envelope slice. Exported for the hot-path
 // microbenchmarks.
 func DecodeWireFrame[M any](payload []byte) (step int, batch []Envelope[M], err error) {
-	if len(payload) < wireFrameHeader-4 {
-		return 0, nil, fmt.Errorf("wire frame: truncated header (%d bytes)", len(payload))
+	step, count, rest, err := flatFrameHeader(payload)
+	if err != nil || count == 0 {
+		return step, nil, err
 	}
-	step = int(binary.LittleEndian.Uint32(payload))
-	count := int(binary.LittleEndian.Uint32(payload[4:]))
-	rest := payload[8:]
-	if count < 0 || count > len(rest) {
-		return 0, nil, fmt.Errorf("wire frame: implausible envelope count %d for %d bytes", count, len(rest))
-	}
-	if count == 0 {
-		if len(rest) != 0 {
-			return 0, nil, fmt.Errorf("wire frame: %d trailing bytes", len(rest))
-		}
-		return step, nil, nil
-	}
-	batch = make([]Envelope[M], count)
 	for i := 0; i < count; i++ {
-		if len(rest) < 4 {
-			return 0, nil, fmt.Errorf("wire frame: truncated envelope %d/%d", i, count)
-		}
-		batch[i].Dest = graph.VertexID(binary.LittleEndian.Uint32(rest))
-		rest, err = any(&batch[i].Msg).(WireMessage).DecodeWire(rest[4:])
-		if err != nil {
-			return 0, nil, fmt.Errorf("wire frame: envelope %d/%d: %w", i, count, err)
+		batch = growEnvelope(batch, count)
+		if rest, err = decodeEnvelope(&batch[i], any(&batch[i].Msg).(WireMessage), rest, i, count); err != nil {
+			return 0, nil, err
 		}
 	}
 	if len(rest) != 0 {

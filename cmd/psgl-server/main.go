@@ -70,19 +70,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strategy     = fs.String("strategy", "wa", "default distribution strategy: random, roulette, wa")
 		alpha        = fs.Float64("alpha", 0.5, "workload-aware penalty exponent (0,1]")
 		noIndex      = fs.Bool("no-edge-index", false, "disable the bloom edge index")
-		async        = fs.Bool("async", false, "run local count queries on the pipelined async BSP exchange (credit-based termination; counts identical to strict mode); streams always run on it")
-		compress     = fs.Bool("compress", false, "prefix-compress Gpsi frames on local queries (counts identical to flat mode)")
+		async        = fs.Bool("async", false, "run count queries on the pipelined async BSP exchange (credit-based termination; counts identical to strict mode); streams always run on it")
+		compress     = fs.Bool("compress", false, "prefix-compress Gpsi frames (counts identical to flat mode)")
 		maxInFlight  = fs.Int("max-inflight", 2, "queries executing concurrently (>= 1)")
 		maxQueue     = fs.Int("max-queue", 8, "queries waiting behind the execution slots before 429 (>= 0)")
 		defDeadline  = fs.Duration("default-deadline", 30*time.Second, "deadline for queries without deadline_ms")
 		maxDeadline  = fs.Duration("max-deadline", 5*time.Minute, "cap on client-supplied deadlines")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight queries on shutdown")
 		tracePath    = fs.String("trace", "", "write a JSONL trace of every query's events to this file")
-		workerPlane  = fs.Bool("worker-plane", false, "coordinate remote psgl-worker processes instead of executing queries in-process")
-		quorum       = fs.Int("quorum", 1, "minimum alive workers to serve queries; below it /query answers 503 with Retry-After (worker-plane mode)")
-		heartbeat    = fs.Duration("heartbeat", 500*time.Millisecond, "worker heartbeat interval (worker-plane mode)")
-		missLimit    = fs.Int("miss-limit", 3, "consecutive missed heartbeats before a worker is evicted (worker-plane mode)")
-		hedge        = fs.Duration("hedge", 2*time.Second, "delay before hedging a count query to a second worker; negative disables (worker-plane mode)")
 		compactAt    = fs.Int("compact-threshold", 1024, "fold the mutation overlay's patch into a fresh base once it reaches this many edges; 0 disables compaction")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -102,12 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *alpha <= 0 || *alpha > 1 {
 		return usage("-alpha must be in (0, 1], have %g", *alpha)
-	}
-	if !*workerPlane && (*quorum != 1 || *heartbeat != 500*time.Millisecond || *missLimit != 3 || *hedge != 2*time.Second) {
-		return usage("-quorum, -heartbeat, -miss-limit, and -hedge require -worker-plane")
-	}
-	if *workerPlane && *quorum < 1 {
-		return usage("-quorum must be >= 1, have %d", *quorum)
 	}
 
 	cfg := psgl.ServerConfig{
@@ -144,14 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -max-queue 0 must mean "no queue", which the config spells as -1.
 	if *maxQueue == 0 {
 		cfg.MaxQueue = -1
-	}
-	if *workerPlane {
-		cfg.Plane = &psgl.PlaneConfig{
-			Quorum:            *quorum,
-			HeartbeatInterval: *heartbeat,
-			MissLimit:         *missLimit,
-			HedgeDelay:        *hedge,
-		}
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -194,12 +175,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	mode := "/query, /update, /subscribe, /healthz, /stats, /debug/"
-	if *workerPlane {
-		mode += ", /workers; coordinating remote workers (quorum " + fmt.Sprint(*quorum) + ")"
-	}
-	fmt.Fprintf(stderr, "psgl-server: %d vertices, %d edges resident; serving on http://%s (%s)\n",
-		g.NumVertices(), g.NumEdges(), ln.Addr(), mode)
+	fmt.Fprintf(stderr, "psgl-server: %d vertices, %d edges resident; serving on http://%s (/query, /update, /subscribe, /healthz, /stats, /debug/)\n",
+		g.NumVertices(), g.NumEdges(), ln.Addr())
 	if testListenerReady != nil {
 		testListenerReady(ln.Addr().String())
 	}

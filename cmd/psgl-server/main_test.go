@@ -39,8 +39,6 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "fifo"}, `unknown strategy "fifo"`},
 		{"trailing args", []string{"-gen", "er:50:100", "extra"}, "unexpected arguments"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
-		{"plane flags without plane", []string{"-gen", "er:50:100", "-quorum", "2"}, "require -worker-plane"},
-		{"zero quorum", []string{"-gen", "er:50:100", "-worker-plane", "-quorum", "0"}, "-quorum must be >= 1"},
 		{"negative compact threshold", []string{"-gen", "er:50:100", "-compact-threshold", "-5"}, "-compact-threshold must be >= 0"},
 	}
 	for _, tc := range cases {

@@ -4,10 +4,9 @@ package graph
 // FNV-1a over the CSR offsets and adjacency arrays. Because Build sorts and
 // deduplicates adjacency lists, any construction order of the same edge set
 // produces the same CSR and therefore the same fingerprint. The resident
-// query service reports it in /stats and the update response, and the worker
-// plane gates a worker's join on it, so clients and workers can tell which
-// graph a server is holding. (Plans are not keyed on it: each graph epoch has
-// its own plan cache, keyed on the canonical pattern alone.)
+// query service reports it in /stats and the update response, so clients can
+// tell which graph a server is holding. (Plans are not keyed on it: each
+// graph epoch has its own plan cache, keyed on the canonical pattern alone.)
 func (g *Graph) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

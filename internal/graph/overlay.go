@@ -16,8 +16,8 @@ import (
 //
 //	ov.Fingerprint() == ov.Snapshot().EdgeFingerprint()
 //
-// holds after every batch — the serving layer's plan cache and worker-plane
-// generation gating key on that fingerprint.
+// holds after every batch — the query service reports that fingerprint in
+// /stats without materializing a snapshot.
 //
 // The vertex set is fixed at construction: an overlay can rewire edges among
 // the base's vertices but never grows |V|.

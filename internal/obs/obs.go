@@ -240,13 +240,8 @@ type Observer struct {
 	recoveries      atomic.Int64
 	aborts          atomic.Int64
 	setupAborts     atomic.Int64
-
-	// Worker-plane counters (registry liveness plus serving-tier retry; fed
-	// by internal/serve's coordinator and the registry sweeper).
-	heartbeatMisses atomic.Int64
-	evictions       atomic.Int64
-	queryRetries    atomic.Int64
-	hedgedQueries   atomic.Int64
+	// Serving-tier query retries (fed by internal/serve's retry loop).
+	queryRetries atomic.Int64
 
 	// Census-engine counters (fed by internal/esu at end of run: workers
 	// accumulate locally and flush once, so nothing here is per-subgraph).
@@ -515,42 +510,13 @@ func (o *Observer) AddSetupAbort() {
 	o.setupAborts.Add(1)
 }
 
-// AddHeartbeatMiss counts one overdue worker heartbeat interval observed by
-// the registry sweeper (a worker can miss several intervals before the miss
-// limit evicts it).
-func (o *Observer) AddHeartbeatMiss(n int64) {
-	if o == nil {
-		return
-	}
-	o.heartbeatMisses.Add(n)
-}
-
-// AddEviction counts one worker evicted from the registry for missing its
-// heartbeat miss limit.
-func (o *Observer) AddEviction() {
-	if o == nil {
-		return
-	}
-	o.evictions.Add(1)
-}
-
-// AddQueryRetry counts one query re-dispatched or re-admitted after a worker
-// failure (the serving tier's retry, distinct from the engine's per-barrier
-// exchange retries).
+// AddQueryRetry counts one failed query re-run by the serving tier (distinct
+// from the engine's per-barrier exchange retries).
 func (o *Observer) AddQueryRetry() {
 	if o == nil {
 		return
 	}
 	o.queryRetries.Add(1)
-}
-
-// AddHedgedQuery counts one speculative hedge dispatch launched because the
-// primary worker had not answered within the hedge delay.
-func (o *Observer) AddHedgedQuery() {
-	if o == nil {
-		return
-	}
-	o.hedgedQueries.Add(1)
 }
 
 // AddCensus records one completed motif census: subgraphs enumerated and the

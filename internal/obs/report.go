@@ -39,13 +39,8 @@ type Snapshot struct {
 	Recoveries         int64         `json:"recoveries"`
 	Aborts             int64         `json:"aborts"`
 	SetupAborts        int64         `json:"setup_aborts"`
-
-	// Worker-plane counters (monotonic; fed by the serving tier's registry
-	// sweeper and query dispatcher).
-	HeartbeatMisses int64 `json:"heartbeat_misses"`
-	Evictions       int64 `json:"evictions"`
-	QueryRetries    int64 `json:"query_retries"`
-	HedgedQueries   int64 `json:"hedged_queries"`
+	// QueryRetries counts failed queries the serving tier re-ran.
+	QueryRetries int64 `json:"query_retries"`
 
 	// Census-engine counters (monotonic; fed once per census run).
 	CensusSubgraphs int64 `json:"census_subgraphs"`
@@ -104,10 +99,7 @@ func (o *Observer) Snapshot() Snapshot {
 		Recoveries:         o.recoveries.Load(),
 		Aborts:             o.aborts.Load(),
 		SetupAborts:        o.setupAborts.Load(),
-		HeartbeatMisses:    o.heartbeatMisses.Load(),
-		Evictions:          o.evictions.Load(),
 		QueryRetries:       o.queryRetries.Load(),
-		HedgedQueries:      o.hedgedQueries.Load(),
 		CensusSubgraphs:    o.censusSubgraphs.Load(),
 		CanonHits:          o.canonHits.Load(),
 		CanonMisses:        o.canonMisses.Load(),
@@ -183,14 +175,10 @@ func (o *Observer) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "checkpoints: %d saves, %d B total, %v encode+store\n",
 			s.CheckpointSaves, s.CheckpointBytes, s.CheckpointSaveTime.Round(time.Microsecond))
 	}
-	if s.Retries+s.Restores+s.Restarts+s.Recoveries+s.Aborts+s.SetupAborts > 0 {
-		fmt.Fprintf(w, "faults: %d retries, %d recoveries (%d restores in %v, %d restarts), %d aborts, %d setup aborts\n",
+	if s.Retries+s.Restores+s.Restarts+s.Recoveries+s.Aborts+s.SetupAborts+s.QueryRetries > 0 {
+		fmt.Fprintf(w, "faults: %d retries, %d recoveries (%d restores in %v, %d restarts), %d aborts, %d setup aborts, %d query retries\n",
 			s.Retries, s.Recoveries, s.Restores, s.RestoreTime.Round(time.Microsecond),
-			s.Restarts, s.Aborts, s.SetupAborts)
-	}
-	if s.HeartbeatMisses+s.Evictions+s.QueryRetries+s.HedgedQueries > 0 {
-		fmt.Fprintf(w, "worker plane: %d heartbeat misses, %d evictions, %d query retries, %d hedged dispatches\n",
-			s.HeartbeatMisses, s.Evictions, s.QueryRetries, s.HedgedQueries)
+			s.Restarts, s.Aborts, s.SetupAborts, s.QueryRetries)
 	}
 	if s.CreditRounds > 0 {
 		fmt.Fprintf(w, "credit detector: %d rounds, %d early expansions, %d frames in flight at peak\n",

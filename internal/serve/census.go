@@ -17,8 +17,7 @@ import (
 // ESU motif-census engine (internal/esu) and answers with the full k-motif
 // histogram. Census queries pass through the same admission control as
 // listing queries — a census is the heavier workload, so it must not bypass
-// the in-flight cap — and always run in-process (the census engine is
-// shared-memory; a worker plane does not distribute it).
+// the in-flight cap.
 //
 // The census walks the epoch's own CSR graph, so it builds nothing per
 // epoch. Two layers amortize repeat censuses on the resident graph:

@@ -73,32 +73,27 @@ type Config struct {
 	// query runs under its own Observer tagged with the query's trace ID
 	// (q1, q2, ...). Nil disables tracing.
 	TraceSink obs.Sink
-	// CheckpointEvery > 0 checkpoints every local query's BSP state at every
+	// CheckpointEvery > 0 checkpoints every query's BSP state at every
 	// Nth barrier, enabling in-run recovery and checkpoint-resume retry.
 	CheckpointEvery int
-	// MaxRecoveries bounds in-run checkpoint restores per local query run.
+	// MaxRecoveries bounds in-run checkpoint restores per query run.
 	MaxRecoveries int
-	// QueryRetries is how many times a failed local count query is re-run,
+	// QueryRetries is how many times a failed count query is re-run,
 	// resuming from its last barrier checkpoint (CheckpointEvery > 0) or
 	// from scratch. 0 disables.
 	QueryRetries int
-	// AsyncExchange runs local count queries on the pipelined async BSP
-	// exchange (credit-based termination instead of superstep barriers).
+	// AsyncExchange runs count queries on the pipelined async BSP exchange
+	// (credit-based termination instead of superstep barriers).
 	// Counts are identical to strict mode. Streams always run pipelined, so
 	// a `limit` is met depth first. Checkpoints, when enabled, snapshot at
 	// quiescence points.
 	AsyncExchange bool
-	// CompressFrames front-codes Gpsi batches on local queries: sorted
-	// prefix-compressed frames on the wire and in the inboxes, decoded into
-	// the same per-Gpsi expansion as flat mode. Counts are identical to flat
-	// mode; the compression ratio shows up in /stats under the observer's
+	// CompressFrames front-codes Gpsi batches: sorted prefix-compressed
+	// frames on the wire and in the inboxes, decoded into the same per-Gpsi
+	// expansion as flat mode. Counts are identical to flat mode; the
+	// compression ratio shows up in /stats under the observer's
 	// compressed_* counters.
 	CompressFrames bool
-	// Plane, when non-nil, turns the server into the coordinator of a
-	// remote worker plane: queries are dispatched to registered psgl-worker
-	// processes instead of running in-process, and below Plane.Quorum the
-	// server answers 503 with Retry-After.
-	Plane *PlaneConfig
 	// CompactThreshold folds the mutation overlay's patch set into a fresh
 	// CSR base once it holds this many edges, bounding the per-Snapshot
 	// rebuild overhead of a long mutation history. 0 means 1024; negative
@@ -297,11 +292,6 @@ type Server struct {
 	prepLastBuildNS atomic.Int64
 	prepLastPatchNS atomic.Int64
 
-	// plane is non-nil when this server coordinates a remote worker tier;
-	// planeObs is its long-lived observer (heartbeat misses, evictions).
-	plane    *plane
-	planeObs *obs.Observer
-
 	// Query outcome counters for /stats.
 	completed        atomic.Int64
 	rejected         atomic.Int64
@@ -310,7 +300,7 @@ type Server struct {
 	embeddingsSent   atomic.Int64
 	queryRetries     atomic.Int64
 
-	// Cumulative compressed-frame counters across completed local queries
+	// Cumulative compressed-frame counters across completed queries
 	// (zero unless CompressFrames is on), for the /stats compression ratio.
 	compFrames    atomic.Int64
 	compWireBytes atomic.Int64
@@ -320,9 +310,8 @@ type Server struct {
 	// execution slot, before the engine starts — a test seam for pinning
 	// queries in flight deterministically.
 	hookQueryAdmitted func()
-	// testExchange, when non-nil, overrides the local engine's message
-	// exchange — a test seam for injecting scheduled faults into locally
-	// executed queries.
+	// testExchange, when non-nil, overrides the engine's message exchange
+	// — a test seam for injecting scheduled faults into queries.
 	testExchange bsp.ExchangeFactory
 }
 
@@ -343,11 +332,6 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	s.state.Store(&graphState{graphData: newGraphData(g, 0, &prepBase{g: g}, nil, nil)})
 	s.overlay = graph.NewOverlay(g)
 	s.mutEdgeFP.Store(s.overlay.Fingerprint())
-	if cfg.Plane != nil {
-		s.planeObs = obs.New(cfg.TraceSink)
-		s.planeObs.SetTag("plane")
-		s.plane = newPlane(*cfg.Plane, s.planeObs)
-	}
 	return s, nil
 }
 
@@ -360,12 +344,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/debug/", obs.HandlerProvider(func() *obs.Observer { return s.lastObs.Load() }))
-	if s.plane != nil {
-		mux.HandleFunc("/workers/join", s.handleWorkerJoin)
-		mux.HandleFunc("/workers/heartbeat", s.handleWorkerBeat)
-		mux.HandleFunc("/workers/leave", s.handleWorkerLeave)
-		mux.HandleFunc("/workers", s.handleWorkers)
-	}
 	return mux
 }
 
@@ -376,9 +354,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	s.drainMu.Unlock()
 	s.closeSubscriptions()
-	if s.plane != nil {
-		s.plane.stop()
-	}
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -545,22 +520,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.lastObs.Store(observer)
 
 	if isCensus {
-		// The census engine is shared-memory: it always runs in-process, even
-		// when this server coordinates a worker plane, and it holds its
-		// admission slot like any other query.
+		// A census holds its admission slot like any other query.
 		s.serveCensus(ctx, w, st.graphData, censusK, params, observer, traceID, time.Now())
-		return
-	}
-
-	if s.plane != nil {
-		// Worker-plane mode: this server coordinates; the engine runs on a
-		// remote worker. Plan lookup above still gave us fast 400s and a
-		// warm cache entry for the canonical pattern.
-		if params.countOnly {
-			s.remoteCount(ctx, w, params, observer)
-		} else {
-			s.remoteStream(ctx, w, params, observer)
-		}
 		return
 	}
 
@@ -759,7 +720,7 @@ type StatsResponse struct {
 		Retries          int64 `json:"retries"`
 	} `json:"queries"`
 	// Compression aggregates the compressed-frame counters of completed
-	// local queries (all zero unless Config.CompressFrames): Ratio is
+	// queries (all zero unless Config.CompressFrames): Ratio is
 	// raw-bytes / wire-bytes, i.e. how much the front-coding saved.
 	Compression struct {
 		Frames    int64   `json:"frames"`
@@ -779,9 +740,7 @@ type StatsResponse struct {
 	// effective edge changes, overlay patch/compaction state, standing-query
 	// subscriptions, and the cumulative delta-enumeration totals.
 	Mutations MutationStats `json:"mutations"`
-	// Plane is present only when the server coordinates a worker plane.
-	Plane    *PlaneStats `json:"worker_plane,omitempty"`
-	Draining bool        `json:"draining"`
+	Draining  bool          `json:"draining"`
 }
 
 // PreparedStats is the /stats prepared section. Every engine query counts in
@@ -852,9 +811,6 @@ func (s *Server) Stats() StatsResponse {
 	}
 	sr.Census = s.census.stats()
 	sr.Mutations = s.mutationStats(st.epoch)
-	if s.plane != nil {
-		sr.Plane = s.plane.stats()
-	}
 	sr.Draining = s.Draining()
 	return sr
 }

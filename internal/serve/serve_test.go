@@ -583,66 +583,6 @@ func TestNewRejectsNilGraph(t *testing.T) {
 	}
 }
 
-// TestDrainRacingEvictedWorker is the SIGTERM-drain satellite: a coordinator
-// draining while its last worker has just been evicted must answer every
-// racing query with a well-formed 503 JSON body — whether the query loses to
-// the drain gate or to the quorum gate — and Drain must still complete.
-func TestDrainRacingEvictedWorker(t *testing.T) {
-	g := testGraph(t)
-	s, ts := newTestServer(t, g, Config{MaxInFlight: 4, Plane: &PlaneConfig{
-		Quorum:            1,
-		HeartbeatInterval: 20 * time.Millisecond,
-		MissLimit:         3,
-	}})
-	w1, err := StartWorker(g, WorkerConfig{ID: "w1", Coordinator: ts.URL, Serve: Config{Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1.Kill()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.plane.reg.NumAlive() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dead worker never evicted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Race a burst of queries against the drain.
-	var wg sync.WaitGroup
-	codes := make(chan int, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/query?pattern=triangle&count_only=true")
-			if err != nil {
-				codes <- -1
-				return
-			}
-			var body map[string]string
-			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body["error"] == "" {
-				resp.Body.Close()
-				codes <- -2 // malformed error body
-				return
-			}
-			resp.Body.Close()
-			codes <- resp.StatusCode
-		}()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("racing query got %d, want well-formed 503", code)
-		}
-	}
-}
-
 // TestLocalQueryRetryResumesFromCheckpoint: in local mode with QueryRetries
 // and checkpointing on, a query whose exchange dies mid-run is re-admitted,
 // resumes from its last barrier checkpoint, and answers the exact count.

@@ -10,12 +10,9 @@
 // invalidates everything keyed on the previous graph by replacing it: the
 // plan cache (rebuilt against the new degree distribution), the engine's
 // prepared state (patched from the compaction base's by the first query of
-// the new epoch that needs it), the census's per-k results (recounted
-// likewise), and — when this server coordinates a worker plane — every
-// registered worker, whose resident graph is now a stale epoch (their rejoin
-// re-checks the fingerprint). Queries
-// already in flight keep the graphState they loaded at admission, so they
-// finish on a consistent snapshot.
+// the new epoch that needs it) and the census's per-k results (recounted
+// likewise). Queries already in flight keep the graphState they loaded at
+// admission, so they finish on a consistent snapshot.
 //
 // Past Config.CompactThreshold pending patch edges the overlay folds its
 // patches into a fresh CSR base, bounding snapshot and engine-state patch
@@ -235,9 +232,8 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 
 	if effective == 0 {
 		// All-noop batch: the epoch advances (the batch was accepted), but
-		// the edge set is unchanged — plans, prepared engine state, census, and
-		// the worker plane all stay current, and standing queries have nothing
-		// to hear.
+		// the edge set is unchanged — plans, prepared engine state and census
+		// all stay current, and standing queries have nothing to hear.
 		s.state.Store(&graphState{graphData: old.graphData, epoch: res.Epoch})
 		s.finishUpdate(resp, old.fp, false, start)
 		return resp, nil
@@ -267,14 +263,8 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 	// plan's initial vertex was selected against the old degree
 	// distribution), the engine's prepared state and the census results — a
 	// query still pinning the old epoch keeps reading the old ones.
-	// Worker-plane workers are resident over the old graph, so every
-	// incarnation is retired; the rejoin loop re-checks the fingerprint and
-	// keeps them out until they reload.
 	neu := &graphState{graphData: newGraphData(snap, res.Epoch, base, added, removed), epoch: res.Epoch}
 	s.state.Store(neu)
-	if s.plane != nil {
-		s.plane.reg.EvictAll()
-	}
 	s.finishUpdate(resp, neu.fp, compacted, start)
 	return resp, nil
 }

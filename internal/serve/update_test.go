@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -388,52 +387,6 @@ func TestCensusInvalidatedOnUpdate(t *testing.T) {
 	}
 	if c1.Subgraphs != oracle.Subgraphs {
 		t.Fatalf("post-update census %d subgraphs, oracle %d", c1.Subgraphs, oracle.Subgraphs)
-	}
-}
-
-// TestWorkerPlaneEvictedOnUpdate: a graph mutation retires every worker
-// incarnation — their resident graph is the previous epoch's. Heartbeats
-// answer 409 (rejoin) and a rejoin with the stale fingerprint answers 412.
-func TestWorkerPlaneEvictedOnUpdate(t *testing.T) {
-	g := testGraph(t)
-	s, ts := newTestServer(t, g, Config{Plane: &PlaneConfig{Quorum: 1, SweepInterval: -1}})
-
-	oldFP := fmt.Sprintf("%016x", g.Fingerprint())
-	join := func(fp string) (joinResponse, int) {
-		body, _ := json.Marshal(joinRequest{ID: "w1", Addr: "127.0.0.1:1", Fingerprint: fp})
-		resp, err := http.Post(ts.URL+"/workers/join", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var jr joinResponse
-		json.NewDecoder(resp.Body).Decode(&jr)
-		return jr, resp.StatusCode
-	}
-	jr, code := join(oldFP)
-	if code != http.StatusOK {
-		t.Fatalf("join status %d", code)
-	}
-
-	if _, code := postUpdate(t, ts.URL, `{"add":[[0,1],[0,2],[1,2]]}`); code != http.StatusOK {
-		t.Fatalf("update status %d", code)
-	}
-
-	beat, _ := json.Marshal(beatRequest{ID: "w1", Gen: jr.Gen})
-	resp, err := http.Post(ts.URL+"/workers/heartbeat", "application/json", bytes.NewReader(beat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("post-update heartbeat: status %d, want 409 (evicted)", resp.StatusCode)
-	}
-	if _, code := join(oldFP); code != http.StatusPreconditionFailed {
-		t.Fatalf("rejoin with stale fingerprint: status %d, want 412", code)
-	}
-	newFP := s.Stats().Graph.Fingerprint
-	if _, code := join(newFP); code != http.StatusOK {
-		t.Fatalf("rejoin with current fingerprint: status %d, want 200", code)
 	}
 }
 

@@ -362,27 +362,6 @@ type (
 // http.Server and call Drain on shutdown.
 func NewServer(g *Graph, cfg ServerConfig) (*Server, error) { return serve.New(g, cfg) }
 
-// Remote worker plane (cmd/psgl-worker): with ServerConfig.Plane set, the
-// server coordinates a fleet of worker processes — registration with
-// fingerprint checks and generation numbers, heartbeat liveness with
-// missed-beat eviction, hedged query dispatch with failover, and a
-// 503-with-Retry-After degraded mode below quorum.
-type (
-	// PlaneConfig enables and tunes the coordinator's worker plane.
-	PlaneConfig = serve.PlaneConfig
-	// RemoteWorker is a running worker process runtime.
-	RemoteWorker = serve.Worker
-	// RemoteWorkerConfig configures one worker (ID, coordinator URL,
-	// listen address, embedded server tuning).
-	RemoteWorkerConfig = serve.WorkerConfig
-)
-
-// StartRemoteWorker loads the worker's execution endpoint over g, joins the
-// coordinator, and starts heartbeating.
-func StartRemoteWorker(g *Graph, cfg RemoteWorkerConfig) (*RemoteWorker, error) {
-	return serve.StartWorker(g, cfg)
-}
-
 // Dynamic graphs (internal/graph.Overlay + internal/delta): the CSR data
 // graph is immutable, so mutation is layered on top — an Overlay records
 // add/remove batches against a base graph and materializes immutable

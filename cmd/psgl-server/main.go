@@ -64,18 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		graphPath    = fs.String("graph", "", "edge-list file to load (SNAP/KONECT format)")
 		genSpec      = fs.String("gen", "", `generator spec: "er:N:M", "chunglu:N:M:GAMMA", "ba:N:K", "rmat:SCALE:M"`)
-		seed         = fs.Int64("seed", 1, "seed for generation, partitioning, and randomized strategies")
+		seed         = fs.Int64("seed", 1, "seed for graph generation and the engine's partitioning")
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address")
 		workers      = fs.Int("workers", 4, "BSP workers per query (>= 1)")
-		strategy     = fs.String("strategy", "wa", "default distribution strategy: random, roulette, wa")
-		alpha        = fs.Float64("alpha", 0.5, "workload-aware penalty exponent (0,1]")
-		noIndex      = fs.Bool("no-edge-index", false, "disable the bloom edge index")
-		async        = fs.Bool("async", false, "run count queries on the pipelined async BSP exchange (credit-based termination; counts identical to strict mode); streams always run on it")
-		compress     = fs.Bool("compress", false, "prefix-compress Gpsi frames (counts identical to flat mode)")
 		maxInFlight  = fs.Int("max-inflight", 2, "queries executing concurrently (>= 1)")
 		maxQueue     = fs.Int("max-queue", 8, "queries waiting behind the execution slots before 429 (>= 0)")
-		defDeadline  = fs.Duration("default-deadline", 30*time.Second, "deadline for queries without deadline_ms")
-		maxDeadline  = fs.Duration("max-deadline", 5*time.Minute, "cap on client-supplied deadlines")
+		defDeadline  = fs.Duration("default-deadline", 30*time.Second, "deadline for queries without deadline_ms (> 0)")
+		maxDeadline  = fs.Duration("max-deadline", 5*time.Minute, "cap on client-supplied deadlines (> 0)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight queries on shutdown")
 		tracePath    = fs.String("trace", "", "write a JSONL trace of every query's events to this file")
 		compactAt    = fs.Int("compact-threshold", 1024, "fold the mutation overlay's patch into a fresh base once it reaches this many edges; 0 disables compaction")
@@ -95,52 +90,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *maxQueue < 0 {
 		return usage("-max-queue must be >= 0, have %d", *maxQueue)
 	}
-	if *alpha <= 0 || *alpha > 1 {
-		return usage("-alpha must be in (0, 1], have %g", *alpha)
+	if *defDeadline <= 0 {
+		return usage("-default-deadline must be > 0, have %v", *defDeadline)
+	}
+	if *maxDeadline <= 0 {
+		return usage("-max-deadline must be > 0, have %v", *maxDeadline)
+	}
+	if *compactAt < 0 {
+		return usage("-compact-threshold must be >= 0, have %d", *compactAt)
 	}
 
 	cfg := psgl.ServerConfig{
 		Workers:          *workers,
-		Alpha:            *alpha,
 		Seed:             *seed,
-		DisableEdgeIndex: *noIndex,
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,
 		DefaultDeadline:  *defDeadline,
 		MaxDeadline:      *maxDeadline,
-		AsyncExchange:    *async,
-		CompressFrames:   *compress,
 		CompactThreshold: *compactAt,
-	}
-	if *compactAt < 0 {
-		return usage("-compact-threshold must be >= 0, have %d", *compactAt)
 	}
 	// -compact-threshold 0 must mean "never compact", which the config
 	// spells as -1 (0 asks for the default).
 	if *compactAt == 0 {
 		cfg.CompactThreshold = -1
 	}
-	switch *strategy {
-	case "random":
-		cfg.Strategy = psgl.StrategyRandom
-	case "roulette":
-		cfg.Strategy = psgl.StrategyRoulette
-	case "wa":
-		cfg.Strategy = psgl.StrategyWorkloadAware
-	default:
-		return usage("unknown strategy %q (want random, roulette, or wa)", *strategy)
-	}
 	// -max-queue 0 must mean "no queue", which the config spells as -1.
 	if *maxQueue == 0 {
 		cfg.MaxQueue = -1
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return fail("%v", err)
-		}
-		defer f.Close()
-		cfg.TraceSink = psgl.NewJSONLSink(f)
 	}
 
 	var g *psgl.Graph
@@ -165,6 +141,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	default:
 		return usage("one of -graph or -gen is required")
+	}
+	// The trace file is created only once the graph has loaded, so a usage
+	// error never truncates an existing file.
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			return fail("%v", err)
+		}
+		defer f.Close()
+		cfg.TraceSink = psgl.NewJSONLSink(f)
 	}
 
 	srv, err := psgl.NewServer(g, cfg)

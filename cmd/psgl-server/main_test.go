@@ -35,8 +35,10 @@ func TestFlagValidation(t *testing.T) {
 		{"zero workers", []string{"-gen", "er:50:100", "-workers", "0"}, "-workers must be >= 1"},
 		{"zero inflight", []string{"-gen", "er:50:100", "-max-inflight", "0"}, "-max-inflight must be >= 1"},
 		{"negative queue", []string{"-gen", "er:50:100", "-max-queue", "-1"}, "-max-queue must be >= 0"},
-		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "2"}, "-alpha must be in (0, 1]"},
-		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "fifo"}, `unknown strategy "fifo"`},
+		// The deadline rows pass an address that cannot bind, so a run that
+		// accepted the deadline exits 1 instead of serving forever.
+		{"zero default deadline", []string{"-gen", "er:50:100", "-addr", "127.0.0.1:99999", "-default-deadline", "0s"}, "-default-deadline must be > 0"},
+		{"negative max deadline", []string{"-gen", "er:50:100", "-addr", "127.0.0.1:99999", "-max-deadline", "-5s"}, "-max-deadline must be > 0"},
 		{"trailing args", []string{"-gen", "er:50:100", "extra"}, "unexpected arguments"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"negative compact threshold", []string{"-gen", "er:50:100", "-compact-threshold", "-5"}, "-compact-threshold must be >= 0"},
@@ -51,6 +53,27 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("args %v: stderr %q, want it to contain %q", tc.args, stderr, tc.wantMsg)
 			}
 		})
+	}
+}
+
+// TestUsageErrorKeepsTraceFile: a run that exits on a usage error leaves an
+// existing -trace file as it was.
+func TestUsageErrorKeepsTraceFile(t *testing.T) {
+	tracePath := t.TempDir() + "/t.jsonl"
+	const old = `{"kept":true}` + "\n"
+	if err := os.WriteFile(tracePath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, "-graph", "a.txt", "-gen", "er:50:100", "-trace", tracePath)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != old {
+		t.Fatalf("trace file is %q after a usage error, want %q", data, old)
 	}
 }
 

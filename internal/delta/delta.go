@@ -46,14 +46,12 @@ import (
 )
 
 // Options configures a delta enumeration. The zero value is valid: 4
-// workers, workload-aware strategy, strict in-process exchange, counting
-// only.
+// workers, strict in-process exchange, counting only. Every anchored run
+// uses the engine's default distribution strategy.
 type Options struct {
 	// Workers is the number of BSP workers per anchored run. 0 means 4.
 	Workers int
-	// Strategy is the Gpsi distribution strategy.
-	Strategy core.Strategy
-	// Seed drives partitioning and randomized strategies.
+	// Seed drives the engine's partitioning of the graph across workers.
 	Seed int64
 	// Collect retains the gained/lost mappings in the result.
 	Collect bool
@@ -66,11 +64,9 @@ type Options struct {
 	// symmetry-breaking orders (e.g. from a serve-layer plan cache), skipping
 	// the per-call BreakAutomorphisms.
 	PrePlanned bool
-	// AsyncExchange, CompressFrames, and Exchange select the BSP substrate
-	// mode per anchored run, exactly as in core.Options.
-	AsyncExchange  bool
-	CompressFrames bool
-	Exchange       bsp.ExchangeFactory
+	// Exchange, when non-nil, replaces the in-process message exchange of
+	// every anchored run, exactly as in core.Options.
+	Exchange bsp.ExchangeFactory
 	// Fault tolerance, applied to every anchored run (see core.Options).
 	// Each run gets its own fresh in-memory checkpoint store — stores hold
 	// one run's snapshots at a time, and a shared store could restore a
@@ -220,7 +216,6 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 	pEdges := p.Edges()
 	copts := core.Options{
 		Workers:          opts.Workers,
-		Strategy:         opts.Strategy,
 		Seed:             opts.Seed,
 		Collect:          opts.Collect,
 		OnInstance:       stream,
@@ -228,8 +223,6 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 		IdentityOrder:    true,
 		DisableEdgeIndex: true,
 		InitialVertex:    pEdges[0][0], // ignored by seeding; skips per-run plan selection
-		AsyncExchange:    opts.AsyncExchange,
-		CompressFrames:   opts.CompressFrames,
 		Exchange:         opts.Exchange,
 		Retry:            opts.Retry,
 		CheckpointEvery:  opts.CheckpointEvery,

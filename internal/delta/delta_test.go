@@ -158,29 +158,25 @@ func TestDeltaDifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaModesBitIdentical pins the satellite requirement: gained/lost
-// counts — and the embedding multisets — are identical across
-// {strict, async} × {local, TCP}.
+// TestDeltaModesBitIdentical: gained/lost counts — and the embedding
+// multisets — are identical over the in-process and the TCP exchange.
 func TestDeltaModesBitIdentical(t *testing.T) {
 	g0 := gen.ChungLu(200, 700, 1.8, 5)
 	rng := rand.New(rand.NewSource(13))
 	g1, adds, removes := randomBatch(g0, rng, 8, 8)
 	p := pattern.PG3()
 	type mode struct {
-		name  string
-		async bool
-		tcp   bool
+		name string
+		tcp  bool
 	}
 	modes := []mode{
-		{"strict-local", false, false},
-		{"strict-tcp", false, true},
-		{"async-local", true, false},
-		{"async-tcp", true, true},
+		{"strict-local", false},
+		{"strict-tcp", true},
 	}
 	var want *Result
 	var wantGained, wantLost []string
 	for _, md := range modes {
-		opts := Options{Workers: 3, Seed: 2, Collect: true, AsyncExchange: md.async}
+		opts := Options{Workers: 3, Seed: 2, Collect: true}
 		if md.tcp {
 			opts.Exchange = bsp.NewTCPExchangeFactory()
 		}

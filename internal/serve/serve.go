@@ -48,16 +48,9 @@ import (
 type Config struct {
 	// Workers is the engine worker count per query. 0 means 4.
 	Workers int
-	// Strategy is the Gpsi distribution strategy for every query unless the
-	// query overrides it with ?strategy=.
-	Strategy core.Strategy
-	// Alpha is the workload-aware penalty exponent. 0 means 0.5.
-	Alpha float64
-	// Seed drives partitioning and randomized strategies. Fixed per server
-	// so repeated queries are reproducible.
+	// Seed drives the engine's partitioning of the graph across workers.
+	// Fixed per server so repeated queries are reproducible.
 	Seed int64
-	// DisableEdgeIndex turns off the bloom edge index for all queries.
-	DisableEdgeIndex bool
 	// MaxInFlight is the number of queries executing concurrently. 0 means 2.
 	MaxInFlight int
 	// MaxQueue is the bounded FIFO wait queue behind the execution slots;
@@ -82,18 +75,6 @@ type Config struct {
 	// resuming from its last barrier checkpoint (CheckpointEvery > 0) or
 	// from scratch. 0 disables.
 	QueryRetries int
-	// AsyncExchange runs count queries on the pipelined async BSP exchange
-	// (credit-based termination instead of superstep barriers).
-	// Counts are identical to strict mode. Streams always run pipelined, so
-	// a `limit` is met depth first. Checkpoints, when enabled, snapshot at
-	// quiescence points.
-	AsyncExchange bool
-	// CompressFrames front-codes Gpsi batches: sorted prefix-compressed
-	// frames on the wire and in the inboxes, decoded into the same per-Gpsi
-	// expansion as flat mode. Counts are identical to flat mode; the
-	// compression ratio shows up in /stats under the observer's
-	// compressed_* counters.
-	CompressFrames bool
 	// CompactThreshold folds the mutation overlay's patch set into a fresh
 	// CSR base once it holds this many edges, bounding the per-Snapshot
 	// rebuild overhead of a long mutation history. 0 means 1024; negative
@@ -104,9 +85,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.5
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2
@@ -300,12 +278,6 @@ type Server struct {
 	embeddingsSent   atomic.Int64
 	queryRetries     atomic.Int64
 
-	// Cumulative compressed-frame counters across completed queries
-	// (zero unless CompressFrames is on), for the /stats compression ratio.
-	compFrames    atomic.Int64
-	compWireBytes atomic.Int64
-	compRawBytes  atomic.Int64
-
 	// hookQueryAdmitted, when non-nil, runs while the query holds an
 	// execution slot, before the engine starts — a test seam for pinning
 	// queries in flight deterministically.
@@ -393,12 +365,11 @@ type queryParams struct {
 	limit      int64
 	deadline   time.Duration
 	countOnly  bool
-	strategy   core.Strategy
 	workers    int
 }
 
 func (s *Server) parseQuery(r *http.Request) (queryParams, error) {
-	q := queryParams{strategy: s.cfg.Strategy, workers: s.cfg.Workers, deadline: s.cfg.DefaultDeadline}
+	q := queryParams{workers: s.cfg.Workers, deadline: s.cfg.DefaultDeadline}
 	q.patternSrc = r.FormValue("pattern")
 	if q.patternSrc == "" {
 		return q, fmt.Errorf("missing required parameter 'pattern'")
@@ -426,19 +397,6 @@ func (s *Server) parseQuery(r *http.Request) (queryParams, error) {
 			return q, fmt.Errorf("bad count_only %q (want a boolean)", v)
 		}
 		q.countOnly = b
-	}
-	switch v := r.FormValue("strategy"); v {
-	case "", "wa":
-		// keep default (or the server's configured strategy for "")
-		if v == "wa" {
-			q.strategy = core.StrategyWorkloadAware
-		}
-	case "random":
-		q.strategy = core.StrategyRandom
-	case "roulette":
-		q.strategy = core.StrategyRoulette
-	default:
-		return q, fmt.Errorf("bad strategy %q (want random, roulette, or wa)", v)
 	}
 	if v := r.FormValue("workers"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -527,10 +485,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	opts := core.NewOptions()
 	opts.Workers = params.workers
-	opts.Strategy = params.strategy
-	opts.Alpha = s.cfg.Alpha
 	opts.Seed = s.cfg.Seed
-	opts.DisableEdgeIndex = s.cfg.DisableEdgeIndex
 	opts.Observer = observer
 	// The plan-reuse path: the cached pattern already carries its
 	// symmetry-breaking orders, and the initial vertex was selected once
@@ -538,11 +493,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts.PlannedPattern = true
 	opts.InitialVertex = plan.InitialVertex
 	opts.Exchange = s.testExchange
-	// A stream runs pipelined whatever the switch: its worker takes its own
-	// newest work first, so a limit is met in work proportional to the
-	// pattern's depth instead of a full breadth-first level.
-	opts.AsyncExchange = s.cfg.AsyncExchange || !params.countOnly
-	opts.CompressFrames = s.cfg.CompressFrames
+	// A stream runs pipelined: its worker takes its own newest work first,
+	// so a limit is met in work proportional to the pattern's depth instead
+	// of a full breadth-first level. A count runs strict, which costs less
+	// when the whole enumeration has to be walked anyway.
+	opts.AsyncExchange = !params.countOnly
 	if s.cfg.CheckpointEvery > 0 {
 		opts.CheckpointEvery = s.cfg.CheckpointEvery
 		opts.CheckpointStore = bsp.NewMemCheckpointStore()
@@ -593,7 +548,6 @@ func (s *Server) serveCount(ctx context.Context, w http.ResponseWriter, pr *core
 		return
 	}
 	s.completed.Add(1)
-	s.addCompression(&res.Stats)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(countResponse{
 		TraceID:   traceID,
@@ -667,7 +621,6 @@ func (s *Server) serveStream(ctx context.Context, w http.ResponseWriter, pr *cor
 		trailer.Error = err.Error()
 	default:
 		s.completed.Add(1)
-		s.addCompression(&res.Stats)
 		trailer.Truncated = res.Truncated
 	}
 	s.embeddingsSent.Add(n)
@@ -719,15 +672,6 @@ type StatsResponse struct {
 		EmbeddingsSent   int64 `json:"embeddings_sent"`
 		Retries          int64 `json:"retries"`
 	} `json:"queries"`
-	// Compression aggregates the compressed-frame counters of completed
-	// queries (all zero unless Config.CompressFrames): Ratio is
-	// raw-bytes / wire-bytes, i.e. how much the front-coding saved.
-	Compression struct {
-		Frames    int64   `json:"frames"`
-		WireBytes int64   `json:"wire_bytes"`
-		RawBytes  int64   `json:"raw_bytes"`
-		Ratio     float64 `json:"ratio"`
-	} `json:"compression"`
 	// Prepared reports the engine's graph-scoped state (the graph relabelled
 	// by degree rank, edge index, hub bitmap, owner array): built once per
 	// compaction base, patched from it once per later graph epoch, each by the
@@ -788,12 +732,6 @@ func (s *Server) Stats() StatsResponse {
 	sr.Queries.Failed = s.failed.Load()
 	sr.Queries.EmbeddingsSent = s.embeddingsSent.Load()
 	sr.Queries.Retries = s.queryRetries.Load()
-	sr.Compression.Frames = s.compFrames.Load()
-	sr.Compression.WireBytes = s.compWireBytes.Load()
-	sr.Compression.RawBytes = s.compRawBytes.Load()
-	if sr.Compression.WireBytes > 0 {
-		sr.Compression.Ratio = float64(sr.Compression.RawBytes) / float64(sr.Compression.WireBytes)
-	}
 	sr.Prepared = PreparedStats{
 		Builds:      s.prepBuilds.Load(),
 		Patches:     s.prepPatches.Load(),
@@ -813,17 +751,6 @@ func (s *Server) Stats() StatsResponse {
 	sr.Mutations = s.mutationStats(st.epoch)
 	sr.Draining = s.Draining()
 	return sr
-}
-
-// addCompression folds one completed query's compressed-frame counters into
-// the /stats aggregates (no-ops on flat-mode runs, whose counters are zero).
-func (s *Server) addCompression(st *core.Stats) {
-	if st.CompressedFrames == 0 {
-		return
-	}
-	s.compFrames.Add(st.CompressedFrames)
-	s.compWireBytes.Add(st.CompressedWireBytes)
-	s.compRawBytes.Add(st.CompressedRawBytes)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -118,48 +118,36 @@ func TestConcurrentSamePatternSharesOnePlan(t *testing.T) {
 }
 
 // TestCountsMatchBatchEngine: the resident service must count bit-identically
-// to a direct batch core.Run for the same graph, pattern, and strategy —
-// plan reuse must not change results.
+// to a direct batch core.Run for the same graph and pattern — plan reuse must
+// not change results.
 func TestCountsMatchBatchEngine(t *testing.T) {
 	g := testGraph(t)
 	_, ts := newTestServer(t, g, Config{MaxInFlight: 2})
 
 	for _, tc := range []struct {
-		dsl      string
-		name     string
-		strategy string
+		dsl  string
+		name string
 	}{
-		{"pg1", "pg1", ""},
-		{"triangle", "pg1", "random"},
-		{"cycle(4)", "square", "roulette"},
-		{"pg3", "pg3", "wa"},
+		{"pg1", "pg1"},
+		{"triangle", "pg1"},
+		{"cycle(4)", "square"},
+		{"pg3", "pg3"},
 	} {
 		p, err := pattern.ByName(tc.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := core.NewOptions()
-		switch tc.strategy {
-		case "random":
-			opts.Strategy = core.StrategyRandom
-		case "roulette":
-			opts.Strategy = core.StrategyRoulette
-		}
-		want, err := core.Run(g, p, opts)
+		want, err := core.Run(g, p, core.NewOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		url := ts.URL + "/query?count_only=true&pattern=" + tc.dsl
-		if tc.strategy != "" {
-			url += "&strategy=" + tc.strategy
-		}
 		var cr countResponse
-		if code := getJSON(t, url, &cr); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/query?count_only=true&pattern="+tc.dsl, &cr); code != http.StatusOK {
 			t.Fatalf("%s: status %d", tc.dsl, code)
 		}
 		if cr.Count != want.Count {
-			t.Fatalf("%s (%s): served count %d != batch count %d", tc.dsl, tc.strategy, cr.Count, want.Count)
+			t.Fatalf("%s: served count %d != batch count %d", tc.dsl, cr.Count, want.Count)
 		}
 	}
 }
@@ -441,7 +429,6 @@ func TestBadRequests(t *testing.T) {
 		"?pattern=edges(0-0)",           // self loop
 		"?pattern=pg1&limit=-2",         // bad limit
 		"?pattern=pg1&deadline_ms=zero", // bad deadline
-		"?pattern=pg1&strategy=psychic", // bad strategy
 		"?pattern=pg1&workers=0",        // bad workers
 		"?pattern=pg1&count_only=maybe", // bad bool
 		"?pattern=edges(0-1,2-3)",       // disconnected
@@ -619,26 +606,5 @@ func TestLocalQueryRetryResumesFromCheckpoint(t *testing.T) {
 	}
 	if st.Queries.Failed != 0 {
 		t.Fatalf("failed = %d, want 0 (the retry succeeded)", st.Queries.Failed)
-	}
-}
-
-// TestAsyncExchangeCountMatches: a server running local queries over the
-// pipelined async exchange answers the exact same counts as the default
-// strict-barrier server — the serving face of the async differential.
-func TestAsyncExchangeCountMatches(t *testing.T) {
-	g := testGraph(t)
-	_, strictTS := newTestServer(t, g, Config{Workers: 3})
-	_, asyncTS := newTestServer(t, g, Config{Workers: 3, AsyncExchange: true})
-	for _, pat := range []string{"triangle", "cycle(4)"} {
-		var strict, async countResponse
-		if code := getJSON(t, strictTS.URL+"/query?pattern="+pat+"&count_only=true", &strict); code != http.StatusOK {
-			t.Fatalf("%s strict: status %d", pat, code)
-		}
-		if code := getJSON(t, asyncTS.URL+"/query?pattern="+pat+"&count_only=true", &async); code != http.StatusOK {
-			t.Fatalf("%s async: status %d", pat, code)
-		}
-		if strict.Count != async.Count {
-			t.Fatalf("%s: async server count %d != strict %d", pat, async.Count, strict.Count)
-		}
 	}
 }

@@ -293,12 +293,9 @@ func (s *Server) runDeltas(ctx context.Context, observer *obs.Observer, old, neu
 	for _, grp := range groups {
 		d, err := delta.Enumerate(ctx, old, neu, res.Added, res.Removed, grp.pattern, delta.Options{
 			Workers:         s.cfg.Workers,
-			Strategy:        s.cfg.Strategy,
 			Seed:            s.cfg.Seed,
 			Collect:         true,
 			PrePlanned:      true,
-			AsyncExchange:   s.cfg.AsyncExchange,
-			CompressFrames:  s.cfg.CompressFrames,
 			Exchange:        s.testExchange,
 			CheckpointEvery: s.cfg.CheckpointEvery,
 			MaxRecoveries:   s.cfg.MaxRecoveries,

@@ -10,6 +10,7 @@ package psgl_test
 // The same reports are available interactively via cmd/psgl-bench.
 
 import (
+	"context"
 	"testing"
 
 	"psgl"
@@ -98,14 +99,16 @@ func alphaName(a float64) string {
 	}
 }
 
-// BenchmarkAblationBloomBits varies the edge index size (bits per edge):
-// fewer bits = more false positives = more pending verifications.
+// BenchmarkAblationBloomBits varies the edge index size (bits per edge) in the
+// paper's partitioned model: fewer bits = more false positives = more pending
+// verifications.
 func BenchmarkAblationBloomBits(b *testing.B) {
 	g := datasets.MustLoad("livejournal")
 	for _, bits := range []int{2, 4, 8, 16} {
 		b.Run(bitsName(bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, pattern.PG3(), core.Options{Workers: 8, BloomBitsPerEdge: bits})
+				opts := core.Options{Workers: 8}
+				res, err := core.PreparePartitioned(g, opts, bits).RunContext(context.Background(), pattern.PG3(), opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,18 +132,19 @@ func bitsName(bits int) string {
 	}
 }
 
-// BenchmarkAblationEdgeIndex toggles the edge index entirely (Table 2's axis,
-// as a microbench on a mid-size input).
+// BenchmarkAblationEdgeIndex toggles the edge index entirely in the paper's
+// partitioned model (Table 2's axis, as a microbench on a mid-size input).
 func BenchmarkAblationEdgeIndex(b *testing.B) {
 	g := psgl.GenerateChungLu(5000, 20000, 1.8, 3)
-	for _, disable := range []bool{false, true} {
+	for _, bits := range []int{core.BloomBitsPerEdge, 0} {
 		name := "with-index"
-		if disable {
+		if bits == 0 {
 			name = "without-index"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, pattern.PG3(), core.Options{Workers: 4, DisableEdgeIndex: disable})
+				opts := core.Options{Workers: 4}
+				res, err := core.PreparePartitioned(g, opts, bits).RunContext(context.Background(), pattern.PG3(), opts)
 				if err != nil {
 					b.Fatal(err)
 				}

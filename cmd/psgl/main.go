@@ -11,7 +11,7 @@
 // census(k) selects the ESU motif-census engine instead of pattern listing:
 // every connected k-vertex subgraph shape is counted and the motif histogram
 // is printed as JSON. -workers, -timeout, -verify, -stats, and the
-// observability flags apply; the listing-engine flags (strategy, edge index,
+// observability flags apply; the listing-engine flags (strategy,
 // checkpointing, TCP exchange) do not and are ignored.
 //
 // Observability: -trace writes a JSONL trace of the run's events and prints
@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strategy    = fs.String("strategy", "wa", "distribution strategy: random, roulette, wa")
 		alpha       = fs.Float64("alpha", 0.5, "workload-aware penalty exponent (0,1]")
 		initial     = fs.Int("initial", -1, "initial pattern vertex (-1 = automatic)")
-		noIndex     = fs.Bool("no-edge-index", false, "disable the bloom edge index")
 		seed        = fs.Int64("seed", 1, "seed for partition and randomized strategies")
 		budget      = fs.Int64("max-intermediate", 0, "abort after this many partial instances (0 = unlimited)")
 		maxSteps    = fs.Int("max-supersteps", 0, "abort after this many supersteps (0 = engine default)")
@@ -96,6 +95,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxSteps < 0 {
 		return usage("-max-supersteps must be positive, have %d", *maxSteps)
+	}
+	if *initial < -1 {
+		return usage("-initial must be a pattern vertex or -1 (automatic), have %d", *initial)
+	}
+	if *budget < 0 {
+		return usage("-max-intermediate must be >= 0, have %d", *budget)
+	}
+	if *timeout < 0 {
+		return usage("-timeout must be >= 0, have %v", *timeout)
+	}
+	if *stepTimeout < 0 {
+		return usage("-step-timeout must be >= 0, have %v", *stepTimeout)
+	}
+	if *ckptEvery < 1 {
+		return usage("-checkpoint-every must be >= 1, have %d", *ckptEvery)
 	}
 	explicitZeroSteps := false
 	fs.Visit(func(f *flag.Flag) {
@@ -151,6 +165,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return usage("%v", err)
 		}
+		if *initial >= p.N() {
+			return usage("-initial %d is out of range [0,%d) for %s", *initial, p.N(), p.Name())
+		}
 		if *explain {
 			explainInitialVertex(stdout, g, p)
 			return 0
@@ -160,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.Workers = *workers
 	opts.Alpha = *alpha
 	opts.InitialVertex = *initial
-	opts.DisableEdgeIndex = *noIndex
 	opts.Seed = *seed
 	opts.MaxIntermediate = *budget
 	opts.MaxSupersteps = *maxSteps
@@ -177,11 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		every := *ckptEvery
-		if every <= 0 {
-			every = 1
-		}
-		opts.CheckpointEvery = every
+		opts.CheckpointEvery = *ckptEvery
 		opts.CheckpointStore = store
 		if *resume {
 			opts.ResumeFrom = store
@@ -249,9 +261,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "supersteps:       %d\n", s.Supersteps)
 		fmt.Fprintf(stderr, "initial vertex:   v%d\n", s.InitialVertex+1)
 		fmt.Fprintf(stderr, "gpsi generated:   %d\n", s.GpsiGenerated)
-		fmt.Fprintf(stderr, "pruned: degree=%d order=%d index=%d injective=%d verify=%d\n",
-			s.PrunedByDegree, s.PrunedByOrder, s.PrunedByIndex, s.PrunedByInjectivity, s.PrunedByVerify)
-		fmt.Fprintf(stderr, "index queries:    %d (index %d bytes)\n", s.EdgeIndexQueries, s.EdgeIndexBytes)
+		fmt.Fprintf(stderr, "pruned: degree=%d order=%d injective=%d verify=%d\n",
+			s.PrunedByDegree, s.PrunedByOrder, s.PrunedByInjectivity, s.PrunedByVerify)
 		fmt.Fprintf(stderr, "load makespan:    %.0f units\n", s.LoadMakespan)
 		if s.Recoveries > 0 {
 			fmt.Fprintf(stderr, "recoveries:       %d checkpoint restores\n", s.Recoveries)

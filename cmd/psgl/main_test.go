@@ -20,36 +20,50 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 }
 
 func TestFlagValidation(t *testing.T) {
+	dir := t.TempDir()
 	cases := []struct {
 		name    string
 		args    []string
+		code    int
 		wantMsg string
 	}{
-		{"negative workers", []string{"-gen", "er:50:100", "-workers", "-3"}, "-workers must be >= 1"},
-		{"zero workers", []string{"-gen", "er:50:100", "-workers", "0"}, "-workers must be >= 1"},
-		{"zero supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "0"}, "-max-supersteps must be positive"},
-		{"negative supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "-1"}, "-max-supersteps must be positive"},
-		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "alphabetical"}, `unknown strategy "alphabetical"`},
-		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "1.5"}, "-alpha must be in (0, 1]"},
-		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "0"}, "-exchange-retries must be >= 1"},
-		{"resume without dir", []string{"-gen", "er:50:100", "-resume"}, "-resume requires -checkpoint-dir"},
-		{"recoveries without dir", []string{"-gen", "er:50:100", "-max-recoveries", "2"}, "-max-recoveries requires -checkpoint-dir"},
-		{"no graph source", []string{"-pattern", "pg1"}, "one of -graph or -gen is required"},
-		{"both graph sources", []string{"-graph", "x.txt", "-gen", "er:50:100"}, "either -graph or -gen, not both"},
-		{"unknown pattern", []string{"-gen", "er:50:100", "-pattern", "pg99"}, "pg99"},
-		{"trailing args", []string{"-gen", "er:50:100", "extra"}, "unexpected arguments"},
-		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
+		{"negative workers", []string{"-gen", "er:50:100", "-workers", "-3"}, 2, "-workers must be >= 1"},
+		{"zero workers", []string{"-gen", "er:50:100", "-workers", "0"}, 2, "-workers must be >= 1"},
+		{"zero supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "0"}, 2, "-max-supersteps must be positive"},
+		{"negative supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "-1"}, 2, "-max-supersteps must be positive"},
+		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "alphabetical"}, 2, `unknown strategy "alphabetical"`},
+		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "1.5"}, 2, "-alpha must be in (0, 1]"},
+		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "0"}, 2, "-exchange-retries must be >= 1"},
+		{"resume without dir", []string{"-gen", "er:50:100", "-resume"}, 2, "-resume requires -checkpoint-dir"},
+		{"recoveries without dir", []string{"-gen", "er:50:100", "-max-recoveries", "2"}, 2, "-max-recoveries requires -checkpoint-dir"},
+		{"no graph source", []string{"-pattern", "pg1"}, 2, "one of -graph or -gen is required"},
+		{"both graph sources", []string{"-graph", "x.txt", "-gen", "er:50:100"}, 2, "either -graph or -gen, not both"},
+		{"unknown pattern", []string{"-gen", "er:50:100", "-pattern", "pg99"}, 2, "pg99"},
+		{"trailing args", []string{"-gen", "er:50:100", "extra"}, 2, "unexpected arguments"},
+		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		// The product builds no edge index, so there is none to disable.
+		{"no edge index", []string{"-gen", "er:50:100", "-no-edge-index"}, 2, "flag provided but not defined: -no-edge-index"},
+		{"negative timeout", []string{"-gen", "er:50:100", "-timeout", "-1s"}, 2, "-timeout must be >= 0"},
+		{"negative step timeout", []string{"-gen", "er:50:100", "-step-timeout", "-1s"}, 2, "-step-timeout must be >= 0"},
+		{"negative intermediate budget", []string{"-gen", "er:50:100", "-max-intermediate", "-5"}, 2, "-max-intermediate must be >= 0"},
+		{"zero checkpoint interval", []string{"-gen", "er:50:100", "-checkpoint-dir", dir, "-checkpoint-every", "0"}, 2, "-checkpoint-every must be >= 1"},
+		{"negative checkpoint interval", []string{"-gen", "er:50:100", "-checkpoint-dir", dir, "-checkpoint-every", "-3"}, 2, "-checkpoint-every must be >= 1"},
+		{"negative initial vertex", []string{"-gen", "er:50:100", "-initial", "-4"}, 2, "-initial must be a pattern vertex or -1"},
+		{"initial vertex past the pattern", []string{"-gen", "er:50:100", "-pattern", "triangle", "-initial", "7"}, 2, "-initial 7 is out of range [0,3)"},
 		// Not a CLI rule: the library's typed error (bsp.ErrAsyncStepTimeout).
-		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, "the async exchange has none"},
+		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, 1, "the async exchange has none"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, stderr := runCLI(t, tc.args...)
-			if code == 0 {
-				t.Fatalf("args %v: exit 0, want non-zero", tc.args)
+			if code != tc.code {
+				t.Fatalf("args %v: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr)
 			}
 			if !strings.Contains(stderr, tc.wantMsg) {
 				t.Fatalf("args %v: stderr %q, want it to contain %q", tc.args, stderr, tc.wantMsg)
+			}
+			if n := strings.Count(stderr, "psgl: "); n > 1 {
+				t.Fatalf("args %v: stderr %q carries the psgl: prefix %d times", tc.args, stderr, n)
 			}
 		})
 	}
@@ -222,12 +236,12 @@ func TestExplainExitsCleanly(t *testing.T) {
 // and loopback-TCP transports.
 func TestAsyncFlagMatchesStrict(t *testing.T) {
 	code, strictOut, stderr := runCLI(t,
-		"-gen", "er:150:600", "-pattern", "triangle", "-workers", "3")
+		"-gen", "er:150:600", "-pattern", "square", "-workers", "3")
 	if code != 0 {
 		t.Fatalf("strict run: exit %d, stderr:\n%s", code, stderr)
 	}
 	for _, extra := range [][]string{{"-async"}, {"-async", "-tcp"}} {
-		args := append([]string{"-gen", "er:150:600", "-pattern", "triangle", "-workers", "3", "-verify"}, extra...)
+		args := append([]string{"-gen", "er:150:600", "-pattern", "square", "-workers", "3", "-verify"}, extra...)
 		code, asyncOut, stderr := runCLI(t, args...)
 		if code != 0 {
 			t.Fatalf("%v: exit %d, stderr:\n%s", extra, code, stderr)

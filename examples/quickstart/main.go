@@ -18,7 +18,7 @@ func main() {
 		g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
 	// Default options: 4 workers, workload-aware distribution (α = 0.5),
-	// bloom edge index, automatic initial-pattern-vertex selection.
+	// automatic initial-pattern-vertex selection.
 	opts := psgl.NewOptions()
 	opts.Workers = 8
 

@@ -17,10 +17,16 @@ import (
 // seeded schedule that kills one worker at a random superstep must complete
 // with the embedding count bit-identical to the clean run — over several
 // seeds, so the kill lands on different barriers.
+//
+// The patterns of this file's schedules are chosen by their supersteps: every
+// worker reads every row, so a triangle completes where it is seeded (one
+// superstep, no exchange), a square in two and a house in three. A schedule
+// that needs an exchange runs at least a square, and a strict schedule that
+// names barriers 1 and 2 runs a house.
 func TestKillOneWorkerBitIdenticalLocal(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 1)
-	p := pattern.PG2()
-	// The query runs 4 supersteps; cap the kill step at 2 so every seed's
+	p := pattern.PG5()
+	// The query runs 3 supersteps; cap the kill step at 2 so every seed's
 	// kill lands on a barrier the run actually reaches.
 	for seed := int64(1); seed <= 5; seed++ {
 		sched := NewKillSchedule(seed, 3, 2)
@@ -53,7 +59,7 @@ func TestKillOneWorkerBitIdenticalTCP(t *testing.T) {
 		t.Skip("tcp chaos in -short mode")
 	}
 	g := gen.ErdosRenyi(60, 300, 2)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	for seed := int64(1); seed <= 3; seed++ {
 		sched := NewKillSchedule(seed, 3, 2)
 		out, err := Run(context.Background(), Config{
@@ -76,7 +82,7 @@ func TestKillOneWorkerBitIdenticalTCP(t *testing.T) {
 // partitions) still converges to the clean count.
 func TestMixedScheduleSurvives(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 3)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	sched := NewSchedule(42, 3, 4, 4)
 	o := obs.New(nil)
 	out, err := Run(context.Background(), Config{
@@ -102,7 +108,7 @@ func TestMixedScheduleSurvives(t *testing.T) {
 // never a silently wrong count.
 func TestCorruptCheckpointIsDetectedNotSilent(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 4)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	sched := Schedule{Seed: 7, Events: []Event{
 		{Step: 1, Kind: CorruptCheckpoint},
 		{Step: 2, Kind: Kill, Worker: 1},
@@ -161,7 +167,7 @@ func TestScheduleDeterminism(t *testing.T) {
 // not a wrong count.
 func TestUnsurvivableScheduleFailsLoudly(t *testing.T) {
 	g := gen.ErdosRenyi(40, 150, 5)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	events := make([]Event, 0, 40)
 	for i := 0; i < 40; i++ {
 		events = append(events, Event{Step: 1, Kind: Kill, Worker: i % 2})
@@ -185,7 +191,7 @@ func TestUnsurvivableScheduleFailsLoudly(t *testing.T) {
 // never fail them; counts match with zero recoveries and zero restarts.
 func TestDelayOnlyScheduleNeedsNoRecovery(t *testing.T) {
 	g := gen.ErdosRenyi(60, 300, 6)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	sched := Schedule{Seed: 13, Events: []Event{
 		{Step: 1, Kind: Delay, Delay: 2 * time.Millisecond},
 		{Step: 2, Kind: Delay, Delay: 2 * time.Millisecond},
@@ -249,7 +255,7 @@ func TestAsyncKillScheduleBitIdenticalTCP(t *testing.T) {
 		t.Skip("tcp chaos in -short mode")
 	}
 	g := gen.ErdosRenyi(60, 300, 2)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	for seed := int64(1); seed <= 3; seed++ {
 		sched := NewKillSchedule(seed, 3, 2)
 		out, err := Run(context.Background(), Config{
@@ -273,7 +279,7 @@ func TestAsyncKillScheduleBitIdenticalTCP(t *testing.T) {
 // async count.
 func TestAsyncMixedScheduleSurvives(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 3)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	sched := NewSchedule(42, 3, 4, 4)
 	out, err := Run(context.Background(), Config{
 		Graph:   g,
@@ -296,7 +302,7 @@ func TestAsyncMixedScheduleSurvives(t *testing.T) {
 // neither recovery nor restart is recorded.
 func TestAsyncDelayOnlyScheduleNeedsNoRecovery(t *testing.T) {
 	g := gen.ErdosRenyi(60, 300, 6)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	sched := Schedule{Seed: 13, Events: []Event{
 		{Step: 1, Kind: Delay, Delay: 2 * time.Millisecond},
 		{Step: 2, Kind: Delay, Delay: 2 * time.Millisecond},

@@ -20,10 +20,11 @@ import (
 // TestCompressedKillOneWorkerBitIdenticalLocal reruns the acceptance kill
 // schedule with compressed frames: the restored snapshot carries grouped
 // frames that are re-decoded on replay, and the count must stay
-// bit-identical to the (compressed) clean run.
+// bit-identical to the (compressed) clean run. The patterns here follow the
+// rule in chaos_test.go.
 func TestCompressedKillOneWorkerBitIdenticalLocal(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 1)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	for seed := int64(1); seed <= 5; seed++ {
 		sched := NewKillSchedule(seed, 3, 2)
 		out, err := Run(context.Background(), Config{
@@ -55,7 +56,7 @@ func TestCompressedKillScheduleBitIdenticalTCP(t *testing.T) {
 		t.Skip("tcp chaos in -short mode")
 	}
 	g := gen.ErdosRenyi(60, 300, 2)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	for seed := int64(1); seed <= 3; seed++ {
 		sched := NewKillSchedule(seed, 3, 2)
 		out, err := Run(context.Background(), Config{
@@ -76,11 +77,12 @@ func TestCompressedKillScheduleBitIdenticalTCP(t *testing.T) {
 
 // TestCompressedMixedScheduleSurvives: a dense seeded schedule (kills, drops,
 // delays, partitions) against compressed grouped exchanges still converges.
-// PG3 on a skewed Chung–Lu graph keeps batches dense enough that compression
-// actually engages while the faults fire.
+// PG5 on a skewed Chung–Lu graph keeps batches dense enough that compression
+// actually engages while the faults fire (a diamond, which completes in two
+// supersteps, leaves three of the schedule's faults unfired).
 func TestCompressedMixedScheduleSurvives(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 3)
-	p := pattern.PG3()
+	p := pattern.PG5()
 	sched := NewSchedule(42, 3, 4, 4)
 	out, err := Run(context.Background(), Config{
 		Graph:   g,
@@ -105,7 +107,7 @@ func TestCompressedMixedScheduleSurvives(t *testing.T) {
 // garbage into Gpsis.
 func TestCompressedCorruptCheckpointIsDetectedNotSilent(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 4)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	sched := Schedule{Seed: 7, Events: []Event{
 		{Step: 1, Kind: CorruptCheckpoint},
 		{Step: 2, Kind: Kill, Worker: 1},

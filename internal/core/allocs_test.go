@@ -76,21 +76,27 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 // — per Gpsi it generates. Every policy builds each seed where it expands it,
 // so a seed has no envelope; every other Gpsi's envelope is 80 bytes,
 // allocated once, in the chunk that carries it from Send to Process. Strict:
-// 85 B, budget 113 (89 B, budget 160, while Init still sent every seed to
+// 84-85 B, budget 113 (89 B, budget 160, while Init still sent every seed to
 // itself; ~450 B before chunks, when every superstep's out-buffers regrew
 // from nil and the barrier copied them). A pipelined worker also refills its
-// batches with the own chunks it has processed: 60 B, budget 80 (95 B with
-// every seed built in Init and no chunk reused). Both budgets leave the same
+// batches with the own chunks it has processed: 41 B, budget 55 (60 B,
+// budget 80, while every Gpsi with a pending edge took a verification hop;
+// 95 B with every seed built in Init and no chunk reused). Both budgets leave the same
 // third of headroom.
 //
 // Over TCP (list-wire's graph shape, K = 4) a Gpsi's envelope is allocated
 // at its sender only: the frame carries it in ~26 B, the receiver keeps those
 // bytes until it processes them, decoding one message at a time, and the
-// sender refills its next batches with the chunks a Send has encoded.
-// Strict: 143-183 B, budget 210; pipelined, whose batches ship a frame at a
-// time and so are refilled more: 56-71 B, budget 85 (234-240 and 163-168
-// while a reader decoded every frame into envelopes and the sender dropped
-// what it had encoded).
+// sender refills its next batches with the chunks a Send has encoded. The TCP
+// rows are budgeted per result, not per Gpsi: the mesh and its frame buffers
+// cost the same however few Gpsis cross it, and once every worker read every
+// row a run generated 3.7x fewer (128 427 for 1 454 963 results). Strict:
+// 11-13 B per result, budget 17; pipelined, whose batches ship a frame at a
+// time and so are refilled more: 7.6-9.1 B, budget 12. Per Gpsi of the
+// partitioned model they had read 143-183 B, budget 210, and 56-71 B, budget
+// 85, so the per-result budgets allow 25 % and 43 % of the bytes those did
+// (234-240 and 163-168 B per Gpsi while a reader decoded every frame into
+// envelopes and the sender dropped what it had encoded).
 func TestRunBytesPerGpsi(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the run's")
@@ -100,16 +106,17 @@ func TestRunBytesPerGpsi(t *testing.T) {
 	}
 	local, wire := gen.ChungLu(15000, 75000, 2.2, 1), gen.ChungLu(10000, 50000, 1.8, 1)
 	rows := []struct {
-		g       *graph.Graph
-		workers int
-		tcp     bool
-		async   bool
-		budget  float64
+		g         *graph.Graph
+		workers   int
+		tcp       bool
+		async     bool
+		perResult bool
+		budget    float64
 	}{
-		{local, 2, false, false, 113},
-		{local, 2, false, true, 80},
-		{wire, 4, true, false, 210},
-		{wire, 4, true, true, 85},
+		{local, 2, false, false, false, 113},
+		{local, 2, false, true, false, 55},
+		{wire, 4, true, false, true, 17},
+		{wire, 4, true, true, true, 12},
 	}
 	for _, row := range rows {
 		opts := NewOptions()
@@ -124,10 +131,14 @@ func TestRunBytesPerGpsi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perGpsi := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Stats.GpsiGenerated)
-		t.Logf("tcp=%v async=%v: %d Gpsis, %.0f B allocated per Gpsi", row.tcp, row.async, res.Stats.GpsiGenerated, perGpsi)
-		if perGpsi > row.budget {
-			t.Errorf("tcp=%v async=%v: %.0f B allocated per Gpsi generated, budget %.0f", row.tcp, row.async, perGpsi, row.budget)
+		unit, per := "Gpsi generated", res.Stats.GpsiGenerated
+		if row.perResult {
+			unit, per = "result", res.Count
+		}
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(per)
+		t.Logf("tcp=%v async=%v: %d Gpsis, %d results, %.1f B allocated per %s", row.tcp, row.async, res.Stats.GpsiGenerated, res.Count, got, unit)
+		if got > row.budget {
+			t.Errorf("tcp=%v async=%v: %.1f B allocated per %s, budget %.0f", row.tcp, row.async, got, unit, row.budget)
 		}
 	}
 }

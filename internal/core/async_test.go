@@ -95,10 +95,12 @@ func TestAsyncDifferentialMatchesStrict(t *testing.T) {
 // TestAsyncRecoveryCountsExact: an async run whose frames are killed by a
 // schedule, recovered via quiescence checkpoints, must still report the
 // strict run's exact count — the exactly-once guarantee carries over from
-// barriers to quiescence points.
+// barriers to quiescence points. The schedule kills a house run (a diamond
+// run, which completes in two supersteps, sends too few frames to reach its
+// third).
 func TestAsyncRecoveryCountsExact(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 7)
-	p := pattern.PG3()
+	p := pattern.PG5()
 	strictRes, err := Run(g, p, Options{Workers: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -129,20 +131,22 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 
 	// The run above ends before a checkpoint can fall due while a worker is
 	// still to seed. On a larger graph it can: sweep one kill (no retry, so
-	// a recovery) over wire frames 8-20 of each worker, where a snapshot
+	// a recovery) over wire frames 3-15 of each worker, where a snapshot
 	// taken before some worker's Init once lost its seeds without an error,
 	// and where workers are still seeding from their cursors. A worker sends
-	// some 25 frames in all, so every kill must fire. Some recovery in the
-	// sweep must restore a snapshot with a cursor still queued.
-	g = gen.ChungLu(3000, 12000, 2.0, 3)
-	p = pattern.PG2()
+	// some 18 frames in all, so every kill must fire. Some recovery in the
+	// sweep must restore a snapshot with a cursor still queued. It lists
+	// diamonds: a square closes one hop after its seed, and a worker sends
+	// two frames.
+	g = gen.ChungLu(10000, 40000, 2.0, 3)
+	p = pattern.PG3()
 	strictRes, err = Run(g, p, Options{Workers: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	restoredCursors := 0
 	for _, every := range []int{1, 2} {
-		for seq := 8; seq <= 20; seq += 4 {
+		for seq := 3; seq <= 15; seq += 4 {
 			for w := 0; w < 3; w++ {
 				factory := faulttest.Schedule(t, nil, bsp.StepFault{Step: seq, Kind: bsp.StepFaultKill, Worker: w})
 				store := &restoreProbe{MemCheckpointStore: bsp.NewMemCheckpointStore(), t: t}
@@ -176,10 +180,12 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 // finds cursors still queued, and a run resumed from one — which never runs
 // Init — must finish seeding from them to the strict run's exact count. A
 // cursor kept anywhere but on the queue would be missing from every snapshot,
-// and its seeds from every resumed run.
+// and its seeds from every resumed run. The run lists diamonds: a square
+// closes one hop after its seed and its run quiesces once, when seeding is
+// over.
 func TestCheckpointMidSeedingRestoresExactCounts(t *testing.T) {
 	g := gen.ChungLu(10000, 40000, 2.0, 3)
-	p := pattern.PG2()
+	p := pattern.PG3()
 	base := Options{Workers: 3, Seed: 3}
 	want, err := Run(g, p, base)
 	if err != nil {

@@ -9,12 +9,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"psgl/internal/bsp"
 	"psgl/internal/gen"
+	"psgl/internal/graph"
 	"psgl/internal/pattern"
 )
 
@@ -108,12 +110,15 @@ func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 // strategies consume their per-worker random streams and load views in
 // processing order, so which worker expands a Gpsi may differ — WorkerMessages
 // and LoadUnits are compared by their totals, and LoadMakespan, a function of
-// the split, not at all. (On larger graphs another route can also move where
-// a closing edge is checked, and with it the Gpsi totals; on these it does
-// not.) The test also proves compression engaged: every compressed run
+// the split, not at all. Every row runs in both memory models. (In the
+// partitioned model, on larger graphs, another route can also move where a
+// closing edge is checked, and with it the Gpsi totals; on these it does not.)
+// The test also proves compression engaged: every compressed run that sends
 // decoded frames and saved bytes. Seeds are expanded where they are built, so
 // no seed crosses a frame: clique4 runs on a graph with twice the edges, where
-// its children still fill frames (on the 300-edge graphs it sends none).
+// its children still fill frames in the partitioned model (on the 300-edge
+// graphs it sends none). In one memory domain a clique completes where it is
+// seeded, so its runs must send nothing at all.
 func TestCompressedMatchesFlatStats(t *testing.T) {
 	rows := []struct {
 		seed     int64
@@ -130,52 +135,64 @@ func TestCompressedMatchesFlatStats(t *testing.T) {
 	}
 	bitsetAnd := int64(0)
 	for _, p := range patterns {
+		clique := len(p.Edges()) == p.N()*(p.N()-1)/2
 		t.Run(p.Name(), func(t *testing.T) {
 			for _, row := range rows {
-				name := fmt.Sprintf("seed%d/%s", row.seed, row.exchange)
-				if row.hubs {
-					name += "/hubs"
-				}
-				t.Run(name, func(t *testing.T) {
-					edges := int64(300)
-					if p.Name() == "clique4" {
-						edges = 600
-					}
-					g := gen.ChungLu(70, edges, 2.3, row.seed)
-					base := Options{Workers: 4, Seed: row.seed}
-					if row.exchange == "tcp" {
-						base.Workers, base.Exchange = 3, bsp.NewTCPExchangeFactory()
-					}
+				for _, partitioned := range []bool{true, false} {
+					name := fmt.Sprintf("seed%d/%s", row.seed, row.exchange)
 					if row.hubs {
-						base.bitmapMinDegree = 8
+						name += "/hubs"
 					}
-					for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
-						opts := base
-						opts.Strategy = strat
-						flat, err := Run(g, p, opts)
-						if err != nil {
-							t.Fatal(err)
+					run, sends := Run, !clique
+					if partitioned {
+						name += "/partitioned"
+						run, sends = runPartitioned, true
+					}
+					t.Run(name, func(t *testing.T) {
+						edges := int64(300)
+						if p.Name() == "clique4" {
+							edges = 600
 						}
-						opts.CompressFrames = true
-						comp, err := Run(g, p, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if f, c := flatView(flat.Stats), flatView(comp.Stats); f != c {
-							t.Errorf("%s: compressed Stats differ from flat:\n flat %s\n comp %s", strat, f, c)
-						}
-						if fs := flat.Stats; fs.CompressedFrames != 0 || fs.CompressedWireBytes != 0 || fs.CompressedRawBytes != 0 {
-							t.Fatalf("%s: flat run reports compressed counters: %s", strat, withoutClocks(fs))
-						}
-						if cs := comp.Stats; cs.CompressedFrames == 0 || cs.CompressedRawBytes <= cs.CompressedWireBytes {
-							t.Errorf("%s: compression did not engage: %d frames, wire %d B, raw %d B",
-								strat, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
+						g := gen.ChungLu(70, edges, 2.3, row.seed)
+						base := Options{Workers: 4, Seed: row.seed}
+						if row.exchange == "tcp" {
+							base.Workers, base.Exchange = 3, bsp.NewTCPExchangeFactory()
 						}
 						if row.hubs {
-							bitsetAnd += flat.Stats.BitsetAndCandidates
+							base.bitmapMinDegree = 8
 						}
-					}
-				})
+						for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+							opts := base
+							opts.Strategy = strat
+							flat, err := run(g, p, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							opts.CompressFrames = true
+							comp, err := run(g, p, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if f, c := flatView(flat.Stats), flatView(comp.Stats); f != c {
+								t.Errorf("%s: compressed Stats differ from flat:\n flat %s\n comp %s", strat, f, c)
+							}
+							if fs := flat.Stats; fs.CompressedFrames != 0 || fs.CompressedWireBytes != 0 || fs.CompressedRawBytes != 0 {
+								t.Fatalf("%s: flat run reports compressed counters: %s", strat, withoutClocks(fs))
+							}
+							cs := comp.Stats
+							switch {
+							case sends && (cs.CompressedFrames == 0 || cs.CompressedRawBytes <= cs.CompressedWireBytes):
+								t.Errorf("%s: compression did not engage: %d frames, wire %d B, raw %d B",
+									strat, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
+							case !sends && (cs.CompressedRawBytes != 0 || slices.ContainsFunc(cs.PerStepMessages, func(n int64) bool { return n != 0 })):
+								t.Errorf("%s: a clique sent %v messages, %d B, in one memory domain", strat, cs.PerStepMessages, cs.CompressedRawBytes)
+							}
+							if row.hubs {
+								bitsetAnd += flat.Stats.BitsetAndCandidates
+							}
+						}
+					})
+				}
 			}
 		})
 	}
@@ -223,10 +240,12 @@ func viewOf(r *Result) compressedCounterView {
 // TestCompressedCountersMirrored reruns the recovery suite's scenarios with
 // CompressFrames on: a fault-recovered run (drops + errors absorbed by retry
 // and checkpoint restores) and a crash-then-resume pair must both reproduce
-// the clean run's compression counters exactly — not just the count.
+// the clean run's compression counters exactly — not just the count. The
+// runs list houses, which take three supersteps, so the crash lands at a
+// barrier after the first; a diamond completes in two.
 func TestCompressedCountersMirrored(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 1)
-	p := pattern.PG3()
+	p := pattern.PG5()
 	base := Options{Workers: 3, Seed: 1, CompressFrames: true}
 	clean, err := Run(g, p, base)
 	if err != nil {
@@ -286,31 +305,33 @@ func TestCompressedCountersMirrored(t *testing.T) {
 }
 
 // TestCompressedWithEngineVariants sweeps compression against the engine's
-// other orthogonal modes — disabled edge index, disabled bitset AND, a
-// generous intermediate budget — to pin that compression composes with each
-// (count parity with the same variant in flat mode).
+// other orthogonal modes — the partitioned model without the edge index,
+// disabled bitset AND, a generous intermediate budget — to pin that
+// compression composes with each (count parity with the same variant in flat
+// mode).
 func TestCompressedWithEngineVariants(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 2)
 	p := pattern.PG3()
 	variants := []struct {
 		name string
+		run  func(*graph.Graph, *pattern.Pattern, Options) (*Result, error)
 		mut  func(*Options)
 	}{
-		{"no_edge_index", func(o *Options) { o.DisableEdgeIndex = true }},
-		{"no_bitset_and", func(o *Options) { o.disableBitsetAnd = true }},
-		{"max_intermediate_ok", func(o *Options) { o.MaxIntermediate = 1 << 30 }},
+		{"no_edge_index", runWithoutIndex, func(*Options) {}},
+		{"no_bitset_and", Run, func(o *Options) { o.disableBitsetAnd = true }},
+		{"max_intermediate_ok", Run, func(o *Options) { o.MaxIntermediate = 1 << 30 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			base := Options{Workers: 4, Seed: 2}
 			v.mut(&base)
-			flat, err := Run(g, p, base)
+			flat, err := v.run(g, p, base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts := base
 			opts.CompressFrames = true
-			comp, err := Run(g, p, opts)
+			comp, err := v.run(g, p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

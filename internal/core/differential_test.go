@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -12,6 +13,19 @@ import (
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
 )
+
+// runPartitioned is Run in the paper's vertex-partitioned model
+// (PreparePartitioned): in-place checks of owned closing edges, the edge index
+// for the rest, and pending edges.
+func runPartitioned(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
+	return preparePartitioned(g, opts).RunContext(context.Background(), p, opts)
+}
+
+// runWithoutIndex is runPartitioned without the edge index: the "w/o index"
+// configuration of Table 2.
+func runWithoutIndex(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
+	return PreparePartitioned(g, opts, 0).RunContext(context.Background(), p, opts)
+}
 
 // embeddingKey renders one mapping (pattern vertex -> data vertex) as a
 // comparable string. Mappings are compared position-by-position, not as
@@ -166,26 +180,41 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 // and WorkerMessages, and compressed runs decode no seed frames; every Gpsi
 // count, pruning counter, load and result stayed bit-identical); the run loop
 // may change how a superstep is driven, never what it computes or in which
-// order a worker sees its inbox.
+// order a worker sees its inbox. Those rows run the paper's partitioned model;
+// the product rows beside them (one memory domain, Prepare) were recorded
+// when the product stopped partitioning rows.
 func TestStrictStatsPinned(t *testing.T) {
 	rows := []struct {
-		seed     int64
-		exchange string
-		compress bool
-		want     uint64
+		partitioned bool
+		seed        int64
+		exchange    string
+		compress    bool
+		want        uint64
 	}{
-		{1, "local", false, 0x985add53784e2567},
-		{1, "local", true, 0x9a3fe011a616ab74},
-		{1, "tcp", false, 0xd1e40fdcb4ba1a52},
-		{1, "tcp", true, 0xc34b4273dde0eb45},
-		{2, "local", false, 0x6337622d69c5a1ad},
-		{2, "local", true, 0x40c6cae7de4a2109},
-		{2, "tcp", false, 0xd24b69a072de4b23},
-		{2, "tcp", true, 0x42df242e79067ff2},
-		{3, "local", false, 0xab636797fb734b5},
-		{3, "local", true, 0x52c98fda0e74fe4d},
-		{3, "tcp", false, 0xe184a6fbbb9e3a1d},
-		{3, "tcp", true, 0xcb4a3178a43c59b},
+		{true, 1, "local", false, 0x985add53784e2567},
+		{true, 1, "local", true, 0x9a3fe011a616ab74},
+		{true, 1, "tcp", false, 0xd1e40fdcb4ba1a52},
+		{true, 1, "tcp", true, 0xc34b4273dde0eb45},
+		{true, 2, "local", false, 0x6337622d69c5a1ad},
+		{true, 2, "local", true, 0x40c6cae7de4a2109},
+		{true, 2, "tcp", false, 0xd24b69a072de4b23},
+		{true, 2, "tcp", true, 0x42df242e79067ff2},
+		{true, 3, "local", false, 0xab636797fb734b5},
+		{true, 3, "local", true, 0x52c98fda0e74fe4d},
+		{true, 3, "tcp", false, 0xe184a6fbbb9e3a1d},
+		{true, 3, "tcp", true, 0xcb4a3178a43c59b},
+		{false, 1, "local", false, 0x81e67df40f16f270},
+		{false, 1, "local", true, 0x57669d6989dc2ea4},
+		{false, 1, "tcp", false, 0x1703c2a0524a6709},
+		{false, 1, "tcp", true, 0xdcded09ab7faa146},
+		{false, 2, "local", false, 0xecb12c4c3ff1436d},
+		{false, 2, "local", true, 0xc4654b70bd376e48},
+		{false, 2, "tcp", false, 0x8e6ecaf481a245eb},
+		{false, 2, "tcp", true, 0xfd27d524c6749066},
+		{false, 3, "local", false, 0x84c28385e8dcb224},
+		{false, 3, "local", true, 0xd99dd3788d726b60},
+		{false, 3, "tcp", false, 0xc0dc05339e2120f5},
+		{false, 3, "tcp", true, 0x2fd463b18cd19eaf},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
@@ -196,11 +225,15 @@ func TestStrictStatsPinned(t *testing.T) {
 		if row.exchange == "tcp" {
 			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
 		}
+		run := Run
+		if row.partitioned {
+			run = runPartitioned
+		}
 		h := fnv.New64a()
 		for _, p := range patterns {
 			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
 				opts.Strategy = strat
-				res, err := Run(g, p, opts)
+				res, err := run(g, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,14 +241,16 @@ func TestStrictStatsPinned(t *testing.T) {
 			}
 		}
 		if got := h.Sum64(); got != row.want {
-			t.Errorf("seed %d %s compress=%v: stats fingerprint %#x, want %#x", row.seed, row.exchange, row.compress, got, row.want)
+			t.Errorf("partitioned=%v seed %d %s compress=%v: stats fingerprint %#x, want %#x",
+				row.partitioned, row.seed, row.exchange, row.compress, got, row.want)
 		}
 	}
 }
 
 // TestNoIndexStatsPinned pins, like TestStrictStatsPinned, everything a strict
-// run without the edge index reports (the paper's "w/o index" ablation, and
-// what delta's anchored runs use). Every closing edge is checked where the
+// run without the edge index reports in the partitioned model (the paper's
+// "w/o index" ablation, and what delta's anchored runs used until they moved
+// to one memory domain). Every closing edge is checked where the
 // bloom would have been asked, so with no bloom nothing is checked early and
 // each such edge costs its verification hop, as in the paper. The values were
 // recorded before closing edges were first checked in place, and re-recorded
@@ -228,7 +263,7 @@ func TestStrictStatsPinned(t *testing.T) {
 func TestNoIndexStatsPinned(t *testing.T) {
 	// "hubs" lowers the hub threshold so the bitset AND runs too: without the
 	// index it only narrows candidates and leaves every edge pending.
-	// "identity" is delta's configuration: identity order, no index.
+	// "identity" was delta's configuration: identity order, no index.
 	rows := []struct {
 		seed     int64
 		exchange string
@@ -251,7 +286,7 @@ func TestNoIndexStatsPinned(t *testing.T) {
 	}
 	for _, row := range rows {
 		g := gen.ChungLu(70, 300, 2.3, row.seed)
-		opts := Options{Workers: 4, Seed: row.seed, DisableEdgeIndex: true}
+		opts := Options{Workers: 4, Seed: row.seed}
 		switch row.variant {
 		case "hubs":
 			opts.bitmapMinDegree = 8
@@ -265,7 +300,7 @@ func TestNoIndexStatsPinned(t *testing.T) {
 		for _, p := range patterns {
 			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
 				opts.Strategy = strat
-				res, err := Run(g, p, opts)
+				res, err := runWithoutIndex(g, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

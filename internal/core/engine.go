@@ -183,7 +183,11 @@ type engine struct {
 	orig []graph.VertexID
 	p    *pattern.Pattern
 	opts Options
-	ix   *bloom.EdgeIndex
+	// shared is set in one memory domain (Prepare), where every worker reads
+	// every row; see reads. ix is the partitioned model's edge index, nil in
+	// one memory domain and in the paper's w/o-index ablation.
+	shared bool
+	ix     *bloom.EdgeIndex
 	// bitmap is the exact edge test of pending verification and seeds: a
 	// binary search of the shorter CSR row, or a bit of a hub's bitset when
 	// both endpoints are hubs (Section 5.1.1: "costg ... can be done
@@ -310,6 +314,7 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		orig:   pr.orig,
 		p:      p,
 		opts:   opts,
+		shared: pr.shared,
 		ix:     pr.ix,
 		bitmap: pr.bitmap,
 		owner:  pr.owner,
@@ -380,6 +385,18 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 
 // ownerOf returns the worker that owns data vertex v.
 func (e *engine) ownerOf(v graph.VertexID) int { return int(e.owner[v]) }
+
+// reads reports whether worker w may check an edge at data vertex d exactly,
+// along d's row: always in one memory domain; in the partitioned model when w
+// owns d, and with the edge index off never, as in the paper's ablation.
+func (e *engine) reads(d graph.VertexID, w int) bool {
+	return e.shared || e.ix != nil && e.ownerOf(d) == w
+}
+
+// checks reports whether a closing edge is checked where it is met — exactly
+// where the worker reads a row, by the edge index elsewhere — rather than left
+// pending until an endpoint expands, which only the w/o-index ablation does.
+func (e *engine) checks() bool { return e.shared || e.ix != nil }
 
 func workerRngSeed(seed int64, w int) uint64 {
 	return uint64(seed)*0x9e3779b97f4a7c15 + uint64(w) + 1
@@ -637,9 +654,9 @@ func (e *engine) inWindow(ctx *bsp.Context[gpsi], row []graph.VertexID, m *gpsi,
 // admits applies the per-Gpsi half of Algorithm 5 to candidate d, which the
 // order window already admitted: injectivity, and a check of every closing
 // edge from d to the mapped neighbors in probe. A closing edge is checked
-// exactly on the spot when this worker owns either endpoint (own holds the
-// mapped vertices whose images it owns), along fr's cursors, and by the
-// light-weight edge index otherwise; see pendingOf for what that leaves
+// exactly on the spot when this worker reads either endpoint's row (own holds
+// the mapped vertices whose images' rows it reads), along fr's cursors, and by
+// the light-weight edge index otherwise; see pendingOf for what that leaves
 // pending.
 func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, d graph.VertexID, probe, own uint16) bool {
 	if m.uses(d) {
@@ -650,7 +667,7 @@ func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, d grap
 		return true
 	}
 	exact := probe & own
-	if e.ownerOf(d) == ctx.Worker() {
+	if e.reads(d, ctx.Worker()) {
 		exact = probe
 	}
 	for mask := exact; mask != 0; mask &= mask - 1 {
@@ -681,12 +698,11 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	m.Expanded |= 1 << uint(vp)
 	mapped := m.mappedMask()
 	// own is the set of mapped vertices whose adjacency this worker may
-	// consult: vp's always; with the edge index, every one whose image it
-	// owns, looked up only when an edge depends on it. Without the index only
-	// vp's, as in the paper's ablation.
+	// consult: vp's always, and every one whose image's row it reads, looked
+	// up only when an edge depends on it.
 	own := uint16(1) << uint(vp)
-	if e.ix != nil && (m.Pending != 0 || e.closesOnMapped(vp, mapped)) {
-		own = e.ownedMask(&m, w)
+	if m.Pending != 0 || e.closesOnMapped(vp, mapped) {
+		own |= e.readMask(&m, w)
 	}
 
 	// Verify exactly every pending edge with an endpoint in own (the
@@ -746,12 +762,12 @@ func (e *engine) closesOnMapped(vp int, mapped uint16) bool {
 	return false
 }
 
-// ownedMask is the set of m's mapped pattern vertices whose images worker w
-// owns.
-func (e *engine) ownedMask(m *gpsi, w int) uint16 {
+// readMask is the set of m's mapped pattern vertices whose images' rows
+// worker w reads.
+func (e *engine) readMask(m *gpsi, w int) uint16 {
 	own := uint16(0)
 	for v, d := range m.Map[:m.N] {
-		if d != unmapped && e.ownerOf(d) == w {
+		if d != unmapped && e.reads(d, w) {
 			own |= 1 << uint(v)
 		}
 	}
@@ -760,23 +776,24 @@ func (e *engine) ownedMask(m *gpsi, w int) uint16 {
 
 // probeMask is the set of wv's neighbors whose edge to a candidate is checked
 // while expanding vp: the mapped ones other than vp itself (whose adjacency the
-// candidates are drawn from). Empty with the index disabled: nothing is then
+// candidates are drawn from). Empty in the w/o-index ablation: nothing is then
 // checked before its verification hop.
 func (e *engine) probeMask(mapped uint16, vp, wv int) uint16 {
-	if e.ix == nil {
+	if !e.checks() {
 		return 0
 	}
 	return e.adjacent[wv] & mapped &^ (1 << uint(vp))
 }
 
 // pendingOf is the set of wv's mapped neighbors, other than vp, whose edge to
-// a candidate of wv is left pending. Without the index that is all of them.
-// With it, only those that went to the bloom: not in exact (the AND-proven
-// ones and those whose image this worker owns), and, which combine decides per
-// candidate, only for a candidate this worker does not own.
+// a candidate of wv is left pending. In the w/o-index ablation that is all of
+// them. Otherwise only those that went to the bloom: not in exact (the
+// AND-proven ones and those whose image's row this worker reads), and, which
+// combine decides per candidate, only for a candidate whose row it does not
+// read. In one memory domain that is none.
 func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
 	pend := e.adjacent[wv] & mapped &^ (1 << uint(vp))
-	if e.ix != nil {
+	if e.checks() {
 		pend &^= exact
 	}
 	return pend
@@ -866,12 +883,12 @@ func (e *engine) openCursors(m *gpsi, fr *expandFrame, probe uint16) {
 // combine enumerates the cross product of fr's candidate sets from slot i
 // on, pruning combinations that reuse a data vertex, violate the partial
 // order between two newly mapped vertices, or fail a closing-edge check
-// between two newly mapped vertices — exact when this worker owns either
-// image, by the edge index otherwise. Surviving children, with each slot's
-// pend edges marked pending unless the worker owns the candidate, are
-// finalized. Every combination looks at the halted flag first, so a cap hit
-// inside a hub's cross product stops the enumeration there, not at the next
-// message.
+// between two newly mapped vertices — exact when this worker reads either
+// image's row, by the edge index otherwise. Surviving children, with each
+// slot's pend edges marked pending unless the worker reads the candidate's
+// row, are finalized. Every combination looks at the halted flag first, so a
+// cap hit inside a hub's cross product stops the enumeration there, not at
+// the next message.
 func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int) {
 	if i == fr.nw {
 		e.finalize(ctx, m)
@@ -891,7 +908,7 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 	}
 	closing := e.adjacent[wv] & earlier
 	in := e.inWindow(ctx, fr.cands[i], m, wv, earlier)
-	if e.ix != nil && closing != 0 && closing&(closing-1) == 0 && len(in) >= meetMinWindow {
+	if e.checks() && closing != 0 && closing&(closing-1) == 0 && len(in) >= meetMinWindow {
 		e.combineMeet(ctx, m, fr, i, in, bits.TrailingZeros16(closing))
 		return
 	}
@@ -907,24 +924,24 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 			ctx.Add(ctrPrunedInjective, 1)
 			continue
 		}
-		// With the index, every closing edge of a candidate this worker owns
-		// is checked exactly: those to the pre-mapped vertices were in admits.
-		// Its owner is looked up only when an edge depends on it.
-		ownD := e.ix != nil && closing|fr.pend[i] != 0 && e.ownerOf(d) == w
+		// Every closing edge of a candidate whose row this worker reads is
+		// checked exactly: those to the pre-mapped vertices were in admits.
+		// Whether it reads it is asked only when an edge depends on it.
+		ownD := closing|fr.pend[i] != 0 && e.reads(d, w)
 		ok := true
 		var newPending uint32
 		for mask := closing; mask != 0 && ok; mask &= mask - 1 {
 			u := bits.TrailingZeros16(mask)
 			switch {
-			case e.ix == nil:
-				newPending |= 1 << uint(e.edgeID[wv][u])
-			case ownD || e.ownerOf(m.Map[u]) == w:
+			case ownD || e.reads(m.Map[u], w):
 				row := graph.SeekRow(fr.rows[e.edgeID[wv][u]], d)
 				fr.rows[e.edgeID[wv][u]] = row
 				if len(row) == 0 || row[0] != d {
 					ctx.Add(ctrPrunedVerify, 1)
 					ok = false
 				}
+			case e.ix == nil:
+				newPending |= 1 << uint(e.edgeID[wv][u])
 			default:
 				ctx.Add(ctrIndexQueries, 1)
 				if !e.ix.MayHaveEdge(d, m.Map[u]) {
@@ -962,12 +979,13 @@ const meetMinWindow = 8
 
 // combineMeet is combine's slot i when wv has exactly one closing edge, to
 // u's image dp, and the window in is long. The candidates this worker checks
-// exactly — all of them when it owns dp, else those it owns — survive iff
-// they are in N(dp), so they are walked as the intersection with dp's row
-// (graph.Meet) instead of one test each. The candidates it does not own, when
-// it does not own dp, are probed in the edge index one by one, as in combine,
-// and merged with the exact survivors in ascending order, so children are
-// built and sent in combine's order. An exact candidate the walk skips is
+// exactly — all of them when it reads dp's row, else those whose rows it
+// reads — survive iff they are in N(dp), so they are walked as the
+// intersection with dp's row (graph.Meet) instead of one test each. In the
+// partitioned model, the candidates it does not own, when it does not own dp,
+// are probed in the edge index one by one, as in combine, and merged with the
+// exact survivors in ascending order, so children are built and sent in
+// combine's order. An exact candidate the walk skips is
 // counted in bulk before the next survivor: pruned by injectivity if it is an
 // earlier slot's image, by verification otherwise, which is what combine
 // would have counted by then.
@@ -979,7 +997,7 @@ func (e *engine) combineMeet(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i
 		pend |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
 	}
 	exact, probed := in, []graph.VertexID(nil)
-	if e.ownerOf(dp) != w {
+	if !e.reads(dp, w) {
 		mine, theirs := e.splitByOwner(fr, i, w)
 		exact, probed = clip(mine, in), clip(theirs, in)
 	}
@@ -1053,10 +1071,11 @@ walk:
 			injective++
 			continue
 		}
-		// A survivor this worker owns has every closing edge checked; one it
-		// does not (dp is then owned) leaves the edges of pend pending.
+		// A survivor whose row this worker reads has every closing edge
+		// checked; one it does not (dp is then owned) leaves the edges of pend
+		// pending.
 		var newPending uint32
-		if pend != 0 && e.ownerOf(d) != w {
+		if pend != 0 && !e.reads(d, w) {
 			newPending = pend
 		}
 		e.descend(ctx, m, fr, i, d, newPending)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -38,20 +39,23 @@ func TestOnInstanceStreamsEveryResult(t *testing.T) {
 	}
 }
 
-// TestTinyBloomStillExact floods the engine with bloom false positives (2
-// bits/edge ≈ 40%+ FP rate) and checks the final counts are still exact —
-// the pending-edge protocol must catch every false positive at a later
-// exact verification.
+// TestTinyBloomStillExact floods the partitioned model's engine with bloom
+// false positives (2 bits/edge ≈ 40%+ FP rate) and checks the final counts
+// are still exact — the pending-edge protocol must catch every false positive
+// at a later exact verification.
 func TestTinyBloomStillExact(t *testing.T) {
 	g := gen.ChungLu(300, 1200, 1.8, 17)
 	for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()} {
 		want := centralized.CountInstances(p, g)
-		res, err := Run(g, p, Options{Workers: 3, BloomBitsPerEdge: 2})
+		res, err := PreparePartitioned(g, Options{Workers: 3}, 2).RunContext(context.Background(), p, Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
 		if res.Count != want {
 			t.Errorf("%s: count=%d want=%d under heavy bloom FPs", p.Name(), res.Count, want)
+		}
+		if res.Stats.EdgeIndexQueries == 0 {
+			t.Errorf("%s: the 2-bit index was never asked", p.Name())
 		}
 		if res.Stats.PrunedByVerify == 0 && p.NumEdges() > p.N()-1 {
 			t.Logf("%s: no false positives caught (possible but unlikely)", p.Name())
@@ -63,15 +67,16 @@ func TestBloomSizeTradeoff(t *testing.T) {
 	// Bigger filters prune more at generation time, so fewer Gpsis flow.
 	g := gen.ChungLu(1000, 4000, 1.7, 23)
 	run := func(bits int) int64 {
-		res, err := Run(g, pattern.PG3(), Options{Workers: 3, BloomBitsPerEdge: bits})
+		opts := Options{Workers: 3}
+		res, err := PreparePartitioned(g, opts, bits).RunContext(context.Background(), pattern.PG3(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Stats.GpsiGenerated
 	}
 	small, big := run(2), run(16)
-	if big > small {
-		t.Errorf("16-bit filter generated more Gpsis (%d) than 2-bit (%d)", big, small)
+	if big >= small {
+		t.Errorf("16-bit filter generated %d Gpsis, the 2-bit one %d: want fewer", big, small)
 	}
 }
 

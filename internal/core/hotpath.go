@@ -53,23 +53,29 @@ func HotpathFrameBytes() (int, error) {
 	return len(bsp.AppendWireFrame(nil, 1, batch)), nil
 }
 
-// newHotpathHarness builds an engine over a skewed mid-size graph plus a
-// detached context and worker 0's seeds as an inbox.
+// newHotpathHarness builds an engine of the product path (Prepare) over a
+// skewed mid-size graph plus a detached context and worker 0's seeds as an
+// inbox.
 func newHotpathHarness(p *pattern.Pattern, strategy Strategy) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
-	return newHotpathHarnessOpts(p, func(o *Options) { o.Strategy = strategy })
+	return newHotpathHarnessOpts(Prepare, p, func(o *Options) { o.Strategy = strategy })
 }
 
-// newHotpathHarnessOpts is newHotpathHarness with an options hook (the bitset
-// fast-path benchmarks set the disableBitsetAnd / bitmapMinDegree seams through
-// it).
-func newHotpathHarnessOpts(p *pattern.Pattern, mutate func(*Options)) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
+// preparePartitioned is PreparePartitioned with the paper's edge index.
+func preparePartitioned(g *graph.Graph, opts Options) *Prepared {
+	return PreparePartitioned(g, opts, BloomBitsPerEdge)
+}
+
+// newHotpathHarnessOpts is newHotpathHarness with a choice of memory model
+// (Prepare or preparePartitioned) and an options hook (the bitset fast-path
+// benchmarks set the disableBitsetAnd / bitmapMinDegree seams through it).
+func newHotpathHarnessOpts(prepare func(*graph.Graph, Options) *Prepared, p *pattern.Pattern, mutate func(*Options)) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
 	g := gen.ChungLu(3000, 15000, 1.8, 17)
 	opts := NewOptions()
 	opts.Seed = 5
 	if mutate != nil {
 		mutate(&opts)
 	}
-	e, err := newEngine(Prepare(g, opts), p.BreakAutomorphisms(), opts.normalized())
+	e, err := newEngine(prepare(g, opts), p.BreakAutomorphisms(), opts.normalized())
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -116,7 +122,7 @@ func benchmarkExpand(b *testing.B) {
 // fast path nearly silent, so this pair proves the switch costs nothing in
 // the sparse regime (the gate is one degree read per candidate set).
 func benchmarkExpandSparseMerge(b *testing.B) {
-	e, ctx, inbox, err := newHotpathHarnessOpts(pattern.Triangle(),
+	e, ctx, inbox, err := newHotpathHarnessOpts(Prepare, pattern.Triangle(),
 		func(o *Options) { o.disableBitsetAnd = true })
 	if err != nil {
 		b.Fatal(err)
@@ -138,7 +144,7 @@ func benchmarkExpandSparseMerge(b *testing.B) {
 // The hub threshold drops to 16 so the skewed test graph's hubs qualify.
 func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		e, _, inbox, err := newHotpathHarnessOpts(pattern.Diamond(), func(o *Options) {
+		e, _, inbox, err := newHotpathHarnessOpts(Prepare, pattern.Diamond(), func(o *Options) {
 			o.bitmapMinDegree = 16
 			o.disableBitsetAnd = disableBitset
 		})
@@ -291,9 +297,12 @@ func hotpathBatch() ([]bsp.Envelope[gpsi], error) {
 // destination's, not worker 0's batch to itself: a Gpsi is never sent back to
 // a worker owning an endpoint of its pending edges, so a clique's complete
 // Gpsis never are. Deeper batches carry more mapped vertices per Gpsi — the
-// longer shared prefixes the compressed codec front-codes away.
+// longer shared prefixes the compressed codec front-codes away. The batches
+// are codec fixtures, built in the partitioned model (PreparePartitioned):
+// in one memory domain a diamond completes at level 2 and a clique where it
+// is seeded, so those levels send nothing.
 func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], error) {
-	e, _, inbox, err := newHotpathHarness(p, StrategyWorkloadAware)
+	e, _, inbox, err := newHotpathHarnessOpts(preparePartitioned, p, nil)
 	if err != nil {
 		return nil, err
 	}

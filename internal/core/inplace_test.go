@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"psgl/internal/bsp"
@@ -10,16 +11,18 @@ import (
 	"psgl/internal/pattern"
 )
 
-// Where a closing edge is checked: exactly on the spot when the expanding
-// worker owns either endpoint, by the hub bitset AND when that proves it, and
-// by the bloom — then pending, one verification hop later — only otherwise.
+// Where a closing edge is checked. In one memory domain (Prepare), always
+// exactly, where it is met. In the partitioned model (PreparePartitioned):
+// exactly on the spot when the expanding worker owns either endpoint, by the
+// hub bitset AND when that proves it, and by the bloom — then pending, one
+// verification hop later — only otherwise.
 
 // TestSingleWorkerChecksEveryEdgeInPlace: one worker owns every vertex, so
 // with the index on it never asks the bloom and every closing edge is exact.
 func TestSingleWorkerChecksEveryEdgeInPlace(t *testing.T) {
 	g := gen.ChungLu(300, 1200, 1.8, 17)
 	for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()} {
-		res, err := Run(g, p, Options{Workers: 1})
+		res, err := runPartitioned(g, p, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -34,8 +37,9 @@ func TestSingleWorkerChecksEveryEdgeInPlace(t *testing.T) {
 }
 
 // TestInPlaceChecksCutVerificationGpsis pins pg2's Gpsi count on the
-// list-compute benchmark's graph at two workers, where an expanding worker
-// owns an endpoint of about three closing edges in four. Before closing edges
+// list-compute benchmark's graph at two workers in the partitioned model,
+// where an expanding worker owns an endpoint of about three closing edges in
+// four. Before closing edges
 // were checked in place the run generated 768 631 Gpsis; the bound is half
 // that, and the exact count is pinned because the run is deterministic (it
 // was 291 468 before the engine ran in rank space, where the bloom hashes
@@ -44,7 +48,7 @@ func TestInPlaceChecksCutVerificationGpsis(t *testing.T) {
 	g := gen.ChungLu(15000, 75000, 2.2, 1)
 	opts := NewOptions()
 	opts.Workers, opts.Seed = 2, 1
-	res, err := Run(g, pattern.PG2(), opts)
+	res, err := runPartitioned(g, pattern.PG2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestInPlaceChecksCutVerificationGpsis(t *testing.T) {
 // pre-mapped hub).
 func TestPendingEdgesNeedAHop(t *testing.T) {
 	var emitted [][]graph.VertexID
-	e, _, inbox, err := newHotpathHarnessOpts(pattern.Diamond(), func(o *Options) {
+	e, _, inbox, err := newHotpathHarnessOpts(preparePartitioned, pattern.Diamond(), func(o *Options) {
 		o.bitmapMinDegree = 16
 		o.OnInstance = func(m []graph.VertexID) { emitted = append(emitted, append([]graph.VertexID(nil), m...)) }
 	})
@@ -132,5 +136,46 @@ func TestPendingEdgesNeedAHop(t *testing.T) {
 	}
 	if pending == 0 || proved == 0 {
 		t.Fatalf("%d pending edges, %d AND-proved edges: the checks above checked nothing", pending, proved)
+	}
+}
+
+// TestOneDomainGpsisDoNotDependOnK: in one memory domain every closing edge is
+// checked where it is met, so what a Gpsi generates depends on the Gpsi alone,
+// not on the worker that expands it. On the list-compute benchmark's graph the
+// Gpsis generated, the counts and the (absent) bloom queries are pinned, and
+// equal at every K, under both policies and over both transports. The counts
+// are benchmark/golden.json's. The partitioned model, strict, generates the
+// same 263 668 Gpsis for the three patterns at K = 1, but 447 223 at K = 2
+// and 671 266 at K = 4.
+func TestOneDomainGpsisDoNotDependOnK(t *testing.T) {
+	g := gen.ChungLu(15000, 75000, 2.2, 1)
+	pr := Prepare(g, Options{Workers: 1, Seed: 1})
+	want := []struct {
+		p            *pattern.Pattern
+		gpsis, count int64
+	}{
+		{pattern.PG1(), 14892, 16274},
+		{pattern.PG2(), 185070, 569229},
+		{pattern.PG3(), 63706, 406391},
+	}
+	for _, k := range []int{1, 2, 4} {
+		for _, async := range []bool{false, true} {
+			for _, tcp := range []bool{false, true} {
+				opts := Options{Workers: k, Seed: 1, AsyncExchange: async}
+				if tcp {
+					opts.Exchange = bsp.NewTCPExchangeFactory()
+				}
+				for _, w := range want {
+					res, err := pr.ForWorkers(k).RunContext(context.Background(), w.p, opts)
+					if err != nil {
+						t.Fatalf("K=%d async=%v tcp=%v %s: %v", k, async, tcp, w.p.Name(), err)
+					}
+					if st := res.Stats; st.GpsiGenerated != w.gpsis || res.Count != w.count || st.EdgeIndexQueries != 0 {
+						t.Errorf("K=%d async=%v tcp=%v %s: %d Gpsis, count %d, %d bloom queries; want %d, %d, 0",
+							k, async, tcp, w.p.Name(), st.GpsiGenerated, res.Count, st.EdgeIndexQueries, w.gpsis, w.count)
+					}
+				}
+			}
+		}
 	}
 }

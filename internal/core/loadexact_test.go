@@ -78,9 +78,12 @@ func TestRecoveredRunLoadAccountingExact(t *testing.T) {
 	}
 }
 
+// TestResumedRunLoadAccountingExact crashes a house run (three supersteps; a
+// square completes in two, which leaves no barrier to crash at but the first)
+// at its last exchange and resumes it from the crashed run's checkpoints.
 func TestResumedRunLoadAccountingExact(t *testing.T) {
 	g := gen.ErdosRenyi(60, 300, 2)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	base := Options{Workers: 3, Seed: 2}
 	clean, err := Run(g, p, base)
 	if err != nil {
@@ -120,9 +123,11 @@ func TestResumedRunLoadAccountingExact(t *testing.T) {
 func TestRestartFromScratchLoadAccountingExact(t *testing.T) {
 	// With no checkpoint available (CheckpointEvery unset), recovery restarts
 	// from superstep 0; RestoreState(nil) must zero the accumulators or the
-	// pre-crash partial load would be double-counted.
+	// pre-crash partial load would be double-counted. A square, not a
+	// triangle: a triangle completes where it is seeded, so its run has no
+	// exchange to fail.
 	g := gen.ErdosRenyi(60, 300, 4)
-	p := pattern.Triangle()
+	p := pattern.PG2()
 	base := Options{Workers: 3, Seed: 4}
 	clean, err := Run(g, p, base)
 	if err != nil {

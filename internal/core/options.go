@@ -49,8 +49,8 @@ func (s Strategy) String() string {
 var ErrOutOfMemory = errors.New("psgl: intermediate result budget exceeded (OOM)")
 
 // Options configures a PSgL run. The zero value is valid: 4 workers, the
-// workload-aware strategy with α = 0.5, edge index enabled at 10 bits/edge,
-// automatic initial-vertex selection, no memory budget.
+// workload-aware strategy with α = 0.5, automatic initial-vertex selection, no
+// memory budget.
 type Options struct {
 	// Workers is the number of BSP workers K. 0 means 4.
 	Workers int
@@ -60,13 +60,6 @@ type Options struct {
 	// negative means the default 0.5 (pass a small epsilon like 0.001 to
 	// study the α→0 extreme). Ignored by other strategies.
 	Alpha float64
-	// DisableEdgeIndex turns off the bloom edge index (the "w/o index"
-	// configuration of Table 2): candidates are not cross-checked against
-	// GRAY neighbors at generation time, so every such edge stays pending
-	// until an endpoint expands.
-	DisableEdgeIndex bool
-	// BloomBitsPerEdge sizes the edge index. 0 means 10.
-	BloomBitsPerEdge int
 	// InitialVertex fixes the initial pattern vertex. Negative (or zero
 	// value via NewOptions) selects automatically: the Theorem 5 rule for
 	// cycles and cliques, the Algorithm 4 cost model otherwise.
@@ -168,10 +161,10 @@ type Options struct {
 	// to flat mode — the differential suites pin it. A decoded frame is
 	// processed in sorted order, and the strategies route in processing order,
 	// so which worker expands a Gpsi can differ from flat mode, and with it the
-	// per-worker split and, with the edge index on, which closing edges are
-	// checked in place; Gpsi totals and the pruning split can move with those.
-	// Both loops and both transports hold delivered batches encoded; only an
-	// async worker's batch for itself stays flat.
+	// per-worker split; in the partitioned model, with the edge index on, so
+	// can which closing edges are checked in place, and Gpsi totals and the
+	// pruning split with those. Both loops and both transports hold delivered
+	// batches encoded; only an async worker's batch for itself stays flat.
 	CompressFrames bool
 
 	// Fault tolerance (mirrors the Giraph substrate's barrier-aligned
@@ -234,11 +227,10 @@ type Seed struct {
 // NewOptions returns the defaults spelled out explicitly.
 func NewOptions() Options {
 	return Options{
-		Workers:          4,
-		Strategy:         StrategyWorkloadAware,
-		Alpha:            0.5,
-		BloomBitsPerEdge: 10,
-		InitialVertex:    -1,
+		Workers:       4,
+		Strategy:      StrategyWorkloadAware,
+		Alpha:         0.5,
+		InitialVertex: -1,
 	}
 }
 
@@ -251,9 +243,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Alpha > 1 {
 		o.Alpha = 1
-	}
-	if o.BloomBitsPerEdge <= 0 {
-		o.BloomBitsPerEdge = 10
 	}
 	return o
 }
@@ -286,7 +275,7 @@ type Stats struct {
 	PrunedByLabel       int64
 	// PrunedByFilter counts complete embeddings dropped by Options.EmitFilter.
 	PrunedByFilter int64
-	// EdgeIndexQueries counts bloom lookups.
+	// EdgeIndexQueries counts bloom lookups (0 in one memory domain).
 	EdgeIndexQueries int64
 	// BitsetAndCandidates counts candidate generations served by the bitset
 	// AND fast path (hub × hub row intersections) instead of the merge path.
@@ -328,7 +317,8 @@ type Stats struct {
 	LoadMakespan float64
 	// WallTime is the physical elapsed time of the run.
 	WallTime time.Duration
-	// EdgeIndexBytes is the footprint of the bloom index (0 when disabled).
+	// EdgeIndexBytes is the footprint of the bloom index (0 in one memory
+	// domain and when disabled).
 	EdgeIndexBytes int64
 }
 

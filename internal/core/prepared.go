@@ -13,17 +13,23 @@ import (
 
 // ErrPreparedMismatch reports a Prepared used with Options it was not built
 // for. The graph-scoped state bakes in the worker count, the partition seed,
-// the vertex order and the index knobs; running it under others would route
+// the vertex order and the hub threshold; running it under others would route
 // Gpsis by one partition and seed them by another, so it is refused instead.
 var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared graph state")
 
 // Prepared is everything a run needs that is a function of the data graph
-// and not of the pattern — the ordered graph of Section 3, the light-weight
-// edge index of Section 5.2.3, the hub bitmap index and the random partition.
-// In the paper these are properties of the loaded graph, computed once;
-// Prepare computes them once and any number of runs, concurrent ones
-// included, share the result, and Patch carries them to an edited graph. A
-// Prepared is immutable after Prepare or Patch returns.
+// and not of the pattern — the ordered graph of Section 3, the hub bitmap
+// index, the random partition and, in the partitioned model, the light-weight
+// edge index of Section 5.2.3. In the paper these are properties of the loaded
+// graph, computed once; Prepare computes them once and any number of runs,
+// concurrent ones included, share the result, and Patch carries them to an
+// edited graph. A Prepared is immutable after Prepare or Patch returns.
+//
+// A Prepared also fixes who may read which rows. Prepare's runs share one
+// memory domain: every worker reads every row, so a closing edge is checked
+// exactly where it is met and no Gpsi carries a pending edge; the partition
+// only routes Gpsis, for load balance. PreparePartitioned's runs are the
+// paper's vertex-partitioned model, which the paper-figure experiments run.
 type Prepared struct {
 	*graphIndex
 	workers int
@@ -43,11 +49,14 @@ type Prepared struct {
 // between two data vertices is the order of their ids, and the edge index and
 // hub bitmap are built over it. Under IdentityOrder g is the caller's graph.
 type graphIndex struct {
-	src    *graph.Graph // the graph Prepare or Patch was given
-	g      *graph.Graph
-	orig   []graph.VertexID // orig[r] is the caller id of vertex r; nil under IdentityOrder
-	knobs  indexKnobs
-	ix     *bloom.EdgeIndex // nil with the edge index disabled
+	src   *graph.Graph // the graph Prepare or Patch was given
+	g     *graph.Graph
+	orig  []graph.VertexID // orig[r] is the caller id of vertex r; nil under IdentityOrder
+	knobs indexKnobs
+	// shared is set in one memory domain (Prepare), where every worker reads
+	// every row; unset in the partitioned model (PreparePartitioned).
+	shared bool
+	ix     *bloom.EdgeIndex // nil in one memory domain and in the w/o-index ablation
 	bitmap *graph.BitmapIndex
 
 	// dist is the degree distribution the Algorithm 4 cost model reads; only
@@ -63,37 +72,43 @@ type graphIndex struct {
 
 // indexKnobs are the Options fields a graphIndex is a function of.
 type indexKnobs struct {
-	IdentityOrder    bool
-	DisableEdgeIndex bool
-	BloomBitsPerEdge int
-	BitmapMinDegree  int
+	IdentityOrder   bool
+	BitmapMinDegree int
 }
 
 func knobsOf(opts Options) indexKnobs {
-	k := indexKnobs{
-		IdentityOrder:    opts.IdentityOrder,
-		DisableEdgeIndex: opts.DisableEdgeIndex,
-		BloomBitsPerEdge: opts.BloomBitsPerEdge,
-		BitmapMinDegree:  opts.bitmapMinDegree,
-	}
-	if k.DisableEdgeIndex {
-		k.BloomBitsPerEdge = 0 // no filter is built, so its size cannot differ
-	}
-	return k
+	return indexKnobs{IdentityOrder: opts.IdentityOrder, BitmapMinDegree: opts.bitmapMinDegree}
 }
 
-// Prepare builds the graph-scoped state for runs over g (non-nil) under opts.
-// Only Workers, Seed, IdentityOrder, DisableEdgeIndex, BloomBitsPerEdge and
-// the bitmap's hub threshold are read; every run on the result must agree on
-// those.
-func Prepare(g *graph.Graph, opts Options) *Prepared {
+// BloomBitsPerEdge is the size of the light-weight edge index in the paper's
+// setting, the one the paper-figure experiments pass to PreparePartitioned.
+const BloomBitsPerEdge = 10
+
+// Prepare builds the graph-scoped state for runs over g (non-nil) under opts,
+// in one memory domain: no edge index is built. Only Workers, Seed,
+// IdentityOrder and the bitmap's hub threshold are read; every run on the
+// result must agree on those.
+func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, false, 0) }
+
+// PreparePartitioned is Prepare for the paper's vertex-partitioned model: a
+// worker checks a closing edge exactly only when it owns an endpoint, asks the
+// light-weight edge index, built at bitsPerEdge bits per edge, otherwise, and
+// leaves the edge pending, for a verification hop, when the index says yes.
+// bitsPerEdge 0 builds no index, the "w/o index" configuration of Table 2:
+// every closing edge not checked along the expanding vertex's row then stays
+// pending until an endpoint expands.
+func PreparePartitioned(g *graph.Graph, opts Options, bitsPerEdge int) *Prepared {
+	return prepare(g, opts, true, bitsPerEdge)
+}
+
+func prepare(g *graph.Graph, opts Options, partitioned bool, bitsPerEdge int) *Prepared {
 	opts = opts.normalized()
-	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts)}
+	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts), shared: !partitioned}
 	if !opts.IdentityOrder {
 		gi.g, gi.orig = graph.ByDegree(g)
 	}
-	if !opts.DisableEdgeIndex {
-		gi.ix = bloom.BuildEdgeIndex(gi.g, opts.BloomBitsPerEdge)
+	if bitsPerEdge > 0 {
+		gi.ix = bloom.BuildEdgeIndex(gi.g, bitsPerEdge)
 	}
 	gi.bitmap = graph.NewBitmapIndex(gi.g, opts.bitmapMinDegree)
 	return gi.partitioned(opts.Workers, opts.Seed)
@@ -108,12 +123,12 @@ func Prepare(g *graph.Graph, opts Options) *Prepared {
 // the order windows small, and no engine code assumes degree grows with rank.
 //
 // The owner array, orig and its inverse are pr's, shared. The relabelled CSR
-// is pr's merged with the patch (graph.Patched); the edge index is a copy of
-// pr's with the added edges ORed in, so a removed edge stays set — one more
-// false positive, which exact verification refutes; the hub bitmap is rebuilt
-// over the patched CSR. pr is unchanged.
+// is pr's merged with the patch (graph.Patched); the edge index, if pr has
+// one, is a copy of pr's with the added edges ORed in, so a removed edge stays
+// set — one more false positive, which exact verification refutes; the hub
+// bitmap is rebuilt over the patched CSR. pr is unchanged.
 func (pr *Prepared) Patch(g *graph.Graph, added, removed [][2]graph.VertexID) *Prepared {
-	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs}
+	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs, shared: pr.shared}
 	if rank := pr.ranks(); rank != nil {
 		added, removed = relabelEdges(added, rank), relabelEdges(removed, rank)
 		gi.g = pr.g.Patched(added, removed)

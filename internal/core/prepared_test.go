@@ -43,7 +43,7 @@ func TestPreparedRunMatchesRunContext(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"default", func(*Options) {}},
-		{"identity-order-no-index", func(o *Options) { o.IdentityOrder, o.DisableEdgeIndex = true, true }},
+		{"identity-order", func(o *Options) { o.IdentityOrder = true }},
 		{"hub-bitmap", func(o *Options) { o.bitmapMinDegree = 8 }},
 	} {
 		opts := Options{Workers: 4, Seed: 1}
@@ -151,8 +151,6 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 		"workers":           func(o *Options) { o.Workers = 3 },
 		"seed":              func(o *Options) { o.Seed = 10 },
 		"identity order":    func(o *Options) { o.IdentityOrder = true },
-		"edge index off":    func(o *Options) { o.DisableEdgeIndex = true },
-		"bloom bits":        func(o *Options) { o.BloomBitsPerEdge = 4 },
 		"bitmap min degree": func(o *Options) { o.bitmapMinDegree = 5 },
 	} {
 		o := base
@@ -160,12 +158,6 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 		if _, err := pr.RunContext(context.Background(), pattern.PG1(), o); !errors.Is(err, ErrPreparedMismatch) {
 			t.Errorf("%s: err = %v, want ErrPreparedMismatch", name, err)
 		}
-	}
-	// Spelling a default out is not a mismatch.
-	o := base
-	o.BloomBitsPerEdge = 10
-	if _, err := pr.RunContext(context.Background(), pattern.PG1(), o); err != nil {
-		t.Errorf("explicit default bloom bits: %v", err)
 	}
 
 	three := pr.ForWorkers(3)
@@ -175,7 +167,7 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 	if pr.ForWorkers(4) != pr {
 		t.Fatal("ForWorkers with the built worker count must return the receiver")
 	}
-	o = base
+	o := base
 	o.Workers = 3
 	got, err := three.RunContext(context.Background(), pattern.PG1(), o)
 	if err != nil || got.Count != want.Count {

@@ -27,8 +27,9 @@ func (e *engine) rankOf(v graph.VertexID) graph.VertexID {
 	return v
 }
 
-// TestIdentityOrderStatsPinned pins what an identity-order run reports, with
-// and without the edge index, over both transports: everything in Stats but
+// TestIdentityOrderStatsPinned pins what an identity-order run of the
+// partitioned model reports, with and without the edge index, over both
+// transports: everything in Stats but
 // the clocks and the three counters whose split depends on the order in which
 // a candidate's filters run (pruned_by_order, pruned_by_injectivity,
 // pruned_by_degree). Under the identity order a rank is the caller's id, so
@@ -60,15 +61,19 @@ func TestIdentityOrderStatsPinned(t *testing.T) {
 	}
 	for _, row := range rows {
 		g := gen.ChungLu(70, 300, 2.3, row.seed)
-		opts := Options{Workers: 4, Seed: row.seed, IdentityOrder: true, DisableEdgeIndex: row.noIndex}
+		opts := Options{Workers: 4, Seed: row.seed, IdentityOrder: true}
 		if row.exchange == "tcp" {
 			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
+		}
+		run := runPartitioned
+		if row.noIndex {
+			run = runWithoutIndex
 		}
 		h := fnv.New64a()
 		for _, p := range patterns {
 			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
 				opts.Strategy = strat
-				res, err := Run(g, p, opts)
+				res, err := run(g, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -313,7 +318,7 @@ func TestColdRunsReusePrepared(t *testing.T) {
 	}
 	base := cold(g, opts)
 	perRun := opts
-	perRun.Strategy, perRun.Collect, perRun.BloomBitsPerEdge = StrategyRandom, true, 10
+	perRun.Strategy, perRun.Collect = StrategyRandom, true
 	if cold(g, opts) != base || cold(g, perRun) != base || base.src != g {
 		t.Fatal("cold runs over one graph under matching options must share a Prepared")
 	}
@@ -322,8 +327,6 @@ func TestColdRunsReusePrepared(t *testing.T) {
 		"workers":           func(o *Options) { o.Workers = 2 },
 		"seed":              func(o *Options) { o.Seed = 2 },
 		"identity order":    func(o *Options) { o.IdentityOrder = true },
-		"edge index off":    func(o *Options) { o.DisableEdgeIndex = true },
-		"bloom bits":        func(o *Options) { o.BloomBitsPerEdge = 4 },
 		"bitmap min degree": func(o *Options) { o.bitmapMinDegree = 5 },
 	} {
 		before := cold(g, opts)

@@ -50,9 +50,11 @@ func TestFaultRecoveryMatchesCleanRun(t *testing.T) {
 	}
 }
 
+// TestResumeAcrossRunsMatchesCleanRun lists houses, which take three
+// supersteps; a square completes in two.
 func TestResumeAcrossRunsMatchesCleanRun(t *testing.T) {
 	g := gen.ErdosRenyi(60, 300, 2)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	base := Options{Workers: 3, Seed: 2}
 	clean, err := Run(g, p, base)
 	if err != nil {

@@ -26,11 +26,11 @@
 // Runs execute under the identity vertex order (stable across mutations, so
 // the canonical representative of an automorphism class never shifts between
 // epochs — maintained embedding sets stay byte-comparable with fresh full
-// runs), with the bloom edge index disabled: the graph-scoped state
-// (core.Prepared) is built once per side and shared by that side's anchors,
-// and a filter over every edge would still dwarf a small batch's anchored
-// work, where an identity order (no relabel), the hub bitmap and the owner
-// array do not.
+// runs), in one memory domain (core.Prepare), which builds no edge index and
+// checks every closing edge where the run meets it: the graph-scoped state
+// is built once per side and shared by that side's anchors, and a filter
+// over every edge would dwarf a small batch's anchored work, where an
+// identity order (no relabel), the hub bitmap and the owner array do not.
 package delta
 
 import (
@@ -215,18 +215,17 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 	}
 	pEdges := p.Edges()
 	copts := core.Options{
-		Workers:          opts.Workers,
-		Seed:             opts.Seed,
-		Collect:          opts.Collect,
-		OnInstance:       stream,
-		PlannedPattern:   true,
-		IdentityOrder:    true,
-		DisableEdgeIndex: true,
-		InitialVertex:    pEdges[0][0], // ignored by seeding; skips per-run plan selection
-		Exchange:         opts.Exchange,
-		Retry:            opts.Retry,
-		CheckpointEvery:  opts.CheckpointEvery,
-		MaxRecoveries:    opts.MaxRecoveries,
+		Workers:         opts.Workers,
+		Seed:            opts.Seed,
+		Collect:         opts.Collect,
+		OnInstance:      stream,
+		PlannedPattern:  true,
+		IdentityOrder:   true,
+		InitialVertex:   pEdges[0][0], // ignored by seeding; skips per-run plan selection
+		Exchange:        opts.Exchange,
+		Retry:           opts.Retry,
+		CheckpointEvery: opts.CheckpointEvery,
+		MaxRecoveries:   opts.MaxRecoveries,
 	}
 	// One graph-scoped build for the side; every anchor runs on it.
 	prepared := core.Prepare(g, copts)

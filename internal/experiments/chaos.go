@@ -49,18 +49,20 @@ const (
 	chaosGraphSpec = "er:80:500 seed 1"
 	chaosWorkers   = 3
 	// chaosMaxStep caps fault steps at a barrier the query actually
-	// reaches (PG2 over this graph runs 4 supersteps; the last barrier
-	// exchanges nothing).
+	// reaches (PG5 over this graph runs 3 supersteps; the last barrier
+	// exchanges nothing). A square completes in two supersteps once every
+	// worker reads every row, too few for a corruption at step 1 to be read
+	// back by a kill at step 2.
 	chaosMaxStep = 2
 	chaosSeeds   = 3
 )
 
 func runChaos() (*ChaosReport, error) {
 	g := gen.ErdosRenyi(80, 500, 1)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	rep := &ChaosReport{
 		Graph:   chaosGraphSpec,
-		Pattern: "pg2",
+		Pattern: "pg5",
 		Workers: chaosWorkers,
 	}
 

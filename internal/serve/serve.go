@@ -386,9 +386,10 @@ func (s *Server) parseQuery(r *http.Request) (queryParams, error) {
 		if err != nil || ms <= 0 {
 			return q, fmt.Errorf("bad deadline_ms %q (want a positive integer)", v)
 		}
-		q.deadline = time.Duration(ms) * time.Millisecond
-		if q.deadline > s.cfg.MaxDeadline {
-			q.deadline = s.cfg.MaxDeadline
+		// Compared before the product: a huge ms overflows a Duration.
+		q.deadline = s.cfg.MaxDeadline
+		if ms <= s.cfg.MaxDeadline.Milliseconds() {
+			q.deadline = time.Duration(ms) * time.Millisecond
 		}
 	}
 	if v := r.FormValue("count_only"); v != "" {
@@ -673,7 +674,7 @@ type StatsResponse struct {
 		Retries          int64 `json:"retries"`
 	} `json:"queries"`
 	// Prepared reports the engine's graph-scoped state (the graph relabelled
-	// by degree rank, edge index, hub bitmap, owner array): built once per
+	// by degree rank, hub bitmap, owner array): built once per
 	// compaction base, patched from it once per later graph epoch, each by the
 	// first query of its epoch that runs the engine, and shared by the rest.
 	Prepared PreparedStats `json:"prepared"`

@@ -420,6 +420,30 @@ func TestDeadlineDuringExecution(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineIsCapped: a deadline_ms past MaxDeadline is capped to it,
+// however large: one whose Duration would overflow must not come out
+// negative and fail the query before it runs.
+func TestHugeDeadlineIsCapped(t *testing.T) {
+	g := testGraph(t)
+	p, _ := pattern.Parse("triangle")
+	want, err := core.Run(g, p, core.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, g, Config{Workers: 2})
+	for _, ms := range []string{"9223372036854775807", "10000000000000"} {
+		var cr struct {
+			Count int64 `json:"count"`
+		}
+		if code := getJSON(t, ts.URL+"/query?count_only=1&pattern=triangle&deadline_ms="+ms, &cr); code != http.StatusOK {
+			t.Fatalf("deadline_ms=%s: status %d, want 200", ms, code)
+		}
+		if cr.Count != want.Count {
+			t.Fatalf("deadline_ms=%s: count %d, want %d", ms, cr.Count, want.Count)
+		}
+	}
+}
+
 // TestBadRequests: malformed queries are 400s with JSON errors.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, testGraph(t), Config{})
@@ -572,11 +596,13 @@ func TestNewRejectsNilGraph(t *testing.T) {
 
 // TestLocalQueryRetryResumesFromCheckpoint: in local mode with QueryRetries
 // and checkpointing on, a query whose exchange dies mid-run is re-admitted,
-// resumes from its last barrier checkpoint, and answers the exact count.
+// resumes from its last barrier checkpoint, and answers the exact count. The
+// query lists squares: a triangle completes where it is seeded and has no
+// barrier to kill.
 func TestLocalQueryRetryResumesFromCheckpoint(t *testing.T) {
 	g := testGraph(t)
 	want := func() int64 {
-		p, _ := pattern.Parse("triangle")
+		p, _ := pattern.Parse("cycle(4)")
 		res, err := core.Run(g, p, core.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -594,7 +620,7 @@ func TestLocalQueryRetryResumesFromCheckpoint(t *testing.T) {
 	var cr struct {
 		Count int64 `json:"count"`
 	}
-	if code := getJSON(t, ts.URL+"/query?pattern=triangle&count_only=true", &cr); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/query?pattern=cycle(4)&count_only=true", &cr); code != http.StatusOK {
 		t.Fatalf("status %d, want 200 after retry", code)
 	}
 	if cr.Count != want {

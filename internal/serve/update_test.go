@@ -396,19 +396,20 @@ func TestCensusInvalidatedOnUpdate(t *testing.T) {
 // fault-tolerance differential. The sweep puts the kill at every barrier of
 // the anchored run: a recovery replays supersteps, and a replay re-finds what
 // the lost attempt had already collected, which must not reach the stream
-// twice. On this graph the gained house is found in superstep 2 while a
-// dead-end Gpsi of another anchor position lives on to superstep 3, so every
-// kill fires and one lands on the superstep that finds the house.
+// twice. The standing query is a 6-cycle: anchored on the added edge, it
+// needs four expansions, one per superstep, so every kill fires and the last
+// lands on the superstep that finds the cycle. An anchored house completes by
+// superstep 2, which leaves a kill at 3 no barrier to land on.
 func TestUpdateKillScheduleDelta(t *testing.T) {
 	for step := 0; step <= 3; step++ {
 		t.Run(fmt.Sprintf("kill@%d", step), func(t *testing.T) {
-			g := graph.FromEdges(7, [][2]graph.VertexID{
-				{0, 1}, {0, 3}, {1, 2}, {1, 5}, {2, 3}, {2, 5}, {2, 6}, {4, 5}, {4, 6},
+			g := graph.FromEdges(8, [][2]graph.VertexID{
+				{0, 1}, {0, 2}, {0, 3}, {1, 4}, {1, 6}, {2, 7}, {3, 4}, {3, 5}, {4, 5},
 			})
 			s, ts := newTestServer(t, g, Config{Workers: 2, CheckpointEvery: 1, MaxRecoveries: 4})
 			s.testExchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: step, Kind: bsp.StepFaultKill, Worker: 0})
 
-			resp, err := http.Post(ts.URL+"/subscribe?pattern=house", "", nil)
+			resp, err := http.Post(ts.URL+"/subscribe?pattern=cycle(6)", "", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +418,7 @@ func TestUpdateKillScheduleDelta(t *testing.T) {
 			var hello subHello
 			readNDJSONLine(t, br, &hello)
 
-			ur, code := postUpdate(t, ts.URL, `{"add":[[5,6]]}`)
+			ur, code := postUpdate(t, ts.URL, `{"add":[[2,5]]}`)
 			if code != http.StatusOK {
 				t.Fatalf("update status %d", code)
 			}

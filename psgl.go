@@ -3,12 +3,14 @@
 // "Parallel Subgraph Listing in a Large-Scale Graph".
 //
 // PSgL enumerates every instance of a small unlabeled pattern graph in a
-// large unlabeled data graph by pure graph traversal — no join operator. The
-// data graph is partitioned across BSP workers; partial subgraph instances
-// are expanded vertex by vertex and routed between workers by a distribution
-// strategy; a degree-based vertex ordering breaks pattern automorphisms so
-// every instance is found exactly once; and a bloom-filter edge index prunes
-// invalid partial instances before they are communicated.
+// large unlabeled data graph by pure graph traversal — no join operator.
+// Partial subgraph instances are expanded vertex by vertex and routed between
+// BSP workers by a distribution strategy, and a degree-based vertex ordering
+// breaks pattern automorphisms so every instance is found exactly once. The
+// workers of a run share one memory domain, so each checks every closing edge
+// of a partial instance exactly where it meets it; the paper's
+// vertex-partitioned model, with its bloom-filter edge index and pending
+// edges, runs in the experiment harness (see EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -86,8 +88,7 @@ const (
 var ErrOutOfMemory = core.ErrOutOfMemory
 
 // NewOptions returns the default configuration: 4 workers, workload-aware
-// distribution with α = 0.5, bloom edge index at 10 bits/edge, automatic
-// initial-pattern-vertex selection.
+// distribution with α = 0.5, automatic initial-pattern-vertex selection.
 func NewOptions() Options { return core.NewOptions() }
 
 // List enumerates all instances of p in g with the PSgL engine.

@@ -132,16 +132,18 @@ func TestOOMSurfacedPublicly(t *testing.T) {
 	}
 }
 
+// TestTCPExchangePublic lists squares: a triangle completes where it is
+// seeded and sends nothing over the exchange.
 func TestTCPExchangePublic(t *testing.T) {
 	g := psgl.GenerateErdosRenyi(100, 500, 4)
 	opts := psgl.NewOptions()
 	opts.Workers = 2
 	opts.Exchange = psgl.NewTCPExchange()
-	got, err := psgl.Count(g, psgl.Triangle(), opts)
+	got, err := psgl.Count(g, psgl.Square(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := psgl.CountCentralized(g, psgl.Triangle()); got != want {
+	if want := psgl.CountCentralized(g, psgl.Square()); got != want {
 		t.Fatalf("tcp=%d oracle=%d", got, want)
 	}
 }
@@ -336,8 +338,9 @@ func TestLoadEdgeListRejectsGarbage(t *testing.T) {
 func TestFaultTolerancePublicAPI(t *testing.T) {
 	// The whole fault-tolerance surface through the public package: injected
 	// exchange faults, retry, checkpointing, recovery — same count as clean.
+	// Squares, not triangles: a triangle run has no exchange to fault.
 	g := psgl.GenerateErdosRenyi(60, 240, 5)
-	clean, err := psgl.List(g, psgl.Triangle(), psgl.NewOptions())
+	clean, err := psgl.List(g, psgl.Square(), psgl.NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +352,7 @@ func TestFaultTolerancePublicAPI(t *testing.T) {
 	opts.CheckpointEvery = 1
 	opts.CheckpointStore = psgl.NewMemCheckpointStore()
 	opts.MaxRecoveries = 50
-	res, err := psgl.ListContext(context.Background(), g, psgl.Triangle(), opts)
+	res, err := psgl.ListContext(context.Background(), g, psgl.Square(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,17 +155,18 @@ func BenchmarkAblationEdgeIndex(b *testing.B) {
 }
 
 // BenchmarkAblationAutomorphism measures the cost of skipping symmetry
-// breaking: every instance is found |Aut| times.
+// breaking: every instance is found |Aut| times. The unbroken run passes a
+// pattern without orders as planned, so the engine keeps it that way.
 func BenchmarkAblationAutomorphism(b *testing.B) {
 	g := psgl.GenerateChungLu(4000, 16000, 1.9, 4)
 	for _, disable := range []bool{false, true} {
-		name := "broken"
+		name, p, opts := "broken", pattern.PG1(), core.Options{Workers: 4}
 		if disable {
-			name = "unbroken"
+			name, p, opts.PlannedPattern = "unbroken", p.StripOrders(), true
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, pattern.PG1(), core.Options{Workers: 4, DisableAutomorphismBreaking: disable})
+				res, err := core.Run(g, p, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -222,9 +223,8 @@ func BenchmarkAblationTransport(b *testing.B) {
 }
 
 // BenchmarkHotpath runs the engine's hot-path microbenchmarks: steady-state
-// expansion and the exchange frame codec. The same
-// measurements back `psgl-bench hotpath` and the committed BENCH_hotpath.json
-// baseline.
+// expansion and the exchange frame codec. The same measurements back the
+// benchmark module's core.hotpath.* rows.
 func BenchmarkHotpath(b *testing.B) {
 	for _, hb := range core.HotpathBenchmarks() {
 		b.Run(hb.Name, hb.Fn)

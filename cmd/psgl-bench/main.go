@@ -6,23 +6,17 @@
 //	psgl-bench [flags] <experiment>
 //
 // where <experiment> is one of: datasets, property1, fig3, fig5, fig6,
-// table2, fig7, table3, table4, fig8, makespan, hotpath, serve, chaos,
-// census, update, or all.
+// table2, fig7, table3, table4, fig8, makespan, chaos, census, or all.
 //
-// `psgl-bench hotpath` additionally writes the machine-readable baseline to
-// BENCH_hotpath.json in the current directory; `psgl-bench serve` does the
-// same for the resident query service (qps and latency percentiles at
-// increasing client concurrency) into BENCH_serve.json. `psgl-bench chaos`
-// runs the deterministic fault harness — seeded kill/drop/delay/partition
-// and checkpoint-corruption schedules over both exchanges — verifies every
-// chaos count bit-identical against a clean run, and writes
-// BENCH_chaos.json (recoveries, retries, restarts per schedule).
+// `psgl-bench chaos` runs the deterministic fault harness — seeded
+// kill/drop/delay/partition and checkpoint-corruption schedules over both
+// exchanges — verifies every chaos count bit-identical against a clean run,
+// and writes BENCH_chaos.json (recoveries, retries, restarts per schedule).
 // `psgl-bench census` sweeps the ESU motif-census engine (k=3,4 over two
 // power-law graphs, single-worker cold cache then all-core warm cache) and
 // writes BENCH_census.json (subgraph throughput and canon-cache hit rates).
-// `psgl-bench update` streams small mutation batches through the dynamic-graph
-// path, verifies the maintenance identity per batch, and writes
-// BENCH_update.json (updates/sec and the delta-vs-full-rerun speedup).
+// Both files are written into the current directory. The product's layers
+// (hot path, serving, graph updates) are measured by the benchmark/ module.
 //
 // Observability: `psgl-bench -trace out.jsonl <experiment>` attaches an
 // observer to every PSgL run the experiment performs, writes the JSONL event
@@ -52,11 +46,8 @@ var baselines = map[string]struct {
 	run  func() (text string, data []byte, err error)
 	file string
 }{
-	"hotpath": {experiments.HotpathJSON, "BENCH_hotpath.json"},
-	"serve":   {experiments.ServeJSON, "BENCH_serve.json"},
-	"chaos":   {experiments.ChaosJSON, "BENCH_chaos.json"},
-	"census":  {experiments.CensusJSON, "BENCH_census.json"},
-	"update":  {experiments.UpdateJSON, "BENCH_update.json"},
+	"chaos":  {experiments.ChaosJSON, "BENCH_chaos.json"},
+	"census": {experiments.CensusJSON, "BENCH_census.json"},
 }
 
 // run is main with its environment made explicit, so CLI behavior — flag and
@@ -70,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofAddr = fs.String("pprof-addr", "", `serve net/http/pprof + expvar counters on this address (e.g. "localhost:6060")`)
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: psgl-bench [flags] <datasets|property1|fig3|fig5|fig6|table2|fig7|table3|table4|fig8|makespan|hotpath|serve|chaos|census|update|all>")
+		fmt.Fprintln(stderr, "usage: psgl-bench [flags] <datasets|property1|fig3|fig5|fig6|table2|fig7|table3|table4|fig8|makespan|chaos|census|all>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

@@ -18,13 +18,18 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
+// TestRejectsUnknownExperiment covers the retired hotpath, serve and update
+// writers too: benchmark/ measures those layers, and their names are usage
+// errors like any other.
 func TestRejectsUnknownExperiment(t *testing.T) {
-	code, _, stderr := runCLI(t, "fig99")
-	if code == 0 {
-		t.Fatal("unknown experiment accepted")
-	}
-	if !strings.Contains(stderr, `unknown experiment "fig99"`) {
-		t.Fatalf("stderr = %q", stderr)
+	for _, name := range []string{"fig99", "hotpath", "serve", "update"} {
+		code, _, stderr := runCLI(t, name)
+		if code != 2 {
+			t.Fatalf("%s: exit %d, want 2", name, code)
+		}
+		if !strings.Contains(stderr, fmt.Sprintf("unknown experiment %q", name)) {
+			t.Fatalf("%s: stderr = %q", name, stderr)
+		}
 	}
 }
 

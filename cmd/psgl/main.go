@@ -11,8 +11,8 @@
 // census(k) selects the ESU motif-census engine instead of pattern listing:
 // every connected k-vertex subgraph shape is counted and the motif histogram
 // is printed as JSON. -workers, -timeout, -verify, -stats, and the
-// observability flags apply; the listing-engine flags (strategy,
-// checkpointing, TCP exchange) do not and are ignored.
+// observability flags apply; a listing-engine flag (strategy, budgets,
+// exchange, checkpointing, -explain) set with census(k) is a usage error.
 //
 // Observability: -trace writes a JSONL trace of the run's events and prints
 // the end-of-run report to stderr; -pprof-addr serves net/http/pprof, expvar
@@ -37,6 +37,14 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// listingFlags are the flags only the listing engine reads.
+var listingFlags = map[string]bool{
+	"strategy": true, "alpha": true, "initial": true, "max-intermediate": true,
+	"max-supersteps": true, "tcp": true, "async": true, "compress": true,
+	"step-timeout": true, "exchange-retries": true, "checkpoint-dir": true,
+	"checkpoint-every": true, "resume": true, "max-recoveries": true, "explain": true,
 }
 
 // run is main with its environment made explicit, so CLI behavior — flag
@@ -86,6 +94,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		return usage("unexpected arguments %q", fs.Args())
+	}
+	censusK, isCensus, err := psgl.ParseCensus(*patternName)
+	if err != nil {
+		return usage("%v", err)
+	}
+	if isCensus {
+		// The census runs the ESU engine, which reads none of these: checked
+		// before anything is built, so -checkpoint-dir creates no store.
+		listingOnly := ""
+		fs.Visit(func(f *flag.Flag) {
+			if listingFlags[f.Name] && listingOnly == "" {
+				listingOnly = f.Name
+			}
+		})
+		if listingOnly != "" {
+			return usage("-%s applies to pattern listing, not census queries", listingOnly)
+		}
 	}
 
 	// Validate before anything reaches the engine: bad values would otherwise
@@ -151,16 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage("%v", err)
 	}
-	censusK, isCensus, err := psgl.ParseCensus(*patternName)
-	if err != nil {
-		return usage("%v", err)
-	}
 	var p *psgl.Pattern
-	if isCensus {
-		if *explain {
-			return usage("-explain applies to pattern listing, not census queries")
-		}
-	} else {
+	if !isCensus {
 		p, err = psgl.ParsePattern(*patternName)
 		if err != nil {
 			return usage("%v", err)

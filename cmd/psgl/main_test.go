@@ -21,12 +21,14 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
-	cases := []struct {
+	censusStore := filepath.Join(dir, "census-ck")
+	type flagCase struct {
 		name    string
 		args    []string
 		code    int
 		wantMsg string
-	}{
+	}
+	cases := []flagCase{
 		{"negative workers", []string{"-gen", "er:50:100", "-workers", "-3"}, 2, "-workers must be >= 1"},
 		{"zero workers", []string{"-gen", "er:50:100", "-workers", "0"}, 2, "-workers must be >= 1"},
 		{"zero supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "0"}, 2, "-max-supersteps must be positive"},
@@ -52,6 +54,19 @@ func TestFlagValidation(t *testing.T) {
 		{"initial vertex past the pattern", []string{"-gen", "er:50:100", "-pattern", "triangle", "-initial", "7"}, 2, "-initial 7 is out of range [0,3)"},
 		// Not a CLI rule: the library's typed error (bsp.ErrAsyncStepTimeout).
 		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, 1, "the async exchange has none"},
+		// The census reads no listing-engine flag: each is refused, and
+		// -checkpoint-dir before its store is created.
+		{"census with checkpointing", []string{"-gen", "er:200:800", "-pattern", "census(3)", "-checkpoint-dir", censusStore,
+			"-resume", "-max-recoveries", "2", "-tcp", "-strategy", "random"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
+	}
+	for _, f := range [][]string{
+		{"-strategy", "random"}, {"-alpha", "0.5"}, {"-initial", "0"}, {"-max-intermediate", "10"},
+		{"-max-supersteps", "5"}, {"-tcp"}, {"-async"}, {"-compress"}, {"-step-timeout", "1s"},
+		{"-exchange-retries", "2"}, {"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"},
+		{"-resume"}, {"-max-recoveries", "2"},
+	} {
+		cases = append(cases, flagCase{"census with " + f[0], append([]string{"-gen", "er:50:100", "-pattern", "census(3)"}, f...),
+			2, f[0] + " applies to pattern listing, not census queries"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,6 +79,10 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if n := strings.Count(stderr, "psgl: "); n > 1 {
 				t.Fatalf("args %v: stderr %q carries the psgl: prefix %d times", tc.args, stderr, n)
+			}
+			// No rejected run builds anything, a checkpoint store included.
+			if _, err := os.Stat(censusStore); !os.IsNotExist(err) {
+				t.Fatalf("args %v: %s exists after the rejected run (stat err %v)", tc.args, censusStore, err)
 			}
 		})
 	}

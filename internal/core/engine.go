@@ -22,9 +22,9 @@ import (
 // Run lists all instances of p in g with the PSgL engine and returns the
 // count (and instances when opts.Collect is set) together with run metrics.
 //
-// Unless opts.DisableAutomorphismBreaking is set, the pattern's automorphisms
-// are broken first, so every instance is found exactly once regardless of how
-// p was constructed.
+// Unless opts.PlannedPattern is set, the pattern's automorphisms are broken
+// first, so every instance is found exactly once regardless of how p was
+// constructed.
 func Run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 	return RunContext(context.Background(), g, p, opts)
 }
@@ -81,9 +81,7 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 		return nil, err
 	}
 
-	if opts.DisableAutomorphismBreaking {
-		p = p.StripOrders()
-	} else if !opts.PlannedPattern {
+	if !opts.PlannedPattern {
 		p = p.BreakAutomorphisms()
 	}
 

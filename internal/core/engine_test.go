@@ -194,7 +194,7 @@ func TestAutomorphismBreakingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Run(g, p, Options{Workers: 2, DisableAutomorphismBreaking: true})
+	raw, err := Run(g, p.StripOrders(), Options{Workers: 2, PlannedPattern: true})
 	if err != nil {
 		t.Fatal(err)
 	}

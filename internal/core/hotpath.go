@@ -1,16 +1,15 @@
 package core
 
-// Hot-path microbenchmarks, exported so bench_test.go and cmd/psgl-bench's
-// `hotpath` report run the exact same measurements. Each benchmark drives an
-// internal hot path directly — the expansion step through a detached
-// bsp.Context, and the wire codec on gpsi batches — so regressions in
-// allocation discipline or encoding cost show up without the noise of a full
-// run.
+// Hot-path microbenchmarks, exported so bench_test.go and the benchmark
+// module's per-layer rows run the exact same measurements. Each benchmark
+// drives an internal hot path directly — the expansion step through a
+// detached bsp.Context, and the wire codec on gpsi batches — so regressions
+// in allocation discipline or encoding cost show up without the noise of a
+// full run.
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"psgl/internal/bsp"
 	"psgl/internal/gen"
@@ -27,7 +26,7 @@ type HotpathBenchmark struct {
 
 // HotpathBenchmarks returns the engine's hot-path microbenchmarks: the
 // steady-state expansion step, the gpsi wire-codec round trip, and the TCP
-// transport's frame codec on a realistic batch.
+// transport's flat and compressed frame codecs on a dense batch.
 func HotpathBenchmarks() []HotpathBenchmark {
 	return []HotpathBenchmark{
 		{"expand", benchmarkExpand},
@@ -35,22 +34,9 @@ func HotpathBenchmarks() []HotpathBenchmark {
 		{"expand-hub-bitset", benchmarkExpandHub(false)},
 		{"expand-hub-merge", benchmarkExpandHub(true)},
 		{"gpsi-wire-roundtrip", benchmarkGpsiWireRoundTrip},
-		{"frame-wire-roundtrip", benchmarkFrameWire},
 		{"frame-flat-dense", benchmarkFrameDense(false)},
 		{"frame-compressed-dense", benchmarkFrameDense(true)},
-		{"e2e-strict-barrier", benchmarkStragglerExchange(false)},
-		{"e2e-async-pipelined", benchmarkStragglerExchange(true)},
 	}
-}
-
-// HotpathFrameBytes reports the encoded size of the hot-path Gpsi batch
-// under the wire codec — the bytes/op axis of the frame benchmarks.
-func HotpathFrameBytes() (int, error) {
-	batch, err := hotpathBatch()
-	if err != nil {
-		return 0, err
-	}
-	return len(bsp.AppendWireFrame(nil, 1, batch)), nil
 }
 
 // newHotpathHarness builds an engine of the product path (Prepare) over a
@@ -178,91 +164,6 @@ func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 	}
 }
 
-// The async-vs-barrier end-to-end pair: random walks over a skewed Chung–Lu
-// graph under a rotating latency straggler. Each round, one worker (rotating
-// with the round number) stalls briefly on every message it processes — a
-// service-time hiccup in the GC-pause/noisy-neighbor family, not CPU work, so
-// the comparison is meaningful even on a single-core machine. Strict BSP
-// serializes the stalls at the barriers: every superstep ends with the whole
-// fleet waiting out that round's straggler, and the wall clock integrates
-// Σ_rounds (straggler stall × its message share). The pipelined async
-// exchange lets the other workers race ahead into later rounds while the
-// straggler drains, so each worker only pays for the rounds where it is the
-// straggler — the Section 4.2 makespan argument, measured.
-//
-// Both modes walk identical trajectories (the neighbor choice is a hash of
-// the walker's position, not of arrival order), so the benchmark doubles as
-// a differential check: the walks counter must match exactly.
-
-// stragglerMsg is one walker: its current vertex and its round (hop count).
-type stragglerMsg struct {
-	V     graph.VertexID
-	Round int32
-}
-
-type stragglerProgram struct {
-	g      *graph.Graph
-	k      int
-	rounds int32
-	seeds  int // walkers started per worker
-	stall  time.Duration
-}
-
-func (p *stragglerProgram) Init(ctx *bsp.Context[stragglerMsg]) {
-	n := uint64(p.g.NumVertices())
-	rng := uint64(ctx.Worker())*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
-	for i := 0; i < p.seeds; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		v := graph.VertexID(rng % n)
-		ctx.Send(v, stragglerMsg{V: v, Round: 0})
-	}
-}
-
-func (p *stragglerProgram) Process(ctx *bsp.Context[stragglerMsg], env bsp.Envelope[stragglerMsg]) {
-	m := env.Msg
-	if m.Round >= p.rounds {
-		ctx.AddCounter("walks", 1)
-		return
-	}
-	if ctx.Worker() == int(m.Round)%p.k {
-		time.Sleep(p.stall)
-	}
-	next := m.V
-	if nbrs := p.g.Neighbors(m.V); len(nbrs) > 0 {
-		next = nbrs[(int(m.V)*31+int(m.Round)*17)%len(nbrs)]
-	}
-	ctx.Send(next, stragglerMsg{V: next, Round: m.Round + 1})
-}
-
-func benchmarkStragglerExchange(async bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		const (
-			workers = 4
-			rounds  = 8
-			seeds   = 16
-			stall   = 500 * time.Microsecond
-		)
-		g := gen.ChungLu(2000, 10000, 1.6, 17)
-		prog := &stragglerProgram{g: g, k: workers, rounds: rounds, seeds: seeds, stall: stall}
-		cfg := bsp.Config{
-			Workers:       workers,
-			Owner:         func(v graph.VertexID) int { return int(v) % workers },
-			MaxSupersteps: rounds + 2,
-			AsyncExchange: async,
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			stats, err := bsp.Run(cfg, prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := stats.Counters["walks"]; got != workers*seeds {
-				b.Fatalf("%d walks completed, want %d (modes must agree exactly)", got, workers*seeds)
-			}
-		}
-	}
-}
-
 func benchmarkGpsiWireRoundTrip(b *testing.B) {
 	m := gpsi{N: 4, Next: 2, Expanded: 0b0011, Pending: 0b101}
 	for i := range m.Map {
@@ -282,13 +183,6 @@ func benchmarkGpsiWireRoundTrip(b *testing.B) {
 	if out.Map != m.Map {
 		b.Fatal("wire round trip mangled the mapping")
 	}
-}
-
-// hotpathBatch builds a realistic exchange batch: worker 0's seeds, as the
-// paper's initialization phase would put them on the wire.
-func hotpathBatch() ([]bsp.Envelope[gpsi], error) {
-	_, _, inbox, err := newHotpathHarness(pattern.PG2(), StrategyWorkloadAware)
-	return inbox, err
 }
 
 // hotpathLevelBatch builds worker 0's largest per-destination exchange batch
@@ -329,54 +223,9 @@ func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], err
 	return batch, nil
 }
 
-// CompressedBytesMeasure compares the flat and prefix-compressed encodings
-// of the same per-destination exchange batch — the bytes-on-wire axis of the
-// compressed-frames acceptance (≥1.5x on a dense pattern, no sparse
-// regression).
-type CompressedBytesMeasure struct {
-	Pattern         string  `json:"pattern"`
-	Level           int     `json:"level"`
-	Envelopes       int     `json:"envelopes"`
-	FlatBytes       int     `json:"flat_bytes"`
-	CompressedBytes int     `json:"compressed_bytes"`
-	Ratio           float64 `json:"ratio"`
-}
-
-// HotpathCompressedBytes measures flat-vs-compressed frame sizes on the
-// sparse seed batch (PG1) and on dense second/third-level batches (PG3,
-// PG5) of the hot-path harness graph.
-func HotpathCompressedBytes() ([]CompressedBytesMeasure, error) {
-	cases := []struct {
-		p     *pattern.Pattern
-		level int
-	}{
-		{pattern.PG1(), 0},
-		{pattern.PG3(), 2},
-		{pattern.PG5(), 3},
-	}
-	var out []CompressedBytesMeasure
-	for _, c := range cases {
-		batch, err := hotpathLevelBatch(c.p, c.level)
-		if err != nil {
-			return nil, err
-		}
-		flat := len(bsp.AppendWireFrame(nil, 1, batch))
-		comp := len(bsp.AppendCompressedFrame(nil, 1, batch))
-		out = append(out, CompressedBytesMeasure{
-			Pattern:         c.p.Name(),
-			Level:           c.level,
-			Envelopes:       len(batch),
-			FlatBytes:       flat,
-			CompressedBytes: comp,
-			Ratio:           float64(flat) / float64(comp),
-		})
-	}
-	return out, nil
-}
-
 // benchmarkFrameDense round-trips worker 0's dense second-level PG3 batch
 // through the flat (compressed=false) or prefix-compressed (true) frame
-// codec — the new hot-path pair the compressed-frames acceptance tracks.
+// codec: the pair that weighs compression's encode and decode cost.
 func benchmarkFrameDense(compressed bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		batch, err := hotpathLevelBatch(pattern.PG3(), 2)
@@ -402,24 +251,6 @@ func benchmarkFrameDense(compressed bool) func(b *testing.B) {
 			if err != nil || len(out) != len(batch) {
 				b.Fatalf("decode: %d envelopes, err %v", len(out), err)
 			}
-		}
-	}
-}
-
-func benchmarkFrameWire(b *testing.B) {
-	batch, err := hotpathBatch()
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := bsp.AppendWireFrame(nil, 1, batch)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = bsp.AppendWireFrame(buf[:0], 1, batch)
-		// [4:] skips the length prefix, as the exchange's reader does.
-		if _, out, err := bsp.DecodeWireFrame[gpsi](buf[4:]); err != nil || len(out) != len(batch) {
-			b.Fatalf("decode: %d envelopes, err %v", len(out), err)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func TestLabeledWithoutBreakingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Run(g, lp, Options{Workers: 2, DataLabels: labels, DisableAutomorphismBreaking: true})
+	raw, err := Run(g, lp.StripOrders(), Options{Workers: 2, DataLabels: labels, PlannedPattern: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,16 +85,14 @@ type Options struct {
 	// safe for concurrent use; the slice is only valid during the call —
 	// copy it to keep it.
 	OnInstance func(mapping []graph.VertexID)
-	// DisableAutomorphismBreaking skips symmetry breaking (ablation only:
-	// every instance is then found |Aut| times).
-	DisableAutomorphismBreaking bool
 	// PlannedPattern declares that the pattern already carries its
 	// symmetry-breaking partial order (i.e. it came from BreakAutomorphisms,
 	// possibly via a plan cache): the engine uses it as-is instead of
 	// recomputing the orders per run. Pair it with InitialVertex from the
 	// same plan to skip per-run initial-vertex selection entirely — the
-	// serving layer's plan-reuse path. Ignored when
-	// DisableAutomorphismBreaking is set.
+	// serving layer's plan-reuse path. A pattern passed with no orders
+	// (StripOrders) then runs unbroken, and every instance is found |Aut|
+	// times: the symmetry-breaking ablation.
 	PlannedPattern bool
 	// Seeds, when non-empty, switches the run from whole-graph enumeration to
 	// seeded enumeration: instead of every eligible data vertex hosting the

@@ -158,6 +158,66 @@ func TestDeltaDifferentialOracle(t *testing.T) {
 	}
 }
 
+// TestDeltaChainedOverlayEpochs chains the maintenance identity
+// count(before) + gained − lost == count(after) over eight epochs of one
+// overlay, each a mixed batch of two random adds and two removes of present
+// edges, for pg3 on a 4000-vertex power-law graph. Each epoch's delta runs
+// from the previous epoch's snapshot and is checked against a full run, so
+// an error in any one batch carries into every later count; the last count
+// is checked against the centralized oracle.
+func TestDeltaChainedOverlayEpochs(t *testing.T) {
+	g := gen.ChungLu(4000, 16000, 1.8, 47)
+	p := pattern.PG3()
+	rng := rand.New(rand.NewSource(47))
+	ov := graph.NewOverlay(g)
+	base, err := core.Run(g, p, core.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := base.Count
+	var effective, moved int64
+	for epoch := 0; epoch < 8; epoch++ {
+		var b graph.Batch
+		for len(b.Add) < 2 {
+			u, v := graph.VertexID(rng.Intn(g.NumVertices())), graph.VertexID(rng.Intn(g.NumVertices()))
+			if u != v {
+				b.Add = append(b.Add, [2]graph.VertexID{u, v})
+			}
+		}
+		for len(b.Remove) < 2 {
+			u := graph.VertexID(rng.Intn(g.NumVertices()))
+			if nbrs := g.Neighbors(u); len(nbrs) > 0 {
+				b.Remove = append(b.Remove, [2]graph.VertexID{u, nbrs[rng.Intn(len(nbrs))]})
+			}
+		}
+		res, err := ov.ApplyBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := ov.Snapshot()
+		d, err := Enumerate(context.Background(), g, next, res.Added, res.Removed, p, Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		full, err := core.Run(next, p, core.Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		if count+d.Gained-d.Lost != full.Count {
+			t.Fatalf("epoch %d: %d + %d - %d != %d", epoch, count, d.Gained, d.Lost, full.Count)
+		}
+		count, g = full.Count, next
+		effective += int64(len(res.Added) + len(res.Removed))
+		moved += d.Gained + d.Lost
+	}
+	if effective == 0 || moved == 0 {
+		t.Fatalf("degenerate stream: %d effective edges, %d embeddings gained or lost", effective, moved)
+	}
+	if want := centralized.CountInstances(p, g); count != want {
+		t.Fatalf("maintained count %d after 8 epochs, oracle %d", count, want)
+	}
+}
+
 // TestDeltaModesBitIdentical: gained/lost counts — and the embedding
 // multisets — are identical over the in-process and the TCP exchange.
 func TestDeltaModesBitIdentical(t *testing.T) {

@@ -8,9 +8,7 @@
 // a worker checks a closing edge exactly only when it owns an endpoint, asks
 // the light-weight edge index otherwise, and verifies a pending edge one
 // superstep later. The product (core.Prepare) runs one memory domain instead,
-// and its Gpsi counts do not reproduce the paper's. The update experiment
-// (update.go) measures the product: its delta and full runs both take the
-// product path, as the server's do.
+// and its Gpsi counts do not reproduce the paper's.
 //
 // Two runtime metrics appear:
 //   - wall: physical elapsed time; used when comparing different systems
@@ -562,11 +560,8 @@ func ByName(name string) (func() string, error) {
 		"table4":    Table4,
 		"fig8":      Figure8,
 		"makespan":  Makespan,
-		"hotpath":   Hotpath,
-		"serve":     Serve,
 		"chaos":     Chaos,
 		"census":    Census,
-		"update":    Update,
 		"all":       All,
 	}
 	fn, ok := m[name]

@@ -136,13 +136,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ckptEvery < 1 {
 		return usage("-checkpoint-every must be >= 1, have %d", *ckptEvery)
 	}
-	explicitZeroSteps := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "max-supersteps" && *maxSteps == 0 {
-			explicitZeroSteps = true
-		}
-	})
-	if explicitZeroSteps {
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if explicit["max-supersteps"] && *maxSteps == 0 {
 		return usage("-max-supersteps must be positive (a run needs at least the initialization superstep)")
 	}
 	opts := psgl.NewOptions()
@@ -170,6 +166,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxRecover > 0 && *ckptDir == "" {
 		return usage("-max-recoveries requires -checkpoint-dir")
+	}
+	if explicit["checkpoint-every"] && *ckptDir == "" {
+		return usage("-checkpoint-every requires -checkpoint-dir")
+	}
+	if *async && *stepTimeout > 0 {
+		return usage("-step-timeout bounds barriered supersteps and the async exchange has none; bound the run with -timeout instead")
 	}
 
 	g, err := loadGraph(*graphPath, *genSpec, *seed)

@@ -52,8 +52,11 @@ func TestFlagValidation(t *testing.T) {
 		{"negative checkpoint interval", []string{"-gen", "er:50:100", "-checkpoint-dir", dir, "-checkpoint-every", "-3"}, 2, "-checkpoint-every must be >= 1"},
 		{"negative initial vertex", []string{"-gen", "er:50:100", "-initial", "-4"}, 2, "-initial must be a pattern vertex or -1"},
 		{"initial vertex past the pattern", []string{"-gen", "er:50:100", "-pattern", "triangle", "-initial", "7"}, 2, "-initial 7 is out of range [0,3)"},
-		// Not a CLI rule: the library's typed error (bsp.ErrAsyncStepTimeout).
-		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, 1, "the async exchange has none"},
+		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, 2, "the async exchange has none"},
+		// Refused before the graph is loaded: the file does not exist.
+		{"async with step timeout before loading", []string{"-graph", filepath.Join(dir, "missing.txt"), "-async", "-step-timeout", "5s"}, 2, "the async exchange has none"},
+		{"checkpoint interval without dir", []string{"-gen", "er:50:100", "-checkpoint-every", "2"}, 2, "-checkpoint-every requires -checkpoint-dir"},
+		{"default checkpoint interval without dir", []string{"-gen", "er:50:100", "-checkpoint-every", "1"}, 2, "-checkpoint-every requires -checkpoint-dir"},
 		// The census reads no listing-engine flag: each is refused, and
 		// -checkpoint-dir before its store is created.
 		{"census with checkpointing", []string{"-gen", "er:200:800", "-pattern", "census(3)", "-checkpoint-dir", censusStore,

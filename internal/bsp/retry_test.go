@@ -3,133 +3,31 @@ package bsp
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
 
-// TestBackoffForDeterministicWithoutJitter: NoJitter reproduces the original
-// doubling schedule, capped at MaxBackoff.
+// TestBackoffForDeterministicWithoutJitter: the backoff is the doubling
+// schedule, capped at MaxBackoff.
 func TestBackoffForDeterministicWithoutJitter(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, NoJitter: true}
+	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
 	want := []time.Duration{
 		1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
 		8 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := backoffFor(p, nil, i+1); got != w {
+		if got := backoffFor(p, i+1); got != w {
 			t.Fatalf("attempt %d: backoff %v, want %v", i+1, got, w)
 		}
 	}
 }
 
-// TestBackoffFullJitterBounds: every jittered draw stays within [0, cap]
-// where cap follows the doubling schedule.
-func TestBackoffFullJitterBounds(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
-	rng := newFaultRand(42)
-	caps := []time.Duration{
-		1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
-		8 * time.Millisecond, 8 * time.Millisecond,
-	}
-	sawNonzero := false
-	for round := 0; round < 200; round++ {
-		for i, cap := range caps {
-			d := backoffFor(p, rng, i+1)
-			if d < 0 || d > cap {
-				t.Fatalf("attempt %d: jittered backoff %v outside [0, %v]", i+1, d, cap)
-			}
-			if d > 0 {
-				sawNonzero = true
-			}
-		}
-	}
-	if !sawNonzero {
-		t.Fatal("1000 jittered draws were all zero")
-	}
-}
-
-// TestBackoffSeededJitterIsDeterministic: the same JitterSeed yields the same
-// draw sequence — the mode fault-injection tests rely on.
-func TestBackoffSeededJitterIsDeterministic(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 16 * time.Millisecond}
-	a, b := newFaultRand(7), newFaultRand(7)
-	for i := 1; i <= 32; i++ {
-		da, db := backoffFor(p, a, i), backoffFor(p, b, i)
-		if da != db {
-			t.Fatalf("attempt %d: seeded draws diverged (%v vs %v)", i, da, db)
-		}
-	}
-}
-
-// TestBackoffUnseededDrawsDecorrelate: two independently seeded streams must
-// not produce identical jitter schedules (the thundering-herd fix).
-func TestBackoffUnseededDrawsDecorrelate(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-	a, b := newFaultRand(1), newFaultRand(2)
-	same := 0
-	const draws = 64
-	for i := 1; i <= draws; i++ {
-		if backoffFor(p, a, i) == backoffFor(p, b, i) {
-			same++
-		}
-	}
-	if same == draws {
-		t.Fatal("two differently seeded jitter streams produced identical schedules")
-	}
-}
-
-// TestConcurrentRetrySeedsDecorrelate: many retriers created as close to the
-// same instant as the scheduler allows must all draw distinct seeds AND
-// distinct backoff schedules. The pre-fix seeding (nano ^ counter<<20) handed
-// same-tick callers seeds differing only in a narrow bit window, which the
-// PRNG's single-multiply seeding did not disperse — their jitter correlated
-// and the thundering herd full jitter exists to prevent came back.
-func TestConcurrentRetrySeedsDecorrelate(t *testing.T) {
-	const n = 256
-	seeds := make([]int64, n)
-	var start, wg sync.WaitGroup
-	start.Add(1)
-	for i := range seeds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start.Wait() // maximize same-tick collisions
-			seeds[i] = retrySeed()
-		}(i)
-	}
-	start.Done()
-	wg.Wait()
-
-	seen := make(map[int64]bool, n)
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-	schedules := make(map[string]int, n)
-	for _, s := range seeds {
-		if seen[s] {
-			t.Fatalf("two retriers drew the same seed %d", s)
-		}
-		seen[s] = true
-		rng := newFaultRand(s)
-		sig := ""
-		for a := 1; a <= 4; a++ {
-			sig += fmt.Sprintf("%d,", backoffFor(p, rng, a))
-		}
-		schedules[sig]++
-	}
-	for sig, c := range schedules {
-		if c > 1 {
-			t.Fatalf("%d concurrent retriers drew the identical backoff schedule [%s]", c, sig)
-		}
-	}
-}
-
-// TestWithRetryJitteredStillRetriesAndSucceeds: the jittered path preserves
-// the retry contract end to end.
-func TestWithRetryJitteredStillRetriesAndSucceeds(t *testing.T) {
+// TestWithRetryRetriesAndSucceeds: a failing op is re-issued until it
+// succeeds, within the attempt budget.
+func TestWithRetryRetriesAndSucceeds(t *testing.T) {
 	calls := 0
 	err := withRetry(context.Background(),
-		RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 100 * time.Microsecond, JitterSeed: 3},
+		RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 100 * time.Microsecond},
 		func() error {
 			calls++
 			if calls < 4 {

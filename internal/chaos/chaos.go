@@ -76,9 +76,9 @@ type Event struct {
 	Delay time.Duration
 }
 
-// Schedule is a reproducible fault plan. Seed both documents where the plan
-// came from and seeds the chaos run's retry jitter, so the whole run is
-// replayable from the schedule alone.
+// Schedule is a reproducible fault plan. Seed documents where the plan came
+// from; the retry backoff is deterministic, so the whole run is replayable
+// from the schedule alone.
 type Schedule struct {
 	Seed   int64
 	Events []Event
@@ -272,8 +272,8 @@ func (s *corruptingStore) Load() (int, []byte, error) { return s.inner.Load() }
 // Run executes cfg's query clean, then under sched, and compares the counts.
 // A chaos attempt that dies beyond its in-run recovery budget — or trips
 // over a corrupted checkpoint — is re-admitted whole (fresh store, faults
-// already fired stay fired) up to MaxRestarts times, mirroring how the
-// serving tier re-admits a query whose worker died. The returned error is
+// already fired stay fired) up to MaxRestarts times, each counted in
+// Outcome.Restarts. The returned error is
 // non-nil only when the harness itself cannot complete (the query never
 // survives the schedule); a count mismatch is reported via
 // Outcome.Identical, which callers must check.
@@ -305,13 +305,13 @@ func Run(ctx context.Context, cfg Config, sched Schedule) (*Outcome, error) {
 	}
 	out.CleanCount = clean.Count
 
-	// Chaos run: scheduled faults on the exchange, corruption on the store,
-	// seeded retry jitter so the whole run replays from the schedule.
+	// Chaos run: scheduled faults on the exchange, corruption on the store;
+	// the retry backoff is deterministic, so the whole run replays from the
+	// schedule.
 	retry := bsp.RetryPolicy{
 		MaxAttempts: 3,
 		BaseBackoff: 100 * time.Microsecond,
 		MaxBackoff:  2 * time.Millisecond,
-		JitterSeed:  sched.Seed ^ 0x5ca1ab1e,
 	}
 	var stepFaults []bsp.StepFault
 	for _, e := range sched.Events {
@@ -374,7 +374,6 @@ func Run(ctx context.Context, cfg Config, sched Schedule) (*Outcome, error) {
 				sched, attempt, err)
 		}
 		out.Restarts++
-		o.AddQueryRetry()
 	}
 	out.ChaosWall = time.Since(start)
 	out.ChaosCount = res.Count

@@ -171,8 +171,9 @@ type Options struct {
 	// at-least-once delivery when a recovery replays supersteps (duplicate
 	// instances possible) and a resumed run only observes post-resume
 	// instances — use Result.Count, not len(Result.Instances), whenever
-	// recovery is enabled. (delta drops the replayed duplicates from its
-	// gained and lost sets: one anchored run finds each embedding once.)
+	// recovery is enabled. (delta and the serving tier enable none: their
+	// in-process runs have no fault to recover from, and their streams are
+	// exactly-once.)
 
 	// StepTimeout bounds each superstep (compute plus exchange). 0 = none.
 	StepTimeout time.Duration

@@ -31,15 +31,19 @@
 // is built once per side and shared by that side's anchors, and a filter
 // over every edge would dwarf a small batch's anchored work, where an
 // identity order (no relabel), the hub bitmap and the owner array do not.
+//
+// Every anchored run is strict, in-process and takes no checkpoints: the
+// in-process exchange never fails a frame and the runs set no step timeout,
+// so nothing fails that a checkpoint could recover, no superstep is
+// replayed, and each gained or lost embedding reaches Collect and
+// OnGained/OnLost exactly once.
 package delta
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
-	"psgl/internal/bsp"
 	"psgl/internal/core"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
@@ -57,23 +61,13 @@ type Options struct {
 	Collect bool
 	// OnGained/OnLost stream each gained/lost embedding's mapping as it is
 	// found (same contract as core.Options.OnInstance: concurrent calls,
-	// slice valid only during the call, at-least-once under recovery).
+	// slice valid only during the call), each exactly once.
 	OnGained func(mapping []graph.VertexID)
 	OnLost   func(mapping []graph.VertexID)
 	// PrePlanned declares that the pattern already carries its
 	// symmetry-breaking orders (e.g. from a serve-layer plan cache), skipping
 	// the per-call BreakAutomorphisms.
 	PrePlanned bool
-	// Exchange, when non-nil, replaces the in-process message exchange of
-	// every anchored run, exactly as in core.Options.
-	Exchange bsp.ExchangeFactory
-	// Fault tolerance, applied to every anchored run (see core.Options).
-	// Each run gets its own fresh in-memory checkpoint store — stores hold
-	// one run's snapshots at a time, and a shared store could restore a
-	// previous anchor's state into the wrong run.
-	Retry           bsp.RetryPolicy
-	CheckpointEvery int
-	MaxRecoveries   int
 }
 
 // Result is the outcome of one delta enumeration.
@@ -83,9 +77,9 @@ type Result struct {
 	Gained int64
 	Lost   int64
 	// GainedEmbeddings/LostEmbeddings hold the mappings when Options.Collect
-	// is set, each exactly once, recovered runs included. Order across
-	// anchored runs is deterministic (changed edges in batch order); order
-	// within a run is not — compare as multisets.
+	// is set, each exactly once. Order across anchored runs is deterministic
+	// (changed edges in batch order); order within a run is not — compare as
+	// multisets.
 	GainedEmbeddings [][]graph.VertexID
 	LostEmbeddings   [][]graph.VertexID
 	// AddedEdges/RemovedEdges are the effective changes the enumeration
@@ -99,8 +93,6 @@ type Result struct {
 	// the filter counter is the cross-anchor dedup at work.
 	GpsiGenerated  int64
 	PrunedByFilter int64
-	// Recoveries aggregates in-run checkpoint-restore recoveries.
-	Recoveries int
 	// WallTime is the elapsed time of the whole delta pass.
 	WallTime time.Duration
 }
@@ -215,17 +207,13 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 	}
 	pEdges := p.Edges()
 	copts := core.Options{
-		Workers:         opts.Workers,
-		Seed:            opts.Seed,
-		Collect:         opts.Collect,
-		OnInstance:      stream,
-		PlannedPattern:  true,
-		IdentityOrder:   true,
-		InitialVertex:   pEdges[0][0], // ignored by seeding; skips per-run plan selection
-		Exchange:        opts.Exchange,
-		Retry:           opts.Retry,
-		CheckpointEvery: opts.CheckpointEvery,
-		MaxRecoveries:   opts.MaxRecoveries,
+		Workers:        opts.Workers,
+		Seed:           opts.Seed,
+		Collect:        opts.Collect,
+		OnInstance:     stream,
+		PlannedPattern: true,
+		IdentityOrder:  true,
+		InitialVertex:  pEdges[0][0], // ignored by seeding; skips per-run plan selection
 	}
 	// One graph-scoped build for the side; every anchor runs on it.
 	prepared := core.Prepare(g, copts)
@@ -242,28 +230,15 @@ func enumerateSide(ctx context.Context, g *graph.Graph, changed [][2]graph.Verte
 			return true
 		}
 		copts.Seeds = anchorSeeds(pEdges, ce[0], ce[1])
-		if copts.CheckpointEvery > 0 {
-			copts.CheckpointStore = bsp.NewMemCheckpointStore()
-		}
 		r, err := prepared.RunContext(ctx, p, copts)
 		if err != nil {
 			return fmt.Errorf("anchor (%d,%d): %w", ce[0], ce[1], err)
 		}
 		*count += r.Count
-		if opts.Collect {
-			inst := r.Instances
-			if r.Stats.Recoveries > 0 {
-				// A run finds each embedding once, but its Collect is
-				// at-least-once under replay: a repeat is a replayed find.
-				slices.SortFunc(inst, slices.Compare)
-				inst = slices.CompactFunc(inst, slices.Equal)
-			}
-			*collected = append(*collected, inst...)
-		}
+		*collected = append(*collected, r.Instances...)
 		res.Runs++
 		res.GpsiGenerated += r.Stats.GpsiGenerated
 		res.PrunedByFilter += r.Stats.PrunedByFilter
-		res.Recoveries += r.Stats.Recoveries
 	}
 	return nil
 }

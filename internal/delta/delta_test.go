@@ -6,12 +6,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
-	"psgl/internal/bsp"
 	"psgl/internal/centralized"
 	"psgl/internal/core"
-	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
@@ -215,102 +212,6 @@ func TestDeltaChainedOverlayEpochs(t *testing.T) {
 	}
 	if want := centralized.CountInstances(p, g); count != want {
 		t.Fatalf("maintained count %d after 8 epochs, oracle %d", count, want)
-	}
-}
-
-// TestDeltaModesBitIdentical: gained/lost counts — and the embedding
-// multisets — are identical over the in-process and the TCP exchange.
-func TestDeltaModesBitIdentical(t *testing.T) {
-	g0 := gen.ChungLu(200, 700, 1.8, 5)
-	rng := rand.New(rand.NewSource(13))
-	g1, adds, removes := randomBatch(g0, rng, 8, 8)
-	p := pattern.PG3()
-	type mode struct {
-		name string
-		tcp  bool
-	}
-	modes := []mode{
-		{"strict-local", false},
-		{"strict-tcp", true},
-	}
-	var want *Result
-	var wantGained, wantLost []string
-	for _, md := range modes {
-		opts := Options{Workers: 3, Seed: 2, Collect: true}
-		if md.tcp {
-			opts.Exchange = bsp.NewTCPExchangeFactory()
-		}
-		res, err := Enumerate(context.Background(), g0, g1, adds, removes, p, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", md.name, err)
-		}
-		gained := sortedKeys(res.GainedEmbeddings)
-		lost := sortedKeys(res.LostEmbeddings)
-		if want == nil {
-			want, wantGained, wantLost = res, gained, lost
-			continue
-		}
-		if res.Gained != want.Gained || res.Lost != want.Lost {
-			t.Fatalf("%s: gained/lost %d/%d, want %d/%d",
-				md.name, res.Gained, res.Lost, want.Gained, want.Lost)
-		}
-		if !equalStrings(gained, wantGained) || !equalStrings(lost, wantLost) {
-			t.Fatalf("%s: embedding multiset differs from strict-local", md.name)
-		}
-	}
-	if want.Gained == 0 && want.Lost == 0 {
-		t.Fatal("degenerate batch: no delta to compare")
-	}
-}
-
-// TestDeltaKillScheduleRecovery injects a seeded worker kill into the
-// anchored runs and requires the recovered delta to be bit-identical to the
-// clean one — the mid-update fault leg of the acceptance criteria.
-func TestDeltaKillScheduleRecovery(t *testing.T) {
-	g0 := gen.ChungLu(200, 700, 1.8, 9)
-	rng := rand.New(rand.NewSource(21))
-	g1, adds, removes := randomBatch(g0, rng, 6, 6)
-	p := pattern.PG2()
-	clean, err := Enumerate(context.Background(), g0, g1, adds, removes, p,
-		Options{Workers: 3, Seed: 4, Collect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	retry := bsp.RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-		JitterSeed:  0x5ca1ab1e,
-	}
-	// A dead worker fails every retry of its barrier; only the checkpoint
-	// restore gets past it (same schedule shape as the chaos harness).
-	var faults []bsp.StepFault
-	for a := 0; a < retry.MaxAttempts; a++ {
-		faults = append(faults, bsp.StepFault{Step: 1, Kind: bsp.StepFaultKill, Worker: 0})
-	}
-	factory := faulttest.Schedule(t, nil, faults...)
-	chaos, err := Enumerate(context.Background(), g0, g1, adds, removes, p, Options{
-		Workers:         3,
-		Seed:            4,
-		Collect:         true,
-		Exchange:        factory,
-		Retry:           retry,
-		CheckpointEvery: 1,
-		MaxRecoveries:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chaos.Gained != clean.Gained || chaos.Lost != clean.Lost {
-		t.Fatalf("recovered delta %d/%d != clean %d/%d",
-			chaos.Gained, chaos.Lost, clean.Gained, clean.Lost)
-	}
-	if chaos.Recoveries == 0 {
-		t.Fatal("kill schedule never forced a recovery")
-	}
-	if !equalStrings(sortedKeys(chaos.GainedEmbeddings), sortedKeys(clean.GainedEmbeddings)) ||
-		!equalStrings(sortedKeys(chaos.LostEmbeddings), sortedKeys(clean.LostEmbeddings)) {
-		t.Fatal("recovered embedding multiset differs from clean run")
 	}
 }
 

@@ -240,22 +240,12 @@ type Observer struct {
 	recoveries      atomic.Int64
 	aborts          atomic.Int64
 	setupAborts     atomic.Int64
-	// Serving-tier query retries (fed by internal/serve's retry loop).
-	queryRetries atomic.Int64
 
 	// Census-engine counters (fed by internal/esu at end of run: workers
 	// accumulate locally and flush once, so nothing here is per-subgraph).
 	censusSubgraphs atomic.Int64
 	canonHits       atomic.Int64
 	canonMisses     atomic.Int64
-
-	// Mutation-plane counters (fed by the serving tier's /update path: one
-	// AddMutation per accepted batch, one AddDelta per standing-query delta
-	// enumeration).
-	mutationBatches atomic.Int64
-	mutationEdges   atomic.Int64
-	deltaGained     atomic.Int64
-	deltaLost       atomic.Int64
 
 	// Async-exchange counters (fed by the pipelined message plane at frame
 	// and termination-scan granularity — never per message).
@@ -510,15 +500,6 @@ func (o *Observer) AddSetupAbort() {
 	o.setupAborts.Add(1)
 }
 
-// AddQueryRetry counts one failed query re-run by the serving tier (distinct
-// from the engine's per-barrier exchange retries).
-func (o *Observer) AddQueryRetry() {
-	if o == nil {
-		return
-	}
-	o.queryRetries.Add(1)
-}
-
 // AddCensus records one completed motif census: subgraphs enumerated and the
 // canonical-form memo cache's hit/miss totals. Called once per run with the
 // workers' summed local counters — never from the enumeration hot path.
@@ -529,27 +510,6 @@ func (o *Observer) AddCensus(subgraphs, canonHits, canonMisses int64) {
 	o.censusSubgraphs.Add(subgraphs)
 	o.canonHits.Add(canonHits)
 	o.canonMisses.Add(canonMisses)
-}
-
-// AddMutation records one accepted graph-mutation batch and its effective
-// edge-change count (noops excluded). Called once per batch by the serving
-// tier's update path — never per edge.
-func (o *Observer) AddMutation(effectiveEdges int64) {
-	if o == nil {
-		return
-	}
-	o.mutationBatches.Add(1)
-	o.mutationEdges.Add(effectiveEdges)
-}
-
-// AddDelta records one standing query's delta-enumeration outcome for a
-// mutation epoch: embeddings gained and lost relative to the previous epoch.
-func (o *Observer) AddDelta(gained, lost int64) {
-	if o == nil {
-		return
-	}
-	o.deltaGained.Add(gained)
-	o.deltaLost.Add(lost)
 }
 
 // AddCreditRound counts one termination-detector scan by the run loop's

@@ -125,24 +125,6 @@ func TestObserverLifecycle(t *testing.T) {
 	}
 }
 
-// TestQueryRetriesReportOnFaultsLine: the serving tier's query retries are a
-// fault counter like the engine's, so a run whose only fault is a re-run
-// query reports it on the faults line and nowhere else.
-func TestQueryRetriesReportOnFaultsLine(t *testing.T) {
-	o := New(nil)
-	o.AddQueryRetry()
-	o.AddQueryRetry()
-	var buf bytes.Buffer
-	o.WriteReport(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "faults: 0 retries") || !strings.Contains(out, "2 query retries") {
-		t.Fatalf("report does not carry the query retries on its faults line:\n%s", out)
-	}
-	if strings.Contains(out, "worker plane") {
-		t.Fatalf("report labels query retries as a worker plane:\n%s", out)
-	}
-}
-
 func TestFrameCounters(t *testing.T) {
 	o := New(nil)
 	o.AddFrameSent(100)

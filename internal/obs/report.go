@@ -39,20 +39,11 @@ type Snapshot struct {
 	Recoveries         int64         `json:"recoveries"`
 	Aborts             int64         `json:"aborts"`
 	SetupAborts        int64         `json:"setup_aborts"`
-	// QueryRetries counts failed queries the serving tier re-ran.
-	QueryRetries int64 `json:"query_retries"`
 
 	// Census-engine counters (monotonic; fed once per census run).
 	CensusSubgraphs int64 `json:"census_subgraphs"`
 	CanonHits       int64 `json:"canon_hits"`
 	CanonMisses     int64 `json:"canon_misses"`
-
-	// Mutation-plane counters (monotonic; fed by the serving tier's /update
-	// path, once per batch / per standing-query delta).
-	MutationBatches int64 `json:"mutation_batches"`
-	MutationEdges   int64 `json:"mutation_edges"`
-	DeltaGained     int64 `json:"delta_gained"`
-	DeltaLost       int64 `json:"delta_lost"`
 
 	// Async-exchange counters (monotonic; fed by the pipelined message
 	// plane's coordinator and flush paths).
@@ -99,14 +90,9 @@ func (o *Observer) Snapshot() Snapshot {
 		Recoveries:         o.recoveries.Load(),
 		Aborts:             o.aborts.Load(),
 		SetupAborts:        o.setupAborts.Load(),
-		QueryRetries:       o.queryRetries.Load(),
 		CensusSubgraphs:    o.censusSubgraphs.Load(),
 		CanonHits:          o.canonHits.Load(),
 		CanonMisses:        o.canonMisses.Load(),
-		MutationBatches:    o.mutationBatches.Load(),
-		MutationEdges:      o.mutationEdges.Load(),
-		DeltaGained:        o.deltaGained.Load(),
-		DeltaLost:          o.deltaLost.Load(),
 		CreditRounds:       o.creditRounds.Load(),
 		EarlyExpansions:    o.earlyExpansions.Load(),
 		FramesInFlightPeak: o.framesInFlightMax.Load(),
@@ -175,18 +161,14 @@ func (o *Observer) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "checkpoints: %d saves, %d B total, %v encode+store\n",
 			s.CheckpointSaves, s.CheckpointBytes, s.CheckpointSaveTime.Round(time.Microsecond))
 	}
-	if s.Retries+s.Restores+s.Restarts+s.Recoveries+s.Aborts+s.SetupAborts+s.QueryRetries > 0 {
-		fmt.Fprintf(w, "faults: %d retries, %d recoveries (%d restores in %v, %d restarts), %d aborts, %d setup aborts, %d query retries\n",
+	if s.Retries+s.Restores+s.Restarts+s.Recoveries+s.Aborts+s.SetupAborts > 0 {
+		fmt.Fprintf(w, "faults: %d retries, %d recoveries (%d restores in %v, %d restarts), %d aborts, %d setup aborts\n",
 			s.Retries, s.Recoveries, s.Restores, s.RestoreTime.Round(time.Microsecond),
-			s.Restarts, s.Aborts, s.SetupAborts, s.QueryRetries)
+			s.Restarts, s.Aborts, s.SetupAborts)
 	}
 	if s.CreditRounds > 0 {
 		fmt.Fprintf(w, "credit detector: %d rounds, %d early expansions, %d frames in flight at peak\n",
 			s.CreditRounds, s.EarlyExpansions, s.FramesInFlightPeak)
-	}
-	if s.MutationBatches > 0 {
-		fmt.Fprintf(w, "mutations: %d batches, %d effective edges; deltas: %d gained, %d lost\n",
-			s.MutationBatches, s.MutationEdges, s.DeltaGained, s.DeltaLost)
 	}
 	if s.CensusSubgraphs+s.CanonHits+s.CanonMisses > 0 {
 		lookups := s.CanonHits + s.CanonMisses

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"psgl/internal/graph"
 )
@@ -48,6 +51,64 @@ func FuzzUpdateBatchDecode(f *testing.F) {
 		}
 		if got, want := ov.Fingerprint(), ov.Snapshot().EdgeFingerprint(); got != want {
 			t.Fatalf("incremental fingerprint %016x, snapshot fingerprint %016x", got, want)
+		}
+	})
+}
+
+// FuzzQueryParams drives an arbitrary raw query string through /query
+// against a small fixed graph, with every deadline capped at one second.
+// Invariants under fuzz:
+//
+//   - the status is 200, a 4xx or a 504 — never a 500, never a panic;
+//   - no query counts as failed, so no stream ends in an error other than
+//     its deadline;
+//   - the response returns within the deadline plus a margin, whatever the
+//     parameters ask for.
+func FuzzQueryParams(f *testing.F) {
+	for _, seed := range []string{
+		"pattern=triangle",
+		"pattern=cycle(4)&count_only=1",
+		"pattern=census(3)",
+		"pattern=census(5)&workers=3",
+		"pattern=edges(0-1,1-2,2-0)&limit=5",
+		"pattern=clique(4)&limit=0&count_only=false",
+		"pattern=pg3&deadline_ms=1&workers=256",
+		"pattern=path(5)&deadline_ms=9223372036854775807",
+		"pattern=cycle(16)&count_only=true",
+		"pattern=star(15)",
+		"pattern=edges(0-0)",
+		"pattern=triangle&limit=-1&deadline_ms=0&workers=0",
+		"pattern=census(99)&count_only=maybe",
+		"pattern=%zz&limit=%",
+		"",
+	} {
+		f.Add(seed)
+	}
+
+	const deadline = time.Second
+	g := graph.FromEdges(12, [][2]graph.VertexID{
+		{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 4}, {2, 3}, {2, 5}, {3, 6}, {4, 5}, {4, 7},
+		{5, 6}, {5, 8}, {6, 9}, {7, 8}, {7, 10}, {8, 9}, {8, 11}, {9, 11}, {10, 11}, {1, 3},
+	})
+	s, err := New(g, Config{Workers: 2, DefaultDeadline: deadline, MaxDeadline: deadline})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, raw string) {
+		req := httptest.NewRequest(http.MethodGet, "/query", nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, req)
+		if took := time.Since(start); took > deadline+2*time.Second {
+			t.Fatalf("query %q took %v, past its %v deadline", raw, took, deadline)
+		}
+		if c := rec.Code; c != http.StatusOK && c != http.StatusGatewayTimeout && (c < 400 || c > 499) {
+			t.Fatalf("query %q: status %d: %s", raw, c, rec.Body)
+		}
+		if n := s.failed.Load(); n != 0 {
+			t.Fatalf("query %q: %d failed queries: %s", raw, n, rec.Body)
 		}
 	})
 }

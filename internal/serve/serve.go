@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"psgl/internal/bsp"
 	"psgl/internal/core"
 	"psgl/internal/graph"
 	"psgl/internal/obs"
@@ -66,15 +65,6 @@ type Config struct {
 	// query runs under its own Observer tagged with the query's trace ID
 	// (q1, q2, ...). Nil disables tracing.
 	TraceSink obs.Sink
-	// CheckpointEvery > 0 checkpoints every query's BSP state at every
-	// Nth barrier, enabling in-run recovery and checkpoint-resume retry.
-	CheckpointEvery int
-	// MaxRecoveries bounds in-run checkpoint restores per query run.
-	MaxRecoveries int
-	// QueryRetries is how many times a failed count query is re-run,
-	// resuming from its last barrier checkpoint (CheckpointEvery > 0) or
-	// from scratch. 0 disables.
-	QueryRetries int
 	// CompactThreshold folds the mutation overlay's patch set into a fresh
 	// CSR base once it holds this many edges, bounding the per-Snapshot
 	// rebuild overhead of a long mutation history. 0 means 1024; negative
@@ -276,15 +266,11 @@ type Server struct {
 	deadlineExceeded atomic.Int64
 	failed           atomic.Int64
 	embeddingsSent   atomic.Int64
-	queryRetries     atomic.Int64
 
 	// hookQueryAdmitted, when non-nil, runs while the query holds an
 	// execution slot, before the engine starts — a test seam for pinning
 	// queries in flight deterministically.
 	hookQueryAdmitted func()
-	// testExchange, when non-nil, overrides the engine's message exchange
-	// — a test seam for injecting scheduled faults into queries.
-	testExchange bsp.ExchangeFactory
 }
 
 // New builds a Server over g. The degree distribution of the first epoch's
@@ -493,17 +479,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// against this graph.
 	opts.PlannedPattern = true
 	opts.InitialVertex = plan.InitialVertex
-	opts.Exchange = s.testExchange
 	// A stream runs pipelined: its worker takes its own newest work first,
 	// so a limit is met in work proportional to the pattern's depth instead
 	// of a full breadth-first level. A count runs strict, which costs less
 	// when the whole enumeration has to be walked anyway.
 	opts.AsyncExchange = !params.countOnly
-	if s.cfg.CheckpointEvery > 0 {
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.CheckpointStore = bsp.NewMemCheckpointStore()
-		opts.MaxRecoveries = s.cfg.MaxRecoveries
-	}
 
 	start := time.Now()
 	pr := s.prepared(st.graphData, opts)
@@ -526,18 +506,6 @@ type countResponse struct {
 
 func (s *Server) serveCount(ctx context.Context, w http.ResponseWriter, pr *core.Prepared, plan *Plan, opts core.Options, traceID string, start time.Time) {
 	res, err := pr.RunContext(ctx, plan.Pattern, opts)
-	// Query-level retry: a failed count run re-admits, resuming from its
-	// last barrier checkpoint when one exists (counts stay exact across a
-	// resume — the engine's exactly-once accounting). Deadline expiry is
-	// not retried; the client asked for the bound.
-	for attempt := 0; err != nil && ctx.Err() == nil && attempt < s.cfg.QueryRetries; attempt++ {
-		s.queryRetries.Add(1)
-		if opts.Observer != nil {
-			opts.Observer.AddQueryRetry()
-		}
-		opts.ResumeFrom = opts.CheckpointStore
-		res, err = pr.RunContext(ctx, plan.Pattern, opts)
-	}
 	if err != nil {
 		if ctx.Err() != nil {
 			s.deadlineExceeded.Add(1)
@@ -671,7 +639,6 @@ type StatsResponse struct {
 		DeadlineExceeded int64 `json:"deadline_exceeded"`
 		Failed           int64 `json:"failed"`
 		EmbeddingsSent   int64 `json:"embeddings_sent"`
-		Retries          int64 `json:"retries"`
 	} `json:"queries"`
 	// Prepared reports the engine's graph-scoped state (the graph relabelled
 	// by degree rank, hub bitmap, owner array): built once per
@@ -732,7 +699,6 @@ func (s *Server) Stats() StatsResponse {
 	sr.Queries.DeadlineExceeded = s.deadlineExceeded.Load()
 	sr.Queries.Failed = s.failed.Load()
 	sr.Queries.EmbeddingsSent = s.embeddingsSent.Load()
-	sr.Queries.Retries = s.queryRetries.Load()
 	sr.Prepared = PreparedStats{
 		Builds:      s.prepBuilds.Load(),
 		Patches:     s.prepPatches.Load(),

@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"psgl/internal/bsp"
 	"psgl/internal/core"
-	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
@@ -591,46 +589,5 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestNewRejectsNilGraph(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("New(nil) succeeded")
-	}
-}
-
-// TestLocalQueryRetryResumesFromCheckpoint: in local mode with QueryRetries
-// and checkpointing on, a query whose exchange dies mid-run is re-admitted,
-// resumes from its last barrier checkpoint, and answers the exact count. The
-// query lists squares: a triangle completes where it is seeded and has no
-// barrier to kill.
-func TestLocalQueryRetryResumesFromCheckpoint(t *testing.T) {
-	g := testGraph(t)
-	want := func() int64 {
-		p, _ := pattern.Parse("cycle(4)")
-		res, err := core.Run(g, p, core.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Count
-	}()
-	s, ts := newTestServer(t, g, Config{
-		Workers:         2,
-		CheckpointEvery: 1,
-		QueryRetries:    2,
-	})
-	// One scheduled kill at superstep 1; no in-run recovery budget, so the
-	// run fails and only the serve-layer retry (with ResumeFrom) saves it.
-	s.testExchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: 1, Kind: bsp.StepFaultKill, Worker: 0})
-	var cr struct {
-		Count int64 `json:"count"`
-	}
-	if code := getJSON(t, ts.URL+"/query?pattern=cycle(4)&count_only=true", &cr); code != http.StatusOK {
-		t.Fatalf("status %d, want 200 after retry", code)
-	}
-	if cr.Count != want {
-		t.Fatalf("retried count %d, want %d", cr.Count, want)
-	}
-	st := s.Stats()
-	if st.Queries.Retries != 1 {
-		t.Fatalf("query retries = %d, want 1", st.Queries.Retries)
-	}
-	if st.Queries.Failed != 0 {
-		t.Fatalf("failed = %d, want 0 (the retry succeeded)", st.Queries.Failed)
 	}
 }

@@ -35,7 +35,6 @@ import (
 
 	"psgl/internal/delta"
 	"psgl/internal/graph"
-	"psgl/internal/obs"
 	"psgl/internal/pattern"
 )
 
@@ -204,11 +203,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // standing-query deltas, compaction, state publication, invalidations.
 func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateResponse, error) {
 	start := time.Now()
-	traceID := fmt.Sprintf("u%d", s.qid.Add(1))
-	observer := obs.New(s.cfg.TraceSink)
-	observer.SetTag(traceID)
-	s.lastObs.Store(observer)
-
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 	old := s.state.Load()
@@ -217,7 +211,6 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 		return nil, err
 	}
 	effective := len(res.Added) + len(res.Removed)
-	observer.AddMutation(int64(effective))
 	s.mutBatches.Add(1)
 	s.mutAdded.Add(int64(len(res.Added)))
 	s.mutRemoved.Add(int64(len(res.Removed)))
@@ -240,7 +233,7 @@ func (s *Server) applyUpdate(ctx context.Context, batch graph.Batch) (*updateRes
 	}
 
 	snap := s.overlay.Snapshot()
-	resp.Deltas = s.runDeltas(ctx, observer, old.g, snap, res)
+	resp.Deltas = s.runDeltas(ctx, old.g, snap, res)
 
 	// The new epoch's engine state will be patched from the compaction base's
 	// with the overlay's patch, captured here, before a compaction folds it
@@ -284,7 +277,7 @@ func (s *Server) finishUpdate(resp *updateResponse, fp uint64, compacted bool, s
 
 // runDeltas computes one delta enumeration per distinct subscribed canonical
 // pattern and fans the epoch's payload out to that pattern's subscribers.
-func (s *Server) runDeltas(ctx context.Context, observer *obs.Observer, old, neu *graph.Graph, res graph.BatchResult) []updateDelta {
+func (s *Server) runDeltas(ctx context.Context, old, neu *graph.Graph, res graph.BatchResult) []updateDelta {
 	groups := s.subscriptionGroups()
 	if len(groups) == 0 {
 		return nil
@@ -292,13 +285,10 @@ func (s *Server) runDeltas(ctx context.Context, observer *obs.Observer, old, neu
 	out := make([]updateDelta, 0, len(groups))
 	for _, grp := range groups {
 		d, err := delta.Enumerate(ctx, old, neu, res.Added, res.Removed, grp.pattern, delta.Options{
-			Workers:         s.cfg.Workers,
-			Seed:            s.cfg.Seed,
-			Collect:         true,
-			PrePlanned:      true,
-			Exchange:        s.testExchange,
-			CheckpointEvery: s.cfg.CheckpointEvery,
-			MaxRecoveries:   s.cfg.MaxRecoveries,
+			Workers:    s.cfg.Workers,
+			Seed:       s.cfg.Seed,
+			Collect:    true,
+			PrePlanned: true,
 		})
 		ud := updateDelta{Canonical: grp.key, Pattern: grp.name, Subscribers: len(grp.subs)}
 		var errMsg string
@@ -314,7 +304,6 @@ func (s *Server) runDeltas(ctx context.Context, observer *obs.Observer, old, neu
 			s.deltaGained.Add(d.Gained)
 			s.deltaLost.Add(d.Lost)
 			s.deltaRuns.Add(int64(d.Runs))
-			observer.AddDelta(d.Gained, d.Lost)
 		}
 		payload := encodeEpochPayload(res.Epoch, d, errMsg)
 		for _, sub := range grp.subs {

@@ -353,7 +353,9 @@ func ParsePattern(src string) (*Pattern, error) { return pattern.Parse(src) }
 type (
 	// Server is the resident subgraph-listing query service.
 	Server = serve.Server
-	// ServerConfig tunes a Server (concurrency, queueing, deadlines, tracing).
+	// ServerConfig tunes a Server (concurrency, queueing, deadlines, tracing,
+	// compaction). It has no fault-tolerance fields: served queries run
+	// in-process, where nothing fails that a checkpoint could recover.
 	ServerConfig = serve.Config
 	// ServerStats is the /stats document.
 	ServerStats = serve.StatsResponse
@@ -381,6 +383,8 @@ type (
 	// and the epoch it produced.
 	MutationResult = graph.BatchResult
 	// DeltaOptions tunes a delta enumeration; the zero value is ready to use.
+	// Every anchored run is strict and in-process, without checkpoints, so
+	// each gained or lost embedding is reported exactly once.
 	DeltaOptions = delta.Options
 	// DeltaResult carries the gained/lost counts, the optional embedding
 	// lists, and the run statistics of one delta enumeration.

@@ -42,9 +42,9 @@ func main() {
 // listingFlags are the flags only the listing engine reads.
 var listingFlags = map[string]bool{
 	"strategy": true, "alpha": true, "initial": true, "max-intermediate": true,
-	"max-supersteps": true, "tcp": true, "async": true, "compress": true,
-	"step-timeout": true, "exchange-retries": true, "checkpoint-dir": true,
-	"checkpoint-every": true, "resume": true, "max-recoveries": true, "explain": true,
+	"tcp": true, "async": true, "compress": true, "exchange-retries": true,
+	"checkpoint-dir": true, "checkpoint-every": true, "resume": true,
+	"max-recoveries": true, "explain": true,
 }
 
 // run is main with its environment made explicit, so CLI behavior — flag
@@ -72,13 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		initial     = fs.Int("initial", -1, "initial pattern vertex (-1 = automatic)")
 		seed        = fs.Int64("seed", 1, "seed for partition and randomized strategies")
 		budget      = fs.Int64("max-intermediate", 0, "abort after this many partial instances (0 = unlimited)")
-		maxSteps    = fs.Int("max-supersteps", 0, "abort after this many supersteps (0 = engine default)")
 		tcp         = fs.Bool("tcp", false, "route messages over loopback TCP")
 		async       = fs.Bool("async", false, "pipelined async exchange: flush frames as produced, credit-based termination instead of barriers (counts identical to strict mode)")
 		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames: front-coded wire format and encoded inboxes (counts identical to flat mode)")
 		timeout     = fs.Duration("timeout", 0, "overall run timeout (0 = none); Ctrl-C also cancels cleanly")
-		stepTimeout = fs.Duration("step-timeout", 0, "per-superstep deadline (0 = none)")
-		retries     = fs.Int("exchange-retries", 1, "attempts per superstep exchange (bounded exponential backoff)")
+		retries     = fs.Int("exchange-retries", 1, "attempts per frame send (bounded exponential backoff)")
 		ckptDir     = fs.String("checkpoint-dir", "", "directory for barrier checkpoints (enables checkpointing)")
 		ckptEvery   = fs.Int("checkpoint-every", 1, "checkpoint every N supersteps (with -checkpoint-dir)")
 		resume      = fs.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir")
@@ -118,9 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *workers < 1 {
 		return usage("-workers must be >= 1, have %d", *workers)
 	}
-	if *maxSteps < 0 {
-		return usage("-max-supersteps must be positive, have %d", *maxSteps)
-	}
 	if *initial < -1 {
 		return usage("-initial must be a pattern vertex or -1 (automatic), have %d", *initial)
 	}
@@ -130,17 +125,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *timeout < 0 {
 		return usage("-timeout must be >= 0, have %v", *timeout)
 	}
-	if *stepTimeout < 0 {
-		return usage("-step-timeout must be >= 0, have %v", *stepTimeout)
-	}
 	if *ckptEvery < 1 {
 		return usage("-checkpoint-every must be >= 1, have %d", *ckptEvery)
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["max-supersteps"] && *maxSteps == 0 {
-		return usage("-max-supersteps must be positive (a run needs at least the initialization superstep)")
-	}
 	opts := psgl.NewOptions()
 	switch *strategy {
 	case "random":
@@ -170,9 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if explicit["checkpoint-every"] && *ckptDir == "" {
 		return usage("-checkpoint-every requires -checkpoint-dir")
 	}
-	if *async && *stepTimeout > 0 {
-		return usage("-step-timeout bounds barriered supersteps and the async exchange has none; bound the run with -timeout instead")
-	}
 
 	g, err := loadGraph(*graphPath, *genSpec, *seed)
 	if err != nil {
@@ -198,13 +184,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.InitialVertex = *initial
 	opts.Seed = *seed
 	opts.MaxIntermediate = *budget
-	opts.MaxSupersteps = *maxSteps
 	if *tcp {
 		opts.Exchange = psgl.NewTCPExchange()
 	}
 	opts.AsyncExchange = *async
 	opts.CompressFrames = *compress
-	opts.StepTimeout = *stepTimeout
 	opts.Retry = psgl.RetryPolicy{MaxAttempts: *retries}
 	opts.MaxRecoveries = *maxRecover
 	if *ckptDir != "" {

@@ -31,8 +31,10 @@ func TestFlagValidation(t *testing.T) {
 	cases := []flagCase{
 		{"negative workers", []string{"-gen", "er:50:100", "-workers", "-3"}, 2, "-workers must be >= 1"},
 		{"zero workers", []string{"-gen", "er:50:100", "-workers", "0"}, 2, "-workers must be >= 1"},
-		{"zero supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "0"}, 2, "-max-supersteps must be positive"},
-		{"negative supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "-1"}, 2, "-max-supersteps must be positive"},
+		// A context deadline (-timeout) is the one run bound: there is no
+		// superstep cap and no per-superstep deadline to set, in any mode.
+		{"zero supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "0"}, 2, "flag provided but not defined: -max-supersteps"},
+		{"negative supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "-1"}, 2, "flag provided but not defined: -max-supersteps"},
 		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "alphabetical"}, 2, `unknown strategy "alphabetical"`},
 		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "1.5"}, 2, "-alpha must be in (0, 1]"},
 		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "0"}, 2, "-exchange-retries must be >= 1"},
@@ -46,15 +48,17 @@ func TestFlagValidation(t *testing.T) {
 		// The product builds no edge index, so there is none to disable.
 		{"no edge index", []string{"-gen", "er:50:100", "-no-edge-index"}, 2, "flag provided but not defined: -no-edge-index"},
 		{"negative timeout", []string{"-gen", "er:50:100", "-timeout", "-1s"}, 2, "-timeout must be >= 0"},
-		{"negative step timeout", []string{"-gen", "er:50:100", "-step-timeout", "-1s"}, 2, "-step-timeout must be >= 0"},
+		{"negative step timeout", []string{"-gen", "er:50:100", "-step-timeout", "-1s"}, 2, "flag provided but not defined: -step-timeout"},
 		{"negative intermediate budget", []string{"-gen", "er:50:100", "-max-intermediate", "-5"}, 2, "-max-intermediate must be >= 0"},
 		{"zero checkpoint interval", []string{"-gen", "er:50:100", "-checkpoint-dir", dir, "-checkpoint-every", "0"}, 2, "-checkpoint-every must be >= 1"},
 		{"negative checkpoint interval", []string{"-gen", "er:50:100", "-checkpoint-dir", dir, "-checkpoint-every", "-3"}, 2, "-checkpoint-every must be >= 1"},
 		{"negative initial vertex", []string{"-gen", "er:50:100", "-initial", "-4"}, 2, "-initial must be a pattern vertex or -1"},
 		{"initial vertex past the pattern", []string{"-gen", "er:50:100", "-pattern", "triangle", "-initial", "7"}, 2, "-initial 7 is out of range [0,3)"},
-		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, 2, "the async exchange has none"},
+		{"async with step timeout", []string{"-gen", "er:50:100", "-async", "-step-timeout", "5s"}, 2, "flag provided but not defined: -step-timeout"},
 		// Refused before the graph is loaded: the file does not exist.
-		{"async with step timeout before loading", []string{"-graph", filepath.Join(dir, "missing.txt"), "-async", "-step-timeout", "5s"}, 2, "the async exchange has none"},
+		{"async with step timeout before loading", []string{"-graph", filepath.Join(dir, "missing.txt"), "-async", "-step-timeout", "5s"}, 2, "flag provided but not defined: -step-timeout"},
+		{"census with -max-supersteps", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-max-supersteps", "5"}, 2, "flag provided but not defined: -max-supersteps"},
+		{"census with -step-timeout", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-step-timeout", "1s"}, 2, "flag provided but not defined: -step-timeout"},
 		{"checkpoint interval without dir", []string{"-gen", "er:50:100", "-checkpoint-every", "2"}, 2, "-checkpoint-every requires -checkpoint-dir"},
 		{"default checkpoint interval without dir", []string{"-gen", "er:50:100", "-checkpoint-every", "1"}, 2, "-checkpoint-every requires -checkpoint-dir"},
 		// The census reads no listing-engine flag: each is refused, and
@@ -64,9 +68,8 @@ func TestFlagValidation(t *testing.T) {
 	}
 	for _, f := range [][]string{
 		{"-strategy", "random"}, {"-alpha", "0.5"}, {"-initial", "0"}, {"-max-intermediate", "10"},
-		{"-max-supersteps", "5"}, {"-tcp"}, {"-async"}, {"-compress"}, {"-step-timeout", "1s"},
-		{"-exchange-retries", "2"}, {"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"},
-		{"-resume"}, {"-max-recoveries", "2"},
+		{"-tcp"}, {"-async"}, {"-compress"}, {"-exchange-retries", "2"},
+		{"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"}, {"-resume"}, {"-max-recoveries", "2"},
 	} {
 		cases = append(cases, flagCase{"census with " + f[0], append([]string{"-gen", "er:50:100", "-pattern", "census(3)"}, f...),
 			2, f[0] + " applies to pattern listing, not census queries"})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -89,7 +88,7 @@ func TestCreditDetectorLateFrameAfterLocalQuiescence(t *testing.T) {
 }
 
 func newTestAttempt[M any](cfg Config, prog Program[M], seeded bool) *attempt[M] {
-	return newAttempt(&run[M]{cfg: cfg, prog: prog, maxSteps: 100, stats: newRunStats(cfg.Workers), restored: seeded})
+	return newAttempt(&run[M]{cfg: cfg, prog: prog, stats: newRunStats(cfg.Workers), restored: seeded})
 }
 
 func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
@@ -305,31 +304,6 @@ func TestAsyncCancellation(t *testing.T) {
 	}
 }
 
-func TestAsyncRunawayFrameBound(t *testing.T) {
-	// MaxSupersteps has no superstep to count in async mode; it degrades to a
-	// per-worker flushed-frame bound that must still stop a ping-pong program.
-	prog := &funcProgram[int]{
-		init: func(ctx *Context[int]) { ctx.Send(0, 1) },
-		process: func(ctx *Context[int], env Envelope[int]) {
-			ctx.Send(0, 1)
-		},
-	}
-	cfg := Config{
-		Workers:         1,
-		Owner:           func(graph.VertexID) int { return 0 },
-		AsyncExchange:   true,
-		asyncFlushEvery: 1,
-		MaxSupersteps:   1,
-	}
-	_, err := Run[int](cfg, prog)
-	if err == nil {
-		t.Fatal("runaway async program should hit the frame bound")
-	}
-	if !strings.Contains(err.Error(), "flushed frames") {
-		t.Fatalf("err = %v, want the flushed-frame bound", err)
-	}
-}
-
 // --- queue order ---
 
 func TestPipelinedOwnWorkGoesDepthFirst(t *testing.T) {
@@ -434,14 +408,14 @@ func TestPauseBeforeInitKeepsEverySeed(t *testing.T) {
 
 func TestAsyncRecoveryFromScheduledKill(t *testing.T) {
 	strict := runEchoMode(t, nil, false)
-	// Two kills at the same frame seq exhaust the 2-attempt retry budget and
-	// force a recovery (restore from a quiescence checkpoint, or restart from
-	// scratch when none was taken yet); the third kill is absorbed by a retry
-	// after recovery. Counts must come out exactly-once regardless.
+	// Two failures at the same frame seq exhaust the 2-attempt retry budget
+	// and force a recovery (restore from a quiescence checkpoint, or restart
+	// from scratch when none was taken yet); the third failure is absorbed by
+	// a retry after recovery. Counts must come out exactly-once regardless.
 	factory := scheduled(t, nil,
-		StepFault{Step: 2, Kind: StepFaultKill, Worker: 1},
-		StepFault{Step: 2, Kind: StepFaultKill, Worker: 1},
-		StepFault{Step: 3, Kind: StepFaultDrop},
+		StepFault{Step: 2, Kind: StepFaultFail},
+		StepFault{Step: 2, Kind: StepFaultFail},
+		StepFault{Step: 3, Kind: StepFaultFail},
 	)
 	prog, cfg := newEcho(100, 5, 3)
 	cfg.Exchange = factory
@@ -464,7 +438,7 @@ func TestAsyncRecoveryExhaustionFails(t *testing.T) {
 	// With no recovery budget, an exhausted retry must fail the run with the
 	// injected fault in the chain — never silently drop the frame. Worker 0's
 	// very first flush is remote, so it deterministically carries seq 1.
-	factory := scheduled(t, nil, StepFault{Step: 1, Kind: StepFaultKill, Worker: 0})
+	factory := scheduled(t, nil, StepFault{Step: 1, Kind: StepFaultFail})
 	prog := &funcProgram[int]{
 		init: func(ctx *Context[int]) {
 			if ctx.Worker() == 0 {

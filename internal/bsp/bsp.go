@@ -9,7 +9,7 @@
 // round-trips every inter-worker batch through the binary wire codec
 // (wire.go, compress.go) and the network stack, for distributed-execution
 // realism on a single machine. A fault middleware (faults.go) wraps either
-// to drop, delay, or error frames deterministically, for recovery testing.
+// to fail or delay frames on a step schedule, for recovery testing.
 // One loop runs on it (loop.go): persistent workers, a coordinator, and a
 // credit/ack termination detector whose verdict is the superstep barrier;
 // Config.AsyncExchange moves two policy points inside it.
@@ -69,20 +69,10 @@ type Config struct {
 	Workers int
 	// Owner maps a data vertex to the worker that owns it.
 	Owner func(graph.VertexID) int
-	// MaxSupersteps aborts runaway computations: at most MaxSupersteps
-	// supersteps (including the initialization step) are executed. 0 means
-	// 1 << 20.
-	MaxSupersteps int
 	// Exchange selects the transport messages move over (e.g.
-	// NewTCPExchangeFactory, NewFaultyExchangeFactory). Nil uses the
+	// NewTCPExchangeFactory, NewScheduledFaultExchangeFactory). Nil uses the
 	// in-process transport.
 	Exchange ExchangeFactory
-	// StepTimeout bounds each superstep (compute plus exchange). A superstep
-	// exceeding it fails like an exchange error: it is eligible for
-	// checkpoint recovery, otherwise it fails the run. 0 means no deadline.
-	// The async exchange has no supersteps to bound: setting both fails the
-	// run with ErrAsyncStepTimeout.
-	StepTimeout time.Duration
 	// Retry wraps every frame Send in bounded exponential backoff. The zero
 	// value performs a single attempt.
 	Retry RetryPolicy
@@ -97,10 +87,10 @@ type Config struct {
 	// empty store falls back to a fresh start.
 	ResumeFrom CheckpointStore
 	// MaxRecoveries is how many times a failed attempt (a frame that
-	// exhausted its retries, a lost connection, or a step deadline) may be
-	// recovered in-run by rebuilding the transport from its factory and
-	// restoring the latest checkpoint (or restarting from scratch when no
-	// checkpoint exists yet). 0 disables in-run recovery.
+	// exhausted its retries, or a lost connection) may be recovered in-run
+	// by rebuilding the transport from its factory and restoring the latest
+	// checkpoint (or restarting from scratch when no checkpoint exists yet).
+	// 0 disables in-run recovery.
 	MaxRecoveries int
 	// AsyncExchange moves the run loop's three policy points (loop.go) from
 	// stepped to pipelined: a delivered frame is enqueued at its destination
@@ -110,8 +100,7 @@ type Config struct {
 	// time, newest first, ahead of peers' frames, so the run goes depth
 	// first and a capped run meets its cap early. Final counts are bit-identical to strict mode for programs
 	// whose results are independent of message-processing order. With no
-	// supersteps left, StepTimeout is rejected, MaxSupersteps caps flushed
-	// frames per worker, and checkpoints are taken at induced pauses.
+	// supersteps left, checkpoints are taken at induced pauses.
 	AsyncExchange bool
 	// CompressFrames selects the front-coding frame codec (compress.go):
 	// batches are sorted by encoding and shipped as shared-prefix + suffix
@@ -138,10 +127,6 @@ type Config struct {
 
 // ErrAborted wraps the error passed to Context.Abort.
 var ErrAborted = errors.New("bsp: computation aborted")
-
-// ErrAsyncStepTimeout rejects a Config that sets both AsyncExchange and
-// StepTimeout.
-var ErrAsyncStepTimeout = errors.New("bsp: StepTimeout bounds barriered supersteps and the async exchange has none; bound the run with a context deadline instead")
 
 // Snapshotter is an optional Program extension for programs carrying state
 // outside the BSP inboxes — accumulators, RNG streams, local heuristic
@@ -200,7 +185,7 @@ type Context[M any] struct {
 	sent    int64
 	local   []int64 // counter deltas, indexed by Counter
 	aborted *atomic.Pointer[error]
-	done    <-chan struct{} // the current superstep's context's
+	done    <-chan struct{} // the run's context's
 }
 
 func newContext[M any](cfg *Config, worker, step int, aborted *atomic.Pointer[error]) *Context[M] {
@@ -219,10 +204,10 @@ func (c *Context[M]) Worker() int { return c.worker }
 // Step returns the current superstep (0 = initialization).
 func (c *Context[M]) Step() int { return c.step }
 
-// Stopped is the stop test: an abort is latched or the superstep's context is
-// done (canceled or timed out). Polling the context costs a channel select, so
-// a loop polls every 256 items: the inbox delivery per message, and an Init
-// that expands what it seeds per seed.
+// Stopped is the stop test: an abort is latched or the run's context is done
+// (canceled or past its deadline). Polling the context costs a channel
+// select, so a loop polls every 256 items: the inbox delivery per message, and
+// an Init that expands what it seeds per seed.
 func (c *Context[M]) Stopped() bool {
 	if c.aborted.Load() != nil {
 		return true
@@ -345,8 +330,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("bsp: CheckpointEvery set without a CheckpointStore")
 	case cfg.MaxRecoveries > 0 && cfg.CheckpointStore == nil:
 		return fmt.Errorf("bsp: MaxRecoveries set without a CheckpointStore")
-	case cfg.AsyncExchange && cfg.StepTimeout > 0:
-		return ErrAsyncStepTimeout
 	}
 	return nil
 }
@@ -355,11 +338,10 @@ func (cfg *Config) validate() error {
 // attempt starts (superstep 0 with nothing delivered, or a restored
 // snapshot) and the stats that roll back with it.
 type run[M any] struct {
-	cfg      Config
-	prog     Program[M]
-	snapper  Snapshotter
-	maxSteps int
-	abort    atomic.Pointer[error]
+	cfg     Config
+	prog    Program[M]
+	snapper Snapshotter
+	abort   atomic.Pointer[error]
 
 	stats *RunStats
 	// step is the superstep the next attempt enters; restored says its
@@ -370,9 +352,9 @@ type run[M any] struct {
 }
 
 // attemptFailure is how an attempt reports a failure recovery may get past —
-// a frame that exhausted its retries, a lost connection, a blown step
-// deadline — as opposed to the errors that end the run whatever the budget
-// (abort, cancellation, the runaway bound, a failed checkpoint save).
+// a frame that exhausted its retries, a lost connection — as opposed to the
+// errors that end the run whatever the budget (abort, cancellation, a failed
+// checkpoint save).
 type attemptFailure struct {
 	step  int
 	cause error
@@ -452,8 +434,7 @@ func (r *run[M]) recover(ctx context.Context, fail *attemptFailure) error {
 
 // RunContext is Run with cancellation: the run stops at the next barrier (or
 // message boundary within a superstep) once ctx is done, and ctx deadlines
-// bound the transport's network operations. Config.StepTimeout additionally
-// derives a per-superstep deadline from ctx.
+// bound the transport's network operations.
 //
 // It is the shell the loop runs in: validate, resume from a persisted
 // checkpoint if asked, then run attempts — each over a freshly built
@@ -463,11 +444,8 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := &run[M]{cfg: cfg, prog: prog, maxSteps: cfg.MaxSupersteps, stats: newRunStats(cfg.Workers)}
+	r := &run[M]{cfg: cfg, prog: prog, stats: newRunStats(cfg.Workers)}
 	r.snapper, _ = any(prog).(Snapshotter)
-	if r.maxSteps <= 0 {
-		r.maxSteps = 1 << 20
-	}
 	if cfg.ResumeFrom != nil {
 		resumeStart := time.Now()
 		resumed, err := r.load(cfg.ResumeFrom)

@@ -94,10 +94,10 @@ func TestTCPSetupPreCanceledContextFailsFast(t *testing.T) {
 }
 
 // TestRunLeavesNoGoroutines: however a run ends — clean in either policy,
-// aborted, failed by its StepTimeout, or recovered from a checkpoint after a
-// lost frame — in-process and over TCP, no worker, coordinator, setup watchdog
-// or reader goroutine survives RunContext. Close-without-traffic and double
-// Close are rows of TestTransportConformance.
+// aborted, ended by its context's deadline, or recovered from a checkpoint
+// after a lost frame — in-process and over TCP, no worker, coordinator, setup
+// watchdog or reader goroutine survives RunContext. Close-without-traffic and
+// double Close are rows of TestTransportConformance.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	boom := errors.New("boom")
 	aborting := func() *funcProgram[wint] {
@@ -146,13 +146,15 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			_, err := Run[wint](Config{Workers: 3, Owner: owner, Exchange: exchange()}, aborting())
 			return err
 		}, ErrAborted},
-		{"step timeout", func(exchange func() ExchangeFactory) error {
-			_, err := Run[wint](Config{Workers: 3, Owner: owner, Exchange: exchange(), StepTimeout: 30 * time.Millisecond}, slow())
+		{"deadline", func(exchange func() ExchangeFactory) error {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			_, err := RunContext[wint](ctx, Config{Workers: 3, Owner: owner, Exchange: exchange()}, slow())
 			return err
 		}, context.DeadlineExceeded},
 		{"recovered", func(exchange func() ExchangeFactory) error {
 			prog, cfg := newEcho(30, 5, 3)
-			cfg.Exchange = NewFaultyExchangeFactory(exchange(), FaultConfig{Seed: 2, ErrorRate: 1, FromStep: 2, MaxFaults: 2})
+			cfg.Exchange = scheduled(t, exchange(), StepFault{Step: 2, Kind: StepFaultFail}, StepFault{Step: 2, Kind: StepFaultFail})
 			cfg.CheckpointEvery, cfg.CheckpointStore, cfg.MaxRecoveries = 1, NewMemCheckpointStore(), 5
 			stats, err := Run[wint](cfg, prog)
 			if err == nil && stats.Recoveries != 2 {

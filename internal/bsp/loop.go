@@ -51,12 +51,6 @@ const defaultAsyncFlushEvery = 256
 // allocated 53.2 MB per op at 8 and 50.1 at 32 on a 2-core box.
 const maxSpareChunks = 32
 
-// asyncFramesPerStep converts MaxSupersteps into the pipelined runaway bound:
-// a worker may flush at most MaxSupersteps×asyncFramesPerStep frames. The
-// policy has no superstep to count, so the bound is necessarily coarser; it
-// exists to turn a ping-pong program into an error instead of a hang.
-const asyncFramesPerStep = 256
-
 // creditDetector decides every boundary. Soundness depends on strict event
 // ordering, enforced by the attempt and the transport contract (deliver, then
 // ack):
@@ -137,7 +131,7 @@ func (d *creditDetector) quiescent() bool {
 }
 
 // worker is one worker's queue and delta accumulators, guarded by mu except
-// the two sequence numbers; the deltas are merged into RunStats (and reset) at
+// the sequence number; the deltas are merged into RunStats (and reset) at
 // boundaries so checkpoint rollback keeps them exactly-once.
 type worker[M any] struct {
 	mu   sync.Mutex
@@ -149,16 +143,12 @@ type worker[M any] struct {
 	// superstep (worker 0 owes it the opening frame whatever its inbox).
 	released bool
 
-	// flushSeq counts every frame this worker flushed, self-deliveries
-	// included — the pipelined runaway bound. sendSeq numbers only the frames
-	// that hit the transport: the pipelined fault-schedule and
-	// retry-accounting axis, so a StepFault at step S targets the worker's
-	// S-th *wire* frame and schedules written against low steps fire
-	// regardless of how many self-flushes preceded them. Both are touched only
-	// by the worker's own goroutine. flushSeq is int64 so the runaway bound
-	// comparison stays exact on 32-bit platforms.
-	flushSeq int64
-	sendSeq  int
+	// sendSeq numbers the frames that hit the transport: the pipelined
+	// fault-schedule and retry-accounting axis, so a StepFault at step S
+	// targets the worker's S-th *wire* frame and schedules written against
+	// low steps fire regardless of how many self-flushes preceded them.
+	// Touched only by the worker's own goroutine.
+	sendSeq int
 
 	ran       bool      // a burst was noted since the last merge
 	burstEnd  time.Time // when the latest burst's compute ended
@@ -178,12 +168,11 @@ type attempt[M any] struct {
 	cfg *Config
 
 	// The policy, as values: stepped is where deliver puts a frame, flushEvery
-	// when a worker flushes mid-burst (never, stepped); maxFrames and ckFrames
-	// are the pipelined readings of MaxSupersteps and CheckpointEvery (the
-	// stepped boundary counts real supersteps instead).
+	// when a worker flushes mid-burst (never, stepped); ckFrames is the
+	// pipelined reading of CheckpointEvery (the stepped boundary counts real
+	// supersteps instead).
 	stepped    bool
 	flushEvery int
-	maxFrames  int64
 	ckFrames   int64
 
 	det     *creditDetector
@@ -198,11 +187,6 @@ type attempt[M any] struct {
 
 	transport transport[M]
 	ctx       context.Context
-	// stepCtx bounds the current superstep when StepTimeout is set (it is ctx
-	// otherwise). The coordinator replaces it only at a boundary, with every
-	// worker parked; workers read it after waking under their queue lock.
-	stepCtx    context.Context
-	stepCancel context.CancelFunc
 
 	nudge chan struct{}
 	fatal chan error
@@ -224,7 +208,6 @@ func newAttempt[M any](r *run[M]) *attempt[M] {
 		cfg:        cfg,
 		stepped:    !cfg.AsyncExchange,
 		flushEvery: math.MaxInt,
-		maxFrames:  math.MaxInt64,
 		det:        newCreditDetector(k),
 		workers:    make([]*worker[M], k),
 		nudge:      make(chan struct{}, 1),
@@ -239,9 +222,6 @@ func newAttempt[M any](r *run[M]) *attempt[M] {
 		}
 	} else {
 		a.flushEvery = cmp.Or(cfg.asyncFlushEvery, defaultAsyncFlushEvery)
-		// Clamp and multiply in int64: the untyped 1<<40 constant (and the
-		// product) would overflow int on 32-bit platforms.
-		a.maxFrames = min(int64(r.maxSteps), 1<<40) * asyncFramesPerStep
 		// One barrier moves about K frames per worker, so CheckpointEvery×K
 		// acked frames is the stand-in for "every Nth barrier".
 		a.ckFrames = int64(cfg.CheckpointEvery * k)
@@ -343,11 +323,11 @@ func runAttempt[M any](ctx context.Context, r *run[M]) error {
 }
 
 // run drives the attempt to a terminal condition: nothing pending at a
-// boundary (nil), abort, cancellation, the runaway bound, or a failure the
-// shell may recover from. Workers are always joined and the transport closed
-// before it returns; the final merge keeps RunStats consistent either way.
+// boundary (nil), abort, cancellation, or a failure the shell may recover
+// from. Workers are always joined and the transport closed before it
+// returns; the final merge keeps RunStats consistent either way.
 func (a *attempt[M]) run(ctx context.Context) error {
-	a.ctx, a.stepCtx, a.stepCancel = ctx, ctx, func() {}
+	a.ctx = ctx
 	err := a.openStep()
 	if err == nil {
 		for w := range a.workers {
@@ -360,7 +340,6 @@ func (a *attempt[M]) run(ctx context.Context) error {
 	a.broadcastAll()
 	a.wg.Wait()
 	a.transport.Close()
-	a.stepCancel()
 	a.mergeDeltas()
 	return err
 }
@@ -397,12 +376,8 @@ func (a *attempt[M]) coordinate() error {
 // returns the error that ends the attempt if one arrived instead.
 func (a *attempt[M]) wait() error {
 	select {
-	case <-a.stepCtx.Done():
-		step := int(a.step.Load())
-		if err := a.ctx.Err(); err != nil {
-			return fmt.Errorf("bsp: run canceled at step %d: %w", step, err)
-		}
-		return &attemptFailure{step, fmt.Errorf("bsp: superstep %d interrupted: %w", step, a.stepCtx.Err())}
+	case <-a.ctx.Done():
+		return fmt.Errorf("bsp: run canceled at step %d: %w", a.step.Load(), a.ctx.Err())
 	case err := <-a.fatal:
 		return err
 	case <-a.nudge:
@@ -410,8 +385,8 @@ func (a *attempt[M]) wait() error {
 	}
 }
 
-// openStep begins the stepped policy's next superstep: the checks the run
-// makes between supersteps, the step's deadline, its trace event.
+// openStep begins the stepped policy's next superstep: the cancellation
+// check the run makes between supersteps, the step's trace event.
 func (a *attempt[M]) openStep() error {
 	if !a.stepped {
 		return nil
@@ -419,13 +394,6 @@ func (a *attempt[M]) openStep() error {
 	step := int(a.step.Load())
 	if err := a.ctx.Err(); err != nil {
 		return fmt.Errorf("bsp: run canceled at step %d: %w", step, err)
-	}
-	if step >= a.r.maxSteps {
-		return fmt.Errorf("bsp: exceeded %d supersteps", a.r.maxSteps)
-	}
-	if a.cfg.StepTimeout > 0 {
-		a.stepCancel()
-		a.stepCtx, a.stepCancel = context.WithTimeout(a.ctx, a.cfg.StepTimeout)
 	}
 	a.cfg.Observer.StepStarted(step)
 	return nil
@@ -579,10 +547,6 @@ func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 // the next batch.
 func (a *attempt[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
 	w, batch := wctx.worker, wctx.out[dst]
-	if wk.flushSeq++; wk.flushSeq > a.maxFrames {
-		trySend(a.fatal, fmt.Errorf("bsp: worker %d exceeded %d flushed frames (runaway async program; raise MaxSupersteps)", w, a.maxFrames))
-		return false
-	}
 	if dst == w && !a.stepped {
 		wk.mu.Lock()
 		wk.queue.own = append(wk.queue.own, batch...)
@@ -594,7 +558,7 @@ func (a *attempt[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
 			ord = wctx.step
 		}
 		a.cfg.Observer.ObserveFramesInFlight(a.det.frameSent(w))
-		spent, err := sendFrame(a.stepCtx, a.transport, a.cfg, w, dst, ord, batch)
+		spent, err := sendFrame(a.ctx, a.transport, a.cfg, w, dst, ord, batch)
 		if err != nil {
 			// Leave the credit outstanding: the lost frame must poison
 			// quiescence so the coordinator can only exit through the
@@ -639,6 +603,7 @@ func (a *attempt[M]) workerLoop(w int) {
 	defer a.wg.Done()
 	wk := a.workers[w]
 	wctx := newContext[M](a.cfg, w, 0, &a.r.abort)
+	wctx.done = a.ctx.Done()
 	seed := !a.r.restored
 	// after runs between messages: it stops the burst when the attempt is
 	// halting and ships every batch that has filled a frame, so peers start
@@ -690,8 +655,6 @@ func (a *attempt[M]) workerLoop(w int) {
 		wk.mu.Unlock()
 
 		wctx.step = int(a.step.Load())
-		stepCtx := a.stepCtx
-		wctx.done = stepCtx.Done()
 		start := time.Now()
 		lastFlushSent = 0 // noteBurst zeroed wctx.sent
 		if seed {
@@ -707,7 +670,7 @@ func (a *attempt[M]) workerLoop(w int) {
 		}
 		a.noteBurst(wk, wctx, start, processed)
 		unflushed = true
-		if flushFailed || stepCtx.Err() != nil {
+		if flushFailed || a.ctx.Err() != nil {
 			a.nudgeCoordinator()
 			return
 		}

@@ -166,52 +166,43 @@ func TestStepNeverCompletesOverASkewedFrame(t *testing.T) {
 }
 
 // TestStepFaultOpportunityIsTheOpeningFrame pins the fault-ordinal rule of the
-// stepped policy: of a superstep's frames only 0→0 consults the policy, once
-// per attempt of that frame, so rates and schedules stay per step attempt and
-// the seeded stream replays identically from a fresh factory.
+// stepped policy: of a superstep's frames only 0→0 consults the schedule, once
+// per attempt of that frame, so same-step faults fire on successive attempts
+// of one frame — the final superstep's included, which worker 0 cannot know
+// produced nothing — and the run replays identically from a fresh factory.
 func TestStepFaultOpportunityIsTheOpeningFrame(t *testing.T) {
-	fc := FaultConfig{Seed: 99, ErrorRate: 0.3, DropRate: 0.2}
+	prog, cfg := newEcho(60, 12, 3)
+	clean, err := Run[wint](cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type retry struct{ step, attempt int }
-	pattern := func() []retry {
-		factory := NewFaultyExchangeFactory(NewTCPExchangeFactory(), fc).(*ScheduledFaultFactory)
+	var faults []StepFault
+	var want []retry
+	for s := 0; s < clean.Supersteps; s++ {
+		faults = append(faults, StepFault{Step: s, Kind: StepFaultFail}, StepFault{Step: s, Kind: StepFaultFail})
+		want = append(want, retry{s, 1}, retry{s, 2})
+	}
+	for range 2 {
 		ring := obs.NewRing(4096)
 		prog, cfg := newEcho(60, 12, 3)
-		cfg.Exchange = factory
-		cfg.Retry = RetryPolicy{MaxAttempts: 60, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
+		cfg.Exchange = scheduled(t, NewTCPExchangeFactory(), faults...)
+		cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
 		cfg.Observer = obs.New(ring)
-		stats, err := Run[wint](cfg, prog)
-		if err != nil {
+		if _, err := Run[wint](cfg, prog); err != nil {
 			t.Fatal(err)
 		}
-		// One draw per attempt of each superstep's opening frame — the last
-		// superstep's included, which worker 0 cannot know produced nothing —
-		// and none for the dozens of other frames: the factory's stream sits
-		// exactly that many draws past its seed.
-		want := newFaultRand(fc.Seed)
-		for i := 0; i < stats.Supersteps+factory.random.faults; i++ {
-			want.next()
-		}
-		if factory.random.rng.state != want.state {
-			t.Fatalf("fault stream is not %d supersteps + %d faults past its seed: a frame other than 0->0 drew from it",
-				stats.Supersteps, factory.random.faults)
-		}
-		var out []retry
+		// Had any other frame consulted the schedule, it would have claimed a
+		// fault as its own first attempt: a step's retries would not count 1, 2.
+		var got []retry
 		for _, e := range ring.Events() {
 			if e.Type == obs.EventRetry {
-				out = append(out, retry{e.Step, e.Attempt})
+				got = append(got, retry{e.Step, e.Attempt})
 			}
 		}
-		if len(out) != factory.random.faults {
-			t.Fatalf("%d retry events for %d injected faults", len(out), factory.random.faults)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("retries %v, want %v", got, want)
 		}
-		return out
-	}
-	a, b := pattern(), pattern()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fault schedules differ:\n%v\n%v", a, b)
-	}
-	if len(a) == 0 {
-		t.Fatal("degenerate fault schedule: nothing fired")
 	}
 }
 

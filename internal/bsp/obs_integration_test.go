@@ -41,7 +41,7 @@ func TestObserverTraceOfFaultInjectedRun(t *testing.T) {
 	// Three injected faults at step 1, each recovered by restoring the
 	// barrier checkpoint; the 4th attempt goes through.
 	faultyStats, faultyObs, ring := runEcho(func(c *Config) {
-		c.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 2, ErrorRate: 1, FromStep: 1, MaxFaults: 3})
+		c.Exchange = scheduled(t, nil, StepFault{Step: 1, Kind: StepFaultFail}, StepFault{Step: 1, Kind: StepFaultFail}, StepFault{Step: 1, Kind: StepFaultFail})
 		c.CheckpointEvery = 1
 		c.CheckpointStore = NewMemCheckpointStore()
 		c.MaxRecoveries = 10
@@ -112,7 +112,7 @@ func TestObserverResumeTrace(t *testing.T) {
 
 	store := NewMemCheckpointStore()
 	prog, cfg := newEcho(60, 6, 3)
-	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 1, ErrorRate: 1, FromStep: 3, MaxFaults: 1})
+	cfg.Exchange = scheduled(t, nil, StepFault{Step: 3, Kind: StepFaultFail})
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
 	if _, err := Run[wint](cfg, prog); err == nil {

@@ -1,13 +1,14 @@
 package bsp
 
 // Tests for the fault-tolerance layer of the run loops: abort
-// short-circuiting, context cancellation, superstep deadlines, barrier
+// short-circuiting, context cancellation and deadlines, barrier
 // checkpointing + resume, in-run checkpoint-restore recovery, and frame
 // retry. The transports themselves are covered by transport_test.go.
 
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"os"
 	"reflect"
 	"sync/atomic"
@@ -72,34 +73,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
-	}
-}
-
-func TestStepTimeoutFailsRunWithoutCheckpoints(t *testing.T) {
-	// A superstep blowing its deadline fails the run when no checkpoint
-	// recovery is configured.
-	prog := &funcProgram[int]{
-		init: func(ctx *Context[int]) {
-			for i := 0; i < 2000; i++ {
-				ctx.Send(0, i)
-			}
-		},
-		process: func(ctx *Context[int], env Envelope[int]) {
-			time.Sleep(time.Millisecond)
-			ctx.Send(0, env.Msg)
-		},
-	}
-	cfg := Config{
-		Workers:     1,
-		Owner:       func(graph.VertexID) int { return 0 },
-		StepTimeout: 50 * time.Millisecond,
-	}
-	_, err := Run[int](cfg, prog)
-	if err == nil {
-		t.Fatal("slow superstep with StepTimeout should fail the run")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want a deadline error", err)
 	}
 }
 
@@ -200,7 +173,7 @@ func TestResumeFromCheckpointMatchesCleanRun(t *testing.T) {
 	// after the barrier entering step 3 was checkpointed.
 	store := NewMemCheckpointStore()
 	prog, cfg := newEcho(60, 6, 3)
-	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 1, ErrorRate: 1, FromStep: 3, MaxFaults: 1})
+	cfg.Exchange = scheduled(t, nil, StepFault{Step: 3, Kind: StepFaultFail})
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
 	_, err := Run[wint](cfg, prog)
@@ -276,7 +249,7 @@ func TestInRunRecoveryDeterministicFaults(t *testing.T) {
 	// restore, and the 4th attempt goes through.
 	store := NewMemCheckpointStore()
 	prog, cfg := newEcho(60, 5, 3)
-	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 2, ErrorRate: 1, FromStep: 1, MaxFaults: 3})
+	cfg.Exchange = scheduled(t, nil, StepFault{Step: 1, Kind: StepFaultFail}, StepFault{Step: 1, Kind: StepFaultFail}, StepFault{Step: 1, Kind: StepFaultFail})
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
 	cfg.MaxRecoveries = 10
@@ -308,17 +281,28 @@ func TestInRunRecoveryStochasticFaults(t *testing.T) {
 		return stats
 	}()
 
-	// Unlimited seeded faults (errors + drops) recovered by restore alone:
-	// the schedule is deterministic, so this either always passes or never.
+	// A seeded random number of failures (0 to 3) at every superstep after
+	// Init, each recovered by restore alone: the schedule is drawn once from
+	// its seed, so this either always passes or never.
+	rng := rand.New(rand.NewPCG(7, 0))
+	var faults []StepFault
+	for s := 1; s < clean.Supersteps; s++ {
+		for range rng.IntN(4) {
+			faults = append(faults, StepFault{Step: s, Kind: StepFaultFail})
+		}
+	}
 	store := NewMemCheckpointStore()
 	prog, cfg := newEcho(80, 6, 4)
-	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 7, ErrorRate: 0.3, DropRate: 0.2, FromStep: 1})
+	cfg.Exchange = scheduled(t, nil, faults...)
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointStore = store
-	cfg.MaxRecoveries = 200
+	cfg.MaxRecoveries = len(faults)
 	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Recoveries != len(faults) || len(faults) == 0 {
+		t.Errorf("Recoveries = %d, want one per scheduled fault (%d)", stats.Recoveries, len(faults))
 	}
 	if stats.Counters["delivered"] != clean.Counters["delivered"] {
 		t.Errorf("delivered = %d, want %d", stats.Counters["delivered"], clean.Counters["delivered"])
@@ -335,9 +319,16 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 		return stats
 	}()
 
+	// One to three failures at every superstep, fewer than the retry budget.
+	var faults []StepFault
+	for s := 0; s < clean.Supersteps; s++ {
+		for range s%3 + 1 {
+			faults = append(faults, StepFault{Step: s, Kind: StepFaultFail})
+		}
+	}
 	prog, cfg := newEcho(60, 5, 3)
-	cfg.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 3, ErrorRate: 0.4, DropRate: 0.1})
-	cfg.Retry = RetryPolicy{MaxAttempts: 12, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
+	cfg.Exchange = scheduled(t, nil, faults...)
+	cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
 	stats, err := Run[wint](cfg, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +380,7 @@ func TestCounterSlots(t *testing.T) {
 
 	store := NewMemCheckpointStore()
 	faulty := cfg
-	faulty.Exchange = NewFaultyExchangeFactory(nil, FaultConfig{Seed: 1, ErrorRate: 1, FromStep: 3, MaxFaults: 1})
+	faulty.Exchange = scheduled(t, nil, StepFault{Step: 3, Kind: StepFaultFail})
 	faulty.CheckpointEvery, faulty.CheckpointStore = 1, store
 	if _, err := Run[int](faulty, newProg()); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("faulty run err = %v, want ErrInjectedFault", err)

@@ -59,7 +59,7 @@ func trySend[T any](ch chan<- T, v T) {
 
 // ExchangeFactory selects the transport a run exchanges messages over,
 // without exposing the message type parameter in Config. Implementations are
-// provided by this package (NewTCPExchangeFactory, NewFaultyExchangeFactory,
+// provided by this package (NewTCPExchangeFactory,
 // NewScheduledFaultExchangeFactory); a nil factory is the in-process
 // transport.
 type ExchangeFactory interface {
@@ -87,7 +87,7 @@ func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h 
 		if err != nil {
 			return nil, err
 		}
-		return &faultTransport[M]{inner: inner, point: h.faultPoint, policy: ff}, nil
+		return &faultTransport[M]{inner: inner, point: h.faultPoint, schedule: ff}, nil
 	default:
 		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
 	}

@@ -1,10 +1,9 @@
 package bsp
 
 // The transport conformance battery: one table over every transport stack
-// the resolver can build — {in-process, TCP} × {flat, compressed} ×
-// {no fault, probabilistic, scheduled kill/drop/delay/partition} — asserting
-// the contract the run loop is written against, instead of one copy of each
-// check per implementation.
+// the resolver can build — {in-process, TCP} × {flat, compressed} × {clean,
+// fail, delay} — asserting the contract the run loop is written against,
+// instead of one copy of each check per implementation.
 
 import (
 	"context"
@@ -131,30 +130,25 @@ func TestTransportConformance(t *testing.T) {
 		"local": func() ExchangeFactory { return nil },
 		"tcp":   func() ExchangeFactory { return NewTCPExchangeFactory() },
 	}
-	schedule := []StepFault{
-		{Step: 2, Kind: StepFaultKill, Worker: 1},
-		{Step: 2, Kind: StepFaultDrop},
-		{Step: 3, Kind: StepFaultDelay, Delay: time.Millisecond},
-		{Step: 3, Kind: StepFaultPartition, Worker: 2},
-	}
-	faults := map[string]func(t *testing.T, inner ExchangeFactory) ExchangeFactory{
-		"clean": func(_ *testing.T, inner ExchangeFactory) ExchangeFactory { return inner },
-		"probabilistic": func(_ *testing.T, inner ExchangeFactory) ExchangeFactory {
-			return NewFaultyExchangeFactory(inner, FaultConfig{
-				Seed: 5, ErrorRate: 0.2, DropRate: 0.1, DelayRate: 0.1, MaxDelay: time.Millisecond,
-			})
-		},
-		"scheduled": func(t *testing.T, inner ExchangeFactory) ExchangeFactory {
-			return scheduled(t, inner, schedule...)
-		},
+	// The fault column: each row's schedule, and how many Sends it fails.
+	faults := map[string]struct {
+		schedule []StepFault
+		failures int
+	}{
+		"clean": {},
+		"fail":  {[]StepFault{{Step: 2, Kind: StepFaultFail}, {Step: 2, Kind: StepFaultFail}, {Step: 3, Kind: StepFaultFail}}, 3},
+		"delay": {[]StepFault{{Step: 2, Kind: StepFaultDelay, Delay: time.Millisecond}, {Step: 3, Kind: StepFaultDelay, Delay: time.Millisecond}}, 0},
 	}
 	for innerName, mkInner := range inners {
 		for _, compress := range []bool{false, true} {
-			for faultName, wrap := range faults {
+			for faultName, row := range faults {
 				name := fmt.Sprintf("%s/compress=%v/%s", innerName, compress, faultName)
 				t.Run(name, func(t *testing.T) {
 					base := runtime.NumGoroutine()
-					factory := wrap(t, mkInner())
+					factory := mkInner()
+					if row.schedule != nil {
+						factory = scheduled(t, factory, row.schedule...)
+					}
 					rec := &recorder[groupMsg]{compress: compress, wire: innerName == "tcp", acks: map[int]int{}}
 					cfg := &Config{Workers: k, CompressFrames: compress}
 					// No faultPoint hook: every frame is a fault opportunity, so
@@ -205,8 +199,8 @@ func TestTransportConformance(t *testing.T) {
 							}
 						}
 					}
-					if faultName != "clean" && failures == 0 {
-						t.Fatal("fault policy never fired; the row exercised nothing")
+					if failures != row.failures {
+						t.Fatalf("%d Sends failed, want %d", failures, row.failures)
 					}
 
 					// TCP delivers from reader goroutines: wait for the acks.

@@ -1,8 +1,10 @@
-// Package chaos is the deterministic chaos harness for the PSgL serving
-// tier: it runs the same query twice — once clean, once under a seeded fault
-// schedule (kill worker W at superstep S, drop or delay a barrier's frames,
-// partition the exchange mesh, corrupt a checkpoint) — and verifies the two
-// embedding counts are bit-identical. The harness is how the repo turns the
+// Package chaos is the deterministic chaos harness for the listing engine's
+// recovery, as the CLI and the library run it (retry, in-run checkpoint
+// restore, restart), and the source of BENCH_chaos.json: it runs the same
+// query twice — once clean, once under a seeded fault schedule (kill worker W
+// at superstep S, drop or delay a barrier's frames, partition the exchange
+// mesh, corrupt a checkpoint) — and verifies the two embedding counts are
+// bit-identical. The harness is how the repo turns the
 // paper's implicit reliance on Giraph's fault tolerance (Section 6 runs on
 // Hadoop, where worker death is routine) into a testable property: recovery
 // must be invisible in the answer, not just in the exit code.
@@ -12,9 +14,11 @@
 package chaos
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,7 +74,8 @@ func (k EventKind) String() string {
 type Event struct {
 	Step int
 	Kind EventKind
-	// Worker is the victim (Kill) or the partition boundary (Partition).
+	// Worker names the victim (Kill) or the partition boundary (Partition)
+	// in reports; either way the whole barrier fails.
 	Worker int
 	// Delay is the injected latency for Delay events.
 	Delay time.Duration
@@ -165,8 +170,8 @@ func NewSchedule(seed int64, workers, maxStep, n int) Schedule {
 type Config struct {
 	Graph   *graph.Graph
 	Pattern *pattern.Pattern
-	// Opts is the base engine configuration (workers, strategy, seed). Its
-	// exchange/checkpoint/retry fields are overridden by the harness.
+	// Opts is the base engine configuration (workers, seed, AsyncExchange).
+	// Its exchange/checkpoint/retry fields are overridden by the harness.
 	Opts core.Options
 	// Exchange is the transport under test (nil = the in-process exchange;
 	// bsp.NewTCPExchangeFactory() exercises the wire path).
@@ -193,8 +198,10 @@ type Outcome struct {
 	CleanCount int64 `json:"clean_count"`
 	ChaosCount int64 `json:"chaos_count"`
 	Identical  bool  `json:"identical"`
-	// FaultsInjected is the schedule size; FaultsFired is how many events
-	// actually hit a barrier (an event past the last superstep never fires).
+	// FaultsInjected is the schedule size; FaultsFired counts the step faults
+	// its exchange events expand to (a kill or a partition fails every retry
+	// of its barrier), all of which fire or Run fails, plus the snapshots
+	// corrupted.
 	FaultsInjected int `json:"faults_injected"`
 	FaultsFired    int `json:"faults_fired"`
 	// Recoveries counts in-run checkpoint restores across all attempts;
@@ -275,7 +282,8 @@ func (s *corruptingStore) Load() (int, []byte, error) { return s.inner.Load() }
 // already fired stay fired) up to MaxRestarts times, each counted in
 // Outcome.Restarts. The returned error is
 // non-nil only when the harness itself cannot complete (the query never
-// survives the schedule); a count mismatch is reported via
+// survives the schedule, or an exchange fault of it never fired, so the run
+// tested less than the schedule says); a count mismatch is reported via
 // Outcome.Identical, which callers must check.
 func Run(ctx context.Context, cfg Config, sched Schedule) (*Outcome, error) {
 	if cfg.Graph == nil || cfg.Pattern == nil {
@@ -315,27 +323,27 @@ func Run(ctx context.Context, cfg Config, sched Schedule) (*Outcome, error) {
 	}
 	var stepFaults []bsp.StepFault
 	for _, e := range sched.Events {
-		var k bsp.StepFaultKind
-		repeat := 1
+		k, repeat := bsp.StepFaultFail, 1
 		switch e.Kind {
-		case Kill:
-			// A dead worker fails every retry of the barrier — only a
-			// checkpoint restore gets past it. A single fire would be
-			// absorbed by retry, which is Drop's semantics, not death's.
-			k, repeat = bsp.StepFaultKill, retry.MaxAttempts
+		case Kill, Partition:
+			// A dead worker or a cut mesh fails every retry of the barrier —
+			// only a checkpoint restore gets past it. A single fire would be
+			// absorbed by retry, which is Drop's semantics.
+			repeat = retry.MaxAttempts
 		case Drop:
-			k = bsp.StepFaultDrop
 		case Delay:
 			k = bsp.StepFaultDelay
-		case Partition:
-			k, repeat = bsp.StepFaultPartition, retry.MaxAttempts
 		default:
 			continue // corruption is injected at the store, not the exchange
 		}
 		for i := 0; i < repeat; i++ {
-			stepFaults = append(stepFaults, bsp.StepFault{Step: e.Step, Kind: k, Worker: e.Worker, Delay: e.Delay})
+			stepFaults = append(stepFaults, bsp.StepFault{Step: e.Step, Kind: k, Delay: e.Delay})
 		}
 	}
+	// Same-ordinal faults fire on successive attempts in schedule order, and
+	// a delayed attempt succeeds: failures go first, or a delay ahead of them
+	// would leave them unfired.
+	slices.SortStableFunc(stepFaults, func(a, b bsp.StepFault) int { return cmp.Compare(a.Kind, b.Kind) })
 	factory := bsp.NewScheduledFaultExchangeFactory(cfg.Exchange, stepFaults)
 	corr := newCorrupter(sched.Events)
 
@@ -374,6 +382,10 @@ func Run(ctx context.Context, cfg Config, sched Schedule) (*Outcome, error) {
 				sched, attempt, err)
 		}
 		out.Restarts++
+	}
+	if n := factory.Fired(); n != len(stepFaults) {
+		return nil, fmt.Errorf("chaos: %d of the %d exchange faults of schedule %s fired: it names ordinals the run does not reach",
+			n, len(stepFaults), sched)
 	}
 	out.ChaosWall = time.Since(start)
 	out.ChaosCount = res.Count

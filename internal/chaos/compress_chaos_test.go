@@ -39,9 +39,6 @@ func TestCompressedKillOneWorkerBitIdenticalLocal(t *testing.T) {
 			t.Fatalf("seed %d (%s): compressed chaos count %d != clean %d",
 				seed, sched, out.ChaosCount, out.CleanCount)
 		}
-		if out.FaultsFired == 0 {
-			t.Fatalf("seed %d (%s): schedule never fired", seed, sched)
-		}
 		if out.Recoveries == 0 && out.Restarts == 0 {
 			t.Fatalf("seed %d (%s): kill fired but neither recovery nor restart recorded", seed, sched)
 		}
@@ -50,13 +47,14 @@ func TestCompressedKillOneWorkerBitIdenticalLocal(t *testing.T) {
 
 // TestCompressedKillScheduleBitIdenticalTCP: compressed frames over real
 // loopback-TCP pipes under worker death — the wire format under test is the
-// prefix-compressed one end to end, and recovery rebuilds the mesh.
+// prefix-compressed one end to end, and recovery rebuilds the mesh. A house:
+// the kill lands on barrier 1 or 2.
 func TestCompressedKillScheduleBitIdenticalTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp chaos in -short mode")
 	}
 	g := gen.ErdosRenyi(60, 300, 2)
-	p := pattern.PG2()
+	p := pattern.PG5()
 	for seed := int64(1); seed <= 3; seed++ {
 		sched := NewKillSchedule(seed, 3, 2)
 		out, err := Run(context.Background(), Config{
@@ -78,12 +76,12 @@ func TestCompressedKillScheduleBitIdenticalTCP(t *testing.T) {
 // TestCompressedMixedScheduleSurvives: a dense seeded schedule (kills, drops,
 // delays, partitions) against compressed grouped exchanges still converges.
 // PG5 on a skewed Chung–Lu graph keeps batches dense enough that compression
-// actually engages while the faults fire (a diamond, which completes in two
-// supersteps, leaves three of the schedule's faults unfired).
+// actually engages while the faults fire, on barriers 1 and 2 (a house has
+// three supersteps).
 func TestCompressedMixedScheduleSurvives(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 3)
 	p := pattern.PG5()
-	sched := NewSchedule(42, 3, 4, 4)
+	sched := NewSchedule(42, 3, 2, 4)
 	out, err := Run(context.Background(), Config{
 		Graph:   g,
 		Pattern: p,

@@ -92,12 +92,12 @@ func TestAsyncDifferentialMatchesStrict(t *testing.T) {
 	}
 }
 
-// TestAsyncRecoveryCountsExact: an async run whose frames are killed by a
+// TestAsyncRecoveryCountsExact: an async run whose frames are failed by a
 // schedule, recovered via quiescence checkpoints, must still report the
 // strict run's exact count — the exactly-once guarantee carries over from
-// barriers to quiescence points. The schedule kills a house run (a diamond
-// run, which completes in two supersteps, sends too few frames to reach its
-// third).
+// barriers to quiescence points. The schedule fails a house run's frames (a
+// diamond run, which completes in two supersteps, sends too few frames to
+// reach its third).
 func TestAsyncRecoveryCountsExact(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 7)
 	p := pattern.PG5()
@@ -106,10 +106,10 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := faulttest.Schedule(t, nil,
-		bsp.StepFault{Step: 2, Kind: bsp.StepFaultKill, Worker: 1},
-		bsp.StepFault{Step: 2, Kind: bsp.StepFaultKill, Worker: 1},
-		bsp.StepFault{Step: 3, Kind: bsp.StepFaultDrop},
-		bsp.StepFault{Step: 3, Kind: bsp.StepFaultDrop},
+		bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail},
+		bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail},
+		bsp.StepFault{Step: 3, Kind: bsp.StepFaultFail},
+		bsp.StepFault{Step: 3, Kind: bsp.StepFaultFail},
 	)
 	asyncRes, err := Run(g, p, Options{
 		Workers:         3,
@@ -130,11 +130,12 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 	}
 
 	// The run above ends before a checkpoint can fall due while a worker is
-	// still to seed. On a larger graph it can: sweep one kill (no retry, so
-	// a recovery) over wire frames 3-15 of each worker, where a snapshot
+	// still to seed. On a larger graph it can: sweep one failure (no retry,
+	// so a recovery) over wire frames 3-15, three runs a cell (frame timing
+	// varies, and with it whose frame the failure lands on), where a snapshot
 	// taken before some worker's Init once lost its seeds without an error,
 	// and where workers are still seeding from their cursors. A worker sends
-	// some 18 frames in all, so every kill must fire. Some recovery in the
+	// some 18 frames in all, so every failure must fire. Some recovery in the
 	// sweep must restore a snapshot with a cursor still queued. It lists
 	// diamonds: a square closes one hop after its seed, and a worker sends
 	// two frames.
@@ -147,8 +148,8 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 	restoredCursors := 0
 	for _, every := range []int{1, 2} {
 		for seq := 3; seq <= 15; seq += 4 {
-			for w := 0; w < 3; w++ {
-				factory := faulttest.Schedule(t, nil, bsp.StepFault{Step: seq, Kind: bsp.StepFaultKill, Worker: w})
+			for try := 0; try < 3; try++ {
+				factory := faulttest.Schedule(t, nil, bsp.StepFault{Step: seq, Kind: bsp.StepFaultFail})
 				store := &restoreProbe{MemCheckpointStore: bsp.NewMemCheckpointStore(), t: t}
 				res, err := Run(g, p, Options{
 					Workers:         3,
@@ -161,17 +162,17 @@ func TestAsyncRecoveryCountsExact(t *testing.T) {
 				})
 				restoredCursors += store.cursors
 				if err != nil {
-					t.Fatalf("every=%d kill %d@%d: %v", every, w, seq, err)
+					t.Fatalf("every=%d try %d, fail@%d: %v", every, try, seq, err)
 				}
 				if res.Count != strictRes.Count {
-					t.Fatalf("every=%d kill %d@%d: recovered async count %d != strict %d (recoveries=%d)",
-						every, w, seq, res.Count, strictRes.Count, res.Stats.Recoveries)
+					t.Fatalf("every=%d try %d, fail@%d: recovered async count %d != strict %d (recoveries=%d)",
+						every, try, seq, res.Count, strictRes.Count, res.Stats.Recoveries)
 				}
 			}
 		}
 	}
 	if restoredCursors == 0 {
-		t.Fatal("no recovery in the sweep restored a snapshot with a seed cursor queued: no kill landed mid-seeding")
+		t.Fatal("no recovery in the sweep restored a snapshot with a seed cursor queued: no failure landed mid-seeding")
 	}
 }
 

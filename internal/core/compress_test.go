@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"psgl/internal/bsp"
+	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
@@ -238,8 +239,8 @@ func viewOf(r *Result) compressedCounterView {
 }
 
 // TestCompressedCountersMirrored reruns the recovery suite's scenarios with
-// CompressFrames on: a fault-recovered run (drops + errors absorbed by retry
-// and checkpoint restores) and a crash-then-resume pair must both reproduce
+// CompressFrames on: a fault-recovered run (failures absorbed by retry and
+// a checkpoint restore) and a crash-then-resume pair must both reproduce
 // the clean run's compression counters exactly — not just the count. The
 // runs list houses, which take three supersteps, so the crash lands at a
 // barrier after the first; a diamond completes in two.
@@ -258,19 +259,19 @@ func TestCompressedCountersMirrored(t *testing.T) {
 
 	t.Run("recovered", func(t *testing.T) {
 		opts := base
-		opts.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-			Seed:      9,
-			ErrorRate: 0.35,
-			DropRate:  0.25,
-			FromStep:  1,
-		})
+		// One failure at superstep 1, which a retry absorbs; three at
+		// superstep 2, which exhaust the retries and force a restore.
+		opts.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail})
 		opts.Retry = bsp.RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
 		opts.CheckpointEvery = 1
 		opts.CheckpointStore = bsp.NewMemCheckpointStore()
-		opts.MaxRecoveries = 100
+		opts.MaxRecoveries = 1
 		res, err := Run(g, p, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Stats.Recoveries != 1 {
+			t.Fatalf("Recoveries = %d, want 1", res.Stats.Recoveries)
 		}
 		if got := viewOf(res); got != want {
 			t.Fatalf("recovered counters diverged:\n got %+v\nwant %+v", got, want)
@@ -284,9 +285,7 @@ func TestCompressedCountersMirrored(t *testing.T) {
 		}
 		store := bsp.NewMemCheckpointStore()
 		crashed := base
-		crashed.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-			Seed: 5, ErrorRate: 1, FromStep: failStep, MaxFaults: 1,
-		})
+		crashed.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: failStep, Kind: bsp.StepFaultFail})
 		crashed.CheckpointEvery = 1
 		crashed.CheckpointStore = store
 		if _, err := Run(g, p, crashed); !errors.Is(err, bsp.ErrInjectedFault) {

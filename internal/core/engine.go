@@ -93,11 +93,9 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 	cfg := bsp.Config{
 		Workers:         opts.Workers,
 		Owner:           e.ownerOf,
-		MaxSupersteps:   opts.MaxSupersteps,
 		Exchange:        opts.Exchange,
 		AsyncExchange:   opts.AsyncExchange,
 		CompressFrames:  opts.CompressFrames,
-		StepTimeout:     opts.StepTimeout,
 		Retry:           opts.Retry,
 		CheckpointEvery: opts.CheckpointEvery,
 		CheckpointStore: opts.CheckpointStore,

@@ -230,16 +230,18 @@ func TestLocalExpansionRespectsBudget(t *testing.T) {
 // superstep's worth of work outside Process, so it polls the stop test as the
 // inbox delivery does. A strict count on a 40 000-vertex graph is stopped
 // while Init is seeding, from the first instance (found in place in superstep
-// 0): its context is canceled there, or that call outlasts the step timeout.
-// The run returns the cancel or timeout error having processed a sliver of
-// the Gpsis a full run processes. (The counters of an interrupted superstep
+// 0): its context is canceled there, or that call outlasts the context's
+// deadline. The run returns the cancel or deadline error having processed a
+// sliver of the Gpsis a full run processes. (The counters of an interrupted superstep
 // are merged when the run tears down, so the observer sees how far Init got.)
 func TestInitStopsMidSeeding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 40k-vertex graph")
 	}
 	g := gen.ChungLu(40000, 120000, 2.5, 1)
-	full, err := Run(g, pattern.Triangle(), Options{Workers: 2, Seed: 1})
+	// Prepared up front, so the deadline bounds the run alone.
+	pr := Prepare(g, Options{Workers: 2, Seed: 1})
+	full, err := pr.RunContext(context.Background(), pattern.Triangle(), Options{Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,26 +251,28 @@ func TestInitStopsMidSeeding(t *testing.T) {
 		want    error
 	}{
 		{"canceled", 0, context.Canceled},
-		{"step-timeout", time.Millisecond, context.DeadlineExceeded},
+		{"deadline", 250 * time.Millisecond, context.DeadlineExceeded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
+			if tc.timeout > 0 {
+				ctx, cancel = context.WithTimeout(context.Background(), tc.timeout)
+			}
 			defer cancel()
 			var once sync.Once
 			o := obs.New(nil)
-			opts := Options{Workers: 2, Seed: 1, StepTimeout: tc.timeout, Observer: o}
+			opts := Options{Workers: 2, Seed: 1, Observer: o}
 			opts.OnInstance = func([]graph.VertexID) {
 				once.Do(func() {
 					if tc.timeout == 0 {
 						cancel()
-					} else {
-						// Sleeping lets the deadline's timer run: one set to
-						// fire while every P is busy expanding can fire late.
-						time.Sleep(5 * tc.timeout)
 					}
+					// Waiting lets the deadline's timer run: one set to fire
+					// while every P is busy expanding can fire late.
+					<-ctx.Done()
 				})
 			}
-			_, err := RunContext(ctx, g, pattern.Triangle(), opts)
+			_, err := pr.RunContext(ctx, pattern.Triangle(), opts)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}

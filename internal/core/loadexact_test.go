@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"psgl/internal/bsp"
+	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/pattern"
 )
@@ -50,16 +51,11 @@ func TestRecoveredRunLoadAccountingExact(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// No retry policy: every injected fault forces a checkpoint
-			// restore and a superstep replay — the exact double-charging
-			// scenario. MaxFaults bounds the injection so the run terminates.
+			// No retry policy: each of the two failures at superstep 1 forces
+			// a checkpoint restore and a replay of it — the exact
+			// double-charging scenario.
 			faulty := base
-			faulty.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-				Seed:      9,
-				ErrorRate: 1,
-				FromStep:  1,
-				MaxFaults: 2,
-			})
+			faulty.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail})
 			faulty.CheckpointEvery = 1
 			faulty.CheckpointStore = bsp.NewMemCheckpointStore()
 			faulty.MaxRecoveries = 10
@@ -96,9 +92,7 @@ func TestResumedRunLoadAccountingExact(t *testing.T) {
 
 	store := bsp.NewMemCheckpointStore()
 	crashed := base
-	crashed.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-		Seed: 5, ErrorRate: 1, FromStep: failStep, MaxFaults: 1,
-	})
+	crashed.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: failStep, Kind: bsp.StepFaultFail})
 	crashed.CheckpointEvery = 1
 	crashed.CheckpointStore = store
 	if _, err := Run(g, p, crashed); !errors.Is(err, bsp.ErrInjectedFault) {
@@ -138,9 +132,7 @@ func TestRestartFromScratchLoadAccountingExact(t *testing.T) {
 	// restarts from superstep 0 (CheckpointEvery stays 0, so nothing is ever
 	// saved).
 	faulty := base
-	faulty.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-		Seed: 11, ErrorRate: 1, FromStep: 1, MaxFaults: 1,
-	})
+	faulty.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail})
 	faulty.CheckpointStore = bsp.NewMemCheckpointStore()
 	faulty.MaxRecoveries = 3
 	res, err := Run(g, p, faulty)

@@ -130,11 +130,10 @@ type Options struct {
 	// counted before the run winds down. An early-stopped run returns
 	// success with Result.Truncated set — the streaming `limit` fast path.
 	MaxResults int64
-	// MaxSupersteps bounds the BSP run. 0 means the bsp default.
-	MaxSupersteps int
 	// Exchange overrides the BSP message exchange (e.g.
 	// bsp.NewTCPExchangeFactory() for loopback-TCP distribution,
-	// bsp.NewFaultyExchangeFactory for fault-injected recovery testing).
+	// bsp.NewScheduledFaultExchangeFactory for fault-injected recovery
+	// testing).
 	Exchange bsp.ExchangeFactory
 	// AsyncExchange runs the BSP substrate in pipelined async mode: workers
 	// flush fixed-size Gpsi frames as they are produced, receivers expand
@@ -148,9 +147,8 @@ type Options struct {
 	// level instead of a breadth-first level. Without Seeds, a worker seeds
 	// on demand from a cursor on its own queue, highest-degree vertices
 	// first, only when it has no deeper own work, so a capped run never
-	// builds the seeds it does not reach. StepTimeout is rejected in
-	// async mode (bsp.ErrAsyncStepTimeout: there are no steps to bound), and
-	// checkpoints snapshot at quiescence points instead of barriers.
+	// builds the seeds it does not reach. Checkpoints snapshot at quiescence
+	// points instead of barriers.
 	AsyncExchange bool
 	// CompressFrames front-codes Gpsi batches: messages sharing a mapped-vertex
 	// prefix are sorted and shipped as prefix-compressed frames, kept encoded
@@ -175,8 +173,6 @@ type Options struct {
 	// in-process runs have no fault to recover from, and their streams are
 	// exactly-once.)
 
-	// StepTimeout bounds each superstep (compute plus exchange). 0 = none.
-	StepTimeout time.Duration
 	// Retry wraps every frame the exchange sends in bounded exponential
 	// backoff.
 	Retry bsp.RetryPolicy

@@ -1,7 +1,7 @@
 package core
 
 // Engine-level fault-tolerance tests: a PSgL run whose message exchange
-// drops and errors batches must — with retry and checkpoint recovery —
+// fails and delays frames must — with retry and checkpoint recovery —
 // produce exactly the same instance count as a clean run.
 
 import (
@@ -11,14 +11,17 @@ import (
 	"time"
 
 	"psgl/internal/bsp"
+	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/pattern"
 )
 
 func TestFaultRecoveryMatchesCleanRun(t *testing.T) {
-	// The PR's acceptance test: seeded drop+error faults, absorbed by retry
-	// where possible and checkpoint restores otherwise, with the final count
-	// identical to the clean run's.
+	// The recovery suite's acceptance test: scheduled failures, absorbed by
+	// retry where possible and a checkpoint restore otherwise, with the final
+	// count identical to the clean run's. The square run has two supersteps:
+	// one failure at superstep 0 is retried; three at superstep 1 exhaust the
+	// retries and force a restore of the barrier-1 snapshot.
 	g := gen.ErdosRenyi(80, 500, 1)
 	p := pattern.PG2()
 	base := Options{Workers: 3, Seed: 1}
@@ -28,19 +31,17 @@ func TestFaultRecoveryMatchesCleanRun(t *testing.T) {
 	}
 
 	faulty := base
-	faulty.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-		Seed:      9,
-		ErrorRate: 0.35,
-		DropRate:  0.25,
-		FromStep:  1,
-	})
+	faulty.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: 0, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail})
 	faulty.Retry = bsp.RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
 	faulty.CheckpointEvery = 1
 	faulty.CheckpointStore = bsp.NewMemCheckpointStore()
-	faulty.MaxRecoveries = 100
+	faulty.MaxRecoveries = 1
 	res, err := Run(g, p, faulty)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Stats.Recoveries < 1 {
+		t.Fatalf("Recoveries = %d: the schedule forced no restore", res.Stats.Recoveries)
 	}
 	if res.Count != clean.Count {
 		t.Fatalf("faulty run counted %d, clean run %d", res.Count, clean.Count)
@@ -70,9 +71,7 @@ func TestResumeAcrossRunsMatchesCleanRun(t *testing.T) {
 
 	store := bsp.NewMemCheckpointStore()
 	crashed := base
-	crashed.Exchange = bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-		Seed: 5, ErrorRate: 1, FromStep: failStep, MaxFaults: 1,
-	})
+	crashed.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: failStep, Kind: bsp.StepFaultFail})
 	crashed.CheckpointEvery = 1
 	crashed.CheckpointStore = store
 	if _, err := Run(g, p, crashed); !errors.Is(err, bsp.ErrInjectedFault) {
@@ -105,7 +104,10 @@ func TestRunContextCanceled(t *testing.T) {
 
 func TestCountsAgreeAcrossExchanges(t *testing.T) {
 	// Property: local, TCP, and faulty-with-retry transports are
-	// interchangeable — same graph, same pattern, same count.
+	// interchangeable — same graph, same pattern, same count. The diamond run
+	// has two supersteps; a step's delay comes after its failures, since
+	// same-step faults fire on successive attempts and a delayed attempt
+	// succeeds.
 	for seed := int64(0); seed < 3; seed++ {
 		g := gen.ErdosRenyi(60, 300, seed)
 		p := pattern.PG3()
@@ -116,9 +118,9 @@ func TestCountsAgreeAcrossExchanges(t *testing.T) {
 		}
 		exchanges := map[string]bsp.ExchangeFactory{
 			"tcp": bsp.NewTCPExchangeFactory(),
-			"faulty": bsp.NewFaultyExchangeFactory(nil, bsp.FaultConfig{
-				Seed: seed, ErrorRate: 0.3, DropRate: 0.1, DelayRate: 0.2, MaxDelay: time.Millisecond,
-			}),
+			"faulty": faulttest.Schedule(t, nil,
+				bsp.StepFault{Step: 0, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 0, Kind: bsp.StepFaultDelay, Delay: time.Millisecond},
+				bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultDelay, Delay: time.Millisecond}),
 		}
 		for name, ex := range exchanges {
 			opts := base

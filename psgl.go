@@ -98,9 +98,10 @@ func List(g *Graph, p *Pattern, opts Options) (*Result, error) {
 
 // ListContext is List with cancellation: the run stops at the next message
 // boundary once ctx is done, and ctx deadlines bound the exchange's network
-// operations. Combined with the Options fault-tolerance fields (StepTimeout,
-// Retry, CheckpointEvery/CheckpointStore, ResumeFrom, MaxRecoveries) it is
-// the entry point for long-running, failure-prone enumerations.
+// operations; a deadline on ctx is what bounds a run. Combined with the
+// Options fault-tolerance fields (Retry, CheckpointEvery/CheckpointStore,
+// ResumeFrom, MaxRecoveries) it is the entry point for long-running,
+// failure-prone enumerations.
 func ListContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (*Result, error) {
 	return core.RunContext(ctx, g, p, opts)
 }
@@ -129,8 +130,6 @@ type (
 	ExchangeFactory = bsp.ExchangeFactory
 	// RetryPolicy bounds exponential backoff around superstep exchanges.
 	RetryPolicy = bsp.RetryPolicy
-	// FaultConfig parameterizes the deterministic fault-injection exchange.
-	FaultConfig = bsp.FaultConfig
 	// CheckpointStore persists barrier snapshots for recovery and resume.
 	CheckpointStore = bsp.CheckpointStore
 	// TCPConfig tunes the TCP exchange's dial/setup/frame deadlines.
@@ -140,13 +139,6 @@ type (
 // NewTCPExchangeWithConfig is NewTCPExchange with explicit deadlines.
 func NewTCPExchangeWithConfig(cfg TCPConfig) ExchangeFactory {
 	return bsp.NewTCPExchangeFactoryWithConfig(cfg)
-}
-
-// NewFaultyExchange wraps inner (nil = the in-process exchange) in a
-// deterministic fault injector that drops, delays, or errors whole superstep
-// batches — pair it with Options.Retry and checkpointing to test recovery.
-func NewFaultyExchange(inner ExchangeFactory, fc FaultConfig) ExchangeFactory {
-	return bsp.NewFaultyExchangeFactory(inner, fc)
 }
 
 // NewMemCheckpointStore returns an in-memory checkpoint store for in-run

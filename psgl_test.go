@@ -1,7 +1,9 @@
 package psgl_test
 
 // Black-box tests of the public API: everything here goes through the psgl
-// package surface only, as a downstream user would.
+// package surface only, as a downstream user would — except the injected
+// exchange faults, which come from a test helper (internal/faulttest), not
+// from the public API.
 
 import (
 	"bytes"
@@ -13,6 +15,8 @@ import (
 	"time"
 
 	"psgl"
+	"psgl/internal/bsp"
+	"psgl/internal/faulttest"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -336,25 +340,30 @@ func TestLoadEdgeListRejectsGarbage(t *testing.T) {
 }
 
 func TestFaultTolerancePublicAPI(t *testing.T) {
-	// The whole fault-tolerance surface through the public package: injected
-	// exchange faults, retry, checkpointing, recovery — same count as clean.
-	// Squares, not triangles: a triangle run has no exchange to fault.
+	// The whole fault-tolerance surface through the public package: retry,
+	// checkpointing, recovery — same count as clean. Squares, not triangles: a
+	// triangle run has no exchange to fault. The square run has two
+	// supersteps: one failure at superstep 0 is retried, two at superstep 1
+	// exhaust the retries and force a restore.
 	g := psgl.GenerateErdosRenyi(60, 240, 5)
 	clean, err := psgl.List(g, psgl.Square(), psgl.NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := psgl.NewOptions()
-	opts.Exchange = psgl.NewFaultyExchange(nil, psgl.FaultConfig{
-		Seed: 4, ErrorRate: 0.5, FromStep: 1,
-	})
+	opts.Exchange = faulttest.Schedule(t, nil,
+		bsp.StepFault{Step: 0, Kind: bsp.StepFaultFail},
+		bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail})
 	opts.Retry = psgl.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}
 	opts.CheckpointEvery = 1
 	opts.CheckpointStore = psgl.NewMemCheckpointStore()
-	opts.MaxRecoveries = 50
+	opts.MaxRecoveries = 1
 	res, err := psgl.ListContext(context.Background(), g, psgl.Square(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Stats.Recoveries != 1 {
+		t.Fatalf("Recoveries = %d, want 1", res.Stats.Recoveries)
 	}
 	if res.Count != clean.Count {
 		t.Fatalf("faulty run counted %d, clean run %d", res.Count, clean.Count)

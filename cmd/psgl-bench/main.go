@@ -6,16 +6,12 @@
 //	psgl-bench [flags] <experiment>
 //
 // where <experiment> is one of: datasets, property1, fig3, fig5, fig6,
-// table2, fig7, table3, table4, fig8, makespan, chaos, census, or all.
+// table2, fig7, table3, table4, fig8, makespan, census, or all.
 //
-// `psgl-bench chaos` runs the deterministic fault harness — seeded
-// kill/drop/delay/partition and checkpoint-corruption schedules over both
-// exchanges — verifies every chaos count bit-identical against a clean run,
-// and writes BENCH_chaos.json (recoveries, retries, restarts per schedule).
 // `psgl-bench census` sweeps the ESU motif-census engine (k=3,4 over two
 // power-law graphs, single-worker cold cache then all-core warm cache) and
 // writes BENCH_census.json (subgraph throughput and canon-cache hit rates).
-// Both files are written into the current directory. The product's layers
+// The file is written into the current directory. The product's layers
 // (hot path, serving, graph updates) are measured by the benchmark/ module.
 //
 // Observability: `psgl-bench -trace out.jsonl <experiment>` attaches an
@@ -46,7 +42,6 @@ var baselines = map[string]struct {
 	run  func() (text string, data []byte, err error)
 	file string
 }{
-	"chaos":  {experiments.ChaosJSON, "BENCH_chaos.json"},
 	"census": {experiments.CensusJSON, "BENCH_census.json"},
 }
 
@@ -61,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofAddr = fs.String("pprof-addr", "", `serve net/http/pprof + expvar counters on this address (e.g. "localhost:6060")`)
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: psgl-bench [flags] <datasets|property1|fig3|fig5|fig6|table2|fig7|table3|table4|fig8|makespan|chaos|census|all>")
+		fmt.Fprintln(stderr, "usage: psgl-bench [flags] <datasets|property1|fig3|fig5|fig6|table2|fig7|table3|table4|fig8|makespan|census|all>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

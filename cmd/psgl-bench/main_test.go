@@ -19,10 +19,10 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestRejectsUnknownExperiment covers the retired hotpath, serve and update
-// writers too: benchmark/ measures those layers, and their names are usage
-// errors like any other.
+// writers too (benchmark/ measures those layers) and the retired chaos
+// harness: their names are usage errors like any other.
 func TestRejectsUnknownExperiment(t *testing.T) {
-	for _, name := range []string{"fig99", "hotpath", "serve", "update"} {
+	for _, name := range []string{"fig99", "hotpath", "serve", "update", "chaos"} {
 		code, _, stderr := runCLI(t, name)
 		if code != 2 {
 			t.Fatalf("%s: exit %d, want 2", name, code)

@@ -42,9 +42,9 @@ func main() {
 // listingFlags are the flags only the listing engine reads.
 var listingFlags = map[string]bool{
 	"strategy": true, "alpha": true, "initial": true, "max-intermediate": true,
-	"tcp": true, "async": true, "compress": true, "exchange-retries": true,
+	"tcp": true, "async": true, "compress": true,
 	"checkpoint-dir": true, "checkpoint-every": true, "resume": true,
-	"max-recoveries": true, "explain": true,
+	"explain": true,
 }
 
 // run is main with its environment made explicit, so CLI behavior — flag
@@ -76,11 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		async       = fs.Bool("async", false, "pipelined async exchange: flush frames as produced, credit-based termination instead of barriers (counts identical to strict mode)")
 		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames: front-coded wire format and encoded inboxes (counts identical to flat mode)")
 		timeout     = fs.Duration("timeout", 0, "overall run timeout (0 = none); Ctrl-C also cancels cleanly")
-		retries     = fs.Int("exchange-retries", 1, "attempts per frame send (bounded exponential backoff)")
 		ckptDir     = fs.String("checkpoint-dir", "", "directory for barrier checkpoints (enables checkpointing)")
 		ckptEvery   = fs.Int("checkpoint-every", 1, "checkpoint every N supersteps (with -checkpoint-dir)")
 		resume      = fs.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir")
-		maxRecover  = fs.Int("max-recoveries", 0, "max in-run checkpoint-restore recoveries of failed supersteps")
 		tracePath   = fs.String("trace", "", "write a JSONL trace of run events to this file and print the observability report")
 		pprofAddr   = fs.String("pprof-addr", "", `serve net/http/pprof + expvar counters on this address (e.g. "localhost:6060")`)
 		showStats   = fs.Bool("stats", false, "print detailed run statistics")
@@ -144,17 +142,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *alpha <= 0 || *alpha > 1 {
 		return usage("-alpha must be in (0, 1], have %g", *alpha)
 	}
-	if *retries < 1 {
-		return usage("-exchange-retries must be >= 1, have %d", *retries)
-	}
-	if *maxRecover < 0 {
-		return usage("-max-recoveries must be >= 0, have %d", *maxRecover)
-	}
 	if *resume && *ckptDir == "" {
 		return usage("-resume requires -checkpoint-dir")
-	}
-	if *maxRecover > 0 && *ckptDir == "" {
-		return usage("-max-recoveries requires -checkpoint-dir")
 	}
 	if explicit["checkpoint-every"] && *ckptDir == "" {
 		return usage("-checkpoint-every requires -checkpoint-dir")
@@ -189,8 +178,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts.AsyncExchange = *async
 	opts.CompressFrames = *compress
-	opts.Retry = psgl.RetryPolicy{MaxAttempts: *retries}
-	opts.MaxRecoveries = *maxRecover
 	if *ckptDir != "" {
 		store, err := psgl.NewFileCheckpointStore(*ckptDir)
 		if err != nil {
@@ -267,9 +254,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pruned: degree=%d order=%d injective=%d verify=%d\n",
 			s.PrunedByDegree, s.PrunedByOrder, s.PrunedByInjectivity, s.PrunedByVerify)
 		fmt.Fprintf(stderr, "load makespan:    %.0f units\n", s.LoadMakespan)
-		if s.Recoveries > 0 {
-			fmt.Fprintf(stderr, "recoveries:       %d checkpoint restores\n", s.Recoveries)
-		}
 		fmt.Fprintf(stderr, "wall time:        %v\n", s.WallTime)
 	}
 	return 0

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"psgl"
 	"psgl/internal/obs"
 )
 
@@ -37,9 +40,11 @@ func TestFlagValidation(t *testing.T) {
 		{"negative supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "-1"}, 2, "flag provided but not defined: -max-supersteps"},
 		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "alphabetical"}, 2, `unknown strategy "alphabetical"`},
 		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "1.5"}, 2, "-alpha must be in (0, 1]"},
-		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "0"}, 2, "-exchange-retries must be >= 1"},
+		// A failed send ends the run: there is no retry and no in-run
+		// recovery to configure; a stopped run is resumed with -resume.
+		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "2"}, 2, "flag provided but not defined: -exchange-retries"},
 		{"resume without dir", []string{"-gen", "er:50:100", "-resume"}, 2, "-resume requires -checkpoint-dir"},
-		{"recoveries without dir", []string{"-gen", "er:50:100", "-max-recoveries", "2"}, 2, "-max-recoveries requires -checkpoint-dir"},
+		{"recoveries without dir", []string{"-gen", "er:50:100", "-max-recoveries", "1"}, 2, "flag provided but not defined: -max-recoveries"},
 		{"no graph source", []string{"-pattern", "pg1"}, 2, "one of -graph or -gen is required"},
 		{"both graph sources", []string{"-graph", "x.txt", "-gen", "er:50:100"}, 2, "either -graph or -gen, not both"},
 		{"unknown pattern", []string{"-gen", "er:50:100", "-pattern", "pg99"}, 2, "pg99"},
@@ -64,12 +69,14 @@ func TestFlagValidation(t *testing.T) {
 		// The census reads no listing-engine flag: each is refused, and
 		// -checkpoint-dir before its store is created.
 		{"census with checkpointing", []string{"-gen", "er:200:800", "-pattern", "census(3)", "-checkpoint-dir", censusStore,
-			"-resume", "-max-recoveries", "2", "-tcp", "-strategy", "random"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
+			"-resume", "-tcp", "-strategy", "random"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
+		{"census with -exchange-retries", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-exchange-retries", "2"}, 2, "flag provided but not defined: -exchange-retries"},
+		{"census with -max-recoveries", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-max-recoveries", "2"}, 2, "flag provided but not defined: -max-recoveries"},
 	}
 	for _, f := range [][]string{
 		{"-strategy", "random"}, {"-alpha", "0.5"}, {"-initial", "0"}, {"-max-intermediate", "10"},
-		{"-tcp"}, {"-async"}, {"-compress"}, {"-exchange-retries", "2"},
-		{"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"}, {"-resume"}, {"-max-recoveries", "2"},
+		{"-tcp"}, {"-async"}, {"-compress"},
+		{"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"}, {"-resume"},
 	} {
 		cases = append(cases, flagCase{"census with " + f[0], append([]string{"-gen", "er:50:100", "-pattern", "census(3)"}, f...),
 			2, f[0] + " applies to pattern listing, not census queries"})
@@ -274,5 +281,61 @@ func TestAsyncFlagMatchesStrict(t *testing.T) {
 		if asyncOut != strictOut {
 			t.Fatalf("%v: count %q, strict %q", extra, asyncOut, strictOut)
 		}
+	}
+}
+
+// stopAfterFirstSave is a checkpoint store that stops the run right after its
+// first save.
+type stopAfterFirstSave struct {
+	psgl.CheckpointStore
+	stop context.CancelFunc
+}
+
+func (s stopAfterFirstSave) Save(step int, data []byte) error {
+	err := s.CheckpointStore.Save(step, data)
+	s.stop()
+	return err
+}
+
+// TestResumeRefusesAnotherRunsCheckpoint: -resume reads a checkpoint directory
+// another run may have left. A diamond run's checkpoint resumed with another
+// pattern, graph or seed exits 1 naming the corrupt checkpoint — no panic, no
+// count — while the same run resumes to the clean count.
+func TestResumeRefusesAnotherRunsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	spec := "chunglu:2000:10000:2.0"
+	g, err := loadGraph("", spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := psgl.NewFileCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := psgl.NewOptions()
+	opts.Workers, opts.Seed = 2, 1
+	opts.CheckpointEvery, opts.CheckpointStore = 1, stopAfterFirstSave{store, cancel}
+	if _, err := psgl.ListContext(ctx, g, psgl.Diamond(), opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run: err = %v, want context.Canceled", err)
+	}
+
+	for _, args := range [][]string{
+		{"-gen", spec, "-pattern", "pg1"},
+		{"-gen", spec, "-pattern", "pg5"},
+		{"-gen", "er:500:2000", "-pattern", "pg3"},
+		{"-gen", spec, "-pattern", "pg3", "-seed", "7"},
+	} {
+		args = append(args, "-workers", "2", "-checkpoint-dir", dir, "-resume")
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "corrupt checkpoint") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no count, a corrupt checkpoint", args, code, stdout, stderr)
+		}
+	}
+	_, clean, _ := runCLI(t, "-gen", spec, "-pattern", "pg3", "-workers", "2")
+	code, resumed, stderr := runCLI(t, "-gen", spec, "-pattern", "pg3", "-workers", "2", "-checkpoint-dir", dir, "-resume")
+	if code != 0 || resumed != clean {
+		t.Fatalf("resuming the same run: exit %d, count %q, clean %q (stderr %q)", code, resumed, clean, stderr)
 	}
 }

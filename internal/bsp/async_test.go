@@ -87,8 +87,12 @@ func TestCreditDetectorLateFrameAfterLocalQuiescence(t *testing.T) {
 	}
 }
 
-func newTestAttempt[M any](cfg Config, prog Program[M], seeded bool) *attempt[M] {
-	return newAttempt(&run[M]{cfg: cfg, prog: prog, stats: newRunStats(cfg.Workers), restored: seeded})
+// newTestRun builds a run whose transport the test sets; seeded says no
+// worker runs Init, as in a resumed run.
+func newTestRun[M any](cfg Config, prog Program[M], seeded bool) *run[M] {
+	r := newRun(cfg, prog)
+	r.restored = seeded
+	return r
 }
 
 func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
@@ -100,7 +104,7 @@ func TestAsyncAckAlwaysNudgesCoordinator(t *testing.T) {
 		init:    func(*Context[int]) {},
 		process: func(*Context[int], Envelope[int]) {},
 	}
-	a := newTestAttempt[int](Config{Workers: 2, AsyncExchange: true}, prog, true)
+	a := newTestRun[int](Config{Workers: 2, AsyncExchange: true}, prog, true)
 	a.det.frameSent(0)
 	select {
 	case <-a.nudge: // drain any pending nudge, as coordinate() would
@@ -164,10 +168,10 @@ func TestDelayedAckStillTerminates(t *testing.T) {
 			},
 			AsyncExchange: async,
 		}
-		a := newTestAttempt[int](cfg, prog, false)
+		a := newTestRun[int](cfg, prog, false)
 		a.transport = delayedAckTransport[int]{h: a.hooks(), det: a.det}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := a.run(ctx)
+		err := a.drive(ctx)
 		cancel()
 		if err != nil {
 			t.Fatalf("async=%v: delayed-ack attempt did not terminate cleanly: %v", async, err)
@@ -344,13 +348,13 @@ func TestPipelinedOwnWorkGoesDepthFirst(t *testing.T) {
 	}
 }
 
-// --- fault schedules, checkpoints, recovery ---
+// --- checkpoints and resume ---
 
 func TestPauseBeforeInitKeepsEverySeed(t *testing.T) {
 	// A checkpoint pause can be induced while some worker has not yet run
 	// Init (its peers' frames are what made the checkpoint due). The
-	// snapshot taken there is what a recovery restores, and a restored
-	// attempt never seeds, so it must hold every worker's seeds. Setting the
+	// snapshot taken there is what a resumed run starts from, and a resumed
+	// run never seeds, so it must hold every worker's seeds. Setting the
 	// pause before any worker starts forces that interleaving on all of them.
 	const k, seeds = 3, 4
 	prog := &funcProgram[int]{
@@ -371,17 +375,17 @@ func TestPauseBeforeInitKeepsEverySeed(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	a := newTestAttempt[int](cfg, prog, false)
-	tr, err := newTransport(ctx, nil, &a.r.cfg, a.hooks())
+	a := newTestRun[int](cfg, prog, false)
+	tr, err := newTransport(ctx, nil, &a.cfg, a.hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.transport = tr
 	a.pause.Store(true)
-	if err := a.run(ctx); err != nil {
+	if err := a.drive(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.r.stats.Counters["processed"]; got != k*seeds {
+	if got := a.stats.Counters["processed"]; got != k*seeds {
 		t.Fatalf("processed %d seeds, want %d", got, k*seeds)
 	}
 	snap, err := loadSnapshot[int](store)
@@ -403,69 +407,6 @@ func TestPauseBeforeInitKeepsEverySeed(t *testing.T) {
 	}
 	if got := stats.Counters["processed"]; got != k*seeds {
 		t.Fatalf("resumed from the pause snapshot: processed %d, want %d", got, k*seeds)
-	}
-}
-
-func TestAsyncRecoveryFromScheduledKill(t *testing.T) {
-	strict := runEchoMode(t, nil, false)
-	// Two failures at the same frame seq exhaust the 2-attempt retry budget
-	// and force a recovery (restore from a quiescence checkpoint, or restart
-	// from scratch when none was taken yet); the third failure is absorbed by
-	// a retry after recovery. Counts must come out exactly-once regardless.
-	factory := scheduled(t, nil,
-		StepFault{Step: 2, Kind: StepFaultFail},
-		StepFault{Step: 2, Kind: StepFaultFail},
-		StepFault{Step: 3, Kind: StepFaultFail},
-	)
-	prog, cfg := newEcho(100, 5, 3)
-	cfg.Exchange = factory
-	cfg.AsyncExchange = true
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointStore = NewMemCheckpointStore()
-	cfg.MaxRecoveries = 5
-	async, err := Run[wint](cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strict.Counters["delivered"] != async.Counters["delivered"] {
-		t.Fatalf("delivered differ after recovery: strict=%d async=%d (recoveries=%d)",
-			strict.Counters["delivered"], async.Counters["delivered"], async.Recoveries)
-	}
-}
-
-func TestAsyncRecoveryExhaustionFails(t *testing.T) {
-	// With no recovery budget, an exhausted retry must fail the run with the
-	// injected fault in the chain — never silently drop the frame. Worker 0's
-	// very first flush is remote, so it deterministically carries seq 1.
-	factory := scheduled(t, nil, StepFault{Step: 1, Kind: StepFaultFail})
-	prog := &funcProgram[int]{
-		init: func(ctx *Context[int]) {
-			if ctx.Worker() == 0 {
-				for i := 0; i < 10; i++ {
-					ctx.Send(graph.VertexID(100+i), 1)
-				}
-			}
-		},
-		process: func(*Context[int], Envelope[int]) {},
-	}
-	cfg := Config{
-		Workers: 2,
-		Owner: func(v graph.VertexID) int {
-			if v < 100 {
-				return 0
-			}
-			return 1
-		},
-		Exchange:      factory,
-		AsyncExchange: true,
-	}
-	_, err := Run[int](cfg, prog)
-	if err == nil {
-		t.Fatal("lost frame with no recovery budget must fail the run")
-	}
-	if !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("err = %v, want ErrInjectedFault in the chain", err)
 	}
 }
 

@@ -8,19 +8,17 @@
 // implementations: in-process, and a loopback-TCP mesh (tcp.go) that
 // round-trips every inter-worker batch through the binary wire codec
 // (wire.go, compress.go) and the network stack, for distributed-execution
-// realism on a single machine. A fault middleware (faults.go) wraps either
-// to fail or delay frames on a step schedule, for recovery testing.
-// One loop runs on it (loop.go): persistent workers, a coordinator, and a
-// credit/ack termination detector whose verdict is the superstep barrier;
-// Config.AsyncExchange moves two policy points inside it.
+// realism on a single machine. One loop runs on it (loop.go): persistent
+// workers, a coordinator, and a credit/ack termination detector whose verdict
+// is the superstep barrier; Config.AsyncExchange moves two policy points
+// inside it.
 //
-// Fault tolerance mirrors the Giraph substrate the paper ran on: the loop's
-// boundaries are the recovery points. RunContext can snapshot a run's state
-// (next inboxes plus merged stats) into a CheckpointStore (checkpoint.go),
-// retry failed frames with bounded exponential backoff (retry.go), rebuild
-// the transport and restore the latest checkpoint when an attempt fails, and
-// resume an entirely new run from a persisted checkpoint (Config.ResumeFrom)
-// — the shell below.
+// Fault tolerance mirrors the Giraph substrate the paper ran on: snapshot at
+// the loop's boundaries, and restart a stopped run from its last snapshot.
+// RunContext can save a run's state (next inboxes plus merged stats) into a
+// CheckpointStore (checkpoint.go) and resume an entirely new run from a
+// persisted checkpoint (Config.ResumeFrom). A failed Send ends the run with
+// its error.
 //
 // The engine records the metrics the paper's cost model is built on
 // (Equation 3): per-superstep, per-worker compute time and message counts,
@@ -69,29 +67,19 @@ type Config struct {
 	Workers int
 	// Owner maps a data vertex to the worker that owns it.
 	Owner func(graph.VertexID) int
-	// Exchange selects the transport messages move over (e.g.
-	// NewTCPExchangeFactory, NewScheduledFaultExchangeFactory). Nil uses the
-	// in-process transport.
+	// Exchange selects the transport messages move over
+	// (NewTCPExchangeFactory). Nil uses the in-process transport.
 	Exchange ExchangeFactory
-	// Retry wraps every frame Send in bounded exponential backoff. The zero
-	// value performs a single attempt.
-	Retry RetryPolicy
 	// CheckpointEvery > 0 snapshots the run state (next inboxes plus merged
 	// stats) into CheckpointStore at every Nth barrier.
 	CheckpointEvery int
 	// CheckpointStore receives barrier snapshots; required when
-	// CheckpointEvery > 0, and the source of in-run recovery restores.
+	// CheckpointEvery > 0.
 	CheckpointStore CheckpointStore
 	// ResumeFrom, when non-nil, loads the latest snapshot from the store and
 	// resumes the run from that barrier instead of starting at Init. An
 	// empty store falls back to a fresh start.
 	ResumeFrom CheckpointStore
-	// MaxRecoveries is how many times a failed attempt (a frame that
-	// exhausted its retries, or a lost connection) may be recovered in-run
-	// by rebuilding the transport from its factory and restoring the latest
-	// checkpoint (or restarting from scratch when no checkpoint exists yet).
-	// 0 disables in-run recovery.
-	MaxRecoveries int
 	// AsyncExchange moves the run loop's three policy points (loop.go) from
 	// stepped to pipelined: a delivered frame is enqueued at its destination
 	// at once instead of staged for the next superstep, a worker flushes
@@ -113,7 +101,7 @@ type Config struct {
 	CompressFrames bool
 	// Observer receives the run's metrics and trace events (superstep
 	// timings, exchange volume, transport frames and bytes, checkpoint and
-	// recovery events). Nil disables observation entirely; every hook is a
+	// resume events). Nil disables observation entirely; every hook is a
 	// nil-receiver no-op, and no hook runs per message, so the compute hot
 	// path is unaffected either way.
 	Observer *obs.Observer
@@ -131,10 +119,9 @@ var ErrAborted = errors.New("bsp: computation aborted")
 // Snapshotter is an optional Program extension for programs carrying state
 // outside the BSP inboxes — accumulators, RNG streams, local heuristic
 // views. When the Program implements it, that state rides along every
-// barrier snapshot and is restored (or reset, on a restart from scratch)
-// together with the engine's own state, so program-side metrics stay
-// exactly-once across retries, recoveries, and resumes instead of
-// double-counting replayed supersteps.
+// barrier snapshot and is restored together with the engine's own state on
+// a resume, so program-side metrics stay exactly-once across a stop and a
+// resume.
 //
 // Both methods are only called between supersteps (at barriers), never
 // concurrently with Init or Process.
@@ -142,10 +129,11 @@ type Snapshotter interface {
 	// SnapshotState returns an opaque encoding of the program's barrier
 	// state.
 	SnapshotState() ([]byte, error)
-	// RestoreState replaces the program's state with a previously
-	// snapshot one. nil data means "reset to the initial state" (a restart
-	// from scratch, or a resume from a snapshot predating the program's
-	// state format).
+	// RestoreState replaces the program's state with a previously snapshot
+	// one: data is what SnapshotState returned, or nil when the snapshot
+	// carries no program state. A checkpoint is read from outside the
+	// program, so RestoreState refuses data it cannot use, such as another
+	// run's.
 	RestoreState(data []byte) error
 }
 
@@ -282,8 +270,6 @@ type RunStats struct {
 	// PerStepWorkerTime[s][w] is worker w's compute time in superstep s.
 	PerStepWorkerTime [][]time.Duration
 	Counters          map[string]int64
-	// Recoveries counts in-run checkpoint-restore recoveries (not retries).
-	Recoveries int
 }
 
 // addStep appends one row — a superstep, or an async epoch — to the stats.
@@ -328,39 +314,9 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("bsp: Owner function is required")
 	case cfg.CheckpointEvery > 0 && cfg.CheckpointStore == nil:
 		return fmt.Errorf("bsp: CheckpointEvery set without a CheckpointStore")
-	case cfg.MaxRecoveries > 0 && cfg.CheckpointStore == nil:
-		return fmt.Errorf("bsp: MaxRecoveries set without a CheckpointStore")
 	}
 	return nil
 }
-
-// run is the state RunContext's shell owns across attempts: where the next
-// attempt starts (superstep 0 with nothing delivered, or a restored
-// snapshot) and the stats that roll back with it.
-type run[M any] struct {
-	cfg     Config
-	prog    Program[M]
-	snapper Snapshotter
-	abort   atomic.Pointer[error]
-
-	stats *RunStats
-	// step is the superstep the next attempt enters; restored says its
-	// inboxes come from a snapshot, so Init must not run again.
-	step     int
-	restored bool
-	inboxes  []Inbox[M]
-}
-
-// attemptFailure is how an attempt reports a failure recovery may get past —
-// a frame that exhausted its retries, a lost connection — as opposed to the
-// errors that end the run whatever the budget (abort, cancellation, a failed
-// checkpoint save).
-type attemptFailure struct {
-	step  int
-	cause error
-}
-
-func (f *attemptFailure) Error() string { return f.cause.Error() }
 
 func newRunStats(k int) *RunStats {
 	return &RunStats{
@@ -370,8 +326,8 @@ func newRunStats(k int) *RunStats {
 	}
 }
 
-// load points the run at store's latest snapshot: stats, inboxes, and the
-// program's own state (load accumulators, RNGs, …) all roll back to the same
+// load points the run at store's latest snapshot: stats, queues, and the
+// program's own state (load accumulators, RNGs, …) all come from the same
 // barrier, which is what keeps every logical counter exactly-once. ok is
 // false, with the run untouched, when the store holds no snapshot yet.
 func (r *run[M]) load(store CheckpointStore) (ok bool, err error) {
@@ -383,53 +339,19 @@ func (r *run[M]) load(store CheckpointStore) (ok bool, err error) {
 	}
 	k := r.cfg.Workers
 	if len(snap.Stats.WorkerTime) != k || len(snap.Stats.WorkerMessages) != k {
-		return false, fmt.Errorf("snapshot has %d workers, config has %d", len(snap.Stats.WorkerTime), k)
+		return false, fmt.Errorf("%w: snapshot has %d workers, config has %d", ErrCorruptCheckpoint, len(snap.Stats.WorkerTime), k)
 	}
-	snap.Stats.Recoveries = r.stats.Recoveries
-	r.stats = &snap.Stats
-	r.step, r.restored, r.inboxes = snap.Step, true, snap.inboxRows(k)
 	if r.snapper != nil {
 		if err := r.snapper.RestoreState(snap.Prog); err != nil {
 			return false, fmt.Errorf("restoring program state: %w", err)
 		}
 	}
+	r.stats, r.restored = &snap.Stats, true
+	r.step.Store(int64(snap.Step))
+	for w, in := range snap.inboxRows(k) {
+		r.workers[w].queue = in
+	}
 	return true, nil
-}
-
-// recover handles a failed attempt: restore the latest checkpoint — or
-// restart from scratch when none exists yet — so the next attempt, over a
-// transport rebuilt from its factory (for TCP this is the reconnect), resumes
-// from there. It returns the error that fails the run when the budget is
-// spent or the checkpoint unusable.
-func (r *run[M]) recover(ctx context.Context, fail *attemptFailure) error {
-	cfg := &r.cfg
-	if ctx.Err() != nil || cfg.CheckpointStore == nil || r.stats.Recoveries >= cfg.MaxRecoveries {
-		return fail.cause
-	}
-	r.stats.Recoveries++
-	cfg.Observer.RecoveryStarted(fail.step, fail.cause)
-	restoreStart := time.Now()
-	restored, err := r.load(cfg.CheckpointStore)
-	if err != nil {
-		return fmt.Errorf("bsp: loading checkpoint after step %d: %w (original failure: %w)", fail.step, err, fail.cause)
-	}
-	if restored {
-		cfg.Observer.CheckpointRestored(r.step, time.Since(restoreStart))
-		return nil
-	}
-	// No snapshot yet: restart from scratch, resetting program-side state
-	// with the engine's.
-	recoveries := r.stats.Recoveries
-	r.stats = newRunStats(cfg.Workers)
-	r.stats.Recoveries = recoveries
-	r.step, r.restored, r.inboxes = 0, false, nil
-	if r.snapper != nil {
-		if err := r.snapper.RestoreState(nil); err != nil {
-			return fmt.Errorf("bsp: resetting program state after step %d: %v (original failure: %w)", fail.step, err, fail.cause)
-		}
-	}
-	cfg.Observer.RestartedFromScratch(fail.step)
-	return nil
 }
 
 // RunContext is Run with cancellation: the run stops at the next barrier (or
@@ -437,15 +359,13 @@ func (r *run[M]) recover(ctx context.Context, fail *attemptFailure) error {
 // bound the transport's network operations.
 //
 // It is the shell the loop runs in: validate, resume from a persisted
-// checkpoint if asked, then run attempts — each over a freshly built
-// transport — recovering between them while the budget lasts, and report the
+// checkpoint if asked, build the transport, run the loop, and report the
 // run's start and end to the observer.
 func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats *RunStats, rerr error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := &run[M]{cfg: cfg, prog: prog, stats: newRunStats(cfg.Workers)}
-	r.snapper, _ = any(prog).(Snapshotter)
+	r := newRun(cfg, prog)
 	if cfg.ResumeFrom != nil {
 		resumeStart := time.Now()
 		resumed, err := r.load(cfg.ResumeFrom)
@@ -453,25 +373,20 @@ func RunContext[M any](ctx context.Context, cfg Config, prog Program[M]) (rstats
 			return nil, fmt.Errorf("bsp: resume: %w", err)
 		}
 		if resumed { // an empty store is a fresh start
-			cfg.Observer.Resumed(r.step, time.Since(resumeStart))
+			cfg.Observer.Resumed(int(r.step.Load()), time.Since(resumeStart))
 		}
 	}
 
-	cfg.Observer.RunStarted(cfg.Workers, r.step)
+	cfg.Observer.RunStarted(cfg.Workers, int(r.step.Load()))
 	defer func() {
-		// The logical end state comes from RunStats, which rolls back with
-		// snapshots — exactly-once regardless of replays.
 		cfg.Observer.RunEnded(rstats.Supersteps, rstats.MessagesTotal, rstats.Counters,
 			rstats.WorkerTime, rstats.WorkerMessages, rerr)
 	}()
-	for {
-		err := runAttempt(ctx, r)
-		fail, recoverable := err.(*attemptFailure)
-		if !recoverable {
-			return r.stats, err
-		}
-		if err := r.recover(ctx, fail); err != nil {
-			return r.stats, err
-		}
+	t, err := newTransport(ctx, cfg.Exchange, &r.cfg, r.hooks())
+	if err != nil {
+		return r.stats, err
 	}
+	r.transport = t
+	err = r.drive(ctx)
+	return r.stats, err
 }

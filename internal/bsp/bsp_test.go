@@ -166,8 +166,7 @@ func TestConfigValidation(t *testing.T) {
 		{"no workers", Config{Workers: 0, Owner: owner}},
 		{"nil owner", Config{Workers: 1}},
 		{"checkpoint cadence without store", Config{Workers: 1, Owner: owner, CheckpointEvery: 1}},
-		{"recoveries without store", Config{Workers: 1, Owner: owner, MaxRecoveries: 1}},
-		{"async recoveries without store", Config{Workers: 2, Owner: owner, AsyncExchange: true, MaxRecoveries: 1}},
+		{"async checkpoint cadence without store", Config{Workers: 2, Owner: owner, AsyncExchange: true, CheckpointEvery: 1}},
 	}
 	ran := false
 	prog := &funcProgram[int]{init: func(*Context[int]) { ran = true }, process: func(*Context[int], Envelope[int]) {}}
@@ -258,19 +257,13 @@ func TestTCPExchangeSingleWorker(t *testing.T) {
 
 func TestTCPRejectsNonWireMessage(t *testing.T) {
 	// gob no longer stands in for a missing codec: a message type without
-	// WireMessage over a TCP factory fails at setup, in both loops, and the
-	// fault factories pass the verdict through.
+	// WireMessage over a TCP factory fails at setup, in both policies.
 	prog := &funcProgram[int]{init: func(*Context[int]) {}, process: func(*Context[int], Envelope[int]) {}}
 	for _, async := range []bool{false, true} {
-		for name, f := range map[string]ExchangeFactory{
-			"tcp":        NewTCPExchangeFactory(),
-			"faulty/tcp": NewScheduledFaultExchangeFactory(NewTCPExchangeFactory(), nil),
-		} {
-			cfg := Config{Workers: 2, Owner: func(graph.VertexID) int { return 0 }, Exchange: f, AsyncExchange: async}
-			_, err := Run[int](cfg, prog)
-			if err == nil || !strings.Contains(err.Error(), "does not implement WireMessage") {
-				t.Errorf("%s async=%v: err = %v, want the missing-codec setup error", name, async, err)
-			}
+		cfg := Config{Workers: 2, Owner: func(graph.VertexID) int { return 0 }, Exchange: NewTCPExchangeFactory(), AsyncExchange: async}
+		_, err := Run[int](cfg, prog)
+		if err == nil || !strings.Contains(err.Error(), "does not implement WireMessage") {
+			t.Errorf("async=%v: err = %v, want the missing-codec setup error", async, err)
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package bsp
 
 // Barrier checkpointing. The paper inherits fault tolerance from its
-// Pregel/Giraph substrate (Section 6): long multi-superstep enumerations
-// survive worker failures via snapshots aligned with superstep barriers. A
-// barrier is the only point where the global state collapses to "the next
+// Pregel/Giraph substrate (Section 6): a long multi-superstep enumeration that
+// stops is restarted from its last snapshot, aligned with a superstep barrier.
+// A barrier is the only point where the global state collapses to "the next
 // supersteps's inboxes plus the merged run stats", so that pair is exactly
-// what a snapshot holds: restoring it and re-entering the superstep loop is
-// equivalent to never having failed, up to replayed side effects inside
-// Program implementations.
+// what a snapshot holds: a new run that loads it and enters the superstep
+// loop there finishes as if the first had never stopped.
 
 import (
 	"bytes"
@@ -28,9 +27,10 @@ var ErrNoCheckpoint = errors.New("bsp: no checkpoint available")
 
 // ErrCorruptCheckpoint reports that a stored snapshot failed integrity
 // verification — wrong magic, checksum mismatch (truncation, bit rot), or an
-// undecodable payload. It surfaces wrapped from Config.ResumeFrom and in-run
-// recovery, so callers can distinguish "the checkpoint is damaged" from "the
-// store is empty" (ErrNoCheckpoint) with errors.Is.
+// undecodable payload — or that it belongs to another run (a Snapshotter
+// refuses the program state, or the worker count differs). It surfaces
+// wrapped from Config.ResumeFrom, so callers can distinguish "the checkpoint
+// is unusable" from "the store is empty" (ErrNoCheckpoint) with errors.Is.
 var ErrCorruptCheckpoint = errors.New("bsp: corrupt checkpoint")
 
 // Snapshot file layout: an 8-byte magic, a CRC-32 (IEEE) of the payload, then

@@ -395,8 +395,8 @@ func flatten[M any](batches ...[][]Envelope[M]) []Envelope[M] {
 // message goes to Process like any chunk's, and each chunk and frame is
 // dropped from the inbox once the delivery reaches it. A frame that fails to
 // decode aborts the run. The compressed_* counters it feeds are logical: they
-// ride RunStats, which rolls back with snapshots, so they stay exactly-once
-// across recovered and resumed runs. The stop test (Context.Stopped)
+// ride RunStats, which a snapshot carries, so they stay exactly-once across a
+// stop and a resume. The stop test (Context.Stopped)
 // short-circuits the rest of the inbox instead of draining it: an abort is
 // seen at the next message, a done step context within 256; after runs after
 // every Process call (the worker checks for a halt and flushes full frames

@@ -3,7 +3,6 @@ package bsp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -152,14 +151,13 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			_, err := RunContext[wint](ctx, Config{Workers: 3, Owner: owner, Exchange: exchange()}, slow())
 			return err
 		}, context.DeadlineExceeded},
-		{"recovered", func(exchange func() ExchangeFactory) error {
+		{"resumed", func(exchange func() ExchangeFactory) error {
 			prog, cfg := newEcho(30, 5, 3)
-			cfg.Exchange = scheduled(t, exchange(), StepFault{Step: 2, Kind: StepFaultFail}, StepFault{Step: 2, Kind: StepFaultFail})
-			cfg.CheckpointEvery, cfg.CheckpointStore, cfg.MaxRecoveries = 1, NewMemCheckpointStore(), 5
-			stats, err := Run[wint](cfg, prog)
-			if err == nil && stats.Recoveries != 2 {
-				err = fmt.Errorf("%d recoveries, want 2", stats.Recoveries)
-			}
+			cfg.Exchange = exchange()
+			store := stopAfterSave(t, cfg, prog, 2)
+			prog, cfg = newEcho(30, 5, 3)
+			cfg.Exchange, cfg.ResumeFrom = exchange(), store
+			_, err := Run[wint](cfg, prog)
 			return err
 		}, nil},
 	}

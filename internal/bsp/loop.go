@@ -1,15 +1,15 @@
 package bsp
 
-// The run loop (DESIGN §8, §13). One attempt is K persistent worker
-// goroutines, one coordinator, one credit/ack termination detector and one
-// boundary routine over one transport. Every frame a worker ships is charged
-// to the credit ledger before its Send and released once delivered, so "every
+// The run loop (DESIGN §8, §13). A run is K persistent worker goroutines,
+// one coordinator, one credit/ack termination detector and one boundary
+// routine over one transport. Every frame a worker ships is charged to the
+// credit ledger before its Send and released once delivered, so "every
 // worker idle and zero credit outstanding" means nothing is running and
 // nothing is in flight; at that verdict the coordinator runs the boundary:
 // close the RunStats row, end the run if nothing is pending, checkpoint if one
-// is due, release the workers. A boundary is also the recovery point: a frame
-// out of retries tears the attempt down and the shell in bsp.go restores the
-// latest snapshot — or restarts from scratch — bounded by MaxRecoveries.
+// is due, release the workers. A boundary is also where a stopped run can be
+// resumed from: its snapshot is the next queues plus the stats. A failed Send
+// ends the run with its error.
 //
 // Config.AsyncExchange moves three policy points inside that one loop:
 //
@@ -52,7 +52,7 @@ const defaultAsyncFlushEvery = 256
 const maxSpareChunks = 32
 
 // creditDetector decides every boundary. Soundness depends on strict event
-// ordering, enforced by the attempt and the transport contract (deliver, then
+// ordering, enforced by the run and the transport contract (deliver, then
 // ack):
 //
 //	sender:    outstanding[src]++ happens BEFORE transport.Send, and a worker
@@ -139,15 +139,12 @@ type worker[M any] struct {
 
 	queue Inbox[M]
 	// released: the queue is this worker's to drain even if empty. Set at
-	// attempt start and by every stepped boundary, so each worker runs each
+	// run start and by every stepped boundary, so each worker runs each
 	// superstep (worker 0 owes it the opening frame whatever its inbox).
 	released bool
 
-	// sendSeq numbers the frames that hit the transport: the pipelined
-	// fault-schedule and retry-accounting axis, so a StepFault at step S
-	// targets the worker's S-th *wire* frame and schedules written against
-	// low steps fire regardless of how many self-flushes preceded them.
-	// Touched only by the worker's own goroutine.
+	// sendSeq numbers the frames that hit the transport: the ordinal word of
+	// a pipelined frame. Touched only by the worker's own goroutine.
 	sendSeq int
 
 	ran       bool      // a burst was noted since the last merge
@@ -158,14 +155,16 @@ type worker[M any] struct {
 	counters  []int64 // the context's counter slots, as of the latest burst
 }
 
-// attempt is one incarnation of the loop: fresh queues, fresh detector, fresh
-// transport. Recovery discards the whole attempt and builds a new one from
-// the latest snapshot, so late deliveries from a dying transport can only
-// touch the dead attempt's queues and staged frames — which is also why a
-// superstep that fails has delivered nothing observable.
-type attempt[M any] struct {
-	r   *run[M] // program, stats and abort flag; seeded iff r.restored
-	cfg *Config
+// run is one run of the loop: the program, its stats and abort flag, the
+// workers' queues, the detector and the transport. restored says the queues
+// came from a snapshot (load), so no worker runs Init.
+type run[M any] struct {
+	cfg      Config
+	prog     Program[M]
+	snapper  Snapshotter
+	abort    atomic.Pointer[error]
+	stats    *RunStats
+	restored bool
 
 	// The policy, as values: stepped is where deliver puts a frame, flushEvery
 	// when a worker flushes mid-burst (never, stepped); ckFrames is the
@@ -201,11 +200,12 @@ type attempt[M any] struct {
 	ackedFrames atomic.Int64 // since the last checkpoint
 }
 
-func newAttempt[M any](r *run[M]) *attempt[M] {
-	cfg, k := &r.cfg, r.cfg.Workers
-	a := &attempt[M]{
-		r:          r,
+func newRun[M any](cfg Config, prog Program[M]) *run[M] {
+	k := cfg.Workers
+	r := &run[M]{
 		cfg:        cfg,
+		prog:       prog,
+		stats:      newRunStats(k),
 		stepped:    !cfg.AsyncExchange,
 		flushEvery: math.MaxInt,
 		det:        newCreditDetector(k),
@@ -215,36 +215,32 @@ func newAttempt[M any](r *run[M]) *attempt[M] {
 		// non-blocking send; only the first one read matters.
 		fatal: make(chan error, 8),
 	}
-	if a.stepped {
-		a.staged = make([][]Inbox[M], k)
-		for dst := range a.staged {
-			a.staged[dst] = make([]Inbox[M], k)
+	r.snapper, _ = any(prog).(Snapshotter)
+	if r.stepped {
+		r.staged = make([][]Inbox[M], k)
+		for dst := range r.staged {
+			r.staged[dst] = make([]Inbox[M], k)
 		}
 	} else {
-		a.flushEvery = cmp.Or(cfg.asyncFlushEvery, defaultAsyncFlushEvery)
+		r.flushEvery = cmp.Or(cfg.asyncFlushEvery, defaultAsyncFlushEvery)
 		// One barrier moves about K frames per worker, so CheckpointEvery×K
 		// acked frames is the stand-in for "every Nth barrier".
-		a.ckFrames = int64(cfg.CheckpointEvery * k)
+		r.ckFrames = int64(cfg.CheckpointEvery * k)
 	}
-	a.step.Store(int64(r.step))
-	for w := 0; w < k; w++ {
+	for w := range r.workers {
 		wk := &worker[M]{released: true}
 		wk.cond = sync.NewCond(&wk.mu)
-		if w < len(r.inboxes) {
-			wk.queue = r.inboxes[w]
-		}
-		a.workers[w] = wk
+		r.workers[w] = wk
 	}
-	return a
+	return r
 }
 
-func (a *attempt[M]) hooks() hooks[M] {
-	point := func(src, dst int) bool { return !a.stepped || opensStep(src, dst) }
-	return hooks[M]{deliver: a.deliver, ack: a.ack, fatal: a.fatalErr, faultPoint: point}
+func (r *run[M]) hooks() hooks[M] {
+	return hooks[M]{deliver: r.deliver, ack: r.ack, fatal: r.fatalErr}
 }
 
 // opensStep names the frame worker 0 sends first in every superstep, empty or
-// not: the stepped policy's one fault opportunity per step attempt (faults.go).
+// not.
 func opensStep(src, dst int) bool { return src == 0 && dst == 0 }
 
 // deliver takes what one Send carried — the chunks are dst's from here on.
@@ -253,37 +249,36 @@ func opensStep(src, dst int) bool { return src == 0 && dst == 0 }
 // append, clear the idle flag, and bump the activity epoch all under the queue
 // lock, so the detector can never see dst idle over a frame it has not woken
 // up for.
-func (a *attempt[M]) deliver(src, dst, ord int, in Inbox[M]) {
-	if a.halt.Load() {
-		// The attempt is tearing down; the frame is covered by the snapshot
-		// (or full restart) the recovery path restores from.
+func (r *run[M]) deliver(src, dst, ord int, in Inbox[M]) {
+	if r.halt.Load() {
+		// The run is tearing down: nothing reads the queues any more.
 		return
 	}
-	if a.stepped {
+	if r.stepped {
 		// Compressed step words carry 30 bits; compare what both formats keep.
-		if step := int(a.step.Load()); ord&compressedStepMask != step&compressedStepMask {
+		if step := int(r.step.Load()); ord&compressedStepMask != step&compressedStepMask {
 			// The transport acks a skewed frame like any other: charge it a
 			// second credit nothing releases, so the step can only end through
 			// the fatal channel, never by completing over the missing frame.
-			a.det.frameSent(src)
-			a.fatalErr(fmt.Errorf("bsp: frame %d->%d: step skew %d != %d", src, dst, ord, step))
+			r.det.frameSent(src)
+			r.fatalErr(fmt.Errorf("bsp: frame %d->%d: step skew %d != %d", src, dst, ord, step))
 			return
 		}
-		a.staged[dst][src] = in
+		r.staged[dst][src] = in
 		return
 	}
-	wk := a.workers[dst]
+	wk := r.workers[dst]
 	wk.mu.Lock()
-	busy := !a.det.idle[dst].Load() && !wk.queue.empty()
+	busy := !r.det.idle[dst].Load() && !wk.queue.empty()
 	wk.queue.Chunks = append(wk.queue.Chunks, in.Chunks...)
 	wk.queue.Frames = append(wk.queue.Frames, in.Frames...)
-	a.det.enqueued(dst)
+	r.det.enqueued(dst)
 	wk.cond.Signal()
 	wk.mu.Unlock()
 	if busy {
 		// The destination was already working through a backlog when this
 		// frame landed: expansion is overlapping communication.
-		a.cfg.Observer.AddEarlyExpansion()
+		r.cfg.Observer.AddEarlyExpansion()
 	}
 }
 
@@ -295,77 +290,62 @@ func (a *attempt[M]) deliver(src, dst, ord int, in Inbox[M]) {
 // outstanding credit to zero — can land after the last worker's idle-nudge was
 // already consumed, and without a fresh nudge here the coordinator would block
 // on the nudge channel with the plane fully quiescent.
-func (a *attempt[M]) ack(src int) {
-	a.det.frameAcked(src)
-	a.ackedFrames.Add(1)
-	a.nudgeCoordinator()
+func (r *run[M]) ack(src int) {
+	r.det.frameAcked(src)
+	r.ackedFrames.Add(1)
+	r.nudgeCoordinator()
 }
 
-func (a *attempt[M]) nudgeCoordinator() { trySend(a.nudge, struct{}{}) }
+func (r *run[M]) nudgeCoordinator() { trySend(r.nudge, struct{}{}) }
 
-// fatalErr ends the attempt (the first error read wins) with a transport
-// failure — a frame out of retries, a reader that lost its connection: the
-// kind of failure the shell may recover from.
-func (a *attempt[M]) fatalErr(err error) {
-	trySend[error](a.fatal, &attemptFailure{step: int(a.step.Load()), cause: err})
-}
+// fatalErr ends the run (the first error read wins) with a transport
+// failure: a Send that failed, a reader that lost its connection.
+func (r *run[M]) fatalErr(err error) { trySend(r.fatal, err) }
 
-// runAttempt is one attempt of the loop, in either policy: fresh queues
-// (seeded from a restored snapshot, if any), fresh detector, fresh transport.
-func runAttempt[M any](ctx context.Context, r *run[M]) error {
-	a := newAttempt(r)
-	t, err := newTransport(ctx, r.cfg.Exchange, &r.cfg, a.hooks())
-	if err != nil {
-		return err
-	}
-	a.transport = t
-	return a.run(ctx)
-}
-
-// run drives the attempt to a terminal condition: nothing pending at a
-// boundary (nil), abort, cancellation, or a failure the shell may recover
-// from. Workers are always joined and the transport closed before it
-// returns; the final merge keeps RunStats consistent either way.
-func (a *attempt[M]) run(ctx context.Context) error {
-	a.ctx = ctx
-	err := a.openStep()
+// drive runs the loop to a terminal condition: nothing pending at a boundary
+// (nil), abort, cancellation, or a transport failure. Workers are always
+// joined and the transport closed before it returns; the final merge keeps
+// RunStats consistent either way.
+func (r *run[M]) drive(ctx context.Context) error {
+	r.ctx = ctx
+	err := r.openStep()
 	if err == nil {
-		for w := range a.workers {
-			a.wg.Add(1)
-			go a.workerLoop(w)
+		for w := range r.workers {
+			r.wg.Add(1)
+			go r.workerLoop(w)
 		}
-		err = a.coordinate()
+		err = r.coordinate()
 	}
-	a.halt.Store(true)
-	a.broadcastAll()
-	a.wg.Wait()
-	a.transport.Close()
-	a.mergeDeltas()
+	r.halt.Store(true)
+	r.broadcastAll()
+	r.wg.Wait()
+	r.transport.Close()
+	r.mergeDeltas()
 	return err
 }
 
 // coordinate is the one coordinator: it scans the detector whenever a worker
 // or the transport nudges it and runs the boundary at every verdict.
-func (a *attempt[M]) coordinate() error {
+func (r *run[M]) coordinate() error {
 	for {
-		if p := a.r.abort.Load(); p != nil {
-			a.cfg.Observer.Aborted(int(a.step.Load()), *p)
+		if p := r.abort.Load(); p != nil {
+			r.cfg.Observer.Aborted(int(r.step.Load()), *p)
 			return fmt.Errorf("%w: %w", ErrAborted, *p)
 		}
-		a.cfg.Observer.AddCreditRound()
+		r.cfg.Observer.AddCreditRound()
 		switch {
-		case a.det.quiescent():
-			if done, err := a.boundary(); done || err != nil {
+		case r.det.quiescent():
+			if done, err := r.boundary(); done || err != nil {
 				return err
 			}
-		case a.ckFrames > 0 && !a.pause.Load() && a.ackedFrames.Load() >= a.ckFrames:
+		case r.ckFrames > 0 && !r.pause.Load() && r.ackedFrames.Load() >= r.ckFrames:
 			// A checkpoint is due: induce a boundary. Workers flush partial
 			// batches and idle with their queues as they stand; once the
 			// credit has drained, a scan says quiescent.
-			a.pause.Store(true)
-			a.broadcastAll()
+			r.pause.Store(true)
+			r.broadcastAll()
 		default:
-			if err := a.wait(); err != nil {
+			if err := r.wait(); err != nil {
 				return err
 			}
 		}
@@ -373,29 +353,29 @@ func (a *attempt[M]) coordinate() error {
 }
 
 // wait parks the coordinator until a worker or the transport nudges it, and
-// returns the error that ends the attempt if one arrived instead.
-func (a *attempt[M]) wait() error {
+// returns the error that ends the run if one arrived instead.
+func (r *run[M]) wait() error {
 	select {
-	case <-a.ctx.Done():
-		return fmt.Errorf("bsp: run canceled at step %d: %w", a.step.Load(), a.ctx.Err())
-	case err := <-a.fatal:
+	case <-r.ctx.Done():
+		return fmt.Errorf("bsp: run canceled at step %d: %w", r.step.Load(), r.ctx.Err())
+	case err := <-r.fatal:
 		return err
-	case <-a.nudge:
+	case <-r.nudge:
 		return nil
 	}
 }
 
 // openStep begins the stepped policy's next superstep: the cancellation
 // check the run makes between supersteps, the step's trace event.
-func (a *attempt[M]) openStep() error {
-	if !a.stepped {
+func (r *run[M]) openStep() error {
+	if !r.stepped {
 		return nil
 	}
-	step := int(a.step.Load())
-	if err := a.ctx.Err(); err != nil {
+	step := int(r.step.Load())
+	if err := r.ctx.Err(); err != nil {
 		return fmt.Errorf("bsp: run canceled at step %d: %w", step, err)
 	}
-	a.cfg.Observer.StepStarted(step)
+	r.cfg.Observer.StepStarted(step)
 	return nil
 }
 
@@ -404,20 +384,20 @@ func (a *attempt[M]) openStep() error {
 // or an induced pause (pipelined). It closes the RunStats row, publishes the
 // staged frames as the next queues, ends the run if nothing is queued, takes
 // the checkpoint if one is due, opens the next superstep, releases the workers.
-func (a *attempt[M]) boundary() (done bool, err error) {
-	produced, computed := a.mergeDeltas()
-	inboxes, pending := make([]Inbox[M], len(a.workers)), false
-	for dst, wk := range a.workers {
+func (r *run[M]) boundary() (done bool, err error) {
+	produced, computed := r.mergeDeltas()
+	inboxes, pending := make([]Inbox[M], len(r.workers)), false
+	for dst, wk := range r.workers {
 		wk.mu.Lock()
-		if a.stepped {
+		if r.stepped {
 			// Publish what every source staged, in source order: chunk headers
 			// and frame payloads move, no envelope does. The staged references
 			// go now, so the worker draining a chunk is the one that frees it.
-			for _, in := range a.staged[dst] {
+			for _, in := range r.staged[dst] {
 				wk.queue.Chunks = append(wk.queue.Chunks, in.Chunks...)
 				wk.queue.Frames = append(wk.queue.Frames, in.Frames...)
 			}
-			clear(a.staged[dst])
+			clear(r.staged[dst])
 		}
 		inboxes[dst] = wk.queue
 		pending = pending || !wk.queue.empty()
@@ -426,41 +406,41 @@ func (a *attempt[M]) boundary() (done bool, err error) {
 	if !pending {
 		return true, nil
 	}
-	if a.stepped {
+	if r.stepped {
 		// The exchange is what the step still cost once its slowest worker
 		// had finished computing: sends, deliveries, and the publish above.
-		a.cfg.Observer.ExchangeDone(int(a.step.Load()), time.Since(computed), produced)
+		r.cfg.Observer.ExchangeDone(int(r.step.Load()), time.Since(computed), produced)
 	}
-	next := a.r.stats.Supersteps
-	a.step.Store(int64(next))
+	next := r.stats.Supersteps
+	r.step.Store(int64(next))
 	// An induced pause is for a checkpoint; a superstep takes one on the cadence.
-	if every := a.cfg.CheckpointEvery; every > 0 && (a.pause.Load() || next%every == 0) {
+	if every := r.cfg.CheckpointEvery; every > 0 && (r.pause.Load() || next%every == 0) {
 		// Workers are parked and nothing is in flight, so the queues can be
 		// encoded in place; frames stay encoded.
 		ckStart := time.Now()
-		nbytes, err := saveSnapshot[M](a.cfg.CheckpointStore, next, inboxes, a.r.stats, a.r.snapper)
+		nbytes, err := saveSnapshot[M](r.cfg.CheckpointStore, next, inboxes, r.stats, r.snapper)
 		if err != nil {
 			return false, fmt.Errorf("bsp: checkpoint at step %d: %w", next, err)
 		}
-		a.cfg.Observer.CheckpointSaved(next, nbytes, time.Since(ckStart))
-		a.ackedFrames.Store(0)
+		r.cfg.Observer.CheckpointSaved(next, nbytes, time.Since(ckStart))
+		r.ackedFrames.Store(0)
 	}
-	if err := a.openStep(); err != nil {
+	if err := r.openStep(); err != nil {
 		return false, err
 	}
-	a.pause.Store(false)
-	for w, wk := range a.workers {
+	r.pause.Store(false)
+	for w, wk := range r.workers {
 		wk.mu.Lock()
-		wk.released = a.stepped
-		a.det.enqueued(w) // no longer idle: it has a queue to look at
+		wk.released = r.stepped
+		r.det.enqueued(w) // no longer idle: it has a queue to look at
 		wk.cond.Broadcast()
 		wk.mu.Unlock()
 	}
 	return false, nil
 }
 
-func (a *attempt[M]) broadcastAll() {
-	for _, wk := range a.workers {
+func (r *run[M]) broadcastAll() {
+	for _, wk := range r.workers {
 		wk.mu.Lock()
 		wk.cond.Broadcast()
 		wk.mu.Unlock()
@@ -472,26 +452,26 @@ func (a *attempt[M]) broadcastAll() {
 // produced and when the last of them ended. Called at boundaries (workers
 // parked) and at teardown (workers joined; a row only if a burst ran since the
 // last boundary); both give the coordinator lock-ordered visibility.
-func (a *attempt[M]) mergeDeltas() (produced int64, computed time.Time) {
-	row := make([]time.Duration, len(a.workers))
+func (r *run[M]) mergeDeltas() (produced int64, computed time.Time) {
+	row := make([]time.Duration, len(r.workers))
 	counters.Lock()
 	names := counters.names // entries are never rewritten: readable unlocked
 	counters.Unlock()
 	var processed int64
 	ran := false
-	for w, wk := range a.workers {
+	for w, wk := range r.workers {
 		wk.mu.Lock()
 		ran = ran || wk.ran
 		row[w] = wk.procTime
 		if wk.burstEnd.After(computed) {
 			computed = wk.burstEnd
 		}
-		a.r.stats.WorkerMessages[w] += wk.processed
+		r.stats.WorkerMessages[w] += wk.processed
 		produced += wk.produced
 		processed += wk.processed
 		for id, v := range wk.counters {
 			if v != 0 {
-				a.r.stats.Counters[names[id]] += v
+				r.stats.Counters[names[id]] += v
 				wk.counters[id] = 0
 			}
 		}
@@ -499,8 +479,8 @@ func (a *attempt[M]) mergeDeltas() (produced int64, computed time.Time) {
 		wk.mu.Unlock()
 	}
 	if ran {
-		a.r.stats.addStep(row, produced)
-		a.cfg.Observer.StepComputed(int(a.step.Load()), row, processed, produced)
+		r.stats.addStep(row, produced)
+		r.cfg.Observer.StepComputed(int(r.step.Load()), row, processed, produced)
 	}
 	return produced, computed
 }
@@ -508,7 +488,7 @@ func (a *attempt[M]) mergeDeltas() (produced int64, computed time.Time) {
 // noteBurst moves the context's per-burst tallies into the worker's guarded
 // deltas. The burst's time ends here, before anything it produced is flushed:
 // a worker's row excludes its own sends (SimulatedMakespan, Figure 8).
-func (a *attempt[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time, processed int64) {
+func (r *run[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time, processed int64) {
 	end := time.Now()
 	wk.mu.Lock()
 	wk.ran, wk.burstEnd = true, end
@@ -523,13 +503,13 @@ func (a *attempt[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time,
 // flushOut ships the context's buffered batches: all=false only those that
 // reached flushEvery, all=true everything (and worker 0's opening frame even
 // when empty, stepped).
-func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
+func (r *run[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 	for dst, batch := range wctx.out {
-		opens := a.stepped && opensStep(wctx.worker, dst)
-		if n := chunksLen(batch); (n == 0 && !opens) || (!all && n < a.flushEvery) {
+		opens := r.stepped && opensStep(wctx.worker, dst)
+		if n := chunksLen(batch); (n == 0 && !opens) || (!all && n < r.flushEvery) {
 			continue
 		}
-		if !a.ship(wk, wctx, dst) {
+		if !r.ship(wk, wctx, dst) {
 			return false
 		}
 	}
@@ -537,33 +517,34 @@ func (a *attempt[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 }
 
 // ship sends the context's batch for dst, charged to the credit ledger before
-// its Send and sent under the retry policy. Stepped, every batch goes through
-// the transport under ord = superstep — the self batch too (deliver stages it;
-// the codec front codes it). Pipelined, the self batch goes straight onto the
+// its Send. Stepped, every batch goes through the transport under ord =
+// superstep — the self batch too (deliver stages it; the codec front codes
+// it). Pipelined, the self batch goes straight onto the
 // worker's own work (no transport, no credit: the worker re-checks its queue
 // before idling) and wire frames go under the worker's sequence number.
 // Either way the context starts a new batch; the shipped chunks are the
 // receiver's, unless the Send encoded them — then they are spare chunks for
 // the next batch.
-func (a *attempt[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
+func (r *run[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
 	w, batch := wctx.worker, wctx.out[dst]
-	if dst == w && !a.stepped {
+	if dst == w && !r.stepped {
 		wk.mu.Lock()
 		wk.queue.own = append(wk.queue.own, batch...)
 		wk.mu.Unlock()
 	} else {
 		wk.sendSeq++
 		ord := wk.sendSeq
-		if a.stepped {
+		if r.stepped {
 			ord = wctx.step
 		}
-		a.cfg.Observer.ObserveFramesInFlight(a.det.frameSent(w))
-		spent, err := sendFrame(a.ctx, a.transport, a.cfg, w, dst, ord, batch)
+		r.cfg.Observer.ObserveFramesInFlight(r.det.frameSent(w))
+		spent, err := r.transport.Send(r.ctx, w, dst, ord, batch)
 		if err != nil {
+			r.cfg.Observer.ExchangeFailed(ord, err)
 			// Leave the credit outstanding: the lost frame must poison
 			// quiescence so the coordinator can only exit through the
 			// fatal channel, never through a false "all delivered" verdict.
-			a.fatalErr(fmt.Errorf("bsp: exchange failed at step %d: frame %d->%d ord %d: %w", wctx.step, w, dst, ord, err))
+			r.fatalErr(fmt.Errorf("bsp: exchange failed at step %d: frame %d->%d ord %d: %w", wctx.step, w, dst, ord, err))
 			return false
 		}
 		// The largest chunks are the last ones filled.
@@ -599,23 +580,23 @@ func (ib *Inbox[M]) take(one [][]Envelope[M]) (burst Inbox[M], own []Envelope[M]
 // it, put the batch for itself back on the queue (pipelined), flush —
 // mid-burst whenever a batch fills a frame (pipelined), everything once the
 // queue is empty — and idle until a delivery or the boundary.
-func (a *attempt[M]) workerLoop(w int) {
-	defer a.wg.Done()
-	wk := a.workers[w]
-	wctx := newContext[M](a.cfg, w, 0, &a.r.abort)
-	wctx.done = a.ctx.Done()
-	seed := !a.r.restored
-	// after runs between messages: it stops the burst when the attempt is
+func (r *run[M]) workerLoop(w int) {
+	defer r.wg.Done()
+	wk := r.workers[w]
+	wctx := newContext[M](&r.cfg, w, 0, &r.abort)
+	wctx.done = r.ctx.Done()
+	seed := !r.restored
+	// after runs between messages: it stops the burst when the run is
 	// halting and ships every batch that has filled a frame, so peers start
 	// expanding while this worker is still working through its queue.
 	unflushed, lastFlushSent, flushFailed := false, int64(0), false
 	var one [1][]Envelope[M] // the chunk list of a one-chunk burst, reused
 	after := func() bool {
-		if a.halt.Load() {
+		if r.halt.Load() {
 			return false
 		}
-		if wctx.sent-lastFlushSent >= int64(a.flushEvery) {
-			if flushFailed = !a.flushOut(wk, wctx, false); flushFailed {
+		if wctx.sent-lastFlushSent >= int64(r.flushEvery) {
+			if flushFailed = !r.flushOut(wk, wctx, false); flushFailed {
 				return false
 			}
 			lastFlushSent = wctx.sent
@@ -627,25 +608,25 @@ func (a *attempt[M]) workerLoop(w int) {
 		// Nothing to drain, or a boundary is being induced: ship what is
 		// buffered, then idle until a delivery, the boundary or the end. A
 		// worker that has yet to seed runs Init before it honours a pause:
-		// the snapshot taken there is all a restored attempt has, and a
-		// restored attempt never seeds.
-		for (wk.queue.empty() && !wk.released || a.pause.Load() && !seed) && !a.halt.Load() && a.r.abort.Load() == nil {
+		// the snapshot taken there is all a resumed run has, and a resumed
+		// run never seeds.
+		for (wk.queue.empty() && !wk.released || r.pause.Load() && !seed) && !r.halt.Load() && r.abort.Load() == nil {
 			if unflushed {
 				wk.mu.Unlock()
-				if !a.flushOut(wk, wctx, true) {
+				if !r.flushOut(wk, wctx, true) {
 					return
 				}
 				unflushed = false
 				wk.mu.Lock()
 				continue
 			}
-			a.det.setIdle(w, true)
-			a.nudgeCoordinator()
+			r.det.setIdle(w, true)
+			r.nudgeCoordinator()
 			wk.cond.Wait()
 		}
-		if a.halt.Load() || a.r.abort.Load() != nil {
+		if r.halt.Load() || r.abort.Load() != nil {
 			wk.mu.Unlock()
-			a.nudgeCoordinator() // an abort is the coordinator's to report
+			r.nudgeCoordinator() // an abort is the coordinator's to report
 			return
 		}
 		// deliverInbox drops each chunk and frame of the burst as it finishes
@@ -654,27 +635,27 @@ func (a *attempt[M]) workerLoop(w int) {
 		wk.released = false
 		wk.mu.Unlock()
 
-		wctx.step = int(a.step.Load())
+		wctx.step = int(r.step.Load())
 		start := time.Now()
 		lastFlushSent = 0 // noteBurst zeroed wctx.sent
 		if seed {
-			a.r.prog.Init(wctx)
+			r.prog.Init(wctx)
 			seed = false
 		}
-		processed := deliverInbox(wctx, a.r.prog, &burst, after)
+		processed := deliverInbox(wctx, r.prog, &burst, after)
 		if own != nil && burst.Chunks[0] == nil && len(wctx.spare) < maxSpareChunks {
 			// A processed own chunk is this worker's alone — it never crossed
 			// a transport, and a snapshot copies it — so the next batch reuses
 			// it instead of allocating.
 			wctx.spare = append(wctx.spare, own[:0])
 		}
-		a.noteBurst(wk, wctx, start, processed)
+		r.noteBurst(wk, wctx, start, processed)
 		unflushed = true
-		if flushFailed || a.ctx.Err() != nil {
-			a.nudgeCoordinator()
+		if flushFailed || r.ctx.Err() != nil {
+			r.nudgeCoordinator()
 			return
 		}
-		if !a.stepped && len(wctx.out[w]) > 0 && !a.ship(wk, wctx, w) {
+		if !r.stepped && len(wctx.out[w]) > 0 && !r.ship(wk, wctx, w) {
 			return
 		}
 	}

@@ -1,8 +1,8 @@
 package bsp
 
 // Tests for the one run loop: what the stepped policy promises about a
-// superstep (src-ordered inboxes, a skewed frame fails the step, one fault
-// opportunity per step attempt, rows that exclude sends), and an exhaustive
+// superstep (src-ordered inboxes, a skewed frame fails the step, an opening
+// frame that gates no peer, rows that exclude sends), and an exhaustive
 // walk of the credit detector's interleavings in both policies.
 
 import (
@@ -123,9 +123,9 @@ func TestStepInboxOrderIdenticalAcrossTransports(t *testing.T) {
 			})
 		}
 		check("reversed", func(prog *orderProgram) error {
-			a := newTestAttempt[wint](cfg, prog, false)
+			a := newTestRun[wint](cfg, prog, false)
 			a.transport = &reverseTransport{h: a.hooks(), expect: frames}
-			return a.run(context.Background())
+			return a.drive(context.Background())
 		})
 	}
 }
@@ -147,8 +147,8 @@ func (skewTransport) Close() error { return nil }
 
 // TestStepNeverCompletesOverASkewedFrame: a step-skewed frame leaves its slot
 // empty but is acked, so every worker goes idle and every Send's credit comes
-// back with the failure pending; the step must fail every time, recoverably,
-// never publish an inbox missing the pair.
+// back with the failure pending; the step must fail every time, never publish
+// an inbox missing the pair.
 func TestStepNeverCompletesOverASkewedFrame(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		var processed atomic.Int64
@@ -156,52 +156,11 @@ func TestStepNeverCompletesOverASkewedFrame(t *testing.T) {
 			init:    func(ctx *Context[wint]) { ctx.Send(graph.VertexID(1-ctx.Worker()), 1) },
 			process: func(*Context[wint], Envelope[wint]) { processed.Add(1) },
 		}
-		a := newTestAttempt[wint](Config{Workers: 2, Owner: func(v graph.VertexID) int { return int(v) }}, prog, false)
+		a := newTestRun[wint](Config{Workers: 2, Owner: func(v graph.VertexID) int { return int(v) }}, prog, false)
 		a.transport = skewTransport{a.hooks()}
-		err := a.run(context.Background())
-		if _, recoverable := err.(*attemptFailure); !recoverable || !strings.Contains(err.Error(), "step skew") || processed.Load() != 0 {
+		err := a.drive(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "step skew") || processed.Load() != 0 {
 			t.Fatalf("iteration %d: step completed over a skewed frame: err %v, %d messages processed", i, err, processed.Load())
-		}
-	}
-}
-
-// TestStepFaultOpportunityIsTheOpeningFrame pins the fault-ordinal rule of the
-// stepped policy: of a superstep's frames only 0→0 consults the schedule, once
-// per attempt of that frame, so same-step faults fire on successive attempts
-// of one frame — the final superstep's included, which worker 0 cannot know
-// produced nothing — and the run replays identically from a fresh factory.
-func TestStepFaultOpportunityIsTheOpeningFrame(t *testing.T) {
-	prog, cfg := newEcho(60, 12, 3)
-	clean, err := Run[wint](cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type retry struct{ step, attempt int }
-	var faults []StepFault
-	var want []retry
-	for s := 0; s < clean.Supersteps; s++ {
-		faults = append(faults, StepFault{Step: s, Kind: StepFaultFail}, StepFault{Step: s, Kind: StepFaultFail})
-		want = append(want, retry{s, 1}, retry{s, 2})
-	}
-	for range 2 {
-		ring := obs.NewRing(4096)
-		prog, cfg := newEcho(60, 12, 3)
-		cfg.Exchange = scheduled(t, NewTCPExchangeFactory(), faults...)
-		cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
-		cfg.Observer = obs.New(ring)
-		if _, err := Run[wint](cfg, prog); err != nil {
-			t.Fatal(err)
-		}
-		// Had any other frame consulted the schedule, it would have claimed a
-		// fault as its own first attempt: a step's retries would not count 1, 2.
-		var got []retry
-		for _, e := range ring.Events() {
-			if e.Type == obs.EventRetry {
-				got = append(got, retry{e.Step, e.Attempt})
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("retries %v, want %v", got, want)
 		}
 	}
 }
@@ -237,12 +196,12 @@ func (g *gateTransport) Close() error { return g.inner.Close() }
 // completes.
 func TestOpeningFrameDoesNotGateOtherWorkers(t *testing.T) {
 	prog, cfg := newEcho(40, 3, 2)
-	a := newTestAttempt[wint](cfg, prog, false)
+	a := newTestRun[wint](cfg, prog, false)
 	a.transport = &gateTransport{inner: localTransport[wint]{h: a.hooks()}, peerSent: make(chan struct{})}
-	if err := a.run(context.Background()); err != nil {
+	if err := a.drive(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.r.stats.Counters["delivered"]; got != 160 {
+	if got := a.stats.Counters["delivered"]; got != 160 {
 		t.Fatalf("delivered = %d, want 160", got)
 	}
 }
@@ -268,16 +227,16 @@ func TestStepRowExcludesSends(t *testing.T) {
 	o := obs.New(nil)
 	prog, cfg := newEcho(10, 1, 2)
 	cfg.Observer = o
-	a := newTestAttempt[wint](cfg, prog, false)
+	a := newTestRun[wint](cfg, prog, false)
 	a.transport = slowTransport{inner: localTransport[wint]{h: a.hooks()}, cost: cost}
-	if err := a.run(context.Background()); err != nil {
+	if err := a.drive(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	steps := o.Steps()
-	if len(steps) != 3 || len(a.r.stats.PerStepWorkerTime) != 3 {
-		t.Fatalf("%d observed steps, %d rows, want 3 and 3", len(steps), len(a.r.stats.PerStepWorkerTime))
+	if len(steps) != 3 || len(a.stats.PerStepWorkerTime) != 3 {
+		t.Fatalf("%d observed steps, %d rows, want 3 and 3", len(steps), len(a.stats.PerStepWorkerTime))
 	}
-	for s, row := range a.r.stats.PerStepWorkerTime {
+	for s, row := range a.stats.PerStepWorkerTime {
 		for w, d := range row {
 			if d >= cost/2 {
 				t.Errorf("step %d worker %d: row time %v includes a %v send", s, w, d, cost)
@@ -330,12 +289,12 @@ const (
 )
 
 // detModel plays both workers, the transport and the coordinator against a
-// real attempt's detector and deliver/ack hooks, one event at a time, from
+// real run's detector and deliver/ack hooks, one event at a time, from
 // the test's goroutine. Each worker may send up to two frames, at any time it
 // is not parked — before its first park or, pipelined, after a delivery woke
 // it.
 type detModel struct {
-	a       *attempt[wint]
+	a       *run[wint]
 	charged [2]int // frames worker w has charged
 	sent    [2]int // … the transport has delivered
 	acked   [2]int // … and acked
@@ -353,7 +312,7 @@ type detModel struct {
 
 func newDetModel(stepped bool) *detModel {
 	prog := &funcProgram[wint]{}
-	return &detModel{a: newTestAttempt[wint](Config{Workers: 2, AsyncExchange: !stepped}, prog, false)}
+	return &detModel{a: newTestRun[wint](Config{Workers: 2, AsyncExchange: !stepped}, prog, false)}
 }
 
 // finished is the ground truth a "quiescent" verdict claims: every charged

@@ -1,21 +1,24 @@
 package bsp
 
-// Tests for the fault-tolerance layer of the run loops: abort
+// Tests for the fault-tolerance layer of the run loop: abort
 // short-circuiting, context cancellation and deadlines, barrier
-// checkpointing + resume, in-run checkpoint-restore recovery, and frame
-// retry. The transports themselves are covered by transport_test.go.
+// checkpointing + resume, and a failed Send ending the run. The transports
+// themselves are covered by transport_test.go.
 
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
+	"net"
 	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"psgl/internal/graph"
+	"psgl/internal/obs"
 )
 
 // --- Abort short-circuit -------------------------------------------------
@@ -169,17 +172,10 @@ func TestResumeFromCheckpointMatchesCleanRun(t *testing.T) {
 		return stats
 	}()
 
-	// Failed run: a one-shot injected fault kills the exchange at step 3,
-	// after the barrier entering step 3 was checkpointed.
-	store := NewMemCheckpointStore()
+	// Stopped run: canceled right after the barrier entering step 3 was
+	// checkpointed.
 	prog, cfg := newEcho(60, 6, 3)
-	cfg.Exchange = scheduled(t, nil, StepFault{Step: 3, Kind: StepFaultFail})
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointStore = store
-	_, err := Run[wint](cfg, prog)
-	if !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("faulty run err = %v, want ErrInjectedFault", err)
-	}
+	store := stopAfterSave(t, cfg, prog, 3)
 	if store.LatestStep() != 3 {
 		t.Fatalf("latest checkpoint = %d, want 3", store.LatestStep())
 	}
@@ -228,119 +224,168 @@ func TestResumeRejectsWorkerMismatch(t *testing.T) {
 	}
 	prog2, cfg2 := newEcho(60, 6, 2) // different worker count
 	cfg2.ResumeFrom = store
-	if _, err := Run[wint](cfg2, prog2); err == nil {
-		t.Fatal("resume with mismatched worker count should fail")
+	if _, err := Run[wint](cfg2, prog2); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("resume with mismatched worker count: err = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 
-// --- In-run recovery and retry -------------------------------------------
+// savesThenCancel is a checkpoint store that cancels the run's context right
+// after its nth Save: a stop at a known boundary, with no fault injected.
+type savesThenCancel struct {
+	*MemCheckpointStore
+	n      int
+	cancel context.CancelFunc
+}
 
-func TestInRunRecoveryDeterministicFaults(t *testing.T) {
-	clean := func() *RunStats {
-		prog, cfg := newEcho(60, 5, 3)
-		stats, err := Run[wint](cfg, prog)
-		if err != nil {
-			t.Fatal(err)
+func (s *savesThenCancel) Save(step int, data []byte) error {
+	err := s.MemCheckpointStore.Save(step, data)
+	if s.Saves() == s.n {
+		s.cancel()
+	}
+	return err
+}
+
+// tryStopAfterSave runs prog under cfg, checkpointing at every boundary, and
+// stops it right after its nth save; it returns the store to resume from,
+// and the run's error, which is context.Canceled unless the run ended first.
+func tryStopAfterSave[M any](cfg Config, prog Program[M], n int) (*MemCheckpointStore, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := &savesThenCancel{MemCheckpointStore: NewMemCheckpointStore(), n: n, cancel: cancel}
+	cfg.CheckpointEvery, cfg.CheckpointStore = 1, store
+	_, err := RunContext(ctx, cfg, prog)
+	return store.MemCheckpointStore, err
+}
+
+// stopAfterSave is tryStopAfterSave for a run that must stop there.
+func stopAfterSave[M any](t *testing.T, cfg Config, prog Program[M], n int) *MemCheckpointStore {
+	t.Helper()
+	store, err := tryStopAfterSave(cfg, prog, n)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run stopped after save %d: err = %v, want context.Canceled", n, err)
+	}
+	return store
+}
+
+// TestResumeAfterEverySaveMatchesCleanRun stops a run after each of its saves
+// in turn, in both policies and over both transports, and resumes it in a
+// new run: every resumed run's logical totals equal the clean run's.
+func TestResumeAfterEverySaveMatchesCleanRun(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		for name, exchange := range map[string]func() ExchangeFactory{
+			"local": func() ExchangeFactory { return nil },
+			"tcp":   func() ExchangeFactory { return NewTCPExchangeFactory() },
+		} {
+			prog, cfg := newEcho(80, 6, 3)
+			cfg.Exchange, cfg.AsyncExchange = exchange(), async
+			clean, err := Run[wint](cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saves := NewMemCheckpointStore()
+			counted := cfg
+			counted.CheckpointEvery, counted.CheckpointStore = 1, saves
+			prog, _ = newEcho(80, 6, 3)
+			if _, err := Run[wint](counted, prog); err != nil {
+				t.Fatal(err)
+			}
+			if saves.Saves() == 0 {
+				t.Fatalf("async=%v %s: the run took no checkpoint", async, name)
+			}
+			// A pipelined run's pauses follow frame timing, so a run may end
+			// before its nth save; a stepped run saves at every barrier.
+			stopped := 0
+			for n := 1; n <= saves.Saves(); n++ {
+				prog, _ = newEcho(80, 6, 3)
+				cfg.Exchange = exchange()
+				store, err := tryStopAfterSave(cfg, prog, n)
+				if err == nil && async {
+					continue
+				} else if !errors.Is(err, context.Canceled) {
+					t.Fatalf("async=%v %s: run stopped after save %d: err = %v, want context.Canceled", async, name, n, err)
+				}
+				stopped++
+				resumed := cfg
+				resumed.Exchange, resumed.ResumeFrom = exchange(), store
+				prog, _ = newEcho(80, 6, 3)
+				got, err := Run[wint](resumed, prog)
+				if err != nil {
+					t.Fatalf("async=%v %s: resuming after save %d: %v", async, name, n, err)
+				}
+				if !reflect.DeepEqual(got.Counters, clean.Counters) || got.MessagesTotal != clean.MessagesTotal {
+					t.Errorf("async=%v %s: resumed after save %d: counters %v, %d messages; clean %v, %d",
+						async, name, n, got.Counters, got.MessagesTotal, clean.Counters, clean.MessagesTotal)
+				}
+				if !async && !reflect.DeepEqual(got.PerStepMessages, clean.PerStepMessages) {
+					t.Errorf("%s: resumed after save %d: PerStepMessages %v, want %v", name, n, got.PerStepMessages, clean.PerStepMessages)
+				}
+			}
+			if stopped == 0 {
+				t.Errorf("async=%v %s: no run stopped after a save", async, name)
+			}
 		}
-		return stats
-	}()
-
-	// Exactly 3 injected faults at step 1; each one triggers a checkpoint
-	// restore, and the 4th attempt goes through.
-	store := NewMemCheckpointStore()
-	prog, cfg := newEcho(60, 5, 3)
-	cfg.Exchange = scheduled(t, nil, StepFault{Step: 1, Kind: StepFaultFail}, StepFault{Step: 1, Kind: StepFaultFail}, StepFault{Step: 1, Kind: StepFaultFail})
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointStore = store
-	cfg.MaxRecoveries = 10
-	stats, err := Run[wint](cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Recoveries != 3 {
-		t.Errorf("Recoveries = %d, want 3", stats.Recoveries)
-	}
-	if stats.Counters["delivered"] != clean.Counters["delivered"] {
-		t.Errorf("delivered = %d, want %d", stats.Counters["delivered"], clean.Counters["delivered"])
-	}
-	if stats.MessagesTotal != clean.MessagesTotal {
-		t.Errorf("MessagesTotal = %d, want %d", stats.MessagesTotal, clean.MessagesTotal)
-	}
-	if !reflect.DeepEqual(stats.PerStepMessages, clean.PerStepMessages) {
-		t.Errorf("PerStepMessages = %v, want %v", stats.PerStepMessages, clean.PerStepMessages)
 	}
 }
 
-func TestInRunRecoveryStochasticFaults(t *testing.T) {
-	clean := func() *RunStats {
-		prog, cfg := newEcho(80, 6, 4)
-		stats, err := Run[wint](cfg, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}()
-
-	// A seeded random number of failures (0 to 3) at every superstep after
-	// Init, each recovered by restore alone: the schedule is drawn once from
-	// its seed, so this either always passes or never.
-	rng := rand.New(rand.NewPCG(7, 0))
-	var faults []StepFault
-	for s := 1; s < clean.Supersteps; s++ {
-		for range rng.IntN(4) {
-			faults = append(faults, StepFault{Step: s, Kind: StepFaultFail})
-		}
-	}
-	store := NewMemCheckpointStore()
-	prog, cfg := newEcho(80, 6, 4)
-	cfg.Exchange = scheduled(t, nil, faults...)
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointStore = store
-	cfg.MaxRecoveries = len(faults)
-	stats, err := Run[wint](cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Recoveries != len(faults) || len(faults) == 0 {
-		t.Errorf("Recoveries = %d, want one per scheduled fault (%d)", stats.Recoveries, len(faults))
-	}
-	if stats.Counters["delivered"] != clean.Counters["delivered"] {
-		t.Errorf("delivered = %d, want %d", stats.Counters["delivered"], clean.Counters["delivered"])
-	}
+// failingTransport delivers in-process and fails the Send numbered failAt
+// (from 1) with errSendFailed, delivering nothing of it.
+type failingTransport struct {
+	inner  transport[wint]
+	sends  atomic.Int64
+	failAt int64
 }
 
-func TestRetryRecoversTransientFaults(t *testing.T) {
-	clean := func() *RunStats {
-		prog, cfg := newEcho(60, 5, 3)
-		stats, err := Run[wint](cfg, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}()
+var errSendFailed = errors.New("send failed")
 
-	// One to three failures at every superstep, fewer than the retry budget.
-	var faults []StepFault
-	for s := 0; s < clean.Supersteps; s++ {
-		for range s%3 + 1 {
-			faults = append(faults, StepFault{Step: s, Kind: StepFaultFail})
+func (f *failingTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
+	if f.sends.Add(1) == f.failAt {
+		return false, errSendFailed
+	}
+	return f.inner.Send(ctx, src, dst, ord, batch)
+}
+
+func (f *failingTransport) Close() error { return f.inner.Close() }
+
+// TestFailedSendEndsTheRun: with no recovery, a frame that fails to send is
+// never silently dropped. The run returns the transport's error, in both
+// policies, whichever Send fails, with the observer told and no goroutine
+// left behind; over TCP, a torn write does the same.
+func TestFailedSendEndsTheRun(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		for _, failAt := range []int64{1, 5, 20} {
+			base := runtime.NumGoroutine()
+			o := obs.New(nil)
+			prog, cfg := newEcho(60, 5, 3)
+			cfg.AsyncExchange, cfg.Observer = async, o
+			r := newTestRun[wint](cfg, prog, false)
+			r.transport = &failingTransport{inner: localTransport[wint]{h: r.hooks()}, failAt: failAt}
+			err := r.drive(context.Background())
+			if !errors.Is(err, errSendFailed) {
+				t.Fatalf("async=%v, Send %d fails: err = %v, want the transport's error", async, failAt, err)
+			}
+			if got := o.Snapshot().Retries; got != 1 {
+				t.Errorf("async=%v, Send %d fails: the observer saw %d failed sends, want 1", async, failAt, got)
+			}
+			waitGoroutinesBack(t, base)
 		}
 	}
-	prog, cfg := newEcho(60, 5, 3)
-	cfg.Exchange = scheduled(t, nil, faults...)
-	cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
-	stats, err := Run[wint](cfg, prog)
-	if err != nil {
-		t.Fatal(err)
+
+	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err == nil && src == 0 && dst == 1 {
+			conn = &tornConn{Conn: conn}
+		}
+		return conn, err
 	}
-	if stats.Recoveries != 0 {
-		t.Errorf("Recoveries = %d, want 0 (retry alone must absorb the faults)", stats.Recoveries)
-	}
-	if stats.Counters["delivered"] != clean.Counters["delivered"] {
-		t.Errorf("delivered = %d, want %d", stats.Counters["delivered"], clean.Counters["delivered"])
-	}
-	if !reflect.DeepEqual(stats.PerStepMessages, clean.PerStepMessages) {
-		t.Errorf("PerStepMessages = %v, want %v", stats.PerStepMessages, clean.PerStepMessages)
+	defer func() { testDialHook = nil }()
+	for _, async := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		prog, cfg := newEcho(60, 5, 2)
+		cfg.Exchange, cfg.AsyncExchange = NewTCPExchangeFactory(), async
+		if _, err := Run[wint](cfg, prog); err == nil || !strings.Contains(err.Error(), "injected torn write") {
+			t.Fatalf("async=%v: torn write: err = %v, want the write's error", async, err)
+		}
+		waitGoroutinesBack(t, base)
 	}
 }
 
@@ -378,13 +423,7 @@ func TestCounterSlots(t *testing.T) {
 		t.Fatalf("clean counters = %v, want %v (and no key for the zero delta)", clean.Counters, want)
 	}
 
-	store := NewMemCheckpointStore()
-	faulty := cfg
-	faulty.Exchange = scheduled(t, nil, StepFault{Step: 3, Kind: StepFaultFail})
-	faulty.CheckpointEvery, faulty.CheckpointStore = 1, store
-	if _, err := Run[int](faulty, newProg()); !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("faulty run err = %v, want ErrInjectedFault", err)
-	}
+	store := stopAfterSave(t, cfg, newProg(), 3)
 	snap, err := loadSnapshot[int](store)
 	if err != nil {
 		t.Fatal(err)

@@ -55,8 +55,7 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // does): batches travel as compact length-prefixed binary frames with pooled
 // buffers, and a type without the codec fails the run at setup. Setup, the
 // handshakes, and every frame are bounded by TCPConfig deadlines (defaults
-// here); a mesh failure therefore surfaces as an error in the run loop,
-// where retry and checkpoint-restore can recover it.
+// here); a mesh failure therefore surfaces as an error that ends the run.
 func NewTCPExchangeFactory() ExchangeFactory { return tcpFactory{} }
 
 // NewTCPExchangeFactoryWithConfig is NewTCPExchangeFactory with explicit
@@ -330,8 +329,8 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 	if err != nil {
 		if wrote > 0 {
 			// A torn frame: anything written behind it would be mis-framed, so
-			// the pair is dead — retries fail fast, the reader reports the
-			// truncation, and recovery rebuilds the mesh.
+			// the pair is dead — later Sends fail fast and the reader
+			// reports the truncation.
 			p.out.Close()
 		}
 		p.settle(t.cfg.FrameTimeout)
@@ -346,7 +345,7 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 
 // readLoop drains one pair's conn for the transport's lifetime. An error on
 // a live transport is fatal to the loop above: the Send it belonged to can
-// never be delivered or acked, so the run must recover, not wait.
+// never be delivered or acked, so the run must end, not wait.
 func (t *tcpTransport[M]) readLoop(src, dst int) {
 	defer t.wg.Done()
 	p := &t.pairs[src][dst]

@@ -8,9 +8,8 @@ import (
 // transport moves one batch from worker src to worker dst — the only thing
 // the run loop (loop.go) asks of the substrate; its credit/ack termination
 // detector, and through it the superstep barrier, is built on the contract
-// below. It has exactly three implementations: in-process (localTransport),
-// the loopback-TCP mesh (tcpTransport), and the fault middleware that wraps
-// either (faultTransport).
+// below. It has exactly two implementations: in-process (localTransport) and
+// the loopback-TCP mesh (tcpTransport).
 //
 // batch is a list of envelope chunks (Context.Send fills them). A Send that
 // succeeds owns them until it returns: it either hands them to deliver as they
@@ -18,10 +17,9 @@ import (
 // (every TCP Send, the self batch included, and a compressed batch worth
 // coding) and delivers the bytes. spent reports the second case — the Send is
 // done with the chunks and the sender may refill them. A Send that fails
-// leaves them with the sender, to retry. ord is the ordinal word of the frame
-// header — the superstep in the stepped policy, the sender's wire-frame
-// sequence number in the pipelined one — and the address fault schedules
-// match against. A successful Send is delivered and then acknowledged through
+// leaves them with the sender, and ends the run. ord is the ordinal word of
+// the frame header — the superstep in the stepped policy, the sender's
+// wire-frame sequence number in the pipelined one. A successful Send is delivered and then acknowledged through
 // the hooks exactly once, possibly after it returns (the TCP mesh does both
 // from its reader goroutines); a failed Send delivers and acks nothing.
 type transport[M any] interface {
@@ -43,9 +41,6 @@ type hooks[M any] struct {
 	// fatal reports a failure no Send can return: a reader goroutine losing
 	// its connection or a frame it expected.
 	fatal func(err error)
-	// faultPoint, when set, narrows which Sends the fault middleware treats
-	// as fault opportunities; nil means every Send is one.
-	faultPoint func(src, dst int) bool
 }
 
 // trySend is the non-blocking send the hooks signal the loops with: a full
@@ -58,17 +53,15 @@ func trySend[T any](ch chan<- T, v T) {
 }
 
 // ExchangeFactory selects the transport a run exchanges messages over,
-// without exposing the message type parameter in Config. Implementations are
-// provided by this package (NewTCPExchangeFactory,
-// NewScheduledFaultExchangeFactory); a nil factory is the in-process
-// transport.
+// without exposing the message type parameter in Config. This package
+// provides the one implementation (NewTCPExchangeFactory); a nil factory is
+// the in-process transport.
 type ExchangeFactory interface {
 	kind() string
 }
 
-// newTransport resolves factory f (cfg.Exchange, or a fault factory's inner
-// one) into a transport delivering through h, constructed with the frame
-// codec cfg.CompressFrames selects.
+// newTransport resolves factory f (cfg.Exchange) into a transport delivering
+// through h, constructed with the frame codec cfg.CompressFrames selects.
 func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h hooks[M]) (transport[M], error) {
 	wire := messageIsWire[M]()
 	switch ff := f.(type) {
@@ -82,12 +75,6 @@ func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h 
 			return nil, fmt.Errorf("bsp: tcp exchange: message type %T does not implement WireMessage", &m)
 		}
 		return newTCPTransport(ctx, cfg.Workers, ff.cfg.withDefaults(), cfg.CompressFrames, cfg.Observer, h)
-	case *ScheduledFaultFactory:
-		inner, err := newTransport(ctx, ff.inner, cfg, h)
-		if err != nil {
-			return nil, err
-		}
-		return &faultTransport[M]{inner: inner, point: h.faultPoint, schedule: ff}, nil
 	default:
 		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
 	}

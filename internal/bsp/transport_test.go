@@ -1,9 +1,9 @@
 package bsp
 
 // The transport conformance battery: one table over every transport stack
-// the resolver can build — {in-process, TCP} × {flat, compressed} × {clean,
-// fail, delay} — asserting the contract the run loop is written against,
-// instead of one copy of each check per implementation.
+// the resolver can build — {in-process, TCP} × {flat, compressed} —
+// asserting the contract the run loop is written against, instead of one
+// copy of each check per implementation.
 
 import (
 	"context"
@@ -110,128 +110,77 @@ func (r *recorder[M]) ackTotal() int {
 	return n
 }
 
-// scheduled is faulttest.Schedule for this package's own tests, which cannot
-// import it (faulttest imports bsp): the schedule's factory, failing t at its
-// end unless every fault fired.
-func scheduled(t testing.TB, inner ExchangeFactory, faults ...StepFault) *ScheduledFaultFactory {
-	t.Helper()
-	f := NewScheduledFaultExchangeFactory(inner, faults)
-	t.Cleanup(func() {
-		if n := f.Fired(); n != len(faults) {
-			t.Errorf("%d of the %d scheduled faults fired: %+v", n, len(faults), faults)
-		}
-	})
-	return f
-}
-
 func TestTransportConformance(t *testing.T) {
 	const k = 3
 	inners := map[string]func() ExchangeFactory{
 		"local": func() ExchangeFactory { return nil },
 		"tcp":   func() ExchangeFactory { return NewTCPExchangeFactory() },
 	}
-	// The fault column: each row's schedule, and how many Sends it fails.
-	faults := map[string]struct {
-		schedule []StepFault
-		failures int
-	}{
-		"clean": {},
-		"fail":  {[]StepFault{{Step: 2, Kind: StepFaultFail}, {Step: 2, Kind: StepFaultFail}, {Step: 3, Kind: StepFaultFail}}, 3},
-		"delay": {[]StepFault{{Step: 2, Kind: StepFaultDelay, Delay: time.Millisecond}, {Step: 3, Kind: StepFaultDelay, Delay: time.Millisecond}}, 0},
-	}
 	for innerName, mkInner := range inners {
 		for _, compress := range []bool{false, true} {
-			for faultName, row := range faults {
-				name := fmt.Sprintf("%s/compress=%v/%s", innerName, compress, faultName)
-				t.Run(name, func(t *testing.T) {
-					base := runtime.NumGoroutine()
-					factory := mkInner()
-					if row.schedule != nil {
-						factory = scheduled(t, factory, row.schedule...)
-					}
-					rec := &recorder[groupMsg]{compress: compress, wire: innerName == "tcp", acks: map[int]int{}}
-					cfg := &Config{Workers: k, CompressFrames: compress}
-					// No faultPoint hook: every frame is a fault opportunity, so
-					// the injected failures land on arbitrary pairs.
-					tr, err := newTransport(context.Background(), factory, cfg, rec.hooks(t))
-					if err != nil {
-						t.Fatal(err)
-					}
+			name := fmt.Sprintf("%s/compress=%v", innerName, compress)
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				rec := &recorder[groupMsg]{compress: compress, wire: innerName == "tcp", acks: map[int]int{}}
+				cfg := &Config{Workers: k, CompressFrames: compress}
+				tr, err := newTransport(context.Background(), mkInner(), cfg, rec.hooks(t))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					var sent []Envelope[groupMsg]
-					succeeded := map[int]int{}
-					failures := 0
-					for ord := 1; ord <= 4; ord++ {
-						for src := 0; src < k; src++ {
-							for dst := 0; dst < k; dst++ {
-								// Empty, flat-sized, one-chunk and multi-chunk batches.
-								n := []int{0, compressMinBatch - 1, 40, compressedChunk + 90}[(ord+src+dst)%4]
-								batch := groupTestBatch(n)
-								for i := range batch {
-									batch[i].Msg.Seq += uint32(1000 * (ord*100 + src*10 + dst))
-								}
-								for try := 0; ; try++ {
-									before := rec.deliveredCount()
-									// As the 37-envelope chunks a sender might have filled.
-									spent, err := tr.Send(context.Background(), src, dst, ord, splitChunks(batch, 37))
-									if err == nil {
-										// Done with the chunks exactly when it encoded them.
-										if encoded := rec.wire || compress && n >= compressMinBatch; n > 0 && spent != encoded {
-											t.Fatalf("Send %d->%d ord %d of %d envelopes: spent %v, encoded %v", src, dst, ord, n, spent, encoded)
-										}
-										break
-									}
-									failures++
-									if !errors.Is(err, ErrInjectedFault) {
-										t.Fatalf("Send %d->%d ord %d: %v", src, dst, ord, err)
-									}
-									// Faults fire before the inner transport sees the
-									// batch: nothing of it may have been delivered.
-									if innerName == "local" && rec.deliveredCount() != before {
-										t.Fatalf("failed Send %d->%d ord %d delivered envelopes", src, dst, ord)
-									}
-									if try > 50 {
-										t.Fatalf("Send %d->%d ord %d still failing after %d tries", src, dst, ord, try)
-									}
-								}
-								sent = append(sent, batch...)
-								succeeded[src]++
+				var sent []Envelope[groupMsg]
+				sends := map[int]int{}
+				for ord := 1; ord <= 4; ord++ {
+					for src := 0; src < k; src++ {
+						for dst := 0; dst < k; dst++ {
+							// Empty, flat-sized, one-chunk and multi-chunk batches.
+							n := []int{0, compressMinBatch - 1, 40, compressedChunk + 90}[(ord+src+dst)%4]
+							batch := groupTestBatch(n)
+							for i := range batch {
+								batch[i].Msg.Seq += uint32(1000 * (ord*100 + src*10 + dst))
 							}
+							// As the 37-envelope chunks a sender might have filled.
+							spent, err := tr.Send(context.Background(), src, dst, ord, splitChunks(batch, 37))
+							if err != nil {
+								t.Fatalf("Send %d->%d ord %d: %v", src, dst, ord, err)
+							}
+							// Done with the chunks exactly when it encoded them.
+							if encoded := rec.wire || compress && n >= compressMinBatch; n > 0 && spent != encoded {
+								t.Fatalf("Send %d->%d ord %d of %d envelopes: spent %v, encoded %v", src, dst, ord, n, spent, encoded)
+							}
+							sent = append(sent, batch...)
+							sends[src]++
 						}
 					}
-					if failures != row.failures {
-						t.Fatalf("%d Sends failed, want %d", failures, row.failures)
-					}
+				}
 
-					// TCP delivers from reader goroutines: wait for the acks.
-					deadline := time.Now().Add(10 * time.Second)
-					for rec.ackTotal() < 4*k*k && time.Now().Before(deadline) {
-						time.Sleep(time.Millisecond)
-					}
-					if err := tr.Close(); err != nil && innerName == "local" {
-						t.Fatalf("Close: %v", err)
-					}
-					tr.Close() // idempotent
-					waitGoroutinesBack(t, base)
+				// TCP delivers from reader goroutines: wait for the acks.
+				deadline := time.Now().Add(10 * time.Second)
+				for rec.ackTotal() < 4*k*k && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if err := tr.Close(); err != nil && innerName == "local" {
+					t.Fatalf("Close: %v", err)
+				}
+				tr.Close() // idempotent
+				waitGoroutinesBack(t, base)
 
-					// After Close no hook can fire, so the books are final: one ack
-					// per successful Send, and exactly the successful batches
-					// delivered — a failed Send delivered and acked nothing.
-					if !reflect.DeepEqual(rec.acks, succeeded) {
-						t.Fatalf("acks per source %v, successful Sends %v", rec.acks, succeeded)
-					}
-					sameMultiset(t, rec.delivered, sent)
-					if len(rec.fatals) != 0 {
-						t.Fatalf("fatal hook fired: %v", rec.fatals)
-					}
-					if compress != (rec.frames > 0) {
-						t.Fatalf("compress=%v: %d compressed frames delivered", compress, rec.frames)
-					}
-					if rec.wire != (rec.flatFrames > 0) {
-						t.Fatalf("%s: %d flat frames delivered still encoded", innerName, rec.flatFrames)
-					}
-				})
-			}
+				// After Close no hook can fire, so the books are final: one ack
+				// per Send, and exactly the batches sent delivered.
+				if !reflect.DeepEqual(rec.acks, sends) {
+					t.Fatalf("acks per source %v, Sends %v", rec.acks, sends)
+				}
+				sameMultiset(t, rec.delivered, sent)
+				if len(rec.fatals) != 0 {
+					t.Fatalf("fatal hook fired: %v", rec.fatals)
+				}
+				if compress != (rec.frames > 0) {
+					t.Fatalf("compress=%v: %d compressed frames delivered", compress, rec.frames)
+				}
+				if rec.wire != (rec.flatFrames > 0) {
+					t.Fatalf("%s: %d flat frames delivered still encoded", innerName, rec.flatFrames)
+				}
+			})
 		}
 	}
 }

@@ -42,8 +42,7 @@ func messageIsWire[M any]() bool {
 //	count × { int32 dest ; message bytes (WireMessage encoding) }
 //
 // The 4-byte length prefix makes the read side a ReadFull pair — no
-// streaming decoder state survives between frames, so a rebuilt mesh after
-// recovery starts from a clean slate.
+// streaming decoder state survives between frames.
 
 const wireFrameHeader = 12 // length + step + count
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"psgl/internal/bsp"
-	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/pattern"
 )
@@ -92,90 +91,6 @@ func TestAsyncDifferentialMatchesStrict(t *testing.T) {
 	}
 }
 
-// TestAsyncRecoveryCountsExact: an async run whose frames are failed by a
-// schedule, recovered via quiescence checkpoints, must still report the
-// strict run's exact count — the exactly-once guarantee carries over from
-// barriers to quiescence points. The schedule fails a house run's frames (a
-// diamond run, which completes in two supersteps, sends too few frames to
-// reach its third).
-func TestAsyncRecoveryCountsExact(t *testing.T) {
-	g := gen.ChungLu(70, 300, 2.3, 7)
-	p := pattern.PG5()
-	strictRes, err := Run(g, p, Options{Workers: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := faulttest.Schedule(t, nil,
-		bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail},
-		bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail},
-		bsp.StepFault{Step: 3, Kind: bsp.StepFaultFail},
-		bsp.StepFault{Step: 3, Kind: bsp.StepFaultFail},
-	)
-	asyncRes, err := Run(g, p, Options{
-		Workers:         3,
-		Seed:            7,
-		Exchange:        factory,
-		AsyncExchange:   true,
-		Retry:           bsp.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100e3, MaxBackoff: 2e6},
-		CheckpointEvery: 1,
-		CheckpointStore: bsp.NewMemCheckpointStore(),
-		MaxRecoveries:   6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strictRes.Count != asyncRes.Count {
-		t.Fatalf("recovered async count %d != strict %d (recoveries=%d)",
-			asyncRes.Count, strictRes.Count, asyncRes.Stats.Recoveries)
-	}
-
-	// The run above ends before a checkpoint can fall due while a worker is
-	// still to seed. On a larger graph it can: sweep one failure (no retry,
-	// so a recovery) over wire frames 3-15, three runs a cell (frame timing
-	// varies, and with it whose frame the failure lands on), where a snapshot
-	// taken before some worker's Init once lost its seeds without an error,
-	// and where workers are still seeding from their cursors. A worker sends
-	// some 18 frames in all, so every failure must fire. Some recovery in the
-	// sweep must restore a snapshot with a cursor still queued. It lists
-	// diamonds: a square closes one hop after its seed, and a worker sends
-	// two frames.
-	g = gen.ChungLu(10000, 40000, 2.0, 3)
-	p = pattern.PG3()
-	strictRes, err = Run(g, p, Options{Workers: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restoredCursors := 0
-	for _, every := range []int{1, 2} {
-		for seq := 3; seq <= 15; seq += 4 {
-			for try := 0; try < 3; try++ {
-				factory := faulttest.Schedule(t, nil, bsp.StepFault{Step: seq, Kind: bsp.StepFaultFail})
-				store := &restoreProbe{MemCheckpointStore: bsp.NewMemCheckpointStore(), t: t}
-				res, err := Run(g, p, Options{
-					Workers:         3,
-					Seed:            3,
-					Exchange:        factory,
-					AsyncExchange:   true,
-					CheckpointEvery: every,
-					CheckpointStore: store,
-					MaxRecoveries:   3,
-				})
-				restoredCursors += store.cursors
-				if err != nil {
-					t.Fatalf("every=%d try %d, fail@%d: %v", every, try, seq, err)
-				}
-				if res.Count != strictRes.Count {
-					t.Fatalf("every=%d try %d, fail@%d: recovered async count %d != strict %d (recoveries=%d)",
-						every, try, seq, res.Count, strictRes.Count, res.Stats.Recoveries)
-				}
-			}
-		}
-	}
-	if restoredCursors == 0 {
-		t.Fatal("no recovery in the sweep restored a snapshot with a seed cursor queued: no failure landed mid-seeding")
-	}
-}
-
 // TestCheckpointMidSeedingRestoresExactCounts: under the pipelined policy a
 // worker seeds from a cursor on its own queue, so a checkpoint taken mid-run
 // finds cursors still queued, and a run resumed from one — which never runs
@@ -249,22 +164,6 @@ func (s *snapshotLog) Load() (int, []byte, error) {
 		return 0, nil, bsp.ErrNoCheckpoint
 	}
 	return len(s.saves) - 1, s.saves[len(s.saves)-1], nil
-}
-
-// restoreProbe is a checkpoint store that counts the seed cursors queued in
-// the snapshots a recovery restores.
-type restoreProbe struct {
-	*bsp.MemCheckpointStore
-	t       *testing.T
-	cursors int
-}
-
-func (s *restoreProbe) Load() (int, []byte, error) {
-	step, data, err := s.MemCheckpointStore.Load()
-	if err == nil {
-		s.cursors += queuedCursors(s.t, data)
-	}
-	return step, data, err
 }
 
 // queuedCursors counts the seed cursors queued in a sealed bsp snapshot. It

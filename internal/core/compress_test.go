@@ -4,18 +4,15 @@ package core
 // prefix-compressed wire codec and the encoded inbox must be invisible to the
 // enumeration — same embedding multisets as the centralized oracle, same
 // Stats as flat mode, across strict and async exchanges, local and TCP
-// transports, and checkpoint recovery/resume.
+// transports, and checkpoint and resume.
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"psgl/internal/bsp"
-	"psgl/internal/faulttest"
 	"psgl/internal/gen"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
@@ -238,12 +235,11 @@ func viewOf(r *Result) compressedCounterView {
 	}
 }
 
-// TestCompressedCountersMirrored reruns the recovery suite's scenarios with
-// CompressFrames on: a fault-recovered run (failures absorbed by retry and
-// a checkpoint restore) and a crash-then-resume pair must both reproduce
-// the clean run's compression counters exactly — not just the count. The
-// runs list houses, which take three supersteps, so the crash lands at a
-// barrier after the first; a diamond completes in two.
+// TestCompressedCountersMirrored stops a compressed run after each of its
+// saves and resumes it: every resumed run must reproduce the clean run's
+// compression counters exactly — not just the count. The runs list houses,
+// which take three supersteps, so the stops land at barriers after the first;
+// a diamond completes in two.
 func TestCompressedCountersMirrored(t *testing.T) {
 	g := gen.ChungLu(70, 300, 2.3, 1)
 	p := pattern.PG5()
@@ -257,48 +253,18 @@ func TestCompressedCountersMirrored(t *testing.T) {
 		t.Fatalf("scenario too sparse to exercise compression: %+v", want)
 	}
 
-	t.Run("recovered", func(t *testing.T) {
-		opts := base
-		// One failure at superstep 1, which a retry absorbs; three at
-		// superstep 2, which exhaust the retries and force a restore.
-		opts.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 2, Kind: bsp.StepFaultFail})
-		opts.Retry = bsp.RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
-		opts.CheckpointEvery = 1
-		opts.CheckpointStore = bsp.NewMemCheckpointStore()
-		opts.MaxRecoveries = 1
-		res, err := Run(g, p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Recoveries != 1 {
-			t.Fatalf("Recoveries = %d, want 1", res.Stats.Recoveries)
-		}
-		if got := viewOf(res); got != want {
-			t.Fatalf("recovered counters diverged:\n got %+v\nwant %+v", got, want)
-		}
-	})
-
 	t.Run("resumed", func(t *testing.T) {
-		failStep := clean.Stats.Supersteps - 2
-		if failStep < 1 {
+		if clean.Stats.Supersteps < 3 {
 			t.Fatalf("run too short to test resume: %d supersteps", clean.Stats.Supersteps)
 		}
-		store := bsp.NewMemCheckpointStore()
-		crashed := base
-		crashed.Exchange = faulttest.Schedule(t, nil, bsp.StepFault{Step: failStep, Kind: bsp.StepFaultFail})
-		crashed.CheckpointEvery = 1
-		crashed.CheckpointStore = store
-		if _, err := Run(g, p, crashed); !errors.Is(err, bsp.ErrInjectedFault) {
-			t.Fatalf("crashed run err = %v, want ErrInjectedFault", err)
-		}
-		resumed := base
-		resumed.ResumeFrom = store
-		res, err := Run(g, p, resumed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := viewOf(res); got != want {
-			t.Fatalf("resumed counters diverged:\n got %+v\nwant %+v", got, want)
+		for n := 1; n < clean.Stats.Supersteps; n++ {
+			sr, ok := stopAndResume(t, g, p, base, n, false)
+			if !ok {
+				t.Fatalf("the run ended before its save %d", n)
+			}
+			if got := viewOf(sr.resumed); got != want {
+				t.Fatalf("resumed after save %d: counters diverged:\n got %+v\nwant %+v", n, got, want)
+			}
 		}
 	})
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"slices"
@@ -29,9 +32,9 @@ func Run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 	return RunContext(context.Background(), g, p, opts)
 }
 
-// RunContext is Run with cancellation and fault-tolerance plumbing: ctx
-// cancellation stops the run at the next message boundary, and the Options
-// checkpoint/retry/recovery fields configure the BSP engine's fault layer.
+// RunContext is Run with cancellation and checkpoints: ctx cancellation stops
+// the run at the next message boundary, and the Options checkpoint fields
+// snapshot it and resume it.
 // It is Prepare followed by one run on the result, except that it reuses the
 // previous call's Prepared when g is the same graph and opts agree with it
 // (a graph is immutable, and a Prepared is read-only), so repeated cold runs
@@ -96,11 +99,9 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 		Exchange:        opts.Exchange,
 		AsyncExchange:   opts.AsyncExchange,
 		CompressFrames:  opts.CompressFrames,
-		Retry:           opts.Retry,
 		CheckpointEvery: opts.CheckpointEvery,
 		CheckpointStore: opts.CheckpointStore,
 		ResumeFrom:      opts.ResumeFrom,
-		MaxRecoveries:   opts.MaxRecoveries,
 		Observer:        opts.Observer,
 	}
 	start := time.Now()
@@ -168,7 +169,7 @@ const (
 )
 
 // engine implements bsp.Program[gpsi] (and bsp.Snapshotter, so its
-// accumulators ride barrier snapshots and stay exactly-once under recovery).
+// accumulators ride barrier snapshots and stay exactly-once across a resume).
 type engine struct {
 	// g is the data graph in rank space (Prepared's): the symmetry-breaking
 	// order of two vertices is the order of their ids. orig maps a vertex back
@@ -225,6 +226,9 @@ type engine struct {
 
 	mu        sync.Mutex
 	instances [][]graph.VertexID
+
+	// id is the run's identity, computed at the first snapshot or restore.
+	id *runIdentity
 }
 
 // expandFrame is a worker's expansion scratch: the WHITE vertices being
@@ -1236,11 +1240,13 @@ func (e *engine) generate(ctx *bsp.Context[gpsi]) {
 }
 
 // engineState is the bsp.Snapshotter payload: every accumulator the engine
-// keeps outside the BSP inboxes. Capturing the RNG streams and workload
-// views along with the load accumulators makes a replayed superstep take
-// bit-identical routing decisions, so LoadUnits and LoadMakespan come out
-// exactly-once — equal to a clean run's — across recoveries and resumes.
+// keeps outside the BSP inboxes, and the identity of the run that took it.
+// Capturing the RNG streams and workload views along with the load
+// accumulators makes the resumed supersteps take bit-identical routing
+// decisions, so LoadUnits and LoadMakespan come out exactly-once — equal to
+// a clean run's — across a stop and a resume.
 type engineState struct {
+	Run       runIdentity
 	Loads     []float64
 	StepLoads [][]float64
 	WViews    [][]float64
@@ -1248,10 +1254,85 @@ type engineState struct {
 	Generated int64
 }
 
+// runIdentity is what a snapshot's Gpsis mean: the graph their vertex ids
+// index, the planned pattern their maps, pending bits and order windows
+// follow, and what decides where the run starts and which worker owns what.
+// A snapshot is a file read from outside the program, so a run resumes only
+// from a snapshot with its own identity; any other would panic on a pattern
+// vertex out of range or count instances of another pattern or graph.
+type runIdentity struct {
+	Graph   uint64 // Fingerprint of the rank-space graph
+	Pattern string // n, edges, order constraints and labels
+	Initial int
+	Seed    int64
+	Seeds   uint64 // digest of Options.Seeds, in rank space
+	Labels  uint64 // digest of Options.DataLabels, in rank space
+}
+
+// identity computes the run's identity once; SnapshotState and RestoreState
+// run only at barriers, on one goroutine.
+func (e *engine) identity() runIdentity {
+	if e.id != nil {
+		return *e.id
+	}
+	p := e.p
+	labels := make([]int, p.N())
+	for v := range labels {
+		labels[v] = p.Label(v)
+	}
+	seeds, dataLabels := fnv.New64a(), fnv.New64a()
+	var word [8]byte
+	put := func(h hash.Hash64, x int64) {
+		binary.LittleEndian.PutUint64(word[:], uint64(x))
+		h.Write(word[:])
+	}
+	for _, sd := range e.opts.Seeds {
+		put(seeds, int64(len(sd.PatternVertices)))
+		for i, pv := range sd.PatternVertices {
+			put(seeds, int64(pv))
+			put(seeds, int64(sd.DataVertices[i]))
+		}
+	}
+	put(dataLabels, int64(len(e.opts.DataLabels)))
+	for _, l := range e.opts.DataLabels {
+		put(dataLabels, int64(l))
+	}
+	e.id = &runIdentity{
+		Graph:   e.g.Fingerprint(),
+		Pattern: fmt.Sprintf("n=%d edges=%v orders=%v labels=%v", p.N(), e.pEdges, p.Orders(), labels),
+		Initial: e.initial,
+		Seed:    e.opts.Seed,
+		Seeds:   seeds.Sum64(),
+		Labels:  dataLabels.Sum64(),
+	}
+	return *e.id
+}
+
+// mismatch names what differs between a snapshot's identity and this run's,
+// or returns "".
+func (id runIdentity) mismatch(run runIdentity) string {
+	switch {
+	case id.Graph != run.Graph:
+		return fmt.Sprintf("graph fingerprint %016x, this run's %016x", id.Graph, run.Graph)
+	case id.Pattern != run.Pattern:
+		return fmt.Sprintf("pattern %s, this run's %s", id.Pattern, run.Pattern)
+	case id.Initial != run.Initial:
+		return fmt.Sprintf("initial vertex %d, this run's %d", id.Initial, run.Initial)
+	case id.Seed != run.Seed:
+		return fmt.Sprintf("seed %d, this run's %d", id.Seed, run.Seed)
+	case id.Seeds != run.Seeds:
+		return "different Seeds"
+	case id.Labels != run.Labels:
+		return "different DataLabels"
+	}
+	return ""
+}
+
 // SnapshotState implements bsp.Snapshotter; it is called at barriers only,
 // never concurrently with Init/Process.
 func (e *engine) SnapshotState() ([]byte, error) {
 	st := engineState{
+		Run:       e.identity(),
 		Loads:     e.loadUnits(),
 		StepLoads: e.stepLoads,
 		WViews:    make([][]float64, len(e.scratch)),
@@ -1269,29 +1350,24 @@ func (e *engine) SnapshotState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreState implements bsp.Snapshotter. nil data resets the engine's
-// accumulators to their initial values (restart from scratch).
+// RestoreState implements bsp.Snapshotter. It refuses, with an error
+// wrapping bsp.ErrCorruptCheckpoint, a snapshot without engine state and one
+// taken by another run.
 func (e *engine) RestoreState(data []byte) error {
 	k := e.opts.Workers
 	if data == nil {
-		for w := range e.scratch {
-			sc := &e.scratch[w]
-			sc.load = 0
-			e.stepLoads[w] = nil
-			clear(sc.view)
-			clear(sc.pow)
-			sc.rng = *newXorshift(workerRngSeed(e.opts.Seed, w))
-		}
-		e.generated.Store(0)
-		return nil
+		return fmt.Errorf("%w: the snapshot carries no engine state", bsp.ErrCorruptCheckpoint)
 	}
 	var st engineState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("psgl: decode engine state: %w", err)
+		return fmt.Errorf("%w: decode engine state: %v", bsp.ErrCorruptCheckpoint, err)
+	}
+	if diff := st.Run.mismatch(e.identity()); diff != "" {
+		return fmt.Errorf("%w: taken by another run: %s", bsp.ErrCorruptCheckpoint, diff)
 	}
 	if len(st.Loads) != k || len(st.WViews) != k || len(st.Rng) != k || len(st.StepLoads) != k ||
 		slices.ContainsFunc(st.WViews, func(view []float64) bool { return len(view) != k }) {
-		return fmt.Errorf("psgl: engine snapshot worker count mismatch (have %d workers)", k)
+		return fmt.Errorf("%w: engine snapshot worker count mismatch (have %d workers)", bsp.ErrCorruptCheckpoint, k)
 	}
 	e.stepLoads = st.StepLoads
 	for w := range e.scratch {
@@ -1320,7 +1396,6 @@ func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 	st := Stats{
 		Supersteps:        rs.Supersteps,
 		InitialVertex:     e.initial,
-		Recoveries:        rs.Recoveries,
 		WorkerTime:        rs.WorkerTime,
 		WorkerMessages:    rs.WorkerMessages,
 		LoadUnits:         e.loadUnits(),

@@ -112,8 +112,7 @@ type Options struct {
 	// embedding (counted as PrunedByFilter) from Count, Collect, OnInstance,
 	// and MaxResults alike. The callback runs concurrently on worker
 	// goroutines and must be safe for concurrent use; the mapping slice is
-	// only valid during the call. The filter must be deterministic — it runs
-	// again on replayed supersteps after a recovery.
+	// only valid during the call.
 	EmitFilter func(mapping []graph.VertexID) bool
 	// IdentityOrder replaces the degree-based vertex total order of Section 3
 	// with the vertex-id order. Counts are identical under any total order;
@@ -131,9 +130,7 @@ type Options struct {
 	// success with Result.Truncated set — the streaming `limit` fast path.
 	MaxResults int64
 	// Exchange overrides the BSP message exchange (e.g.
-	// bsp.NewTCPExchangeFactory() for loopback-TCP distribution,
-	// bsp.NewScheduledFaultExchangeFactory for fault-injected recovery
-	// testing).
+	// bsp.NewTCPExchangeFactory() for loopback-TCP distribution).
 	Exchange bsp.ExchangeFactory
 	// AsyncExchange runs the BSP substrate in pipelined async mode: workers
 	// flush fixed-size Gpsi frames as they are produced, receivers expand
@@ -163,19 +160,18 @@ type Options struct {
 	// batches encoded; only an async worker's batch for itself stays flat.
 	CompressFrames bool
 
-	// Fault tolerance (mirrors the Giraph substrate's barrier-aligned
-	// checkpointing, Section 6). Counts and counters are exact across
-	// retries, recoveries, and resumes; Collect and OnInstance, however, see
-	// at-least-once delivery when a recovery replays supersteps (duplicate
-	// instances possible) and a resumed run only observes post-resume
-	// instances — use Result.Count, not len(Result.Instances), whenever
-	// recovery is enabled. (delta and the serving tier enable none: their
-	// in-process runs have no fault to recover from, and their streams are
-	// exactly-once.)
+	// Fault tolerance (the Giraph substrate's model, Section 6): snapshot at
+	// barriers, and restart a stopped run from its last snapshot. A failed
+	// frame Send ends the run with its error. A resumed run's count and
+	// counters equal a clean run's. Its Collect and OnInstance see only what
+	// it emits itself: the instances its snapshot had not counted yet, while
+	// Result.Count includes the rest. So the stopped run's first Count −
+	// len(resumed stream) instances, followed by the resumed stream, are the
+	// clean run's. A snapshot records the identity of the run that took it
+	// (graph, planned pattern, initial vertex, seeds, data labels), and a
+	// run resuming from another run's snapshot is refused with
+	// bsp.ErrCorruptCheckpoint.
 
-	// Retry wraps every frame the exchange sends in bounded exponential
-	// backoff.
-	Retry bsp.RetryPolicy
 	// CheckpointEvery > 0 snapshots the BSP state into CheckpointStore at
 	// every Nth superstep barrier.
 	CheckpointEvery int
@@ -186,15 +182,11 @@ type Options struct {
 	// the store instead of starting from scratch (an empty store falls back
 	// to a fresh start).
 	ResumeFrom bsp.CheckpointStore
-	// MaxRecoveries is how many failed supersteps may be recovered in-run by
-	// rebuilding the exchange and restoring the latest checkpoint. 0
-	// disables in-run recovery.
-	MaxRecoveries int
 	// Observer receives the run's metrics and trace events: superstep
-	// timings, message and transport volume, checkpoint/recovery events, and
-	// — at run end — the engine counters and per-worker loads that Stats is
-	// built from, so the observer's logical view matches Stats bit-for-bit
-	// on clean, recovered, and resumed runs alike. Nil disables observation
+	// timings, message and transport volume, checkpoint and resume events,
+	// and — at run end — the engine counters and per-worker loads that Stats
+	// is built from, so the observer's logical view matches Stats bit-for-bit
+	// on clean and resumed runs alike. Nil disables observation
 	// at zero cost.
 	Observer *obs.Observer
 
@@ -276,9 +268,9 @@ type Stats struct {
 	// AND fast path (hub × hub row intersections) instead of the merge path.
 	BitsetAndCandidates int64
 	// Compressed-mode counters (zero with CompressFrames off). Logical views
-	// fed when frames are decoded: they roll back with snapshots and come out
-	// exactly-once. In strict mode they are bit-identical across clean,
-	// recovered, and resumed runs; in async mode frame boundaries follow
+	// fed when frames are decoded: snapshots carry them, and they come out
+	// exactly-once. In strict mode they are bit-identical across clean and
+	// resumed runs; in async mode frame boundaries follow
 	// flush timing, so the values vary run to run (their sum over a run is
 	// still counted once). The transport-level ratio is on the Observer.
 	CompressedFrames    int64
@@ -288,9 +280,6 @@ type Stats struct {
 	Results int64
 	// InitialVertex is the pattern vertex the run started from.
 	InitialVertex int
-	// Recoveries counts in-run checkpoint-restore recoveries (0 on a clean
-	// run; retries that succeeded without a restore are not counted).
-	Recoveries int
 	// Per-worker metrics (Figure 5): compute time and cost-model load units.
 	// WorkerMessages[w] counts the messages worker w processed: every Gpsi it
 	// expanded but its seeds, which are never messages, and under

@@ -17,19 +17,21 @@ import (
 // withoutClocks renders a run's Stats minus the fields that measure time
 // (WorkerTime, SimulatedMakespan, WallTime). The fields are named one by one,
 // not printed with %+v, so the fingerprints pinned over it hold when a field
-// is added to or deleted from Stats.
+// is added to or deleted from Stats. "Recoveries:0" stands where a deleted
+// field (in-run recoveries, 0 on every pinned run) was printed when the
+// fingerprints were recorded.
 func withoutClocks(st Stats) string {
 	return fmt.Sprintf("Supersteps:%d GpsiGenerated:%d GpsiProcessed:%d "+
 		"PrunedByDegree:%d PrunedByOrder:%d PrunedByIndex:%d PrunedByInjectivity:%d "+
 		"PrunedByVerify:%d PrunedByLabel:%d PrunedByFilter:%d EdgeIndexQueries:%d "+
 		"BitsetAndCandidates:%d CompressedFrames:%d CompressedWireBytes:%d "+
-		"CompressedRawBytes:%d Results:%d InitialVertex:%d Recoveries:%d "+
+		"CompressedRawBytes:%d Results:%d InitialVertex:%d Recoveries:0 "+
 		"WorkerMessages:%v LoadUnits:%v PerStepMessages:%v LoadMakespan:%v EdgeIndexBytes:%d",
 		st.Supersteps, st.GpsiGenerated, st.GpsiProcessed,
 		st.PrunedByDegree, st.PrunedByOrder, st.PrunedByIndex, st.PrunedByInjectivity,
 		st.PrunedByVerify, st.PrunedByLabel, st.PrunedByFilter, st.EdgeIndexQueries,
 		st.BitsetAndCandidates, st.CompressedFrames, st.CompressedWireBytes,
-		st.CompressedRawBytes, st.Results, st.InitialVertex, st.Recoveries,
+		st.CompressedRawBytes, st.Results, st.InitialVertex,
 		st.WorkerMessages, st.LoadUnits, st.PerStepMessages, st.LoadMakespan, st.EdgeIndexBytes)
 }
 

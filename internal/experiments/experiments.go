@@ -560,7 +560,6 @@ func ByName(name string) (func() string, error) {
 		"table4":    Table4,
 		"fig8":      Figure8,
 		"makespan":  Makespan,
-		"chaos":     Chaos,
 		"census":    Census,
 		"all":       All,
 	}

@@ -17,7 +17,6 @@ type jsonEvent struct {
 	DurS     float64 `json:"dur_s,omitempty"`
 	Messages int64   `json:"messages,omitempty"`
 	Bytes    int64   `json:"bytes,omitempty"`
-	Attempt  int     `json:"attempt,omitempty"`
 	Err      string  `json:"err,omitempty"`
 	Tag      string  `json:"tag,omitempty"`
 }
@@ -47,7 +46,6 @@ func (j *JSONL) Emit(ev Event) {
 		DurS:     ev.Dur.Seconds(),
 		Messages: ev.Messages,
 		Bytes:    ev.Bytes,
-		Attempt:  ev.Attempt,
 		Err:      ev.Err,
 		Tag:      ev.Tag,
 	}
@@ -84,7 +82,6 @@ func DecodeJSONL(r io.Reader) ([]Event, error) {
 			Dur:      time.Duration(rec.DurS * float64(time.Second)),
 			Messages: rec.Messages,
 			Bytes:    rec.Bytes,
-			Attempt:  rec.Attempt,
 			Err:      rec.Err,
 			Tag:      rec.Tag,
 		})

@@ -9,13 +9,12 @@
 // without touching the per-message hot path:
 //
 //   - Counters: per-worker and per-superstep aggregates — messages processed
-//     and produced, wire bytes and frames, checkpoint encode/restore
-//     durations, retries, recoveries. All counter
+//     and produced, wire bytes and frames, checkpoint encode durations,
+//     failed sends. All counter
 //     updates are atomic adds at barrier or frame granularity; nothing runs
 //     per message.
 //   - Trace: an ordered stream of structured events (superstep start/end,
-//     exchange, retry, checkpoint save/restore, recovery, restart, abort,
-//     run end) emitted to a pluggable Sink — NopSink (default), Ring (tests),
+//     exchange, failed send, checkpoint save, resume, abort, run end) emitted to a pluggable Sink — NopSink (default), Ring (tests),
 //     JSONL (files, `psgl-bench -trace`).
 //   - Endpoints: an expvar + net/http/pprof debug server (http.go) and a
 //     human-readable end-of-run report (report.go).
@@ -24,13 +23,12 @@
 // hook is a nil-receiver no-op, so the engine's steady-state expansion
 // remains allocation-free per message (pinned by the AllocsPerRun tests).
 //
-// Counters fall into two exactness classes under retry/recovery/resume (the
+// Counters fall into two exactness classes across a stop and a resume (the
 // DESIGN.md §9 matrix): *logical* counters mirrored from the engine's
-// RunStats (Counters, worker loads) roll back with barrier snapshots and are
-// exactly-once — a recovered run reports them bit-identical to a clean run —
-// while *physical* counters (wire bytes, frames, retries, restores) count
-// what actually happened on the hardware, replays included, and are
-// monotonic.
+// RunStats (Counters, worker loads) ride barrier snapshots and are
+// exactly-once — a resumed run reports them bit-identical to a clean run —
+// while *physical* counters (wire bytes, frames, failed sends) count what
+// this process did on the hardware, and are monotonic.
 package obs
 
 import (
@@ -56,21 +54,11 @@ const (
 	// EventExchange records a completed message exchange (the barrier's
 	// communication phase): Dur is the exchange wall time.
 	EventExchange
-	// EventRetry records one failed exchange attempt (Attempt, Err); the
-	// retry policy decides whether another attempt follows.
+	// EventRetry records one failed frame Send (Err), which ends the run.
 	EventRetry
 	// EventCheckpointSave records a barrier snapshot: Bytes encoded, Dur to
 	// encode and store.
 	EventCheckpointSave
-	// EventCheckpointRestore records an in-run checkpoint restore; Step is
-	// the superstep the run rolled back to.
-	EventCheckpointRestore
-	// EventRecovery records the decision to recover a failed superstep
-	// (Err is the cause); an EventCheckpointRestore or EventRestart follows.
-	EventRecovery
-	// EventRestart records a recovery with no checkpoint available: the run
-	// restarts from superstep 0 with reset state.
-	EventRestart
 	// EventAbort records a Program-initiated abort (Err).
 	EventAbort
 	// EventRunEnd closes the trace: Dur is the run's wall time, Messages the
@@ -79,18 +67,15 @@ const (
 )
 
 var eventNames = map[EventType]string{
-	EventRunStart:          "run_start",
-	EventResume:            "resume",
-	EventStepStart:         "step_start",
-	EventStepEnd:           "step_end",
-	EventExchange:          "exchange",
-	EventRetry:             "retry",
-	EventCheckpointSave:    "checkpoint_save",
-	EventCheckpointRestore: "checkpoint_restore",
-	EventRecovery:          "recovery",
-	EventRestart:           "restart",
-	EventAbort:             "abort",
-	EventRunEnd:            "run_end",
+	EventRunStart:       "run_start",
+	EventResume:         "resume",
+	EventStepStart:      "step_start",
+	EventStepEnd:        "step_end",
+	EventExchange:       "exchange",
+	EventRetry:          "retry",
+	EventCheckpointSave: "checkpoint_save",
+	EventAbort:          "abort",
+	EventRunEnd:         "run_end",
 }
 
 // String returns the snake_case event name used in JSONL traces.
@@ -118,8 +103,6 @@ type Event struct {
 	Messages int64
 	// Bytes sizes checkpoint saves.
 	Bytes int64
-	// Attempt is the 1-based exchange attempt for retry events.
-	Attempt int
 	// Err carries the error text for failure events.
 	Err string
 	// Tag identifies the run this event belongs to when many observers share
@@ -230,14 +213,10 @@ type Observer struct {
 	compressedRawBytes atomic.Int64
 
 	// Physical fault-layer counters.
-	retries         atomic.Int64
+	retries         atomic.Int64 // failed frame Sends
 	checkpointSaves atomic.Int64
 	checkpointBytes atomic.Int64
 	checkpointNanos atomic.Int64
-	restores        atomic.Int64
-	restoreNanos    atomic.Int64
-	restarts        atomic.Int64
-	recoveries      atomic.Int64
 	aborts          atomic.Int64
 	setupAborts     atomic.Int64
 
@@ -316,8 +295,6 @@ func (o *Observer) Resumed(step int, d time.Duration) {
 	if o == nil {
 		return
 	}
-	o.restores.Add(1)
-	o.restoreNanos.Add(int64(d))
 	o.emit(Event{Type: EventResume, Step: step, Dur: d})
 }
 
@@ -366,13 +343,13 @@ func (o *Observer) ExchangeDone(step int, d time.Duration, messages int64) {
 	o.emit(Event{Type: EventExchange, Step: step, Dur: d, Messages: messages})
 }
 
-// ExchangeFailed records one failed exchange attempt.
-func (o *Observer) ExchangeFailed(step, attempt int, err error) {
+// ExchangeFailed records one failed frame Send under ordinal step.
+func (o *Observer) ExchangeFailed(step int, err error) {
 	if o == nil {
 		return
 	}
 	o.retries.Add(1)
-	o.emit(Event{Type: EventRetry, Step: step, Attempt: attempt, Err: errText(err)})
+	o.emit(Event{Type: EventRetry, Step: step, Err: errText(err)})
 }
 
 // CheckpointSaved records a barrier snapshot of `bytes` bytes taking d.
@@ -386,34 +363,6 @@ func (o *Observer) CheckpointSaved(step, bytes int, d time.Duration) {
 	o.emit(Event{Type: EventCheckpointSave, Step: step, Bytes: int64(bytes), Dur: d})
 }
 
-// CheckpointRestored records an in-run restore back to step.
-func (o *Observer) CheckpointRestored(step int, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.restores.Add(1)
-	o.restoreNanos.Add(int64(d))
-	o.emit(Event{Type: EventCheckpointRestore, Step: step, Dur: d})
-}
-
-// RecoveryStarted records the decision to recover failed superstep step.
-func (o *Observer) RecoveryStarted(step int, cause error) {
-	if o == nil {
-		return
-	}
-	o.recoveries.Add(1)
-	o.emit(Event{Type: EventRecovery, Step: step, Err: errText(cause)})
-}
-
-// RestartedFromScratch records a recovery that found no checkpoint.
-func (o *Observer) RestartedFromScratch(step int) {
-	if o == nil {
-		return
-	}
-	o.restarts.Add(1)
-	o.emit(Event{Type: EventRestart, Step: step})
-}
-
 // Aborted records a Program-initiated abort at step.
 func (o *Observer) Aborted(step int, err error) {
 	if o == nil {
@@ -425,9 +374,8 @@ func (o *Observer) Aborted(step int, err error) {
 
 // RunEnded closes the trace and captures the run's logical end state:
 // the merged counters, per-worker times and message counts. These come from
-// the engine's RunStats, which rolls back with barrier snapshots, so they
-// are exactly-once — a recovered or resumed run reports the same values as
-// a clean run.
+// the engine's RunStats, which barrier snapshots carry, so they are
+// exactly-once — a resumed run reports the same values as a clean run.
 func (o *Observer) RunEnded(supersteps int, messagesTotal int64, counters map[string]int64,
 	workerTime []time.Duration, workerMessages []int64, err error) {
 	if o == nil {

@@ -18,11 +18,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.StepStarted(0)
 	o.StepComputed(0, []time.Duration{time.Millisecond}, 1, 2)
 	o.ExchangeDone(0, time.Millisecond, 2)
-	o.ExchangeFailed(0, 1, errors.New("x"))
+	o.ExchangeFailed(0, errors.New("x"))
 	o.CheckpointSaved(0, 128, time.Millisecond)
-	o.CheckpointRestored(0, time.Millisecond)
-	o.RecoveryStarted(1, errors.New("x"))
-	o.RestartedFromScratch(1)
 	o.Aborted(1, errors.New("x"))
 	o.RunEnded(3, 10, map[string]int64{"a": 1}, nil, nil, nil)
 	o.RecordWorkerLoads([]float64{1, 2})
@@ -145,7 +142,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	o := New(sink)
 	o.RunStarted(2, 0)
 	o.StepStarted(0)
-	o.ExchangeFailed(0, 1, errors.New("boom"))
+	o.ExchangeFailed(0, errors.New("boom"))
 	o.RunEnded(1, 5, nil, nil, nil, nil)
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink error: %v", err)
@@ -176,7 +173,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Fatalf("event %d type = %v, want %v", i, ev.Type, wantTypes[i])
 		}
 	}
-	if evs[2].Attempt != 1 || evs[2].Err != "boom" {
+	if evs[2].Err != "boom" {
 		t.Fatalf("retry event = %+v", evs[2])
 	}
 	if evs[3].Messages != 5 {

@@ -28,15 +28,12 @@ type Snapshot struct {
 	CompressedBytes    int64 `json:"compressed_bytes"`
 	CompressedRawBytes int64 `json:"compressed_raw_bytes"`
 
-	// Physical fault-layer counters (monotonic).
+	// Physical fault-layer counters (monotonic). Retries counts failed frame
+	// Sends; each ends its run.
 	Retries            int64         `json:"retries"`
 	CheckpointSaves    int64         `json:"checkpoint_saves"`
 	CheckpointBytes    int64         `json:"checkpoint_bytes"`
 	CheckpointSaveTime time.Duration `json:"checkpoint_save_ns"`
-	Restores           int64         `json:"restores"`
-	RestoreTime        time.Duration `json:"restore_ns"`
-	Restarts           int64         `json:"restarts"`
-	Recoveries         int64         `json:"recoveries"`
 	Aborts             int64         `json:"aborts"`
 	SetupAborts        int64         `json:"setup_aborts"`
 
@@ -84,10 +81,6 @@ func (o *Observer) Snapshot() Snapshot {
 		CheckpointSaves:    o.checkpointSaves.Load(),
 		CheckpointBytes:    o.checkpointBytes.Load(),
 		CheckpointSaveTime: time.Duration(o.checkpointNanos.Load()),
-		Restores:           o.restores.Load(),
-		RestoreTime:        time.Duration(o.restoreNanos.Load()),
-		Restarts:           o.restarts.Load(),
-		Recoveries:         o.recoveries.Load(),
 		Aborts:             o.aborts.Load(),
 		SetupAborts:        o.setupAborts.Load(),
 		CensusSubgraphs:    o.censusSubgraphs.Load(),
@@ -161,10 +154,9 @@ func (o *Observer) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "checkpoints: %d saves, %d B total, %v encode+store\n",
 			s.CheckpointSaves, s.CheckpointBytes, s.CheckpointSaveTime.Round(time.Microsecond))
 	}
-	if s.Retries+s.Restores+s.Restarts+s.Recoveries+s.Aborts+s.SetupAborts > 0 {
-		fmt.Fprintf(w, "faults: %d retries, %d recoveries (%d restores in %v, %d restarts), %d aborts, %d setup aborts\n",
-			s.Retries, s.Recoveries, s.Restores, s.RestoreTime.Round(time.Microsecond),
-			s.Restarts, s.Aborts, s.SetupAborts)
+	if s.Retries+s.Aborts+s.SetupAborts > 0 {
+		fmt.Fprintf(w, "faults: %d failed sends, %d aborts, %d setup aborts\n",
+			s.Retries, s.Aborts, s.SetupAborts)
 	}
 	if s.CreditRounds > 0 {
 		fmt.Fprintf(w, "credit detector: %d rounds, %d early expansions, %d frames in flight at peak\n",

@@ -99,9 +99,8 @@ func List(g *Graph, p *Pattern, opts Options) (*Result, error) {
 // ListContext is List with cancellation: the run stops at the next message
 // boundary once ctx is done, and ctx deadlines bound the exchange's network
 // operations; a deadline on ctx is what bounds a run. Combined with the
-// Options fault-tolerance fields (Retry, CheckpointEvery/CheckpointStore,
-// ResumeFrom, MaxRecoveries) it is the entry point for long-running,
-// failure-prone enumerations.
+// Options checkpoint fields (CheckpointEvery/CheckpointStore, ResumeFrom) it
+// is the entry point for long enumerations that may be stopped and resumed.
 func ListContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (*Result, error) {
 	return core.RunContext(ctx, g, p, opts)
 }
@@ -122,17 +121,16 @@ func Count(g *Graph, p *Pattern, opts Options) (int64, error) {
 // to Options.Exchange for distributed-execution realism.
 func NewTCPExchange() bsp.ExchangeFactory { return bsp.NewTCPExchangeFactory() }
 
-// Fault tolerance (the Giraph-style barrier checkpointing the paper's
+// Checkpoint and resume (the Giraph-style barrier checkpointing the paper's
 // substrate provides, Section 6). See Options for how these compose.
 type (
 	// ExchangeFactory builds a BSP message exchange; assign one to
 	// Options.Exchange.
 	ExchangeFactory = bsp.ExchangeFactory
-	// RetryPolicy bounds exponential backoff around superstep exchanges.
-	RetryPolicy = bsp.RetryPolicy
-	// CheckpointStore persists barrier snapshots for recovery and resume.
+	// CheckpointStore persists barrier snapshots for resume.
 	CheckpointStore = bsp.CheckpointStore
-	// TCPConfig tunes the TCP exchange's dial/setup/frame deadlines.
+	// TCPConfig tunes the TCP exchange's dial/setup/frame deadlines; a
+	// deadline that passes ends the run with a timeout error.
 	TCPConfig = bsp.TCPConfig
 )
 
@@ -141,30 +139,32 @@ func NewTCPExchangeWithConfig(cfg TCPConfig) ExchangeFactory {
 	return bsp.NewTCPExchangeFactoryWithConfig(cfg)
 }
 
-// NewMemCheckpointStore returns an in-memory checkpoint store for in-run
-// recovery within a single process.
+// NewMemCheckpointStore returns an in-memory checkpoint store: a stopped run's
+// snapshots, for a later run in the same process to resume from.
 func NewMemCheckpointStore() CheckpointStore { return bsp.NewMemCheckpointStore() }
 
 // NewFileCheckpointStore returns a directory-backed checkpoint store whose
 // snapshots survive the process; pass it as Options.ResumeFrom in a later
-// run to continue a failed enumeration from its last barrier.
+// run to continue a stopped enumeration from its last barrier.
 func NewFileCheckpointStore(dir string) (CheckpointStore, error) {
 	return bsp.NewFileCheckpointStore(dir)
 }
 
 // ErrCorruptCheckpoint reports a stored snapshot that failed integrity
-// verification (bad magic, checksum mismatch, undecodable payload); surfaced
-// wrapped from runs using Options.ResumeFrom, distinguishable with errors.Is.
+// verification (bad magic, checksum mismatch, undecodable payload) or was
+// taken by another run (graph, pattern, seeds or worker count differ);
+// surfaced wrapped from runs using Options.ResumeFrom, distinguishable with
+// errors.Is.
 var ErrCorruptCheckpoint = bsp.ErrCorruptCheckpoint
 
 // Observability (internal/obs): per-superstep timings, transport volume,
-// checkpoint/recovery trace, end-of-run report. Attach an Observer to
+// checkpoint and resume trace, end-of-run report. Attach an Observer to
 // Options.Observer; a nil Observer is a no-op, and with the default NopSink
 // the engine's per-message hot path is untouched (no hooks run per message).
 type (
 	// Observer collects one run's metrics and forwards trace events to a
 	// Sink. Its logical counters (Counters, worker loads) match Stats
-	// bit-for-bit on clean, recovered, and resumed runs alike.
+	// bit-for-bit on clean and resumed runs alike.
 	Observer = obs.Observer
 	// Sink receives structured trace events.
 	Sink = obs.Sink

@@ -1,9 +1,7 @@
 package psgl_test
 
 // Black-box tests of the public API: everything here goes through the psgl
-// package surface only, as a downstream user would — except the injected
-// exchange faults, which come from a test helper (internal/faulttest), not
-// from the public API.
+// package surface only, as a downstream user would.
 
 import (
 	"bytes"
@@ -12,11 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"psgl"
-	"psgl/internal/bsp"
-	"psgl/internal/faulttest"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -339,34 +334,55 @@ func TestLoadEdgeListRejectsGarbage(t *testing.T) {
 	}
 }
 
+// stopAfterSave is a downstream checkpoint store: it keeps the latest
+// snapshot in memory and stops the run right after its nth save.
+type stopAfterSave struct {
+	psgl.CheckpointStore
+	n, saves int
+	stop     context.CancelFunc
+}
+
+func (s *stopAfterSave) Save(step int, data []byte) error {
+	err := s.CheckpointStore.Save(step, data)
+	if s.saves++; s.saves == s.n {
+		s.stop()
+	}
+	return err
+}
+
 func TestFaultTolerancePublicAPI(t *testing.T) {
-	// The whole fault-tolerance surface through the public package: retry,
-	// checkpointing, recovery — same count as clean. Squares, not triangles: a
-	// triangle run has no exchange to fault. The square run has two
-	// supersteps: one failure at superstep 0 is retried, two at superstep 1
-	// exhaust the retries and force a restore.
+	// The whole fault-tolerance surface through the public package:
+	// checkpoint a run, stop it, resume it in a new run — same count as
+	// clean. Houses, not triangles: a triangle completes where it is seeded,
+	// and a house run has three supersteps, so it stops after its second
+	// save with a superstep still to go.
 	g := psgl.GenerateErdosRenyi(60, 240, 5)
-	clean, err := psgl.List(g, psgl.Square(), psgl.NewOptions())
+	clean, err := psgl.List(g, psgl.House(), psgl.NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := &stopAfterSave{CheckpointStore: psgl.NewMemCheckpointStore(), n: 2, stop: cancel}
 	opts := psgl.NewOptions()
-	opts.Exchange = faulttest.Schedule(t, nil,
-		bsp.StepFault{Step: 0, Kind: bsp.StepFaultFail},
-		bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail}, bsp.StepFault{Step: 1, Kind: bsp.StepFaultFail})
-	opts.Retry = psgl.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}
 	opts.CheckpointEvery = 1
-	opts.CheckpointStore = psgl.NewMemCheckpointStore()
-	opts.MaxRecoveries = 1
-	res, err := psgl.ListContext(context.Background(), g, psgl.Square(), opts)
+	opts.CheckpointStore = store
+	if _, err := psgl.ListContext(ctx, g, psgl.House(), opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run: err = %v, want context.Canceled", err)
+	}
+	resumed := psgl.NewOptions()
+	resumed.ResumeFrom = store
+	res, err := psgl.List(g, psgl.House(), resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Recoveries != 1 {
-		t.Fatalf("Recoveries = %d, want 1", res.Stats.Recoveries)
+	if res.Count != clean.Count || res.Stats.LoadMakespan != clean.Stats.LoadMakespan {
+		t.Fatalf("resumed run counted %d (load makespan %v), clean run %d (%v)",
+			res.Count, res.Stats.LoadMakespan, clean.Count, clean.Stats.LoadMakespan)
 	}
-	if res.Count != clean.Count {
-		t.Fatalf("faulty run counted %d, clean run %d", res.Count, clean.Count)
+	// Another pattern is another run: its snapshot is refused.
+	if _, err := psgl.List(g, psgl.Square(), resumed); !errors.Is(err, psgl.ErrCorruptCheckpoint) {
+		t.Fatalf("resuming a house run's checkpoint as squares: err = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 

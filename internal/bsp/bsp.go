@@ -82,12 +82,13 @@ type Config struct {
 	ResumeFrom CheckpointStore
 	// AsyncExchange moves the run loop's three policy points (loop.go) from
 	// stepped to pipelined: a delivered frame is enqueued at its destination
-	// at once instead of staged for the next superstep, a worker flushes
-	// every batch that fills a frame instead of only when its inbox is
-	// drained, and a worker takes what it sent itself back one chunk at a
-	// time, newest first, ahead of peers' frames, so the run goes depth
-	// first and a capped run meets its cap early. Final counts are bit-identical to strict mode for programs
-	// whose results are independent of message-processing order. With no
+	// at once instead of staged for the next superstep, a worker ships a
+	// batch mid-burst as soon as its destination goes idle instead of only
+	// when its inbox is drained, and a worker takes what it sent itself
+	// back one chunk at a time, newest first, ahead of peers' frames, so the
+	// run goes depth first and a capped run meets its cap early. Final
+	// counts are bit-identical to strict mode for programs whose results are
+	// independent of message-processing order. With no
 	// supersteps left, checkpoints are taken at induced pauses.
 	AsyncExchange bool
 	// CompressFrames selects the front-coding frame codec (compress.go):
@@ -106,8 +107,9 @@ type Config struct {
 	// path is unaffected either way.
 	Observer *obs.Observer
 
-	// asyncFlushEvery is the pipelined frame granularity: a worker flushes
-	// a destination batch once it holds this many messages. 0 means
+	// asyncFlushEvery is the pipelined size trigger: once one burst has
+	// sent this many messages since its last such flush, a worker ships
+	// every batch holding at least this many. 0 means
 	// defaultAsyncFlushEvery; only this package's tests set it, to force
 	// frame counts a small workload would not otherwise reach.
 	asyncFlushEvery int

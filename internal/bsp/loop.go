@@ -19,8 +19,9 @@ package bsp
 //     boundary publishes the staged frames as the next inboxes — a superstep is
 //     a pipelined epoch whose deliveries are deferred to the next epoch.
 //   - pipelined: deliver enqueues a frame at its destination at once and a
-//     worker flushes every batch that fills a frame, so expansion overlaps
-//     communication and the verdict arrives when the run is over (or when the
+//     worker ships a batch mid-burst as soon as its destination goes idle, so
+//     expansion overlaps communication and no peer waits for work another
+//     worker holds; the verdict arrives when the run is over (or when the
 //     coordinator pauses the plane to checkpoint). A worker's batch for itself
 //     goes back on its queue as own work after every burst, and it takes that
 //     work one chunk at a time, newest first, ahead of peers' frames: a child
@@ -38,9 +39,12 @@ import (
 	"time"
 )
 
-// defaultAsyncFlushEvery is the frame granularity of the pipelined policy: a
-// worker flushes a destination batch once it holds this many messages (and
-// flushes all partial batches before going idle).
+// defaultAsyncFlushEvery is the pipelined policy's size trigger: once one
+// burst has sent this many messages since its last such flush, a worker ships
+// every batch holding at least this many. It is counted per burst, so it
+// rarely fires when a burst is one own chunk; the idle trigger (workerLoop)
+// is what keeps peers fed, and a worker ships every partial batch before it
+// goes idle.
 const defaultAsyncFlushEvery = 256
 
 // maxSpareChunks caps the chunks a worker keeps for reuse — own chunks a
@@ -138,10 +142,6 @@ type worker[M any] struct {
 	cond *sync.Cond
 
 	queue Inbox[M]
-	// released: the queue is this worker's to drain even if empty. Set at
-	// run start and by every stepped boundary, so each worker runs each
-	// superstep (worker 0 owes it the opening frame whatever its inbox).
-	released bool
 
 	// sendSeq numbers the frames that hit the transport: the ordinal word of
 	// a pipelined frame. Touched only by the worker's own goroutine.
@@ -228,7 +228,7 @@ func newRun[M any](cfg Config, prog Program[M]) *run[M] {
 		r.ckFrames = int64(cfg.CheckpointEvery * k)
 	}
 	for w := range r.workers {
-		wk := &worker[M]{released: true}
+		wk := &worker[M]{}
 		wk.cond = sync.NewCond(&wk.mu)
 		r.workers[w] = wk
 	}
@@ -238,10 +238,6 @@ func newRun[M any](cfg Config, prog Program[M]) *run[M] {
 func (r *run[M]) hooks() hooks[M] {
 	return hooks[M]{deliver: r.deliver, ack: r.ack, fatal: r.fatalErr}
 }
-
-// opensStep names the frame worker 0 sends first in every superstep, empty or
-// not.
-func opensStep(src, dst int) bool { return src == 0 && dst == 0 }
 
 // deliver takes what one Send carried — the chunks are dst's from here on.
 // Stepped, it stages the frame for the boundary to publish. Pipelined, it
@@ -431,7 +427,6 @@ func (r *run[M]) boundary() (done bool, err error) {
 	r.pause.Store(false)
 	for w, wk := range r.workers {
 		wk.mu.Lock()
-		wk.released = r.stepped
 		r.det.enqueued(w) // no longer idle: it has a queue to look at
 		wk.cond.Broadcast()
 		wk.mu.Unlock()
@@ -500,13 +495,11 @@ func (r *run[M]) noteBurst(wk *worker[M], wctx *Context[M], start time.Time, pro
 	wctx.sent = 0
 }
 
-// flushOut ships the context's buffered batches: all=false only those that
-// reached flushEvery, all=true everything (and worker 0's opening frame even
-// when empty, stepped).
+// flushOut ships the context's non-empty batches: all=false only those that
+// reached flushEvery, all=true every one.
 func (r *run[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 	for dst, batch := range wctx.out {
-		opens := r.stepped && opensStep(wctx.worker, dst)
-		if n := chunksLen(batch); (n == 0 && !opens) || (!all && n < r.flushEvery) {
+		if n := chunksLen(batch); n == 0 || (!all && n < r.flushEvery) {
 			continue
 		}
 		if !r.ship(wk, wctx, dst) {
@@ -578,8 +571,9 @@ func (ib *Inbox[M]) take(one [][]Envelope[M]) (burst Inbox[M], own []Envelope[M]
 // workerLoop is one worker's life, and the one place an inbox is drained: take
 // a burst from the queue (an unrestored run's first opens with Init), process
 // it, put the batch for itself back on the queue (pipelined), flush —
-// mid-burst whenever a batch fills a frame (pipelined), everything once the
-// queue is empty — and idle until a delivery or the boundary.
+// mid-burst to every idle peer and on the size trigger (pipelined),
+// everything once the queue is empty — and idle until a delivery or the
+// boundary.
 func (r *run[M]) workerLoop(w int) {
 	defer r.wg.Done()
 	wk := r.workers[w]
@@ -587,8 +581,13 @@ func (r *run[M]) workerLoop(w int) {
 	wctx.done = r.ctx.Done()
 	seed := !r.restored
 	// after runs between messages: it stops the burst when the run is
-	// halting and ships every batch that has filled a frame, so peers start
-	// expanding while this worker is still working through its queue.
+	// halting, runs the size trigger and, pipelined, ships every batch whose
+	// destination is idle, so a peer expands what this worker holds for it
+	// instead of waiting for this worker's queue to run dry. Outside a pause
+	// (which this skips) a worker is idle only with an empty queue, and never
+	// while it runs, so the self batch stays. Over TCP the flag stays set
+	// until the frame lands, so a sender may ship a few small frames to one
+	// idle peer.
 	unflushed, lastFlushSent, flushFailed := false, int64(0), false
 	var one [1][]Envelope[M] // the chunk list of a one-chunk burst, reused
 	after := func() bool {
@@ -601,16 +600,26 @@ func (r *run[M]) workerLoop(w int) {
 			}
 			lastFlushSent = wctx.sent
 		}
+		if r.stepped || r.pause.Load() {
+			return true
+		}
+		for dst, batch := range wctx.out {
+			if len(batch) > 0 && r.det.idle[dst].Load() {
+				if flushFailed = !r.ship(wk, wctx, dst); flushFailed {
+					return false
+				}
+			}
+		}
 		return true
 	}
 	for {
 		wk.mu.Lock()
 		// Nothing to drain, or a boundary is being induced: ship what is
 		// buffered, then idle until a delivery, the boundary or the end. A
-		// worker that has yet to seed runs Init before it honours a pause:
-		// the snapshot taken there is all a resumed run has, and a resumed
-		// run never seeds.
-		for (wk.queue.empty() && !wk.released || r.pause.Load() && !seed) && !r.halt.Load() && r.abort.Load() == nil {
+		// worker that has yet to seed runs Init first, whatever its queue and
+		// before it honours a pause: the snapshot taken there is all a
+		// resumed run has, and a resumed run never seeds.
+		for !seed && (wk.queue.empty() || r.pause.Load()) && !r.halt.Load() && r.abort.Load() == nil {
 			if unflushed {
 				wk.mu.Unlock()
 				if !r.flushOut(wk, wctx, true) {
@@ -632,7 +641,6 @@ func (r *run[M]) workerLoop(w int) {
 		// deliverInbox drops each chunk and frame of the burst as it finishes
 		// with it.
 		burst, own := wk.queue.take(one[:0])
-		wk.released = false
 		wk.mu.Unlock()
 
 		wctx.step = int(r.step.Load())

@@ -1,13 +1,12 @@
 package bsp
 
 // Tests for the one run loop: what the stepped policy promises about a
-// superstep (src-ordered inboxes, a skewed frame fails the step, an opening
-// frame that gates no peer, rows that exclude sends), and an exhaustive
-// walk of the credit detector's interleavings in both policies.
+// superstep (src-ordered inboxes, a skewed frame fails the step, rows that
+// exclude sends), what the pipelined policy promises an idle peer, and an
+// exhaustive walk of the credit detector's interleavings in both policies.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -42,7 +41,7 @@ func (p *orderProgram) Process(ctx *Context[wint], env Envelope[wint]) {
 }
 
 // reverseTransport holds the first `expect` Sends and then delivers them in
-// reverse order — the opening frame last; later Sends pass straight through.
+// reverse order; later Sends pass straight through.
 type reverseTransport struct {
 	h      hooks[wint]
 	expect int
@@ -94,7 +93,7 @@ func TestStepInboxOrderIdenticalAcrossTransports(t *testing.T) {
 				for i := rng.Intn(8); i > 0; i-- {
 					out[src][dst] = append(out[src][dst], wint(rng.Int31()))
 				}
-				if len(out[src][dst]) > 0 || opensStep(src, dst) {
+				if len(out[src][dst]) > 0 {
 					frames++
 				}
 			}
@@ -165,47 +164,6 @@ func TestStepNeverCompletesOverASkewedFrame(t *testing.T) {
 	}
 }
 
-// gateTransport holds superstep 0's opening frame until worker 1 has sent a
-// frame of that superstep.
-type gateTransport struct {
-	inner    transport[wint]
-	peerSent chan struct{}
-	once     sync.Once
-}
-
-func (g *gateTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
-	if opensStep(src, dst) && ord == 0 {
-		select {
-		case <-g.peerSent:
-		case <-time.After(10 * time.Second):
-			return false, errors.New("worker 1 sent nothing while the opening frame was held")
-		}
-	}
-	spent, err := g.inner.Send(ctx, src, dst, ord, batch)
-	if src == 1 {
-		g.once.Do(func() { close(g.peerSent) })
-	}
-	return spent, err
-}
-
-func (g *gateTransport) Close() error { return g.inner.Close() }
-
-// TestOpeningFrameDoesNotGateOtherWorkers: worker 0 sends the opening frame
-// first among its own frames, but the other workers' sends do not wait for it
-// — a run whose opening frame is held until a peer's frame is on its way
-// completes.
-func TestOpeningFrameDoesNotGateOtherWorkers(t *testing.T) {
-	prog, cfg := newEcho(40, 3, 2)
-	a := newTestRun[wint](cfg, prog, false)
-	a.transport = &gateTransport{inner: localTransport[wint]{h: a.hooks()}, peerSent: make(chan struct{})}
-	if err := a.drive(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.stats.Counters["delivered"]; got != 160 {
-		t.Fatalf("delivered = %d, want 160", got)
-	}
-}
-
 // slowTransport makes every Send cost a fixed wall time.
 type slowTransport struct {
 	inner transport[wint]
@@ -250,6 +208,61 @@ func TestStepRowExcludesSends(t *testing.T) {
 	}
 	if steps[2].Exchange != 0 {
 		t.Errorf("final step reports an exchange of %v; nothing was pending", steps[2].Exchange)
+	}
+}
+
+// TestPipelinedIdlePeerIsFedMidBurst: a pipelined worker ships what it holds
+// for an idle peer while its own queue still has work. Worker 0 walks a chain
+// of its own messages; each step sends worker 1 one message, and the next
+// step re-queues itself until worker 1 has processed it, for at most 5 s. A
+// worker that ships only once its queue runs dry never lets the chain go on.
+func TestPipelinedIdlePeerIsFedMidBurst(t *testing.T) {
+	const steps = 20
+	for name, exchange := range map[string]func() ExchangeFactory{
+		"local": func() ExchangeFactory { return nil },
+		"tcp":   NewTCPExchangeFactory,
+	} {
+		var (
+			peerDone atomic.Int64 // messages worker 1 has processed
+			deadline = time.Now().Add(5 * time.Second)
+			stalled  atomic.Int64 // the step that waited out the deadline, or -1
+		)
+		stalled.Store(-1)
+		prog := &funcProgram[wint]{
+			// Vertex 0 (worker 0) carries the chain, vertex 1 (worker 1) the
+			// peer's messages; a chain message is the step it waits on.
+			init: func(ctx *Context[wint]) {
+				if ctx.Worker() == 0 {
+					ctx.Send(1, 0)
+					ctx.Send(0, 1)
+				}
+			},
+			process: func(ctx *Context[wint], env Envelope[wint]) {
+				step := int64(env.Msg)
+				switch {
+				case env.Dest == 1:
+					peerDone.Add(1)
+				case peerDone.Load() < step && time.Now().After(deadline):
+					stalled.Store(step)
+				case peerDone.Load() < step:
+					runtime.Gosched() // let worker 1 run on a one-core box
+					ctx.Send(0, env.Msg)
+				case step < steps:
+					ctx.Send(1, env.Msg)
+					ctx.Send(0, env.Msg+1)
+				}
+			},
+		}
+		cfg := Config{Workers: 2, Owner: func(v graph.VertexID) int { return int(v) }, AsyncExchange: true, Exchange: exchange()}
+		if _, err := Run[wint](cfg, prog); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s := stalled.Load(); s >= 0 {
+			t.Errorf("%s: step %d waited 5 s for worker 1, which was idle with its message still buffered at worker 0", name, s)
+		}
+		if got := peerDone.Load(); got != steps {
+			t.Errorf("%s: worker 1 processed %d messages, want %d", name, got, steps)
+		}
 	}
 }
 

@@ -328,17 +328,20 @@ func TestResumeAfterEverySaveMatchesCleanRun(t *testing.T) {
 }
 
 // failingTransport delivers in-process and fails the Send numbered failAt
-// (from 1) with errSendFailed, delivering nothing of it.
+// (from 1) with errSendFailed, delivering nothing of it; fired records that
+// it did.
 type failingTransport struct {
 	inner  transport[wint]
 	sends  atomic.Int64
 	failAt int64
+	fired  atomic.Bool
 }
 
 var errSendFailed = errors.New("send failed")
 
 func (f *failingTransport) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[wint]) (bool, error) {
 	if f.sends.Add(1) == f.failAt {
+		f.fired.Store(true)
 		return false, errSendFailed
 	}
 	return f.inner.Send(ctx, src, dst, ord, batch)
@@ -349,17 +352,23 @@ func (f *failingTransport) Close() error { return f.inner.Close() }
 // TestFailedSendEndsTheRun: with no recovery, a frame that fails to send is
 // never silently dropped. The run returns the transport's error, in both
 // policies, whichever Send fails, with the observer told and no goroutine
-// left behind; over TCP, a torn write does the same.
+// left behind; over TCP, a torn write does the same. A pipelined run ships
+// every non-empty batch after every message here (asyncFlushEvery = 1), so
+// whatever the timing it makes more Sends than the highest failAt.
 func TestFailedSendEndsTheRun(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		for _, failAt := range []int64{1, 5, 20} {
 			base := runtime.NumGoroutine()
 			o := obs.New(nil)
 			prog, cfg := newEcho(60, 5, 3)
-			cfg.AsyncExchange, cfg.Observer = async, o
+			cfg.AsyncExchange, cfg.Observer, cfg.asyncFlushEvery = async, o, 1
 			r := newTestRun[wint](cfg, prog, false)
-			r.transport = &failingTransport{inner: localTransport[wint]{h: r.hooks()}, failAt: failAt}
+			tr := &failingTransport{inner: localTransport[wint]{h: r.hooks()}, failAt: failAt}
+			r.transport = tr
 			err := r.drive(context.Background())
+			if !tr.fired.Load() {
+				t.Fatalf("async=%v: the run made %d Sends, so Send %d never failed (err = %v)", async, tr.sends.Load(), failAt, err)
+			}
 			if !errors.Is(err, errSendFailed) {
 				t.Fatalf("async=%v, Send %d fails: err = %v, want the transport's error", async, failAt, err)
 			}

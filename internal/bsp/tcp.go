@@ -66,16 +66,19 @@ func NewTCPExchangeFactoryWithConfig(cfg TCPConfig) ExchangeFactory {
 
 type tcpFactory struct{ cfg TCPConfig }
 
-func (tcpFactory) kind() string { return "tcp" }
+func (f tcpFactory) tcpConfig() TCPConfig { return f.cfg }
 
 // pairConn is the connection of one ordered (src, dst) pair: src's goroutine
 // is the only writer of out, one reader goroutine the only reader of in, so
 // neither side needs a lock for the bytes. mu guards only the read-deadline
-// bookkeeping the two share.
+// bookkeeping the two share. torn is set, before out is closed, by a Send
+// whose write failed mid-frame: that Send's error is the failure to report,
+// not the truncation its reader meets.
 type pairConn struct {
-	out net.Conn
-	in  net.Conn
-	br  *bufio.Reader
+	out  net.Conn
+	in   net.Conn
+	br   *bufio.Reader
+	torn atomic.Bool
 
 	mu       sync.Mutex
 	inflight int // Sends written (or being written) and not yet fully read
@@ -329,8 +332,9 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 	if err != nil {
 		if wrote > 0 {
 			// A torn frame: anything written behind it would be mis-framed, so
-			// the pair is dead — later Sends fail fast and the reader
-			// reports the truncation.
+			// the pair is dead — later Sends fail fast and the reader, told
+			// first, leaves the failure to this Send's caller.
+			p.torn.Store(true)
 			p.out.Close()
 		}
 		p.settle(t.cfg.FrameTimeout)
@@ -345,14 +349,15 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 
 // readLoop drains one pair's conn for the transport's lifetime. An error on
 // a live transport is fatal to the loop above: the Send it belonged to can
-// never be delivered or acked, so the run must end, not wait.
+// never be delivered or acked, so the run must end, not wait. A torn pair's
+// error is not reported here: the Send that tore it returns its own.
 func (t *tcpTransport[M]) readLoop(src, dst int) {
 	defer t.wg.Done()
 	p := &t.pairs[src][dst]
 	for {
 		ord, in, err := t.readSend(p)
 		if err != nil {
-			if !t.closed.Load() {
+			if !t.closed.Load() && !p.torn.Load() {
 				t.h.fatal(fmt.Errorf("bsp: tcp exchange recv %d<-%d: %w", dst, src, err))
 			}
 			return

@@ -57,27 +57,23 @@ func trySend[T any](ch chan<- T, v T) {
 // provides the one implementation (NewTCPExchangeFactory); a nil factory is
 // the in-process transport.
 type ExchangeFactory interface {
-	kind() string
+	tcpConfig() TCPConfig
 }
 
 // newTransport resolves factory f (cfg.Exchange) into a transport delivering
 // through h, constructed with the frame codec cfg.CompressFrames selects.
 func newTransport[M any](ctx context.Context, f ExchangeFactory, cfg *Config, h hooks[M]) (transport[M], error) {
 	wire := messageIsWire[M]()
-	switch ff := f.(type) {
-	case nil:
+	if f == nil {
 		// Compression needs the binary codec; an in-process run of a type
 		// without one stays flat regardless of the flag.
 		return localTransport[M]{compress: cfg.CompressFrames && wire, h: h}, nil
-	case tcpFactory:
-		if !wire {
-			var m M
-			return nil, fmt.Errorf("bsp: tcp exchange: message type %T does not implement WireMessage", &m)
-		}
-		return newTCPTransport(ctx, cfg.Workers, ff.cfg.withDefaults(), cfg.CompressFrames, cfg.Observer, h)
-	default:
-		return nil, fmt.Errorf("bsp: unknown exchange factory %q", f.kind())
 	}
+	if !wire {
+		var m M
+		return nil, fmt.Errorf("bsp: tcp exchange: message type %T does not implement WireMessage", &m)
+	}
+	return newTCPTransport(ctx, cfg.Workers, f.tcpConfig().withDefaults(), cfg.CompressFrames, cfg.Observer, h)
 }
 
 // localTransport delivers in-process: deliver, then ack, synchronously. Flat,

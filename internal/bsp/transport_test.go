@@ -185,15 +185,16 @@ func TestTransportConformance(t *testing.T) {
 	}
 }
 
-// tornConn passes the mesh handshake through, then tears the next write: half
-// the frame reaches the peer and the call fails.
+// tornConn passes the mesh handshake and then pass frames through, and tears
+// the next write: half the frame reaches the peer and the call fails.
 type tornConn struct {
 	net.Conn
+	pass   int
 	writes int
 }
 
 func (c *tornConn) Write(p []byte) (int, error) {
-	if c.writes++; c.writes != 2 {
+	if c.writes++; c.writes != c.pass+2 {
 		return c.Conn.Write(p)
 	}
 	n, _ := c.Conn.Write(p[:len(p)/2])
@@ -203,41 +204,68 @@ func (c *tornConn) Write(p []byte) (int, error) {
 // TestTCPTornWriteKillsThePair: a write that fails mid-frame must not be
 // followed by another frame on the same stream (the reader would mis-frame
 // it). The pair dies instead: the re-issued Send fails, nothing of either is
-// delivered or acked, and the reader reports the truncation.
+// delivered or acked, and the failed Send's error is the one report — the
+// reader, meeting the truncation, exits and reports nothing, so a run cannot
+// end with its EOF in place of the write's error.
 func TestTCPTornWriteKillsThePair(t *testing.T) {
 	testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
 		conn, err := net.DialTimeout("tcp", addr, timeout)
 		if err == nil && src == 0 && dst == 1 {
-			conn = &tornConn{Conn: conn}
+			conn = &tornConn{Conn: conn, pass: 1}
 		}
 		return conn, err
 	}
 	defer func() { testDialHook = nil }()
+	base := meshReaders()
 	rec := &recorder[wint]{wire: true, acks: map[int]int{}}
 	tr, err := newTransport(context.Background(), NewTCPExchangeFactory(), &Config{Workers: 2}, rec.hooks(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer tr.Close()
 	batch := [][]Envelope[wint]{{{Dest: 1, Msg: 7}, {Dest: 3, Msg: 9}}}
-	if _, err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
+	// One frame each way, delivered and acked: both pairs' readers run.
+	for src := 0; src < 2; src++ {
+		if _, err := tr.Send(context.Background(), src, 1-src, 1, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked := func() int {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return rec.acks[0] + rec.acks[1]
+	}
+	waitUntil(t, "both frames acked", func() bool { return acked() == 2 })
+	if n := meshReaders() - base; n != 2 {
+		t.Fatalf("%d readers running, want 2", n)
+	}
+	if _, err := tr.Send(context.Background(), 0, 1, 2, batch); err == nil {
 		t.Fatal("torn write reported success")
 	}
-	if _, err := tr.Send(context.Background(), 0, 1, 1, batch); err == nil {
+	if _, err := tr.Send(context.Background(), 0, 1, 3, batch); err == nil {
 		t.Fatal("Send behind a torn frame succeeded")
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rec.mu.Lock()
-		fatals := len(rec.fatals)
-		rec.mu.Unlock()
-		if fatals > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the torn pair's reader exited", func() bool { return meshReaders()-base == 1 })
 	tr.Close()
-	if len(rec.fatals) != 1 || len(rec.delivered) != 0 || len(rec.acks) != 0 {
-		t.Fatalf("fatals %v, delivered %v, acks %v; want one truncation report and nothing else", rec.fatals, rec.delivered, rec.acks)
+	if len(rec.fatals) != 0 || len(rec.delivered) != 4 || rec.acks[0] != 1 || rec.acks[1] != 1 {
+		t.Fatalf("fatals %v, delivered %v, acks %v; want the two good frames and nothing else", rec.fatals, rec.delivered, rec.acks)
+	}
+}
+
+// meshReaders counts the running TCP mesh reader goroutines.
+func meshReaders() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), ").readLoop(")
+}
+
+// waitUntil polls cond for up to 10 s and fails the test, naming what, if it
+// never holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting: %s", what)
+		}
 	}
 }
 

@@ -132,8 +132,8 @@ type Options struct {
 	// Exchange overrides the BSP message exchange (e.g.
 	// bsp.NewTCPExchangeFactory() for loopback-TCP distribution).
 	Exchange bsp.ExchangeFactory
-	// AsyncExchange runs the BSP substrate in pipelined async mode: workers
-	// flush fixed-size Gpsi frames as they are produced, receivers expand
+	// AsyncExchange runs the BSP substrate in pipelined async mode: a worker
+	// ships a peer's Gpsis as soon as that peer goes idle, receivers expand
 	// them as they arrive, and termination is detected by credit/ack
 	// accounting instead of barriers. Counts are bit-identical to strict
 	// mode (the engine's enumeration is processing-order independent; the

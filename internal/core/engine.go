@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,6 +208,15 @@ type engine struct {
 	// pEdges caches p.Edges() (which builds a fresh slice per call) for the
 	// pending-edge scan in grayCandidates.
 	pEdges [][2]int
+	// The degree filter of pattern vertex pv (Algorithm 5). On a degree-ordered
+	// state the vertices of degree p.Degree(pv) or more are the ranks from
+	// floor[pv] on and minDeg[pv] is 0; elsewhere (patched, identity order)
+	// floor is 0 and hosts tests Degree(d) ≥ minDeg[pv] per candidate.
+	floor  [maxPatternVertices]graph.VertexID
+	minDeg [maxPatternVertices]int
+	// counts is set when the run emits nothing per instance (no OnInstance,
+	// Collect, EmitFilter or MaxResults): combine may then count leaves.
+	counts bool
 
 	// Per-worker state; index w is touched only by worker w's goroutine
 	// (bsp guarantees one goroutine per worker per superstep, with barriers
@@ -252,6 +262,7 @@ type expandFrame struct {
 	hub    [maxPatternVertices][]uint64
 	split  uint16
 	parts  *ownerSplit
+	leaf   bool // the run only counts, and the last slot's children are complete
 }
 
 // ownerSplit is slot i's candidates split by owner: mine[i] the ones this
@@ -318,6 +329,7 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		ix:     pr.ix,
 		bitmap: pr.bitmap,
 		owner:  pr.owner,
+		counts: opts.OnInstance == nil && !opts.Collect && opts.EmitFilter == nil && opts.MaxResults == 0,
 	}
 	if len(opts.Seeds) > 0 && pr.orig != nil {
 		rank := pr.ranks()
@@ -351,6 +363,15 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		}
 		e.edgeID[edge[0]][edge[1]] = i
 		e.edgeID[edge[1]][edge[0]] = i
+	}
+	for pv := range n {
+		if deg := p.Degree(pv); pr.byDegree {
+			e.floor[pv] = graph.VertexID(sort.Search(pr.g.NumVertices(), func(r int) bool {
+				return pr.g.Degree(graph.VertexID(r)) >= deg
+			}))
+		} else {
+			e.minDeg[pv] = deg
+		}
 	}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
@@ -602,9 +623,10 @@ func (e *engine) Process(ctx *bsp.Context[gpsi], env bsp.Envelope[gpsi]) {
 }
 
 // hosts applies the Gpsi-independent half of Algorithm 5 — the degree and
-// label filters — to data vertex d as an image of pattern vertex pv.
+// label filters — to data vertex d as an image of pattern vertex pv. A minDeg
+// of 0 skips the degree test (candidates, where the floor made it).
 func (e *engine) hosts(ctx *bsp.Context[gpsi], pv, minDeg int, d graph.VertexID) bool {
-	if e.g.Degree(d) < minDeg {
+	if minDeg > 0 && e.g.Degree(d) < minDeg {
 		ctx.Add(ctrPrunedDegree, 1)
 		return false
 	}
@@ -747,6 +769,7 @@ func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 		e.stepLoads[w] = append(e.stepLoads[w], 0)
 	}
 	e.stepLoads[w][ctx.Step()] += loadUnits
+	fr.leaf = e.counts && bits.OnesCount16(mapped)+fr.nw == int(m.N)
 
 	e.combine(ctx, &m, fr, 0)
 }
@@ -801,13 +824,16 @@ func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
 
 // candidates appends to out the admissible data vertices for WHITE pattern
 // vertex wv while expanding vp at vd: the part of vd's row inside wv's order
-// window, through the degree filter, injectivity, and the closing-edge checks
-// of admits against the mapped neighbors of wv in probe. out is a reusable
+// window, through the degree and label filters, injectivity, and the
+// closing-edge checks of admits against the mapped neighbors of wv in probe.
+// The degree filter cuts the window's prefix below floor[wv], counted by range
+// (by bit, the AND's survivors only, on the bitset path). out is a reusable
 // scratch buffer owned by the caller's expansion frame fr. proven is the set
 // of mapped neighbors whose edge to every candidate the bitset AND
 // established.
 func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
-	minDeg := e.p.Degree(wv)
+	minDeg, floor := e.minDeg[wv], e.floor[wv]
+	filters := minDeg > 0 || e.opts.DataLabels != nil // else hosts has nothing to test
 	in := e.inWindow(ctx, e.g.Neighbors(vd), m, wv, mapped)
 	// Bitset AND fast path: when vd is a hub and wv has other already-mapped
 	// pattern neighbors that are hubs too, the candidate set is confined to the
@@ -840,6 +866,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, ma
 			// word loop is inlined — no IterateSet closure — to keep the hot
 			// path allocation-free.
 			first, last := int(in[0]), int(in[len(in)-1])
+			var below int64
 			for i := first / 64; i <= last/64; i++ {
 				word := rowVd[i]
 				for _, r := range hubRows[:nHub] {
@@ -853,17 +880,25 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, ma
 				}
 				for ; word != 0; word &= word - 1 {
 					d := graph.VertexID(i*64 + bits.TrailingZeros64(word))
-					if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, fr, d, probe, own) {
+					if d < floor {
+						below++
+					} else if (!filters || e.hosts(ctx, wv, minDeg, d)) && e.admits(ctx, m, fr, d, probe, own) {
 						out = append(out, d)
 					}
 				}
 			}
+			ctx.Add(ctrPrunedDegree, below)
 			return out, proven
 		}
 	}
+	if len(in) > 0 && in[0] < floor {
+		cut := graph.LowerBound(in, floor)
+		ctx.Add(ctrPrunedDegree, int64(cut))
+		in = in[cut:]
+	}
 	e.openCursors(m, fr, probe)
 	for _, d := range in {
-		if e.hosts(ctx, wv, minDeg, d) && e.admits(ctx, m, fr, d, probe, own) {
+		if (!filters || e.hosts(ctx, wv, minDeg, d)) && e.admits(ctx, m, fr, d, probe, own) {
 			out = append(out, d)
 		}
 	}
@@ -886,9 +921,11 @@ func (e *engine) openCursors(m *gpsi, fr *expandFrame, probe uint16) {
 // between two newly mapped vertices — exact when this worker reads either
 // image's row, by the edge index otherwise. Surviving children, with each
 // slot's pend edges marked pending unless the worker reads the candidate's
-// row, are finalized. Every combination looks at the halted flag first, so a
-// cap hit inside a hub's cross product stops the enumeration there, not at
-// the next message.
+// row, are finalized; in the last slot of a run that only counts (fr.leaf),
+// the survivors that leave no pending edge are counted as results at once
+// instead (the leaf count). Every combination looks at the halted flag first,
+// so a cap hit inside a hub's cross product stops the enumeration there, not
+// at the next message.
 func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int) {
 	if i == fr.nw {
 		e.finalize(ctx, m)
@@ -908,17 +945,27 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 	}
 	closing := e.adjacent[wv] & earlier
 	in := e.inWindow(ctx, fr.cands[i], m, wv, earlier)
+	leaf := fr.leaf && i == fr.nw-1 && m.Pending == 0
+	switch {
+	case len(in) == 0:
+		return // without opening a closing image's row
+	case leaf && i == 0 && fr.pend[0] == 0:
+		// The only slot: nothing here refuses what candidates admitted.
+		ctx.Add(ctrResults, int64(len(in)))
+		return
+	}
 	if e.checks() && closing != 0 && closing&(closing-1) == 0 && len(in) >= meetMinWindow {
-		e.combineMeet(ctx, m, fr, i, in, bits.TrailingZeros16(closing))
+		e.combineMeet(ctx, m, fr, i, in, bits.TrailingZeros16(closing), leaf)
 		return
 	}
 	for mask := closing; mask != 0; mask &= mask - 1 {
 		u := bits.TrailingZeros16(mask)
 		fr.rows[e.edgeID[wv][u]] = e.g.Neighbors(m.Map[u])
 	}
+	var results int64
 	for _, d := range in {
 		if e.halted.Load() != 0 {
-			return
+			break
 		}
 		if m.uses(d) {
 			ctx.Add(ctrPrunedInjective, 1)
@@ -960,11 +1007,18 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 				newPending |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
 			}
 		}
+		if leaf && newPending == 0 {
+			results++
+			continue
+		}
 		m.Map[wv] = d
 		m.Pending |= newPending
 		e.combine(ctx, m, fr, i+1)
 		m.Pending &^= newPending
 		m.Map[wv] = unmapped
+	}
+	if results > 0 {
+		ctx.Add(ctrResults, results)
 	}
 }
 
@@ -988,8 +1042,9 @@ const meetMinWindow = 8
 // combine's order. An exact candidate the walk skips is
 // counted in bulk before the next survivor: pruned by injectivity if it is an
 // earlier slot's image, by verification otherwise, which is what combine
-// would have counted by then.
-func (e *engine) combineMeet(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, in []graph.VertexID, u int) {
+// would have counted by then. With leaf set, an exact survivor that leaves no
+// pending edge is counted as a result, as in combine.
+func (e *engine) combineMeet(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, in []graph.VertexID, u int, leaf bool) {
 	wv, w, dp := fr.whites[i], ctx.Worker(), m.Map[u]
 	closingEdge := uint32(1) << uint(e.edgeID[wv][u])
 	var pend uint32
@@ -1022,7 +1077,7 @@ func (e *engine) combineMeet(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i
 	}
 	// The counts are kept here and added once, on the way out; nothing reads
 	// them before the superstep ends.
-	var injective, verify, queries, index int64
+	var injective, verify, queries, index, results int64
 	rest, row := exact, e.g.Neighbors(dp)
 	done, k := 0, 0 // exact[:done] and exactImgs[:k] are accounted for
 	p, pk := 0, 0   // so are probed[:p]; imgs[:pk] are below probed[p]
@@ -1078,12 +1133,16 @@ walk:
 		if pend != 0 && !e.reads(d, w) {
 			newPending = pend
 		}
+		if leaf && newPending == 0 {
+			results++
+			continue
+		}
 		e.descend(ctx, m, fr, i, d, newPending)
 	}
 	for _, c := range [...]struct {
 		id bsp.Counter
 		n  int64
-	}{{ctrPrunedInjective, injective}, {ctrPrunedVerify, verify}, {ctrIndexQueries, queries}, {ctrPrunedIndex, index}} {
+	}{{ctrPrunedInjective, injective}, {ctrPrunedVerify, verify}, {ctrIndexQueries, queries}, {ctrPrunedIndex, index}, {ctrResults, results}} {
 		if c.n != 0 {
 			ctx.Add(c.id, c.n)
 		}

@@ -253,7 +253,10 @@ type Stats struct {
 	// a sorted row or candidate list outside the order window, counted by the
 	// window's range size. Every other filter runs inside the window only, so
 	// PrunedByDegree, PrunedByLabel and PrunedByInjectivity leave out the
-	// entries that were also outside it.
+	// entries that were also outside it. On a degree-ordered state (Prepare's,
+	// not a patched or IdentityOrder one) PrunedByDegree is counted by range
+	// too, as the window's prefix below the first rank of sufficient degree;
+	// the count equals the per-candidate test's.
 	PrunedByDegree      int64
 	PrunedByOrder       int64
 	PrunedByIndex       int64

@@ -95,13 +95,17 @@ func TestMaxResultsEarlyTermination(t *testing.T) {
 				if streamed.Load() != res.Count {
 					t.Fatalf("%s: OnInstance saw %d instances, Count says %d", name, streamed.Load(), res.Count)
 				}
+				// The capped run's per-worker messages show how the workers
+				// shared the run before the cap landed: a worker that
+				// processed nothing did not get a core in time.
 				if async && res.Stats.GpsiProcessed*10 > full.Stats.GpsiProcessed {
-					t.Fatalf("%s: capped run processed %d Gpsis, more than a tenth of the uncapped run's %d",
-						name, res.Stats.GpsiProcessed, full.Stats.GpsiProcessed)
+					t.Fatalf("%s: capped run processed %d Gpsis, more than a tenth of the uncapped run's %d (capped WorkerMessages %v)",
+						name, res.Stats.GpsiProcessed, full.Stats.GpsiProcessed, res.Stats.WorkerMessages)
 				}
 				if async && res.Stats.GpsiGenerated*10 > full.Stats.GpsiGenerated {
-					t.Fatalf("%s: capped run generated %d Gpsis, more than a tenth of the uncapped run's %d",
-						name, res.Stats.GpsiGenerated, full.Stats.GpsiGenerated)
+					t.Fatalf("%s: capped run generated %d Gpsis, more than a tenth of the uncapped run's %d (processed %d of the uncapped run's %d; capped WorkerMessages %v)",
+						name, res.Stats.GpsiGenerated, full.Stats.GpsiGenerated,
+						res.Stats.GpsiProcessed, full.Stats.GpsiProcessed, res.Stats.WorkerMessages)
 				}
 			}
 		}

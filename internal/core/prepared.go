@@ -58,6 +58,11 @@ type graphIndex struct {
 	shared bool
 	ix     *bloom.EdgeIndex // nil in one memory domain and in the w/o-index ablation
 	bitmap *graph.BitmapIndex
+	// byDegree is set when degree never decreases with the rank, so the engine
+	// may read its degree filter off the rank: on the graph Prepare relabelled,
+	// not under IdentityOrder and not on a Patch, whose edits move degrees but
+	// keep the base's order.
+	byDegree bool
 
 	// dist is the degree distribution the Algorithm 4 cost model reads; only
 	// runs that select their initial vertex themselves ask for it.
@@ -106,6 +111,7 @@ func prepare(g *graph.Graph, opts Options, partitioned bool, bitsPerEdge int) *P
 	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts), shared: !partitioned}
 	if !opts.IdentityOrder {
 		gi.g, gi.orig = graph.ByDegree(g)
+		gi.byDegree = true
 	}
 	if bitsPerEdge > 0 {
 		gi.ix = bloom.BuildEdgeIndex(gi.g, bitsPerEdge)
@@ -120,7 +126,8 @@ func prepare(g *graph.Graph, opts Options, partitioned bool, bitsPerEdge int) *P
 // than g's own degree order. Any fixed total order on the data vertices
 // breaks each automorphism exactly once, so counts are a fresh Prepare's and
 // embeddings equal its embeddings as vertex sets; the degree order only keeps
-// the order windows small, and no engine code assumes degree grows with rank.
+// the order windows small. A patched state is not byDegree, so its runs test
+// each candidate's degree rather than read it off the rank.
 //
 // The owner array, orig and its inverse are pr's, shared. The relabelled CSR
 // is pr's merged with the patch (graph.Patched); the edge index, if pr has

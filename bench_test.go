@@ -68,13 +68,17 @@ func BenchmarkTheorem3Makespan(b *testing.B) { benchExperiment(b, experiments.Ma
 
 // --- Ablation benches (design choices from DESIGN.md §5) ---
 
-// BenchmarkAblationAlpha sweeps the workload-aware penalty exponent.
+// BenchmarkAblationAlpha sweeps the workload-aware penalty exponent in the
+// paper's partitioned model, the only one with a distribution strategy.
 func BenchmarkAblationAlpha(b *testing.B) {
 	g := datasets.MustLoad("wikitalk")
 	for _, alpha := range []float64{0.001, 0.25, 0.5, 0.75, 1.0} {
 		b.Run(alphaName(alpha), func(b *testing.B) {
+			opts := core.Options{Workers: 8}
+			pr := core.PreparePartitioned(g, opts, core.BloomBitsPerEdge, core.StrategyWorkloadAware, alpha)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, pattern.PG2(), core.Options{Workers: 8, Alpha: alpha})
+				res, err := pr.RunContext(context.Background(), pattern.PG2(), opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -108,7 +112,7 @@ func BenchmarkAblationBloomBits(b *testing.B) {
 		b.Run(bitsName(bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{Workers: 8}
-				res, err := core.PreparePartitioned(g, opts, bits).RunContext(context.Background(), pattern.PG3(), opts)
+				res, err := core.PreparePartitioned(g, opts, bits, core.StrategyWorkloadAware, 0.5).RunContext(context.Background(), pattern.PG3(), opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -144,7 +148,7 @@ func BenchmarkAblationEdgeIndex(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{Workers: 4}
-				res, err := core.PreparePartitioned(g, opts, bits).RunContext(context.Background(), pattern.PG3(), opts)
+				res, err := core.PreparePartitioned(g, opts, bits, core.StrategyWorkloadAware, 0.5).RunContext(context.Background(), pattern.PG3(), opts)
 				if err != nil {
 					b.Fatal(err)
 				}

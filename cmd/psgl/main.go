@@ -11,7 +11,7 @@
 // census(k) selects the ESU motif-census engine instead of pattern listing:
 // every connected k-vertex subgraph shape is counted and the motif histogram
 // is printed as JSON. -workers, -timeout, -verify, -stats, and the
-// observability flags apply; a listing-engine flag (strategy, budgets,
+// observability flags apply; a listing-engine flag (initial vertex, budgets,
 // exchange, checkpointing, -explain) set with census(k) is a usage error.
 //
 // Observability: -trace writes a JSONL trace of the run's events and prints
@@ -41,7 +41,7 @@ func main() {
 
 // listingFlags are the flags only the listing engine reads.
 var listingFlags = map[string]bool{
-	"strategy": true, "alpha": true, "initial": true, "max-intermediate": true,
+	"initial": true, "max-intermediate": true,
 	"tcp": true, "async": true, "compress": true,
 	"checkpoint-dir": true, "checkpoint-every": true, "resume": true,
 	"explain": true,
@@ -67,10 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		genSpec     = fs.String("gen", "", `generator spec: "er:N:M", "chunglu:N:M:GAMMA", "ba:N:K", "rmat:SCALE:M"`)
 		patternName = fs.String("pattern", "pg1", `pattern DSL: pg1..pg5, triangle, square, diamond, house, "cycle(4)", "clique(4)", "path(3)", "star(5)", "edges(0-1,1-2,2-0)", or "census(4)" for the motif census`)
 		workers     = fs.Int("workers", 8, "BSP worker count (>= 1)")
-		strategy    = fs.String("strategy", "wa", "distribution strategy: random, roulette, wa")
-		alpha       = fs.Float64("alpha", 0.5, "workload-aware penalty exponent (0,1]")
 		initial     = fs.Int("initial", -1, "initial pattern vertex (-1 = automatic)")
-		seed        = fs.Int64("seed", 1, "seed for partition and randomized strategies")
+		seed        = fs.Int64("seed", 1, "seed for the generator and the random partition")
 		budget      = fs.Int64("max-intermediate", 0, "abort after this many partial instances (0 = unlimited)")
 		tcp         = fs.Bool("tcp", false, "route messages over loopback TCP")
 		async       = fs.Bool("async", false, "pipelined async exchange: flush frames as produced, credit-based termination instead of barriers (counts identical to strict mode)")
@@ -129,19 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	opts := psgl.NewOptions()
-	switch *strategy {
-	case "random":
-		opts.Strategy = psgl.StrategyRandom
-	case "roulette":
-		opts.Strategy = psgl.StrategyRoulette
-	case "wa":
-		opts.Strategy = psgl.StrategyWorkloadAware
-	default:
-		return usage("unknown strategy %q (want random, roulette, or wa)", *strategy)
-	}
-	if *alpha <= 0 || *alpha > 1 {
-		return usage("-alpha must be in (0, 1], have %g", *alpha)
-	}
 	if *resume && *ckptDir == "" {
 		return usage("-resume requires -checkpoint-dir")
 	}
@@ -169,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts.Workers = *workers
-	opts.Alpha = *alpha
 	opts.InitialVertex = *initial
 	opts.Seed = *seed
 	opts.MaxIntermediate = *budget

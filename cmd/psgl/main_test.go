@@ -38,8 +38,12 @@ func TestFlagValidation(t *testing.T) {
 		// superstep cap and no per-superstep deadline to set, in any mode.
 		{"zero supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "0"}, 2, "flag provided but not defined: -max-supersteps"},
 		{"negative supersteps", []string{"-gen", "er:50:100", "-max-supersteps", "-1"}, 2, "flag provided but not defined: -max-supersteps"},
-		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "alphabetical"}, 2, `unknown strategy "alphabetical"`},
-		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "1.5"}, 2, "-alpha must be in (0, 1]"},
+		// One memory domain picks the next vertex by cost alone: there is no
+		// distribution strategy and no α to set (the paper harness keeps them).
+		{"unknown strategy", []string{"-gen", "er:50:100", "-strategy", "random"}, 2, "flag provided but not defined: -strategy"},
+		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "0.5"}, 2, "flag provided but not defined: -alpha"},
+		{"census with -strategy", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-strategy", "wa"}, 2, "flag provided but not defined: -strategy"},
+		{"census with -alpha", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-alpha", "0.5"}, 2, "flag provided but not defined: -alpha"},
 		// A failed send ends the run: there is no retry and no in-run
 		// recovery to configure; a stopped run is resumed with -resume.
 		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "2"}, 2, "flag provided but not defined: -exchange-retries"},
@@ -69,12 +73,12 @@ func TestFlagValidation(t *testing.T) {
 		// The census reads no listing-engine flag: each is refused, and
 		// -checkpoint-dir before its store is created.
 		{"census with checkpointing", []string{"-gen", "er:200:800", "-pattern", "census(3)", "-checkpoint-dir", censusStore,
-			"-resume", "-tcp", "-strategy", "random"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
+			"-resume", "-tcp", "-initial", "0"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
 		{"census with -exchange-retries", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-exchange-retries", "2"}, 2, "flag provided but not defined: -exchange-retries"},
 		{"census with -max-recoveries", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-max-recoveries", "2"}, 2, "flag provided but not defined: -max-recoveries"},
 	}
 	for _, f := range [][]string{
-		{"-strategy", "random"}, {"-alpha", "0.5"}, {"-initial", "0"}, {"-max-intermediate", "10"},
+		{"-initial", "0"}, {"-max-intermediate", "10"},
 		{"-tcp"}, {"-async"}, {"-compress"},
 		{"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"}, {"-resume"},
 	} {

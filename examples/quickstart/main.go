@@ -17,8 +17,8 @@ func main() {
 	fmt.Printf("data graph: %d vertices, %d edges, max degree %d\n",
 		g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
-	// Default options: 4 workers, workload-aware distribution (α = 0.5),
-	// automatic initial-pattern-vertex selection.
+	// Default options: 4 workers, automatic initial-pattern-vertex
+	// selection.
 	opts := psgl.NewOptions()
 	opts.Workers = 8
 

@@ -8,6 +8,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -22,19 +23,20 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("allocation profiling in -short mode")
 	}
 	// The diamond's seeds run combine's intersection, whose owner split
-	// grows buffers of its own.
+	// grows buffers of its own. The product runs once; the partitioned model
+	// once per strategy, named after it.
 	type row struct {
-		name     string
-		p        *pattern.Pattern
-		strategy Strategy
+		name    string
+		p       *pattern.Pattern
+		prepare func(*graph.Graph, Options) *Prepared
 	}
 	var rows []row
-	for _, strategy := range []Strategy{StrategyWorkloadAware, StrategyRandom, StrategyRoulette} {
-		rows = append(rows, row{strategy.String(), pattern.PG2(), strategy}, row{"diamond/" + strategy.String(), pattern.PG3(), strategy})
+	for _, m := range slices.Concat([]runModel{productModel}, partitionedModels) {
+		rows = append(rows, row{m.name, pattern.PG2(), m.prepare}, row{"diamond/" + m.name, pattern.PG3(), m.prepare})
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			e, ctx, inbox, err := newHotpathHarness(r.p, r.strategy)
+			e, ctx, inbox, err := newHotpathHarnessOpts(r.prepare, r.p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,11 +16,11 @@ import (
 // TestAsyncDifferentialMatchesStrict pins the tentpole's core promise: the
 // pipelined async exchange produces the exact same embedding multiset — not
 // just the same count — as strict barriered BSP, across skewed Chung–Lu
-// graphs, three patterns, all three distribution strategies, and both
-// transports. Strict mode is the oracle.
+// graphs, three patterns, the product and the partitioned model under all
+// three distribution strategies, and both transports. Strict mode is the
+// oracle.
 func TestAsyncDifferentialMatchesStrict(t *testing.T) {
 	patterns := []*pattern.Pattern{pattern.PG1(), pattern.PG3(), pattern.PG5()}
-	strategies := []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware}
 	exchanges := []struct {
 		name    string
 		factory bsp.ExchangeFactory
@@ -37,27 +37,26 @@ func TestAsyncDifferentialMatchesStrict(t *testing.T) {
 	for _, seed := range seeds {
 		g := gen.ChungLu(70, 300, 2.3, seed)
 		for _, p := range patterns {
-			for _, strat := range strategies {
+			for _, m := range runModels {
 				for _, ex := range exchanges {
-					if testing.Short() && ex.name == "tcp" && strat != StrategyWorkloadAware {
+					if testing.Short() && ex.name == "tcp" && m.alt {
 						continue
 					}
-					name := fmt.Sprintf("seed%d/%s/%s/%s", seed, p.Name(), strat, ex.name)
+					name := fmt.Sprintf("seed%d/%s/%s/%s", seed, p.Name(), m.name, ex.name)
 					t.Run(name, func(t *testing.T) {
 						base := Options{
-							Workers:  ex.workers,
-							Strategy: strat,
-							Seed:     seed,
-							Collect:  true,
+							Workers: ex.workers,
+							Seed:    seed,
+							Collect: true,
 						}
-						strictRes, err := Run(g, p, base)
+						strictRes, err := m.run(g, p, base)
 						if err != nil {
 							t.Fatal(err)
 						}
 						asyncOpts := base
 						asyncOpts.Exchange = ex.factory
 						asyncOpts.AsyncExchange = true
-						asyncRes, err := Run(g, p, asyncOpts)
+						asyncRes, err := m.run(g, p, asyncOpts)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -20,14 +20,13 @@ import (
 
 // TestCompressedDifferentialOracleEmbeddings mirrors
 // TestDifferentialOracleEmbeddings with CompressFrames on, adding the async
-// axis: compressed × {strict, async} × {local, tcp} × every strategy × every
-// catalog pattern, with the full embedding multiset required to match the
-// centralized oracle exactly.
+// axis: compressed × {strict, async} × {local, tcp} × the product and every
+// strategy of the partitioned model × every catalog pattern, with the full
+// embedding multiset required to match the centralized oracle exactly.
 func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
 	}
-	strategies := []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware}
 	exchanges := []struct {
 		name    string
 		factory bsp.ExchangeFactory
@@ -52,19 +51,18 @@ func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 		g := gen.ChungLu(70, 300, 2.3, seed)
 		for _, p := range patterns {
 			want := oracleEmbeddings(p, g)
-			for _, strat := range strategies {
+			for _, m := range runModels {
 				for _, ex := range exchanges {
 					for _, mode := range modes {
 						// The non-default corners are transport/mode plumbing, not
-						// strategy logic; in -short mode one strategy covers them.
-						if testing.Short() && (ex.name == "tcp" || mode.async) && strat != StrategyWorkloadAware {
+						// strategy logic; in -short mode WA and the product cover them.
+						if testing.Short() && (ex.name == "tcp" || mode.async) && m.alt {
 							continue
 						}
-						name := fmt.Sprintf("seed%d/%s/%s/%s/%s", seed, p.Name(), strat, ex.name, mode.name)
+						name := fmt.Sprintf("seed%d/%s/%s/%s/%s", seed, p.Name(), m.name, ex.name, mode.name)
 						t.Run(name, func(t *testing.T) {
-							res, err := Run(g, p, Options{
+							res, err := m.run(g, p, Options{
 								Workers:        ex.workers,
-								Strategy:       strat,
 								Seed:           seed,
 								Collect:        true,
 								Exchange:       ex.factory,
@@ -100,16 +98,17 @@ func TestCompressedDifferentialOracleEmbeddings(t *testing.T) {
 
 // TestCompressedMatchesFlatStats: compression is a codec and nothing else.
 // For every catalog pattern, on the differential suite's seeds, strict ×
-// {local, tcp} × every strategy, plus a row whose lowered hub threshold makes
-// the bitset AND fire, a compressed run reports every Stats field a flat run
-// reports but the clocks and the Compressed* counters, so a second expansion
-// path for decoded frames shows here. The exception is the per-worker split:
-// a decoded frame is processed in the encoder's sorted order, and the
-// strategies consume their per-worker random streams and load views in
-// processing order, so which worker expands a Gpsi may differ — WorkerMessages
-// and LoadUnits are compared by their totals, and LoadMakespan, a function of
-// the split, not at all. Every row runs in both memory models. (In the
-// partitioned model, on larger graphs, another route can also move where a
+// {local, tcp}, plus a row whose lowered hub threshold makes the bitset AND
+// fire, a compressed run reports every Stats field a flat run reports but the
+// clocks and the Compressed* counters, so a second expansion path for decoded
+// frames shows here. Every row runs in both memory models, the partitioned one
+// under every strategy. A decoded frame is processed in the encoder's sorted
+// order. In one memory domain the route of a Gpsi is a function of the Gpsi,
+// so that changes nothing. In the partitioned model the strategies consume
+// their per-worker random streams and load views in processing order, so
+// which worker expands a Gpsi may differ — WorkerMessages and LoadUnits are
+// compared there by their totals, and LoadMakespan, a function of the split,
+// not at all. (There, on larger graphs, another route can also move where a
 // closing edge is checked, and with it the Gpsi totals; on these it does not.)
 // The test also proves compression engaged: every compressed run that sends
 // decoded frames and saved bytes. Seeds are expanded where they are built, so
@@ -141,10 +140,10 @@ func TestCompressedMatchesFlatStats(t *testing.T) {
 					if row.hubs {
 						name += "/hubs"
 					}
-					run, sends := Run, !clique
+					models, sends := []runModel{productModel}, !clique
 					if partitioned {
 						name += "/partitioned"
-						run, sends = runPartitioned, true
+						models, sends = partitionedModels, true
 					}
 					t.Run(name, func(t *testing.T) {
 						edges := int64(300)
@@ -159,31 +158,30 @@ func TestCompressedMatchesFlatStats(t *testing.T) {
 						if row.hubs {
 							base.bitmapMinDegree = 8
 						}
-						for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+						for _, m := range models {
 							opts := base
-							opts.Strategy = strat
-							flat, err := run(g, p, opts)
+							flat, err := m.run(g, p, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
 							opts.CompressFrames = true
-							comp, err := run(g, p, opts)
+							comp, err := m.run(g, p, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if f, c := flatView(flat.Stats), flatView(comp.Stats); f != c {
-								t.Errorf("%s: compressed Stats differ from flat:\n flat %s\n comp %s", strat, f, c)
+							if f, c := flatView(flat.Stats, partitioned), flatView(comp.Stats, partitioned); f != c {
+								t.Errorf("%s: compressed Stats differ from flat:\n flat %s\n comp %s", m.name, f, c)
 							}
 							if fs := flat.Stats; fs.CompressedFrames != 0 || fs.CompressedWireBytes != 0 || fs.CompressedRawBytes != 0 {
-								t.Fatalf("%s: flat run reports compressed counters: %s", strat, withoutClocks(fs))
+								t.Fatalf("%s: flat run reports compressed counters: %s", m.name, withoutClocks(fs))
 							}
 							cs := comp.Stats
 							switch {
 							case sends && (cs.CompressedFrames == 0 || cs.CompressedRawBytes <= cs.CompressedWireBytes):
 								t.Errorf("%s: compression did not engage: %d frames, wire %d B, raw %d B",
-									strat, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
+									m.name, cs.CompressedFrames, cs.CompressedWireBytes, cs.CompressedRawBytes)
 							case !sends && (cs.CompressedRawBytes != 0 || slices.ContainsFunc(cs.PerStepMessages, func(n int64) bool { return n != 0 })):
-								t.Errorf("%s: a clique sent %v messages, %d B, in one memory domain", strat, cs.PerStepMessages, cs.CompressedRawBytes)
+								t.Errorf("%s: a clique sent %v messages, %d B, in one memory domain", m.name, cs.PerStepMessages, cs.CompressedRawBytes)
 							}
 							if row.hubs {
 								bitsetAnd += flat.Stats.BitsetAndCandidates
@@ -200,10 +198,13 @@ func TestCompressedMatchesFlatStats(t *testing.T) {
 }
 
 // flatView is withoutClocks of what a compressed run shares with a flat one:
-// the Compressed* counters zeroed, the per-worker split summed, and
-// LoadMakespan dropped.
-func flatView(st Stats) string {
+// the Compressed* counters zeroed and, in the partitioned model, the
+// per-worker split summed and LoadMakespan dropped.
+func flatView(st Stats, partitioned bool) string {
 	st.CompressedFrames, st.CompressedWireBytes, st.CompressedRawBytes = 0, 0, 0
+	if !partitioned {
+		return withoutClocks(st)
+	}
 	msgs, load := int64(0), 0.0
 	for w := range st.WorkerMessages {
 		msgs += st.WorkerMessages[w]
@@ -258,7 +259,7 @@ func TestCompressedCountersMirrored(t *testing.T) {
 			t.Fatalf("run too short to test resume: %d supersteps", clean.Stats.Supersteps)
 		}
 		for n := 1; n < clean.Stats.Supersteps; n++ {
-			sr, ok := stopAndResume(t, g, p, base, n, false)
+			sr, ok := stopAndResume(t, Prepare(g, base), p, base, n, false)
 			if !ok {
 				t.Fatalf("the run ended before its save %d", n)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // runPartitioned is Run in the paper's vertex-partitioned model
-// (PreparePartitioned): in-place checks of owned closing edges, the edge index
-// for the rest, and pending edges.
+// (PreparePartitioned), workload-aware at α = 0.5: in-place checks of owned
+// closing edges, the edge index for the rest, and pending edges.
 func runPartitioned(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
 	return preparePartitioned(g, opts).RunContext(context.Background(), p, opts)
 }
@@ -24,7 +25,43 @@ func runPartitioned(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, 
 // runWithoutIndex is runPartitioned without the edge index: the "w/o index"
 // configuration of Table 2.
 func runWithoutIndex(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
-	return PreparePartitioned(g, opts, 0).RunContext(context.Background(), p, opts)
+	return PreparePartitioned(g, opts, 0, StrategyWorkloadAware, 0.5).RunContext(context.Background(), p, opts)
+}
+
+// partitionedBy is preparePartitioned under strategy s.
+func partitionedBy(s Strategy) func(*graph.Graph, Options) *Prepared {
+	return func(g *graph.Graph, opts Options) *Prepared {
+		return PreparePartitioned(g, opts, BloomBitsPerEdge, s, 0.5)
+	}
+}
+
+// strategies are the paper's distribution strategies.
+var strategies = []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware}
+
+// runModel is one point of the suites' model axis: the paper's partitioned
+// model under one distribution strategy, named after it, or the product (one
+// memory domain), which has none. alt marks Random and Roulette, the points a
+// -short run leaves out of its costlier rows.
+type runModel struct {
+	name    string
+	prepare func(*graph.Graph, Options) *Prepared
+	alt     bool
+}
+
+// partitionedModels are the partitioned model under each strategy, and
+// runModels the whole model axis: those, then the product.
+var (
+	partitionedModels = []runModel{
+		{StrategyRandom.String(), partitionedBy(StrategyRandom), true},
+		{StrategyRoulette.String(), partitionedBy(StrategyRoulette), true},
+		{StrategyWorkloadAware.String(), preparePartitioned, false},
+	}
+	productModel = runModel{"product", Prepare, false}
+	runModels    = slices.Concat(partitionedModels, []runModel{productModel})
+)
+
+func (m runModel) run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
+	return m.prepare(g, opts).RunContext(context.Background(), p, opts)
 }
 
 // embeddingKey renders one mapping (pattern vertex -> data vertex) as a
@@ -56,10 +93,10 @@ func oracleEmbeddings(p *pattern.Pattern, g *graph.Graph) []string {
 
 // TestDifferentialOracleEmbeddings is the differential property suite:
 // randomized Chung–Lu graphs × every catalog pattern and a labelled diamond ×
-// all three distribution strategies × worker counts 2–4 under the strict and
-// the pipelined policy and both exchange transports, with the full embedding
-// multiset — not just the count — required to match the centralized oracle
-// exactly.
+// the product and the partitioned model under all three distribution
+// strategies × worker counts 2–4 under the strict and the pipelined policy and
+// both exchange transports, with the full embedding multiset — not just the
+// count — required to match the centralized oracle exactly.
 func TestDifferentialOracleEmbeddings(t *testing.T) {
 	labelledDiamond, err := pattern.PG3().WithLabels([]int{0, 1, 0, 1})
 	if err != nil {
@@ -71,7 +108,6 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(), labelledDiamond,
 	}
-	strategies := []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware}
 	exchanges := []struct {
 		name    string
 		factory bsp.ExchangeFactory
@@ -122,16 +158,15 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 			} else {
 				want = oracleEmbeddings(p, gr.g)
 			}
-			for _, strat := range strategies {
+			for _, m := range runModels {
 				for _, ex := range exchanges {
-					if testing.Short() && ex.name != "local" && strat != StrategyWorkloadAware {
+					if testing.Short() && ex.name != "local" && m.alt {
 						continue
 					}
-					name := fmt.Sprintf("%s/%s/%s/%s", gr.name, pname, strat, ex.name)
+					name := fmt.Sprintf("%s/%s/%s/%s", gr.name, pname, m.name, ex.name)
 					t.Run(name, func(t *testing.T) {
-						res, err := Run(gr.g, p, Options{
+						res, err := m.run(gr.g, p, Options{
 							Workers:       ex.workers,
-							Strategy:      strat,
 							Seed:          gr.seed,
 							Collect:       true,
 							Exchange:      ex.factory,
@@ -167,7 +202,8 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 // TestStrictStatsPinned pins what a strict run reports, bit for bit, on the
 // differential suite's seeds: each row hashes Supersteps, PerStepMessages,
 // every counter, WorkerMessages, LoadUnits and LoadMakespan (everything in
-// Stats but the clocks) over all catalog patterns × strategies. The values
+// Stats but the clocks) over all catalog patterns (× strategies, in the
+// partitioned model). The values
 // were recorded before the strict barrier became a quiescence point of the
 // credit detector, and re-recorded once when closing edges with an owned
 // endpoint began to be checked in place (fewer Gpsis, index queries and
@@ -182,7 +218,8 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 // may change how a superstep is driven, never what it computes or in which
 // order a worker sees its inbox. Those rows run the paper's partitioned model;
 // the product rows beside them (one memory domain, Prepare) were recorded
-// when the product stopped partitioning rows.
+// when the product stopped partitioning rows, and re-recorded when it began
+// to pick the next vertex by cost alone and lost its strategy loop.
 func TestStrictStatsPinned(t *testing.T) {
 	rows := []struct {
 		partitioned bool
@@ -203,18 +240,18 @@ func TestStrictStatsPinned(t *testing.T) {
 		{true, 3, "local", true, 0x52c98fda0e74fe4d},
 		{true, 3, "tcp", false, 0xe184a6fbbb9e3a1d},
 		{true, 3, "tcp", true, 0xcb4a3178a43c59b},
-		{false, 1, "local", false, 0x81e67df40f16f270},
-		{false, 1, "local", true, 0x57669d6989dc2ea4},
-		{false, 1, "tcp", false, 0x1703c2a0524a6709},
-		{false, 1, "tcp", true, 0xdcded09ab7faa146},
-		{false, 2, "local", false, 0xecb12c4c3ff1436d},
-		{false, 2, "local", true, 0xc4654b70bd376e48},
-		{false, 2, "tcp", false, 0x8e6ecaf481a245eb},
-		{false, 2, "tcp", true, 0xfd27d524c6749066},
-		{false, 3, "local", false, 0x84c28385e8dcb224},
-		{false, 3, "local", true, 0xd99dd3788d726b60},
-		{false, 3, "tcp", false, 0xc0dc05339e2120f5},
-		{false, 3, "tcp", true, 0x2fd463b18cd19eaf},
+		{false, 1, "local", false, 0xccb6b88513d5d2e1},
+		{false, 1, "local", true, 0x4d2b7919bd45ccc3},
+		{false, 1, "tcp", false, 0x51bebb3f4abb7f13},
+		{false, 1, "tcp", true, 0x7233afe67ffceb64},
+		{false, 2, "local", false, 0x9394917f7c44effd},
+		{false, 2, "local", true, 0x8fdbcffd452e7d45},
+		{false, 2, "tcp", false, 0x20a9be8b7e52c775},
+		{false, 2, "tcp", true, 0x3664a574ca4b7e2b},
+		{false, 3, "local", false, 0x522bb4d9f2481fc0},
+		{false, 3, "local", true, 0xa5613c05d7991c8c},
+		{false, 3, "tcp", false, 0x4962d3521d905051},
+		{false, 3, "tcp", true, 0xe090c62f6f9c83dc},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
@@ -225,15 +262,15 @@ func TestStrictStatsPinned(t *testing.T) {
 		if row.exchange == "tcp" {
 			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
 		}
-		run := Run
+		// The product has no strategy: its rows run each pattern once.
+		models := []runModel{productModel}
 		if row.partitioned {
-			run = runPartitioned
+			models = partitionedModels
 		}
 		h := fnv.New64a()
 		for _, p := range patterns {
-			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
-				opts.Strategy = strat
-				res, err := run(g, p, opts)
+			for _, m := range models {
+				res, err := m.run(g, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,9 +335,8 @@ func TestNoIndexStatsPinned(t *testing.T) {
 		}
 		h := fnv.New64a()
 		for _, p := range patterns {
-			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
-				opts.Strategy = strat
-				res, err := runWithoutIndex(g, p, opts)
+			for _, strat := range strategies {
+				res, err := PreparePartitioned(g, opts, 0, strat, 0.5).RunContext(context.Background(), p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -181,11 +181,13 @@ type engine struct {
 	orig []graph.VertexID
 	p    *pattern.Pattern
 	opts Options
-	// shared is set in one memory domain (Prepare), where every worker reads
-	// every row; see reads. ix is the partitioned model's edge index, nil in
-	// one memory domain and in the paper's w/o-index ablation.
-	shared bool
-	ix     *bloom.EdgeIndex
+	// model is Prepared's: shared is set in one memory domain, where every
+	// worker reads every row (see reads) and chooseNext picks by cost alone;
+	// the partitioned model routes by strategy. ix is the partitioned model's
+	// edge index, nil in one memory domain and in the paper's w/o-index
+	// ablation.
+	model
+	ix *bloom.EdgeIndex
 	// bitmap is the exact edge test of pending verification and seeds: a
 	// binary search of the shorter CSR row, or a bit of a hub's bitset when
 	// both endpoints are hubs (Section 5.1.1: "costg ... can be done
@@ -297,24 +299,27 @@ type workerScratch struct {
 	emit    []graph.VertexID
 
 	load float64 // accumulated cost-model load units
-	rng  xorshift
-	// view is this worker's workload-aware local view of every worker's load
-	// and pow[j] = view[j]^Alpha, recomputed whenever view[j] is charged, so a
-	// decision compares powers it does not recompute.
+	// rng, view and pow serve the partitioned model's strategies. view is this
+	// worker's workload-aware local view of every worker's load and pow[j] =
+	// view[j]^alpha, recomputed whenever view[j] is charged, so a decision
+	// compares powers it does not recompute; both are nil under the other
+	// strategies and in one memory domain.
+	rng       xorshift
 	view, pow []float64
 
 	_ [64]byte // keeps the next worker's scratch off this one's last cache line
 }
 
-// newWorkerScratch returns worker w's scratch for a run of k workers.
-func newWorkerScratch(seed int64, w, k int) workerScratch {
-	// view and pow share one allocation of whole cache lines.
-	vp := make([]float64, 2*k, (2*k+7)&^7)
-	return workerScratch{
-		rng:  *newXorshift(workerRngSeed(seed, w)),
-		view: vp[:k:k],
-		pow:  vp[k : 2*k : 2*k],
+// newWorkerScratch returns worker w's scratch for a run of k workers, with a
+// workload-aware view when view is set.
+func newWorkerScratch(seed int64, w, k int, view bool) workerScratch {
+	sc := workerScratch{rng: *newXorshift(workerRngSeed(seed, w))}
+	if view {
+		// view and pow share one allocation of whole cache lines.
+		vp := make([]float64, 2*k, (2*k+7)&^7)
+		sc.view, sc.pow = vp[:k:k], vp[k:2*k:2*k]
 	}
+	return sc
 }
 
 // newEngine builds the pattern- and run-scoped state of one run over pr's
@@ -325,7 +330,7 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		orig:   pr.orig,
 		p:      p,
 		opts:   opts,
-		shared: pr.shared,
+		model:  pr.model,
 		ix:     pr.ix,
 		bitmap: pr.bitmap,
 		owner:  pr.owner,
@@ -398,8 +403,9 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 	}
 	e.scratch = make([]workerScratch, opts.Workers)
 	e.stepLoads = make([][]float64, opts.Workers)
+	view := !e.shared && e.strategy == StrategyWorkloadAware
 	for w := range e.scratch {
-		e.scratch[w] = newWorkerScratch(opts.Seed, w, opts.Workers)
+		e.scratch[w] = newWorkerScratch(opts.Seed, w, opts.Workers, view)
 	}
 	return e, nil
 }
@@ -1190,7 +1196,7 @@ func clip(list, in []graph.VertexID) []graph.VertexID {
 }
 
 // finalize either emits a completed, fully verified instance or routes the
-// Gpsi to its next expanding vertex per the distribution strategy.
+// Gpsi to its next expanding vertex (chooseNext).
 func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 	if m.isComplete() && m.Pending == 0 {
 		if e.opts.EmitFilter != nil {
@@ -1300,10 +1306,11 @@ func (e *engine) generate(ctx *bsp.Context[gpsi]) {
 
 // engineState is the bsp.Snapshotter payload: every accumulator the engine
 // keeps outside the BSP inboxes, and the identity of the run that took it.
-// Capturing the RNG streams and workload views along with the load
-// accumulators makes the resumed supersteps take bit-identical routing
-// decisions, so LoadUnits and LoadMakespan come out exactly-once — equal to
-// a clean run's — across a stop and a resume.
+// Capturing the partitioned strategies' RNG streams and workload views (empty
+// views in one memory domain) along with the load accumulators makes the
+// resumed supersteps take bit-identical routing decisions, so LoadUnits and
+// LoadMakespan come out exactly-once — equal to a clean run's — across a stop
+// and a resume.
 type engineState struct {
 	Run       runIdentity
 	Loads     []float64
@@ -1425,7 +1432,7 @@ func (e *engine) RestoreState(data []byte) error {
 		return fmt.Errorf("%w: taken by another run: %s", bsp.ErrCorruptCheckpoint, diff)
 	}
 	if len(st.Loads) != k || len(st.WViews) != k || len(st.Rng) != k || len(st.StepLoads) != k ||
-		slices.ContainsFunc(st.WViews, func(view []float64) bool { return len(view) != k }) {
+		slices.ContainsFunc(st.WViews, func(view []float64) bool { return len(view) != len(e.scratch[0].view) }) {
 		return fmt.Errorf("%w: engine snapshot worker count mismatch (have %d workers)", bsp.ErrCorruptCheckpoint, k)
 	}
 	e.stepLoads = st.StepLoads
@@ -1434,7 +1441,7 @@ func (e *engine) RestoreState(data []byte) error {
 		sc.load = st.Loads[w]
 		copy(sc.view, st.WViews[w])
 		for j, v := range sc.view {
-			sc.pow[j] = math.Pow(v, e.opts.Alpha)
+			sc.pow[j] = math.Pow(v, e.alpha)
 		}
 		sc.rng.state = st.Rng[w]
 	}
@@ -1496,7 +1503,8 @@ func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 }
 
 // xorshift is a tiny per-worker PRNG; math/rand would work but this keeps the
-// hot strategy path allocation- and lock-free with reproducible streams.
+// partitioned strategies' path allocation- and lock-free with reproducible
+// streams.
 type xorshift struct{ state uint64 }
 
 func newXorshift(seed uint64) *xorshift {

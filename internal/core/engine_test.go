@@ -97,12 +97,15 @@ func TestMatchesOracleOnSkewedGraph(t *testing.T) {
 	}
 }
 
+// TestAllStrategiesAgree counts in the partitioned model, the one with
+// distribution strategies, under each strategy and α.
 func TestAllStrategiesAgree(t *testing.T) {
 	g := gen.ChungLu(300, 1200, 1.8, 4)
 	want := centralized.CountInstances(pattern.PG2(), g)
-	for _, s := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+	opts := Options{Workers: 4, Seed: 11}
+	for _, s := range strategies {
 		for _, alpha := range []float64{0, 0.5, 1} {
-			res, err := Run(g, pattern.PG2(), Options{Workers: 4, Strategy: s, Alpha: alpha, Seed: 11})
+			res, err := PreparePartitioned(g, opts, BloomBitsPerEdge, s, alpha).RunContext(context.Background(), pattern.PG2(), opts)
 			if err != nil {
 				t.Fatalf("%v α=%g: %v", s, alpha, err)
 			}
@@ -174,7 +177,8 @@ func TestWorkerCountsAgree(t *testing.T) {
 func TestDeterministicForFixedSeed(t *testing.T) {
 	g := gen.ChungLu(200, 800, 1.8, 7)
 	run := func() *Result {
-		res, err := Run(g, pattern.PG2(), Options{Workers: 4, Seed: 99, Strategy: StrategyRandom})
+		opts := Options{Workers: 4, Seed: 99}
+		res, err := partitionedBy(StrategyRandom)(g, opts).RunContext(context.Background(), pattern.PG2(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,19 +460,16 @@ func TestRandomizedOracleProperty(t *testing.T) {
 		m := int64(2*n + rng.Intn(4*n))
 		g := gen.ErdosRenyi(n, m, rng.Int63())
 		p := patterns[rng.Intn(len(patterns))]
-		opts := Options{
-			Workers:  1 + rng.Intn(5),
-			Strategy: Strategy(rng.Intn(3)),
-			Seed:     rng.Int63(),
-		}
+		workers, model := 1+rng.Intn(5), runModels[rng.Intn(len(runModels))]
+		opts := Options{Workers: workers, Seed: rng.Int63()}
 		want := centralized.CountInstances(p, g)
-		res, err := Run(g, p, opts)
+		res, err := model.run(g, p, opts)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, p.Name(), err)
 		}
 		if res.Count != want {
-			t.Errorf("trial %d: %s on n=%d m=%d K=%d strat=%v: got %d want %d",
-				trial, p.Name(), n, m, opts.Workers, opts.Strategy, res.Count, want)
+			t.Errorf("trial %d: %s on n=%d m=%d K=%d %s: got %d want %d",
+				trial, p.Name(), n, m, opts.Workers, model.name, res.Count, want)
 		}
 	}
 }

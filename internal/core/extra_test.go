@@ -47,7 +47,7 @@ func TestTinyBloomStillExact(t *testing.T) {
 	g := gen.ChungLu(300, 1200, 1.8, 17)
 	for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()} {
 		want := centralized.CountInstances(p, g)
-		res, err := PreparePartitioned(g, Options{Workers: 3}, 2).RunContext(context.Background(), p, Options{Workers: 3})
+		res, err := PreparePartitioned(g, Options{Workers: 3}, 2, StrategyWorkloadAware, 0.5).RunContext(context.Background(), p, Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -68,7 +68,7 @@ func TestBloomSizeTradeoff(t *testing.T) {
 	g := gen.ChungLu(1000, 4000, 1.7, 23)
 	run := func(bits int) int64 {
 		opts := Options{Workers: 3}
-		res, err := PreparePartitioned(g, opts, bits).RunContext(context.Background(), pattern.PG3(), opts)
+		res, err := PreparePartitioned(g, opts, bits, StrategyWorkloadAware, 0.5).RunContext(context.Background(), pattern.PG3(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

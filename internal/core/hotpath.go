@@ -42,13 +42,14 @@ func HotpathBenchmarks() []HotpathBenchmark {
 // newHotpathHarness builds an engine of the product path (Prepare) over a
 // skewed mid-size graph plus a detached context and worker 0's seeds as an
 // inbox.
-func newHotpathHarness(p *pattern.Pattern, strategy Strategy) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
-	return newHotpathHarnessOpts(Prepare, p, func(o *Options) { o.Strategy = strategy })
+func newHotpathHarness(p *pattern.Pattern) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
+	return newHotpathHarnessOpts(Prepare, p, nil)
 }
 
-// preparePartitioned is PreparePartitioned with the paper's edge index.
+// preparePartitioned is PreparePartitioned with the paper's edge index and
+// its default strategy, workload-aware at α = 0.5.
 func preparePartitioned(g *graph.Graph, opts Options) *Prepared {
-	return PreparePartitioned(g, opts, BloomBitsPerEdge)
+	return PreparePartitioned(g, opts, BloomBitsPerEdge, StrategyWorkloadAware, 0.5)
 }
 
 // newHotpathHarnessOpts is newHotpathHarness with a choice of memory model
@@ -86,7 +87,7 @@ func newHotpathHarnessOpts(prepare func(*graph.Graph, Options) *Prepared, p *pat
 }
 
 func benchmarkExpand(b *testing.B) {
-	e, ctx, inbox, err := newHotpathHarness(pattern.Triangle(), StrategyWorkloadAware)
+	e, ctx, inbox, err := newHotpathHarness(pattern.Triangle())
 	if err != nil {
 		b.Fatal(err)
 	}

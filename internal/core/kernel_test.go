@@ -45,9 +45,9 @@ func kernelCases(t *testing.T, g *graph.Graph) []kernelCase {
 // OnInstance calls as Count. Every memory model, policy, worker count and
 // transport runs, so the leaf count is checked in combine's loop, in
 // combineMeet, in the one-slot shortcut and with pending edges (the
-// partitioned model, where such a survivor still descends). Where a
-// pipelined run's Gpsi totals depend on its routing, only the counts must
-// agree (routedByOrder).
+// partitioned model, where such a survivor still descends). A pipelined run
+// in the partitioned model routes in processing order, and its Gpsi totals
+// with it, so there only the counts must agree.
 func TestLeafCountMatchesEmission(t *testing.T) {
 	g := gen.ChungLu(150, 700, 2.1, 4)
 	models := []struct {
@@ -55,8 +55,8 @@ func TestLeafCountMatchesEmission(t *testing.T) {
 		prepare func(Options) *Prepared
 	}{
 		{"one-domain", func(o Options) *Prepared { return Prepare(g, o) }},
-		{"partitioned", func(o Options) *Prepared { return PreparePartitioned(g, o, BloomBitsPerEdge) }},
-		{"no-index", func(o Options) *Prepared { return PreparePartitioned(g, o, 0) }},
+		{"partitioned", func(o Options) *Prepared { return preparePartitioned(g, o) }},
+		{"no-index", func(o Options) *Prepared { return PreparePartitioned(g, o, 0, StrategyWorkloadAware, 0.5) }},
 	}
 	leaves := int64(0)
 	for _, c := range kernelCases(t, g) {
@@ -86,7 +86,7 @@ func TestLeafCountMatchesEmission(t *testing.T) {
 							t.Fatalf("%s: counted %d, emitted Count %d with %d OnInstance calls",
 								name, counted.Count, emitted.Count, calls.Load())
 						}
-						if async && (model.name != "one-domain" || routedByOrder(c.p)) {
+						if async && model.name != "one-domain" {
 							continue
 						}
 						if got, want := logicalStats(counted.Stats, async), logicalStats(emitted.Stats, async); got != want {
@@ -103,23 +103,14 @@ func TestLeafCountMatchesEmission(t *testing.T) {
 	}
 }
 
-// routedByOrder reports whether the Gpsi totals of a pipelined run of p in
-// one memory domain depend on its routing: a house's do, since the GRAY
-// vertex the strategy picks changes what is expanded next, and a
-// pipelined worker picks in processing order. In the partitioned model every
-// pattern's do, since routing decides where a closing edge is checked.
-func routedByOrder(p *pattern.Pattern) bool { return p.Name() == pattern.PG5().Name() }
-
 // TestDegreeFloorMatchesPerCandidateTest: on a degree-ordered state the
 // degree filter is a window bound (the floor); a state patched from it with
 // no edits has the same graph, order and owners but no floor, so its runs
 // test every candidate's degree. Both must report the same Stats, pruning
-// split included, at one to three workers under both policies (a pipelined
-// house: the count only, see routedByOrder): pg1–pg5 on a skewed graph with
-// the bitset AND path off and on, and, on hubEars, strict runs of patterns
+// split included, at one to three workers under both policies: pg1–pg5 on a
+// skewed graph with the bitset AND path off and on, and, on hubEars, patterns
 // whose degree-3 vertex is drawn from the AND of two hubs' rows at every
-// initial vertex, so that AND's survivors include vertices below the floor
-// (pipelined, these patterns' Gpsi totals follow the routing).
+// initial vertex, so that AND's survivors include vertices below the floor.
 func TestDegreeFloorMatchesPerCandidateTest(t *testing.T) {
 	catalog := []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()}
 	tail := pattern.MustNew("square-with-tail", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {2, 4}})
@@ -129,16 +120,15 @@ func TestDegreeFloorMatchesPerCandidateTest(t *testing.T) {
 		hubs     int // bitmapMinDegree; 0 keeps the default, under which this graph has no hub
 		patterns []*pattern.Pattern
 		initials []int
-		policies []bool // AsyncExchange values
 	}{
-		{"chunglu", gen.ChungLu(300, 1500, 2.0, 2), 0, catalog, []int{-1}, []bool{false, true}},
-		{"chunglu-hubs", gen.ChungLu(300, 1500, 2.0, 2), 4, catalog, []int{-1}, []bool{false, true}},
-		{"hub-ears", hubEars(8), 8, []*pattern.Pattern{tail, pattern.PG5()}, []int{0, 1, 2, 3, 4}, []bool{false}},
+		{"chunglu", gen.ChungLu(300, 1500, 2.0, 2), 0, catalog, []int{-1}},
+		{"chunglu-hubs", gen.ChungLu(300, 1500, 2.0, 2), 4, catalog, []int{-1}},
+		{"hub-ears", hubEars(8), 8, []*pattern.Pattern{tail, pattern.PG5()}, []int{0, 1, 2, 3, 4}},
 	}
 	var pruned, and int64
 	for _, su := range setups {
 		for k := 1; k <= 3; k++ {
-			for _, async := range su.policies {
+			for _, async := range []bool{false, true} {
 				opts := Options{Workers: k, Seed: 3, AsyncExchange: async, bitmapMinDegree: su.hubs}
 				floored := Prepare(su.g, opts)
 				perCandidate := floored.Patch(su.g, nil, nil)
@@ -157,11 +147,7 @@ func TestDegreeFloorMatchesPerCandidateTest(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						if async && routedByOrder(p) {
-							if got.Count != want.Count {
-								t.Fatalf("%s: count %d with the floor, %d per candidate", name, got.Count, want.Count)
-							}
-						} else if g, w := logicalStats(got.Stats, async), logicalStats(want.Stats, async); g != w {
+						if g, w := logicalStats(got.Stats, async), logicalStats(want.Stats, async); g != w {
 							t.Fatalf("%s: with the floor\n%s\nper candidate\n%s", name, g, w)
 						}
 						pruned += got.Stats.PrunedByDegree

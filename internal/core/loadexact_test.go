@@ -7,6 +7,7 @@ package core
 // the bit-for-bit equality with a clean run of the same seed.
 
 import (
+	"context"
 	"testing"
 
 	"psgl/internal/gen"
@@ -35,14 +36,16 @@ func assertLoadsEqual(t *testing.T, label string, got, want *Stats) {
 
 // TestResumedRunLoadAccountingExact stops a house run (three supersteps; a
 // square completes in two, which leaves no barrier to stop at but the first)
-// after each of its saves and resumes it from the stopped run's checkpoint,
-// under every strategy: the resumed books match a run that never stopped.
+// after each of its saves and resumes it from the stopped run's checkpoint, in
+// the product and under every strategy of the partitioned model: the resumed
+// books match a run that never stopped.
 func TestResumedRunLoadAccountingExact(t *testing.T) {
 	g := gen.ErdosRenyi(60, 300, 2)
 	p := pattern.PG5()
-	for _, strategy := range []Strategy{StrategyWorkloadAware, StrategyRandom, StrategyRoulette} {
-		base := Options{Workers: 3, Seed: 2, Strategy: strategy}
-		clean, err := Run(g, p, base)
+	base := Options{Workers: 3, Seed: 2}
+	for _, m := range runModels {
+		pr := m.prepare(g, base)
+		clean, err := pr.RunContext(context.Background(), p, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +53,14 @@ func TestResumedRunLoadAccountingExact(t *testing.T) {
 			t.Fatalf("run too short to test resume: %d supersteps", clean.Stats.Supersteps)
 		}
 		for n := 1; n < clean.Stats.Supersteps; n++ {
-			sr, ok := stopAndResume(t, g, p, base, n, false)
+			sr, ok := stopAndResume(t, pr, p, base, n, false)
 			if !ok {
-				t.Fatalf("%s: the run ended before its save %d", strategy, n)
+				t.Fatalf("%s: the run ended before its save %d", m.name, n)
 			}
 			if sr.resumed.Count != clean.Count {
-				t.Fatalf("%s: resumed after save %d: count %d, clean %d", strategy, n, sr.resumed.Count, clean.Count)
+				t.Fatalf("%s: resumed after save %d: count %d, clean %d", m.name, n, sr.resumed.Count, clean.Count)
 			}
-			assertLoadsEqual(t, strategy.String(), &sr.resumed.Stats, &clean.Stats)
+			assertLoadsEqual(t, m.name, &sr.resumed.Stats, &clean.Stats)
 		}
 	}
 }

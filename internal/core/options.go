@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"psgl/internal/bsp"
@@ -10,56 +9,16 @@ import (
 	"psgl/internal/obs"
 )
 
-// Strategy selects how new partial subgraph instances choose their next
-// expanding vertex — and therefore which worker receives them (Section 5.1).
-type Strategy int
-
-const (
-	// StrategyWorkloadAware picks the GRAY vertex minimizing W_j^α + w_ij
-	// over each worker's local view of all workers' accumulated load, with
-	// w_ij = C(deg(v_d), #WHITE neighbors) (Section 5.1.1). α = 0.5 is the
-	// paper's recommended balance/greed trade-off (Theorem 3). This is the
-	// zero value, i.e. the default.
-	StrategyWorkloadAware Strategy = iota
-	// StrategyRandom picks a GRAY vertex uniformly at random.
-	StrategyRandom
-	// StrategyRoulette picks GRAY vertex k with probability inversely
-	// proportional to deg(map(k)) (Equation 6): high-degree data vertices
-	// expand fewer Gpsis (Heuristic 1).
-	StrategyRoulette
-)
-
-// String names the strategy the way the paper's figures do.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyRandom:
-		return "Random"
-	case StrategyRoulette:
-		return "Roulette"
-	case StrategyWorkloadAware:
-		return "WA"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // ErrOutOfMemory reports that the run exceeded Options.MaxIntermediate
 // partial subgraph instances — the reproduction's deterministic analogue of
 // the JVM OutOfMemory failures in Tables 2 and 4.
 var ErrOutOfMemory = errors.New("psgl: intermediate result budget exceeded (OOM)")
 
-// Options configures a PSgL run. The zero value is valid: 4 workers, the
-// workload-aware strategy with α = 0.5, automatic initial-vertex selection, no
-// memory budget.
+// Options configures a PSgL run. The zero value is valid: 4 workers,
+// automatic initial-vertex selection, no memory budget.
 type Options struct {
 	// Workers is the number of BSP workers K. 0 means 4.
 	Workers int
-	// Strategy is the Gpsi distribution strategy.
-	Strategy Strategy
-	// Alpha is the workload-aware penalty exponent in (0, 1]. Zero or
-	// negative means the default 0.5 (pass a small epsilon like 0.001 to
-	// study the α→0 extreme). Ignored by other strategies.
-	Alpha float64
 	// InitialVertex fixes the initial pattern vertex. Negative (or zero
 	// value via NewOptions) selects automatically: the Theorem 5 rule for
 	// cycles and cliques, the Algorithm 4 cost model otherwise.
@@ -67,7 +26,8 @@ type Options struct {
 	// MaxIntermediate aborts with ErrOutOfMemory once the total number of
 	// generated Gpsis exceeds it. 0 means unlimited.
 	MaxIntermediate int64
-	// Seed drives the partition and the randomized strategies.
+	// Seed drives the random partition, and in the partitioned model the
+	// randomized strategies (PreparePartitioned).
 	Seed int64
 	// Collect retains the full instance mappings in Result.Instances (only
 	// sensible for small result sets; counting is the default, as in the
@@ -152,11 +112,12 @@ type Options struct {
 	// in the inbox until expansion, and decoded one bounded chunk at a time
 	// into the same per-Gpsi expansion as flat mode. Counts are bit-identical
 	// to flat mode — the differential suites pin it. A decoded frame is
-	// processed in sorted order, and the strategies route in processing order,
-	// so which worker expands a Gpsi can differ from flat mode, and with it the
-	// per-worker split; in the partitioned model, with the edge index on, so
-	// can which closing edges are checked in place, and Gpsi totals and the
-	// pruning split with those. Both loops and both transports hold delivered
+	// processed in sorted order. In one memory domain that changes nothing a
+	// run reports but the compressed counters; in the partitioned model the
+	// strategies route in processing order, so which worker expands a Gpsi
+	// can differ from flat mode, and with it the per-worker split, and, with
+	// the edge index on, which closing edges are checked in place, and Gpsi
+	// totals and the pruning split with those. Both loops and both transports hold delivered
 	// batches encoded; only an async worker's batch for itself stays flat.
 	CompressFrames bool
 
@@ -215,8 +176,6 @@ type Seed struct {
 func NewOptions() Options {
 	return Options{
 		Workers:       4,
-		Strategy:      StrategyWorkloadAware,
-		Alpha:         0.5,
 		InitialVertex: -1,
 	}
 }
@@ -224,12 +183,6 @@ func NewOptions() Options {
 func (o Options) normalized() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 0.5
-	}
-	if o.Alpha > 1 {
-		o.Alpha = 1
 	}
 	return o
 }

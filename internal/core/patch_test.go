@@ -72,14 +72,13 @@ func walkBatch(rng *rand.Rand, g, cur *graph.Graph, removedBase, addedEarlier []
 // TestPatchedPreparedMatchesFresh walks random update sequences over Chung–Lu
 // graphs with hubs (a lowered hub threshold, so hub rows appear, grow and
 // shrink) and, at every epoch, runs a state patched from the walk's base
-// beside a fresh Prepare of the same graph: PG1–PG5 × 3 strategies × K ∈ {1,
-// 2, 3} × strict/async. Counts must equal the fresh run's and the centralized
+// beside a fresh Prepare of the same graph: PG1–PG5 × K ∈ {1, 2, 3} ×
+// strict/async. Counts must equal the fresh run's and the centralized
 // oracle's, and the collected embeddings must equal both as vertex sets —
 // the patched state keeps the base's vertex order, so its tuples follow
 // another order than a fresh run's. The base state must come out unchanged.
 func TestPatchedPreparedMatchesFresh(t *testing.T) {
 	patterns := []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()}
-	strategies := []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware}
 	epochs := 4
 	if testing.Short() {
 		epochs = 2
@@ -121,26 +120,24 @@ func TestPatchedPreparedMatchesFresh(t *testing.T) {
 					return true
 				})
 				want := vertexSets(all)
-				for _, strat := range strategies {
-					for k := 1; k <= 3; k++ {
-						for _, async := range []bool{false, true} {
-							name := fmt.Sprintf("seed %d epoch %d %s/%s/K=%d/async=%v", seed, epoch, p.Name(), strat, k, async)
-							o := opts
-							o.Workers, o.Strategy, o.AsyncExchange, o.Collect = k, strat, async, true
-							got, err := patched.ForWorkers(k).RunContext(context.Background(), p, o)
-							if err != nil {
-								t.Fatalf("%s: patched: %v", name, err)
-							}
-							ref, err := fresh.ForWorkers(k).RunContext(context.Background(), p, o)
-							if err != nil {
-								t.Fatalf("%s: fresh: %v", name, err)
-							}
-							if got.Count != int64(len(all)) || ref.Count != got.Count {
-								t.Fatalf("%s: patched count %d, fresh %d, oracle %d", name, got.Count, ref.Count, len(all))
-							}
-							if !slices.Equal(vertexSets(got.Instances), want) || !slices.Equal(vertexSets(ref.Instances), want) {
-								t.Fatalf("%s: collected vertex sets differ from the oracle's", name)
-							}
+				for k := 1; k <= 3; k++ {
+					for _, async := range []bool{false, true} {
+						name := fmt.Sprintf("seed %d epoch %d %s/K=%d/async=%v", seed, epoch, p.Name(), k, async)
+						o := opts
+						o.Workers, o.AsyncExchange, o.Collect = k, async, true
+						got, err := patched.ForWorkers(k).RunContext(context.Background(), p, o)
+						if err != nil {
+							t.Fatalf("%s: patched: %v", name, err)
+						}
+						ref, err := fresh.ForWorkers(k).RunContext(context.Background(), p, o)
+						if err != nil {
+							t.Fatalf("%s: fresh: %v", name, err)
+						}
+						if got.Count != int64(len(all)) || ref.Count != got.Count {
+							t.Fatalf("%s: patched count %d, fresh %d, oracle %d", name, got.Count, ref.Count, len(all))
+						}
+						if !slices.Equal(vertexSets(got.Instances), want) || !slices.Equal(vertexSets(ref.Instances), want) {
+							t.Fatalf("%s: collected vertex sets differ from the oracle's", name)
 						}
 					}
 				}

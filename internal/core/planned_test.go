@@ -14,25 +14,26 @@ import (
 
 // TestPlannedPatternMatchesUnplanned: running with a pre-broken pattern and
 // pre-selected initial vertex (the plan-cache path) must be bit-identical to
-// the per-run planning path for every strategy.
+// the per-run planning path, in the product and under every strategy of the
+// partitioned model.
 func TestPlannedPatternMatchesUnplanned(t *testing.T) {
 	g := gen.ChungLu(2000, 8000, 1.8, 7)
 	dist := stats.FromHistogram(g.DegreeHistogram())
 	for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG3()} {
 		broken := p.BreakAutomorphisms()
 		initial := SelectInitialVertex(broken, dist)
-		for _, s := range []Strategy{StrategyWorkloadAware, StrategyRandom, StrategyRoulette} {
+		for _, m := range runModels {
+			s := m.name
 			opts := NewOptions()
-			opts.Strategy = s
 			opts.Seed = 42
-			want, err := Run(g, p, opts)
+			want, err := m.run(g, p, opts)
 			if err != nil {
 				t.Fatalf("%s/%s unplanned: %v", p.Name(), s, err)
 			}
 			planned := opts
 			planned.PlannedPattern = true
 			planned.InitialVertex = initial
-			got, err := Run(g, broken, planned)
+			got, err := m.run(g, broken, planned)
 			if err != nil {
 				t.Fatalf("%s/%s planned: %v", p.Name(), s, err)
 			}

@@ -29,15 +29,16 @@ var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared gr
 // memory domain: every worker reads every row, so a closing edge is checked
 // exactly where it is met and no Gpsi carries a pending edge; the partition
 // only routes Gpsis, for load balance. PreparePartitioned's runs are the
-// paper's vertex-partitioned model, which the paper-figure experiments run.
+// paper's vertex-partitioned model, with its distribution strategies, which
+// the paper-figure experiments run.
 type Prepared struct {
 	*graphIndex
 	workers int
 	seed    int64
 	// owner[r] is the worker that owns data vertex r under the random
 	// partition of its caller id, so every ownership test of a run — routing,
-	// Init, the strategies' views, seeding, the in-place edge checks — is a
-	// load, not a hash.
+	// Init, the partitioned strategies' views, seeding, the in-place edge
+	// checks — is a load, not a hash.
 	owner []int32
 }
 
@@ -53,9 +54,7 @@ type graphIndex struct {
 	g     *graph.Graph
 	orig  []graph.VertexID // orig[r] is the caller id of vertex r; nil under IdentityOrder
 	knobs indexKnobs
-	// shared is set in one memory domain (Prepare), where every worker reads
-	// every row; unset in the partitioned model (PreparePartitioned).
-	shared bool
+	model
 	ix     *bloom.EdgeIndex // nil in one memory domain and in the w/o-index ablation
 	bitmap *graph.BitmapIndex
 	// byDegree is set when degree never decreases with the rank, so the engine
@@ -73,6 +72,16 @@ type graphIndex struct {
 	// base's.
 	rankOnce sync.Once
 	rank     atomic.Pointer[[]graph.VertexID]
+}
+
+// model is how a state's runs check closing edges and route Gpsis. shared is
+// set in one memory domain (Prepare), where every worker reads every row;
+// unset in the partitioned model (PreparePartitioned), whose runs route by
+// strategy, at alpha for the workload-aware one.
+type model struct {
+	shared   bool
+	strategy Strategy
+	alpha    float64
 }
 
 // indexKnobs are the Options fields a graphIndex is a function of.
@@ -93,7 +102,7 @@ const BloomBitsPerEdge = 10
 // in one memory domain: no edge index is built. Only Workers, Seed,
 // IdentityOrder and the bitmap's hub threshold are read; every run on the
 // result must agree on those.
-func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, false, 0) }
+func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, model{shared: true}, 0) }
 
 // PreparePartitioned is Prepare for the paper's vertex-partitioned model: a
 // worker checks a closing edge exactly only when it owns an endpoint, asks the
@@ -101,14 +110,21 @@ func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, f
 // leaves the edge pending, for a verification hop, when the index says yes.
 // bitsPerEdge 0 builds no index, the "w/o index" configuration of Table 2:
 // every closing edge not checked along the expanding vertex's row then stays
-// pending until an endpoint expands.
-func PreparePartitioned(g *graph.Graph, opts Options, bitsPerEdge int) *Prepared {
-	return prepare(g, opts, true, bitsPerEdge)
+// pending until an endpoint expands. A Gpsi goes to the worker its next
+// expanding vertex's image belongs to, and strategy picks that vertex
+// (Section 5.1); alpha is the workload-aware penalty exponent in (0, 1],
+// where zero or negative means the paper's 0.5 (pass a small epsilon like
+// 0.001 to study the α→0 extreme).
+func PreparePartitioned(g *graph.Graph, opts Options, bitsPerEdge int, strategy Strategy, alpha float64) *Prepared {
+	if alpha <= 0 {
+		alpha = 0.5
+	}
+	return prepare(g, opts, model{strategy: strategy, alpha: min(alpha, 1)}, bitsPerEdge)
 }
 
-func prepare(g *graph.Graph, opts Options, partitioned bool, bitsPerEdge int) *Prepared {
+func prepare(g *graph.Graph, opts Options, m model, bitsPerEdge int) *Prepared {
 	opts = opts.normalized()
-	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts), shared: !partitioned}
+	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts), model: m}
 	if !opts.IdentityOrder {
 		gi.g, gi.orig = graph.ByDegree(g)
 		gi.byDegree = true
@@ -135,7 +151,7 @@ func prepare(g *graph.Graph, opts Options, partitioned bool, bitsPerEdge int) *P
 // set — one more false positive, which exact verification refutes; the hub
 // bitmap is rebuilt over the patched CSR. pr is unchanged.
 func (pr *Prepared) Patch(g *graph.Graph, added, removed [][2]graph.VertexID) *Prepared {
-	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs, shared: pr.shared}
+	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs, model: pr.model}
 	if rank := pr.ranks(); rank != nil {
 		added, removed = relabelEdges(added, rank), relabelEdges(removed, rank)
 		gi.g = pr.g.Patched(added, removed)
@@ -157,8 +173,8 @@ func relabelEdges(edges [][2]graph.VertexID, rank []graph.VertexID) [][2]graph.V
 	return out
 }
 
-// ForWorkers returns the state for the same graph, seed and index knobs under
-// another worker count. The order and the indexes are shared, not rebuilt:
+// ForWorkers returns the state for the same graph, seed, index knobs and model
+// under another worker count. The order and the indexes are shared, not rebuilt:
 // only the owner array depends on the worker count.
 func (pr *Prepared) ForWorkers(workers int) *Prepared {
 	if workers == pr.workers {

@@ -52,20 +52,17 @@ func TestPreparedRunMatchesRunContext(t *testing.T) {
 		variant.mutate(&opts)
 		pr := Prepare(g, opts)
 		for _, p := range []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5()} {
-			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
-				opts.Strategy = strat
-				cold, err := RunContext(context.Background(), g, p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				warm, err := pr.RunContext(context.Background(), p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := withoutClocks(cold.Stats), withoutClocks(warm.Stats); a != b {
-					t.Fatalf("%s/%s/%s: prepared run diverges from RunContext:\n cold %s\n warm %s",
-						variant.name, p.Name(), strat, a, b)
-				}
+			cold, err := RunContext(context.Background(), g, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := pr.RunContext(context.Background(), p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := withoutClocks(cold.Stats), withoutClocks(warm.Stats); a != b {
+				t.Fatalf("%s/%s: prepared run diverges from RunContext:\n cold %s\n warm %s",
+					variant.name, p.Name(), a, b)
 			}
 		}
 	}
@@ -113,8 +110,7 @@ func TestPreparedSharedByConcurrentRuns(t *testing.T) {
 			p := []*pattern.Pattern{pattern.PG1(), pattern.PG2(), pattern.PG3()}[i%3]
 			o := opts
 			switch {
-			case i < 4: // full counts, strategies mixed
-				o.Strategy = Strategy(i % 3)
+			case i < 4: // full counts
 				res, err := pr.RunContext(context.Background(), p, o)
 				if err != nil || res.Count != full[p.Name()] || res.Truncated {
 					t.Errorf("run %d (%s): full run gave %+v, %v (oracle %d)", i, p.Name(), res, err, full[p.Name()])

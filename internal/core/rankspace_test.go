@@ -65,15 +65,14 @@ func TestIdentityOrderStatsPinned(t *testing.T) {
 		if row.exchange == "tcp" {
 			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
 		}
-		run := runPartitioned
+		bits := BloomBitsPerEdge
 		if row.noIndex {
-			run = runWithoutIndex
+			bits = 0
 		}
 		h := fnv.New64a()
 		for _, p := range patterns {
-			for _, strat := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
-				opts.Strategy = strat
-				res, err := run(g, p, opts)
+			for _, strat := range strategies {
+				res, err := PreparePartitioned(g, opts, bits, strat, 0.5).RunContext(context.Background(), p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +317,7 @@ func TestColdRunsReusePrepared(t *testing.T) {
 	}
 	base := cold(g, opts)
 	perRun := opts
-	perRun.Strategy, perRun.Collect = StrategyRandom, true
+	perRun.Collect, perRun.MaxResults = true, 1
 	if cold(g, opts) != base || cold(g, perRun) != base || base.src != g {
 		t.Fatal("cold runs over one graph under matching options must share a Prepared")
 	}

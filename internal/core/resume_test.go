@@ -35,17 +35,17 @@ func (s *cancelAfterSave) Save(step int, data []byte) error {
 	return err
 }
 
-// stopAfterSave runs p on g under opts with a checkpoint at every boundary
+// stopAfterSave runs p on pr under opts with a checkpoint at every boundary
 // and cancels it right after its nth save, returning the store to resume
 // from. stopped is false when the run ended before its nth save (a pipelined
 // run's pauses follow frame timing).
-func stopAfterSave(t *testing.T, g *graph.Graph, p *pattern.Pattern, opts Options, n int) (store *bsp.MemCheckpointStore, stopped bool) {
+func stopAfterSave(t *testing.T, pr *Prepared, p *pattern.Pattern, opts Options, n int) (store *bsp.MemCheckpointStore, stopped bool) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	saves := &cancelAfterSave{MemCheckpointStore: bsp.NewMemCheckpointStore(), n: n, cancel: cancel}
 	opts.CheckpointEvery, opts.CheckpointStore = 1, saves
-	if _, err := RunContext(ctx, g, p, opts); err == nil {
+	if _, err := pr.RunContext(ctx, p, opts); err == nil {
 		return nil, false
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("run stopped after save %d: err = %v, want context.Canceled", n, err)
@@ -63,7 +63,7 @@ type stopResume struct {
 
 // stopAndResume is stopAfterSave followed by a new run under opts resumed
 // from that save; ok is stopAfterSave's stopped.
-func stopAndResume(t *testing.T, g *graph.Graph, p *pattern.Pattern, opts Options, n int, list bool) (sr stopResume, ok bool) {
+func stopAndResume(t *testing.T, pr *Prepared, p *pattern.Pattern, opts Options, n int, list bool) (sr stopResume, ok bool) {
 	t.Helper()
 	var mu sync.Mutex
 	sink := func(into *[]string) func([]graph.VertexID) {
@@ -77,7 +77,7 @@ func stopAndResume(t *testing.T, g *graph.Graph, p *pattern.Pattern, opts Option
 	if list {
 		first.OnInstance = sink(&sr.stopped)
 	}
-	store, ok := stopAfterSave(t, g, p, first, n)
+	store, ok := stopAfterSave(t, pr, p, first, n)
 	if !ok {
 		return sr, false
 	}
@@ -87,7 +87,7 @@ func stopAndResume(t *testing.T, g *graph.Graph, p *pattern.Pattern, opts Option
 	if list {
 		resumed.OnInstance = sink(&sr.relisted)
 	}
-	res, err := Run(g, p, resumed)
+	res, err := pr.RunContext(context.Background(), p, resumed)
 	if err != nil {
 		t.Fatalf("resuming from save %d: %v", n, err)
 	}
@@ -96,9 +96,9 @@ func stopAndResume(t *testing.T, g *graph.Graph, p *pattern.Pattern, opts Option
 }
 
 // logicalStats is what a resumed run must report as a clean run does: all of
-// Stats but clocks in strict mode; in pipelined mode, where routing follows
-// processing order, the count, the Gpsi totals and the pruning split, which in
-// one memory domain do not depend on where a diamond's Gpsis are expanded.
+// Stats but clocks in strict mode; in pipelined mode, whose supersteps and
+// per-step and per-worker splits follow timing, the count, the Gpsi totals and
+// the pruning split, which in one memory domain are a function of the run.
 func logicalStats(st Stats, async bool) string {
 	if !async {
 		return withoutClocks(st)
@@ -133,7 +133,7 @@ func TestResumeSweepMatchesCleanRun(t *testing.T) {
 			}
 			stops := 0
 			for n := 1; n <= saves.Saves(); n++ {
-				sr, ok := stopAndResume(t, g, p, opts, n, false)
+				sr, ok := stopAndResume(t, Prepare(g, opts), p, opts, n, false)
 				if !ok {
 					if !async {
 						t.Fatalf("%s strict: the run ended before its save %d of %d", name, n, saves.Saves())
@@ -193,7 +193,7 @@ func TestStopResumeListsEachInstanceOnce(t *testing.T) {
 		}
 		stops := 0
 		for n := 1; n <= saves.Saves(); n++ {
-			sr, ok := stopAndResume(t, g, p, opts, n, true)
+			sr, ok := stopAndResume(t, Prepare(g, opts), p, opts, n, true)
 			if !ok {
 				continue
 			}
@@ -230,7 +230,7 @@ func TestResumeAcrossRunsMatchesCleanRun(t *testing.T) {
 	if last < 2 {
 		t.Fatalf("run too short to test resume: %d supersteps", clean.Stats.Supersteps)
 	}
-	sr, ok := stopAndResume(t, g, p, base, last, false)
+	sr, ok := stopAndResume(t, Prepare(g, base), p, base, last, false)
 	if !ok {
 		t.Fatal("the run ended before its last save")
 	}
@@ -250,7 +250,7 @@ func TestResumeAcrossRunsMatchesCleanRun(t *testing.T) {
 func TestResumeRefusesAnotherRunsCheckpoint(t *testing.T) {
 	g := gen.ChungLu(2000, 10000, 2.0, 1)
 	base := Options{Workers: 2, Seed: 1}
-	store, ok := stopAfterSave(t, g, pattern.PG3(), base, 1)
+	store, ok := stopAfterSave(t, Prepare(g, base), pattern.PG3(), base, 1)
 	if !ok {
 		t.Fatal("the run ended before its first save")
 	}
@@ -309,7 +309,7 @@ func TestCorruptCheckpointIsRefusedOnResume(t *testing.T) {
 	p := pattern.PG5()
 	for _, compress := range []bool{false, true} {
 		opts := Options{Workers: 3, Seed: 4, CompressFrames: compress}
-		store, ok := stopAfterSave(t, g, p, opts, 1)
+		store, ok := stopAfterSave(t, Prepare(g, opts), p, opts, 1)
 		if !ok {
 			t.Fatalf("compress=%v: the run ended before its first save", compress)
 		}

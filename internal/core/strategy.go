@@ -1,25 +1,70 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"psgl/internal/stats"
 )
 
+// Strategy selects how a new partial subgraph instance chooses its next
+// expanding vertex — and therefore which worker receives it — in the paper's
+// partitioned model (Section 5.1), where the worker that expands a vertex is
+// the owner of its image. PreparePartitioned takes it; one memory domain has
+// no strategy (see chooseNext).
+type Strategy int
+
+const (
+	// StrategyWorkloadAware picks the GRAY vertex minimizing W_j^α + w_ij
+	// over each worker's local view of all workers' accumulated load, with
+	// w_ij = C(deg(v_d), #WHITE neighbors) (Section 5.1.1). α = 0.5 is the
+	// paper's recommended balance/greed trade-off (Theorem 3).
+	StrategyWorkloadAware Strategy = iota
+	// StrategyRandom picks a GRAY vertex uniformly at random.
+	StrategyRandom
+	// StrategyRoulette picks GRAY vertex k with probability inversely
+	// proportional to deg(map(k)) (Equation 6): high-degree data vertices
+	// expand fewer Gpsis (Heuristic 1).
+	StrategyRoulette
+)
+
+// String names the strategy the way the paper's figures do.
+func (s Strategy) String() string {
+	switch s {
+	case StrategyRandom:
+		return "Random"
+	case StrategyRoulette:
+		return "Roulette"
+	case StrategyWorkloadAware:
+		return "WA"
+	default:
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+}
+
 // chooseNext implements Algorithm 3: given the GRAY candidates of a freshly
-// generated Gpsi, pick the next expanding pattern vertex (which fixes the
-// destination worker, since the Gpsi travels to the owner of its mapped data
-// vertex).
+// generated Gpsi, pick the next expanding pattern vertex. The Gpsi then
+// travels to the owner of that vertex's image.
+//
+// In one memory domain any worker reads any row, so the pick decides only the
+// work, and the owner of the image only the balance: the pick is the GRAY
+// vertex of least expandCost, ties to the lowest pattern vertex. It is a
+// function of the Gpsi alone, so Gpsi counts do not depend on the worker
+// count, the policy or the processing order. In the partitioned model the
+// pick is also the worker, and the run's Strategy makes it.
 func (e *engine) chooseNext(worker int, m *gpsi, grays []int) int {
+	if e.shared {
+		return e.chooseCheapest(m, grays)
+	}
 	if len(grays) == 1 {
 		// Still account the load for the workload-aware view.
-		if e.opts.Strategy == StrategyWorkloadAware {
+		if e.strategy == StrategyWorkloadAware {
 			k := grays[0]
 			e.charge(&e.scratch[worker], e.ownerOf(m.Map[k]), e.expandCost(m, k))
 		}
 		return grays[0]
 	}
-	switch e.opts.Strategy {
+	switch e.strategy {
 	case StrategyRoulette:
 		return e.chooseRoulette(worker, m, grays)
 	case StrategyWorkloadAware:
@@ -29,11 +74,27 @@ func (e *engine) chooseNext(worker int, m *gpsi, grays []int) int {
 	}
 }
 
+// chooseCheapest is one memory domain's pick: argmin expandCost over grays,
+// ties to the lowest pattern vertex. A single candidate costs nothing.
+func (e *engine) chooseCheapest(m *gpsi, grays []int) int {
+	best := grays[0]
+	if len(grays) == 1 {
+		return best
+	}
+	bestCost := e.expandCost(m, best)
+	for _, k := range grays[1:] {
+		if cost := e.expandCost(m, k); cost < bestCost || cost == bestCost && k < best {
+			best, bestCost = k, cost
+		}
+	}
+	return best
+}
+
 // charge adds cost to worker j's load in sc's workload-aware view and
 // refreshes its power, the only place a view entry changes between restores.
 func (e *engine) charge(sc *workerScratch, j int, cost float64) {
 	sc.view[j] += cost
-	sc.pow[j] = math.Pow(sc.view[j], e.opts.Alpha)
+	sc.pow[j] = math.Pow(sc.view[j], e.alpha)
 }
 
 // expandCost is the cost-model estimate of expanding GRAY vertex k:

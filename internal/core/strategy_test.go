@@ -1,12 +1,20 @@
 package core
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"psgl/internal/gen"
+	"psgl/internal/graph"
 	"psgl/internal/pattern"
 	"psgl/internal/stats"
 )
+
+// The distribution strategies are the partitioned model's (Section 5.1), so
+// these tests run PreparePartitioned; in one memory domain every strategy
+// would run the same chooser and each comparison would hold vacuously.
 
 // loadImbalance runs PG2 with the given strategy on a skewed graph and
 // returns the per-worker load-unit imbalance factor (max/mean), Figure 5's
@@ -14,12 +22,8 @@ import (
 func loadImbalance(t *testing.T, strategy Strategy, alpha float64, workers int) float64 {
 	t.Helper()
 	g := gen.ChungLu(3000, 12000, 1.5, 42)
-	res, err := Run(g, pattern.PG2(), Options{
-		Workers:  workers,
-		Strategy: strategy,
-		Alpha:    alpha,
-		Seed:     7,
-	})
+	opts := Options{Workers: workers, Seed: 7}
+	res, err := PreparePartitioned(g, opts, BloomBitsPerEdge, strategy, alpha).RunContext(context.Background(), pattern.PG2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestWorkloadAwareBalancesBetterThanRandom(t *testing.T) {
 }
 
 func TestAllStrategiesProduceFiniteLoads(t *testing.T) {
-	for _, s := range []Strategy{StrategyRandom, StrategyRoulette, StrategyWorkloadAware} {
+	for _, s := range strategies {
 		im := loadImbalance(t, s, 0.5, 4)
 		if im < 1 || im > 1000 {
 			t.Errorf("%v: imbalance %.2f implausible", s, im)
@@ -74,7 +78,8 @@ func TestStrategyStringNames(t *testing.T) {
 func TestRouletteAvoidsHighDegreeExpansion(t *testing.T) {
 	g := gen.ChungLu(2000, 8000, 1.6, 13)
 	run := func(s Strategy) float64 {
-		res, err := Run(g, pattern.PG2(), Options{Workers: 4, Strategy: s, Seed: 5})
+		opts := Options{Workers: 4, Seed: 5}
+		res, err := partitionedBy(s)(g, opts).RunContext(context.Background(), pattern.PG2(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +118,81 @@ func TestExpandCostMatchesBinomial(t *testing.T) {
 	}
 	if got := e.expandCost(&m, 0); got != want {
 		t.Errorf("expandCost = %g, want %g", got, want)
+	}
+}
+
+// TestProductPicksCheapestGray: in one memory domain the next expanding
+// vertex is the GRAY vertex of least expandCost, ties to the lowest pattern
+// vertex, whatever order the candidates come in, and no worker keeps a load
+// view. Random Gpsis of the house on a graph full of degree ties exercise
+// both the strict minimum and the tie-break.
+func TestProductPicksCheapestGray(t *testing.T) {
+	g := gen.ErdosRenyi(200, 500, 3)
+	opts := Options{Workers: 3, Seed: 1}
+	p := pattern.PG5()
+	e, err := newEngine(Prepare(g, opts), p, opts.normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, sc := range e.scratch {
+		if sc.view != nil || sc.pow != nil {
+			t.Fatalf("worker %d keeps a load view in one memory domain", w)
+		}
+	}
+	wa, err := newEngine(preparePartitioned(g, opts), p, opts.normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wa.scratch[0].view) != opts.Workers {
+		t.Fatalf("the partitioned workload-aware engine has a view of %d workers, want %d", len(wa.scratch[0].view), opts.Workers)
+	}
+	rng := rand.New(rand.NewSource(9))
+	ties, picks := 0, 0
+	for range 2000 {
+		m := gpsi{N: int8(p.N())}
+		for i := range m.Map {
+			m.Map[i] = unmapped
+		}
+		for v := range p.N() {
+			if rng.Intn(3) > 0 {
+				d := graph.VertexID(rng.Intn(g.NumVertices()))
+				if !m.uses(d) {
+					m.Map[v] = d
+				}
+			}
+			if m.isMapped(v) && rng.Intn(3) == 0 {
+				m.Expanded |= 1 << uint(v)
+			}
+		}
+		grays := e.grayCandidates(&m, nil)
+		if len(grays) < 2 {
+			continue
+		}
+		want, least, tied := -1, 0.0, false
+		for k := range p.N() {
+			if !slices.Contains(grays, k) {
+				continue
+			}
+			if c := e.expandCost(&m, k); want < 0 || c < least {
+				want, least, tied = k, c, false
+			} else if c == least {
+				tied = true
+			}
+		}
+		if tied {
+			ties++
+		}
+		picks++
+		reversed := slices.Clone(grays)
+		slices.Reverse(reversed)
+		for _, order := range [][]int{grays, reversed} {
+			if got := e.chooseNext(0, &m, order); got != want {
+				t.Fatalf("map %v expanded %b: picked %d from %v, want %d (cost %g)", m.Map[:m.N], m.Expanded, got, order, want, least)
+			}
+		}
+	}
+	if picks == 0 || ties == 0 {
+		t.Fatalf("%d picks, %d ties: the random Gpsis did not exercise the pick", picks, ties)
 	}
 }
 

@@ -50,8 +50,7 @@ import (
 )
 
 // Options configures a delta enumeration. The zero value is valid: 4
-// workers, strict in-process exchange, counting only. Every anchored run
-// uses the engine's default distribution strategy.
+// workers, strict in-process exchange, counting only.
 type Options struct {
 	// Workers is the number of BSP workers per anchored run. 0 means 4.
 	Workers int

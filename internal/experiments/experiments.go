@@ -115,14 +115,14 @@ func obsOpts(opts core.Options) core.Options {
 }
 
 // runPartitioned runs PSgL in the paper's partitioned model, with an edge
-// index of bitsPerEdge bits per edge (0: none): the one way every paper
-// experiment runs it.
-func runPartitioned(g *graph.Graph, p *pattern.Pattern, opts core.Options, bitsPerEdge int) (*core.Result, error) {
-	return core.PreparePartitioned(g, opts, bitsPerEdge).RunContext(context.Background(), p, obsOpts(opts))
+// index of bitsPerEdge bits per edge (0: none) and distribution strategy s:
+// the one way every paper experiment runs it.
+func runPartitioned(g *graph.Graph, p *pattern.Pattern, opts core.Options, bitsPerEdge int, s strategyConfig) (*core.Result, error) {
+	return core.PreparePartitioned(g, opts, bitsPerEdge, s.strategy, s.alpha).RunContext(context.Background(), p, obsOpts(opts))
 }
 
-func runPSgL(g *graph.Graph, p *pattern.Pattern, opts core.Options) *core.Result {
-	res, err := runPartitioned(g, p, opts, core.BloomBitsPerEdge)
+func runPSgL(g *graph.Graph, p *pattern.Pattern, opts core.Options, s strategyConfig) *core.Result {
+	res, err := runPartitioned(g, p, opts, core.BloomBitsPerEdge, s)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: psgl %s: %v", p.Name(), err))
 	}
@@ -152,9 +152,7 @@ func Figure3() string {
 		cells := []string{fmt.Sprintf("%s on %s", panel.pat.Name(), panel.graph)}
 		var count int64
 		for _, cfg := range strategyConfigs() {
-			opts := cfg.opts
-			opts.Workers = workers
-			res := runPSgL(g, panel.pat, opts)
+			res := runPSgL(g, panel.pat, core.Options{Workers: workers}, cfg)
 			count = res.Count
 			cells = append(cells, fmt.Sprintf("%.3g", res.Stats.LoadMakespan))
 		}
@@ -164,18 +162,23 @@ func Figure3() string {
 	return r.String()
 }
 
+// strategyConfig is a distribution strategy and its α (workload-aware only).
 type strategyConfig struct {
-	name string
-	opts core.Options
+	name     string
+	strategy core.Strategy
+	alpha    float64
 }
+
+// paperDefault is the strategy every experiment but Figures 3 and 5 runs.
+var paperDefault = strategyConfig{"(WA,0.5)", core.StrategyWorkloadAware, 0.5}
 
 func strategyConfigs() []strategyConfig {
 	return []strategyConfig{
-		{"Random", core.Options{Strategy: core.StrategyRandom}},
-		{"Roulette", core.Options{Strategy: core.StrategyRoulette}},
-		{"(WA,1)", core.Options{Strategy: core.StrategyWorkloadAware, Alpha: 1}},
-		{"(WA,0)", core.Options{Strategy: core.StrategyWorkloadAware, Alpha: 0.001}},
-		{"(WA,0.5)", core.Options{Strategy: core.StrategyWorkloadAware, Alpha: 0.5}},
+		{"Random", core.StrategyRandom, 0},
+		{"Roulette", core.StrategyRoulette, 0},
+		{"(WA,1)", core.StrategyWorkloadAware, 1},
+		{"(WA,0)", core.StrategyWorkloadAware, 0.001},
+		paperDefault,
 	}
 }
 
@@ -188,9 +191,7 @@ func Figure5() string {
 	const k = 52
 	r.row("strategy", "min", "p50", "max", "imbalance(max/mean)", "load makespan")
 	for _, cfg := range strategyConfigs() {
-		opts := cfg.opts
-		opts.Workers = k
-		res := runPSgL(g, pattern.PG2(), opts)
+		res := runPSgL(g, pattern.PG2(), core.Options{Workers: k}, cfg)
 		s := stats.Summarize(res.Stats.LoadUnits)
 		r.rowf("%s\t%.3g\t%.3g\t%.3g\t%.2f\t%.3g",
 			cfg.name, s.Min, s.P50, s.Max, s.ImbalanceFactor, res.Stats.LoadMakespan)
@@ -221,13 +222,13 @@ func Figure6() string {
 			best := 0.0
 			for v := 0; v < p.N(); v++ {
 				opts := core.Options{Workers: workers, InitialVertex: v}
-				res := runPSgL(g, p, opts)
+				res := runPSgL(g, p, opts, paperDefault)
 				times[v] = float64(res.Stats.SimulatedMakespan.Microseconds())
 				if best == 0 || times[v] < best {
 					best = times[v]
 				}
 			}
-			auto := runPSgL(g, p, core.Options{Workers: workers, InitialVertex: -1})
+			auto := runPSgL(g, p, core.Options{Workers: workers, InitialVertex: -1}, paperDefault)
 			cells := []string{fmt.Sprintf("%s on %s", p.Name(), panel.graph)}
 			for v := 0; v < 4; v++ {
 				if v < p.N() {
@@ -266,13 +267,13 @@ func Table2() string {
 	r.row("graph", "pattern(init)", "Gpsi# w/ index", "Gpsi# w/o index", "pruning ratio")
 	for _, row := range rows {
 		g := datasets.MustLoad(row.graph)
-		with := runPSgL(g, row.pat, core.Options{Workers: workers, InitialVertex: row.initial})
+		with := runPSgL(g, row.pat, core.Options{Workers: workers, InitialVertex: row.initial}, paperDefault)
 		withoutOpts := core.Options{
 			Workers:         workers,
 			InitialVertex:   row.initial,
 			MaxIntermediate: row.budget,
 		}
-		res, err := runPartitioned(g, row.pat, withoutOpts, 0)
+		res, err := runPartitioned(g, row.pat, withoutOpts, 0, paperDefault)
 		var withoutCell, ratioCell string
 		if err != nil {
 			withoutCell, ratioCell = "OOM", "unknown"
@@ -303,7 +304,7 @@ func Figure7() string {
 	for _, p := range pats {
 		for _, name := range graphs {
 			g := datasets.MustLoad(name)
-			ps := runPSgL(g, p, core.Options{Workers: workers})
+			ps := runPSgL(g, p, core.Options{Workers: workers}, paperDefault)
 			base := ps.Stats.WallTime.Seconds()
 			af, err := afrati.Run(g, p, afrati.Options{Buckets: 6, MaxShufflePairs: baselineBudget})
 			afCell := "DNF"
@@ -339,7 +340,7 @@ func Table3() string {
 	r.row("graph", "Afrati", "PowerGraph~", "GraphChi~", "PSgL", "triangles")
 	for _, name := range []string{"twitter", "wikipedia"} {
 		g := datasets.MustLoad(name)
-		ps := runPSgL(g, pattern.PG1(), core.Options{Workers: workers})
+		ps := runPSgL(g, pattern.PG1(), core.Options{Workers: workers}, paperDefault)
 
 		afStart := time.Now()
 		af, err := afrati.Run(g, pattern.PG1(), afrati.Options{Buckets: 6})
@@ -401,7 +402,7 @@ func Table4() string {
 	r.row("graph", "pattern", "order", "Afrati", "PowerGraph~", "PSgL", "count")
 	for _, row := range rows {
 		g := datasets.MustLoad(row.graph)
-		ps, psErr := runPartitioned(g, row.pat, core.Options{Workers: workers, MaxIntermediate: 30_000_000}, core.BloomBitsPerEdge)
+		ps, psErr := runPartitioned(g, row.pat, core.Options{Workers: workers, MaxIntermediate: 30_000_000}, core.BloomBitsPerEdge, paperDefault)
 		psCell := "OOM"
 		var count int64 = -1
 		if psErr == nil {
@@ -458,7 +459,7 @@ func Figure8() string {
 	r.row("workers", "load makespan", "ideal", "speedup", "count")
 	var base float64
 	for _, k := range counts {
-		res := runPSgL(g, pattern.PG2(), core.Options{Workers: k})
+		res := runPSgL(g, pattern.PG2(), core.Options{Workers: k}, paperDefault)
 		mkspan := res.Stats.LoadMakespan
 		if k == counts[0] {
 			base = mkspan

@@ -5,12 +5,13 @@
 // PSgL enumerates every instance of a small unlabeled pattern graph in a
 // large unlabeled data graph by pure graph traversal — no join operator.
 // Partial subgraph instances are expanded vertex by vertex and routed between
-// BSP workers by a distribution strategy, and a degree-based vertex ordering
-// breaks pattern automorphisms so every instance is found exactly once. The
-// workers of a run share one memory domain, so each checks every closing edge
-// of a partial instance exactly where it meets it; the paper's
-// vertex-partitioned model, with its bloom-filter edge index and pending
-// edges, runs in the experiment harness (see EXPERIMENTS.md).
+// BSP workers, and a degree-based vertex ordering breaks pattern
+// automorphisms so every instance is found exactly once. The workers of a run
+// share one memory domain, so each checks every closing edge of a partial
+// instance exactly where it meets it and expands the cheapest vertex next;
+// the paper's vertex-partitioned model, with its distribution strategies,
+// bloom-filter edge index and pending edges, runs in the experiment harness
+// (see EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -45,7 +46,6 @@ import (
 	"psgl/internal/pattern"
 	"psgl/internal/serve"
 	"psgl/internal/sgia"
-	"psgl/internal/stream"
 	"strconv"
 	"strings"
 )
@@ -73,22 +73,13 @@ type (
 	// Stats carries the run metrics (Gpsi counts, pruning breakdown,
 	// per-worker load, makespan).
 	Stats = core.Stats
-	// Strategy selects the partial-subgraph-instance distribution strategy.
-	Strategy = core.Strategy
-)
-
-// Distribution strategies (Section 5.1 of the paper).
-const (
-	StrategyRandom        = core.StrategyRandom
-	StrategyRoulette      = core.StrategyRoulette
-	StrategyWorkloadAware = core.StrategyWorkloadAware
 )
 
 // ErrOutOfMemory reports that a run exceeded Options.MaxIntermediate.
 var ErrOutOfMemory = core.ErrOutOfMemory
 
-// NewOptions returns the default configuration: 4 workers, workload-aware
-// distribution with α = 0.5, automatic initial-pattern-vertex selection.
+// NewOptions returns the default configuration: 4 workers, automatic
+// initial-pattern-vertex selection.
 func NewOptions() Options { return core.NewOptions() }
 
 // List enumerates all instances of p in g with the PSgL engine.
@@ -426,17 +417,6 @@ func CountTrianglesOutOfCore(g *Graph, shards int) (int64, error) {
 		return 0, err
 	}
 	return res.Triangles, nil
-}
-
-// EstimateTriangles runs the one-pass wedge-sampling stream estimator
-// (related-work family of Section 2: bounded memory, approximate count, no
-// instance listing) with k wedge samples.
-func EstimateTriangles(g *Graph, k int, seed int64) (float64, error) {
-	est, err := stream.EstimateTriangles(g, k, seed)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate, nil
 }
 
 // MotifCensus counts every pattern in patterns over g with the PSgL engine,

@@ -206,7 +206,7 @@ func TestGenerateFromSpec(t *testing.T) {
 	}
 }
 
-func TestOutOfCoreAndStreamPublic(t *testing.T) {
+func TestOutOfCorePublic(t *testing.T) {
 	g := psgl.GenerateChungLu(2000, 10000, 1.9, 6)
 	exact := psgl.CountTriangles(g)
 	ooc, err := psgl.CountTrianglesOutOfCore(g, 4)
@@ -215,13 +215,6 @@ func TestOutOfCoreAndStreamPublic(t *testing.T) {
 	}
 	if ooc != exact {
 		t.Fatalf("out-of-core=%d exact=%d", ooc, exact)
-	}
-	est, err := psgl.EstimateTriangles(g, 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact > 0 && (est < 0.3*float64(exact) || est > 3*float64(exact)) {
-		t.Fatalf("stream estimate %.0f wildly off exact %d", est, exact)
 	}
 }
 

@@ -42,7 +42,7 @@ func main() {
 // listingFlags are the flags only the listing engine reads.
 var listingFlags = map[string]bool{
 	"initial": true, "max-intermediate": true,
-	"tcp": true, "async": true, "compress": true,
+	"tcp": true, "async": true,
 	"checkpoint-dir": true, "checkpoint-every": true, "resume": true,
 	"explain": true,
 }
@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budget      = fs.Int64("max-intermediate", 0, "abort after this many partial instances (0 = unlimited)")
 		tcp         = fs.Bool("tcp", false, "route messages over loopback TCP")
 		async       = fs.Bool("async", false, "pipelined async exchange: flush frames as produced, credit-based termination instead of barriers (counts identical to strict mode)")
-		compress    = fs.Bool("compress", false, "prefix-compress Gpsi frames: front-coded wire format and encoded inboxes (counts identical to flat mode)")
 		timeout     = fs.Duration("timeout", 0, "overall run timeout (0 = none); Ctrl-C also cancels cleanly")
 		ckptDir     = fs.String("checkpoint-dir", "", "directory for barrier checkpoints (enables checkpointing)")
 		ckptEvery   = fs.Int("checkpoint-every", 1, "checkpoint every N supersteps (with -checkpoint-dir)")
@@ -161,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Exchange = psgl.NewTCPExchange()
 	}
 	opts.AsyncExchange = *async
-	opts.CompressFrames = *compress
 	if *ckptDir != "" {
 		store, err := psgl.NewFileCheckpointStore(*ckptDir)
 		if err != nil {

@@ -44,6 +44,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bad alpha", []string{"-gen", "er:50:100", "-alpha", "0.5"}, 2, "flag provided but not defined: -alpha"},
 		{"census with -strategy", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-strategy", "wa"}, 2, "flag provided but not defined: -strategy"},
 		{"census with -alpha", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-alpha", "0.5"}, 2, "flag provided but not defined: -alpha"},
+		// Every run ships flat frames: there is no frame codec to pick.
+		{"census with -compress", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-compress"}, 2, "flag provided but not defined: -compress"},
 		// A failed send ends the run: there is no retry and no in-run
 		// recovery to configure; a stopped run is resumed with -resume.
 		{"zero retries", []string{"-gen", "er:50:100", "-exchange-retries", "2"}, 2, "flag provided but not defined: -exchange-retries"},
@@ -79,7 +81,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 	for _, f := range [][]string{
 		{"-initial", "0"}, {"-max-intermediate", "10"},
-		{"-tcp"}, {"-async"}, {"-compress"},
+		{"-tcp"}, {"-async"},
 		{"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"}, {"-resume"},
 	} {
 		cases = append(cases, flagCase{"census with " + f[0], append([]string{"-gen", "er:50:100", "-pattern", "census(3)"}, f...),

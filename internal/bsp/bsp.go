@@ -6,12 +6,13 @@
 //
 // All messages move through one frame transport (transport.go) with two
 // implementations: in-process, and a loopback-TCP mesh (tcp.go) that
-// round-trips every inter-worker batch through the binary wire codec
-// (wire.go, compress.go) and the network stack, for distributed-execution
-// realism on a single machine. One loop runs on it (loop.go): persistent
-// workers, a coordinator, and a credit/ack termination detector whose verdict
-// is the superstep barrier; Config.AsyncExchange moves two policy points
-// inside it.
+// round-trips every inter-worker batch through the flat wire codec (wire.go)
+// and the network stack. The mesh is loopback between goroutines of one
+// process and distributes nothing; it is kept because the list-wire benchmark
+// measures it, until the TCP exchange is retired. One loop runs on it
+// (loop.go): persistent workers, a coordinator, and a credit/ack termination
+// detector whose verdict is the superstep barrier; Config.AsyncExchange moves
+// two policy points inside it.
 //
 // Fault tolerance mirrors the Giraph substrate the paper ran on: snapshot at
 // the loop's boundaries, and restart a stopped run from its last snapshot.
@@ -91,15 +92,6 @@ type Config struct {
 	// independent of message-processing order. With no
 	// supersteps left, checkpoints are taken at induced pauses.
 	AsyncExchange bool
-	// CompressFrames selects the front-coding frame codec (compress.go):
-	// batches are sorted by encoding and shipped as shared-prefix + suffix
-	// deltas, and inboxes keep them encoded until the run loop decodes them
-	// one bounded chunk at a time — trading codec CPU for bytes on the wire
-	// and peak RSS. Requires *M to implement WireMessage (silently ignored
-	// otherwise). A worker's batch for itself is front coded too in strict
-	// mode; under AsyncExchange it goes straight into the worker's own queue,
-	// flat.
-	CompressFrames bool
 	// Observer receives the run's metrics and trace events (superstep
 	// timings, exchange volume, transport frames and bytes, checkpoint and
 	// resume events). Nil disables observation entirely; every hook is a

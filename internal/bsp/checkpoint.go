@@ -81,10 +81,9 @@ type CheckpointStore interface {
 // (nil otherwise). Inboxes[w] is worker w's queued chunks, its own work
 // first, concatenated: the format predates chunks and the pipelined queue
 // order, and a restored queue is delivered work in any order. Frames[w] holds
-// its still-encoded frame payloads, flat or compressed (a TCP run's
-// deliveries, or a compressed in-process run's: a snapshot keeps them
-// encoded, so a checkpoint of a dense superstep costs its encoded size);
-// pre-compression snapshots simply decode with Frames nil.
+// its still-encoded flat frame payloads (a TCP run's deliveries: a snapshot
+// keeps them encoded, so a checkpoint of a dense superstep costs its encoded
+// size); an in-process run's snapshot has Frames nil.
 type snapshot[M any] struct {
 	Step    int
 	Inboxes [][]Envelope[M]
@@ -158,12 +157,11 @@ func loadSnapshot[M any](store CheckpointStore) (*snapshot[M], error) {
 		snap.Stats.Counters = map[string]int64{}
 	}
 	// The CRC seal catches store-level damage; this catches a snapshot whose
-	// frames, in either format, are internally inconsistent (they would
-	// otherwise only fail deep inside a superstep, after the restore
-	// "succeeded").
+	// frames are internally inconsistent or not flat (they would otherwise
+	// only fail deep inside a superstep, after the restore "succeeded").
 	for w := range snap.Frames {
 		for i, fp := range snap.Frames[w] {
-			if _, _, _, err := DecodeFrame[M](fp); err != nil {
+			if _, _, err := DecodeWireFrame[M](fp); err != nil {
 				return nil, fmt.Errorf("%w: snapshot for step %d: inbox frame %d for worker %d: %v",
 					ErrCorruptCheckpoint, step, i, w, err)
 			}

@@ -17,16 +17,17 @@ import (
 )
 
 // compressedFrameSeeds are the committed seed corpus of
-// FuzzCompressedFrameDecode: valid frames in both codec paths, a chunked
-// continuation frame, a flat frame, and malformed inputs, among them counts
-// that claim every byte of either format.
+// FuzzCompressedFrameDecode: valid frames in both codec paths, one whose
+// step word sets bit 30, a flat frame, and malformed inputs, among them
+// counts that claim every byte of either format.
 func compressedFrameSeeds() map[string][]byte {
-	frames, _ := compressBatch(7, [][]Envelope[groupMsg]{groupTestBatch(40)}, 16)
+	continuation := AppendCompressedFrame(nil, 7, groupTestBatch(16))[4:]
+	continuation[3] |= 1 << 6
 	return map[string][]byte{
 		"seed_group_batch":    AppendCompressedFrame(nil, 1, groupTestBatch(8))[4:],
 		"seed_fallback_batch": AppendCompressedFrame(nil, 3, wireTestBatch(5))[4:],
 		"seed_empty_batch":    AppendCompressedFrame(nil, 2, []Envelope[groupMsg]{})[4:],
-		"seed_continuation":   frames[0],
+		"seed_continuation":   continuation,
 		"seed_flat_frame":     AppendWireFrame(nil, 1, wireTestBatch(2))[4:],
 		"seed_all_ones":       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 		"seed_lying_count":    lyingCountPayload(true, 64),
@@ -78,20 +79,15 @@ func FuzzCompressedFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// Patch-decode path.
-		step, more, batch, err := DecodeCompressedFrame[groupMsg](payload)
+		step, batch, err := DecodeCompressedFrame[groupMsg](payload)
 		if err == nil {
 			re := AppendCompressedFrame(nil, step, batch)
-			if more {
-				// Re-encoding loses the continuation bit by design; patch it
-				// back so the step words compare equal.
-				re[4+3] |= byte(continuationFlag >> 24)
-			}
-			step2, more2, batch2, err2 := DecodeCompressedFrame[groupMsg](re[4:])
+			step2, batch2, err2 := DecodeCompressedFrame[groupMsg](re[4:])
 			if err2 != nil {
 				t.Fatalf("re-decoding own encoding: %v", err2)
 			}
-			if step2 != step || more2 != more {
-				t.Fatalf("round trip changed header: step %d→%d more %v→%v", step, step2, more, more2)
+			if step2 != step {
+				t.Fatalf("round trip changed header: step %d→%d", step, step2)
 			}
 			a, b := envKeys(batch), envKeys(batch2)
 			if len(a) != len(b) {
@@ -106,7 +102,7 @@ func FuzzCompressedFrameDecode(f *testing.F) {
 
 		// Fallback path must be panic-free on the same input (wireMsg has a
 		// variable-length tail, so its validation branches differ).
-		_, _, _, _ = DecodeCompressedFrame[wireMsg](payload)
+		_, _, _ = DecodeCompressedFrame[wireMsg](payload)
 
 		// Length-prefixed reader path: the incremental reader plus the
 		// auto-detecting decoder must agree with the direct payload decode.
@@ -123,7 +119,7 @@ func FuzzCompressedFrameDecode(f *testing.F) {
 		if r.Len() != 0 || !bytes.Equal(rp, payload) {
 			t.Fatalf("readFrame left %d of %d bytes unread", r.Len(), len(framed))
 		}
-		_, _, _, derr := DecodeFrame[groupMsg](rp)
+		_, _, derr := DecodeFrame[groupMsg](rp)
 		if (derr == nil) != (err == nil) && framePayloadIsCompressed(payload) {
 			t.Fatalf("DecodeFrame and DecodeCompressedFrame disagree: %v vs %v", derr, err)
 		}

@@ -1,11 +1,10 @@
 package bsp
 
-// Unit battery for the prefix-compressed frame codec: round trips through
-// both the GroupWireMessage patch path and the generic WireMessage fallback,
-// chunking/continuation, malformed-input rejection, the grouped local and TCP
-// exchanges (strict and async), and grouped checkpoint snapshots. The
-// differential suites that pin compressed counts against the flat oracle live
-// in internal/core, next to the engine.
+// Unit battery for the prefix-compressed frame codec, which no run uses and
+// the benchmark rows weigh against the flat one: round trips through both the
+// GroupWireMessage patch path and the generic WireMessage fallback,
+// malformed-input rejection and golden frames; a run's batches carried by it;
+// plus checkpoint snapshots of groupMsg frames.
 
 import (
 	"bytes"
@@ -15,12 +14,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"psgl/internal/graph"
-	"psgl/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden compressed-frame fixtures")
@@ -126,12 +125,12 @@ func TestCompressedFrameRoundTripGroup(t *testing.T) {
 	if !framePayloadIsCompressed(buf[4:]) {
 		t.Fatal("compressed frame not detected as compressed")
 	}
-	step, more, out, err := DecodeCompressedFrame[groupMsg](buf[4:])
+	step, out, err := DecodeCompressedFrame[groupMsg](buf[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 9 || more {
-		t.Fatalf("step=%d more=%v, want 9 false", step, more)
+	if step != 9 {
+		t.Fatalf("step=%d, want 9", step)
 	}
 	sameMultiset(t, out, batch)
 
@@ -147,54 +146,51 @@ func TestCompressedFrameRoundTripFallback(t *testing.T) {
 	// codes the flat encodings and decodes each message in full.
 	batch := wireTestBatch(32)
 	buf := AppendCompressedFrame(nil, 3, batch)
-	step, more, out, err := DecodeCompressedFrame[wireMsg](buf[4:])
+	step, out, err := DecodeCompressedFrame[wireMsg](buf[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 3 || more {
-		t.Fatalf("step=%d more=%v, want 3 false", step, more)
+	if step != 3 {
+		t.Fatalf("step=%d, want 3", step)
 	}
 	sameMultiset(t, out, batch)
 }
 
 func TestCompressedFrameEmptyBatch(t *testing.T) {
 	buf := AppendCompressedFrame(nil, 2, []Envelope[groupMsg]{})
-	step, more, out, err := DecodeCompressedFrame[groupMsg](buf[4:])
+	step, out, err := DecodeCompressedFrame[groupMsg](buf[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 2 || more || len(out) != 0 {
-		t.Fatalf("step=%d more=%v len=%d, want 2 false 0", step, more, len(out))
+	if step != 2 || len(out) != 0 {
+		t.Fatalf("step=%d len=%d, want 2 0", step, len(out))
 	}
 }
 
+// TestCompressedChunkingContinuation: the encoder no longer cuts a batch into
+// a train of chunks marked by a continuation bit in the step word. A batch far
+// past the old 512-envelope chunk is one frame whose step word is the step
+// and the compressed flag, and a step that sets bit 30, once the continuation
+// bit, round-trips as a step.
 func TestCompressedChunkingContinuation(t *testing.T) {
 	batch := groupTestBatch(1200)
-	frames, raw := compressBatch(7, [][]Envelope[groupMsg]{batch[:500], batch[500:]}, 512)
-	if len(frames) != 3 {
-		t.Fatalf("1200 envelopes at chunk 512: %d frames, want 3", len(frames))
-	}
-	if wantRaw := wireFrameHeader + 17*len(batch); raw != wantRaw {
-		t.Fatalf("raw = %d, want %d", raw, wantRaw)
-	}
-	var all []Envelope[groupMsg]
-	for i, fp := range frames {
-		step, more, out, err := DecodeCompressedFrame[groupMsg](fp)
+	for _, step := range []int{7, 7 | 1<<30} {
+		frame := AppendCompressedFrame(nil, step, batch)
+		if n := int(binary.LittleEndian.Uint32(frame)); n != len(frame)-4 {
+			t.Fatalf("step %#x: length prefix %d for a %d-byte payload: not one frame", step, n, len(frame)-4)
+		}
+		if word := binary.LittleEndian.Uint32(frame[4:]); word != uint32(step)|compressedFrameFlag {
+			t.Fatalf("step %#x: step word %#x", step, word)
+		}
+		got, out, err := DecodeFrame[groupMsg](frame[4:])
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if step != 7 {
-			t.Fatalf("frame %d: step %d, want 7", i, step)
+		if got != step {
+			t.Fatalf("step %#x decoded as %#x", step, got)
 		}
-		if wantMore := i < len(frames)-1; more != wantMore {
-			t.Fatalf("frame %d: more=%v, want %v", i, more, wantMore)
-		}
-		if len(out) > 512 {
-			t.Fatalf("frame %d: %d envelopes exceed the chunk bound", i, len(out))
-		}
-		all = append(all, out...)
+		sameMultiset(t, out, batch)
 	}
-	sameMultiset(t, all, batch)
 }
 
 func TestCompressedFrameDeterministic(t *testing.T) {
@@ -239,7 +235,7 @@ func TestCompressedFrameDecodeErrors(t *testing.T) {
 		"empty":            {},
 	}
 	for name, p := range cases {
-		if _, _, _, err := DecodeCompressedFrame[groupMsg](p); err == nil {
+		if _, _, err := DecodeCompressedFrame[groupMsg](p); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}
@@ -249,7 +245,7 @@ func TestCompressedFrameDecodeErrors(t *testing.T) {
 	buf := AppendCompressedFrame(nil, 1, padded)[4:]
 	// Grow every suffix by a byte: re-encode by hand with one byte appended.
 	grown := appendOneCompressedFrameWithPad(padded)
-	if _, _, _, err := DecodeCompressedFrame[wireMsg](grown); err == nil {
+	if _, _, err := DecodeCompressedFrame[wireMsg](grown); err == nil {
 		t.Error("padded encodings: decode succeeded, want undecoded-bytes error")
 	}
 	_ = buf
@@ -280,22 +276,22 @@ func TestDecodeFrameAutoDetect(t *testing.T) {
 	flat := AppendWireFrame(nil, 4, batch)
 	comp := AppendCompressedFrame(nil, 4, batch)
 
-	step, more, out, err := DecodeFrame[groupMsg](flat[4:])
-	if err != nil || step != 4 || more {
-		t.Fatalf("flat: step=%d more=%v err=%v", step, more, err)
+	step, out, err := DecodeFrame[groupMsg](flat[4:])
+	if err != nil || step != 4 {
+		t.Fatalf("flat: step=%d err=%v", step, err)
 	}
 	sameMultiset(t, out, batch)
 
-	step, more, out, err = DecodeFrame[groupMsg](comp[4:])
-	if err != nil || step != 4 || more {
-		t.Fatalf("compressed: step=%d more=%v err=%v", step, more, err)
+	step, out, err = DecodeFrame[groupMsg](comp[4:])
+	if err != nil || step != 4 {
+		t.Fatalf("compressed: step=%d err=%v", step, err)
 	}
 	sameMultiset(t, out, batch)
 }
 
 // fanProgram sprays messages with shared prefixes for several supersteps and
 // records everything it receives — the delivered multiset is the oracle for
-// compressed-vs-flat comparisons.
+// the codec-carried run.
 type fanProgram struct {
 	mu       sync.Mutex
 	received []Envelope[groupMsg]
@@ -327,25 +323,80 @@ func (p *fanProgram) Process(ctx *Context[groupMsg], env Envelope[groupMsg]) {
 	}
 }
 
-func runFan(t *testing.T, compress, async bool, factory ExchangeFactory) ([]Envelope[groupMsg], *RunStats) {
+func fanConfig(factory ExchangeFactory, async bool) Config {
+	part := graph.NewPartition(3, 5)
+	return Config{
+		Workers:       3,
+		Owner:         func(v graph.VertexID) int { return part.Owner(v) },
+		Exchange:      factory,
+		AsyncExchange: async,
+	}
+}
+
+func runFan(t *testing.T, async bool, factory ExchangeFactory) ([]Envelope[groupMsg], *RunStats) {
 	t.Helper()
 	prog := &fanProgram{rounds: 2}
-	part := graph.NewPartition(3, 5)
-	cfg := Config{
-		Workers:        3,
-		Owner:          func(v graph.VertexID) int { return part.Owner(v) },
-		Exchange:       factory,
-		AsyncExchange:  async,
-		CompressFrames: compress,
-	}
-	stats, err := Run[groupMsg](cfg, prog)
+	stats, err := Run[groupMsg](fanConfig(factory, async), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return prog.received, stats
 }
 
+// runFanThroughCodec runs the fan program strictly outside the loop, on
+// detached contexts, with every per-destination batch encoded as one
+// compressed frame and decoded again before its destination processes it. It
+// returns what the program received, its delivered counter, and the bytes the
+// compressed and the flat frames of the same batches took.
+func runFanThroughCodec(t *testing.T) (received []Envelope[groupMsg], delivered int64, wire, flat int) {
+	t.Helper()
+	prog := &fanProgram{rounds: 2}
+	cfg := fanConfig(nil, false)
+	id := CounterID("delivered")
+	inboxes := make([][]Envelope[groupMsg], cfg.Workers)
+	for step := 0; step == 0 || slices.ContainsFunc(inboxes, func(in []Envelope[groupMsg]) bool { return len(in) > 0 }); step++ {
+		next := make([][]Envelope[groupMsg], cfg.Workers)
+		for w := range cfg.Workers {
+			ctx := NewBenchContext[groupMsg](cfg, w, step)
+			if step == 0 {
+				prog.Init(ctx)
+			}
+			for _, env := range inboxes[w] {
+				prog.Process(ctx, env)
+			}
+			if int(id) < len(ctx.local) {
+				delivered += ctx.local[id]
+			}
+			for dst := range cfg.Workers {
+				batch := ctx.Sends(dst)
+				if len(batch) == 0 {
+					continue
+				}
+				frame := AppendCompressedFrame(nil, step+1, batch)
+				wire += len(frame)
+				flat += len(AppendWireFrame(nil, step+1, batch))
+				got, out, err := DecodeFrame[groupMsg](frame[4:])
+				if err != nil || got != step+1 {
+					t.Fatalf("step %d, %d->%d: decoded step %d: %v", step, w, dst, got, err)
+				}
+				sameMultiset(t, out, batch)
+				next[dst] = append(next[dst], out...)
+			}
+		}
+		inboxes = next
+	}
+	return prog.received, delivered, wire, flat
+}
+
+// TestCompressedRunMatchesFlat: the fan program receives the same multiset,
+// and counts the same deliveries, when its batches travel as compressed
+// frames as when a run moves them flat, in process or over TCP, strict or
+// pipelined; and the compressed frames are smaller.
 func TestCompressedRunMatchesFlat(t *testing.T) {
+	compEnvs, compDelivered, wire, flatBytes := runFanThroughCodec(t)
+	if wire == 0 || flatBytes <= wire {
+		t.Fatalf("compression ratio not superunitary: wire=%d flat=%d", wire, flatBytes)
+	}
 	factories := map[string]func() ExchangeFactory{
 		"local": func() ExchangeFactory { return nil },
 		"tcp":   func() ExchangeFactory { return NewTCPExchangeFactory() },
@@ -354,56 +405,23 @@ func TestCompressedRunMatchesFlat(t *testing.T) {
 		for _, async := range []bool{false, true} {
 			mode := fmt.Sprintf("%s/async=%v", name, async)
 			t.Run(mode, func(t *testing.T) {
-				flatEnvs, flatStats := runFan(t, false, async, mk())
-				compEnvs, compStats := runFan(t, true, async, mk())
+				flatEnvs, flatStats := runFan(t, async, mk())
 				sameMultiset(t, compEnvs, flatEnvs)
-				if compStats.Counters["delivered"] != flatStats.Counters["delivered"] {
-					t.Fatalf("delivered: compressed %d, flat %d",
-						compStats.Counters["delivered"], flatStats.Counters["delivered"])
-				}
-				if name == "local" && !async {
-					if compStats.Counters["compressed_frames"] == 0 {
-						t.Fatal("strict local compressed run decoded no compressed frames")
-					}
-					wire := compStats.Counters["compressed_wire_bytes"]
-					raw := compStats.Counters["compressed_raw_bytes"]
-					if wire == 0 || raw <= wire {
-						t.Fatalf("compression ratio not superunitary: wire=%d raw=%d", wire, raw)
-					}
+				if compDelivered != flatStats.Counters["delivered"] {
+					t.Fatalf("delivered: compressed %d, flat %d", compDelivered, flatStats.Counters["delivered"])
 				}
 			})
 		}
 	}
 }
 
-func TestCompressedTCPObserverCounters(t *testing.T) {
-	o := obs.New(obs.NewRing(64))
-	prog := &fanProgram{rounds: 2}
-	part := graph.NewPartition(3, 5)
-	cfg := Config{
-		Workers:        3,
-		Owner:          func(v graph.VertexID) int { return part.Owner(v) },
-		Exchange:       NewTCPExchangeFactory(),
-		CompressFrames: true,
-		Observer:       o,
-	}
-	if _, err := Run[groupMsg](cfg, prog); err != nil {
-		t.Fatal(err)
-	}
-	s := o.Snapshot()
-	if s.CompressedFrames == 0 {
-		t.Fatal("observer saw no compressed frame trains over TCP")
-	}
-	if s.CompressedBytes == 0 || s.CompressedRawBytes <= s.CompressedBytes {
-		t.Fatalf("observer compression ratio not superunitary: wire=%d raw=%d",
-			s.CompressedBytes, s.CompressedRawBytes)
-	}
-}
-
+// TestGroupedSnapshotRoundTrip: a snapshot holding both chunks and encoded
+// flat frames of groupMsg (a TCP run's inbox) restores both, frames still
+// encoded, and each frame decodes to the batch it was made from.
 func TestGroupedSnapshotRoundTrip(t *testing.T) {
 	store := NewMemCheckpointStore()
 	big := groupTestBatch(700)
-	frames, _ := compressBatch(4, [][]Envelope[groupMsg]{big}, compressedChunk)
+	frames := [][]byte{AppendWireFrame(nil, 4, big[:300])[4:], AppendWireFrame(nil, 4, big[300:])[4:]}
 	small := groupTestBatch(2)
 	inboxes := []Inbox[groupMsg]{
 		{Chunks: [][]Envelope[groupMsg]{small[:1], small[1:]}, Frames: frames},
@@ -422,12 +440,12 @@ func TestGroupedSnapshotRoundTrip(t *testing.T) {
 	}
 	rows := snap.inboxRows(2)
 	if len(rows[0].Frames) != len(frames) {
-		t.Fatalf("grouped restore kept %d frames, want %d", len(rows[0].Frames), len(frames))
+		t.Fatalf("restore kept %d frames, want %d", len(rows[0].Frames), len(frames))
 	}
 	sameMultiset(t, flatten(rows[0].Chunks), small)
 	var decoded []Envelope[groupMsg]
 	for _, fp := range rows[0].Frames {
-		_, _, batch, err := DecodeCompressedFrame[groupMsg](fp)
+		_, batch, err := DecodeWireFrame[groupMsg](fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,10 +486,6 @@ func TestCompressedGoldenFrames(t *testing.T) {
 		{"compressed_fallback_v1.golden", func() []byte {
 			return AppendCompressedFrame(nil, 3, wireTestBatch(10))
 		}},
-		{"compressed_chunked_v1.golden", func() []byte {
-			out, _ := appendCompressedFrames(nil, 5, [][]Envelope[groupMsg]{groupTestBatch(40)}, 16)
-			return out
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -502,12 +516,12 @@ func TestCompressedGoldenDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	step, more, out, err := DecodeCompressedFrame[groupMsg](data[4:])
+	step, out, err := DecodeCompressedFrame[groupMsg](data[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 9 || more {
-		t.Fatalf("step=%d more=%v, want 9 false", step, more)
+	if step != 9 {
+		t.Fatalf("step=%d, want 9", step)
 	}
 	sameMultiset(t, out, want)
 }
@@ -530,7 +544,7 @@ func BenchmarkCompressedFrameDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := DecodeCompressedFrame[groupMsg](buf[4:]); err != nil {
+		if _, _, err := DecodeCompressedFrame[groupMsg](buf[4:]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,9 @@
 package bsp
 
 // Frames a receiver cannot trust: counts that lie about what follows, a
-// message no DecodeWire accepts in the middle of a peer's frame, and
-// snapshots whose frames, in either format, do not decode. A TCP delivery
+// message no DecodeWire accepts in the middle of a peer's frame, a frame in
+// the compressed format no runtime writes, and snapshots whose frames do not
+// decode as flat frames. A TCP delivery
 // stays encoded until its worker processes it, so each of these has to end
 // in an error where the bytes are finally read — never a panic, a hang, or
 // an allocation the frame's bytes do not pay for.
@@ -11,8 +12,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"psgl/internal/graph"
 )
@@ -66,7 +70,7 @@ func TestLyingCountAllocatesNoMoreThanTheFrame(t *testing.T) {
 			return err
 		},
 		"compressed": func(p []byte) error {
-			_, _, _, err := DecodeCompressedFrame[poisonMsg](p)
+			_, _, err := DecodeCompressedFrame[poisonMsg](p)
 			return err
 		},
 	}
@@ -85,22 +89,58 @@ func TestLyingCountAllocatesNoMoreThanTheFrame(t *testing.T) {
 	}
 }
 
-// TestHostileFrameAbortsTheRun: worker 0 sends worker 1 a frame with a poison
-// message in its middle, over TCP, in either policy and codec. The run must
-// end in an abort that wraps the decode failure, with no goroutine left
-// behind; a flat frame's messages ahead of the poison were processed.
+// compressingConn passes the mesh handshake through and re-encodes every
+// later frame with the compressed codec: a frame whose messages all decode,
+// in the format no runtime sends.
+type compressingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *compressingConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 1 {
+		return c.Conn.Write(p)
+	}
+	step, batch, err := DecodeWireFrame[poisonMsg](p[4:])
+	if err == nil {
+		_, err = c.Conn.Write(AppendCompressedFrame(nil, step, batch))
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestHostileFrameAbortsTheRun: worker 0 sends worker 1 a frame over TCP, in
+// either policy, that worker 1 cannot accept. With compress=false the frame
+// is flat with a poison message in its middle: the run must end in an abort
+// that wraps the decode failure, after the messages ahead of the poison were
+// processed. With compress=true every message decodes but the frame carries
+// the compressed flag, which the runtime no longer writes: the run must end
+// in an error naming the flag, with nothing of the frame processed. Either
+// way no goroutine is left behind.
 func TestHostileFrameAbortsTheRun(t *testing.T) {
 	const sent, at = 12, 5
 	for _, async := range []bool{false, true} {
 		for _, compress := range []bool{false, true} {
 			t.Run(fmt.Sprintf("async=%v/compress=%v", async, compress), func(t *testing.T) {
+				if compress {
+					testDialHook = func(src, dst int, addr string, timeout time.Duration) (net.Conn, error) {
+						conn, err := net.DialTimeout("tcp", addr, timeout)
+						if err == nil && src == 0 && dst == 1 {
+							conn = &compressingConn{Conn: conn}
+						}
+						return conn, err
+					}
+					defer func() { testDialHook = nil }()
+				}
 				base := runtime.NumGoroutine()
 				var processed int
 				prog := &funcProgram[poisonMsg]{
 					init: func(ctx *Context[poisonMsg]) {
 						for i := 0; ctx.Worker() == 0 && i < sent; i++ {
 							m := poisonMsg(i)
-							if i == at {
+							if i == at && !compress {
 								m = poison
 							}
 							ctx.Send(1, m)
@@ -110,13 +150,17 @@ func TestHostileFrameAbortsTheRun(t *testing.T) {
 				}
 				cfg := Config{
 					Workers: 2, Owner: func(v graph.VertexID) int { return int(v) % 2 },
-					Exchange: NewTCPExchangeFactory(), AsyncExchange: async, CompressFrames: compress,
+					Exchange: NewTCPExchangeFactory(), AsyncExchange: async,
 				}
 				_, err := Run[poisonMsg](cfg, prog)
-				if !errors.Is(err, ErrAborted) || !errors.Is(err, errPoisoned) {
+				switch {
+				case compress && (err == nil || !strings.Contains(err.Error(), "compressed flag")):
+					t.Fatalf("err = %v, want the compressed flag refused", err)
+				case compress && processed != 0:
+					t.Errorf("%d messages of a refused frame processed", processed)
+				case !compress && (!errors.Is(err, ErrAborted) || !errors.Is(err, errPoisoned)):
 					t.Fatalf("err = %v, want an abort wrapping %v", err, errPoisoned)
-				}
-				if !compress && processed != at {
+				case !compress && processed != at:
 					t.Errorf("%d messages processed ahead of the poison at %d", processed, at)
 				}
 				waitGoroutinesBack(t, base)
@@ -126,14 +170,16 @@ func TestHostileFrameAbortsTheRun(t *testing.T) {
 }
 
 // TestSnapshotFramesValidatedInTheirOwnFormat: a snapshot keeps a TCP run's
-// frames encoded, flat ones included, so loading checks each in its own
-// format — valid frames of both restore, a corrupt one of either fails with
-// ErrCorruptCheckpoint though the CRC seal is intact.
+// frames encoded, so loading checks each as the one format the runtime
+// writes — valid flat frames restore; a corrupt flat frame, a corrupt
+// compressed one and a valid compressed one (a format no run writes) each
+// fail with ErrCorruptCheckpoint though the CRC seal is intact.
 func TestSnapshotFramesValidatedInTheirOwnFormat(t *testing.T) {
 	flat := AppendWireFrame(nil, 3, groupTestBatch(3))[4:]
-	compressed, _ := compressBatch(3, [][]Envelope[groupMsg]{groupTestBatch(40)}, compressedChunk)
+	flat2 := AppendWireFrame(nil, 3, groupTestBatch(40))[4:]
+	compressed := AppendCompressedFrame(nil, 3, groupTestBatch(40))[4:]
 	corruptFlat := append([]byte(nil), flat[:len(flat)-1]...)
-	corruptCompressed := append([]byte(nil), compressed[0]...)
+	corruptCompressed := append([]byte(nil), compressed...)
 	binary.LittleEndian.PutUint32(corruptCompressed[4:], 1<<20)
 	save := func(frames ...[]byte) *MemCheckpointStore {
 		store := NewMemCheckpointStore()
@@ -143,16 +189,16 @@ func TestSnapshotFramesValidatedInTheirOwnFormat(t *testing.T) {
 		}
 		return store
 	}
-	snap, err := loadSnapshot[groupMsg](save(flat, compressed[0]))
+	snap, err := loadSnapshot[groupMsg](save(flat, flat2))
 	if err != nil {
-		t.Fatalf("valid frames of both formats: %v", err)
+		t.Fatalf("valid flat frames: %v", err)
 	}
 	if rows := snap.inboxRows(1); len(rows[0].Frames) != 2 {
 		t.Fatalf("restored %d frames, want 2", len(rows[0].Frames))
 	}
-	for name, frame := range map[string][]byte{"flat": corruptFlat, "compressed": corruptCompressed} {
+	for name, frame := range map[string][]byte{"corrupt flat": corruptFlat, "corrupt compressed": corruptCompressed, "valid compressed": compressed} {
 		if _, err := loadSnapshot[groupMsg](save(flat, frame)); !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Errorf("corrupt %s frame: loadSnapshot error = %v, want ErrCorruptCheckpoint", name, err)
+			t.Errorf("%s frame: loadSnapshot error = %v, want ErrCorruptCheckpoint", name, err)
 		}
 	}
 }

@@ -251,8 +251,7 @@ func (r *run[M]) deliver(src, dst, ord int, in Inbox[M]) {
 		return
 	}
 	if r.stepped {
-		// Compressed step words carry 30 bits; compare what both formats keep.
-		if step := int(r.step.Load()); ord&compressedStepMask != step&compressedStepMask {
+		if step := int(r.step.Load()); ord != step {
 			// The transport acks a skewed frame like any other: charge it a
 			// second credit nothing releases, so the step can only end through
 			// the fatal channel, never by completing over the missing frame.
@@ -511,8 +510,8 @@ func (r *run[M]) flushOut(wk *worker[M], wctx *Context[M], all bool) bool {
 
 // ship sends the context's batch for dst, charged to the credit ledger before
 // its Send. Stepped, every batch goes through the transport under ord =
-// superstep — the self batch too (deliver stages it; the codec front codes
-// it). Pipelined, the self batch goes straight onto the
+// superstep — the self batch too (deliver stages it; over TCP it is a flat
+// frame like every peer's). Pipelined, the self batch goes straight onto the
 // worker's own work (no transport, no credit: the worker re-checks its queue
 // before idling) and wire frames go under the worker's sequence number.
 // Either way the context starts a new batch; the shipped chunks are the
@@ -547,6 +546,70 @@ func (r *run[M]) ship(wk *worker[M], wctx *Context[M], dst int) bool {
 	}
 	wctx.out[dst] = nil
 	return true
+}
+
+// deliverInbox is how a worker consumes deliveries: envelope chunks first,
+// then the flat frames, each in the order it was queued, so a TCP run (every
+// delivery a frame) processes what an in-process run (every delivery chunks)
+// does in the same order. A frame is decoded one message at a time into a
+// zeroed envelope, so nothing a DecodeWire keeps of its receiver is shared
+// with a message Process kept; each message goes to Process like any chunk's,
+// and each chunk and frame is dropped from the inbox once the delivery
+// reaches it. A frame that fails to decode aborts the run. The stop test
+// (Context.Stopped) short-circuits the rest of the inbox instead of draining
+// it: an abort is seen at the next message, a done step context within 256;
+// after runs after every Process call (the worker checks for a halt and
+// flushes full frames there) and stops the delivery by returning false.
+// Returns the number of messages processed.
+func deliverInbox[M any](ctx *Context[M], prog Program[M], ib *Inbox[M], after func() bool) int64 {
+	processed := int64(0)
+	// process hands message i of a chunk or frame to Process; false stops the
+	// delivery.
+	process := func(i int, env *Envelope[M]) bool {
+		if ctx.aborted.Load() != nil || i&255 == 0 && ctx.Stopped() {
+			return false
+		}
+		prog.Process(ctx, *env)
+		processed++
+		return after()
+	}
+	for c, chunk := range ib.Chunks {
+		for i := range chunk {
+			if !process(i, &chunk[i]) {
+				return processed
+			}
+		}
+		ib.Chunks[c] = nil
+	}
+	var (
+		env *Envelope[M] // a frame's decode target
+		msg WireMessage  // its Msg
+	)
+	for f, fp := range ib.Frames {
+		if ctx.Stopped() {
+			return processed
+		}
+		ib.Frames[f] = nil
+		_, count, rest, err := flatFrameHeader(fp)
+		if env == nil {
+			env = new(Envelope[M])
+			msg = any(&env.Msg).(WireMessage)
+		}
+		for i := 0; err == nil && i < count; i++ {
+			*env = Envelope[M]{}
+			if rest, err = decodeEnvelope(env, msg, rest, i, count); err == nil && !process(i, env) {
+				return processed
+			}
+		}
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("wire frame: %d trailing bytes", len(rest))
+		}
+		if err != nil {
+			ctx.Abort(fmt.Errorf("corrupt flat inbox frame: %w", err))
+			return processed
+		}
+	}
+	return processed
 }
 
 // take removes the next burst from the queue: the newest chunk of the

@@ -46,10 +46,12 @@ func (c TCPConfig) withDefaults() TCPConfig {
 }
 
 // NewTCPExchangeFactory returns an ExchangeFactory that routes every
-// inter-worker message batch through real loopback TCP connections — the
-// closest single-machine analogue of the cluster deployment the paper ran
-// on. Messages between a worker and itself skip the network, mirroring how
-// Giraph delivers local messages in memory.
+// inter-worker message batch through loopback TCP connections between the
+// worker goroutines of this one process. It distributes nothing — every
+// worker reads the same in-memory graph — and is kept because the list-wire
+// benchmark measures the encode, socket and decode path it adds, until the
+// TCP exchange is retired. Messages between a worker and itself skip the
+// network.
 //
 // The message type's pointer must implement WireMessage (the engine's Gpsi
 // does): batches travel as compact length-prefixed binary frames with pooled
@@ -115,7 +117,6 @@ func (p *pairConn) settle(timeout time.Duration) {
 // ack is what releases the credit the frame was sent under.
 type tcpTransport[M any] struct {
 	cfg      TCPConfig
-	compress bool
 	obs      *obs.Observer
 	h        hooks[M]
 	listener net.Listener
@@ -138,7 +139,7 @@ func dialPair(ctx context.Context, src, dst int, addr string, timeout time.Durat
 }
 
 // newTCPTransport builds the mesh and starts its reader goroutines.
-func newTCPTransport[M any](ctx context.Context, workers int, cfg TCPConfig, compress bool, o *obs.Observer, h hooks[M]) (*tcpTransport[M], error) {
+func newTCPTransport[M any](ctx context.Context, workers int, cfg TCPConfig, o *obs.Observer, h hooks[M]) (*tcpTransport[M], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bsp: tcp exchange setup canceled: %w", err)
 	}
@@ -146,7 +147,7 @@ func newTCPTransport[M any](ctx context.Context, workers int, cfg TCPConfig, com
 	if err != nil {
 		return nil, fmt.Errorf("bsp: tcp exchange listen: %w", err)
 	}
-	t := &tcpTransport[M]{cfg: cfg, compress: compress, obs: o, h: h, listener: ln}
+	t := &tcpTransport[M]{cfg: cfg, obs: o, h: h, listener: ln}
 	t.pairs = make([][]pairConn, workers)
 	for i := range t.pairs {
 		t.pairs[i] = make([]pairConn, workers)
@@ -297,11 +298,10 @@ func firstSetupError(errs []error) error {
 	return errs[0]
 }
 
-// Send stages the whole batch — one flat frame, or a train of front-coded
-// chunks when the codec is compressed and the batch worth coding — in a
-// pooled buffer and writes it with a single syscall. A worker's batch for
-// itself skips the network but not the codec. Every successful Send has
-// encoded its chunks, so it is done with them.
+// Send encodes the whole batch as one flat frame in a pooled buffer and
+// writes it with a single syscall. A worker's batch for itself skips the
+// network but not the codec. Every successful Send has encoded its chunks, so
+// it is done with them.
 func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][]Envelope[M]) (bool, error) {
 	if t.closed.Load() {
 		return false, net.ErrClosed
@@ -310,19 +310,14 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 		return false, err
 	}
 	if src == dst {
-		return localTransport[M]{compress: t.compress, wire: true, h: t.h}.Send(ctx, src, dst, ord, batch)
+		return localTransport[M]{wire: true, h: t.h}.Send(ctx, src, dst, ord, batch)
 	}
 	deadline := time.Now().Add(t.cfg.FrameTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	bp := getWireBuf()
-	raw := 0
-	if t.compress && chunksLen(batch) >= compressMinBatch {
-		*bp, raw = appendCompressedFrames(*bp, ord, batch, compressedChunk)
-	} else {
-		*bp = appendWireFrame(*bp, ord, batch)
-	}
+	*bp = appendWireFrame(*bp, ord, batch)
 	n := int64(len(*bp))
 	p := &t.pairs[src][dst]
 	p.expect(deadline)
@@ -341,9 +336,6 @@ func (t *tcpTransport[M]) Send(ctx context.Context, src, dst, ord int, batch [][
 		return false, err
 	}
 	t.obs.AddFrameSent(n)
-	if raw > 0 {
-		t.obs.AddCompressedFrame(n, int64(raw))
-	}
 	return true, nil
 }
 
@@ -368,33 +360,21 @@ func (t *tcpTransport[M]) readLoop(src, dst int) {
 	}
 }
 
-// readSend reads everything one Send wrote, each frame into a buffer of its
-// own that the inbox keeps, still encoded, until the worker processes it: a
-// flat frame, of which only the header is checked here, or a train of
-// compressed chunks up to the one whose continuation bit is clear.
+// readSend reads the one flat frame a Send wrote into a buffer of its own
+// that the inbox keeps, still encoded, until the worker processes it. Only
+// the header is checked here: a frame in another format, such as one carrying
+// the compressed flag, ends the run.
 func (t *tcpTransport[M]) readSend(p *pairConn) (ord int, in Inbox[M], err error) {
-	for {
-		payload, err := readFrame(p.br)
-		if err != nil {
-			return 0, in, err
-		}
-		t.obs.AddFrameRecv(int64(4 + len(payload)))
-		if !framePayloadIsCompressed(payload) {
-			if len(in.Frames) > 0 {
-				return 0, in, fmt.Errorf("flat frame inside a compressed train")
-			}
-			ord, count, _, err := flatFrameHeader(payload)
-			if count > 0 {
-				in.Frames = [][]byte{payload}
-			}
-			return ord, in, err
-		}
-		word := binary.LittleEndian.Uint32(payload)
-		in.Frames = append(in.Frames, payload)
-		if word&continuationFlag == 0 {
-			return int(word & compressedStepMask), in, nil
-		}
+	payload, err := readFrame(p.br)
+	if err != nil {
+		return 0, in, err
 	}
+	t.obs.AddFrameRecv(int64(4 + len(payload)))
+	ord, count, _, err := flatFrameHeader(payload)
+	if count > 0 {
+		in.Frames = [][]byte{payload}
+	}
+	return ord, in, err
 }
 
 func (t *tcpTransport[M]) Close() error {

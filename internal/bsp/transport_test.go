@@ -1,9 +1,13 @@
 package bsp
 
-// The transport conformance battery: one table over every transport stack
-// the resolver can build — {in-process, TCP} × {flat, compressed} —
-// asserting the contract the run loop is written against, instead of one
-// copy of each check per implementation.
+// The transport conformance battery: one table over both transports the
+// resolver can build — in-process and TCP — asserting the contract the run
+// loop is written against, instead of one copy of each check per
+// implementation. Each transport runs twice: as the loop sees it
+// (compress=false), and with every delivered batch carried on through the
+// prefix-compressed codec (compress=true), which no run uses but the
+// benchmark rows weigh, so that codec must carry every batch shape a
+// transport delivers.
 
 import (
 	"context"
@@ -34,11 +38,11 @@ func splitChunks[M any](batch []Envelope[M], size int) (chunks [][]Envelope[M]) 
 
 // recorder is a loop stand-in: it keeps everything the hooks were handed.
 type recorder[M any] struct {
-	compress   bool // the codec under test: batches worth coding must arrive front coded
 	wire       bool // the transport encodes every batch (TCP): nothing arrives as chunks
+	compress   bool // each delivered batch is re-coded as one compressed frame before it is kept
+	frames     int  // compressed frames decoded
 	mu         sync.Mutex
 	delivered  []Envelope[M]
-	frames     int // compressed chunks received still encoded
 	flatFrames int // flat frames received still encoded
 	acks       map[int]int
 	fatals     []error
@@ -50,36 +54,33 @@ func (r *recorder[M]) hooks(t *testing.T) hooks[M] {
 			r.mu.Lock()
 			defer r.mu.Unlock()
 			flat := chunksLen(in.Chunks)
-			r.delivered = append(r.delivered, flatten(in.Chunks)...)
+			batch := flatten(in.Chunks)
 			// One Send arrives as chunks or as frames, never mixed: chunks only
-			// from an in-process transport, and only a batch the compressed
-			// codec would not code.
-			if flat > 0 && (r.wire || len(in.Frames) > 0 || r.compress && flat >= compressMinBatch) {
-				t.Errorf("wire=%v compress=%v delivered %d envelopes as chunks beside %d frames", r.wire, r.compress, flat, len(in.Frames))
+			// from an in-process transport, one flat frame only from TCP.
+			if flat > 0 && (r.wire || len(in.Frames) > 0) {
+				t.Errorf("wire=%v delivered %d envelopes as chunks beside %d frames", r.wire, flat, len(in.Frames))
+			}
+			if len(in.Frames) > 0 && (!r.wire || len(in.Frames) != 1) {
+				t.Errorf("wire=%v delivered %d frames for one Send", r.wire, len(in.Frames))
 			}
 			for _, fp := range in.Frames {
-				_, _, batch, err := DecodeFrame[M](fp)
+				_, fb, err := DecodeWireFrame[M](fp)
 				if err != nil {
 					t.Errorf("delivered an undecodable frame: %v", err)
 				}
-				r.delivered = append(r.delivered, batch...)
-				if !framePayloadIsCompressed(fp) {
-					// Only TCP encodes flat: one frame for the whole Send, and under
-					// the compressed codec only a batch too small to code.
-					if !r.wire || len(in.Frames) != 1 || r.compress && len(batch) >= compressMinBatch {
-						t.Errorf("wire=%v compress=%v delivered a flat frame of %d envelopes among %d frames", r.wire, r.compress, len(batch), len(in.Frames))
-					}
-					r.flatFrames++
-					continue
+				batch = append(batch, fb...)
+				r.flatFrames++
+			}
+			if r.compress {
+				frame := AppendCompressedFrame(nil, 1, batch)
+				step, out, err := DecodeCompressedFrame[M](frame[4:])
+				if err != nil || step != 1 || len(out) != len(batch) {
+					t.Errorf("compressed %d envelopes, decoded %d at step %d: %v", len(batch), len(out), step, err)
 				}
-				if !r.compress {
-					t.Errorf("flat codec delivered a compressed frame")
-				}
-				if len(batch) > compressedChunk {
-					t.Errorf("chunk of %d envelopes exceeds the %d bound", len(batch), compressedChunk)
-				}
+				batch = out
 				r.frames++
 			}
+			r.delivered = append(r.delivered, batch...)
 		},
 		ack: func(src int) {
 			r.mu.Lock()
@@ -118,11 +119,10 @@ func TestTransportConformance(t *testing.T) {
 	}
 	for innerName, mkInner := range inners {
 		for _, compress := range []bool{false, true} {
-			name := fmt.Sprintf("%s/compress=%v", innerName, compress)
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/compress=%v", innerName, compress), func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				rec := &recorder[groupMsg]{compress: compress, wire: innerName == "tcp", acks: map[int]int{}}
-				cfg := &Config{Workers: k, CompressFrames: compress}
+				rec := &recorder[groupMsg]{wire: innerName == "tcp", compress: compress, acks: map[int]int{}}
+				cfg := &Config{Workers: k}
 				tr, err := newTransport(context.Background(), mkInner(), cfg, rec.hooks(t))
 				if err != nil {
 					t.Fatal(err)
@@ -133,8 +133,8 @@ func TestTransportConformance(t *testing.T) {
 				for ord := 1; ord <= 4; ord++ {
 					for src := 0; src < k; src++ {
 						for dst := 0; dst < k; dst++ {
-							// Empty, flat-sized, one-chunk and multi-chunk batches.
-							n := []int{0, compressMinBatch - 1, 40, compressedChunk + 90}[(ord+src+dst)%4]
+							// Empty, small, one-frame and many-chunk batches.
+							n := []int{0, 3, 40, 602}[(ord+src+dst)%4]
 							batch := groupTestBatch(n)
 							for i := range batch {
 								batch[i].Msg.Seq += uint32(1000 * (ord*100 + src*10 + dst))
@@ -145,8 +145,8 @@ func TestTransportConformance(t *testing.T) {
 								t.Fatalf("Send %d->%d ord %d: %v", src, dst, ord, err)
 							}
 							// Done with the chunks exactly when it encoded them.
-							if encoded := rec.wire || compress && n >= compressMinBatch; n > 0 && spent != encoded {
-								t.Fatalf("Send %d->%d ord %d of %d envelopes: spent %v, encoded %v", src, dst, ord, n, spent, encoded)
+							if n > 0 && spent != rec.wire {
+								t.Fatalf("Send %d->%d ord %d of %d envelopes: spent %v, encoded %v", src, dst, ord, n, spent, rec.wire)
 							}
 							sent = append(sent, batch...)
 							sends[src]++
@@ -174,11 +174,11 @@ func TestTransportConformance(t *testing.T) {
 				if len(rec.fatals) != 0 {
 					t.Fatalf("fatal hook fired: %v", rec.fatals)
 				}
-				if compress != (rec.frames > 0) {
-					t.Fatalf("compress=%v: %d compressed frames delivered", compress, rec.frames)
-				}
 				if rec.wire != (rec.flatFrames > 0) {
 					t.Fatalf("%s: %d flat frames delivered still encoded", innerName, rec.flatFrames)
+				}
+				if compress != (rec.frames > 0) {
+					t.Fatalf("compress=%v: %d compressed frames decoded", compress, rec.frames)
 				}
 			})
 		}

@@ -15,10 +15,10 @@ import (
 	"psgl/internal/graph"
 )
 
-// WireMessage is the codec contract of the TCP transport (and of compressed
-// frames anywhere): a message type, via its pointer, that can append its
-// encoding to a byte buffer and decode itself back in place. A run over a
-// TCP factory whose message type lacks it fails at setup.
+// WireMessage is the codec contract of the TCP transport (and of the
+// compressed codec, compress.go): a message type, via its pointer, that can
+// append its encoding to a byte buffer and decode itself back in place. A run
+// over a TCP factory whose message type lacks it fails at setup.
 type WireMessage interface {
 	// AppendWire appends the receiver's encoding to dst and returns the
 	// extended buffer.
@@ -46,7 +46,7 @@ func messageIsWire[M any]() bool {
 
 const wireFrameHeader = 12 // length + step + count
 
-// wireBufPool recycles the buffers a Send stages its frames in and the
+// wireBufPool recycles the buffers a Send stages its frame in and the
 // compressed decoder's scratch, so neither allocates per frame in steady
 // state.
 var wireBufPool = sync.Pool{
@@ -98,7 +98,7 @@ const maxEagerFrame = 1 << 20
 // is validated before any allocation, and a buffer beyond maxEagerFrame grows
 // as the bytes arrive, never past the length, so truncated, oversized, or
 // garbage prefixes fail cleanly; FuzzFrameDecode and FuzzCompressedFrameDecode
-// drive it, and DecodeFrame takes the payload from there in either format.
+// drive it.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -141,12 +141,16 @@ func growEnvelope[M any](batch []Envelope[M], count int) []Envelope[M] {
 	return batch[:len(batch)+1]
 }
 
-// flatFrameHeader checks a flat frame payload's header: its step, an
-// envelope count its bytes could hold, and no bytes behind an empty frame.
-// rest is the envelopes' bytes.
+// flatFrameHeader checks a flat frame payload's header: a step word without
+// the compressed flag (the runtime ships flat frames only), an envelope count
+// its bytes could hold, and no bytes behind an empty frame. rest is the
+// envelopes' bytes.
 func flatFrameHeader(payload []byte) (step, count int, rest []byte, err error) {
 	if len(payload) < wireFrameHeader-4 {
 		return 0, 0, nil, fmt.Errorf("wire frame: truncated header (%d bytes)", len(payload))
+	}
+	if framePayloadIsCompressed(payload) {
+		return 0, 0, nil, fmt.Errorf("wire frame: step word %#x carries the compressed flag; only flat frames are accepted", binary.LittleEndian.Uint32(payload))
 	}
 	step = int(binary.LittleEndian.Uint32(payload))
 	count = int(binary.LittleEndian.Uint32(payload[4:]))

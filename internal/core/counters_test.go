@@ -12,8 +12,8 @@ import (
 // leaves no key until it is non-zero, and resumes exactly from a snapshot
 // written before its first use, is bsp's TestCounterSlots.)
 func TestEngineCounterTable(t *testing.T) {
-	if len(engineCounters) != 15 {
-		t.Errorf("%d counters registered, want 15 (12 the engine feeds, 3 the compressed inbox)", len(engineCounters))
+	if len(engineCounters) != 12 {
+		t.Errorf("%d counters registered, want 12", len(engineCounters))
 	}
 	names, ids, fields := map[string]bool{}, map[bsp.Counter]bool{}, map[*int64]bool{}
 	rs := &bsp.RunStats{Counters: map[string]int64{}}

@@ -64,6 +64,10 @@ func (m runModel) run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result
 	return m.prepare(g, opts).RunContext(context.Background(), p, opts)
 }
 
+// partitioned reports whether m is a point of the partitioned model, which
+// runs strict and in process only.
+func (m runModel) partitioned() bool { return m.name != productModel.name }
+
 // embeddingKey renders one mapping (pattern vertex -> data vertex) as a
 // comparable string. Mappings are compared position-by-position, not as
 // vertex sets: both sides break automorphisms with the same canonical rule,
@@ -94,9 +98,12 @@ func oracleEmbeddings(p *pattern.Pattern, g *graph.Graph) []string {
 // TestDifferentialOracleEmbeddings is the differential property suite:
 // randomized Chung–Lu graphs × every catalog pattern and a labelled diamond ×
 // the product and the partitioned model under all three distribution
-// strategies × worker counts 2–4 under the strict and the pipelined policy and
-// both exchange transports, with the full embedding multiset — not just the
-// count — required to match the centralized oracle exactly.
+// strategies × worker counts 2–4, with the full embedding multiset — not just
+// the count — required to match the centralized oracle exactly. The product
+// runs under the strict and the pipelined policy and both exchange
+// transports; the partitioned model runs strict and in process only: its
+// cells of the other configurations check that they are refused, then run
+// the model strict, in process, at their worker count.
 func TestDifferentialOracleEmbeddings(t *testing.T) {
 	labelledDiamond, err := pattern.PG3().WithLabels([]int{0, 1, 0, 1})
 	if err != nil {
@@ -165,14 +172,21 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s/%s/%s/%s", gr.name, pname, m.name, ex.name)
 					t.Run(name, func(t *testing.T) {
-						res, err := m.run(gr.g, p, Options{
+						opts := Options{
 							Workers:       ex.workers,
 							Seed:          gr.seed,
 							Collect:       true,
 							Exchange:      ex.factory,
 							AsyncExchange: ex.async,
 							DataLabels:    dataLabels,
-						})
+						}
+						if m.partitioned() && (ex.factory != nil || ex.async) {
+							// Refused; the model's one configuration runs at
+							// this cell's worker count instead.
+							requireRefused(t, m, gr.g, p, opts)
+							opts.Exchange, opts.AsyncExchange = nil, false
+						}
+						res, err := m.run(gr.g, p, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -216,49 +230,35 @@ func TestDifferentialOracleEmbeddings(t *testing.T) {
 // and WorkerMessages, and compressed runs decode no seed frames; every Gpsi
 // count, pruning counter, load and result stayed bit-identical); the run loop
 // may change how a superstep is driven, never what it computes or in which
-// order a worker sees its inbox. Those rows run the paper's partitioned model;
-// the product rows beside them (one memory domain, Prepare) were recorded
-// when the product stopped partitioning rows, and re-recorded when it began
-// to pick the next vertex by cost alone and lost its strategy loop.
+// order a worker sees its inbox. Those rows run the paper's partitioned model,
+// which runs in process only; the product rows beside them (one memory
+// domain, Prepare), in process and over TCP, were recorded when the product
+// stopped partitioning rows, and re-recorded when it began to pick the next
+// vertex by cost alone and lost its strategy loop. withoutClocks prints the
+// deleted compressed-frame counters as zeros, as every row recorded them.
 func TestStrictStatsPinned(t *testing.T) {
 	rows := []struct {
 		partitioned bool
 		seed        int64
 		exchange    string
-		compress    bool
 		want        uint64
 	}{
-		{true, 1, "local", false, 0x985add53784e2567},
-		{true, 1, "local", true, 0x9a3fe011a616ab74},
-		{true, 1, "tcp", false, 0xd1e40fdcb4ba1a52},
-		{true, 1, "tcp", true, 0xc34b4273dde0eb45},
-		{true, 2, "local", false, 0x6337622d69c5a1ad},
-		{true, 2, "local", true, 0x40c6cae7de4a2109},
-		{true, 2, "tcp", false, 0xd24b69a072de4b23},
-		{true, 2, "tcp", true, 0x42df242e79067ff2},
-		{true, 3, "local", false, 0xab636797fb734b5},
-		{true, 3, "local", true, 0x52c98fda0e74fe4d},
-		{true, 3, "tcp", false, 0xe184a6fbbb9e3a1d},
-		{true, 3, "tcp", true, 0xcb4a3178a43c59b},
-		{false, 1, "local", false, 0xccb6b88513d5d2e1},
-		{false, 1, "local", true, 0x4d2b7919bd45ccc3},
-		{false, 1, "tcp", false, 0x51bebb3f4abb7f13},
-		{false, 1, "tcp", true, 0x7233afe67ffceb64},
-		{false, 2, "local", false, 0x9394917f7c44effd},
-		{false, 2, "local", true, 0x8fdbcffd452e7d45},
-		{false, 2, "tcp", false, 0x20a9be8b7e52c775},
-		{false, 2, "tcp", true, 0x3664a574ca4b7e2b},
-		{false, 3, "local", false, 0x522bb4d9f2481fc0},
-		{false, 3, "local", true, 0xa5613c05d7991c8c},
-		{false, 3, "tcp", false, 0x4962d3521d905051},
-		{false, 3, "tcp", true, 0xe090c62f6f9c83dc},
+		{true, 1, "local", 0x985add53784e2567},
+		{true, 2, "local", 0x6337622d69c5a1ad},
+		{true, 3, "local", 0xab636797fb734b5},
+		{false, 1, "local", 0xccb6b88513d5d2e1},
+		{false, 1, "tcp", 0x51bebb3f4abb7f13},
+		{false, 2, "local", 0x9394917f7c44effd},
+		{false, 2, "tcp", 0x20a9be8b7e52c775},
+		{false, 3, "local", 0x522bb4d9f2481fc0},
+		{false, 3, "tcp", 0x4962d3521d905051},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
 	}
 	for _, row := range rows {
 		g := gen.ChungLu(70, 300, 2.3, row.seed)
-		opts := Options{Workers: 4, Seed: row.seed, CompressFrames: row.compress}
+		opts := Options{Workers: 4, Seed: row.seed}
 		if row.exchange == "tcp" {
 			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
 		}
@@ -278,8 +278,8 @@ func TestStrictStatsPinned(t *testing.T) {
 			}
 		}
 		if got := h.Sum64(); got != row.want {
-			t.Errorf("partitioned=%v seed %d %s compress=%v: stats fingerprint %#x, want %#x",
-				row.partitioned, row.seed, row.exchange, row.compress, got, row.want)
+			t.Errorf("partitioned=%v seed %d %s: stats fingerprint %#x, want %#x",
+				row.partitioned, row.seed, row.exchange, got, row.want)
 		}
 	}
 }
@@ -296,27 +296,23 @@ func TestStrictStatsPinned(t *testing.T) {
 // when withoutClocks began to name the hashed fields one by one, and once when
 // seeds began to be expanded where Init builds them (only Supersteps,
 // PerStepMessages and WorkerMessages moved); they must never move with a
-// change to the index-on path.
+// change to the index-on path. The model runs in process only.
 func TestNoIndexStatsPinned(t *testing.T) {
 	// "hubs" lowers the hub threshold so the bitset AND runs too: without the
 	// index it only narrows candidates and leaves every edge pending.
 	// "identity" was delta's configuration: identity order, no index.
 	rows := []struct {
-		seed     int64
-		exchange string
-		variant  string
-		want     uint64
+		seed    int64
+		variant string
+		want    uint64
 	}{
-		{1, "local", "", 0x6f52b57448597cc7},
-		{1, "tcp", "", 0x5c4f1552f124e9d2},
-		{2, "local", "", 0x47042411be580705},
-		{2, "tcp", "", 0x1b157f81b3c8356b},
-		{3, "local", "", 0xc6dc54d35f0801d1},
-		{3, "tcp", "", 0x82204ea87ce40a9a},
-		{1, "local", "hubs", 0x1e20ff18bf60e099},
-		{2, "local", "hubs", 0xcd03470d7aae3934},
-		{3, "local", "hubs", 0x403521bdb6aeeec5},
-		{1, "local", "identity", 0x79867709d5cb1068},
+		{1, "", 0x6f52b57448597cc7},
+		{2, "", 0x47042411be580705},
+		{3, "", 0xc6dc54d35f0801d1},
+		{1, "hubs", 0x1e20ff18bf60e099},
+		{2, "hubs", 0xcd03470d7aae3934},
+		{3, "hubs", 0x403521bdb6aeeec5},
+		{1, "identity", 0x79867709d5cb1068},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
@@ -330,9 +326,6 @@ func TestNoIndexStatsPinned(t *testing.T) {
 		case "identity":
 			opts.IdentityOrder = true
 		}
-		if row.exchange == "tcp" {
-			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
-		}
 		h := fnv.New64a()
 		for _, p := range patterns {
 			for _, strat := range strategies {
@@ -344,7 +337,7 @@ func TestNoIndexStatsPinned(t *testing.T) {
 			}
 		}
 		if got := h.Sum64(); got != row.want {
-			t.Errorf("seed %d %s %q: no-index stats fingerprint %#x, want %#x", row.seed, row.exchange, row.variant, got, row.want)
+			t.Errorf("seed %d %q: no-index stats fingerprint %#x, want %#x", row.seed, row.variant, got, row.want)
 		}
 	}
 }

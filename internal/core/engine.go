@@ -99,7 +99,6 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 		Owner:           e.ownerOf,
 		Exchange:        opts.Exchange,
 		AsyncExchange:   opts.AsyncExchange,
-		CompressFrames:  opts.CompressFrames,
 		CheckpointEvery: opts.CheckpointEvery,
 		CheckpointStore: opts.CheckpointStore,
 		ResumeFrom:      opts.ResumeFrom,
@@ -157,10 +156,6 @@ var (
 	ctrIndexQueries    = counter("index_queries", func(s *Stats) *int64 { return &s.EdgeIndexQueries })
 	ctrBitsetAnd       = counter("bitset_and", func(s *Stats) *int64 { return &s.BitsetAndCandidates })
 	ctrResults         = counter("results", func(s *Stats) *int64 { return &s.Results })
-	// Fed by bsp as it decodes a compressed inbox frame.
-	_ = counter("compressed_frames", func(s *Stats) *int64 { return &s.CompressedFrames })
-	_ = counter("compressed_wire_bytes", func(s *Stats) *int64 { return &s.CompressedWireBytes })
-	_ = counter("compressed_raw_bytes", func(s *Stats) *int64 { return &s.CompressedRawBytes })
 )
 
 // The values of engine.halted.
@@ -1306,17 +1301,15 @@ func (e *engine) generate(ctx *bsp.Context[gpsi]) {
 
 // engineState is the bsp.Snapshotter payload: every accumulator the engine
 // keeps outside the BSP inboxes, and the identity of the run that took it.
-// Capturing the partitioned strategies' RNG streams and workload views (empty
-// views in one memory domain) along with the load accumulators makes the
-// resumed supersteps take bit-identical routing decisions, so LoadUnits and
-// LoadMakespan come out exactly-once — equal to a clean run's — across a stop
-// and a resume.
+// Only one memory domain checkpoints (the partitioned model refuses it,
+// Prepared.check), and its routing is a function of the Gpsi, so the load
+// accumulators are all a resumed run needs for LoadUnits and LoadMakespan to
+// come out exactly-once — equal to a clean run's — across a stop and a
+// resume.
 type engineState struct {
 	Run       runIdentity
 	Loads     []float64
 	StepLoads [][]float64
-	WViews    [][]float64
-	Rng       []uint64
 	Generated int64
 }
 
@@ -1401,13 +1394,7 @@ func (e *engine) SnapshotState() ([]byte, error) {
 		Run:       e.identity(),
 		Loads:     e.loadUnits(),
 		StepLoads: e.stepLoads,
-		WViews:    make([][]float64, len(e.scratch)),
-		Rng:       make([]uint64, len(e.scratch)),
 		Generated: e.generated.Load(),
-	}
-	for w := range e.scratch {
-		st.WViews[w] = e.scratch[w].view
-		st.Rng[w] = e.scratch[w].rng.state
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
@@ -1431,19 +1418,12 @@ func (e *engine) RestoreState(data []byte) error {
 	if diff := st.Run.mismatch(e.identity()); diff != "" {
 		return fmt.Errorf("%w: taken by another run: %s", bsp.ErrCorruptCheckpoint, diff)
 	}
-	if len(st.Loads) != k || len(st.WViews) != k || len(st.Rng) != k || len(st.StepLoads) != k ||
-		slices.ContainsFunc(st.WViews, func(view []float64) bool { return len(view) != len(e.scratch[0].view) }) {
+	if len(st.Loads) != k || len(st.StepLoads) != k {
 		return fmt.Errorf("%w: engine snapshot worker count mismatch (have %d workers)", bsp.ErrCorruptCheckpoint, k)
 	}
 	e.stepLoads = st.StepLoads
 	for w := range e.scratch {
-		sc := &e.scratch[w]
-		sc.load = st.Loads[w]
-		copy(sc.view, st.WViews[w])
-		for j, v := range sc.view {
-			sc.pow[j] = math.Pow(v, e.alpha)
-		}
-		sc.rng.state = st.Rng[w]
+		e.scratch[w].load = st.Loads[w]
 	}
 	e.generated.Store(st.Generated)
 	return nil

@@ -201,7 +201,7 @@ func FuzzGroupedGpsiRoundTrip(f *testing.F) {
 			batch[i] = bsp.Envelope[gpsi]{Dest: graph.VertexID(i), Msg: sib}
 		}
 		buf := bsp.AppendCompressedFrame(nil, 1, batch)
-		_, _, out, err := bsp.DecodeCompressedFrame[gpsi](buf[4:])
+		_, out, err := bsp.DecodeCompressedFrame[gpsi](buf[4:])
 		if err != nil {
 			t.Fatalf("compressed frame round trip: %v", err)
 		}

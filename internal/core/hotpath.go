@@ -248,7 +248,7 @@ func benchmarkFrameDense(compressed bool) func(b *testing.B) {
 			} else {
 				buf = bsp.AppendWireFrame(buf[:0], 1, batch)
 			}
-			_, _, out, err := bsp.DecodeFrame[gpsi](buf[4:])
+			_, out, err := bsp.DecodeFrame[gpsi](buf[4:])
 			if err != nil || len(out) != len(batch) {
 				b.Fatalf("decode: %d envelopes, err %v", len(out), err)
 			}

@@ -90,7 +90,9 @@ type Options struct {
 	// success with Result.Truncated set — the streaming `limit` fast path.
 	MaxResults int64
 	// Exchange overrides the BSP message exchange (e.g.
-	// bsp.NewTCPExchangeFactory() for loopback-TCP distribution).
+	// bsp.NewTCPExchangeFactory() for loopback TCP between the workers'
+	// goroutines). The partitioned model (PreparePartitioned) refuses it,
+	// like AsyncExchange and the checkpoint fields below.
 	Exchange bsp.ExchangeFactory
 	// AsyncExchange runs the BSP substrate in pipelined async mode: a worker
 	// ships a peer's Gpsis as soon as that peer goes idle, receivers expand
@@ -107,19 +109,6 @@ type Options struct {
 	// builds the seeds it does not reach. Checkpoints snapshot at quiescence
 	// points instead of barriers.
 	AsyncExchange bool
-	// CompressFrames front-codes Gpsi batches: messages sharing a mapped-vertex
-	// prefix are sorted and shipped as prefix-compressed frames, kept encoded
-	// in the inbox until expansion, and decoded one bounded chunk at a time
-	// into the same per-Gpsi expansion as flat mode. Counts are bit-identical
-	// to flat mode — the differential suites pin it. A decoded frame is
-	// processed in sorted order. In one memory domain that changes nothing a
-	// run reports but the compressed counters; in the partitioned model the
-	// strategies route in processing order, so which worker expands a Gpsi
-	// can differ from flat mode, and with it the per-worker split, and, with
-	// the edge index on, which closing edges are checked in place, and Gpsi
-	// totals and the pruning split with those. Both loops and both transports hold delivered
-	// batches encoded; only an async worker's batch for itself stays flat.
-	CompressFrames bool
 
 	// Fault tolerance (the Giraph substrate's model, Section 6): snapshot at
 	// barriers, and restart a stopped run from its last snapshot. A failed
@@ -131,7 +120,9 @@ type Options struct {
 	// clean run's. A snapshot records the identity of the run that took it
 	// (graph, planned pattern, initial vertex, seeds, data labels), and a
 	// run resuming from another run's snapshot is refused with
-	// bsp.ErrCorruptCheckpoint.
+	// bsp.ErrCorruptCheckpoint. Only one memory domain (Prepare) checkpoints
+	// and resumes; a PreparePartitioned state refuses both with
+	// ErrPreparedMismatch.
 
 	// CheckpointEvery > 0 snapshots the BSP state into CheckpointStore at
 	// every Nth superstep barrier.
@@ -223,15 +214,6 @@ type Stats struct {
 	// BitsetAndCandidates counts candidate generations served by the bitset
 	// AND fast path (hub × hub row intersections) instead of the merge path.
 	BitsetAndCandidates int64
-	// Compressed-mode counters (zero with CompressFrames off). Logical views
-	// fed when frames are decoded: snapshots carry them, and they come out
-	// exactly-once. In strict mode they are bit-identical across clean and
-	// resumed runs; in async mode frame boundaries follow
-	// flush timing, so the values vary run to run (their sum over a run is
-	// still counted once). The transport-level ratio is on the Observer.
-	CompressedFrames    int64
-	CompressedWireBytes int64
-	CompressedRawBytes  int64
 	// Results is the number of instances found.
 	Results int64
 	// InitialVertex is the pattern vertex the run started from.

@@ -15,6 +15,8 @@ import (
 // for. The graph-scoped state bakes in the worker count, the partition seed,
 // the vertex order and the hub threshold; running it under others would route
 // Gpsis by one partition and seed them by another, so it is refused instead.
+// A PreparePartitioned state also runs in one configuration only — strict, in
+// process, without checkpoints and not resumed — and refuses the others.
 var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared graph state")
 
 // Prepared is everything a run needs that is a function of the data graph
@@ -30,7 +32,8 @@ var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared gr
 // exactly where it is met and no Gpsi carries a pending edge; the partition
 // only routes Gpsis, for load balance. PreparePartitioned's runs are the
 // paper's vertex-partitioned model, with its distribution strategies, which
-// the paper-figure experiments run.
+// the paper-figure experiments run — strict, in process and with no
+// checkpoint, the one configuration the model accepts.
 type Prepared struct {
 	*graphIndex
 	workers int
@@ -114,7 +117,10 @@ func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, m
 // expanding vertex's image belongs to, and strategy picks that vertex
 // (Section 5.1); alpha is the workload-aware penalty exponent in (0, 1],
 // where zero or negative means the paper's 0.5 (pass a small epsilon like
-// 0.001 to study the α→0 extreme).
+// 0.001 to study the α→0 extreme). Its runs are strict and in process and
+// take no checkpoint: Options that set AsyncExchange, Exchange,
+// CheckpointEvery, CheckpointStore or ResumeFrom fail with
+// ErrPreparedMismatch before anything starts.
 func PreparePartitioned(g *graph.Graph, opts Options, bitsPerEdge int, strategy Strategy, alpha float64) *Prepared {
 	if alpha <= 0 {
 		alpha = 0.5
@@ -265,8 +271,13 @@ func (gi *graphIndex) degreeDist() *stats.Distribution {
 	return gi.dist
 }
 
-// check reports whether (normalized) opts are the ones pr was built for.
+// check reports whether (normalized) opts are the ones pr was built for, and,
+// in the partitioned model, whether they ask for its one configuration.
 func (pr *Prepared) check(opts Options) error {
+	if !pr.shared && (opts.AsyncExchange || opts.Exchange != nil ||
+		opts.CheckpointEvery > 0 || opts.CheckpointStore != nil || opts.ResumeFrom != nil) {
+		return fmt.Errorf("%w: the partitioned model runs strict and in process, with no checkpoint or resume", ErrPreparedMismatch)
+	}
 	if opts.Workers != pr.workers || opts.Seed != pr.seed {
 		return fmt.Errorf("%w: built for %d workers and seed %d, run with %d and %d",
 			ErrPreparedMismatch, pr.workers, pr.seed, opts.Workers, opts.Seed)

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"testing"
 
+	"psgl/internal/bsp"
 	"psgl/internal/centralized"
 	"psgl/internal/gen"
 	"psgl/internal/graph"
@@ -17,21 +19,21 @@ import (
 // withoutClocks renders a run's Stats minus the fields that measure time
 // (WorkerTime, SimulatedMakespan, WallTime). The fields are named one by one,
 // not printed with %+v, so the fingerprints pinned over it hold when a field
-// is added to or deleted from Stats. "Recoveries:0" stands where a deleted
-// field (in-run recoveries, 0 on every pinned run) was printed when the
-// fingerprints were recorded.
+// is added to or deleted from Stats. The zeros printed for CompressedFrames,
+// CompressedWireBytes, CompressedRawBytes and Recoveries stand where deleted
+// fields (compressed-frame counters and in-run recoveries, 0 on every pinned
+// run) were printed when the fingerprints were recorded.
 func withoutClocks(st Stats) string {
 	return fmt.Sprintf("Supersteps:%d GpsiGenerated:%d GpsiProcessed:%d "+
 		"PrunedByDegree:%d PrunedByOrder:%d PrunedByIndex:%d PrunedByInjectivity:%d "+
 		"PrunedByVerify:%d PrunedByLabel:%d PrunedByFilter:%d EdgeIndexQueries:%d "+
-		"BitsetAndCandidates:%d CompressedFrames:%d CompressedWireBytes:%d "+
-		"CompressedRawBytes:%d Results:%d InitialVertex:%d Recoveries:0 "+
+		"BitsetAndCandidates:%d CompressedFrames:0 CompressedWireBytes:0 "+
+		"CompressedRawBytes:0 Results:%d InitialVertex:%d Recoveries:0 "+
 		"WorkerMessages:%v LoadUnits:%v PerStepMessages:%v LoadMakespan:%v EdgeIndexBytes:%d",
 		st.Supersteps, st.GpsiGenerated, st.GpsiProcessed,
 		st.PrunedByDegree, st.PrunedByOrder, st.PrunedByIndex, st.PrunedByInjectivity,
 		st.PrunedByVerify, st.PrunedByLabel, st.PrunedByFilter, st.EdgeIndexQueries,
-		st.BitsetAndCandidates, st.CompressedFrames, st.CompressedWireBytes,
-		st.CompressedRawBytes, st.Results, st.InitialVertex,
+		st.BitsetAndCandidates, st.Results, st.InitialVertex,
 		st.WorkerMessages, st.LoadUnits, st.PerStepMessages, st.LoadMakespan, st.EdgeIndexBytes)
 }
 
@@ -136,7 +138,9 @@ func TestPreparedSharedByConcurrentRuns(t *testing.T) {
 
 // TestPreparedMismatchIsTypedError: every Options field Prepare reads is
 // checked on use; a different worker count is available without a rebuild
-// through ForWorkers, and counts the same.
+// through ForWorkers, and counts the same. A partitioned state refuses every
+// configuration but strict, in process and unresumed, before a goroutine or
+// a listener starts and before a store is touched.
 func TestPreparedMismatchIsTypedError(t *testing.T) {
 	g := gen.ChungLu(300, 1200, 2.0, 3)
 	base := Options{Workers: 4, Seed: 9}
@@ -156,6 +160,31 @@ func TestPreparedMismatchIsTypedError(t *testing.T) {
 		if _, err := pr.RunContext(context.Background(), pattern.PG1(), o); !errors.Is(err, ErrPreparedMismatch) {
 			t.Errorf("%s: err = %v, want ErrPreparedMismatch", name, err)
 		}
+	}
+
+	partitioned := preparePartitioned(g, base)
+	if _, err := partitioned.RunContext(context.Background(), pattern.PG1(), base); err != nil {
+		t.Fatalf("strict in-process partitioned run: %v", err)
+	}
+	store := bsp.NewMemCheckpointStore()
+	for name, mutate := range map[string]func(*Options){
+		"partitioned async":      func(o *Options) { o.AsyncExchange = true },
+		"partitioned tcp":        func(o *Options) { o.Exchange = bsp.NewTCPExchangeFactory() },
+		"partitioned checkpoint": func(o *Options) { o.CheckpointEvery, o.CheckpointStore = 1, store },
+		"partitioned resume":     func(o *Options) { o.ResumeFrom = store },
+	} {
+		o := base
+		mutate(&o)
+		before := runtime.NumGoroutine()
+		if _, err := partitioned.RunContext(context.Background(), pattern.PG1(), o); !errors.Is(err, ErrPreparedMismatch) {
+			t.Errorf("%s: err = %v, want ErrPreparedMismatch", name, err)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the refusal, %d before", name, after, before)
+		}
+	}
+	if store.Saves() != 0 {
+		t.Errorf("a refused run saved %d checkpoints", store.Saves())
 	}
 
 	three := pr.ForWorkers(3)

@@ -28,8 +28,8 @@ func (e *engine) rankOf(v graph.VertexID) graph.VertexID {
 }
 
 // TestIdentityOrderStatsPinned pins what an identity-order run of the
-// partitioned model reports, with and without the edge index, over both
-// transports: everything in Stats but
+// partitioned model reports, with and without the edge index, in process
+// (the model's one transport): everything in Stats but
 // the clocks and the three counters whose split depends on the order in which
 // a candidate's filters run (pruned_by_order, pruned_by_injectivity,
 // pruned_by_degree). Under the identity order a rank is the caller's id, so
@@ -42,19 +42,14 @@ func (e *engine) rankOf(v graph.VertexID) graph.VertexID {
 // WorkerMessages moved).
 func TestIdentityOrderStatsPinned(t *testing.T) {
 	rows := []struct {
-		seed     int64
-		exchange string
-		noIndex  bool
-		want     uint64
+		seed    int64
+		noIndex bool
+		want    uint64
 	}{
-		{1, "local", false, 0xc5ea5ceb71434bfc},
-		{1, "local", true, 0x3c7efe37081fa83a},
-		{1, "tcp", false, 0x56b2984ff544c181},
-		{1, "tcp", true, 0xa0464b7d4fc4aa30},
-		{2, "local", false, 0x5ab87a5d98920066},
-		{2, "local", true, 0x839959aad836ae51},
-		{2, "tcp", false, 0x2409814a378c45cc},
-		{2, "tcp", true, 0xf168fd95bcdabbe0},
+		{1, false, 0xc5ea5ceb71434bfc},
+		{1, true, 0x3c7efe37081fa83a},
+		{2, false, 0x5ab87a5d98920066},
+		{2, true, 0x839959aad836ae51},
 	}
 	patterns := []*pattern.Pattern{
 		pattern.PG1(), pattern.PG2(), pattern.PG3(), pattern.PG4(), pattern.PG5(),
@@ -62,9 +57,6 @@ func TestIdentityOrderStatsPinned(t *testing.T) {
 	for _, row := range rows {
 		g := gen.ChungLu(70, 300, 2.3, row.seed)
 		opts := Options{Workers: 4, Seed: row.seed, IdentityOrder: true}
-		if row.exchange == "tcp" {
-			opts.Workers, opts.Exchange = 3, bsp.NewTCPExchangeFactory()
-		}
 		bits := BloomBitsPerEdge
 		if row.noIndex {
 			bits = 0
@@ -82,8 +74,8 @@ func TestIdentityOrderStatsPinned(t *testing.T) {
 			}
 		}
 		if got := h.Sum64(); got != row.want {
-			t.Errorf("seed %d %s noIndex=%v: identity-order stats fingerprint %#x, want %#x",
-				row.seed, row.exchange, row.noIndex, got, row.want)
+			t.Errorf("seed %d noIndex=%v: identity-order stats fingerprint %#x, want %#x",
+				row.seed, row.noIndex, got, row.want)
 		}
 	}
 }

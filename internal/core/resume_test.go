@@ -302,28 +302,26 @@ func TestResumeRefusesAnotherRunsCheckpoint(t *testing.T) {
 }
 
 // TestCorruptCheckpointIsRefusedOnResume: a stopped run's snapshot with one
-// byte flipped — flat, or holding compressed Gpsi frames — is refused on
-// resume with ErrCorruptCheckpoint, never decoded into Gpsis and counted.
+// byte flipped is refused on resume with ErrCorruptCheckpoint, never decoded
+// into Gpsis and counted.
 func TestCorruptCheckpointIsRefusedOnResume(t *testing.T) {
 	g := gen.ErdosRenyi(80, 500, 4)
 	p := pattern.PG5()
-	for _, compress := range []bool{false, true} {
-		opts := Options{Workers: 3, Seed: 4, CompressFrames: compress}
-		store, ok := stopAfterSave(t, Prepare(g, opts), p, opts, 1)
-		if !ok {
-			t.Fatalf("compress=%v: the run ended before its first save", compress)
-		}
-		step, data, err := store.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x40
-		mangled := bsp.NewMemCheckpointStore()
-		mangled.Save(step, data)
-		opts.ResumeFrom = mangled
-		if res, err := Run(g, p, opts); !errors.Is(err, bsp.ErrCorruptCheckpoint) || res != nil {
-			t.Errorf("compress=%v: resumed a corrupt checkpoint: err = %v, result %v", compress, err, res)
-		}
+	opts := Options{Workers: 3, Seed: 4}
+	store, ok := stopAfterSave(t, Prepare(g, opts), p, opts, 1)
+	if !ok {
+		t.Fatal("the run ended before its first save")
+	}
+	step, data, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	mangled := bsp.NewMemCheckpointStore()
+	mangled.Save(step, data)
+	opts.ResumeFrom = mangled
+	if res, err := Run(g, p, opts); !errors.Is(err, bsp.ErrCorruptCheckpoint) || res != nil {
+		t.Errorf("resumed a corrupt checkpoint: err = %v, result %v", err, res)
 	}
 }
 

@@ -93,7 +93,7 @@ func TestSeededEnumerationMatchesFilteredFullRun(t *testing.T) {
 }
 
 // TestSeededModesBitIdentical: the seeded path returns the same embedding
-// multiset across {strict, async} × {local, TCP} and compressed frames.
+// multiset across {strict, async} × {local, TCP}.
 func TestSeededModesBitIdentical(t *testing.T) {
 	g := gen.ChungLu(200, 800, 1.8, 5)
 	u, v := pickEdge(t, g)
@@ -108,7 +108,6 @@ func TestSeededModesBitIdentical(t *testing.T) {
 		{"async-local", func(o *Options) { o.AsyncExchange = true }},
 		{"strict-tcp", func(o *Options) { o.Exchange = bsp.NewTCPExchangeFactory() }},
 		{"async-tcp", func(o *Options) { o.AsyncExchange = true; o.Exchange = bsp.NewTCPExchangeFactory() }},
-		{"compressed", func(o *Options) { o.CompressFrames = true }},
 		{"identity-order-roundtrip", func(o *Options) {}},
 	}
 	for _, mode := range modes {

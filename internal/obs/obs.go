@@ -204,14 +204,6 @@ type Observer struct {
 	bytesSent      atomic.Int64
 	bytesRecv      atomic.Int64
 
-	// Physical compression counters: exact bytes written for front-coded
-	// frame trains vs what the same batches would have cost flat. Monotonic
-	// (replays included); the logical exactly-once mirror lives in the
-	// engine's compressed_* RunStats counters.
-	compressedFrames   atomic.Int64
-	compressedBytes    atomic.Int64
-	compressedRawBytes atomic.Int64
-
 	// Physical fault-layer counters.
 	retries         atomic.Int64 // failed frame Sends
 	checkpointSaves atomic.Int64
@@ -407,9 +399,8 @@ func (o *Observer) RecordWorkerLoads(loads []float64) {
 	o.mu.Unlock()
 }
 
-// AddFrameSent counts one outbound transport write of `bytes` bytes (a
-// frame, or a train of compressed chunks written together). Safe for
-// concurrent use (called from every sending worker).
+// AddFrameSent counts one outbound transport write of `bytes` bytes (one
+// frame). Safe for concurrent use (called from every sending worker).
 func (o *Observer) AddFrameSent(bytes int64) {
 	if o == nil {
 		return
@@ -425,18 +416,6 @@ func (o *Observer) AddFrameRecv(bytes int64) {
 	}
 	o.wireFramesRecv.Add(1)
 	o.bytesRecv.Add(bytes)
-}
-
-// AddCompressedFrame counts one front-coded send: the bytes the frame train
-// actually put on the wire and the flat-equivalent bytes the same batch would
-// have cost. Their ratio is the exact wire-level compression ratio.
-func (o *Observer) AddCompressedFrame(wireBytes, rawBytes int64) {
-	if o == nil {
-		return
-	}
-	o.compressedFrames.Add(1)
-	o.compressedBytes.Add(wireBytes)
-	o.compressedRawBytes.Add(rawBytes)
 }
 
 // AddSetupAbort counts a transport setup (TCP mesh accept/dial) torn down

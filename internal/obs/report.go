@@ -21,13 +21,6 @@ type Snapshot struct {
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesRecv      int64 `json:"bytes_recv"`
 
-	// Physical compression counters (monotonic; replays included). The ratio
-	// CompressedRawBytes/CompressedBytes is the exact wire-level compression
-	// ratio over every front-coded frame train sent.
-	CompressedFrames   int64 `json:"compressed_frames"`
-	CompressedBytes    int64 `json:"compressed_bytes"`
-	CompressedRawBytes int64 `json:"compressed_raw_bytes"`
-
 	// Physical fault-layer counters (monotonic). Retries counts failed frame
 	// Sends; each ends its run.
 	Retries            int64         `json:"retries"`
@@ -74,9 +67,6 @@ func (o *Observer) Snapshot() Snapshot {
 		WireFramesRecv:     o.wireFramesRecv.Load(),
 		BytesSent:          o.bytesSent.Load(),
 		BytesRecv:          o.bytesRecv.Load(),
-		CompressedFrames:   o.compressedFrames.Load(),
-		CompressedBytes:    o.compressedBytes.Load(),
-		CompressedRawBytes: o.compressedRawBytes.Load(),
 		Retries:            o.retries.Load(),
 		CheckpointSaves:    o.checkpointSaves.Load(),
 		CheckpointBytes:    o.checkpointBytes.Load(),
@@ -141,14 +131,6 @@ func (o *Observer) WriteReport(w io.Writer) {
 	if s.BytesSent+s.BytesRecv+s.WireFramesSent > 0 {
 		fmt.Fprintf(w, "transport: sent %d B / recv %d B; frames sent %d, recv %d\n",
 			s.BytesSent, s.BytesRecv, s.WireFramesSent, s.WireFramesRecv)
-	}
-	if s.CompressedFrames > 0 {
-		ratio := 0.0
-		if s.CompressedBytes > 0 {
-			ratio = float64(s.CompressedRawBytes) / float64(s.CompressedBytes)
-		}
-		fmt.Fprintf(w, "compression: %d frame trains, %d B wire vs %d B flat (%.2fx)\n",
-			s.CompressedFrames, s.CompressedBytes, s.CompressedRawBytes, ratio)
 	}
 	if s.CheckpointSaves > 0 {
 		fmt.Fprintf(w, "checkpoints: %d saves, %d B total, %v encode+store\n",

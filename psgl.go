@@ -109,7 +109,10 @@ func Count(g *Graph, p *Pattern, opts Options) (int64, error) {
 
 // NewTCPExchange returns a BSP message exchange that routes every
 // inter-worker batch through loopback TCP as binary wire frames; assign it
-// to Options.Exchange for distributed-execution realism.
+// to Options.Exchange. It is loopback between goroutines of this one process
+// and distributes nothing: every worker reads the same in-memory graph. It is
+// kept because the list-wire benchmark measures it, until the TCP exchange is
+// retired.
 func NewTCPExchange() bsp.ExchangeFactory { return bsp.NewTCPExchangeFactory() }
 
 // Checkpoint and resume (the Giraph-style barrier checkpointing the paper's

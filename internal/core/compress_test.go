@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sort"
 	"testing"
@@ -352,5 +353,26 @@ func TestCompressedWithEngineVariants(t *testing.T) {
 				t.Fatalf("compressed counted %d, flat %d", comp.Count, flat.Count)
 			}
 		})
+	}
+}
+
+// TestHotpathFrameFixturePinned pins the codec fixture of the
+// frame-flat-dense and frame-compressed-dense hot-path rows: worker 0's
+// largest second-level diamond batch, which the partitioned model's Process
+// builds. The FNV-64a of its flat frame and the compressed frame's length
+// must not move, or those rows measure another batch.
+func TestHotpathFrameFixturePinned(t *testing.T) {
+	batch, err := hotpathLevelBatch(pattern.PG3(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(bsp.AppendWireFrame(nil, 1, batch))
+	const wantHash, wantCompressed = 0x23c2c2bf16ee7604, 22302
+	if got := h.Sum64(); got != wantHash {
+		t.Errorf("flat frame of %d envelopes hashes to %#x, pinned %#x", len(batch), got, uint64(wantHash))
+	}
+	if got := len(bsp.AppendCompressedFrame(nil, 1, batch)); got != wantCompressed {
+		t.Errorf("compressed frame of %d envelopes is %d B, pinned %d", len(batch), got, wantCompressed)
 	}
 }

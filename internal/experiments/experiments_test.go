@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"psgl/internal/core"
+	"psgl/internal/datasets"
+	"psgl/internal/pattern"
 )
 
 // The heavyweight experiments are exercised by bench_test.go at the module
@@ -89,6 +94,45 @@ func TestReportFormatting(t *testing.T) {
 	for _, want := range []string{"== title ==", "a", "note 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTable2Pinned pins the Table 2 rows the paper reports numbers for, as
+// exact predicates on the paper's partitioned model at K = 8 with (WA, 0.5):
+// the Gpsis generated with the light-weight edge index and without it, equal
+// results in both columns, and a pruning ratio of at least one half. These
+// rows drive the bloom and pending-edge logic on graphs some 200 times larger
+// than the core package's pinned rows.
+func TestTable2Pinned(t *testing.T) {
+	rows := []struct {
+		graph                  string
+		p                      *pattern.Pattern
+		with, without, results int64
+	}{
+		{"livejournal", pattern.PG1(), 23358, 260852, 9021},
+		{"livejournal", pattern.PG4(), 17430, 420982, 1588},
+		{"wikitalk", pattern.PG4(), 17105, 42462, 154},
+	}
+	for _, row := range rows {
+		name := fmt.Sprintf("%s on %s", row.p.Name(), row.graph)
+		g := datasets.MustLoad(row.graph)
+		opts := core.Options{Workers: workers, InitialVertex: 0}
+		with := runPSgL(g, row.p, opts, paperDefault)
+		opts.MaxIntermediate = 20_000_000 // Table 2's w/o-index budget
+		without, err := runPartitioned(g, row.p, opts, 0, paperDefault)
+		if err != nil {
+			t.Fatalf("%s without the index: %v", name, err)
+		}
+		w, wo := with.Stats.GpsiGenerated, without.Stats.GpsiGenerated
+		if w != row.with || wo != row.without {
+			t.Errorf("%s: %d Gpsis with the index, %d without; pinned %d and %d", name, w, wo, row.with, row.without)
+		}
+		if with.Count != row.results || without.Count != row.results {
+			t.Errorf("%s: %d results with the index, %d without; pinned %d", name, with.Count, without.Count, row.results)
+		}
+		if ratio := 1 - float64(w)/float64(wo); ratio < 0.5 {
+			t.Errorf("%s: pruning ratio %.3f, want at least 0.5", name, ratio)
 		}
 	}
 }

@@ -22,9 +22,9 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation profiling in -short mode")
 	}
-	// The diamond's seeds run combine's intersection, whose owner split
-	// grows buffers of its own. The product runs once; the partitioned model
-	// once per strategy, named after it.
+	// The diamond's seeds run the product's intersection (combineMeet) and
+	// the partitioned model's per-candidate combine. The product runs once;
+	// the partitioned model once per strategy, named after it.
 	type row struct {
 		name    string
 		p       *pattern.Pattern
@@ -36,19 +36,18 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			e, ctx, inbox, err := newHotpathHarnessOpts(r.prepare, r.p, nil)
+			h, err := newHotpathHarnessOpts(r.prepare, r.p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ctx, inbox := h.ctx, h.inbox
 			// Warm up: grow scratch frames, counter map entries, send-buffer
 			// capacity, and the per-step load slots.
-			for _, env := range inbox {
-				e.Process(ctx, env)
-			}
+			h.processAll(ctx, inbox)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
 				ctx.ResetSends()
-				e.Process(ctx, inbox[i%len(inbox)])
+				h.run.Process(ctx, inbox[i%len(inbox)])
 				i++
 			})
 			if avg != 0 {
@@ -59,12 +58,10 @@ func TestExpandSteadyStateZeroAllocs(t *testing.T) {
 			// context must walk into the chunks it kept, not allocate.
 			avg = testing.AllocsPerRun(20, func() {
 				ctx.ResetSends()
-				for _, env := range inbox {
-					e.Process(ctx, env)
-				}
+				h.processAll(ctx, inbox)
 			})
-			if sent := ctx.SentCount(); sent < 1000*int64(e.opts.Workers) {
-				t.Fatalf("the inbox sends %d messages: too few to cross chunks for %d workers", sent, e.opts.Workers)
+			if sent := ctx.SentCount(); sent < 1000*int64(h.cfg.Workers) {
+				t.Fatalf("the inbox sends %d messages: too few to cross chunks for %d workers", sent, h.cfg.Workers)
 			}
 			if avg != 0 {
 				t.Errorf("expanding the whole inbox allocates %.1f/run in steady state, want 0", avg)

@@ -53,6 +53,7 @@ func codecRun(t *testing.T, pr *Prepared, p *pattern.Pattern, opts Options) *cod
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := pr.program(e)
 	k := opts.Workers
 	cfg := bsp.Config{Workers: k, Owner: e.ownerOf}
 	r := &codecResult{}
@@ -64,10 +65,10 @@ func codecRun(t *testing.T, pr *Prepared, p *pattern.Pattern, opts Options) *cod
 		for w := range k {
 			ctx := bsp.NewBenchContext[gpsi](cfg, w, step)
 			if step == 0 {
-				e.Init(ctx)
+				run.Init(ctx)
 			}
 			for _, env := range inboxes[w] {
-				e.Process(ctx, env)
+				run.Process(ctx, env)
 			}
 			rs.WorkerMessages[w] += int64(len(inboxes[w]))
 			produced += ctx.SentCount()

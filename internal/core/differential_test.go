@@ -28,6 +28,12 @@ func runWithoutIndex(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result,
 	return PreparePartitioned(g, opts, 0, StrategyWorkloadAware, 0.5).RunContext(context.Background(), p, opts)
 }
 
+// preparePartitioned is PreparePartitioned with the paper's edge index and
+// its default strategy, workload-aware at α = 0.5.
+func preparePartitioned(g *graph.Graph, opts Options) *Prepared {
+	return PreparePartitioned(g, opts, BloomBitsPerEdge, StrategyWorkloadAware, 0.5)
+}
+
 // partitionedBy is preparePartitioned under strategy s.
 func partitionedBy(s Strategy) func(*graph.Graph, Options) *Prepared {
 	return func(g *graph.Graph, opts Options) *Prepared {

@@ -11,13 +11,11 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"psgl/internal/bloom"
 	"psgl/internal/bsp"
 	"psgl/internal/graph"
 	"psgl/internal/pattern"
@@ -59,7 +57,7 @@ func RunContext(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Op
 var lastCold atomic.Pointer[Prepared]
 
 // RunContext lists all instances of p in the prepared graph. opts must agree
-// with the Options the state was prepared under on every field Prepare reads
+// with the Options the state was prepared under on every field Prepare takes
 // (ErrPreparedMismatch otherwise); all other fields are per run. Safe for
 // concurrent use: runs share pr read-only.
 func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Options) (*Result, error) {
@@ -105,20 +103,23 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 		Observer:        opts.Observer,
 	}
 	start := time.Now()
-	runStats, err := bsp.RunContext[gpsi](ctx, cfg, e)
+	runStats, err := bsp.RunContext[gpsi](ctx, cfg, pr.program(e))
 	wall := time.Since(start)
 	if err != nil {
 		switch e.halted.Load() {
 		case haltOOM:
-			return e.buildResult(runStats, wall), ErrOutOfMemory
+			err = ErrOutOfMemory
 		case haltStopped:
 			// The MaxResults early stop aborts the BSP run on purpose; the
 			// truncated enumeration is a success.
-			return e.buildResult(runStats, wall), nil
+			err = nil
+		default:
+			return nil, err
 		}
-		return nil, err
 	}
-	return e.buildResult(runStats, wall), nil
+	res := e.buildResult(runStats, wall)
+	res.Stats.EdgeIndexBytes = pr.paper.indexBytes()
+	return res, err
 }
 
 // errEarlyStop is the sentinel the engine aborts with once MaxResults
@@ -126,7 +127,11 @@ func (pr *Prepared) RunContext(ctx context.Context, p *pattern.Pattern, opts Opt
 // truncated result.
 var errEarlyStop = errors.New("psgl: result limit reached")
 
-// engineCounter ties a run counter to the Stats field buildResult reads it
+// errStuck aborts a run on an incomplete Gpsi with no GRAY vertex, which a
+// connected pattern never leaves: a guard against silent loss.
+var errStuck = errors.New("psgl: stuck Gpsi with no GRAY vertex")
+
+// engineCounter ties a run counter to the Stats field buildResult copies it
 // into. engineCounters is the whole table, filled as the ids below initialize;
 // the hot path counts through the ids, never through a name.
 type engineCounter struct {
@@ -176,18 +181,11 @@ type engine struct {
 	orig []graph.VertexID
 	p    *pattern.Pattern
 	opts Options
-	// model is Prepared's: shared is set in one memory domain, where every
-	// worker reads every row (see reads) and chooseNext picks by cost alone;
-	// the partitioned model routes by strategy. ix is the partitioned model's
-	// edge index, nil in one memory domain and in the paper's w/o-index
-	// ablation.
-	model
-	ix *bloom.EdgeIndex
-	// bitmap is the exact edge test of pending verification and seeds: a
-	// binary search of the shorter CSR row, or a bit of a hub's bitset when
-	// both endpoints are hubs (Section 5.1.1: "costg ... can be done
-	// efficiently by a bitmap index"). Its hub bitsets also answer admits,
-	// which otherwise merges along rows (SeekRow), as combine does.
+	// bitmap is the exact edge test of seeds (and of the partitioned model's
+	// verification hop): a binary search of the shorter CSR row, or a bit of a
+	// hub's bitset when both endpoints are hubs (Section 5.1.1: "costg ... can
+	// be done efficiently by a bitmap index"). Its hub bitsets also answer
+	// admits, which otherwise merges along rows (SeekRow), as combine does.
 	bitmap *graph.BitmapIndex
 	// owner[v] is the worker owning data vertex v (Prepared's, read-only).
 	owner []int32
@@ -196,14 +194,14 @@ type engine struct {
 	// proto is the blank Gpsi seedAt stamps per seed vertex: all WHITE, sized
 	// and aimed at the initial pattern vertex.
 	proto gpsi
-	// edgeID[a][b] numbers the pattern edges for the Pending bitmask.
-	edgeID [][]int
+	// edgeID[a][b] numbers pattern edge a-b: combine keeps a row cursor per
+	// edge.
+	edgeID [maxPatternVertices][maxPatternVertices]int8
 	// precede[v] is the set of pattern vertices v must rank below under the
 	// symmetry-breaking partial order, follow[v] the set it must rank above,
 	// adjacent[v] its neighbors — bitmasks, for window and admits.
 	precede, follow, adjacent [maxPatternVertices]uint16
-	// pEdges caches p.Edges() (which builds a fresh slice per call) for the
-	// pending-edge scan in grayCandidates.
+	// pEdges caches p.Edges(), which builds a fresh slice per call.
 	pEdges [][2]int
 	// The degree filter of pattern vertex pv (Algorithm 5). On a degree-ordered
 	// state the vertices of degree p.Degree(pv) or more are the ranks from
@@ -239,35 +237,21 @@ type engine struct {
 }
 
 // expandFrame is a worker's expansion scratch: the WHITE vertices being
-// combined, their candidate buffers, for each the mapped neighbors whose edge
-// to a candidate went to the bloom and is pending, and combine's merge cursors
-// (rows[eid]: what is left of the row of the earlier endpoint's image of
-// pattern edge eid while the later one's slot is walked). admits has cursors
-// of its own while one WHITE vertex's candidates are drawn: for each mapped
-// neighbor u it may check exactly, what is left of u's image's row (seek[u]),
-// or the image's bitset when it is a hub (hub[u]). combineMeet splits a slot's
-// candidates by owner at most once per expansion (the slots in split) into
-// parts. A worker expands one Gpsi at a time, so it needs one frame; reusing
-// it keeps steady-state expansion allocation-free.
+// combined, their candidate buffers, and combine's merge cursors (rows[eid]:
+// what is left of the row of the earlier endpoint's image of pattern edge eid
+// while the later one's slot is walked). admits has cursors of its own while
+// one WHITE vertex's candidates are drawn: for each mapped neighbor u it
+// tests, what is left of u's image's row (seek[u]), or the image's bitset
+// when it is a hub (hub[u]). A worker expands one Gpsi at a time, so it needs
+// one frame; reusing it keeps steady-state expansion allocation-free.
 type expandFrame struct {
 	whites [maxPatternVertices]int
 	nw     int
 	cands  [maxPatternVertices][]graph.VertexID
-	pend   [maxPatternVertices]uint16
 	rows   [maxPatternEdges][]graph.VertexID
 	seek   [maxPatternVertices][]graph.VertexID
 	hub    [maxPatternVertices][]uint64
-	split  uint16
-	parts  *ownerSplit
 	leaf   bool // the run only counts, and the last slot's children are complete
-}
-
-// ownerSplit is slot i's candidates split by owner: mine[i] the ones this
-// worker owns, theirs[i] the rest, both ascending. A frame allocates it at its
-// first split, so runs that never split (serve's triangle counts) do not
-// carry it.
-type ownerSplit struct {
-	mine, theirs [maxPatternVertices][]graph.VertexID
 }
 
 // adjacent reports whether candidate d is a neighbor of u's image, by one bit
@@ -288,33 +272,12 @@ func (fr *expandFrame) adjacent(u int, d graph.VertexID) bool {
 // sit side by side on shared cache lines, so every write by one worker would
 // evict the line from the others' caches.
 type workerScratch struct {
-	frame   expandFrame
-	grays   []int
-	weights []float64
-	emit    []graph.VertexID
-
-	load float64 // accumulated cost-model load units
-	// rng, view and pow serve the partitioned model's strategies. view is this
-	// worker's workload-aware local view of every worker's load and pow[j] =
-	// view[j]^alpha, recomputed whenever view[j] is charged, so a decision
-	// compares powers it does not recompute; both are nil under the other
-	// strategies and in one memory domain.
-	rng       xorshift
-	view, pow []float64
+	frame expandFrame
+	grays []int
+	emit  []graph.VertexID
+	load  float64 // accumulated cost-model load units
 
 	_ [64]byte // keeps the next worker's scratch off this one's last cache line
-}
-
-// newWorkerScratch returns worker w's scratch for a run of k workers, with a
-// workload-aware view when view is set.
-func newWorkerScratch(seed int64, w, k int, view bool) workerScratch {
-	sc := workerScratch{rng: *newXorshift(workerRngSeed(seed, w))}
-	if view {
-		// view and pow share one allocation of whole cache lines.
-		vp := make([]float64, 2*k, (2*k+7)&^7)
-		sc.view, sc.pow = vp[:k:k], vp[k:2*k:2*k]
-	}
-	return sc
 }
 
 // newEngine builds the pattern- and run-scoped state of one run over pr's
@@ -325,8 +288,6 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		orig:   pr.orig,
 		p:      p,
 		opts:   opts,
-		model:  pr.model,
-		ix:     pr.ix,
 		bitmap: pr.bitmap,
 		owner:  pr.owner,
 		counts: opts.OnInstance == nil && !opts.Collect && opts.EmitFilter == nil && opts.MaxResults == 0,
@@ -349,20 +310,12 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 		}
 	}
 	n := p.N()
-	e.edgeID = make([][]int, n)
-	for a := range e.edgeID {
-		e.edgeID[a] = make([]int, n)
-		for b := range e.edgeID[a] {
-			e.edgeID[a][b] = -1
-		}
-	}
 	e.pEdges = p.Edges()
+	if len(e.pEdges) > maxPatternEdges {
+		return nil, fmt.Errorf("psgl: pattern has more than %d edges", maxPatternEdges)
+	}
 	for i, edge := range e.pEdges {
-		if i >= maxPatternEdges {
-			return nil, fmt.Errorf("psgl: pattern has more than %d edges", maxPatternEdges)
-		}
-		e.edgeID[edge[0]][edge[1]] = i
-		e.edgeID[edge[1]][edge[0]] = i
+		e.edgeID[edge[0]][edge[1]], e.edgeID[edge[1]][edge[0]] = int8(i), int8(i)
 	}
 	for pv := range n {
 		if deg := p.Degree(pv); pr.byDegree {
@@ -398,31 +351,11 @@ func newEngine(pr *Prepared, p *pattern.Pattern, opts Options) (*engine, error) 
 	}
 	e.scratch = make([]workerScratch, opts.Workers)
 	e.stepLoads = make([][]float64, opts.Workers)
-	view := !e.shared && e.strategy == StrategyWorkloadAware
-	for w := range e.scratch {
-		e.scratch[w] = newWorkerScratch(opts.Seed, w, opts.Workers, view)
-	}
 	return e, nil
 }
 
 // ownerOf returns the worker that owns data vertex v.
 func (e *engine) ownerOf(v graph.VertexID) int { return int(e.owner[v]) }
-
-// reads reports whether worker w may check an edge at data vertex d exactly,
-// along d's row: always in one memory domain; in the partitioned model when w
-// owns d, and with the edge index off never, as in the paper's ablation.
-func (e *engine) reads(d graph.VertexID, w int) bool {
-	return e.shared || e.ix != nil && e.ownerOf(d) == w
-}
-
-// checks reports whether a closing edge is checked where it is met — exactly
-// where the worker reads a row, by the edge index elsewhere — rather than left
-// pending until an endpoint expands, which only the w/o-index ablation does.
-func (e *engine) checks() bool { return e.shared || e.ix != nil }
-
-func workerRngSeed(seed int64, w int) uint64 {
-	return uint64(seed)*0x9e3779b97f4a7c15 + uint64(w) + 1
-}
 
 // validateSeeds rejects structurally malformed seeds up front: shape
 // mismatches, out-of-range vertices, and non-injective pins are caller bugs,
@@ -457,14 +390,21 @@ func validateSeeds(g *graph.Graph, p *pattern.Pattern, seeds []Seed) error {
 	return nil
 }
 
+// expansion is a model's expansion of one Gpsi: the product's engine.expand
+// or the partitioned model's.
+type expansion = func(*bsp.Context[gpsi], gpsi)
+
 // Init is the initialization phase: each data vertex that can host the
 // initial pattern vertex seeds a one-pair Gpsi, which its owner plants in
 // ascending rank order, so the paper's initialization and first expansion
 // phases share superstep 0. Under the pipelined policy a worker instead sends
 // itself one seed cursor, which plants those seeds on demand (seedStep).
-func (e *engine) Init(ctx *bsp.Context[gpsi]) {
+func (e *engine) Init(ctx *bsp.Context[gpsi]) { e.seed(ctx, e.expand) }
+
+// seed is Init with the model's expansion.
+func (e *engine) seed(ctx *bsp.Context[gpsi], expand expansion) {
 	if len(e.opts.Seeds) > 0 {
-		e.initSeeds(ctx)
+		e.initSeeds(ctx, expand)
 		return
 	}
 	if e.opts.AsyncExchange {
@@ -476,7 +416,7 @@ func (e *engine) Init(ctx *bsp.Context[gpsi]) {
 		if w != me || !e.hosts(ctx, e.initial, minDeg, graph.VertexID(v)) {
 			continue
 		}
-		if !e.plant(ctx, n, e.seedAt(graph.VertexID(v))) {
+		if !e.plant(ctx, n, e.seedAt(graph.VertexID(v)), expand) {
 			return
 		}
 		n++
@@ -495,12 +435,12 @@ func (e *engine) seedAt(vd graph.VertexID) gpsi {
 // queued or carried across a barrier. n numbers the caller's seeds; every 256th
 // polls the stop test first, as an Init that plants does a superstep's worth of
 // expansion. false means the run is stopping.
-func (e *engine) plant(ctx *bsp.Context[gpsi], n int, m gpsi) bool {
+func (e *engine) plant(ctx *bsp.Context[gpsi], n int, m gpsi, expand expansion) bool {
 	if e.halted.Load() != 0 || n&255 == 0 && ctx.Stopped() {
 		return false
 	}
 	e.generate(ctx)
-	e.expand(ctx, m)
+	expand(ctx, m)
 	return true
 }
 
@@ -541,7 +481,7 @@ func (e *engine) seedStep(ctx *bsp.Context[gpsi], cur gpsi) {
 	}
 	e.requeueCursor(ctx, v)
 	for i, vd := range seeds[:n] {
-		if !e.plant(ctx, i, e.seedAt(vd)) {
+		if !e.plant(ctx, i, e.seedAt(vd), e.expand) {
 			return
 		}
 	}
@@ -565,13 +505,13 @@ func (e *engine) requeueCursor(ctx *bsp.Context[gpsi], v graph.VertexID) {
 // seed list but only plants the seeds whose expansion vertex (the first pin)
 // it owns, so each seed is admitted — and its pruning counted — exactly once,
 // deterministically, like Init's ownership split.
-func (e *engine) initSeeds(ctx *bsp.Context[gpsi]) {
+func (e *engine) initSeeds(ctx *bsp.Context[gpsi], expand expansion) {
 	w, n := ctx.Worker(), 0
 	for _, s := range e.opts.Seeds {
 		if e.ownerOf(s.DataVertices[0]) != w {
 			continue
 		}
-		if m, ok := e.seedGpsi(ctx, s); ok && !e.plant(ctx, n, m) {
+		if m, ok := e.seedGpsi(ctx, s); ok && !e.plant(ctx, n, m, expand) {
 			return
 		}
 		n++
@@ -581,8 +521,9 @@ func (e *engine) initSeeds(ctx *bsp.Context[gpsi]) {
 // seedGpsi builds the pinned Gpsi for one seed, applying the same admission
 // filters the unseeded flow applies at candidate time — degree, label, and
 // the symmetry-breaking partial order — plus eager exact verification of
-// every pattern edge between two pinned vertices (so seeds start with no
-// pending edges). ok=false means the seed provably anchors no instance.
+// every pattern edge between two pinned vertices, so a seed starts with
+// every edge among its pins proven. ok=false means the seed provably anchors
+// no instance.
 func (e *engine) seedGpsi(ctx *bsp.Context[gpsi], s Seed) (gpsi, bool) {
 	m := e.proto
 	for i, pv := range s.PatternVertices {
@@ -675,164 +616,78 @@ func (e *engine) inWindow(ctx *bsp.Context[gpsi], row []graph.VertexID, m *gpsi,
 }
 
 // admits applies the per-Gpsi half of Algorithm 5 to candidate d, which the
-// order window already admitted: injectivity, and a check of every closing
-// edge from d to the mapped neighbors in probe. A closing edge is checked
-// exactly on the spot when this worker reads either endpoint's row (own holds
-// the mapped vertices whose images' rows it reads), along fr's cursors, and by
-// the light-weight edge index otherwise; see pendingOf for what that leaves
-// pending.
-func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, d graph.VertexID, probe, own uint16) bool {
+// order window already admitted: injectivity, and an exact test of every
+// closing edge from d to the mapped neighbors in probe, along fr's cursors.
+func (e *engine) admits(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, d graph.VertexID, probe uint16) bool {
 	if m.uses(d) {
 		ctx.Add(ctrPrunedInjective, 1)
 		return false
 	}
-	if probe == 0 {
-		return true
-	}
-	exact := probe & own
-	if e.reads(d, ctx.Worker()) {
-		exact = probe
-	}
-	for mask := exact; mask != 0; mask &= mask - 1 {
+	for mask := probe; mask != 0; mask &= mask - 1 {
 		if !fr.adjacent(bits.TrailingZeros16(mask), d) {
 			ctx.Add(ctrPrunedVerify, 1)
-			return false
-		}
-	}
-	for mask := probe &^ exact; mask != 0; mask &= mask - 1 {
-		ctx.Add(ctrIndexQueries, 1)
-		if !e.ix.MayHaveEdge(d, m.Map[bits.TrailingZeros16(mask)]) {
-			ctx.Add(ctrPrunedIndex, 1)
 			return false
 		}
 	}
 	return true
 }
 
-// expand is Algorithm 1 for one Gpsi.
+// expand is Algorithm 1 for one Gpsi, in one memory domain: every closing
+// edge is tested where it is met, so a child carries none unproven.
 func (e *engine) expand(ctx *bsp.Context[gpsi], m gpsi) {
 	if e.halted.Load() != 0 {
 		return
 	}
 	ctx.Add(ctrProcessed, 1)
-	w := ctx.Worker()
 	vp := int(m.Next)
 	vd := m.Map[vp]
 	m.Expanded |= 1 << uint(vp)
 	mapped := m.mappedMask()
-	// own is the set of mapped vertices whose adjacency this worker may
-	// consult: vp's always, and every one whose image's row it reads, looked
-	// up only when an edge depends on it.
-	own := uint16(1) << uint(vp)
-	if m.Pending != 0 || e.closesOnMapped(vp, mapped) {
-		own |= e.readMask(&m, w)
-	}
-
-	// Verify exactly every pending edge with an endpoint in own (the
-	// "verification" role of later iterations; for cliques this is all the
-	// later iterations do).
-	for pend := m.Pending; pend != 0; pend &= pend - 1 {
-		eid := bits.TrailingZeros32(pend)
-		a, b := e.pEdges[eid][0], e.pEdges[eid][1]
-		if own&(1<<uint(a)|1<<uint(b)) == 0 {
-			continue
-		}
-		if !e.bitmap.HasEdge(m.Map[a], m.Map[b]) {
-			ctx.Add(ctrPrunedVerify, 1)
-			return
-		}
-		m.Pending &^= 1 << uint(eid)
-	}
-
 	// Candidate sets for WHITE neighbors (Algorithm 5), built in this
 	// worker's reusable scratch frame.
-	sc := &e.scratch[w]
-	fr := &sc.frame
-	fr.nw, fr.split = 0, 0
+	fr := &e.scratch[ctx.Worker()].frame
+	fr.nw = 0
 	loadUnits := 1.0
 	for _, wv := range e.p.Neighbors(vp) {
 		if mapped&(1<<uint(wv)) != 0 {
 			continue
 		}
-		probe := e.probeMask(mapped, vp, wv)
-		cand, proven := e.candidates(ctx, &m, fr, mapped, probe, own, vp, vd, wv, fr.cands[fr.nw][:0])
+		probe := e.adjacent[wv] & mapped &^ (1 << uint(vp))
+		cand, _ := e.candidates(ctx, &m, fr, mapped, probe, vp, vd, wv, fr.cands[fr.nw][:0])
 		fr.cands[fr.nw] = cand
 		if len(cand) == 0 {
 			return // dead end: this Gpsi leads to no instance
 		}
 		fr.whites[fr.nw] = wv
-		fr.pend[fr.nw] = e.pendingOf(mapped, vp, wv, proven|own)
 		fr.nw++
 		loadUnits *= float64(len(cand))
 	}
-	sc.load += loadUnits
-	for len(e.stepLoads[w]) <= ctx.Step() {
-		e.stepLoads[w] = append(e.stepLoads[w], 0)
-	}
-	e.stepLoads[w][ctx.Step()] += loadUnits
+	e.account(ctx, loadUnits)
 	fr.leaf = e.counts && bits.OnesCount16(mapped)+fr.nw == int(m.N)
-
 	e.combine(ctx, &m, fr, 0)
 }
 
-// closesOnMapped reports whether a WHITE neighbor of vp has a mapped neighbor
-// other than vp: whether expanding vp checks any closing edge in admits.
-func (e *engine) closesOnMapped(vp int, mapped uint16) bool {
-	for mask := e.adjacent[vp] &^ mapped; mask != 0; mask &= mask - 1 {
-		if e.adjacent[bits.TrailingZeros16(mask)]&mapped&^(1<<uint(vp)) != 0 {
-			return true
-		}
+// account adds an expansion's load units to its worker's totals, overall and
+// in this superstep.
+func (e *engine) account(ctx *bsp.Context[gpsi], units float64) {
+	w, s := ctx.Worker(), ctx.Step()
+	e.scratch[w].load += units
+	for len(e.stepLoads[w]) <= s {
+		e.stepLoads[w] = append(e.stepLoads[w], 0)
 	}
-	return false
-}
-
-// readMask is the set of m's mapped pattern vertices whose images' rows
-// worker w reads.
-func (e *engine) readMask(m *gpsi, w int) uint16 {
-	own := uint16(0)
-	for v, d := range m.Map[:m.N] {
-		if d != unmapped && e.reads(d, w) {
-			own |= 1 << uint(v)
-		}
-	}
-	return own
-}
-
-// probeMask is the set of wv's neighbors whose edge to a candidate is checked
-// while expanding vp: the mapped ones other than vp itself (whose adjacency the
-// candidates are drawn from). Empty in the w/o-index ablation: nothing is then
-// checked before its verification hop.
-func (e *engine) probeMask(mapped uint16, vp, wv int) uint16 {
-	if !e.checks() {
-		return 0
-	}
-	return e.adjacent[wv] & mapped &^ (1 << uint(vp))
-}
-
-// pendingOf is the set of wv's mapped neighbors, other than vp, whose edge to
-// a candidate of wv is left pending. In the w/o-index ablation that is all of
-// them. Otherwise only those that went to the bloom: not in exact (the
-// AND-proven ones and those whose image's row this worker reads), and, which
-// combine decides per candidate, only for a candidate whose row it does not
-// read. In one memory domain that is none.
-func (e *engine) pendingOf(mapped uint16, vp, wv int, exact uint16) uint16 {
-	pend := e.adjacent[wv] & mapped &^ (1 << uint(vp))
-	if e.checks() {
-		pend &^= exact
-	}
-	return pend
+	e.stepLoads[w][s] += units
 }
 
 // candidates appends to out the admissible data vertices for WHITE pattern
 // vertex wv while expanding vp at vd: the part of vd's row inside wv's order
 // window, through the degree and label filters, injectivity, and the
-// closing-edge checks of admits against the mapped neighbors of wv in probe.
+// closing-edge tests of admits against the mapped neighbors of wv in probe.
 // The degree filter cuts the window's prefix below floor[wv], counted by range
 // (by bit, the AND's survivors only, on the bitset path). out is a reusable
 // scratch buffer owned by the caller's expansion frame fr. proven is the set
 // of mapped neighbors whose edge to every candidate the bitset AND
 // established.
-func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, mapped, probe, own uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
+func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, mapped, probe uint16, vp int, vd graph.VertexID, wv int, out []graph.VertexID) (cands []graph.VertexID, proven uint16) {
 	minDeg, floor := e.minDeg[wv], e.floor[wv]
 	filters := minDeg > 0 || e.opts.DataLabels != nil // else hosts has nothing to test
 	in := e.inWindow(ctx, e.g.Neighbors(vd), m, wv, mapped)
@@ -840,10 +695,10 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, ma
 	// pattern neighbors that are hubs too, the candidate set is confined to the
 	// word-wide AND of their adjacency rows — an exact intersection, so the
 	// check against those neighbors is subsumed and proves the edge (non-hub
-	// vertices have no row; admits still checks them). It is a strict filter:
+	// vertices have no row; admits still tests them). It is a strict filter:
 	// every vertex it drops lacks a real edge to a mapped neighbor and would
-	// have been pruned at pending-edge verification, so counts are identical
-	// with the switch off (the BenchmarkHotpath "w/o bitset" configuration).
+	// have been pruned by verification, so counts are identical with the
+	// switch off (the BenchmarkHotpath "w/o bitset" configuration).
 	if rowVd := e.bitmap.Row(vd); rowVd != nil && !e.opts.disableBitsetAnd {
 		var hubRows [maxPatternVertices][]uint64
 		nHub := 0
@@ -883,7 +738,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, ma
 					d := graph.VertexID(i*64 + bits.TrailingZeros64(word))
 					if d < floor {
 						below++
-					} else if (!filters || e.hosts(ctx, wv, minDeg, d)) && e.admits(ctx, m, fr, d, probe, own) {
+					} else if (!filters || e.hosts(ctx, wv, minDeg, d)) && e.admits(ctx, m, fr, d, probe) {
 						out = append(out, d)
 					}
 				}
@@ -899,7 +754,7 @@ func (e *engine) candidates(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, ma
 	}
 	e.openCursors(m, fr, probe)
 	for _, d := range in {
-		if (!filters || e.hosts(ctx, wv, minDeg, d)) && e.admits(ctx, m, fr, d, probe, own) {
+		if (!filters || e.hosts(ctx, wv, minDeg, d)) && e.admits(ctx, m, fr, d, probe) {
 			out = append(out, d)
 		}
 	}
@@ -918,51 +773,40 @@ func (e *engine) openCursors(m *gpsi, fr *expandFrame, probe uint16) {
 
 // combine enumerates the cross product of fr's candidate sets from slot i
 // on, pruning combinations that reuse a data vertex, violate the partial
-// order between two newly mapped vertices, or fail a closing-edge check
-// between two newly mapped vertices — exact when this worker reads either
-// image's row, by the edge index otherwise. Surviving children, with each
-// slot's pend edges marked pending unless the worker reads the candidate's
-// row, are finalized; in the last slot of a run that only counts (fr.leaf),
-// the survivors that leave no pending edge are counted as results at once
-// instead (the leaf count). Every combination looks at the halted flag first,
-// so a cap hit inside a hub's cross product stops the enumeration there, not
-// at the next message.
+// order between two newly mapped vertices, or lack a closing edge between two
+// newly mapped vertices. Surviving children are finalized; in the last slot
+// of a run that only counts (fr.leaf), the survivors are counted as results
+// at once instead (the leaf count). Every combination looks at the halted
+// flag first, so a cap hit inside a hub's cross product stops the enumeration
+// there, not at the next message.
 func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int) {
 	if i == fr.nw {
 		e.finalize(ctx, m)
 		return
 	}
 	wv := fr.whites[i]
-	w := ctx.Worker()
-	// earlier is the set of vertices mapped earlier in this combine, which
-	// candidate filtering could not see; closing, wv's edges to them. A
-	// candidate list ascends in rank (it is drawn from a sorted row or a
-	// bitset), so the order against earlier is a window on it, and the exact
-	// check of a closing edge is a merge along the fixed image's row — for a
-	// single closing edge and a long window, an intersection (combineMeet).
-	earlier := uint16(0)
-	for _, u := range fr.whites[:i] {
-		earlier |= 1 << uint(u)
-	}
+	// closing is wv's edges to the vertices mapped earlier in this combine,
+	// which candidate filtering could not see. A candidate list ascends in
+	// rank (it is drawn from a sorted row or a bitset), so the order against
+	// them is a window on it, and the exact test of a closing edge is a merge
+	// along the fixed image's row — for a single closing edge and a long
+	// window, an intersection (combineMeet).
+	earlier := fr.earlier(i)
 	closing := e.adjacent[wv] & earlier
 	in := e.inWindow(ctx, fr.cands[i], m, wv, earlier)
-	leaf := fr.leaf && i == fr.nw-1 && m.Pending == 0
+	leaf := fr.leaf && i == fr.nw-1
 	switch {
 	case len(in) == 0:
 		return // without opening a closing image's row
-	case leaf && i == 0 && fr.pend[0] == 0:
+	case leaf && i == 0:
 		// The only slot: nothing here refuses what candidates admitted.
 		ctx.Add(ctrResults, int64(len(in)))
 		return
-	}
-	if e.checks() && closing != 0 && closing&(closing-1) == 0 && len(in) >= meetMinWindow {
+	case closing != 0 && closing&(closing-1) == 0 && len(in) >= meetMinWindow:
 		e.combineMeet(ctx, m, fr, i, in, bits.TrailingZeros16(closing), leaf)
 		return
 	}
-	for mask := closing; mask != 0; mask &= mask - 1 {
-		u := bits.TrailingZeros16(mask)
-		fr.rows[e.edgeID[wv][u]] = e.g.Neighbors(m.Map[u])
-	}
+	e.openRows(m, fr, wv, closing)
 	var results int64
 	for _, d := range in {
 		if e.halted.Load() != 0 {
@@ -972,147 +816,102 @@ func (e *engine) combine(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int
 			ctx.Add(ctrPrunedInjective, 1)
 			continue
 		}
-		// Every closing edge of a candidate whose row this worker reads is
-		// checked exactly: those to the pre-mapped vertices were in admits.
-		// Whether it reads it is asked only when an edge depends on it.
-		ownD := closing|fr.pend[i] != 0 && e.reads(d, w)
-		ok := true
-		var newPending uint32
-		for mask := closing; mask != 0 && ok; mask &= mask - 1 {
-			u := bits.TrailingZeros16(mask)
-			switch {
-			case ownD || e.reads(m.Map[u], w):
-				row := graph.SeekRow(fr.rows[e.edgeID[wv][u]], d)
-				fr.rows[e.edgeID[wv][u]] = row
-				if len(row) == 0 || row[0] != d {
-					ctx.Add(ctrPrunedVerify, 1)
-					ok = false
-				}
-			case e.ix == nil:
-				newPending |= 1 << uint(e.edgeID[wv][u])
-			default:
-				ctx.Add(ctrIndexQueries, 1)
-				if !e.ix.MayHaveEdge(d, m.Map[u]) {
-					ctx.Add(ctrPrunedIndex, 1)
-					ok = false
-				} else {
-					newPending |= 1 << uint(e.edgeID[wv][u])
-				}
-			}
-		}
-		if !ok {
+		if !e.closes(ctx, fr, wv, closing, d) {
 			continue
 		}
-		if !ownD {
-			for mask := fr.pend[i]; mask != 0; mask &= mask - 1 {
-				newPending |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
-			}
-		}
-		if leaf && newPending == 0 {
+		if leaf {
 			results++
 			continue
 		}
-		m.Map[wv] = d
-		m.Pending |= newPending
-		e.combine(ctx, m, fr, i+1)
-		m.Pending &^= newPending
-		m.Map[wv] = unmapped
+		e.descend(ctx, m, fr, i, d)
 	}
 	if results > 0 {
 		ctx.Add(ctrResults, results)
 	}
 }
 
+// earlier is the set of vertices of the slots before i.
+func (fr *expandFrame) earlier(i int) uint16 {
+	earlier := uint16(0)
+	for _, u := range fr.whites[:i] {
+		earlier |= 1 << uint(u)
+	}
+	return earlier
+}
+
+// openRows starts combine's merge cursors for wv's closing edges to the
+// images of the vertices in closing.
+func (e *engine) openRows(m *gpsi, fr *expandFrame, wv int, closing uint16) {
+	for mask := closing; mask != 0; mask &= mask - 1 {
+		u := bits.TrailingZeros16(mask)
+		fr.rows[e.edgeID[wv][u]] = e.g.Neighbors(m.Map[u])
+	}
+}
+
+// closes reports, along combine's merge cursors, whether candidate d of wv's
+// slot has every closing edge to the images of the vertices in closing,
+// counting it pruned by verification when it has not.
+func (e *engine) closes(ctx *bsp.Context[gpsi], fr *expandFrame, wv int, closing uint16, d graph.VertexID) bool {
+	for mask := closing; mask != 0; mask &= mask - 1 {
+		eid := e.edgeID[wv][bits.TrailingZeros16(mask)]
+		row := graph.SeekRow(fr.rows[eid], d)
+		fr.rows[eid] = row
+		if len(row) == 0 || row[0] != d {
+			ctx.Add(ctrPrunedVerify, 1)
+			return false
+		}
+	}
+	return true
+}
+
 // meetMinWindow is the shortest window combine intersects rather than tests
 // candidate by candidate. The intersection pays a fixed price per slot visit
-// (a search for each earlier image, four more on the owner split) that a short
-// window does not earn back. serve-short's triangle counts have windows of
-// 1-7 entries, and with every window intersected they ran ~20 % slower in
-// process (2-core box, go1.24). list-compute's diamond has most candidates in
-// windows of 64 or more and gains the same from any cut between 4 and 32.
+// (a search for each earlier image) that a short window does not earn back.
+// serve-short's triangle counts have windows of 1-7 entries, and with every
+// window intersected they ran ~20 % slower in process (2-core box, go1.24).
+// list-compute's diamond has most candidates in windows of 64 or more and
+// gains the same from any cut between 4 and 32.
 const meetMinWindow = 8
 
 // combineMeet is combine's slot i when wv has exactly one closing edge, to
-// u's image dp, and the window in is long. The candidates this worker checks
-// exactly — all of them when it reads dp's row, else those whose rows it
-// reads — survive iff they are in N(dp), so they are walked as the
-// intersection with dp's row (graph.Meet) instead of one test each. In the
-// partitioned model, the candidates it does not own, when it does not own dp,
-// are probed in the edge index one by one, as in combine, and merged with the
-// exact survivors in ascending order, so children are built and sent in
-// combine's order. An exact candidate the walk skips is
-// counted in bulk before the next survivor: pruned by injectivity if it is an
-// earlier slot's image, by verification otherwise, which is what combine
-// would have counted by then. With leaf set, an exact survivor that leaves no
-// pending edge is counted as a result, as in combine.
+// u's image dp, and the window in is long. A candidate survives iff it is in
+// N(dp), so the window is walked as the intersection with dp's row
+// (graph.Meet) instead of one test each, and children are built and sent in
+// combine's order. A candidate the walk skips is counted in bulk before the
+// next survivor: pruned by injectivity if it is an earlier slot's image, by
+// verification otherwise, which is what combine would have counted by then.
+// With leaf set, a survivor is counted as a result, as in combine.
 func (e *engine) combineMeet(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, in []graph.VertexID, u int, leaf bool) {
-	wv, w, dp := fr.whites[i], ctx.Worker(), m.Map[u]
-	closingEdge := uint32(1) << uint(e.edgeID[wv][u])
-	var pend uint32
-	for mask := fr.pend[i]; mask != 0; mask &= mask - 1 {
-		pend |= 1 << uint(e.edgeID[wv][bits.TrailingZeros16(mask)])
-	}
-	exact, probed := in, []graph.VertexID(nil)
-	if !e.reads(dp, w) {
-		mine, theirs := e.splitByOwner(fr, i, w)
-		exact, probed = clip(mine, in), clip(theirs, in)
-	}
-	// imgs are the earlier slots' images, ascending, and exactImgs those of
-	// them among exact: the candidates injectivity prunes. The images mapped
-	// before combine are never candidates, as admits refused them.
-	var imgs, exactImgs [maxPatternVertices]graph.VertexID
-	nImg, nExact := 0, 0
+	// imgs are the earlier slots' images inside the window, ascending: the
+	// candidates injectivity prunes. The images mapped before combine are
+	// never candidates, as admits refused them.
+	var imgs [maxPatternVertices]graph.VertexID
+	nImg := 0
 	for _, v := range fr.whites[:i] {
-		x, k := m.Map[v], nImg
+		x := m.Map[v]
+		if j := graph.LowerBound(in, x); j == len(in) || in[j] != x {
+			continue
+		}
+		k := nImg
 		for ; k > 0 && imgs[k-1] > x; k-- {
 			imgs[k] = imgs[k-1]
 		}
 		imgs[k] = x
 		nImg++
 	}
-	for _, x := range imgs[:nImg] {
-		if j := graph.LowerBound(exact, x); j < len(exact) && exact[j] == x {
-			exactImgs[nExact] = x
-			nExact++
-		}
-	}
-	// The counts are kept here and added once, on the way out; nothing reads
-	// them before the superstep ends.
-	var injective, verify, queries, index, results int64
-	rest, row := exact, e.g.Neighbors(dp)
-	done, k := 0, 0 // exact[:done] and exactImgs[:k] are accounted for
-	p, pk := 0, 0   // so are probed[:p]; imgs[:pk] are below probed[p]
-walk:
-	for {
+	// The counts are kept here and added once, on the way out; nothing looks
+	// at them before the superstep ends.
+	var injective, verify, results int64
+	rest, row := in, e.g.Neighbors(m.Map[u])
+	done, k := 0, 0 // in[:done] and imgs[:k] are accounted for
+	for e.halted.Load() == 0 {
 		rest, row = graph.Meet(rest, row)
 		next := graph.VertexID(math.MaxInt32)
 		if len(rest) > 0 {
 			next = rest[0]
 		}
-		for ; p < len(probed) && probed[p] < next; p++ {
-			d := probed[p]
-			if e.halted.Load() != 0 {
-				break walk
-			}
-			for pk < nImg && imgs[pk] < d {
-				pk++
-			}
-			if pk < nImg && imgs[pk] == d {
-				injective++
-				continue
-			}
-			queries++
-			if !e.ix.MayHaveEdge(d, dp) {
-				index++
-				continue
-			}
-			e.descend(ctx, m, fr, i, d, closingEdge|pend)
-		}
-		if e.halted.Load() != 0 {
-			break
-		}
-		at, skipped := len(exact)-len(rest), 0
-		for ; k < nExact && exactImgs[k] < next; k++ {
+		at, skipped := len(in)-len(rest), 0
+		for ; k < nImg && imgs[k] < next; k++ {
 			skipped++
 		}
 		injective += int64(skipped)
@@ -1122,129 +921,96 @@ walk:
 		}
 		d := rest[0]
 		rest, row, done = rest[1:], row[1:], at+1
-		if k < nExact && exactImgs[k] == d {
+		switch {
+		case k < nImg && imgs[k] == d:
 			k++
 			injective++
-			continue
-		}
-		// A survivor whose row this worker reads has every closing edge
-		// checked; one it does not (dp is then owned) leaves the edges of pend
-		// pending.
-		var newPending uint32
-		if pend != 0 && !e.reads(d, w) {
-			newPending = pend
-		}
-		if leaf && newPending == 0 {
+		case leaf:
 			results++
-			continue
+		default:
+			e.descend(ctx, m, fr, i, d)
 		}
-		e.descend(ctx, m, fr, i, d, newPending)
 	}
 	for _, c := range [...]struct {
 		id bsp.Counter
 		n  int64
-	}{{ctrPrunedInjective, injective}, {ctrPrunedVerify, verify}, {ctrIndexQueries, queries}, {ctrPrunedIndex, index}, {ctrResults, results}} {
+	}{{ctrPrunedInjective, injective}, {ctrPrunedVerify, verify}, {ctrResults, results}} {
 		if c.n != 0 {
 			ctx.Add(c.id, c.n)
 		}
 	}
 }
 
-// descend maps slot i's vertex to d, with the edges of pending pending, and
-// combines the slots after it.
-func (e *engine) descend(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, d graph.VertexID, pending uint32) {
+// descend maps slot i's vertex to d and combines the slots after it.
+func (e *engine) descend(ctx *bsp.Context[gpsi], m *gpsi, fr *expandFrame, i int, d graph.VertexID) {
 	wv := fr.whites[i]
 	m.Map[wv] = d
-	m.Pending |= pending
 	e.combine(ctx, m, fr, i+1)
-	m.Pending &^= pending
 	m.Map[wv] = unmapped
 }
 
-// splitByOwner returns slot i's candidates split by owner, splitting them
-// unless this expansion already has.
-func (e *engine) splitByOwner(fr *expandFrame, i, w int) (mine, theirs []graph.VertexID) {
-	if fr.parts == nil {
-		fr.parts = new(ownerSplit)
-	}
-	sp := fr.parts
-	if fr.split&(1<<uint(i)) == 0 {
-		fr.split |= 1 << uint(i)
-		mine, theirs = sp.mine[i][:0], sp.theirs[i][:0]
-		for _, d := range fr.cands[i] {
-			if e.ownerOf(d) == w {
-				mine = append(mine, d)
-			} else {
-				theirs = append(theirs, d)
-			}
-		}
-		sp.mine[i], sp.theirs[i] = mine, theirs
-	}
-	return sp.mine[i], sp.theirs[i]
-}
-
-// clip returns the part of the ascending list between the first and the last
-// entry of the non-empty ascending window in.
-func clip(list, in []graph.VertexID) []graph.VertexID {
-	list = list[graph.LowerBound(list, in[0]):]
-	return list[:graph.LowerBound(list, in[len(in)-1]+1)]
-}
-
-// finalize either emits a completed, fully verified instance or routes the
-// Gpsi to its next expanding vertex (chooseNext).
+// finalize either emits a completed instance or routes the Gpsi to its next
+// expanding vertex, the GRAY one of least expandCost (chooseCheapest).
 func (e *engine) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
-	if m.isComplete() && m.Pending == 0 {
-		if e.opts.EmitFilter != nil {
-			// Hand the filter the reused per-worker buffer, not a view of m: a
-			// direct m.Map slice would make every Gpsi on this path escape to
-			// the heap (same reasoning as the OnInstance buffer below).
-			sc := &e.scratch[ctx.Worker()]
-			sc.emit = e.callerIDs(sc.emit[:0], m)
-			if !e.opts.EmitFilter(sc.emit) {
-				ctx.Add(ctrPrunedFilter, 1)
-				return
-			}
-		}
-		ctx.Add(ctrResults, 1)
-		if e.opts.OnInstance != nil {
-			// Hand out a reused per-worker buffer, not a view of m: the
-			// callback may leak its argument, and a view would force every
-			// Gpsi on this path to the heap. The OnInstance contract already
-			// limits the slice's validity to the call.
-			sc := &e.scratch[ctx.Worker()]
-			sc.emit = e.callerIDs(sc.emit[:0], m)
-			e.opts.OnInstance(sc.emit)
-		}
-		if e.opts.Collect {
-			inst := e.callerIDs(make([]graph.VertexID, 0, m.N), m)
-			e.mu.Lock()
-			e.instances = append(e.instances, inst)
-			e.mu.Unlock()
-		}
-		if e.opts.MaxResults > 0 && e.results.Add(1) >= e.opts.MaxResults {
-			// The cap-hitting instance was already delivered above; every
-			// worker stops at its next combination.
-			if e.halted.CompareAndSwap(0, haltStopped) {
-				ctx.Abort(errEarlyStop)
-			}
-		}
+	if m.isComplete() {
+		e.emit(ctx, m)
 		return
 	}
-	w := ctx.Worker()
-	sc := &e.scratch[w]
-	grays := e.grayCandidates(m, sc.grays[:0])
-	sc.grays = grays // keep the grown buffer for the next Gpsi
-	if len(grays) == 0 {
-		// Unreachable for connected patterns; guard against silent loss.
-		err := fmt.Errorf("psgl: stuck Gpsi with no GRAY vertex")
-		ctx.Abort(err)
+	sc := &e.scratch[ctx.Worker()]
+	sc.grays = e.grayCandidates(m, sc.grays[:0]) // keep the grown buffer for the next Gpsi
+	if len(sc.grays) == 0 {
+		ctx.Abort(errStuck)
 		return
 	}
-	// The child is m aimed at its next expansion vertex; it is copied once,
-	// into the chunk that carries it, and m goes back to combine as it came.
+	e.route(ctx, m, e.chooseCheapest(m, sc.grays))
+}
+
+// emit delivers a completed instance: the EmitFilter, the result count, the
+// OnInstance hook, Collect and the MaxResults cap.
+func (e *engine) emit(ctx *bsp.Context[gpsi], m *gpsi) {
+	if e.opts.EmitFilter != nil {
+		// Hand the filter the reused per-worker buffer, not a view of m: a
+		// direct m.Map slice would make every Gpsi on this path escape to
+		// the heap (same reasoning as the OnInstance buffer below).
+		sc := &e.scratch[ctx.Worker()]
+		sc.emit = e.callerIDs(sc.emit[:0], m)
+		if !e.opts.EmitFilter(sc.emit) {
+			ctx.Add(ctrPrunedFilter, 1)
+			return
+		}
+	}
+	ctx.Add(ctrResults, 1)
+	if e.opts.OnInstance != nil {
+		// Hand out a reused per-worker buffer, not a view of m: the
+		// callback may leak its argument, and a view would force every
+		// Gpsi on this path to the heap. The OnInstance contract already
+		// limits the slice's validity to the call.
+		sc := &e.scratch[ctx.Worker()]
+		sc.emit = e.callerIDs(sc.emit[:0], m)
+		e.opts.OnInstance(sc.emit)
+	}
+	if e.opts.Collect {
+		inst := e.callerIDs(make([]graph.VertexID, 0, m.N), m)
+		e.mu.Lock()
+		e.instances = append(e.instances, inst)
+		e.mu.Unlock()
+	}
+	if e.opts.MaxResults > 0 && e.results.Add(1) >= e.opts.MaxResults {
+		// The cap-hitting instance was already delivered above; every
+		// worker stops at its next combination.
+		if e.halted.CompareAndSwap(0, haltStopped) {
+			ctx.Abort(errEarlyStop)
+		}
+	}
+}
+
+// route sends m, aimed at its next expanding vertex next, to the owner of
+// that vertex's image as a new Gpsi. The child is copied once, into the chunk
+// that carries it, and m goes back to combine as it came.
+func (e *engine) route(ctx *bsp.Context[gpsi], m *gpsi, next int) {
 	parent := m.Next
-	m.Next = int8(e.chooseNext(w, m, grays))
-	ctx.Send(m.Map[m.Next], *m)
+	m.Next = int8(next)
+	ctx.Send(m.Map[next], *m)
 	e.generate(ctx)
 	m.Next = parent
 }
@@ -1260,26 +1026,9 @@ func (e *engine) callerIDs(dst []graph.VertexID, m *gpsi) []graph.VertexID {
 	return dst
 }
 
-// grayCandidates appends to grays the GRAY vertices eligible as the next
-// expansion point. For a complete-but-unverified Gpsi only endpoints of
-// pending edges make progress on verification, so the choice narrows to them.
+// grayCandidates appends to grays the GRAY vertices of m, the eligible next
+// expansion points.
 func (e *engine) grayCandidates(m *gpsi, grays []int) []int {
-	if m.isComplete() && m.Pending != 0 {
-		for _, edge := range e.pEdges {
-			eid := e.edgeID[edge[0]][edge[1]]
-			if m.Pending&(1<<uint(eid)) == 0 {
-				continue
-			}
-			for _, v := range edge {
-				if m.isGray(v) && !slices.Contains(grays, v) {
-					grays = append(grays, v)
-				}
-			}
-		}
-		if len(grays) > 0 {
-			return grays
-		}
-	}
 	for v := 0; v < e.p.N(); v++ {
 		if m.isGray(v) {
 			grays = append(grays, v)
@@ -1314,7 +1063,7 @@ type engineState struct {
 }
 
 // runIdentity is what a snapshot's Gpsis mean: the graph their vertex ids
-// index, the planned pattern their maps, pending bits and order windows
+// index, the planned pattern their maps, edge bits and order windows
 // follow, and what decides where the run starts and which worker owns what.
 // A snapshot is a file read from outside the program, so a run resumes only
 // from a snapshot with its own identity; any other would panic on a pattern
@@ -1452,9 +1201,6 @@ func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 	for _, c := range engineCounters {
 		*c.field(&st) = rs.Counters[c.name]
 	}
-	if e.ix != nil {
-		st.EdgeIndexBytes = e.ix.SizeBytes()
-	}
 	// The observer's logical view mirrors the same exactly-once accumulators
 	// Stats is built from (the loads ride barrier snapshots).
 	e.opts.Observer.RecordWorkerLoads(st.LoadUnits)
@@ -1480,46 +1226,4 @@ func (e *engine) buildResult(rs *bsp.RunStats, wall time.Duration) *Result {
 		Truncated: e.halted.Load() == haltStopped,
 		Stats:     st,
 	}
-}
-
-// xorshift is a tiny per-worker PRNG; math/rand would work but this keeps the
-// partitioned strategies' path allocation- and lock-free with reproducible
-// streams.
-type xorshift struct{ state uint64 }
-
-func newXorshift(seed uint64) *xorshift {
-	if seed == 0 {
-		seed = 0x2545f4914f6cdd1d
-	}
-	return &xorshift{state: seed}
-}
-
-func (x *xorshift) next() uint64 {
-	s := x.state
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
-	x.state = s
-	return s
-}
-
-// intn returns a uniform value in [0, n) via Lemire's multiply-shift with
-// rejection — unlike the naive next()%n, the distribution carries no modulo
-// bias toward low indices for non-power-of-two n.
-func (x *xorshift) intn(n int) int {
-	v := uint64(n)
-	hi, lo := bits.Mul64(x.next(), v)
-	if lo < v {
-		// Reject the draws that land in the short final interval.
-		thresh := -v % v
-		for lo < thresh {
-			hi, lo = bits.Mul64(x.next(), v)
-		}
-	}
-	return int(hi)
-}
-
-// float64v returns a uniform value in [0, 1).
-func (x *xorshift) float64v() float64 {
-	return float64(x.next()>>11) / float64(1<<53)
 }

@@ -29,8 +29,8 @@ type HotpathBenchmark struct {
 // transport's flat and compressed frame codecs on a dense batch.
 func HotpathBenchmarks() []HotpathBenchmark {
 	return []HotpathBenchmark{
-		{"expand", benchmarkExpand},
-		{"expand-sparse-merge", benchmarkExpandSparseMerge},
+		{"expand", benchmarkExpand(false)},
+		{"expand-sparse-merge", benchmarkExpand(true)},
 		{"expand-hub-bitset", benchmarkExpandHub(false)},
 		{"expand-hub-merge", benchmarkExpandHub(true)},
 		{"gpsi-wire-roundtrip", benchmarkGpsiWireRoundTrip},
@@ -39,89 +39,80 @@ func HotpathBenchmarks() []HotpathBenchmark {
 	}
 }
 
-// newHotpathHarness builds an engine of the product path (Prepare) over a
-// skewed mid-size graph plus a detached context and worker 0's seeds as an
-// inbox.
-func newHotpathHarness(p *pattern.Pattern) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
-	return newHotpathHarnessOpts(Prepare, p, nil)
+// hotpathHarness is one run's engine over a skewed mid-size graph, the program
+// it runs under, a detached context and worker 0's seeds as an inbox.
+type hotpathHarness struct {
+	e     *engine
+	run   bsp.Program[gpsi]
+	cfg   bsp.Config
+	ctx   *bsp.Context[gpsi]
+	inbox []bsp.Envelope[gpsi]
 }
 
-// preparePartitioned is PreparePartitioned with the paper's edge index and
-// its default strategy, workload-aware at α = 0.5.
-func preparePartitioned(g *graph.Graph, opts Options) *Prepared {
-	return PreparePartitioned(g, opts, BloomBitsPerEdge, StrategyWorkloadAware, 0.5)
-}
-
-// newHotpathHarnessOpts is newHotpathHarness with a choice of memory model
-// (Prepare or preparePartitioned) and an options hook (the bitset fast-path
-// benchmarks set the disableBitsetAnd / bitmapMinDegree seams through it).
-func newHotpathHarnessOpts(prepare func(*graph.Graph, Options) *Prepared, p *pattern.Pattern, mutate func(*Options)) (*engine, *bsp.Context[gpsi], []bsp.Envelope[gpsi], error) {
+// newHotpathHarnessOpts builds a harness of a memory model (Prepare or a
+// PreparePartitioned) with an options hook (the bitset fast-path benchmarks
+// set the disableBitsetAnd / bitmapMinDegree seams through it).
+func newHotpathHarnessOpts(prepare func(*graph.Graph, Options) *Prepared, p *pattern.Pattern, mutate func(*Options)) (*hotpathHarness, error) {
 	g := gen.ChungLu(3000, 15000, 1.8, 17)
 	opts := NewOptions()
 	opts.Seed = 5
 	if mutate != nil {
 		mutate(&opts)
 	}
-	e, err := newEngine(prepare(g, opts), p.BreakAutomorphisms(), opts.normalized())
+	pr := prepare(g, opts)
+	e, err := newEngine(pr, p.BreakAutomorphisms(), opts.normalized())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	cfg := bsp.Config{
-		Workers: e.opts.Workers,
-		Owner:   e.ownerOf,
-	}
+	h := &hotpathHarness{e: e, run: pr.program(e), cfg: bsp.Config{Workers: e.opts.Workers, Owner: e.ownerOf}}
 	// Init plants its seeds where it builds them, so the seeds worker 0 would
 	// expand are built here, in Init's order.
-	ictx := bsp.NewBenchContext[gpsi](cfg, 0, 0)
-	var inbox []bsp.Envelope[gpsi]
+	ictx := bsp.NewBenchContext[gpsi](h.cfg, 0, 0)
 	for v, w := range e.owner {
 		vd := graph.VertexID(v)
 		if w == 0 && e.hosts(ictx, e.initial, e.p.Degree(e.initial), vd) {
-			inbox = append(inbox, bsp.Envelope[gpsi]{Dest: vd, Msg: e.seedAt(vd)})
+			h.inbox = append(h.inbox, bsp.Envelope[gpsi]{Dest: vd, Msg: e.seedAt(vd)})
 		}
 	}
-	if len(inbox) == 0 {
-		return nil, nil, nil, fmt.Errorf("hotpath harness: no seeds for worker 0")
+	if len(h.inbox) == 0 {
+		return nil, fmt.Errorf("hotpath harness: no seeds for worker 0")
 	}
-	return e, bsp.NewBenchContext[gpsi](cfg, 0, 1), inbox, nil
+	h.ctx = bsp.NewBenchContext[gpsi](h.cfg, 0, 1)
+	return h, nil
 }
 
-func benchmarkExpand(b *testing.B) {
-	e, ctx, inbox, err := newHotpathHarness(pattern.Triangle())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm up once so scratch frames, counters, and send buffers reach their
-	// steady-state capacity before measuring.
+// processAll processes every envelope of inbox on ctx.
+func (h *hotpathHarness) processAll(ctx *bsp.Context[gpsi], inbox []bsp.Envelope[gpsi]) {
 	for _, env := range inbox {
-		e.Process(ctx, env)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.ResetSends()
-		e.Process(ctx, inbox[i%len(inbox)])
+		h.run.Process(ctx, env)
 	}
 }
 
-// benchmarkExpandSparseMerge is benchmarkExpand with the bitset AND fast path
-// disabled. On the sparse default graph the default hub threshold keeps the
-// fast path nearly silent, so this pair proves the switch costs nothing in
-// the sparse regime (the gate is one degree read per candidate set).
-func benchmarkExpandSparseMerge(b *testing.B) {
-	e, ctx, inbox, err := newHotpathHarnessOpts(Prepare, pattern.Triangle(),
-		func(o *Options) { o.disableBitsetAnd = true })
+// benchmarkSteady times Process over h's inbox, after one warm-up pass that
+// grows scratch frames, counters, and send buffers to their steady-state
+// capacity.
+func benchmarkSteady(b *testing.B, h *hotpathHarness, err error) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, env := range inbox {
-		e.Process(ctx, env)
-	}
+	h.processAll(h.ctx, h.inbox)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.ResetSends()
-		e.Process(ctx, inbox[i%len(inbox)])
+		h.ctx.ResetSends()
+		h.run.Process(h.ctx, h.inbox[i%len(h.inbox)])
+	}
+}
+
+// benchmarkExpand times triangle expansions, with the bitset AND fast path
+// disabled when mergeOnly is set. On the sparse default graph the default hub
+// threshold keeps the fast path nearly silent, so the pair proves the switch
+// costs nothing in the sparse regime (the gate is one degree read per
+// candidate set).
+func benchmarkExpand(mergeOnly bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		h, err := newHotpathHarnessOpts(Prepare, pattern.Triangle(), func(o *Options) { o.disableBitsetAnd = mergeOnly })
+		benchmarkSteady(b, h, err)
 	}
 }
 
@@ -131,37 +122,22 @@ func benchmarkExpandSparseMerge(b *testing.B) {
 // The hub threshold drops to 16 so the skewed test graph's hubs qualify.
 func benchmarkExpandHub(disableBitset bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		e, _, inbox, err := newHotpathHarnessOpts(Prepare, pattern.Diamond(), func(o *Options) {
+		h, err := newHotpathHarnessOpts(Prepare, pattern.Diamond(), func(o *Options) {
 			o.bitmapMinDegree = 16
 			o.disableBitsetAnd = disableBitset
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := bsp.Config{
-			Workers: e.opts.Workers,
-			Owner:   e.ownerOf,
-		}
 		// Expand the seeds to produce the second-level Gpsis
 		// (two vertices mapped, one pending WHITE with two mapped neighbors).
-		step1 := bsp.NewBenchContext[gpsi](cfg, 0, 1)
-		for _, env := range inbox {
-			e.Process(step1, env)
-		}
-		inbox2 := step1.Sends(0)
-		if len(inbox2) == 0 {
+		h.processAll(h.ctx, h.inbox)
+		h.inbox = h.ctx.Sends(0)
+		if len(h.inbox) == 0 {
 			b.Fatal("hub harness: no second-level messages for worker 0")
 		}
-		ctx := bsp.NewBenchContext[gpsi](cfg, 0, 2)
-		for _, env := range inbox2 {
-			e.Process(ctx, env)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctx.ResetSends()
-			e.Process(ctx, inbox2[i%len(inbox2)])
-		}
+		h.ctx = bsp.NewBenchContext[gpsi](h.cfg, 0, 2)
+		benchmarkSteady(b, h, nil)
 	}
 }
 
@@ -188,31 +164,26 @@ func benchmarkGpsiWireRoundTrip(b *testing.B) {
 
 // hotpathLevelBatch builds worker 0's largest per-destination exchange batch
 // at superstep `depth` for pattern p: the seeds are level 0, then each level's
-// worker-0 inbox is expanded to produce the next. The batch is the largest
-// destination's, not worker 0's batch to itself: a Gpsi is never sent back to
-// a worker owning an endpoint of its pending edges, so a clique's complete
-// Gpsis never are. Deeper batches carry more mapped vertices per Gpsi — the
-// longer shared prefixes the compressed codec front-codes away. The batches
-// are codec fixtures, built in the partitioned model (PreparePartitioned):
-// in one memory domain a diamond completes at level 2 and a clique where it
-// is seeded, so those levels send nothing.
+// worker-0 inbox is expanded to produce the next. It is the largest
+// destination's batch, as a Gpsi is never sent back to a worker owning an
+// endpoint of its pending edges. Deeper batches carry longer shared prefixes,
+// which the compressed codec front-codes away. The batches are codec
+// fixtures, built by the partitioned model's Process under the paper's
+// defaults: in one memory domain a diamond completes at level 2, so that
+// level sends nothing.
 func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], error) {
-	e, _, inbox, err := newHotpathHarnessOpts(preparePartitioned, p, nil)
+	h, err := newHotpathHarnessOpts(func(g *graph.Graph, opts Options) *Prepared {
+		return PreparePartitioned(g, opts, BloomBitsPerEdge, StrategyWorkloadAware, 0.5)
+	}, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg := bsp.Config{
-		Workers: e.opts.Workers,
-		Owner:   e.ownerOf,
-	}
-	batch := inbox
+	inbox, batch := h.inbox, h.inbox
 	for step := 1; step <= depth; step++ {
-		ctx := bsp.NewBenchContext[gpsi](cfg, 0, step)
-		for _, env := range inbox {
-			e.Process(ctx, env)
-		}
+		ctx := bsp.NewBenchContext[gpsi](h.cfg, 0, step)
+		h.processAll(ctx, inbox)
 		inbox, batch = ctx.Sends(0), nil
-		for dst := 0; dst < cfg.Workers; dst++ {
+		for dst := 0; dst < h.cfg.Workers; dst++ {
 			if b := ctx.Sends(dst); len(b) > len(batch) {
 				batch = b
 			}
@@ -228,26 +199,21 @@ func hotpathLevelBatch(p *pattern.Pattern, depth int) ([]bsp.Envelope[gpsi], err
 // through the flat (compressed=false) or prefix-compressed (true) frame
 // codec: the pair that weighs compression's encode and decode cost.
 func benchmarkFrameDense(compressed bool) func(b *testing.B) {
+	encode := bsp.AppendWireFrame[gpsi]
+	if compressed {
+		encode = bsp.AppendCompressedFrame[gpsi]
+	}
 	return func(b *testing.B) {
 		batch, err := hotpathLevelBatch(pattern.PG3(), 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var buf []byte
-		if compressed {
-			buf = bsp.AppendCompressedFrame(nil, 1, batch)
-		} else {
-			buf = bsp.AppendWireFrame(nil, 1, batch)
-		}
+		buf := encode(nil, 1, batch)
 		b.SetBytes(int64(len(buf)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if compressed {
-				buf = bsp.AppendCompressedFrame(buf[:0], 1, batch)
-			} else {
-				buf = bsp.AppendWireFrame(buf[:0], 1, batch)
-			}
+			buf = encode(buf[:0], 1, batch)
 			_, out, err := bsp.DecodeFrame[gpsi](buf[4:])
 			if err != nil || len(out) != len(batch) {
 				b.Fatalf("decode: %d envelopes, err %v", len(out), err)

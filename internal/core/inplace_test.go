@@ -69,19 +69,19 @@ func TestInPlaceChecksCutVerificationGpsis(t *testing.T) {
 // pre-mapped hub).
 func TestPendingEdgesNeedAHop(t *testing.T) {
 	var emitted [][]graph.VertexID
-	e, _, inbox, err := newHotpathHarnessOpts(preparePartitioned, pattern.Diamond(), func(o *Options) {
+	h, err := newHotpathHarnessOpts(preparePartitioned, pattern.Diamond(), func(o *Options) {
 		o.bitmapMinDegree = 16
 		o.OnInstance = func(m []graph.VertexID) { emitted = append(emitted, append([]graph.VertexID(nil), m...)) }
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := h.e
 	hub := func(v graph.VertexID) bool { return e.bitmap.Row(v) != nil }
-	cfg := bsp.Config{Workers: e.opts.Workers, Owner: e.ownerOf}
 	var pending, proved int
-	cur := inbox
+	cur := h.inbox
 	for step := 1; step <= 3 && len(cur) > 0; step++ {
-		ctx := bsp.NewBenchContext[gpsi](cfg, 0, step)
+		ctx := bsp.NewBenchContext[gpsi](h.cfg, 0, step)
 		var next []bsp.Envelope[gpsi]
 		for _, env := range cur {
 			ctx.ResetSends()
@@ -89,7 +89,7 @@ func TestPendingEdgesNeedAHop(t *testing.T) {
 			parent := env.Msg
 			vp := int(parent.Next)
 			vdHub := hub(parent.Map[vp])
-			e.Process(ctx, env)
+			h.run.Process(ctx, env)
 			var children []gpsi
 			for w := 0; w < e.opts.Workers; w++ {
 				for _, child := range ctx.Sends(w) {

@@ -27,13 +27,13 @@ var ErrPreparedMismatch = errors.New("psgl: options do not match the prepared gr
 // concurrent ones included, share the result, and Patch carries them to an
 // edited graph. A Prepared is immutable after Prepare or Patch returns.
 //
-// A Prepared also fixes who may read which rows. Prepare's runs share one
-// memory domain: every worker reads every row, so a closing edge is checked
-// exactly where it is met and no Gpsi carries a pending edge; the partition
-// only routes Gpsis, for load balance. PreparePartitioned's runs are the
-// paper's vertex-partitioned model, with its distribution strategies, which
-// the paper-figure experiments run — strict, in process and with no
-// checkpoint, the one configuration the model accepts.
+// A Prepared also fixes the program its runs execute. Prepare's runs share
+// one memory domain (engine.go): every worker reads every row, so a closing
+// edge is checked exactly where it is met; the partition only routes Gpsis,
+// for load balance. PreparePartitioned's runs are the paper's
+// vertex-partitioned model (partitioned.go), with its distribution
+// strategies, which the paper-figure experiments run — strict, in process and
+// with no checkpoint, the one configuration the model accepts.
 type Prepared struct {
 	*graphIndex
 	workers int
@@ -57,8 +57,8 @@ type graphIndex struct {
 	g     *graph.Graph
 	orig  []graph.VertexID // orig[r] is the caller id of vertex r; nil under IdentityOrder
 	knobs indexKnobs
-	model
-	ix     *bloom.EdgeIndex // nil in one memory domain and in the w/o-index ablation
+	// paper is the partitioned model's set-up; nil in one memory domain.
+	paper  *model
 	bitmap *graph.BitmapIndex
 	// byDegree is set when degree never decreases with the rank, so the engine
 	// may read its degree filter off the rank: on the graph Prepare relabelled,
@@ -75,16 +75,6 @@ type graphIndex struct {
 	// base's.
 	rankOnce sync.Once
 	rank     atomic.Pointer[[]graph.VertexID]
-}
-
-// model is how a state's runs check closing edges and route Gpsis. shared is
-// set in one memory domain (Prepare), where every worker reads every row;
-// unset in the partitioned model (PreparePartitioned), whose runs route by
-// strategy, at alpha for the workload-aware one.
-type model struct {
-	shared   bool
-	strategy Strategy
-	alpha    float64
 }
 
 // indexKnobs are the Options fields a graphIndex is a function of.
@@ -105,7 +95,7 @@ const BloomBitsPerEdge = 10
 // in one memory domain: no edge index is built. Only Workers, Seed,
 // IdentityOrder and the bitmap's hub threshold are read; every run on the
 // result must agree on those.
-func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, model{shared: true}, 0) }
+func Prepare(g *graph.Graph, opts Options) *Prepared { return prepare(g, opts, nil, 0) }
 
 // PreparePartitioned is Prepare for the paper's vertex-partitioned model: a
 // worker checks a closing edge exactly only when it owns an endpoint, asks the
@@ -125,18 +115,18 @@ func PreparePartitioned(g *graph.Graph, opts Options, bitsPerEdge int, strategy 
 	if alpha <= 0 {
 		alpha = 0.5
 	}
-	return prepare(g, opts, model{strategy: strategy, alpha: min(alpha, 1)}, bitsPerEdge)
+	return prepare(g, opts, &model{strategy: strategy, alpha: min(alpha, 1)}, bitsPerEdge)
 }
 
-func prepare(g *graph.Graph, opts Options, m model, bitsPerEdge int) *Prepared {
+func prepare(g *graph.Graph, opts Options, paper *model, bitsPerEdge int) *Prepared {
 	opts = opts.normalized()
-	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts), model: m}
+	gi := &graphIndex{src: g, g: g, knobs: knobsOf(opts), paper: paper}
 	if !opts.IdentityOrder {
 		gi.g, gi.orig = graph.ByDegree(g)
 		gi.byDegree = true
 	}
 	if bitsPerEdge > 0 {
-		gi.ix = bloom.BuildEdgeIndex(gi.g, bitsPerEdge)
+		paper.ix = bloom.BuildEdgeIndex(gi.g, bitsPerEdge)
 	}
 	gi.bitmap = graph.NewBitmapIndex(gi.g, opts.bitmapMinDegree)
 	return gi.partitioned(opts.Workers, opts.Seed)
@@ -157,15 +147,13 @@ func prepare(g *graph.Graph, opts Options, m model, bitsPerEdge int) *Prepared {
 // set — one more false positive, which exact verification refutes; the hub
 // bitmap is rebuilt over the patched CSR. pr is unchanged.
 func (pr *Prepared) Patch(g *graph.Graph, added, removed [][2]graph.VertexID) *Prepared {
-	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs, model: pr.model}
+	gi := &graphIndex{src: g, g: g, orig: pr.orig, knobs: pr.knobs}
 	if rank := pr.ranks(); rank != nil {
 		added, removed = relabelEdges(added, rank), relabelEdges(removed, rank)
 		gi.g = pr.g.Patched(added, removed)
 		gi.rankOnce.Do(func() { gi.rank.Store(pr.rank.Load()) })
 	}
-	if pr.ix != nil {
-		gi.ix = pr.ix.Patched(added)
-	}
+	gi.paper = pr.paper.patched(added)
 	gi.bitmap = graph.NewBitmapIndex(gi.g, pr.knobs.BitmapMinDegree)
 	return &Prepared{graphIndex: gi, workers: pr.workers, seed: pr.seed, owner: pr.owner}
 }
@@ -243,10 +231,7 @@ func (pr *Prepared) SizeBytesBeside(other *Prepared) int64 {
 	if pr.orig != nil {
 		n += pr.g.SizeBytes()
 	}
-	if pr.ix != nil {
-		n += pr.ix.SizeBytes()
-	}
-	return n
+	return n + pr.paper.indexBytes()
 }
 
 // builtRanks returns orig's inverse if something has built it, else nil.
@@ -274,7 +259,7 @@ func (gi *graphIndex) degreeDist() *stats.Distribution {
 // check reports whether (normalized) opts are the ones pr was built for, and,
 // in the partitioned model, whether they ask for its one configuration.
 func (pr *Prepared) check(opts Options) error {
-	if !pr.shared && (opts.AsyncExchange || opts.Exchange != nil ||
+	if pr.paper != nil && (opts.AsyncExchange || opts.Exchange != nil ||
 		opts.CheckpointEvery > 0 || opts.CheckpointStore != nil || opts.ResumeFrom != nil) {
 		return fmt.Errorf("%w: the partitioned model runs strict and in process, with no checkpoint or resume", ErrPreparedMismatch)
 	}

@@ -80,8 +80,8 @@ func hashPrepared(pr *Prepared) uint64 {
 	for v := 0; v < n; v++ {
 		vd := graph.VertexID(v)
 		fmt.Fprint(h, pr.g.Neighbors(vd), pr.bitmap.Row(vd))
-		for d := 1; d <= 3 && pr.ix != nil; d++ {
-			fmt.Fprint(h, pr.ix.MayHaveEdge(vd, graph.VertexID((v+d)%n)))
+		for d := 1; d <= 3 && pr.paper != nil && pr.paper.ix != nil; d++ {
+			fmt.Fprint(h, pr.paper.ix.MayHaveEdge(vd, graph.VertexID((v+d)%n)))
 		}
 	}
 	return h.Sum64()

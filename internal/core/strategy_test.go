@@ -123,8 +123,8 @@ func TestExpandCostMatchesBinomial(t *testing.T) {
 
 // TestProductPicksCheapestGray: in one memory domain the next expanding
 // vertex is the GRAY vertex of least expandCost, ties to the lowest pattern
-// vertex, whatever order the candidates come in, and no worker keeps a load
-// view. Random Gpsis of the house on a graph full of degree ties exercise
+// vertex, whatever order the candidates come in; the load view is the
+// partitioned workload-aware program's alone. Random Gpsis of the house on a graph full of degree ties exercise
 // both the strict minimum and the tie-break.
 func TestProductPicksCheapestGray(t *testing.T) {
 	g := gen.ErdosRenyi(200, 500, 3)
@@ -134,17 +134,13 @@ func TestProductPicksCheapestGray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w, sc := range e.scratch {
-		if sc.view != nil || sc.pow != nil {
-			t.Fatalf("worker %d keeps a load view in one memory domain", w)
-		}
-	}
-	wa, err := newEngine(preparePartitioned(g, opts), p, opts.normalized())
+	pr := preparePartitioned(g, opts)
+	wa, err := newEngine(pr, p, opts.normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wa.scratch[0].view) != opts.Workers {
-		t.Fatalf("the partitioned workload-aware engine has a view of %d workers, want %d", len(wa.scratch[0].view), opts.Workers)
+	if view := pr.program(wa).(*partitioned).local[0].view; len(view) != opts.Workers {
+		t.Fatalf("the partitioned workload-aware program has a view of %d workers, want %d", len(view), opts.Workers)
 	}
 	rng := rand.New(rand.NewSource(9))
 	ties, picks := 0, 0
@@ -186,7 +182,7 @@ func TestProductPicksCheapestGray(t *testing.T) {
 		reversed := slices.Clone(grays)
 		slices.Reverse(reversed)
 		for _, order := range [][]int{grays, reversed} {
-			if got := e.chooseNext(0, &m, order); got != want {
+			if got := e.chooseCheapest(&m, order); got != want {
 				t.Fatalf("map %v expanded %b: picked %d from %v, want %d (cost %g)", m.Map[:m.N], m.Expanded, got, order, want, least)
 			}
 		}

@@ -202,30 +202,6 @@ func BenchmarkAblationInitialVertex(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTransport compares the in-process exchange against
-// loopback TCP (serialization + network stack cost per message).
-func BenchmarkAblationTransport(b *testing.B) {
-	g := psgl.GenerateChungLu(3000, 12000, 1.8, 6)
-	for _, tcp := range []bool{false, true} {
-		name := "local"
-		if tcp {
-			name = "tcp"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := psgl.NewOptions()
-				opts.Workers = 4
-				if tcp {
-					opts.Exchange = psgl.NewTCPExchange()
-				}
-				if _, err := psgl.List(g, psgl.Square(), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkHotpath runs the engine's hot-path microbenchmarks: steady-state
 // expansion and the exchange frame codec. The same measurements back the
 // benchmark module's core.hotpath.* rows.

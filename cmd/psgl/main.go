@@ -42,7 +42,7 @@ func main() {
 // listingFlags are the flags only the listing engine reads.
 var listingFlags = map[string]bool{
 	"initial": true, "max-intermediate": true,
-	"tcp": true, "async": true,
+	"async":          true,
 	"checkpoint-dir": true, "checkpoint-every": true, "resume": true,
 	"explain": true,
 }
@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		initial     = fs.Int("initial", -1, "initial pattern vertex (-1 = automatic)")
 		seed        = fs.Int64("seed", 1, "seed for the generator and the random partition")
 		budget      = fs.Int64("max-intermediate", 0, "abort after this many partial instances (0 = unlimited)")
-		tcp         = fs.Bool("tcp", false, "route messages over loopback TCP")
 		async       = fs.Bool("async", false, "pipelined async exchange: flush frames as produced, credit-based termination instead of barriers (counts identical to strict mode)")
 		timeout     = fs.Duration("timeout", 0, "overall run timeout (0 = none); Ctrl-C also cancels cleanly")
 		ckptDir     = fs.String("checkpoint-dir", "", "directory for barrier checkpoints (enables checkpointing)")
@@ -156,9 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.InitialVertex = *initial
 	opts.Seed = *seed
 	opts.MaxIntermediate = *budget
-	if *tcp {
-		opts.Exchange = psgl.NewTCPExchange()
-	}
 	opts.AsyncExchange = *async
 	if *ckptDir != "" {
 		store, err := psgl.NewFileCheckpointStore(*ckptDir)

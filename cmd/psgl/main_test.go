@@ -75,13 +75,17 @@ func TestFlagValidation(t *testing.T) {
 		// The census reads no listing-engine flag: each is refused, and
 		// -checkpoint-dir before its store is created.
 		{"census with checkpointing", []string{"-gen", "er:200:800", "-pattern", "census(3)", "-checkpoint-dir", censusStore,
-			"-resume", "-tcp", "-initial", "0"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
+			"-resume", "-initial", "0"}, 2, "-checkpoint-dir applies to pattern listing, not census queries"},
+		// Every worker is a goroutine reading one in-memory graph: there is
+		// no loopback-TCP exchange to route messages through.
+		{"loopback tcp", []string{"-gen", "er:50:100", "-tcp"}, 2, "flag provided but not defined: -tcp"},
+		{"census with -tcp", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-tcp"}, 2, "flag provided but not defined: -tcp"},
 		{"census with -exchange-retries", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-exchange-retries", "2"}, 2, "flag provided but not defined: -exchange-retries"},
 		{"census with -max-recoveries", []string{"-gen", "er:50:100", "-pattern", "census(3)", "-max-recoveries", "2"}, 2, "flag provided but not defined: -max-recoveries"},
 	}
 	for _, f := range [][]string{
 		{"-initial", "0"}, {"-max-intermediate", "10"},
-		{"-tcp"}, {"-async"},
+		{"-async"},
 		{"-checkpoint-dir", censusStore}, {"-checkpoint-every", "2"}, {"-resume"},
 	} {
 		cases = append(cases, flagCase{"census with " + f[0], append([]string{"-gen", "er:50:100", "-pattern", "census(3)"}, f...),
@@ -270,15 +274,14 @@ func TestExplainExitsCleanly(t *testing.T) {
 }
 
 // TestAsyncFlagMatchesStrict: -async produces the same count as the default
-// barriered run (verified against the oracle too), over both the in-process
-// and loopback-TCP transports.
+// barriered run (verified against the oracle too).
 func TestAsyncFlagMatchesStrict(t *testing.T) {
 	code, strictOut, stderr := runCLI(t,
 		"-gen", "er:150:600", "-pattern", "square", "-workers", "3")
 	if code != 0 {
 		t.Fatalf("strict run: exit %d, stderr:\n%s", code, stderr)
 	}
-	for _, extra := range [][]string{{"-async"}, {"-async", "-tcp"}} {
+	for _, extra := range [][]string{{"-async"}} {
 		args := append([]string{"-gen", "er:150:600", "-pattern", "square", "-workers", "3", "-verify"}, extra...)
 		code, asyncOut, stderr := runCLI(t, args...)
 		if code != 0 {

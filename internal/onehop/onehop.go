@@ -21,7 +21,6 @@
 package onehop
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -82,39 +81,8 @@ const (
 	kindExtend = 1
 )
 
-// AppendWire implements bsp.WireMessage, so matches can cross a TCP
-// transport: [len(Match) | Pos | Kind | Match as 4-byte little-endian words].
-func (m *message) AppendWire(dst []byte) []byte {
-	dst = append(dst, byte(len(m.Match)), byte(m.Pos), byte(m.Kind))
-	for _, v := range m.Match {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
-}
-
-// DecodeWire implements bsp.WireMessage. Match gets fresh storage: decoded
-// messages must not alias the frame buffer or each other.
-func (m *message) DecodeWire(src []byte) ([]byte, error) {
-	if len(src) < 3 || len(src) < 3+4*int(src[0]) {
-		return nil, fmt.Errorf("onehop: truncated wire message (%d bytes)", len(src))
-	}
-	n := int(src[0])
-	m.Pos, m.Kind = int8(src[1]), int8(src[2])
-	m.Match = make([]graph.VertexID, n)
-	for i := range m.Match {
-		m.Match[i] = graph.VertexID(binary.LittleEndian.Uint32(src[3+4*i:]))
-	}
-	return src[3+4*n:], nil
-}
-
 // Run lists instances of p in g along the fixed traversal order.
 func Run(g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
-	return run(g, p, opts, nil)
-}
-
-// run is Run over a chosen transport (nil = in-process); the tests use it to
-// pin that the wire codec changes nothing.
-func run(g *graph.Graph, p *pattern.Pattern, opts Options, exchange bsp.ExchangeFactory) (*Result, error) {
 	if g == nil || p == nil {
 		return nil, fmt.Errorf("onehop: nil graph or pattern")
 	}
@@ -158,9 +126,8 @@ func run(g *graph.Graph, p *pattern.Pattern, opts Options, exchange bsp.Exchange
 		budget:  opts.MaxIntermediate,
 	}
 	cfg := bsp.Config{
-		Workers:  workers,
-		Owner:    func(v graph.VertexID) int { return e.part.Owner(v) },
-		Exchange: exchange,
+		Workers: workers,
+		Owner:   func(v graph.VertexID) int { return e.part.Owner(v) },
 	}
 	start := time.Now()
 	rs, err := bsp.Run[message](cfg, e)

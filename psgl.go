@@ -107,31 +107,10 @@ func Count(g *Graph, p *Pattern, opts Options) (int64, error) {
 	return res.Count, nil
 }
 
-// NewTCPExchange returns a BSP message exchange that routes every
-// inter-worker batch through loopback TCP as binary wire frames; assign it
-// to Options.Exchange. It is loopback between goroutines of this one process
-// and distributes nothing: every worker reads the same in-memory graph. It is
-// kept because the list-wire benchmark measures it, until the TCP exchange is
-// retired.
-func NewTCPExchange() bsp.ExchangeFactory { return bsp.NewTCPExchangeFactory() }
-
-// Checkpoint and resume (the Giraph-style barrier checkpointing the paper's
-// substrate provides, Section 6). See Options for how these compose.
-type (
-	// ExchangeFactory builds a BSP message exchange; assign one to
-	// Options.Exchange.
-	ExchangeFactory = bsp.ExchangeFactory
-	// CheckpointStore persists barrier snapshots for resume.
-	CheckpointStore = bsp.CheckpointStore
-	// TCPConfig tunes the TCP exchange's dial/setup/frame deadlines; a
-	// deadline that passes ends the run with a timeout error.
-	TCPConfig = bsp.TCPConfig
-)
-
-// NewTCPExchangeWithConfig is NewTCPExchange with explicit deadlines.
-func NewTCPExchangeWithConfig(cfg TCPConfig) ExchangeFactory {
-	return bsp.NewTCPExchangeFactoryWithConfig(cfg)
-}
+// CheckpointStore persists barrier snapshots for resume: the Giraph-style
+// barrier checkpointing the paper's substrate provides (Section 6). See
+// Options for how checkpoints and resume compose.
+type CheckpointStore = bsp.CheckpointStore
 
 // NewMemCheckpointStore returns an in-memory checkpoint store: a stopped run's
 // snapshots, for a later run in the same process to resume from.

@@ -131,22 +131,6 @@ func TestOOMSurfacedPublicly(t *testing.T) {
 	}
 }
 
-// TestTCPExchangePublic lists squares: a triangle completes where it is
-// seeded and sends nothing over the exchange.
-func TestTCPExchangePublic(t *testing.T) {
-	g := psgl.GenerateErdosRenyi(100, 500, 4)
-	opts := psgl.NewOptions()
-	opts.Workers = 2
-	opts.Exchange = psgl.NewTCPExchange()
-	got, err := psgl.Count(g, psgl.Square(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := psgl.CountCentralized(g, psgl.Square()); got != want {
-		t.Fatalf("tcp=%d oracle=%d", got, want)
-	}
-}
-
 func TestBuilderPublic(t *testing.T) {
 	b := psgl.NewGraphBuilder(4)
 	b.AddEdge(0, 1)

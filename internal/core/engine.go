@@ -181,11 +181,10 @@ type engine struct {
 	orig []graph.VertexID
 	p    *pattern.Pattern
 	opts Options
-	// bitmap is the exact edge test of seeds (and of the partitioned model's
-	// verification hop): a binary search of the shorter CSR row, or a bit of a
-	// hub's bitset when both endpoints are hubs (Section 5.1.1: "costg ... can
-	// be done efficiently by a bitmap index"). Its hub bitsets also answer
-	// admits, which otherwise merges along rows (SeekRow), as combine does.
+	// bitmap's hub bitsets serve the AND of candidates and admits, which
+	// otherwise merges along rows (SeekRow), as combine does (Section 5.1.1:
+	// "costg ... can be done efficiently by a bitmap index"); its HasEdge is
+	// the partitioned model's verification test.
 	bitmap *graph.BitmapIndex
 	// owner[v] is the worker owning data vertex v (Prepared's, read-only).
 	owner []int32

@@ -281,7 +281,8 @@ func (pe *partitioned) finalize(ctx *bsp.Context[gpsi], m *gpsi) {
 		pe.emit(ctx, m)
 		return
 	}
-	w, sc := ctx.Worker(), &pe.scratch[ctx.Worker()]
+	w := ctx.Worker()
+	sc := &pe.scratch[w]
 	sc.grays = pe.grayCandidates(m, sc.grays[:0]) // keep the grown buffer for the next Gpsi
 	if len(sc.grays) == 0 {
 		ctx.Abort(errStuck)
